@@ -111,9 +111,9 @@ def run_check(spec: MetricSpec, config: RunConfig) -> ClassReport:
 
         ys = finsler.unit_alpha_vectors(bu, config.y_per_point, rng)
         for y_idx, y in enumerate(ys):
-            G, aux = finsler.spray(bu, y, mode=config.mode)
-            R, ric = finsler.riemann_curvature(bu, y, mode=config.mode, G=G)
-            ric_T = finsler.ricci_via_T(bu, y, mode=config.mode, G=G, aux=aux)
+            G = finsler.spray(bu, y, mode=config.mode)
+            _, ric = finsler.riemann_curvature(bu, y, mode=config.mode, G=G)
+            ric_T = finsler.ricci_via_T(bu, y, mode=config.mode, G=G)
             if abs(ric - ric_T) > 100.0 * tol * max(1.0, abs(ric)):
                 cross_route_viol.append(
                     f"Ricci routes disagree at point {p_idx}, y {y_idx}: {ric} vs {ric_T}"
@@ -122,14 +122,14 @@ def run_check(spec: MetricSpec, config: RunConfig) -> ClassReport:
             ricbar = bu.ricbar(y)
             max_ricbar = max(max_ricbar, abs(ricbar))
             max_ricF = max(max_ricF, abs(ric) / max(1.0, F * F))
-            s_def = scurvature.s_curvature_def(bu, y, config.volume_form, mode=config.mode)
+            s_def = scurvature.s_curvature_def(bu, y, config.volume_form, mode=config.mode, G=G)
             s_closed = scurvature.s_curvature_closed(bu, y, config.volume_form)
             if abs(s_def - s_closed) > 100.0 * tol * max(1.0, abs(s_def)):
                 cross_route_viol.append(
                     f"S-curvature routes disagree at point {p_idx}, y {y_idx}: {s_def} vs {s_closed}"
                 )
             max_S = max(max_S, abs(s_def))
-            K, fres = finsler.flag_curvature_fit(bu, y, mode=config.mode, G=G, aux=aux)
+            K, fres = finsler.flag_curvature_fit(bu, y, mode=config.mode, G=G)
             flag_K.append(K)
             flag_resid = max(flag_resid, fres / max(1.0, F * F))
             point_rows.append(

@@ -24,6 +24,7 @@ import numpy as np
 from . import classify, finsler, scurvature, testmetrics
 from .classify import RunConfig
 from .dsl import MetricFileError, parse_metric, sample_domain, validate_spec
+from .jets import JetError
 from .riemann import GeometryError, build_bundle
 
 EXIT_OK = 0
@@ -221,7 +222,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SystemExit as exc:  # raised by the loaders with the proper status
         return int(exc.code)
-    except GeometryError as exc:
+    except (GeometryError, JetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_METRIC
 

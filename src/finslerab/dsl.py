@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jets import Jet, elem, seed
+from .jets import Jet, JetError, elem, seed
 
 __all__ = [
     "MetricFileError",
@@ -465,19 +465,25 @@ def validate_spec(spec: MetricSpec, samples: int = 200, seed: int = 0) -> Valida
 
     The 1/4 bound is the validity condition for the slope-type metric
     F = alpha^2/(alpha - beta): it needs |beta|_alpha < 1/2 pointwise.
-    Violations are reported as data, not raised.
+    A component that cannot be evaluated at a sampled point (log or sqrt of
+    a non-positive value, division by zero) is a violation too.  Violations
+    are reported as data, not raised.
     """
     rng = np.random.default_rng(seed)
     pts = sample_domain(spec, samples, rng)
     violations = []
     for x in pts:
-        a = spec.a_values(x)
+        try:
+            a = spec.a_values(x)
+            b = spec.b_values(x)
+        except JetError as exc:
+            violations.append((x.copy(), "evaluation failed", str(exc)))
+            continue
         try:
             np.linalg.cholesky(a)
         except np.linalg.LinAlgError:
             violations.append((x.copy(), "not positive definite", f"min eig {np.linalg.eigvalsh(a)[0]:.3g}"))
             continue
-        b = spec.b_values(x)
         bsq = float(b @ np.linalg.solve(a, b))
         if bsq >= 0.25:
             violations.append((x.copy(), "b^2 >= 1/4", f"b^2 = {bsq:.6g}"))

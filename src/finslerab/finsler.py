@@ -1,19 +1,28 @@
 """The deformed (slope-type) metric layer: F = alpha^2 / (alpha - beta).
 
-Builds the spray coefficients G^i at a point (x, y) as order-2 jets over
-the 2n chart+fiber directions, by two independent formulas:
+Builds the spray coefficients G^i at a point (x, y), with their exact
+derivatives over the 2n chart+fiber directions, by two independent
+formulas:
 
+* ``mode="matsumoto"`` -- the closed rational form specific to this phi,
+  evaluated on array jets (``ArrayJet``).  Each input (alpha^2, beta, r00,
+  s0, s^i_0, Gbar^i, b^2, b^i, y) is a constant, linear or quadratic
+  function of y whose x-dependent coefficients and first x-derivatives
+  the bundle holds, so its jet is written down in closed form;
 * ``mode="general"``   -- the generic (alpha, beta) spray with the Q, Psi,
-  Theta coefficients computed from phi(s) = 1/(1 - s) and its derivatives;
-* ``mode="matsumoto"`` -- the closed rational form specific to this phi.
+  Theta coefficients computed from phi(s) = 1/(1 - s) and its derivatives,
+  propagated through scalar ``Jet`` arithmetic from jet lifts of the same
+  fields.  It shares no derivative code with the matsumoto route and serves
+  as its oracle.
 
-From the spray jets the Riemann curvature operator, its trace, the
-Einstein residual, the deformation field T^i = G^i - Gbar^i and its
-horizontal/vertical derivatives, and constant-scalar fits (lambda, c,
-sigma, flag curvature K) all follow.  The curvature is also computed a
-second way, through the deformation-field identity relating Ric to the
-Ricci curvature of alpha; agreement of the two routes is the engine's
-strongest self-check and is asserted in the test suite rather than here.
+Both return one record, ``Spray``.  From it the Riemann curvature operator,
+its trace, the Einstein residual, the deformation field T^i = G^i - Gbar^i
+and its horizontal/vertical derivatives, the fundamental tensor and
+constant-scalar fits (lambda, c, sigma, flag curvature K) all follow.  The
+curvature is also computed a second way, through the deformation-field
+identity relating Ric to the Ricci curvature of alpha; agreement of the two
+routes is the engine's strongest self-check and is asserted in the test
+suite rather than here.
 """
 
 from __future__ import annotations
@@ -23,13 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet, jsqrt
-from .riemann import AlphaBetaBundle, alpha_spray_jets
+from .jets import ArrayJet, Jet, jsqrt
+from .riemann import AlphaBetaBundle
 
 __all__ = [
     "PhiData",
     "FinslerEval",
     "ScalarFit",
+    "Spray",
     "phi_data",
     "spray",
     "riemann_curvature",
@@ -95,6 +105,117 @@ def phi_data(s: float, bsq: float, mode: str = "matsumoto") -> PhiData:
 # -- spray --------------------------------------------------------------------
 
 
+@dataclass
+class Spray:
+    """The spray of F at one (x, y); the same record in both modes.
+
+    Each field is an order-2 array jet over the 2n chart+fiber directions
+    (x^1..x^n, then y^1..y^n): ``G`` = G^i and ``Gbar`` = Gbar^i, the spray
+    of alpha, both of shape (n,), and the scalar ``F2`` = F^2.  Their pure
+    x-x second derivatives would need third derivatives of the metric; they
+    are truncated and no formula reads them.
+    """
+
+    G: ArrayJet
+    Gbar: ArrayJet
+    F2: ArrayJet
+
+    def blocks(self):
+        """(G, dG/dx, dG/dy, d2G/dx dy, d2G/dy dy), the blocks the curvature reads.
+
+        Index order: ``gx[i, k]`` = dG^i/dx^k, ``hxy[i, j, k]`` = d2G^i/dx^j dy^k.
+        """
+        return _blocks(self.G)
+
+
+def _blocks(jet: ArrayJet):
+    n = jet.grad.shape[-1] // 2
+    return jet.val, jet.grad[..., :n], jet.grad[..., n:], jet.hess[..., :n, n:], jet.hess[..., n:, n:]
+
+
+# Array-jet inputs of the matsumoto route.  ``dc`` carries the coefficients'
+# first x-derivatives with the derivative direction last; y-derivatives are
+# exact, the x-x Hessian is zero (truncated).
+
+
+def _linear(c: np.ndarray, dc: np.ndarray, y: np.ndarray) -> ArrayJet:
+    """sum_j c[..., j] y^j."""
+    n = y.size
+    lead = c.shape[:-1]
+    grad = np.empty(lead + (2 * n,))
+    grad[..., :n] = np.einsum("...jk,j->...k", dc, y)
+    grad[..., n:] = c
+    hess = np.zeros(lead + (2 * n, 2 * n))
+    hess[..., :n, n:] = np.swapaxes(dc, -1, -2)
+    hess[..., n:, :n] = dc
+    return ArrayJet(c @ y, grad, hess)
+
+
+def _quadratic(q: np.ndarray, dq: np.ndarray, y: np.ndarray) -> ArrayJet:
+    """sum_jk q[..., j, k] y^j y^k for q symmetric in (j, k)."""
+    n = y.size
+    lead = q.shape[:-2]
+    qy = q @ y
+    dqy = np.einsum("...jkl,k->...jl", dq, y)
+    grad = np.empty(lead + (2 * n,))
+    grad[..., :n] = dqy.swapaxes(-1, -2) @ y
+    grad[..., n:] = 2.0 * qy
+    hess = np.zeros(lead + (2 * n, 2 * n))
+    hess[..., :n, n:] = 2.0 * np.swapaxes(dqy, -1, -2)
+    hess[..., n:, :n] = 2.0 * dqy
+    hess[..., n:, n:] = 2.0 * q
+    return ArrayJet(qy @ y, grad, hess)
+
+
+def _field(v, dv: np.ndarray) -> ArrayJet:
+    """An x-dependent field, constant in y."""
+    n = dv.shape[-1]
+    lead = dv.shape[:-1]
+    grad = np.zeros(lead + (2 * n,))
+    grad[..., :n] = dv
+    return ArrayJet(v, grad, np.zeros(lead + (2 * n, 2 * n)))
+
+
+def _matsumoto_spray(bundle: AlphaBetaBundle, y: np.ndarray) -> Spray:
+    n = bundle.n
+    yJ = _linear(np.eye(n), np.zeros((n, n, n)), y)
+    alpha2 = _quadratic(bundle.a, bundle.dA, y)
+    alpha = alpha2.sqrt()
+    beta = _linear(bundle.b, bundle.db, y)
+    r00 = _quadratic(bundle.r, bundle.dr, y)
+    s0 = _linear(bundle.svec, bundle.d_svec, y)
+    si0 = _linear(bundle.s_up, bundle.d_s_up, y)
+    gbar = 0.5 * _quadratic(bundle.gamma, bundle.dgamma, y)
+    bup = _field(bundle.bup, bundle.d_bup)
+    bsq = _field(bundle.bsq, bundle.d_bsq)
+    sj = beta / alpha
+
+    den1 = 2.0 * sj - 1.0
+    den2 = 3.0 * sj - 2.0 * bsq - 1.0
+    common = (2.0 * alpha / den1) * s0 + r00
+    lead = -(alpha / den1)
+    coef_b = -(common / den2)
+    coef_y = ((4.0 * sj - 1.0) / (2.0 * den2)) * common / alpha
+
+    G = gbar + lead * si0 + coef_b * bup + coef_y * yJ
+    F = alpha2 / (alpha - beta)
+    return Spray(G=G, Gbar=gbar, F2=F * F)
+
+
+# Scalar-jet route (the oracle): Jet lifts of the same fields, and the sums
+# over y written out term by term.
+
+
+def _field_jets(values, xgrads: np.ndarray):
+    """Nested lists of scalar jets lifting an x-dependent field into 2n directions."""
+    if np.ndim(values) == 0:
+        n = xgrads.shape[0]
+        g = np.zeros(2 * n)
+        g[:n] = xgrads
+        return Jet(values, g, np.zeros(n * (2 * n + 1)))
+    return [_field_jets(v, g) for v, g in zip(values, xgrads)]
+
+
 def _sym_quadratic(coefJ, yJ):
     """Sum_ij coefJ[i][j] y^i y^j for a symmetric jet matrix."""
     n = len(yJ)
@@ -116,79 +237,51 @@ def _dot(vecJ, yJ):
     return acc
 
 
-def spray(bundle: AlphaBetaBundle, y, mode: str = "matsumoto"):
-    """Spray coefficients G^i at (x, y) as jets; also returns shared scalars.
+def _general_spray(bundle: AlphaBetaBundle, y: np.ndarray) -> Spray:
+    n = bundle.n
+    yJ = bundle.y_jets(y)
+    alpha2 = _sym_quadratic(bundle.aJ, yJ)
+    alpha = jsqrt(alpha2)
+    beta = _dot(bundle.bJ, yJ)
+    r00 = _sym_quadratic(_field_jets(bundle.r, bundle.dr), yJ)
+    s0 = _dot(_field_jets(bundle.svec, bundle.d_svec), yJ)
+    si0 = [_dot(row, yJ) for row in _field_jets(bundle.s_up, bundle.d_s_up)]
+    gbar = [0.5 * _sym_quadratic(g, yJ) for g in _field_jets(bundle.gamma, bundle.dgamma)]
+    bup = _field_jets(bundle.bup, bundle.d_bup)
+    bsq = _field_jets(bundle.bsq, bundle.d_bsq)
+    sj = beta / alpha
 
-    Returns ``(G, aux)`` where ``aux`` carries the alpha/beta/r00/s0 jets the
-    caller usually needs next.
-    """
+    one = Jet.constant(1.0, 2 * n)
+    phi = one / (one - sj)
+    dphi = phi * phi
+    d2phi = 2.0 * phi * dphi
+    edge = phi - sj * dphi
+    delta = edge + (bsq - sj * sj) * d2phi
+    q = dphi / edge
+    psi = d2phi / (2.0 * delta)
+    theta = (phi * dphi - sj * (phi * d2phi + dphi * dphi)) / ((2.0 * phi) * delta)
+    common = r00 - (2.0 * alpha * q) * s0
+    lead = alpha * q
+    coef_b = psi * common
+    coef_y = (theta * common) / alpha
+
+    G = [gbar[i] + lead * si0[i] + coef_b * bup[i] + coef_y * yJ[i] for i in range(n)]
+    F = alpha2 / (alpha - beta)
+    return Spray(
+        G=ArrayJet.from_jets(G), Gbar=ArrayJet.from_jets(gbar), F2=ArrayJet.from_jets(F * F)
+    )
+
+
+def spray(bundle: AlphaBetaBundle, y, mode: str = "matsumoto") -> Spray:
+    """Spray coefficients G^i at (x, y) with their exact derivatives, as a ``Spray``."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     y = np.asarray(y, dtype=float)
     if not np.any(y):
         raise ValueError("y must be nonzero")
-    n = bundle.n
-    yJ = bundle.y_jets(y)
-
-    alpha2 = _sym_quadratic(bundle.aJ, yJ)
-    alpha = jsqrt(alpha2)
-    beta = _dot(bundle.bJ, yJ)
-    r00 = _sym_quadratic(bundle.rJ, yJ)
-    s0 = _dot(bundle.svecJ, yJ)
-    si0 = [_dot(bundle.supJ[i], yJ) for i in range(n)]
-    gbar = alpha_spray_jets(bundle, yJ)
-    sj = beta / alpha
-    bsq = bundle.bsqJ
-
     if mode == "matsumoto":
-        den1 = 2.0 * sj - 1.0
-        den2 = 3.0 * sj - 2.0 * bsq - 1.0
-        common = (2.0 * alpha / den1) * s0 + r00
-        lead = -(alpha / den1)
-        coef_b = -(common / den2)
-        coef_y = ((4.0 * sj - 1.0) / (2.0 * den2)) * common / alpha
-    else:
-        one = Jet.constant(1.0, 2 * n)
-        phi = one / (one - sj)
-        dphi = phi * phi
-        d2phi = 2.0 * phi * dphi
-        edge = phi - sj * dphi
-        delta = edge + (bsq - sj * sj) * d2phi
-        q = dphi / edge
-        psi = d2phi / (2.0 * delta)
-        theta = (phi * dphi - sj * (phi * d2phi + dphi * dphi)) / ((2.0 * phi) * delta)
-        common = r00 - (2.0 * alpha * q) * s0
-        lead = alpha * q
-        coef_b = psi * common
-        coef_y = (theta * common) / alpha
-
-    G = [gbar[i] + lead * si0[i] + coef_b * bundle.bupJ[i] + coef_y * yJ[i] for i in range(n)]
-    aux = {
-        "alpha": alpha,
-        "alpha2": alpha2,
-        "beta": beta,
-        "r00": r00,
-        "s0": s0,
-        "si0": si0,
-        "gbar": gbar,
-        "yJ": yJ,
-        "s": sj,
-    }
-    return G, aux
-
-
-def _spray_blocks(G: list[Jet], n: int):
-    """Extract the derivative blocks of the spray jets used by the curvature."""
-    gval = np.array([g.val for g in G])
-    gx = np.array([g.grad[:n] for g in G])
-    gy = np.array([g.grad[n:] for g in G])
-    hxy = np.empty((n, n, n))
-    hyy = np.empty((n, n, n))
-    for i, g in enumerate(G):
-        h = g.hess_matrix()
-        hxy[i] = h[:n, n:]
-        hyy[i] = h[n:, n:]
-    return gval, gx, gy, hxy, hyy
+        return _matsumoto_spray(bundle, y)
+    return _general_spray(bundle, y)
 
 
 def riemann_curvature(bundle: AlphaBetaBundle, y, mode: str = "matsumoto", G=None):
@@ -199,15 +292,14 @@ def riemann_curvature(bundle: AlphaBetaBundle, y, mode: str = "matsumoto", G=Non
     """
     y = np.asarray(y, dtype=float)
     if G is None:
-        G, _ = spray(bundle, y, mode=mode)
-    n = bundle.n
-    gval, gx, gy, hxy, hyy = _spray_blocks(G, n)
+        G = spray(bundle, y, mode=mode)
+    gval, gx, gy, hxy, hyy = G.blocks()
     R = 2.0 * gx - np.einsum("j,ijk->ik", y, hxy) + 2.0 * np.einsum("j,ijk->ik", gval, hyy) - gy @ gy
     ric = float(np.trace(R))
     return R, ric
 
 
-def ricci_via_T(bundle: AlphaBetaBundle, y, mode: str = "matsumoto", G=None, aux=None) -> float:
+def ricci_via_T(bundle: AlphaBetaBundle, y, mode: str = "matsumoto", G=None) -> float:
     """Ricci curvature through the deformation field T^i = G^i - Gbar^i.
 
     Ric = Ricbar + 2 T^k_|k - y^j T^k_.k|j + 2 T^j T^k_.j.k - T^k_.j T^j_.k,
@@ -216,12 +308,9 @@ def ricci_via_T(bundle: AlphaBetaBundle, y, mode: str = "matsumoto", G=None, aux
     cross-check on both.
     """
     y = np.asarray(y, dtype=float)
-    n = bundle.n
     if G is None:
-        G, aux = spray(bundle, y, mode=mode)
-    gbar = aux["gbar"] if aux else alpha_spray_jets(bundle, bundle.y_jets(y))
-    T = [G[i] - gbar[i] for i in range(n)]
-    tval, tx, ty, txy, tyy = _spray_blocks(T, n)
+        G = spray(bundle, y, mode=mode)
+    tval, tx, ty, txy, tyy = _blocks(G.G - G.Gbar)
 
     nconn = bundle.nonlinear_connection(y)
     gamma = bundle.gamma
@@ -253,20 +342,12 @@ def einstein_residual(bundle: AlphaBetaBundle, y, sigma: float, mode: str = "mat
     return ric - sigma * F * F
 
 
-def fundamental_tensor(bundle: AlphaBetaBundle, y, G=None, aux=None) -> np.ndarray:
+def fundamental_tensor(bundle: AlphaBetaBundle, y, G=None) -> np.ndarray:
     """g_ij = 1/2 [F^2]_{y^i y^j}, from the exact fiber Hessian of the F^2 jet."""
+    if G is None:
+        G = spray(bundle, y)
     n = bundle.n
-    if aux is None:
-        yJ = bundle.y_jets(y)
-        alpha2 = _sym_quadratic(bundle.aJ, yJ)
-        alpha = jsqrt(alpha2)
-        beta = _dot(bundle.bJ, yJ)
-    else:
-        alpha2, alpha, beta = aux["alpha2"], aux["alpha"], aux["beta"]
-    F = alpha2 / (alpha - beta)
-    F2 = F * F
-    h = F2.hess_matrix()
-    return 0.5 * h[n:, n:]
+    return 0.5 * G.F2.hess[n:, n:]
 
 
 @dataclass
@@ -278,7 +359,7 @@ class FinslerEval:
     F: float
     G: np.ndarray
     T: np.ndarray
-    T_jets: list
+    T_jet: ArrayJet
     g: np.ndarray
     R: np.ndarray
     Ric: float
@@ -288,19 +369,18 @@ class FinslerEval:
 
 def finsler_eval(bundle: AlphaBetaBundle, y, sigma: float = 0.0, mode: str = "matsumoto") -> FinslerEval:
     y = np.asarray(y, dtype=float)
-    G, aux = spray(bundle, y, mode=mode)
-    R, ric = riemann_curvature(bundle, y, mode=mode, G=G)
-    gbar = aux["gbar"]
-    T = [G[i] - gbar[i] for i in range(bundle.n)]
+    sp = spray(bundle, y, mode=mode)
+    R, ric = riemann_curvature(bundle, y, mode=mode, G=sp)
+    T = sp.G - sp.Gbar
     F = metric_value(bundle, y)
-    g = fundamental_tensor(bundle, y, G=G, aux=aux)
+    g = fundamental_tensor(bundle, y, G=sp)
     return FinslerEval(
         x=bundle.x.copy(),
         y=y.copy(),
         F=F,
-        G=np.array([j.val for j in G]),
-        T=np.array([j.val for j in T]),
-        T_jets=T,
+        G=sp.G.val,
+        T=T.val,
+        T_jet=T,
         g=g,
         R=R,
         Ric=ric,
@@ -388,16 +468,16 @@ def extract_scalars(bundle: AlphaBetaBundle, rng=None, ys=None, mode: str = "mat
     )
 
 
-def flag_curvature_fit(bundle: AlphaBetaBundle, y, mode: str = "matsumoto", G=None, aux=None):
+def flag_curvature_fit(bundle: AlphaBetaBundle, y, mode: str = "matsumoto", G=None):
     """Least-squares K in R^i_k = K (F^2 delta^i_k - y^i y_k), y_k = g_kj y^j.
 
     Returns (K, residual) with residual the max-entry deviation of the fit.
     """
     y = np.asarray(y, dtype=float)
     if G is None:
-        G, aux = spray(bundle, y, mode=mode)
+        G = spray(bundle, y, mode=mode)
     R, _ = riemann_curvature(bundle, y, mode=mode, G=G)
-    g = fundamental_tensor(bundle, y, G=G, aux=aux)
+    g = fundamental_tensor(bundle, y, G=G)
     F = metric_value(bundle, y)
     ylow = g @ y
     M = F * F * np.eye(bundle.n) - np.outer(y, ylow)

@@ -11,6 +11,12 @@ so symmetry is structural rather than asserted.
 
 Jets are immutable values and every operation is pure, so evaluation can be
 fanned out across workers with no coordination.
+
+``ArrayJet`` is the vector-mode counterpart: a whole array of order-2 jets
+over the same directions, with the full Hessian, propagated by numpy
+broadcasting (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008).
+The spray hot path runs on it; the scalar ``Jet`` stays the independent
+oracle it is tested against.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import numpy as np
 
 __all__ = [
     "Jet",
+    "ArrayJet",
     "JetError",
     "seed",
     "arith",
@@ -186,6 +193,103 @@ class Jet:
 
     def __repr__(self):
         return f"Jet({self.val!r}, grad={self.grad!r})"
+
+
+def _trail(v, k: int):
+    """``v`` with k trailing unit axes, to broadcast against grad (k = 1) or hess (k = 2).
+
+    A 0-d value broadcasts as it is, and scalar-by-array products are the
+    cheaper numpy path, which matters on the spray's small arrays.
+    """
+    return v.reshape(v.shape + (1,) * k) if v.ndim else v
+
+
+class ArrayJet:
+    """Array of order-2 jets over ``d`` shared directions.
+
+    ``val`` has a leading shape S, ``grad`` shape S + (d,) and ``hess`` the
+    full symmetric Hessian, shape S + (d, d).  Operands broadcast over their
+    leading shapes as numpy arrays do, so a scalar jet (S = ()) times a
+    vector of jets is a vector of jets.  A plain operand must be a scalar.
+    """
+
+    __slots__ = ("val", "grad", "hess")
+
+    def __init__(self, val, grad: np.ndarray, hess: np.ndarray):
+        self.val = np.asarray(val, dtype=float)
+        self.grad = grad
+        self.hess = hess
+
+    @staticmethod
+    def from_jets(jets) -> "ArrayJet":
+        """Stack a scalar ``Jet``, or a list of them, into one ArrayJet."""
+        if isinstance(jets, Jet):
+            return ArrayJet(jets.val, jets.grad, jets.hess_matrix())
+        return ArrayJet(
+            [j.val for j in jets],
+            np.array([j.grad for j in jets]),
+            np.array([j.hess_matrix() for j in jets]),
+        )
+
+    def __add__(self, other):
+        if isinstance(other, ArrayJet):
+            return ArrayJet(self.val + other.val, self.grad + other.grad, self.hess + other.hess)
+        return ArrayJet(self.val + other, self.grad, self.hess)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return ArrayJet(-self.val, -self.grad, -self.hess)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, ArrayJet):
+            u, v = self.val, other.val
+            outer = self.grad[..., :, None] * other.grad[..., None, :]
+            hess = _trail(u, 2) * other.hess
+            hess += _trail(v, 2) * self.hess
+            hess += outer
+            hess += outer.swapaxes(-1, -2)
+            return ArrayJet(u * v, _trail(u, 1) * other.grad + _trail(v, 1) * self.grad, hess)
+        return ArrayJet(self.val * other, self.grad * other, self.hess * other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, ArrayJet):
+            return self * other.reciprocal()
+        if abs(other) < _TINY:
+            raise JetError("division by zero")
+        return self * (1.0 / other)
+
+    def __rtruediv__(self, other):
+        return other * self.reciprocal()
+
+    def reciprocal(self) -> "ArrayJet":
+        v = self.val
+        if (np.abs(v) < _TINY).any():
+            raise JetError("division by zero jet")
+        inv = 1.0 / v
+        return self._chain(inv, -inv * inv, 2.0 * inv * inv * inv)
+
+    def sqrt(self) -> "ArrayJet":
+        v = self.val
+        if (v <= _TINY).any():
+            raise JetError(f"sqrt of non-positive value {np.min(v)}")
+        r = np.sqrt(v)
+        return self._chain(r, 0.5 / r, -0.25 / (r * v))
+
+    def _chain(self, c0, c1, c2) -> "ArrayJet":
+        """Compose elementwise with a scalar function given its value and derivatives."""
+        g = self.grad
+        hess = _trail(c1, 2) * self.hess
+        hess += _trail(c2, 2) * (g[..., :, None] * g[..., None, :])
+        return ArrayJet(c0, _trail(c1, 1) * g, hess)
 
 
 # -- elementary functions ---------------------------------------------------

@@ -12,24 +12,26 @@ bundle holds, as plain ndarrays,
 * ``Db[i, j]`` = b_i|j,  ``D2b[i, j, k]`` = b_i|j|k,
 * the symmetric/antisymmetric split r/s of Db and all its b- and
   index-raised contractions,
+* the exact first x-derivatives of the fields the spray is built from
+  (``dA``, ``db``, ``dgamma``, ``dr``, ``d_bup``, ``d_bsq``, ``d_s_up``,
+  ``d_svec``; the last index is always the derivative direction).
 
-plus order-2 jet lifts of the x-dependent fields (Christoffels, r, s, ...)
-in a 2n-direction space (x directions 0..n-1, y directions n..2n-1) so the
-deformed spray can be assembled and differentiated jet-wise.  Those lifted
-field jets carry exact values and exact first x-derivatives; their pure
-x-x second derivatives would need third derivatives of the metric and are
-deliberately zero.  No curvature formula reads them: the Riemann operator
-needs at most one x-derivative of the spray.
+Every input of the spray is a constant, linear or quadratic function of y
+with these x-dependent coefficients, so the spray layer differentiates it
+in closed form from the arrays alone.  The bundle keeps the metric
+components as jets in the 2n chart+fiber directions (``aJ``, ``bJ``) for
+the scalar-jet routes: the general spray and the log-determinant of a.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
 from .dsl import MetricSpec
-from .jets import Jet, JetError
+from .jets import ArrayJet, Jet, JetError
 
 __all__ = [
     "GeometryError",
@@ -38,7 +40,6 @@ __all__ = [
     "covariant_b",
     "bianchi_check",
     "horizontal_derivative",
-    "alpha_spray_jets",
     "christoffels_fd",
     "det_jet",
 ]
@@ -46,16 +47,6 @@ __all__ = [
 
 class GeometryError(ValueError):
     """Point outside the domain box, singular or non-positive-definite a(x)."""
-
-
-def _field_jet(value: float, xgrad: np.ndarray, n: int) -> Jet:
-    # Lift an x-dependent scalar field into the 2n-direction jet space from
-    # its value and exact first x-derivatives.  y-derivatives are truly zero;
-    # the x-x Hessian is truncated (see module docstring).
-    d = 2 * n
-    g = np.zeros(d)
-    g[:n] = xgrad
-    return Jet(value, g, np.zeros(d * (d + 1) // 2))
 
 
 @dataclass
@@ -98,16 +89,21 @@ class AlphaBetaBundle:
     Ds: np.ndarray
     Drvec: np.ndarray
     Dsvec: np.ndarray
-    # order-2 jet lifts in the 2n-direction space
+    # exact first x-derivatives of the spray's fields (last index: d/dx^k)
+    dr: np.ndarray
+    d_bup: np.ndarray
+    d_bsq: np.ndarray
+    d_s_up: np.ndarray
+    d_svec: np.ndarray
+    # metric components as order-2 jets in the 2n-direction space
     aJ: list = dc_field(repr=False, default=None)
     bJ: list = dc_field(repr=False, default=None)
-    ainvJ: list = dc_field(repr=False, default=None)
-    bupJ: list = dc_field(repr=False, default=None)
-    bsqJ: Jet = dc_field(repr=False, default=None)
-    gammaJ: list = dc_field(repr=False, default=None)
-    rJ: list = dc_field(repr=False, default=None)
-    supJ: list = dc_field(repr=False, default=None)
-    svecJ: list = dc_field(repr=False, default=None)
+
+    @cached_property
+    def dlndet(self) -> np.ndarray:
+        """d(ln det a)/dx^k, differentiated by jets through ``det_jet``."""
+        detJ = det_jet(self.aJ)
+        return detJ.grad[: self.n] / detJ.val
 
     # -- y-dependent alpha quantities (closed forms in y) --------------------
 
@@ -245,22 +241,11 @@ def build_bundle(spec: MetricSpec, x) -> AlphaBetaBundle:
     Drvec = np.einsum("mj,mi->ij", bup_cov, r) + np.einsum("m,mij->ij", bup, Dr)
     Dsvec = np.einsum("mj,mi->ij", bup_cov, s) + np.einsum("m,mij->ij", bup, Ds)
 
-    # jet lifts of the x-dependent fields for the spray layer
     d_bup = np.einsum("imk,m->ik", d_ainv, b) + a_inv @ db
     d_bsq = np.einsum("ijk,i,j->k", d_ainv, b, b) + 2.0 * np.einsum("ij,ik,j->k", a_inv, db, b)
     d_s_up = np.einsum("imk,mj->ijk", d_ainv, s) + np.einsum("im,mjk->ijk", a_inv, ds)
     d_svec = np.einsum("mk,mj->jk", d_bup, s) + np.einsum("m,mjk->jk", bup, ds)
 
-    ainvJ = [[_field_jet(a_inv[i, j], d_ainv[i, j], n) for j in range(n)] for i in range(n)]
-    bupJ = [_field_jet(bup[i], d_bup[i], n) for i in range(n)]
-    bsqJ = _field_jet(bsq, d_bsq, n)
-    gammaJ = [
-        [[_field_jet(gamma[i, j, k], dgamma[i, j, k], n) for k in range(n)] for j in range(n)]
-        for i in range(n)
-    ]
-    rJ = [[_field_jet(r[i, j], dr[i, j], n) for j in range(n)] for i in range(n)]
-    supJ = [[_field_jet(s_up[i, j], d_s_up[i, j], n) for j in range(n)] for i in range(n)]
-    svecJ = [_field_jet(svec[j], d_svec[j], n) for j in range(n)]
 
     return AlphaBetaBundle(
         spec=spec,
@@ -296,15 +281,13 @@ def build_bundle(spec: MetricSpec, x) -> AlphaBetaBundle:
         Ds=Ds,
         Drvec=Drvec,
         Dsvec=Dsvec,
+        dr=dr,
+        d_bup=d_bup,
+        d_bsq=d_bsq,
+        d_s_up=d_s_up,
+        d_svec=d_svec,
         aJ=aJrows,
         bJ=bJ,
-        ainvJ=ainvJ,
-        bupJ=bupJ,
-        bsqJ=bsqJ,
-        gammaJ=gammaJ,
-        rJ=rJ,
-        supJ=supJ,
-        svecJ=svecJ,
     )
 
 
@@ -340,39 +323,22 @@ def bianchi_check(bundle: AlphaBetaBundle) -> float:
     return float(np.max(np.abs(comm - rhs)))
 
 
-def horizontal_derivative(field_jets: list[Jet], bundle: AlphaBetaBundle, y):
+def horizontal_derivative(field: ArrayJet, bundle: AlphaBetaBundle, y):
     """Horizontal and vertical covariant derivatives of a y-dependent vector field.
 
-    ``field_jets[k]`` must be the k-th component of the field as a jet in the
-    bundle's 2n-direction space at the point (x, y).  Returns (Tcov, Tdot) with
+    ``field`` must be the field as an array jet of shape (n,) in the bundle's
+    2n-direction space at the point (x, y).  Returns (Tcov, Tdot) with
 
         Tcov[k, j] = T^k_|j = dT^k/dx^j - N^m_j dT^k/dy^m + T^m Gamma^k_mj
         Tdot[k, j] = T^k_.j = dT^k/dy^j
     """
     n = bundle.n
     y = np.asarray(y, dtype=float)
-    tval = np.array([t.val for t in field_jets])
-    tx = np.array([t.grad[:n] for t in field_jets])
-    ty = np.array([t.grad[n:] for t in field_jets])
+    tx = field.grad[:, :n]
+    ty = field.grad[:, n:]
     nconn = bundle.nonlinear_connection(y)
-    tcov = tx - np.einsum("mj,km->kj", nconn, ty) + np.einsum("m,kmj->kj", tval, bundle.gamma)
+    tcov = tx - np.einsum("mj,km->kj", nconn, ty) + np.einsum("m,kmj->kj", field.val, bundle.gamma)
     return tcov, ty
-
-
-def alpha_spray_jets(bundle: AlphaBetaBundle, y_jets: list[Jet]) -> list[Jet]:
-    """Gbar^i = (1/2) Gamma^i_jk y^j y^k as jets in the 2n-direction space."""
-    n = bundle.n
-    out = []
-    for i in range(n):
-        acc = None
-        for j in range(n):
-            for k in range(j, n):
-                term = bundle.gammaJ[i][j][k] * (y_jets[j] * y_jets[k])
-                if k != j:
-                    term = 2.0 * term
-                acc = term if acc is None else acc + term
-        out.append(0.5 * acc)
-    return out
 
 
 def det_jet(mat: list[list[Jet]]) -> Jet:

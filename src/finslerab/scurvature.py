@@ -30,7 +30,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .jets import Jet, JetError
-from .riemann import AlphaBetaBundle, det_jet
+from .riemann import AlphaBetaBundle
 from . import finsler
 
 __all__ = [
@@ -183,21 +183,24 @@ def s_curvature_closed(bundle: AlphaBetaBundle, y, form: str = "bh") -> float:
     return spray_part - vf.Lambda * (r0 + s0)
 
 
-def s_curvature_def(bundle: AlphaBetaBundle, y, form: str = "bh", mode: str = "matsumoto") -> float:
+def s_curvature_def(
+    bundle: AlphaBetaBundle, y, form: str = "bh", mode: str = "matsumoto", G=None
+) -> float:
     """S from the definition: spray divergence minus the log-volume drift.
 
-    d(ln sigma_F)/dx^k = 1/2 d(ln det a)/dx^k + Lambda/2 * d(b^2)/dx^k,
-    both factors differentiated as jets; Lambda absorbs f'/(f b) with its
-    b -> 0 limit so beta = 0 costs nothing special.
+    d(ln sigma_F)/dx^k = 1/2 d(ln det a)/dx^k + Lambda/2 * d(b^2)/dx^k, the
+    first by jets through the determinant of a (``bundle.dlndet``), the
+    second from the bundle's exact derivative of b^2; Lambda absorbs
+    f'/(f b) with its b -> 0 limit so beta = 0 costs nothing special.
+    ``G`` is the spray at (x, y) when the caller already has it.
     """
     y = np.asarray(y, dtype=float)
     n = bundle.n
-    G, _ = finsler.spray(bundle, y, mode=mode)
-    div_g = sum(G[i].grad[n + i] for i in range(n))
-    detJ = det_jet(bundle.aJ)
-    dlndet = detJ.grad[:n] / detJ.val
+    if G is None:
+        G = finsler.spray(bundle, y, mode=mode)
+    div_g = float(np.trace(G.G.grad[:, n:]))
     vf = volume_factor(n, math.sqrt(max(bundle.bsq, 0.0)), form)
-    dln_sigma = 0.5 * dlndet + 0.5 * vf.Lambda * bundle.bsqJ.grad[:n]
+    dln_sigma = 0.5 * bundle.dlndet + 0.5 * vf.Lambda * bundle.d_bsq
     return float(div_g - y @ dln_sigma)
 
 

@@ -122,6 +122,24 @@ def test_cli_check_rejects_invalid(tmp_path, capsys):
     assert cli.main(["check", str(bad)]) == cli.EXIT_INVALID_METRIC
 
 
+def test_cli_metric_evaluation_failure_exit(tmp_path, monkeypatch, capsys):
+    # log(x1) cannot be evaluated on the default domain [-1, 1]: a clean
+    # invalid-metric exit, not a JetError traceback
+    bad = tmp_path / "log.metric"
+    bad.write_text("dim = 2\na 1 1 = 1 + log(x1)\na 2 2 = 1\n")
+    assert cli.main(["validate", str(bad)]) == cli.EXIT_INVALID_METRIC
+    assert "evaluation failed" in capsys.readouterr().out
+    assert cli.main(["check", str(bad)]) == cli.EXIT_INVALID_METRIC
+    assert "evaluation failed" in capsys.readouterr().err
+
+    # a JetError raised past validation maps to the same status
+    def failing(spec, config):
+        raise cli.JetError("log of non-positive value")
+
+    monkeypatch.setattr(cli.classify, "run_check", failing)
+    assert cli.main(["check", _example_path()]) == cli.EXIT_INVALID_METRIC
+
+
 def test_cli_engine_inconsistency_exit(monkeypatch, capsys, example_spec):
     real = run_check
 

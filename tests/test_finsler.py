@@ -60,34 +60,40 @@ def test_spray_reduces_to_alpha_without_beta():
     spec = parse_metric("dim = 2\na 1 1 = 1\na 2 2 = sin(x1)^2\ndomain x1 = [0.6, 2.5]")
     bu = build_bundle(spec, np.array([1.2, 0.3]))
     y = np.array([0.7, -0.4])
-    G, aux = spray(bu, y)
+    G = spray(bu, y).G
     gbar = bu.gbar(y)
     for i in range(2):
-        assert abs(G[i].val - gbar[i]) < 1e-15
+        assert abs(G.val[i] - gbar[i]) < 1e-15
 
 
 def test_spray_example_parallel(example_spec):
     rng = np.random.default_rng(3)
     bu = build_bundle(example_spec, example_point(rng))
     y = unit_y(bu, rng)
-    G, _ = spray(bu, y)
+    G = spray(bu, y).G
     gbar = bu.gbar(y)
     for i in range(5):
-        assert abs(G[i].val - gbar[i]) <= 1e-12 * max(1.0, abs(gbar[i]))
+        assert abs(G.val[i] - gbar[i]) <= 1e-12 * max(1.0, abs(gbar[i]))
 
 
 def test_spray_dual_formula_agreement(generic3d):
+    # matsumoto (array jets) against general (scalar jets) on every block the
+    # curvature reads: value, d/dx, d/dy, d2/dx dy and d2/dy dy
     rng = np.random.default_rng(4)
     worst = 0.0
-    for _ in range(20):
-        bu = build_bundle(generic3d, rng.uniform(-0.8, 0.8, 3))
-        for _ in range(10):
-            y = unit_y(bu, rng)
-            G1, _ = spray(bu, y, mode="matsumoto")
-            G2, _ = spray(bu, y, mode="general")
-            for a, b in zip(G1, G2):
-                worst = max(worst, abs(a.val - b.val) / max(1.0, abs(a.val)))
-                worst = max(worst, float(np.max(np.abs(a.grad - b.grad))) / max(1.0, abs(a.val)))
+    for n in (2, 3, 5, 8):
+        spec = generic3d if n == 3 else testmetrics.random_metric(n, 60 + n)
+        for _ in range(20 if n == 3 else 4):
+            bu = build_bundle(spec, rng.uniform(-0.8, 0.8, n))
+            for _ in range(10 if n == 3 else 3):
+                y = unit_y(bu, rng)
+                G1 = spray(bu, y, mode="matsumoto")
+                G2 = spray(bu, y, mode="general")
+                scale = np.maximum(1.0, np.abs(G1.G.val))
+                for a, b in zip(G1.blocks(), G2.blocks()):
+                    assert a.shape == b.shape
+                    dev = np.abs(a - b).reshape(n, -1) / scale[:, None]
+                    worst = max(worst, float(np.max(dev)))
     assert worst <= 1e-10
 
 
@@ -99,10 +105,10 @@ def test_curvature_trivial_and_homogeneity(generic3d):
     rng = np.random.default_rng(5)
     bu = build_bundle(generic3d, rng.uniform(-0.8, 0.8, 3))
     y = rng.standard_normal(3)
-    G2, _ = spray(bu, 2 * y)
-    G1, _ = spray(bu, y)
-    for a, b in zip(G2, G1):
-        assert abs(a.val - 4 * b.val) <= 1e-12 * max(1.0, abs(a.val))
+    G2 = spray(bu, 2 * y).G
+    G1 = spray(bu, y).G
+    for a, b in zip(G2.val, G1.val):
+        assert abs(a - 4 * b) <= 1e-12 * max(1.0, abs(a))
     R1, ric1 = riemann_curvature(bu, y)
     R2, ric2 = riemann_curvature(bu, 2 * y)
     assert np.max(np.abs(R2 - 4 * R1)) <= 1e-10 * max(1.0, np.max(np.abs(R2)))
@@ -228,7 +234,7 @@ def test_finsler_eval_record(generic_bundle):
     assert ev.Ric == np.trace(ev.R)
     assert abs(ev.residual - (ev.Ric - 0.25 * ev.F**2)) < 1e-15
     assert np.allclose(ev.G - ev.T, generic_bundle.gbar(y), atol=1e-14)
-    assert len(ev.T_jets) == 3
+    assert np.array_equal(ev.T_jet.val, ev.T) and ev.T_jet.grad.shape == (3, 6)
 
 
 def test_deformation_matches_conformal_closed_form(homothetic_spec):

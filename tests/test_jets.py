@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finslerab.dsl import eval_component
-from finslerab.jets import Jet, JetError, arith, elem, fd_oracle, jexp, jlog, jsqrt, seed
+from finslerab.jets import ArrayJet, Jet, JetError, arith, elem, fd_oracle, jexp, jlog, jsqrt, seed
 
 
 def test_seed_single_direction():
@@ -109,6 +109,89 @@ def test_deriv_shift():
     assert abs(g.val - 2 * 1.5 * -2.0) < 1e-15
     assert abs(g.grad[0] - 2 * -2.0) < 1e-15
     assert abs(g.grad[1] - 2 * 1.5) < 1e-15
+
+
+# (ArrayJet form, scalar Jet form, plain numpy form) of every array-jet operation
+ARRAY_OPS = {
+    "add": (lambda a, b: a + b,) * 3,
+    "sub": (lambda a, b: a - b,) * 3,
+    "mul": (lambda a, b: a * b,) * 3,
+    "div": (lambda a, b: a / b,) * 3,
+    "radd": (lambda a, b: 2.5 + a,) * 3,
+    "rsub": (lambda a, b: 2.5 - a,) * 3,
+    "rmul": (lambda a, b: 2.5 * a,) * 3,
+    "rdiv": (lambda a, b: 2.5 / a,) * 3,
+    "div_const": (lambda a, b: a / 2.5,) * 3,
+    "neg": (lambda a, b: -a,) * 3,
+    "reciprocal": (lambda a, b: a.reciprocal(), lambda a, b: 1.0 / a, lambda a, b: 1.0 / a),
+    "sqrt": (lambda a, b: a.sqrt(), lambda a, b: jsqrt(a), lambda a, b: np.sqrt(a)),
+}
+
+
+def _quadratic_fields(rng, x0, count):
+    """``count`` positive quadratic functions of x and their exact array jet at x0."""
+    d = x0.size
+    c0 = rng.uniform(1.0, 2.0, count)
+    c1 = rng.uniform(-1.0, 1.0, (count, d))
+    q = rng.uniform(-0.3, 0.3, (count, d, d))
+    q = q + q.transpose(0, 2, 1)
+
+    def plain(x):
+        return c0 + c1 @ x + np.einsum("kij,i,j->k", q, x, x)
+
+    grad = c1 + 2.0 * np.einsum("kij,j->ki", q, x0)
+    return plain, ArrayJet(plain(x0), grad, 2.0 * q)
+
+
+def _scalar_jets(aj):
+    iu = np.triu_indices(aj.grad.shape[-1])
+    return [Jet(v, g, h[iu]) for v, g, h in zip(aj.val, aj.grad, aj.hess)]
+
+
+def _assert_matches(out, k, ref):
+    assert out.val[k] == pytest.approx(ref.val, rel=1e-14, abs=1e-14)
+    np.testing.assert_allclose(out.grad[k], ref.grad, rtol=1e-14, atol=1e-14)
+    np.testing.assert_allclose(out.hess[k], ref.hess_matrix(), rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("op", sorted(ARRAY_OPS))
+def test_array_jet_matches_scalar_jet_and_fd(op):
+    fn_array, fn_jet, fn_plain = ARRAY_OPS[op]
+    rng = np.random.default_rng(sorted(ARRAY_OPS).index(op))
+    x0 = rng.uniform(-0.5, 0.5, 4)
+    plain_a, a = _quadratic_fields(rng, x0, 5)
+    plain_b, b = _quadratic_fields(rng, x0, 5)
+    out = fn_array(a, b)
+    for k, (ja, jb) in enumerate(zip(_scalar_jets(a), _scalar_jets(b))):
+        _assert_matches(out, k, fn_jet(ja, jb))
+        for i in range(x0.size):
+            fd = fd_oracle(lambda x: fn_plain(plain_a(x), plain_b(x))[k], x0, i)
+            assert abs(out.grad[k, i] - fd) <= 1e-7 * max(1.0, abs(fd))
+
+
+def test_array_jet_broadcasts_over_leading_shape():
+    rng = np.random.default_rng(20)
+    x0 = rng.uniform(-0.5, 0.5, 3)
+    _, a = _quadratic_fields(rng, x0, 1)
+    _, v = _quadratic_fields(rng, x0, 4)
+    scalar = ArrayJet(a.val[0], a.grad[0], a.hess[0])
+    (ja,) = _scalar_jets(a)
+    for out in (scalar * v, v / scalar, scalar + v):
+        assert out.val.shape == (4,) and out.hess.shape == (4, 3, 3)
+    for k, jv in enumerate(_scalar_jets(v)):
+        _assert_matches(scalar * v, k, ja * jv)
+        _assert_matches(v / scalar, k, jv / ja)
+        _assert_matches(scalar + v, k, ja + jv)
+
+
+def test_array_jet_domain_errors():
+    v = ArrayJet(np.array([1.0, -1.0]), np.eye(2), np.zeros((2, 2, 2)))
+    with pytest.raises(JetError):
+        v.sqrt()
+    with pytest.raises(JetError):
+        (v - v).reciprocal()
+    with pytest.raises(JetError):
+        v / 0.0
 
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False)

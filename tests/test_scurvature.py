@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from finslerab import testmetrics
+from finslerab import finsler, testmetrics
 from finslerab.dsl import parse_metric
-from finslerab.riemann import build_bundle
+from finslerab.riemann import build_bundle, det_jet
 from finslerab.scurvature import (
     _MEMO,
     constant_killing_verdict,
@@ -127,3 +127,16 @@ def test_example_verdict(example_spec):
     bundles = [build_bundle(example_spec, example_point(rng)) for _ in range(4)]
     ok, _ = constant_killing_verdict(bundles)
     assert ok
+
+
+def test_s_curvature_def_reuses_spray_and_log_det(generic3d):
+    bu = build_bundle(generic3d, np.array([0.3, -0.2, 0.4]))
+    rng = np.random.default_rng(21)
+    for _ in range(3):
+        y = unit_y(bu, rng)
+        G = finsler.spray(bu, y)
+        for form in ("bh", "ht"):
+            assert s_curvature_def(bu, y, form, G=G) == s_curvature_def(bu, y, form)
+    detJ = det_jet(bu.aJ)
+    assert np.array_equal(bu.dlndet, detJ.grad[:3] / detJ.val)
+    assert bu.dlndet is bu.dlndet  # computed once per bundle
