@@ -32,6 +32,7 @@ print("difference from the jet gradient :", abs(f.grad[0] - fd_oracle(plain, [1.
 g = jlog(jexp(x))
 print("\nlog(exp(x)) carries the identity jet:", g.val, g.grad, g.hess_matrix()[0, 0])
 
-# Derivative extraction: the jet of df/dx is one order-reduction away.
-h = (x * x * y).deriv(0)
-print("\nd(x^2 y)/dx as a jet: value", h.val, "gradient", h.grad)
+# Derivative extraction: d f/dx and its gradient are the first gradient entry
+# and the first Hessian row of the jet of f.
+h = x * x * y
+print("\nd(x^2 y)/dx: value", h.grad[0], "gradient", h.hess_matrix()[0])

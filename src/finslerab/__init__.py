@@ -8,12 +8,10 @@ for analytic metrics defined in a small text format.
 
 from .jets import Jet, JetError, fd_oracle, seed
 from .dsl import MetricFileError, MetricSpec, parse_metric, validate_spec
-from .riemann import AlphaBetaBundle, GeometryError, bianchi_check, build_bundle, covariant_b
+from .riemann import AlphaBetaBundle, GeometryError, bianchi_check, build_bundle
 from .finsler import (
-    FinslerEval,
     PhiData,
     extract_scalars,
-    finsler_eval,
     flag_curvature_fit,
     phi_data,
     ricci_via_T,
@@ -38,15 +36,12 @@ __all__ = [
     "AlphaBetaBundle",
     "GeometryError",
     "build_bundle",
-    "covariant_b",
     "bianchi_check",
     "PhiData",
-    "FinslerEval",
     "phi_data",
     "spray",
     "riemann_curvature",
     "ricci_via_T",
-    "finsler_eval",
     "extract_scalars",
     "flag_curvature_fit",
     "VolumeFactor",

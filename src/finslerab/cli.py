@@ -10,12 +10,13 @@ Subcommands::
     finslerab flag     <metric-file> [--points N] [--seed S]
     finslerab validate <metric-file>
 
-Exit status: 0 clean, 2 invalid metric file, 3 engine inconsistency detected.
+Exit status: 0 clean, 2 invalid metric file or arguments, 3 engine inconsistency detected.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -82,11 +83,10 @@ def cmd_check(args) -> int:
 def cmd_appendix(args) -> int:
     config = RunConfig(points=args.points, seed=args.seed, sigma_policy=args.sigma)
     if args.dim_sweep:
-        dims = [int(d) for d in args.dim_sweep.split(",")]
         worst = 0.0
         lines = []
         ok = True
-        for n in dims:
+        for n in args.dim_sweep:
             for spec in (testmetrics.euclidean_linear_beta(n), testmetrics.random_metric(n, args.seed + n)):
                 rep = classify.run_appendix(spec, config)
                 worst = max(worst, rep.max_rel_dev)
@@ -171,6 +171,32 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.valid else EXIT_INVALID_METRIC
 
 
+def _arg(convert, ok, what: str):
+    """argparse type: ``convert(text)``, rejected unless ``ok`` holds for it."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            good = ok(value)
+        except ValueError:
+            good = False
+        if not good:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_COUNT = _arg(int, lambda v: v >= 1, "an integer >= 1")
+_SEED = _arg(int, lambda v: v >= 0, "an integer >= 0")
+_TOL = _arg(float, lambda v: math.isfinite(v) and v > 0.0, "a positive finite number")
+# kept as text: the report echoes the policy as given
+_SIGMA = _arg(str, lambda v: v == "random" or math.isfinite(float(v)), "a finite number or 'random'")
+_DIMS = _arg(
+    lambda t: [int(d) for d in t.split(",")], lambda ds: min(ds) >= 2, "a comma list of integers >= 2"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="finslerab", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
@@ -178,26 +204,26 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, metric_required=True):
         if metric_required:
             p.add_argument("metric", help="metric definition file")
-        p.add_argument("--points", type=int, default=20)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--points", type=_COUNT, default=20)
+        p.add_argument("--seed", type=_SEED, default=0)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("check", help="full classification report")
     common(p)
-    p.add_argument("--y-per-point", type=int, default=12)
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--y-per-point", type=_COUNT, default=12)
+    p.add_argument("--tol", type=_TOL, default=1e-7)
     p.add_argument("--volume", choices=("bh", "ht"), default="bh")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("appendix", help="cleared-identity check")
     p.add_argument("metric", nargs="?", default=None)
-    p.add_argument("--points", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--points", type=_COUNT, default=20)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out", default=None)
-    p.add_argument("--sigma", default="0", help="a number, or 'random'")
+    p.add_argument("--sigma", type=_SIGMA, default="0", help="a number, or 'random'")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--dim-sweep", default=None, help="comma list of dimensions, e.g. 3,4,5")
+    p.add_argument("--dim-sweep", type=_DIMS, default=None, help="comma list of dimensions, e.g. 3,4,5")
     p.set_defaults(fn=cmd_appendix)
 
     p = sub.add_parser("scurv", help="S-curvature report")
@@ -211,16 +237,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="domain validity of a metric file")
     p.add_argument("metric")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.set_defaults(fn=cmd_validate)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
-    except SystemExit as exc:  # raised by the loaders with the proper status
+    except SystemExit as exc:  # raised by argparse and the loaders with the proper status
         return int(exc.code)
     except (GeometryError, JetError) as exc:
         print(f"error: {exc}", file=sys.stderr)

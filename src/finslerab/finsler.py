@@ -16,9 +16,9 @@ formulas:
   as its oracle.
 
 Both return one record, ``Spray``.  From it the Riemann curvature operator,
-its trace, the Einstein residual, the deformation field T^i = G^i - Gbar^i
-and its horizontal/vertical derivatives, the fundamental tensor and
-constant-scalar fits (lambda, c, sigma, flag curvature K) all follow.  The
+its trace, the deformation field T^i = G^i - Gbar^i, the fundamental
+tensor and constant-scalar fits (lambda, c, sigma, flag curvature K) all
+follow.  The
 curvature is also computed a second way, through the deformation-field
 identity relating Ric to the Ricci curvature of alpha; agreement of the two
 routes is the engine's strongest self-check and is asserted in the test
@@ -37,15 +37,12 @@ from .riemann import AlphaBetaBundle
 
 __all__ = [
     "PhiData",
-    "FinslerEval",
     "ScalarFit",
     "Spray",
     "phi_data",
     "spray",
     "riemann_curvature",
     "ricci_via_T",
-    "einstein_residual",
-    "finsler_eval",
     "fundamental_tensor",
     "extract_scalars",
     "flag_curvature_fit",
@@ -335,58 +332,12 @@ def metric_value(bundle: AlphaBetaBundle, y) -> float:
     return al * al / (al - bundle.beta(y))
 
 
-def einstein_residual(bundle: AlphaBetaBundle, y, sigma: float, mode: str = "matsumoto") -> float:
-    """Ric - sigma F^2 at (x, y)."""
-    _, ric = riemann_curvature(bundle, y, mode=mode)
-    F = metric_value(bundle, y)
-    return ric - sigma * F * F
-
-
 def fundamental_tensor(bundle: AlphaBetaBundle, y, G=None) -> np.ndarray:
     """g_ij = 1/2 [F^2]_{y^i y^j}, from the exact fiber Hessian of the F^2 jet."""
     if G is None:
         G = spray(bundle, y)
     n = bundle.n
     return 0.5 * G.F2.hess[n:, n:]
-
-
-@dataclass
-class FinslerEval:
-    """Per-(x, y) record of the deformed metric's pointwise data."""
-
-    x: np.ndarray
-    y: np.ndarray
-    F: float
-    G: np.ndarray
-    T: np.ndarray
-    T_jet: ArrayJet
-    g: np.ndarray
-    R: np.ndarray
-    Ric: float
-    sigma: float
-    residual: float
-
-
-def finsler_eval(bundle: AlphaBetaBundle, y, sigma: float = 0.0, mode: str = "matsumoto") -> FinslerEval:
-    y = np.asarray(y, dtype=float)
-    sp = spray(bundle, y, mode=mode)
-    R, ric = riemann_curvature(bundle, y, mode=mode, G=sp)
-    T = sp.G - sp.Gbar
-    F = metric_value(bundle, y)
-    g = fundamental_tensor(bundle, y, G=sp)
-    return FinslerEval(
-        x=bundle.x.copy(),
-        y=y.copy(),
-        F=F,
-        G=sp.G.val,
-        T=T.val,
-        T_jet=T,
-        g=g,
-        R=R,
-        Ric=ric,
-        sigma=sigma,
-        residual=ric - sigma * F * F,
-    )
 
 
 # -- scalar extraction --------------------------------------------------------

@@ -30,7 +30,6 @@ __all__ = [
     "ArrayJet",
     "JetError",
     "seed",
-    "arith",
     "elem",
     "fd_oracle",
     "jsqrt",
@@ -106,16 +105,6 @@ class Jet:
         m[iu, ju] = self.hess
         m[ju, iu] = self.hess
         return m
-
-    def deriv(self, k: int) -> "Jet":
-        """Order-reduced partial derivative along direction k.
-
-        The result's value and gradient are exact; its Hessian would need
-        third derivatives of self and is set to zero.  Safe wherever the
-        consumer never reads second derivatives of the derived quantity.
-        """
-        _, _, table = _indices(self.d)
-        return Jet(self.grad[k], self.hess[table[k]].copy(), np.zeros_like(self.hess))
 
     # -- ring operations ----------------------------------------------------
 
@@ -325,13 +314,6 @@ def jcos(a: Jet) -> Jet:
 
 
 _ELEM = {"sqrt": jsqrt, "sin": jsin, "cos": jcos, "exp": jexp, "log": jlog}
-_ARITH = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-    "pow": lambda a, p: a**p,
-}
 
 
 def seed(values, active) -> list[Jet]:
@@ -353,15 +335,6 @@ def seed(values, active) -> list[Jet]:
         else:
             out.append(Jet.constant(v, d))
     return out
-
-
-def arith(a: Jet, b, op: str) -> Jet:
-    """Named binary operation, one of add/sub/mul/div/pow."""
-    try:
-        fn = _ARITH[op]
-    except KeyError:
-        raise JetError(f"unknown operation {op!r}") from None
-    return fn(a, b)
 
 
 def elem(a: Jet, name: str) -> Jet:

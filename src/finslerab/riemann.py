@@ -31,15 +31,13 @@ from functools import cached_property
 import numpy as np
 
 from .dsl import MetricSpec
-from .jets import ArrayJet, Jet, JetError
+from .jets import Jet, JetError
 
 __all__ = [
     "GeometryError",
     "AlphaBetaBundle",
     "build_bundle",
-    "covariant_b",
     "bianchi_check",
-    "horizontal_derivative",
     "christoffels_fd",
     "det_jet",
 ]
@@ -60,10 +58,8 @@ class AlphaBetaBundle:
     a: np.ndarray
     a_inv: np.ndarray
     dA: np.ndarray
-    d2A: np.ndarray
     b: np.ndarray
     db: np.ndarray
-    d2b: np.ndarray
     # connection and curvature of alpha
     gamma: np.ndarray
     dgamma: np.ndarray
@@ -74,7 +70,6 @@ class AlphaBetaBundle:
     bup: np.ndarray
     bsq: float
     Db: np.ndarray
-    dDb: np.ndarray
     D2b: np.ndarray
     r: np.ndarray
     s: np.ndarray
@@ -82,7 +77,6 @@ class AlphaBetaBundle:
     s_up: np.ndarray
     rvec: np.ndarray
     svec: np.ndarray
-    rupvec: np.ndarray
     supvec: np.ndarray
     r_scalar: float
     Dr: np.ndarray
@@ -232,7 +226,6 @@ def build_bundle(spec: MetricSpec, x) -> AlphaBetaBundle:
     s_up = a_inv @ s
     rvec = bup @ r  # r_j = b^i r_ij
     svec = bup @ s
-    rupvec = a_inv @ rvec
     supvec = a_inv @ svec
     r_scalar = float(rvec @ bup)
     # covariant derivatives of the contracted vectors:
@@ -246,7 +239,6 @@ def build_bundle(spec: MetricSpec, x) -> AlphaBetaBundle:
     d_s_up = np.einsum("imk,mj->ijk", d_ainv, s) + np.einsum("im,mjk->ijk", a_inv, ds)
     d_svec = np.einsum("mk,mj->jk", d_bup, s) + np.einsum("m,mjk->jk", bup, ds)
 
-
     return AlphaBetaBundle(
         spec=spec,
         x=x,
@@ -254,10 +246,8 @@ def build_bundle(spec: MetricSpec, x) -> AlphaBetaBundle:
         a=a,
         a_inv=a_inv,
         dA=dA,
-        d2A=d2A,
         b=b,
         db=db,
-        d2b=d2b,
         gamma=gamma,
         dgamma=dgamma,
         riem4=riem4,
@@ -266,7 +256,6 @@ def build_bundle(spec: MetricSpec, x) -> AlphaBetaBundle:
         bup=bup,
         bsq=bsq,
         Db=Db,
-        dDb=dDb,
         D2b=D2b,
         r=r,
         s=s,
@@ -274,7 +263,6 @@ def build_bundle(spec: MetricSpec, x) -> AlphaBetaBundle:
         s_up=s_up,
         rvec=rvec,
         svec=svec,
-        rupvec=rupvec,
         supvec=supvec,
         r_scalar=r_scalar,
         Dr=Dr,
@@ -291,27 +279,6 @@ def build_bundle(spec: MetricSpec, x) -> AlphaBetaBundle:
     )
 
 
-def covariant_b(bundle: AlphaBetaBundle):
-    """The covariant-derivative record of beta: (Db, r, s, contractions).
-
-    Returned as a dict so callers can spell out exactly which contraction
-    they want; all entries are views of the bundle fields.
-    """
-    return {
-        "Db": bundle.Db,
-        "r": bundle.r,
-        "s": bundle.s,
-        "r_up": bundle.r_up,
-        "s_up": bundle.s_up,
-        "r_vec": bundle.rvec,
-        "s_vec": bundle.svec,
-        "r_vec_up": bundle.rupvec,
-        "s_vec_up": bundle.supvec,
-        "r_scalar": bundle.r_scalar,
-        "bsq": bundle.bsq,
-    }
-
-
 def bianchi_check(bundle: AlphaBetaBundle) -> float:
     """Max residual of the Ricci identity b_j|k|l - b_j|l|k = b^s Rbar_jskl.
 
@@ -321,24 +288,6 @@ def bianchi_check(bundle: AlphaBetaBundle) -> float:
     comm = bundle.D2b - bundle.D2b.transpose(0, 2, 1)
     rhs = np.einsum("s,jskl->jkl", bundle.bup, bundle.rbar4)
     return float(np.max(np.abs(comm - rhs)))
-
-
-def horizontal_derivative(field: ArrayJet, bundle: AlphaBetaBundle, y):
-    """Horizontal and vertical covariant derivatives of a y-dependent vector field.
-
-    ``field`` must be the field as an array jet of shape (n,) in the bundle's
-    2n-direction space at the point (x, y).  Returns (Tcov, Tdot) with
-
-        Tcov[k, j] = T^k_|j = dT^k/dx^j - N^m_j dT^k/dy^m + T^m Gamma^k_mj
-        Tdot[k, j] = T^k_.j = dT^k/dy^j
-    """
-    n = bundle.n
-    y = np.asarray(y, dtype=float)
-    tx = field.grad[:, :n]
-    ty = field.grad[:, n:]
-    nconn = bundle.nonlinear_connection(y)
-    tcov = tx - np.einsum("mj,km->kj", nconn, ty) + np.einsum("m,kmj->kj", field.val, bundle.gamma)
-    return tcov, ty
 
 
 def det_jet(mat: list[list[Jet]]) -> Jet:

@@ -122,6 +122,29 @@ def test_cli_check_rejects_invalid(tmp_path, capsys):
     assert cli.main(["check", str(bad)]) == cli.EXIT_INVALID_METRIC
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "METRIC", "--points", "-1"],
+        ["flag", "METRIC", "--points", "0"],
+        ["scurv", "METRIC", "--points", "two"],
+        ["check", "METRIC", "--y-per-point", "0"],
+        ["check", "METRIC", "--seed", "-1"],
+        ["check", "METRIC", "--tol", "-1"],
+        ["check", "METRIC", "--tol", "inf"],
+        ["appendix", "METRIC", "--sigma", "abc"],
+        ["appendix", "METRIC", "--sigma", "nan"],
+        ["appendix", "--dim-sweep", "x"],
+        ["appendix", "--dim-sweep", "3,1"],
+    ],
+)
+def test_cli_rejects_bad_arguments(argv, capsys):
+    argv = [_example_path() if a == "METRIC" else a for a in argv]
+    assert cli.main(argv) == cli.EXIT_INVALID_METRIC
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and captured.out == ""
+
+
 def test_cli_metric_evaluation_failure_exit(tmp_path, monkeypatch, capsys):
     # log(x1) cannot be evaluated on the default domain [-1, 1]: a clean
     # invalid-metric exit, not a JetError traceback

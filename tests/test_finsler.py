@@ -4,9 +4,7 @@ import pytest
 from finslerab import testmetrics
 from finslerab.dsl import parse_metric
 from finslerab.finsler import (
-    einstein_residual,
     extract_scalars,
-    finsler_eval,
     flag_curvature_fit,
     fundamental_tensor,
     metric_value,
@@ -153,8 +151,9 @@ def test_ricci_via_T_routes(generic3d, example_spec):
 def test_einstein_residual_linear_in_sigma(generic_bundle):
     y = np.array([0.4, -0.7, 0.2])
     F = metric_value(generic_bundle, y)
-    r0 = einstein_residual(generic_bundle, y, 0.0)
-    r1 = einstein_residual(generic_bundle, y, 1.0)
+    _, ric = riemann_curvature(generic_bundle, y)
+    r0 = ric - 0.0 * F * F
+    r1 = ric - 1.0 * F * F
     assert r1 - r0 == -F * F
 
 
@@ -163,7 +162,8 @@ def test_einstein_residual_example(example_spec):
     bu = build_bundle(example_spec, example_point(rng))
     y = unit_y(bu, rng)
     F = metric_value(bu, y)
-    assert abs(einstein_residual(bu, y, 0.0)) <= 1e-8 * F * F
+    _, ric = riemann_curvature(bu, y)
+    assert abs(ric - 0.0 * F * F) <= 1e-8 * F * F
 
 
 def test_fundamental_tensor_riemannian_limit():
@@ -229,12 +229,12 @@ def test_flag_fit_example_not_constant(example_spec):
 
 def test_finsler_eval_record(generic_bundle):
     y = np.array([0.6, -0.2, 0.5])
-    ev = finsler_eval(generic_bundle, y, sigma=0.25)
-    assert ev.F == metric_value(generic_bundle, y)
-    assert ev.Ric == np.trace(ev.R)
-    assert abs(ev.residual - (ev.Ric - 0.25 * ev.F**2)) < 1e-15
-    assert np.allclose(ev.G - ev.T, generic_bundle.gbar(y), atol=1e-14)
-    assert np.array_equal(ev.T_jet.val, ev.T) and ev.T_jet.grad.shape == (3, 6)
+    sp = spray(generic_bundle, y)
+    R, ric = riemann_curvature(generic_bundle, y, G=sp)
+    T = sp.G - sp.Gbar
+    assert ric == np.trace(R)
+    assert np.allclose(sp.G.val - T.val, generic_bundle.gbar(y), atol=1e-14)
+    assert T.grad.shape == (3, 6)
 
 
 def test_deformation_matches_conformal_closed_form(homothetic_spec):
@@ -250,12 +250,13 @@ def test_deformation_matches_conformal_closed_form(homothetic_spec):
         y = unit_y(bu, rng)
         al = bu.alpha(y)
         be = bu.beta(y)
-        ev = finsler_eval(bu, y)
+        sp = spray(bu, y)
+        T = (sp.G - sp.Gbar).val
         denom = 3 * be - (2 * bu.bsq + 1) * al
         expected = -c * al**3 / denom * bu.bup + c * al * (4 * be - al) / (2 * denom) * y
-        assert np.max(np.abs(ev.T - expected)) <= 1e-12
+        assert np.max(np.abs(T - expected)) <= 1e-12
         tripled = -3 * c * al**3 / denom * bu.bup + c * al * (4 * be - al) / (2 * denom) * y
-        assert np.max(np.abs(ev.T - tripled)) > 1e-3
+        assert np.max(np.abs(T - tripled)) > 1e-3
 
 
 def test_flag_curvature_degree_zero(generic_bundle):

@@ -3,15 +3,12 @@ import pytest
 
 from finslerab import finsler, testmetrics
 from finslerab.dsl import parse_metric
-from finslerab.jets import ArrayJet
 from finslerab.riemann import (
     GeometryError,
     bianchi_check,
     build_bundle,
     christoffels_fd,
-    covariant_b,
     det_jet,
-    horizontal_derivative,
 )
 from .conftest import example_point, unit_y
 
@@ -61,11 +58,10 @@ def test_christoffels_match_fd(generic3d):
 
 def test_covariant_b_conformal(homothetic_spec):
     bu = build_bundle(homothetic_spec, np.array([0.3, -0.5, 0.7]))
-    cov = covariant_b(bu)
-    assert np.max(np.abs(cov["r"] - 0.1 * bu.a)) < 1e-14  # r_ij = k a_ij
-    assert np.max(np.abs(cov["s"])) == 0.0
+    assert np.max(np.abs(bu.r - 0.1 * bu.a)) < 1e-14  # r_ij = k a_ij
+    assert np.max(np.abs(bu.s)) == 0.0
     y = np.array([0.4, 0.1, -0.9])
-    assert abs(float(y @ cov["r"] @ y) - 0.1 * bu.alpha2(y)) < 1e-14
+    assert abs(float(y @ bu.r @ y) - 0.1 * bu.alpha2(y)) < 1e-14
 
 
 def test_covariant_b_rotational(rotational_spec):
@@ -130,24 +126,6 @@ def test_classical_vs_spray_curvature(generic3d):
         R_spray, ric_spray = finsler.riemann_curvature(bu, y)
         assert np.max(np.abs(R_spray - bu.rbar(y))) < 1e-9
         assert abs(ric_spray - bu.ricbar(y)) < 1e-9
-
-
-def test_horizontal_derivative_of_canonical_lift(generic_bundle):
-    bu = generic_bundle
-    y = np.array([0.5, -0.3, 0.8])
-    yJ = ArrayJet.from_jets(bu.y_jets(y))
-    tcov, tdot = horizontal_derivative(yJ, bu, y)
-    assert np.allclose(tdot, np.eye(3), atol=1e-15)
-    assert np.max(np.abs(tcov)) < 1e-12  # y^k_|j = 0
-
-
-def test_horizontal_derivative_flat_spray():
-    bu = build_bundle(testmetrics.euclidean(3), np.zeros(3))
-    y = np.array([1.0, -2.0, 0.5])
-    gbar = finsler.spray(bu, y).Gbar
-    tcov, tdot = horizontal_derivative(gbar, bu, y)
-    assert np.max(np.abs(tcov)) == 0.0
-    assert np.max(np.abs(tdot)) == 0.0
 
 
 def test_det_jet_matches_numpy(generic_bundle):

@@ -7,7 +7,6 @@ from finslerab import finsler, testmetrics
 from finslerab.dsl import parse_metric
 from finslerab.riemann import build_bundle, det_jet
 from finslerab.scurvature import (
-    _MEMO,
     constant_killing_verdict,
     s_curvature_closed,
     s_curvature_def,
@@ -44,12 +43,40 @@ def test_lambda_small_b_limit():
     assert math.isfinite(lam0)
 
 
-def test_volume_factor_memoized():
-    volume_factor(4, 0.123456, "ht")
-    key = (4, "ht", int(round(0.123456 * 1e12)))
-    assert key in _MEMO
-    again = volume_factor(4, 0.123456, "ht")
-    assert again is _MEMO[key]
+def _bh_gegenbauer(n, b):
+    # f = m_0 / sum_j C(n, 2j) b^(2j) m_2j with the exact moments
+    # m_2j = int_0^pi sin^(n-2) t cos^(2j) t dt = Gamma((n-1)/2) Gamma(j+1/2) / Gamma(n/2+j)
+    def m(j):
+        return math.gamma((n - 1) / 2) * math.gamma(j + 0.5) / math.gamma(n / 2 + j)
+
+    return m(0) / sum(math.comb(n, 2 * j) * b ** (2 * j) * m(j) for j in range(n // 2 + 1))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_volume_factor_bh_matches_gegenbauer_sum(n):
+    for b in (0.0, 1e-5, 0.1, 0.3, 0.49, 0.499):
+        exact = _bh_gegenbauer(n, b)
+        assert abs(volume_factor(n, b, "bh").f - exact) <= 1e-13 * exact
+
+
+@pytest.mark.parametrize("form", ["bh", "ht"])
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 12])
+def test_fsecond_matches_second_difference(n, form):
+    h = 1e-4
+    for b in (0.1, 0.27, 0.45):
+        fd = (
+            volume_factor(n, b + h, form).f
+            - 2 * volume_factor(n, b, form).f
+            + volume_factor(n, b - h, form).f
+        ) / h**2
+        fpp = volume_factor(n, b, form).fsecond
+        assert abs(fpp - fd) <= 1e-6 * max(1.0, abs(fpp))
+
+
+def test_volume_factor_repeat_calls_equal():
+    first = volume_factor(4, 0.123456, "ht")
+    assert volume_factor(4, 0.123456, "ht") == first
+    assert volume_factor(4, 0.123456, "bh") == volume_factor(4, 0.123456, "bh")
 
 
 def test_volume_factor_domain_errors():
