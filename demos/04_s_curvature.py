@@ -1,9 +1,9 @@
 """S-curvature: volume-form factors by quadrature and the closed form.
 
 The distortion factor f(b) of the Busemann-Hausdorff / Holmes-Thompson
-volume forms is a ratio of integrals over [0, pi]; carrying b as a jet
-direction through the quadrature delivers f'(b) in the same pass.  The
-S-curvature is then computed both from its definition (spray divergence
+volume forms is a ratio of integrals over [0, pi]; one fixed Gauss-Legendre
+rule evaluates it, with f'(b) and f''(b) differentiated under the integral
+in the same pass.  The S-curvature is then computed both from its definition (spray divergence
 minus the log-volume drift) and from the closed rational form; the two
 routes agree to machine precision -- and both vanish exactly when the
 1-form is constant Killing.
@@ -12,12 +12,8 @@ routes agree to machine precision -- and both vanish exactly when the
 import numpy as np
 
 from finslerab import build_bundle, shipped_metric
-from finslerab.scurvature import (
-    constant_killing_verdict,
-    s_curvature_closed,
-    s_curvature_def,
-    volume_factor,
-)
+from finslerab.classify import RunConfig, run_check
+from finslerab.scurvature import s_curvature_closed, s_curvature_def, volume_factor
 
 for form in ("bh", "ht"):
     vf = volume_factor(3, 0.3, form)
@@ -35,9 +31,10 @@ for name in ("matsumoto_example", "euclidean_homothetic", "euclidean_rotational"
     y /= bu.alpha(y)
     s_def = s_curvature_def(bu, y, "bh")
     s_cl = s_curvature_closed(bu, y, "bh")
-    ck, resid = constant_killing_verdict([bu])
+    # the beta conditions of `finslerab check`, sampled over the whole domain
+    ck = run_check(spec, RunConfig(points=4, y_per_point=1), ("beta",)).conditions["beta_constant_killing"]
     print(
         f"  {name:22s} S = {s_def:+.3e} (routes differ by {abs(s_def - s_cl):.1e})"
-        f"  constant Killing: {ck}"
+        f"  constant Killing: {ck.verdict}"
     )
 print("\nS vanishes exactly on the constant-Killing metric and only there.")

@@ -1,14 +1,24 @@
 """Batch classification: sample a metric, run every check, aggregate verdicts.
 
+One loop (``run_check``) samples the points, builds the bundle there, draws
+the y-samples and evaluates the requested condition groups.  The ``check``,
+``scurv`` and ``flag`` subcommands are views of it: each names the groups
+it prints, and only their quantities are computed; ``emit_report`` renders
+the full report (text, json, csv) or the ``scurv`` and ``flag`` views.
+
 Verdicts use the threshold  residual <= tol * max(1, scale)  where scale is
 the magnitude of the quantity's own constituent terms at the point, so a
 tiny metric does not pass checks by being tiny and a large one does not fail
 them by being large.  y-samples are normalized to alpha = 1 throughout.
+Every dual route (Ricci direct vs T-split, S by definition vs closed form)
+must agree to  |a - b| <= 10 tol max(1, |a|)  at every sample; the worst
+relative deviation of each is kept in ``ClassReport.extremes``.
 
 Cross-implication consistency (theorem-level) is asserted on every run: a
 verdict combination that contradicts the implication lattice is flagged as
 an engine inconsistency and surfaces as a dedicated exit code, never as a
-silently emitted report.
+silently emitted report.  An implication is checked whenever the run
+computed every condition it names.
 """
 
 from __future__ import annotations
@@ -16,31 +26,28 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import finsler, identity, scurvature
-from .dsl import MetricSpec, sample_domain, validate_spec
+from . import finsler, identity, scurvature, testmetrics
+from .dsl import MetricSpec, sample_domain
 from .riemann import build_bundle
 
-__all__ = ["RunConfig", "ClassReport", "run_check", "run_appendix", "emit_report"]
+__all__ = [
+    "RunConfig", "ClassReport", "GROUPS", "run_check", "run_appendix", "run_dim_sweep",
+    "emit_report", "emit_appendix", "emit_sweep",
+]
 
 
 @dataclass
 class RunConfig:
-    metric_path: str = ""
     points: int = 20
     y_per_point: int = 12
     seed: int = 0
     tolerance: float = 1e-7
     volume_form: str = "bh"
-    fmt: str = "text"
-    out: str | None = None
     sigma_policy: str = "0"  # a float literal or "random"
-    dim_sweep: list = field(default_factory=list)
-    mode: str = "matsumoto"
 
 
 @dataclass
@@ -63,139 +70,135 @@ class ClassReport:
     conditions: dict
     points: list
     consistency: dict
+    extremes: dict  # the worst raw quantities behind the verdicts; not serialized
 
     @property
     def engine_inconsistent(self) -> bool:
         return bool(self.consistency["violations"])
 
 
+# The groups of quantities a run can compute: per bundle ("beta"), the
+# scalar fits over the fit design ("fits"), and per y-sample the Ricci
+# routes ("ricci"), the S routes ("S") and the flag fit ("flag").
+GROUPS = ("beta", "fits", "ricci", "S", "flag")
+
+
 def _thr(tol: float, scale: float) -> float:
     return tol * max(1.0, scale)
 
 
-def run_check(spec: MetricSpec, config: RunConfig) -> ClassReport:
-    """Evaluate every classification condition of ``spec`` at sampled points."""
+def run_check(spec: MetricSpec, config: RunConfig, groups=GROUPS) -> ClassReport:
+    """Evaluate the classification conditions of ``groups`` at sampled points.
+
+    The random stream is drawn in one order for every view: the points,
+    then per point the fit design (with "fits" only) and the y-samples.
+    """
     tol = config.tolerance
     rng = np.random.default_rng(config.seed)
     pts = sample_domain(spec, config.points, rng, shrink=0.05)
-    n = spec.dim
+    beta, fits, ricci, S, flag = (g in groups for g in GROUPS)
+    worst, fit_list, flag_K, point_rows, violations = {}, [], [], [], []
 
-    max_r = max_s = max_Db = max_svec = max_norm_grad = 0.0
-    scale_Db = 0.0
-    lam_fits, c_fits, sig_fits = [], [], []
-    resid_lam = resid_c = resid_sig = 0.0
-    max_ricbar = max_ricF = max_S = 0.0
-    flag_K, flag_resid = [], 0.0
-    beta_mag = 0.0
-    cross_route_viol = []
-    point_rows = []
+    def peak(key, value):
+        worst[key] = max(worst.get(key, 0.0), float(value))
+
+    def cross(route, a, b, where):
+        dev = abs(a - b) / max(1.0, abs(a))
+        peak(f"{route} routes", dev)
+        if dev > 10.0 * tol:
+            violations.append(f"{route} routes disagree at {where}: {a} vs {b}")
 
     for p_idx, x in enumerate(pts):
         bu = build_bundle(spec, x)
-        max_r = max(max_r, float(np.max(np.abs(bu.r))))
-        max_s = max(max_s, float(np.max(np.abs(bu.s))))
-        max_Db = max(max_Db, float(np.max(np.abs(bu.Db))))
-        max_svec = max(max_svec, float(np.max(np.abs(bu.svec))))
-        max_norm_grad = max(max_norm_grad, float(np.max(np.abs(bu.rvec + bu.svec))))
-        gamma_b = np.einsum("mij,m->ij", bu.gamma, bu.b)
-        scale_Db = max(scale_Db, float(np.max(np.abs(bu.db))), float(np.max(np.abs(gamma_b))))
-        beta_mag = max(beta_mag, float(np.max(np.abs(bu.b))))
+        peak("beta", np.max(np.abs(bu.b)))
+        if beta:
+            gamma_b = np.einsum("mij,m->ij", bu.gamma, bu.b)
+            peak("r", np.max(np.abs(bu.r)))
+            peak("s", np.max(np.abs(bu.s)))
+            peak("Db", np.max(np.abs(bu.Db)))
+            peak("s_i", np.max(np.abs(bu.svec)))
+            peak("norm_grad", np.max(np.abs(bu.rvec + bu.svec)))
+            peak("Db_scale", max(float(np.max(np.abs(bu.db))), float(np.max(np.abs(gamma_b)))))
+        if fits:
+            fit_list.append(finsler.extract_scalars(bu, rng))
 
-        fit = finsler.extract_scalars(bu, rng=rng, mode=config.mode)
-        lam_fits.append(fit.lam)
-        c_fits.append(fit.c)
-        sig_fits.append(fit.sigma)
-        resid_lam = max(resid_lam, fit.resid_lambda)
-        resid_c = max(resid_c, fit.resid_c)
-        resid_sig = max(resid_sig, fit.resid_sigma)
+        for y_idx, y in enumerate(finsler.unit_alpha_vectors(bu, config.y_per_point, rng)):
+            where = f"point {p_idx}, y {y_idx}"
+            row = {"point": p_idx, "y_index": y_idx, "x": [float(v) for v in x], "y": [float(v) for v in y]}
+            G = finsler.spray(bu, y)
+            if ricci or flag:
+                R, ric = finsler.riemann_curvature(bu, y, G=G)
+                F = finsler.metric_value(bu, y)
+            if ricci:
+                cross("Ricci", ric, finsler.ricci_via_T(bu, y, G=G), where)
+                peak("ricbar", abs(bu.ricbar(y)))
+                peak("Ric/F2", abs(ric) / max(1.0, F * F))
+                row.update(Ric=float(ric), F2=float(F * F))
+            if S:
+                s_def = scurvature.s_curvature_def(bu, y, config.volume_form, G=G)
+                cross("S-curvature", s_def, scurvature.s_curvature_closed(bu, y, config.volume_form), where)
+                peak("S", abs(s_def))
+                row["S"] = float(s_def)
+            if flag:
+                K, fres = finsler.flag_curvature_fit(bu, y, G=G, R=R)
+                flag_K.append(K)
+                peak("flag_residual", fres / max(1.0, F * F))
+                row.update(K_fit=float(K), flag_residual=float(fres))
+            point_rows.append(row)
 
-        ys = finsler.unit_alpha_vectors(bu, config.y_per_point, rng)
-        for y_idx, y in enumerate(ys):
-            G = finsler.spray(bu, y, mode=config.mode)
-            _, ric = finsler.riemann_curvature(bu, y, mode=config.mode, G=G)
-            ric_T = finsler.ricci_via_T(bu, y, mode=config.mode, G=G)
-            if abs(ric - ric_T) > 100.0 * tol * max(1.0, abs(ric)):
-                cross_route_viol.append(
-                    f"Ricci routes disagree at point {p_idx}, y {y_idx}: {ric} vs {ric_T}"
-                )
-            F = finsler.metric_value(bu, y)
-            ricbar = bu.ricbar(y)
-            max_ricbar = max(max_ricbar, abs(ricbar))
-            max_ricF = max(max_ricF, abs(ric) / max(1.0, F * F))
-            s_def = scurvature.s_curvature_def(bu, y, config.volume_form, mode=config.mode, G=G)
-            s_closed = scurvature.s_curvature_closed(bu, y, config.volume_form)
-            if abs(s_def - s_closed) > 100.0 * tol * max(1.0, abs(s_def)):
-                cross_route_viol.append(
-                    f"S-curvature routes disagree at point {p_idx}, y {y_idx}: {s_def} vs {s_closed}"
-                )
-            max_S = max(max_S, abs(s_def))
-            K, fres = finsler.flag_curvature_fit(bu, y, mode=config.mode, G=G)
-            flag_K.append(K)
-            flag_resid = max(flag_resid, fres / max(1.0, F * F))
-            point_rows.append(
-                {
-                    "point": p_idx,
-                    "y_index": y_idx,
-                    "x": [float(v) for v in x],
-                    "y": [float(v) for v in y],
-                    "Ric": float(ric),
-                    "F2": float(F * F),
-                    "S": float(s_def),
-                    "K_fit": float(K),
-                    "flag_residual": float(fres),
-                }
-            )
+    if fits:
+        lam = float(np.mean([f.lam for f in fit_list]))
+        c = float(np.mean([f.c for f in fit_list]))
+        sig = float(np.mean([f.sigma for f in fit_list]))
+        res_lam = max(f.resid_lambda for f in fit_list)
+        res_c = max(f.resid_c for f in fit_list)
+        res_sig = max(f.resid_sigma for f in fit_list)
+    if flag:
+        K_mean = float(np.mean(flag_K))
+        worst["K_spread"] = float(np.max(flag_K) - np.min(flag_K))
+    kill = _thr(tol, worst.get("Db", 0.0))
 
-    lam = float(np.mean(lam_fits))
-    c = float(np.mean(c_fits))
-    sig = float(np.mean(sig_fits))
-    K_mean = float(np.mean(flag_K))
-    K_spread = float(np.max(flag_K) - np.min(flag_K)) if flag_K else 0.0
-
+    # every condition in report order; one whose group did not run is False and dropped
     conditions = {
-        "beta_killing": Condition(max_r <= _thr(tol, max_Db), max_r),
-        "beta_closed": Condition(max_s <= _thr(tol, max_Db), max_s),
-        "beta_constant_killing": Condition(
-            max_r <= _thr(tol, max_Db) and max_svec <= _thr(tol, max_Db), max(max_r, max_svec)
+        "beta_killing": beta and Condition(worst["r"] <= kill, worst["r"]),
+        "beta_closed": beta and Condition(worst["s"] <= kill, worst["s"]),
+        "beta_constant_killing": beta and Condition(
+            worst["r"] <= kill and worst["s_i"] <= kill, max(worst["r"], worst["s_i"])
         ),
-        "beta_parallel": Condition(max_Db <= _thr(tol, scale_Db), max_Db),
-        "beta_conformal": Condition(resid_c <= _thr(tol, abs(c)), resid_c, value=c),
-        "beta_norm_constant": Condition(max_norm_grad <= _thr(tol, max_Db), max_norm_grad),
-        "alpha_einstein": Condition(resid_lam <= _thr(tol, abs(lam)), resid_lam, value=lam),
-        "alpha_ricci_flat": Condition(max_ricbar <= _thr(tol, 0.0), max_ricbar),
-        "F_einstein": Condition(resid_sig <= _thr(tol, abs(sig)), resid_sig, value=sig),
-        "F_ricci_flat": Condition(max_ricF <= _thr(tol, 0.0), max_ricF),
-        "S_zero": Condition(max_S <= _thr(tol, 0.0), max_S),
-        "constant_flag_curvature": Condition(
-            flag_resid <= _thr(tol, 0.0) and K_spread <= 10.0 * _thr(tol, abs(K_mean)),
-            max(flag_resid, K_spread),
+        "beta_parallel": beta and Condition(worst["Db"] <= _thr(tol, worst["Db_scale"]), worst["Db"]),
+        "beta_conformal": fits and Condition(res_c <= _thr(tol, abs(c)), res_c, value=c),
+        "beta_norm_constant": beta and Condition(worst["norm_grad"] <= kill, worst["norm_grad"]),
+        "alpha_einstein": fits and Condition(res_lam <= _thr(tol, abs(lam)), res_lam, value=lam),
+        "alpha_ricci_flat": ricci and Condition(worst["ricbar"] <= _thr(tol, 0.0), worst["ricbar"]),
+        "F_einstein": fits and Condition(res_sig <= _thr(tol, abs(sig)), res_sig, value=sig),
+        "F_ricci_flat": ricci and Condition(worst["Ric/F2"] <= _thr(tol, 0.0), worst["Ric/F2"]),
+        "S_zero": S and Condition(worst["S"] <= _thr(tol, 0.0), worst["S"]),
+        "constant_flag_curvature": flag and Condition(
+            worst["flag_residual"] <= _thr(tol, 0.0) and worst["K_spread"] <= 10.0 * _thr(tol, abs(K_mean)),
+            max(worst["flag_residual"], worst["K_spread"]),
             value=K_mean,
         ),
     }
+    conditions = {k: cond for k, cond in conditions.items() if cond}
 
-    violations = list(cross_route_viol)
     v = {k: cond.verdict for k, cond in conditions.items()}
-    nontrivial_beta = beta_mag > tol
 
-    def implies(name, a, b):
-        if a and not b:
-            violations.append(f"implication violated: {name}")
+    def implies(name, premises, conclusions):
+        if all(k in v for k in premises + conclusions):
+            if all(v[k] for k in premises) and not all(v[k] for k in conclusions):
+                violations.append(f"implication violated: {name}")
 
-    implies("parallel => constant Killing", v["beta_parallel"], v["beta_constant_killing"])
-    implies("constant Killing => Killing", v["beta_constant_killing"], v["beta_killing"])
-    implies("S == 0 => constant Killing", v["S_zero"], v["beta_constant_killing"])
-    implies("constant Killing => S == 0", v["beta_constant_killing"], v["S_zero"])
-    if n >= 3 and nontrivial_beta:
+    implies("parallel => constant Killing", ("beta_parallel",), ("beta_constant_killing",))
+    implies("constant Killing => Killing", ("beta_constant_killing",), ("beta_killing",))
+    implies("S == 0 => constant Killing", ("S_zero",), ("beta_constant_killing",))
+    implies("constant Killing => S == 0", ("beta_constant_killing",), ("S_zero",))
+    if spec.dim >= 3 and worst.get("beta", 0.0) > tol:
         implies(
             "Einstein F with constant |beta| => alpha Ricci-flat and beta parallel",
-            v["F_einstein"] and v["beta_norm_constant"],
-            v["alpha_ricci_flat"] and v["beta_parallel"],
+            ("F_einstein", "beta_norm_constant"),
+            ("alpha_ricci_flat", "beta_parallel"),
         )
-        implies(
-            "Einstein F with S == 0 => Ricci-flat F",
-            v["F_einstein"] and v["S_zero"],
-            v["F_ricci_flat"],
-        )
+        implies("Einstein F with S == 0 => Ricci-flat F", ("F_einstein", "S_zero"), ("F_ricci_flat",))
 
     return ClassReport(
         metric=spec.name,
@@ -205,11 +208,12 @@ def run_check(spec: MetricSpec, config: RunConfig) -> ClassReport:
             "seed": config.seed,
             "tolerance": config.tolerance,
             "volume_form": config.volume_form,
-            "mode": config.mode,
+            "mode": "matsumoto",
         },
-        conditions={k: cond for k, cond in conditions.items()},
+        conditions=conditions,
         points=point_rows,
         consistency={"violations": violations},
+        extremes=worst,
     )
 
 
@@ -227,7 +231,7 @@ class AppendixReport:
         return not self.failures
 
 
-def run_appendix(spec: MetricSpec, config: RunConfig, threshold: float = 1e-6) -> AppendixReport:
+def run_appendix(spec: MetricSpec, config: RunConfig) -> AppendixReport:
     """Check the cleared polynomial identity at sampled (x, y, sigma)."""
     rng = np.random.default_rng(config.seed)
     pts = sample_domain(spec, config.points, rng, shrink=0.05)
@@ -241,8 +245,8 @@ def run_appendix(spec: MetricSpec, config: RunConfig, threshold: float = 1e-6) -
             sigma = float(rng.uniform(-1.0, 1.0))
         else:
             sigma = float(config.sigma_policy)
-        diag = identity.verify_identity(bu, y, sigma, mode=config.mode, threshold=threshold)
-        par = identity.parity_check(bu, y, sigma, mode=config.mode)
+        diag = identity.verify_identity(bu, y, sigma)
+        par = identity.parity_check(bu, y, sigma)
         worst = max(worst, diag.rel_dev)
         worst_parity = max(worst_parity, par.even_dev, par.odd_dev)
         row = {
@@ -269,6 +273,26 @@ def run_appendix(spec: MetricSpec, config: RunConfig, threshold: float = 1e-6) -
     )
 
 
+@dataclass
+class SweepReport:
+    rows: list  # one dict per swept metric: dim, metric, max_rel_dev, max_parity_dev, ok
+
+    @property
+    def ok(self) -> bool:
+        return all(row["ok"] for row in self.rows)
+
+
+def run_dim_sweep(dims, config: RunConfig) -> SweepReport:
+    """The cleared identity on a flat conformal and a seeded random metric of each dimension."""
+    rows = []
+    for n in dims:
+        for spec in (testmetrics.euclidean_linear_beta(n), testmetrics.random_metric(n, config.seed + n)):
+            rep = run_appendix(spec, config)
+            rows.append(dict(dim=n, metric=spec.name, max_rel_dev=rep.max_rel_dev,
+                             max_parity_dev=rep.max_parity_dev, ok=rep.ok))
+    return SweepReport(rows)
+
+
 # -- serialization -------------------------------------------------------------
 
 
@@ -283,7 +307,11 @@ def _check_as_dict(report: ClassReport) -> dict:
 
 
 def emit_report(report: ClassReport, fmt: str = "text") -> str:
-    """Serialize a classification report as text, json or csv."""
+    """Serialize a classification report as text, json or csv, or as the scurv or flag view."""
+    if fmt == "scurv":
+        return _emit_scurv(report)
+    if fmt == "flag":
+        return _emit_flag(report)
     if fmt == "json":
         return json.dumps(_check_as_dict(report), indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
@@ -315,6 +343,31 @@ def emit_report(report: ClassReport, fmt: str = "text") -> str:
     return "\n".join(lines) + "\n"
 
 
+def _emit_scurv(report: ClassReport) -> str:
+    worst, ck = report.extremes, report.conditions["beta_constant_killing"]
+    violations = report.consistency["violations"]
+    lines = [
+        f"metric: {report.metric}   volume form: {report.config['volume_form']}",
+        f"max |S| over samples: {report.conditions['S_zero'].residual:.3e}",
+        f"closed-form vs definition route deviation: {worst['S-curvature routes']:.3e}",
+        f"constant Killing form: {'yes' if ck.verdict else 'no'} "
+        f"(max |r_ij| = {worst['r']:.3e}, max |s_i| = {worst['s_i']:.3e})",
+        "INCONSISTENT: " + "; ".join(violations) if violations else "S == 0 iff constant Killing: consistent",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _emit_flag(report: ClassReport) -> str:
+    worst, flag = report.extremes, report.conditions["constant_flag_curvature"]
+    lines = [
+        f"metric: {report.metric}",
+        f"K fits: mean {flag.value:+.6g}  spread {worst['K_spread']:.3e}"
+        f"  worst tensor residual {worst['flag_residual']:.3e}",
+        f"constant flag curvature: {'yes, K = %.6g' % flag.value if flag.verdict else 'no'}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
 def emit_appendix(report: AppendixReport, fmt: str = "text") -> str:
     if fmt == "json":
         return json.dumps(
@@ -340,4 +393,17 @@ def emit_appendix(report: AppendixReport, fmt: str = "text") -> str:
         lines += [f"  {f}" for f in report.failures]
     else:
         lines.append("identity holds at every sample")
+    return "\n".join(lines) + "\n"
+
+
+def emit_sweep(report: SweepReport, fmt: str = "text") -> str:
+    if fmt == "json":
+        return json.dumps(report.rows, indent=2, sort_keys=True) + "\n"
+    lines = [
+        f"n={row['dim']} {row['metric']:18s} max rel dev {row['max_rel_dev']:.3e}"
+        f"  parity {row['max_parity_dev']:.3e}  {'ok' if row['ok'] else 'FAIL'}"
+        for row in report.rows
+    ]
+    worst = max([0.0] + [row["max_rel_dev"] for row in report.rows])
+    lines.append(f"sweep worst relative deviation: {worst:.3e}")
     return "\n".join(lines) + "\n"

@@ -281,7 +281,7 @@ def spray(bundle: AlphaBetaBundle, y, mode: str = "matsumoto") -> Spray:
     return _general_spray(bundle, y)
 
 
-def riemann_curvature(bundle: AlphaBetaBundle, y, mode: str = "matsumoto", G=None):
+def riemann_curvature(bundle: AlphaBetaBundle, y, G=None):
     """Riemann curvature operator R^i_k of F and its trace Ric at (x, y).
 
     R^i_k = 2 dG^i/dx^k - y^j d2G^i/dx^j dy^k + 2 G^j d2G^i/dy^j dy^k
@@ -289,14 +289,14 @@ def riemann_curvature(bundle: AlphaBetaBundle, y, mode: str = "matsumoto", G=Non
     """
     y = np.asarray(y, dtype=float)
     if G is None:
-        G = spray(bundle, y, mode=mode)
+        G = spray(bundle, y)
     gval, gx, gy, hxy, hyy = G.blocks()
     R = 2.0 * gx - np.einsum("j,ijk->ik", y, hxy) + 2.0 * np.einsum("j,ijk->ik", gval, hyy) - gy @ gy
     ric = float(np.trace(R))
     return R, ric
 
 
-def ricci_via_T(bundle: AlphaBetaBundle, y, mode: str = "matsumoto", G=None) -> float:
+def ricci_via_T(bundle: AlphaBetaBundle, y, G=None) -> float:
     """Ricci curvature through the deformation field T^i = G^i - Gbar^i.
 
     Ric = Ricbar + 2 T^k_|k - y^j T^k_.k|j + 2 T^j T^k_.j.k - T^k_.j T^j_.k,
@@ -306,7 +306,7 @@ def ricci_via_T(bundle: AlphaBetaBundle, y, mode: str = "matsumoto", G=None) -> 
     """
     y = np.asarray(y, dtype=float)
     if G is None:
-        G = spray(bundle, y, mode=mode)
+        G = spray(bundle, y)
     tval, tx, ty, txy, tyy = _blocks(G.G - G.Gbar)
 
     nconn = bundle.nonlinear_connection(y)
@@ -377,32 +377,25 @@ class ScalarFit:
     resid_lambda: float
     resid_c: float
     resid_sigma: float
-    ys: np.ndarray
 
 
-def extract_scalars(bundle: AlphaBetaBundle, rng=None, ys=None, mode: str = "matsumoto") -> ScalarFit:
+def extract_scalars(bundle: AlphaBetaBundle, rng) -> ScalarFit:
     """Fit Ricbar = lambda alpha^2, r00 = c alpha^2, Ric = sigma F^2 over y-samples.
 
-    Samples are alpha-normalized so the alpha^2 design column is 1 and the
-    lambda/c fits reduce to means; the sigma fit is least squares against
-    F^2 which genuinely varies over the fiber.  Residuals are max absolute
+    The samples are the fit design drawn from ``rng``, alpha-normalized so
+    the alpha^2 design column is 1 and the lambda/c fits reduce to means;
+    the sigma fit is least squares against F^2 which genuinely varies over
+    the fiber.  Residuals are max absolute
     deviations of the fitted relation over the sample set.
     """
-    if ys is None:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        ys = _design_vectors(bundle, rng)
-    ys = np.asarray(ys, dtype=float)
-    if ys.shape[0] < 8:
-        raise ValueError("need at least 8 y-samples to fit fiber-constant scalars")
-
+    ys = _design_vectors(bundle, rng)
     ricbars = np.array([bundle.ricbar(y) for y in ys])
     r00s = np.array([float(y @ bundle.r @ y) for y in ys])
     alphas2 = np.array([bundle.alpha2(y) for y in ys])
     rics = np.empty(len(ys))
     F2 = np.empty(len(ys))
     for i, y in enumerate(ys):
-        _, rics[i] = riemann_curvature(bundle, y, mode=mode)
+        _, rics[i] = riemann_curvature(bundle, y)
         F2[i] = metric_value(bundle, y) ** 2
 
     lam = float(ricbars @ alphas2 / (alphas2 @ alphas2))
@@ -415,19 +408,21 @@ def extract_scalars(bundle: AlphaBetaBundle, rng=None, ys=None, mode: str = "mat
         resid_lambda=float(np.max(np.abs(ricbars - lam * alphas2))),
         resid_c=float(np.max(np.abs(r00s - c * alphas2))),
         resid_sigma=float(np.max(np.abs(rics - sig * F2))),
-        ys=ys,
     )
 
 
-def flag_curvature_fit(bundle: AlphaBetaBundle, y, mode: str = "matsumoto", G=None):
+def flag_curvature_fit(bundle: AlphaBetaBundle, y, G=None, R=None):
     """Least-squares K in R^i_k = K (F^2 delta^i_k - y^i y_k), y_k = g_kj y^j.
 
     Returns (K, residual) with residual the max-entry deviation of the fit.
+    ``G`` and ``R`` are the spray and curvature operator at (x, y) when the
+    caller already has them.
     """
     y = np.asarray(y, dtype=float)
     if G is None:
-        G = spray(bundle, y, mode=mode)
-    R, _ = riemann_curvature(bundle, y, mode=mode, G=G)
+        G = spray(bundle, y)
+    if R is None:
+        R, _ = riemann_curvature(bundle, y, G=G)
     g = fundamental_tensor(bundle, y, G=G)
     F = metric_value(bundle, y)
     ylow = g @ y

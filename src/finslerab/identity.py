@@ -37,7 +37,6 @@ from . import finsler
 __all__ = [
     "ContractionSet",
     "contraction_set",
-    "contraction_set_naive",
     "appendix_terms",
     "printed_table_defects",
     "IdentityDiagnostics",
@@ -109,89 +108,6 @@ def contraction_set(bundle: AlphaBetaBundle, y, sigma: float = 0.0) -> Contracti
         rk_sk0=float(np.einsum("k,k->", bundle.rvec, sk0)),
         r0k_sk=float(np.einsum("k,k->", r0k, bundle.supvec)),
         sk0_sk=float(np.einsum("k,k->", sk0, bundle.svec)),
-    )
-
-
-def contraction_set_naive(bundle: AlphaBetaBundle, y, sigma: float = 0.0) -> ContractionSet:
-    """Same scalars by plain nested loops over the raw bundle tensors.
-
-    Deliberately pedestrian; used as the dual-implementation oracle for
-    :func:`contraction_set`.
-    """
-    y = np.asarray(y, dtype=float)
-    n = bundle.n
-    rng_n = range(n)
-    a, a_inv, b, bup = bundle.a, bundle.a_inv, bundle.b, bundle.bup
-    r, s, r_up, s_up = bundle.r, bundle.s, bundle.r_up, bundle.s_up
-    rvec, svec, supvec = bundle.rvec, bundle.svec, bundle.supvec
-    Dr, Ds, Drvec, Dsvec = bundle.Dr, bundle.Ds, bundle.Drvec, bundle.Dsvec
-
-    def dot1(v, w):
-        acc = 0.0
-        for i in rng_n:
-            acc += v[i] * w[i]
-        return acc
-
-    alpha2 = 0.0
-    beta = 0.0
-    ricbar = 0.0
-    r00 = 0.0
-    for i in rng_n:
-        beta += b[i] * y[i]
-        for j in rng_n:
-            alpha2 += a[i, j] * y[i] * y[j]
-            ricbar += bundle.ricci_tensor[i, j] * y[i] * y[j]
-            r00 += r[i, j] * y[i] * y[j]
-    rkk = 0.0
-    for k in rng_n:
-        rkk += r_up[k, k]
-    r00_0 = 0.0
-    br00k = 0.0
-    r0_0 = 0.0
-    s0_0 = 0.0
-    sk0k = 0.0
-    bs0k = 0.0
-    for i in rng_n:
-        for j in rng_n:
-            r0_0 += Drvec[i, j] * y[i] * y[j]
-            s0_0 += Dsvec[i, j] * y[i] * y[j]
-            bs0k += Dsvec[i, j] * y[i] * bup[j]
-            for k in rng_n:
-                r00_0 += Dr[i, j, k] * y[i] * y[j] * y[k]
-                br00k += Dr[i, j, k] * y[i] * y[j] * bup[k]
-                sk0k += a_inv[k, i] * Ds[i, j, k] * y[j]
-    r0k = [sum(r[i, k] * y[i] for i in rng_n) for k in rng_n]
-    s0k = [sum(s[i, k] * y[i] for i in rng_n) for k in rng_n]
-    sk0 = [sum(s_up[k, j] * y[j] for j in rng_n) for k in rng_n]
-    sjk_skj = 0.0
-    for j in rng_n:
-        for k in rng_n:
-            sjk_skj += s_up[j, k] * s_up[k, j]
-    return ContractionSet(
-        n=n,
-        sigma=float(sigma),
-        alpha=float(np.sqrt(alpha2)),
-        beta=float(beta),
-        bsq=bundle.bsq,
-        ricbar=float(ricbar),
-        r00=float(r00),
-        r0=float(dot1(rvec, y)),
-        r=float(dot1(rvec, bup)),
-        rkk=float(rkk),
-        s0=float(dot1(svec, y)),
-        r00_0=float(r00_0),
-        br00k=float(br00k),
-        r0_0=float(r0_0),
-        s0_0=float(s0_0),
-        sk0k=float(sk0k),
-        bs0k=float(bs0k),
-        r0k_sk0=float(dot1(r0k, sk0)),
-        s0k_sk0=float(dot1(s0k, sk0)),
-        sjk_skj=float(sjk_skj),
-        sk_sk=float(dot1(supvec, svec)),
-        rk_sk0=float(dot1(rvec, sk0)),
-        r0k_sk=float(dot1(r0k, supvec)),
-        sk0_sk=float(dot1(sk0, svec)),
     )
 
 
@@ -594,9 +510,9 @@ class IdentityDiagnostics:
         return self.sensitivity is None
 
 
-def _cleared_lhs(bundle: AlphaBetaBundle, y, sigma: float, mode: str) -> float:
+def _cleared_lhs(bundle: AlphaBetaBundle, y, sigma: float) -> float:
     y = np.asarray(y, dtype=float)
-    _, ric = finsler.riemann_curvature(bundle, y, mode=mode)
+    _, ric = finsler.riemann_curvature(bundle, y)
     al = bundle.alpha(y)
     be = bundle.beta(y)
     b2 = bundle.bsq
@@ -606,15 +522,11 @@ def _cleared_lhs(bundle: AlphaBetaBundle, y, sigma: float, mode: str) -> float:
 
 
 def verify_identity(
-    bundle: AlphaBetaBundle,
-    y,
-    sigma: float = 0.0,
-    mode: str = "matsumoto",
-    threshold: float = 1e-6,
+    bundle: AlphaBetaBundle, y, sigma: float = 0.0, threshold: float = 1e-6
 ) -> IdentityDiagnostics:
     """Compare the cleared Einstein residual against the coefficient table at (x, y, sigma)."""
     y = np.asarray(y, dtype=float)
-    lhs = _cleared_lhs(bundle, y, sigma, mode)
+    lhs = _cleared_lhs(bundle, y, sigma)
     cs = contraction_set(bundle, y, sigma)
     terms = appendix_terms(cs)
     powers = cs.alpha ** np.arange(15)
@@ -641,7 +553,7 @@ class ParityReport:
         return self.term_parity_dev <= tol_terms and max(self.even_dev, self.odd_dev) <= tol_split
 
 
-def parity_check(bundle: AlphaBetaBundle, y, sigma: float = 0.0, mode: str = "matsumoto") -> ParityReport:
+def parity_check(bundle: AlphaBetaBundle, y, sigma: float = 0.0) -> ParityReport:
     """Flipping y negates beta and every odd-degree scalar, so t_m picks up (-1)^m.
 
     Consequently the identity splits into an even and an odd line in alpha;
@@ -661,8 +573,8 @@ def parity_check(bundle: AlphaBetaBundle, y, sigma: float = 0.0, mode: str = "ma
     powers = cs_p.alpha ** np.arange(15)
     even = float(t_p[0::2] @ powers[0::2])
     odd = float(t_p[1::2] @ powers[1::2])
-    lhs_p = _cleared_lhs(bundle, y, sigma, mode)
-    lhs_m = _cleared_lhs(bundle, -y, sigma, mode)
+    lhs_p = _cleared_lhs(bundle, y, sigma)
+    lhs_m = _cleared_lhs(bundle, -y, sigma)
     lhs_even = 0.5 * (lhs_p + lhs_m)
     lhs_odd = 0.5 * (lhs_p - lhs_m)
     even_dev = abs(lhs_even - even) / max(abs(lhs_even), abs(even), 1.0)

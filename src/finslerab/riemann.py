@@ -38,7 +38,6 @@ __all__ = [
     "AlphaBetaBundle",
     "build_bundle",
     "bianchi_check",
-    "christoffels_fd",
     "det_jet",
 ]
 
@@ -310,27 +309,3 @@ def det_jet(mat: list[list[Jet]]) -> Jet:
             for cc in range(c + 1, n):
                 m[rr][cc] = m[rr][cc] - factor * m[c][cc]
     return sign * det
-
-
-def christoffels_fd(spec: MetricSpec, x, h: float = 1e-5) -> np.ndarray:
-    """Christoffel symbols from central finite differences of a_ij.
-
-    Test oracle for the jet-based ``gamma``; intentionally shares no
-    differentiation code with the bundle.
-    """
-    x = np.asarray(x, dtype=float)
-    n = spec.dim
-    a = spec.a_values(x)
-    a_inv = np.linalg.inv(a)
-    dA = np.empty((n, n, n))
-    for k in range(n):
-        xp, xm = x.copy(), x.copy()
-        xp[k] += h
-        xm[k] -= h
-        dA[:, :, k] = (spec.a_values(xp) - spec.a_values(xm)) / (2 * h)
-    lower = np.empty((n, n, n))
-    for l in range(n):
-        for j in range(n):
-            for k in range(n):
-                lower[l, j, k] = 0.5 * (dA[l, j, k] + dA[l, k, j] - dA[j, k, l])
-    return np.einsum("il,ljk->ijk", a_inv, lower)

@@ -40,7 +40,6 @@ __all__ = [
     "volume_factor",
     "s_curvature_closed",
     "s_curvature_def",
-    "constant_killing_verdict",
     "FORMS",
 ]
 
@@ -149,9 +148,7 @@ def s_curvature_closed(bundle: AlphaBetaBundle, y, form: str = "bh") -> float:
     return spray_part - vf.Lambda * (r0 + s0)
 
 
-def s_curvature_def(
-    bundle: AlphaBetaBundle, y, form: str = "bh", mode: str = "matsumoto", G=None
-) -> float:
+def s_curvature_def(bundle: AlphaBetaBundle, y, form: str = "bh", G=None) -> float:
     """S from the definition: spray divergence minus the log-volume drift.
 
     d(ln sigma_F)/dx^k = 1/2 d(ln det a)/dx^k + Lambda/2 * d(b^2)/dx^k, the
@@ -163,18 +160,9 @@ def s_curvature_def(
     y = np.asarray(y, dtype=float)
     n = bundle.n
     if G is None:
-        G = finsler.spray(bundle, y, mode=mode)
+        G = finsler.spray(bundle, y)
     div_g = float(np.trace(G.G.grad[:, n:]))
     vf = volume_factor(n, math.sqrt(max(bundle.bsq, 0.0)), form)
     dln_sigma = 0.5 * bundle.dlndet + 0.5 * vf.Lambda * bundle.d_bsq
     return float(div_g - y @ dln_sigma)
 
-
-def constant_killing_verdict(bundles, tol: float = 1e-9):
-    """True iff max |r_ij| and max |s_i| stay below tol at every sampled point."""
-    max_r = 0.0
-    max_si = 0.0
-    for bu in bundles:
-        max_r = max(max_r, float(np.max(np.abs(bu.r))))
-        max_si = max(max_si, float(np.max(np.abs(bu.svec))))
-    return (max_r <= tol and max_si <= tol), {"max_r": max_r, "max_s_i": max_si}

@@ -156,7 +156,7 @@ def test_cli_metric_evaluation_failure_exit(tmp_path, monkeypatch, capsys):
     assert "evaluation failed" in capsys.readouterr().err
 
     # a JetError raised past validation maps to the same status
-    def failing(spec, config):
+    def failing(spec, config, groups):
         raise cli.JetError("log of non-positive value")
 
     monkeypatch.setattr(cli.classify, "run_check", failing)
@@ -166,8 +166,8 @@ def test_cli_metric_evaluation_failure_exit(tmp_path, monkeypatch, capsys):
 def test_cli_engine_inconsistency_exit(monkeypatch, capsys, example_spec):
     real = run_check
 
-    def sabotaged(spec, config):
-        report = real(spec, config)
+    def sabotaged(spec, config, groups):
+        report = real(spec, config, groups)
         report.consistency["violations"].append("synthetic violation for exit-code test")
         return report
 
@@ -185,14 +185,65 @@ def test_cli_appendix_and_sweep(capsys):
     assert "sweep worst relative deviation" in out
 
 
-def test_cli_scurv_and_flag(capsys):
-    assert cli.main(["scurv", _example_path(), "--points", "3"]) == 0
+SHIPPED = [name.removesuffix(".metric") for name in testmetrics.list_shipped()]
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_cli_scurv_and_flag(name, capsys):
+    # scurv and flag are views of check: at the same seed they report its verdicts
+    path = str(testmetrics.shipped_metric_path(name))
+    assert cli.main(["check", path, "--points", "3", "--format", "json"]) == 0
+    conds = json.loads(capsys.readouterr().out)["conditions"]
+    assert cli.main(["scurv", path, "--points", "3"]) == 0
+    out = capsys.readouterr().out
+    killing = conds["beta_constant_killing"]["verdict"]
+    assert f"constant Killing form: {'yes' if killing else 'no'} (" in out
+    assert out.endswith("S == 0 iff constant Killing: consistent\n")
+    assert cli.main(["flag", path, "--points", "3"]) == 0
+    out = capsys.readouterr().out
+    flag = conds["constant_flag_curvature"]["verdict"]
+    assert f"constant flag curvature: {'yes, K = ' if flag else 'no'}" in out
+    if name == "matsumoto_example":
+        assert killing
+    if name == "euclidean_flat":
+        assert flag
+
+
+def test_cli_scurv_constant_killing_below_absolute_bound(tmp_path, capsys):
+    # r_11 = 1e-8 is within tol * max(1, max|Db|): scurv must agree with check
+    # (constant Killing, S == 0), not report an engine inconsistency
+    metric = tmp_path / "near_constant.metric"
+    metric.write_text("dim = 3\na 1 1 = 1\na 2 2 = 1\na 3 3 = 1\nb 1 = 0.2 + 1e-8*x1\n")
+    assert cli.main(["scurv", str(metric)]) == 0
     out = capsys.readouterr().out
     assert "constant Killing form: yes" in out
-    flat = str(testmetrics.shipped_metric_path("euclidean_flat"))
-    assert cli.main(["flag", flat, "--points", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "constant flag curvature: yes" in out
+    assert "consistent" in out and "INCONSISTENT" not in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "METRIC", "--points", "2", "--y-per-point", "2"],
+        ["scurv", "METRIC", "--points", "2"],
+        ["appendix", "--dim-sweep", "3", "--points", "2"],
+    ],
+)
+def test_cli_unwritable_out_exits_cleanly(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "report.txt"
+    argv = [_example_path() if a == "METRIC" else a for a in argv] + ["--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_INVALID_METRIC
+    captured = capsys.readouterr()
+    assert f"error: cannot write {out}" in captured.err and "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def test_cli_dim_sweep_json(capsys):
+    assert cli.main(["appendix", "--dim-sweep", "3,4", "--points", "2", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [row["dim"] for row in rows] == [3, 3, 4, 4]
+    for row in rows:
+        assert set(row) == {"dim", "metric", "max_rel_dev", "max_parity_dev", "ok"}
+        assert row["ok"] and row["max_rel_dev"] <= 1e-6
 
 
 def test_cli_out_file(tmp_path):

@@ -8,13 +8,13 @@ from finslerab.identity import (
     ContractionSet,
     appendix_terms,
     contraction_set,
-    contraction_set_naive,
     parity_check,
     printed_table_defects,
     verify_identity,
 )
 from finslerab.riemann import build_bundle
 from .conftest import example_point, unit_y
+from .oracles import contraction_set_naive
 
 
 def _zero_cs(n=3, **over):

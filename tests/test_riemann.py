@@ -7,10 +7,10 @@ from finslerab.riemann import (
     GeometryError,
     bianchi_check,
     build_bundle,
-    christoffels_fd,
     det_jet,
 )
 from .conftest import example_point, unit_y
+from .oracles import christoffels_fd
 
 
 def test_euclidean_is_flat():

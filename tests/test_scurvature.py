@@ -4,14 +4,10 @@ import numpy as np
 import pytest
 
 from finslerab import finsler, testmetrics
+from finslerab.classify import RunConfig, run_check
 from finslerab.dsl import parse_metric
 from finslerab.riemann import build_bundle, det_jet
-from finslerab.scurvature import (
-    constant_killing_verdict,
-    s_curvature_closed,
-    s_curvature_def,
-    volume_factor,
-)
+from finslerab.scurvature import s_curvature_closed, s_curvature_def, volume_factor
 from .conftest import example_point, unit_y
 
 
@@ -127,8 +123,8 @@ def test_constant_killing_forms_have_zero_s():
     y = unit_y(bu, rng)
     assert s_curvature_closed(bu, y, "bh") == 0.0
     assert abs(s_curvature_def(bu, y, "bh")) <= 1e-12
-    ok, resid = constant_killing_verdict([bu])
-    assert ok and resid["max_r"] <= 1e-15
+    c = run_check(spec, RunConfig(points=4, y_per_point=1, seed=3), ("beta",)).conditions
+    assert c["beta_constant_killing"].verdict and c["beta_killing"].residual <= 1e-15
 
 
 def test_conformal_beta_nonzero_s(homothetic_spec):
@@ -140,20 +136,20 @@ def test_conformal_beta_nonzero_s(homothetic_spec):
 
 def test_killing_with_varying_norm_nonzero_s(rotational_spec):
     # Killing but s_i != 0: the verdict machinery must compute, not assume
+    c = run_check(rotational_spec, RunConfig(points=4, y_per_point=1, seed=5), ("beta",)).conditions
+    assert not c["beta_constant_killing"].verdict
+    # Killing (max |r_ij|) exactly, but max |s_i| is not small
+    assert c["beta_killing"].verdict and c["beta_killing"].residual <= 1e-15
+    assert c["beta_constant_killing"].residual > 0.01
     bu = build_bundle(rotational_spec, np.array([0.5, 0.3]))
-    ok, resid = constant_killing_verdict([bu])
-    assert not ok
-    assert resid["max_r"] <= 1e-15 and resid["max_s_i"] > 0.01
     rng = np.random.default_rng(5)
     vals = [abs(s_curvature_def(bu, unit_y(bu, rng), "bh")) for _ in range(6)]
     assert max(vals) > 1e-3
 
 
 def test_example_verdict(example_spec):
-    rng = np.random.default_rng(6)
-    bundles = [build_bundle(example_spec, example_point(rng)) for _ in range(4)]
-    ok, _ = constant_killing_verdict(bundles)
-    assert ok
+    report = run_check(example_spec, RunConfig(points=4, y_per_point=1, seed=6), ("beta",))
+    assert report.conditions["beta_constant_killing"].verdict
 
 
 def test_s_curvature_def_reuses_spray_and_log_det(generic3d):
