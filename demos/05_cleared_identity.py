@@ -16,7 +16,7 @@ demo shows the deviation the uncorrected table produces.
 import numpy as np
 
 from finslerab import build_bundle, random_metric
-from finslerab.identity import appendix_terms, contraction_set, parity_check, verify_identity
+from finslerab.identity import appendix_terms, contraction_set, verify_identity
 
 spec = random_metric(4, seed=7)
 rng = np.random.default_rng(2)
@@ -32,8 +32,8 @@ for _ in range(10):
     worst = max(worst, diag.rel_dev)
 print("corrected table, worst relative deviation over 10 samples:", worst)
 
-par = parity_check(bu, y, sigma)
-print("parity split (even/odd lines):", par.even_dev, par.odd_dev)
+print("parity split at the last sample (even/odd lines):", diag.even_dev, diag.odd_dev)
+print("t_m(-y) = (-1)^m t_m(y) to", diag.term_parity_dev, "; identity and split hold:", diag.ok)
 
 cs = contraction_set(bu, y, sigma)
 powers = cs.alpha ** np.arange(15)

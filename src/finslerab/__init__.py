@@ -19,7 +19,7 @@ from .finsler import (
     spray,
 )
 from .scurvature import VolumeFactor, s_curvature_closed, s_curvature_def, volume_factor
-from .identity import appendix_terms, contraction_set, parity_check, verify_identity
+from .identity import appendix_terms, contraction_set, verify_identity
 from .testmetrics import list_shipped, random_metric, shipped_metric, shipped_metric_path
 
 __version__ = "0.1.0"
@@ -51,7 +51,6 @@ __all__ = [
     "contraction_set",
     "appendix_terms",
     "verify_identity",
-    "parity_check",
     "shipped_metric",
     "shipped_metric_path",
     "list_shipped",

@@ -232,7 +232,7 @@ class AppendixReport:
 
 
 def run_appendix(spec: MetricSpec, config: RunConfig) -> AppendixReport:
-    """Check the cleared polynomial identity at sampled (x, y, sigma)."""
+    """Check the cleared identity and its parity split at sampled (x, y, sigma), one record each."""
     rng = np.random.default_rng(config.seed)
     pts = sample_domain(spec, config.points, rng, shrink=0.05)
     samples = []
@@ -245,23 +245,24 @@ def run_appendix(spec: MetricSpec, config: RunConfig) -> AppendixReport:
             sigma = float(rng.uniform(-1.0, 1.0))
         else:
             sigma = float(config.sigma_policy)
-        diag = identity.verify_identity(bu, y, sigma)
-        par = identity.parity_check(bu, y, sigma)
-        worst = max(worst, diag.rel_dev)
-        worst_parity = max(worst_parity, par.even_dev, par.odd_dev)
+        rec = identity.verify_identity(bu, y, sigma)
+        worst = max(worst, rec.rel_dev)
+        worst_parity = max(worst_parity, rec.even_dev, rec.odd_dev)
         row = {
             "point": p_idx,
             "sigma": sigma,
-            "lhs": diag.lhs,
-            "rhs": diag.rhs,
-            "rel_dev": diag.rel_dev,
-            "parity_even_dev": par.even_dev,
-            "parity_odd_dev": par.odd_dev,
+            "lhs": rec.lhs,
+            "rhs": rec.rhs,
+            "rel_dev": rec.rel_dev,
+            "parity_even_dev": rec.even_dev,
+            "parity_odd_dev": rec.odd_dev,
         }
-        if diag.sensitivity is not None:
-            best = min(diag.sensitivity.items(), key=lambda kv: kv[1])
-            row["suspect_m"] = best[0]
-            failures.append(f"point {p_idx}: rel dev {diag.rel_dev:.3e}, most suspect t_{best[0]}")
+        if rec.suspect is not None:
+            row["suspect_m"] = rec.suspect
+            failures.append(f"point {p_idx}: rel dev {rec.rel_dev:.3e}, most suspect t_{rec.suspect}")
+        if not rec.parity_ok:
+            failures.append(f"point {p_idx}: parity split even {rec.even_dev:.3e}, "
+                            f"odd {rec.odd_dev:.3e}, terms {rec.term_parity_dev:.3e}")
         samples.append(row)
     return AppendixReport(
         metric=spec.name,

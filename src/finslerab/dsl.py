@@ -21,15 +21,22 @@ Expression grammar::
 Exponents are literal (possibly signed, possibly fractional) numbers, so
 every expression is an explicit rational/power/trig form; there are no
 conditionals and no user-defined functions.
+
+Limits: ``dim`` is at most ``MAX_DIM``; an expression nests at most
+``MAX_DEPTH`` levels, where each parenthesis, function call and unary minus
+is a level and so is each operator of a chain such as ``1 + x1 + x1``; every
+number, domain bounds included, must be finite.  A file outside these
+limits is a ``MetricFileError`` with its line number.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jets import Jet, JetError, elem, seed
+from .jets import Jet, JetError, elem
 
 __all__ = [
     "MetricFileError",
@@ -43,6 +50,9 @@ __all__ = [
 ]
 
 _FUNCS = ("sin", "cos", "exp", "log", "sqrt")
+
+MAX_DIM = 32
+MAX_DEPTH = 100
 
 
 class MetricFileError(ValueError):
@@ -130,14 +140,21 @@ def expr_to_text(expr) -> str:
     if isinstance(expr, Var):
         return f"x{expr.index + 1}"
     if isinstance(expr, Neg):
-        return f"(-{expr_to_text(expr.child)})"
+        return f"-{_power_operand(expr.child)}"
     if isinstance(expr, Bin):
         return f"({expr_to_text(expr.left)} {expr.op} {expr_to_text(expr.right)})"
     if isinstance(expr, Pow):
-        return f"{expr_to_text(expr.base)}^{_num_repr(expr.expo)}"
+        return f"{_power_operand(expr.base)}^{_num_repr(expr.expo)}"
     if isinstance(expr, Fun):
         return f"{expr.name}({expr_to_text(expr.child)})"
     raise TypeError(f"not an expression node: {expr!r}")
+
+
+def _power_operand(expr) -> str:
+    # '^' binds after unary minus and takes one exponent: -x1^2 is (-x1)^2.
+    # Nothing else needs parentheses, so the text nests no deeper than the tree.
+    text = expr_to_text(expr)
+    return f"({text})" if isinstance(expr, Pow) else text
 
 
 # -- tokenizer / recursive-descent parser ------------------------------------
@@ -173,6 +190,8 @@ def _tokenize(text: str, line_no: int):
                 val = float(text[i:j])
             except ValueError:
                 raise MetricFileError(f"bad number {text[i:j]!r}", line_no, col)
+            if not math.isfinite(val):
+                raise MetricFileError(f"number {text[i:j]!r} is not finite", line_no, col)
             toks.append(("num", val, col))
             i = j
         elif ch.isalpha():
@@ -193,6 +212,7 @@ class _Parser:
         self.pos = 0
         self.line = line_no
         self.dim = dim
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.pos]
@@ -230,6 +250,16 @@ class _Parser:
             return Pow(node, sign * tok[1])
         return node
 
+    def nested(self, parse):
+        """``parse()`` one level deeper: inside a parenthesis, a call or a unary minus."""
+        if self.depth == MAX_DEPTH:
+            col = self.peek()[2]
+            raise MetricFileError(f"expression nested deeper than {MAX_DEPTH} levels", self.line, col)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
+
     def base(self):
         kind, val, col = self.peek()
         if kind == "num":
@@ -237,20 +267,20 @@ class _Parser:
             return Const(val)
         if kind == "-":
             self.take()
-            return Neg(self.base())
+            return Neg(self.nested(self.base))
         if kind == "(":
             self.take()
-            node = self.expr()
+            node = self.nested(self.expr)
             self.take(")")
             return node
         if kind == "name":
             self.take()
             if val in _FUNCS:
                 self.take("(")
-                node = self.expr()
+                node = self.nested(self.expr)
                 self.take(")")
                 return Fun(val, node)
-            if val.startswith("x") and val[1:].isdigit():
+            if val.startswith("x") and val[1:].isdecimal():
                 k = int(val[1:])
                 if not 1 <= k <= self.dim:
                     raise MetricFileError(
@@ -261,10 +291,28 @@ class _Parser:
         raise MetricFileError(f"unexpected token {val!r}", self.line, col)
 
 
+def _height(expr) -> int:
+    """Levels of the expression tree, counted without recursion."""
+    height, stack = 0, [(expr, 1)]
+    while stack:
+        node, level = stack.pop()
+        height = max(height, level)
+        if isinstance(node, Bin):
+            stack += [(node.left, level + 1), (node.right, level + 1)]
+        elif isinstance(node, (Neg, Fun)):
+            stack.append((node.child, level + 1))
+        elif isinstance(node, Pow):
+            stack.append((node.base, level + 1))
+    return height
+
+
 def parse_expression(text: str, dim: int, line_no: int = 1):
     p = _Parser(_tokenize(text, line_no), line_no, dim)
     node = p.expr()
     p.take("end")
+    # a long operator chain is deep without any nesting in the text
+    if _height(node) > MAX_DEPTH:
+        raise MetricFileError(f"expression nested deeper than {MAX_DEPTH} levels", line_no)
     return node
 
 
@@ -297,7 +345,11 @@ class MetricSpec:
 
     def eval_a_jets(self, env: list[Jet]):
         n = self.dim
-        return [[eval_component(self.a_expr(i, j), env) for j in range(n)] for i in range(n)]
+        rows = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = eval_component(self.a_expr(i, j), env)
+        return rows
 
     def eval_b_jets(self, env: list[Jet]):
         return [eval_component(self.b_expr(i), env) for i in range(self.dim)]
@@ -353,8 +405,8 @@ def parse_metric(text: str, name: str = "metric") -> MetricSpec:
             if toks[1][0] != "=" or toks[2][0] != "num":
                 raise MetricFileError("expected 'dim = <n>'", line_no)
             dim = int(toks[2][1])
-            if dim < 2 or dim != toks[2][1]:
-                raise MetricFileError(f"dim must be an integer >= 2, got {toks[2][1]}", line_no)
+            if not 2 <= dim <= MAX_DIM or dim != toks[2][1]:
+                raise MetricFileError(f"dim must be an integer in 2..{MAX_DIM}, got {toks[2][1]}", line_no)
             continue
 
         if dim is None:
@@ -362,7 +414,7 @@ def parse_metric(text: str, name: str = "metric") -> MetricSpec:
 
         if head[1] == "domain":
             # domain x<k> = [lo, hi]
-            if toks[1][0] != "name" or not toks[1][1].startswith("x"):
+            if toks[1][0] != "name" or not toks[1][1].startswith("x") or not toks[1][1][1:].isdecimal():
                 raise MetricFileError("expected 'domain x<k> = [lo, hi]'", line_no)
             k = int(toks[1][1][1:])
             if not 1 <= k <= dim:
@@ -380,6 +432,8 @@ def parse_metric(text: str, name: str = "metric") -> MetricSpec:
                 lo, hi = float(parts[0]), float(parts[1])
             except ValueError:
                 raise MetricFileError("bad domain bounds", line_no)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise MetricFileError("domain bounds must be finite", line_no)
             if not lo < hi:
                 raise MetricFileError("domain must have lo < hi", line_no)
             domain_over[k - 1] = (lo, hi)
@@ -466,8 +520,8 @@ def validate_spec(spec: MetricSpec, samples: int = 200, seed: int = 0) -> Valida
     The 1/4 bound is the validity condition for the slope-type metric
     F = alpha^2/(alpha - beta): it needs |beta|_alpha < 1/2 pointwise.
     A component that cannot be evaluated at a sampled point (log or sqrt of
-    a non-positive value, division by zero) is a violation too.  Violations
-    are reported as data, not raised.
+    a non-positive value, division by zero, overflow) or whose value is not
+    finite is a violation too.  Violations are reported as data, not raised.
     """
     rng = np.random.default_rng(seed)
     pts = sample_domain(spec, samples, rng)
@@ -478,6 +532,9 @@ def validate_spec(spec: MetricSpec, samples: int = 200, seed: int = 0) -> Valida
             b = spec.b_values(x)
         except JetError as exc:
             violations.append((x.copy(), "evaluation failed", str(exc)))
+            continue
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            violations.append((x.copy(), "evaluation failed", "value is not finite"))
             continue
         try:
             np.linalg.cholesky(a)

@@ -18,11 +18,12 @@ sides of the identity agree:
 * the right side is computed entirely from the coefficient table and the
   covariant contraction scalars, knowing nothing of the spray.
 
+``verify_identity`` evaluates one sample: both sides once at y and once at
+-y, judged in one ``IdentityCheck`` for the identity and its parity split.
 Agreement at generic points over several dimensions and metric families is
 overwhelming evidence for the table, since a degree-14 polynomial identity
-in ~20 independent quantities cannot hold accidentally.  On mismatch, the
-diagnostics include a per-coefficient sensitivity breakdown (the deviation
-with each t_m zeroed) to localize the bad term.
+in ~20 independent quantities cannot hold accidentally.  A failing record
+names the coefficient whose zeroing brings the sides closest.
 """
 
 from __future__ import annotations
@@ -39,10 +40,8 @@ __all__ = [
     "contraction_set",
     "appendix_terms",
     "printed_table_defects",
-    "IdentityDiagnostics",
+    "IdentityCheck",
     "verify_identity",
-    "ParityReport",
-    "parity_check",
 ]
 
 
@@ -495,23 +494,37 @@ def _printed_terms(cs: ContractionSet) -> np.ndarray:
     return np.asarray(t)
 
 
-@dataclass
-class IdentityDiagnostics:
-    """One point's worth of cleared-identity comparison."""
+IDENTITY_TOL = 1e-6  # relative, for the identity and for each line of its parity split
+TERM_PARITY_TOL = 1e-10  # t_m(-y) = (-1)^m t_m(y) holds up to rounding
 
-    lhs: float
-    rhs: float
+
+@dataclass
+class IdentityCheck:
+    """The cleared identity and its parity split at one sample (x, y, sigma)."""
+
+    lhs: float  # cleared Einstein residual at y, from the curvature pipeline
+    rhs: float  # Sum t_m(y) alpha^m, from the coefficient table
     rel_dev: float
-    terms: np.ndarray
-    sensitivity: dict | None  # per-m deviation with t_m zeroed, on failure
+    term_parity_dev: float  # max rel deviation of t_m(-y) from (-1)^m t_m(y)
+    even_dev: float  # even part in y of the cleared residual vs Sum t_2m alpha^2m
+    odd_dev: float  # odd part vs Sum t_2m+1 alpha^2m+1
+    suspect: int | None  # set exactly when the identity fails: the m whose t_m is likeliest wrong
+
+    @property
+    def parity_ok(self) -> bool:
+        split = self.even_dev <= IDENTITY_TOL and self.odd_dev <= IDENTITY_TOL
+        return split and self.term_parity_dev <= TERM_PARITY_TOL
 
     @property
     def ok(self) -> bool:
-        return self.sensitivity is None
+        return self.suspect is None and self.parity_ok
+
+
+def _rel(a: float, b: float) -> float:
+    return abs(a - b) / max(abs(a), abs(b), 1.0)
 
 
 def _cleared_lhs(bundle: AlphaBetaBundle, y, sigma: float) -> float:
-    y = np.asarray(y, dtype=float)
     _, ric = finsler.riemann_curvature(bundle, y)
     al = bundle.alpha(y)
     be = bundle.beta(y)
@@ -521,62 +534,33 @@ def _cleared_lhs(bundle: AlphaBetaBundle, y, sigma: float) -> float:
     return (ric - sigma * F * F) * clear
 
 
-def verify_identity(
-    bundle: AlphaBetaBundle, y, sigma: float = 0.0, threshold: float = 1e-6
-) -> IdentityDiagnostics:
-    """Compare the cleared Einstein residual against the coefficient table at (x, y, sigma)."""
-    y = np.asarray(y, dtype=float)
-    lhs = _cleared_lhs(bundle, y, sigma)
-    cs = contraction_set(bundle, y, sigma)
-    terms = appendix_terms(cs)
-    powers = cs.alpha ** np.arange(15)
-    rhs = float(terms @ powers)
-    denom = max(abs(lhs), abs(rhs), 1.0)
-    rel = abs(lhs - rhs) / denom
-    sens = None
-    if rel > threshold:
-        sens = {}
-        for m in range(15):
-            sens[m] = abs(lhs - (rhs - terms[m] * powers[m])) / denom
-    return IdentityDiagnostics(lhs=lhs, rhs=rhs, rel_dev=rel, terms=terms, sensitivity=sens)
+def verify_identity(bundle: AlphaBetaBundle, y, sigma: float = 0.0) -> IdentityCheck:
+    """Check the cleared identity and its parity split at (x, y, sigma).
 
-
-@dataclass
-class ParityReport:
-    """Even/odd behaviour of the coefficients and of the split identity lines."""
-
-    term_parity_dev: float  # max rel deviation of t_m(-y) = (-1)^m t_m(y)
-    even_dev: float  # cleared even part vs sum of t_{2m} alpha^{2m}
-    odd_dev: float
-
-    def ok(self, tol_terms: float = 1e-10, tol_split: float = 1e-6) -> bool:
-        return self.term_parity_dev <= tol_terms and max(self.even_dev, self.odd_dev) <= tol_split
-
-
-def parity_check(bundle: AlphaBetaBundle, y, sigma: float = 0.0) -> ParityReport:
-    """Flipping y negates beta and every odd-degree scalar, so t_m picks up (-1)^m.
-
-    Consequently the identity splits into an even and an odd line in alpha;
-    both are checked against the parity projections of the cleared residual.
+    Flipping y negates beta and every odd-degree scalar, so t_m(-y) =
+    (-1)^m t_m(y) and the identity splits into an even and an odd line in
+    alpha, each checked against the parity projection of the cleared
+    residual.  Each side is evaluated once at y and once at -y; the table at
+    -y is computed, not derived from the one at y, so the term parity is a test.
     """
     y = np.asarray(y, dtype=float)
-    cs_p = contraction_set(bundle, y, sigma)
-    cs_m = contraction_set(bundle, -y, sigma)
-    t_p = appendix_terms(cs_p)
-    t_m = appendix_terms(cs_m)
-    signs = (-1.0) ** np.arange(15)
-    dev = 0.0
-    for m in range(15):
-        scale = max(abs(t_p[m]), abs(t_m[m]), 1.0)
-        dev = max(dev, abs(t_m[m] - signs[m] * t_p[m]) / scale)
-
-    powers = cs_p.alpha ** np.arange(15)
-    even = float(t_p[0::2] @ powers[0::2])
-    odd = float(t_p[1::2] @ powers[1::2])
-    lhs_p = _cleared_lhs(bundle, y, sigma)
-    lhs_m = _cleared_lhs(bundle, -y, sigma)
-    lhs_even = 0.5 * (lhs_p + lhs_m)
-    lhs_odd = 0.5 * (lhs_p - lhs_m)
-    even_dev = abs(lhs_even - even) / max(abs(lhs_even), abs(even), 1.0)
-    odd_dev = abs(lhs_odd - odd) / max(abs(lhs_odd), abs(odd), 1.0)
-    return ParityReport(term_parity_dev=dev, even_dev=even_dev, odd_dev=odd_dev)
+    lhs, lhs_neg = (_cleared_lhs(bundle, v, sigma) for v in (y, -y))
+    cs = contraction_set(bundle, y, sigma)
+    terms, terms_neg = appendix_terms(cs), appendix_terms(contraction_set(bundle, -y, sigma))
+    powers = cs.alpha ** np.arange(15)
+    rhs = float(terms @ powers)
+    rel = _rel(lhs, rhs)
+    suspect = None
+    if not rel <= IDENTITY_TOL:
+        # the deviation left with t_m zeroed is smallest for the bad coefficient
+        suspect = int(np.argmin(np.abs(lhs - (rhs - terms * powers))))
+    scale = np.maximum(np.maximum(np.abs(terms), np.abs(terms_neg)), 1.0)
+    term_parity_dev = float(np.max(np.abs(terms_neg - (-1.0) ** np.arange(15) * terms) / scale))
+    even = float(terms[0::2] @ powers[0::2])
+    odd = float(terms[1::2] @ powers[1::2])
+    return IdentityCheck(
+        lhs, rhs, rel, term_parity_dev,
+        even_dev=_rel(0.5 * (lhs + lhs_neg), even),
+        odd_dev=_rel(0.5 * (lhs - lhs_neg), odd),
+        suspect=suspect,
+    )

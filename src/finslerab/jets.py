@@ -169,9 +169,13 @@ class Jet:
             raise JetError(f"fractional power of non-positive base {v}")
         if p < 0 and abs(v) < _TINY:
             raise JetError("negative power of zero")
-        c0 = v**p
-        c1 = p * v ** (p - 1.0)
-        c2 = p * (p - 1.0) * v ** (p - 2.0)
+        try:
+            c0 = v**p
+            c1 = p * v ** (p - 1.0)
+            # at p = 1 the factor p - 1 is 0, and 0^-1 would raise at v = 0
+            c2 = p * (p - 1.0) * v ** (p - 2.0) if p != 1.0 else 0.0
+        except OverflowError:
+            raise JetError(f"overflow in {v}^{p}") from None
         return self._chain(c0, c1, c2)
 
     def _chain(self, c0: float, c1: float, c2: float) -> "Jet":
@@ -288,11 +292,18 @@ def jsqrt(a: Jet) -> Jet:
     if a.val <= _TINY:
         raise JetError(f"sqrt of non-positive value {a.val}")
     r = math.sqrt(a.val)
-    return a._chain(r, 0.5 / r, -0.25 / (r * a.val))
+    try:
+        c2 = -0.25 / (r * a.val)
+    except ZeroDivisionError:  # a.val^1.5 underflows below about 1e-206
+        raise JetError(f"overflow in the second derivative of sqrt({a.val})") from None
+    return a._chain(r, 0.5 / r, c2)
 
 
 def jexp(a: Jet) -> Jet:
-    e = math.exp(a.val)
+    try:
+        e = math.exp(a.val)
+    except OverflowError:
+        raise JetError(f"overflow in exp({a.val})") from None
     return a._chain(e, e, e)
 
 
@@ -338,11 +349,13 @@ def seed(values, active) -> list[Jet]:
 
 
 def elem(a: Jet, name: str) -> Jet:
-    """Named elementary function, one of sqrt/sin/cos/exp/log."""
+    """Named elementary function, one of sqrt/sin/cos/exp/log, of a finite value."""
     try:
         fn = _ELEM[name]
     except KeyError:
         raise JetError(f"unknown function {name!r}") from None
+    if not math.isfinite(a.val):
+        raise JetError(f"{name} of non-finite value {a.val}")
     return fn(a)
 
 

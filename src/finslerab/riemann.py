@@ -164,6 +164,8 @@ def build_bundle(spec: MetricSpec, x) -> AlphaBetaBundle:
     b = np.array([jet.val for jet in bJ])
     db = np.array([jet.grad[:n] for jet in bJ])
     d2b = np.array([jet.hess_matrix()[:n, :n] for jet in bJ])
+    if not all(np.isfinite(t).all() for t in (a, dA, d2A, b, db, d2b)):
+        raise GeometryError(f"metric data not finite at x={x}")
 
     try:
         np.linalg.cholesky(a)

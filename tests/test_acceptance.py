@@ -21,7 +21,7 @@ from finslerab.finsler import (
     riemann_curvature,
     spray,
 )
-from finslerab.identity import parity_check, verify_identity
+from finslerab.identity import verify_identity
 from finslerab.riemann import bianchi_check, build_bundle
 from finslerab.scurvature import s_curvature_closed, s_curvature_def, volume_factor
 from .conftest import unit_y
@@ -125,11 +125,9 @@ def test_criterion_3_cleared_identity():
                 sigma = float(rng.uniform(-1, 1))
                 diag = verify_identity(bu, y, sigma)
                 worst = max(worst, diag.rel_dev)
+                worst_parity = max(worst_parity, diag.even_dev, diag.odd_dev)
                 if not diag.ok:
-                    suspect = min(diag.sensitivity, key=diag.sensitivity.get)
-                    failing.append((spec.name, diag.rel_dev, suspect))
-                par = parity_check(bu, y, sigma)
-                worst_parity = max(worst_parity, par.even_dev, par.odd_dev)
+                    failing.append((spec.name, diag.rel_dev, diag.suspect))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6 and worst_parity <= 1e-6 and not failing and elapsed < 60.0
     detail = f"identity {worst:.1e}, parity {worst_parity:.1e}, {elapsed:.1f}s"

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from finslerab import cli, testmetrics
+from finslerab import cli, finsler, identity, testmetrics
 from finslerab.classify import RunConfig, emit_report, run_appendix, run_check
 
 
@@ -93,6 +93,26 @@ def test_appendix_report(generic3d):
     assert len(rep.samples) == 6
 
 
+def test_appendix_one_record_per_sample(generic3d, monkeypatch):
+    """Each sample evaluates the spray and the contraction set once at y and once at -y."""
+    calls = {"verify_identity": 0, "spray": 0, "contraction_set": 0}
+
+    def count(module, name):
+        orig = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    count(identity, "verify_identity")
+    count(finsler, "spray")
+    count(identity, "contraction_set")
+    assert run_appendix(generic3d, small_config(points=3, sigma_policy="random")).ok
+    assert calls == {"verify_identity": 3, "spray": 6, "contraction_set": 6}
+
+
 # -- CLI ------------------------------------------------------------------------
 
 
@@ -145,6 +165,31 @@ def test_cli_rejects_bad_arguments(argv, capsys):
     assert "error:" in captured.err and captured.out == ""
 
 
+MALFORMED = {
+    "dim_1e9": "dim = 1e9\n",
+    "nested_parens": "dim = 2\na 1 1 = " + "(" * 250 + "1" + ")" * 250 + "\na 2 2 = 1\n",
+    "flat_sum": "dim = 2\na 1 1 = 1" + " + x1*0" * 2000 + "\na 2 2 = 1\n",
+    "domain_inf": "dim = 2\ndomain x1 = [0, inf]\na 1 1 = 1\na 2 2 = 1\n",
+    "const_inf": "dim = 2\na 1 1 = 1e400\na 2 2 = 1\n",
+    "const_nan": "dim = 2\na 1 1 = 1 + 0*1e400\na 2 2 = 1\n",
+    "exp_overflow": "dim = 2\na 1 1 = 1 + exp(1000*x1)\na 2 2 = 1\n",
+    "pow_overflow": "dim = 2\na 1 1 = 1 + (1e300*x1)^2\na 2 2 = 1\n",
+    "product_overflow": "dim = 2\na 1 1 = 1 + 1e300*x1*1e300*x1\na 2 2 = 1\n",
+    "sin_of_inf": "dim = 2\na 1 1 = 2 + sin(1e300*x1*1e300)\na 2 2 = 1\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+@pytest.mark.parametrize("command", ["validate", "check"])
+def test_cli_malformed_metric_exits_2(name, command, tmp_path, capsys):
+    metric = tmp_path / f"{name}.metric"
+    metric.write_text(MALFORMED[name])
+    extra = ["--points", "2", "--y-per-point", "2"] if command == "check" else []
+    with np.errstate(all="ignore"):  # overflow warnings are not the exit contract
+        assert cli.main([command, str(metric), *extra]) == cli.EXIT_INVALID_METRIC
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_cli_metric_evaluation_failure_exit(tmp_path, monkeypatch, capsys):
     # log(x1) cannot be evaluated on the default domain [-1, 1]: a clean
     # invalid-metric exit, not a JetError traceback
@@ -183,6 +228,27 @@ def test_cli_appendix_and_sweep(capsys):
     assert cli.main(["appendix", "--dim-sweep", "3", "--points", "3"]) == 0
     out = capsys.readouterr().out
     assert "sweep worst relative deviation" in out
+
+
+def test_cli_appendix_fails_on_parity_split(monkeypatch, capsys):
+    """A cleared residual perturbed only at -y breaks the parity split, not the identity at y."""
+    cleared, seen = identity._cleared_lhs, []
+
+    def perturbed_at_minus_y(bundle, y, sigma):
+        value = cleared(bundle, y, sigma)
+        if any(np.array_equal(-np.asarray(y), v) for v in seen):
+            return value + 0.1 * max(1.0, abs(value))
+        seen.append(np.array(y))
+        return value
+
+    monkeypatch.setattr(identity, "_cleared_lhs", perturbed_at_minus_y)
+    assert cli.main(["appendix", _example_path(), "--points", "2"]) == cli.EXIT_INCONSISTENT
+    out = capsys.readouterr().out
+    assert "max relative deviation: " in out and "most suspect" not in out
+    assert "FAILURES:" in out and out.count(": parity split even ") == 2
+    assert cli.main(["appendix", "--dim-sweep", "3", "--points", "2"]) == cli.EXIT_INCONSISTENT
+    rows = capsys.readouterr().out.splitlines()[:-1]
+    assert len(rows) == 2 and all(row.endswith("  FAIL") for row in rows)
 
 
 SHIPPED = [name.removesuffix(".metric") for name in testmetrics.list_shipped()]

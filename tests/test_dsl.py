@@ -1,16 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finslerab import testmetrics
 from finslerab.dsl import (
+    MAX_DEPTH,
+    MAX_DIM,
+    Bin,
+    Const,
+    Fun,
     MetricFileError,
+    Neg,
+    Pow,
+    Var,
     eval_component,
     expr_to_text,
     parse_expression,
     parse_metric,
     validate_spec,
 )
-from finslerab.jets import Jet
+from finslerab.jets import Jet, JetError
 
 
 def test_parse_example_file(example_spec):
@@ -131,3 +141,79 @@ def test_parse_errors_carry_location():
 def test_duplicate_identical_entry_allowed():
     spec = parse_metric("dim = 2\na 1 1 = 1\na 2 2 = 1\na 1 2 = x1\na 2 1 = x1")
     assert expr_to_text(spec.a_expr(0, 1)) == "x1"
+
+
+def test_parse_limits():
+    parse_metric(f"dim = {MAX_DIM}\n")
+    with pytest.raises(MetricFileError, match=r"dim must be an integer in 2\.\.32, got 33.0 \(line 1\)"):
+        parse_metric(f"dim = {MAX_DIM + 1}\n")
+    nested = "(" * MAX_DEPTH + "x1" + ")" * MAX_DEPTH
+    assert parse_expression(nested, 1) == Var(0)
+    chain = "x1" + " + 1" * (MAX_DEPTH - 1)
+    assert eval_component(parse_expression(chain, 1), [Jet.variable(0.5, 0, 1)]).val == MAX_DEPTH - 0.5
+    negated = parse_metric(f"dim = 2\na 1 1 = 2 + {'-' * (MAX_DEPTH - 2)}x1\na 2 2 = 1\n")
+    assert parse_metric(negated.to_text()) == negated
+    for deeper in ("(" + nested + ")", "-" * (MAX_DEPTH + 1) + "x1", chain + " + 1"):
+        with pytest.raises(MetricFileError, match="nested deeper than 100 levels .line 3"):
+            parse_metric(f"dim = 2\na 2 2 = 1\na 1 1 = {deeper}\n")
+
+
+def test_parse_rejects_non_finite_numbers():
+    for line in ("a 1 1 = 1e400", "a 1 1 = 1 + 0*1e400", "domain x1 = [0, inf]", "domain x1 = [nan, 1]"):
+        with pytest.raises(MetricFileError, match="line 2"):
+            parse_metric(f"dim = 2\n{line}\n")
+
+
+# Pieces of the metric language, so that generated text often gets past the tokenizer.
+_FRAGMENTS = [
+    "dim", "domain", "a", "b", "x", "x1", "x2", "x0", "=", "[", "]", ",", "(", ")", "+", "-", "*", "/",
+    "^", "sin", "exp", "log", "#", " ", "\n", "0", "1", "2", "33", "0.5", "1e9", "1e400", "inf", "nan", ".",
+]
+_METRIC_TEXT = st.one_of(
+    st.text(max_size=60),
+    st.lists(st.sampled_from(_FRAGMENTS), max_size=40).map("".join),
+    # deep enough to exhaust the recursion limit, which hypothesis raises while it runs a test
+    st.integers(0, 2000).map(lambda k: "dim = 2\na 1 1 = " + "(" * k + "1" + ")" * k),
+    st.integers(0, 2000).map(lambda k: "dim = 2\na 1 1 = " + "-" * k + "x1"),
+)
+
+
+@given(_METRIC_TEXT)
+@settings(max_examples=300, deadline=None)
+def test_parse_metric_raises_only_metric_file_error(text):
+    try:
+        parse_metric(text)
+    except MetricFileError:
+        pass
+
+
+_EXPR = st.recursive(
+    st.one_of(st.floats(-1e3, 1e3).map(Const), st.integers(0, 1).map(Var)),
+    lambda sub: st.one_of(
+        sub.map(Neg),
+        st.builds(Bin, st.sampled_from("+-*/"), sub, sub),
+        st.builds(Pow, sub, st.one_of(st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 3.0]), st.floats(-4, 4))),
+        st.builds(Fun, st.sampled_from(["sin", "cos", "exp", "log", "sqrt"]), sub),
+    ),
+    max_leaves=12,
+)
+
+
+def _jet_or_error(expr, env):
+    try:
+        with np.errstate(all="ignore"):  # inf and nan are compared, not warned about
+            return eval_component(expr, env)
+    except JetError:
+        return None
+
+
+@given(_EXPR)
+@settings(max_examples=300, deadline=None)
+def test_expression_text_roundtrip(expr):
+    env = [Jet.variable(0.3, 0, 2), Jet.variable(-0.7, 1, 2)]
+    want = _jet_or_error(expr, env)
+    got = _jet_or_error(parse_expression(expr_to_text(expr), 2), env)
+    assert (want is None) == (got is None)
+    if want is not None:
+        for a, b in ((want.val, got.val), (want.grad, got.grad), (want.hess, got.hess)):
+            assert np.array_equal(a, b, equal_nan=True)

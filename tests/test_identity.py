@@ -3,12 +3,11 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from finslerab import testmetrics
+from finslerab import identity, testmetrics
 from finslerab.identity import (
     ContractionSet,
     appendix_terms,
     contraction_set,
-    parity_check,
     printed_table_defects,
     verify_identity,
 )
@@ -123,9 +122,10 @@ def test_parity(generic3d):
     rng = np.random.default_rng(5)
     for _ in range(10):
         bu = build_bundle(generic3d, rng.uniform(-0.8, 0.8, 3))
-        rep = parity_check(bu, unit_y(bu, rng), sigma=float(rng.uniform(-1, 1)))
-        assert rep.term_parity_dev <= 1e-10
-        assert rep.even_dev <= 1e-6 and rep.odd_dev <= 1e-6
+        rec = verify_identity(bu, unit_y(bu, rng), sigma=float(rng.uniform(-1, 1)))
+        assert rec.term_parity_dev <= 1e-10
+        assert rec.even_dev <= 1e-6 and rec.odd_dev <= 1e-6
+        assert rec.parity_ok and rec.ok
 
 
 def test_printed_table_defect_localization(generic3d):
@@ -150,16 +150,19 @@ def test_printed_table_defect_localization(generic3d):
     assert abs(diag.lhs - rhs_printed) / max(1.0, abs(diag.lhs)) > 1e-6
 
 
-def test_sensitivity_breakdown_reports_suspects(generic_bundle):
+def test_sensitivity_breakdown_reports_suspects(generic_bundle, monkeypatch):
     """Corrupting one coefficient must be localized by the zero-out scan."""
     rng = np.random.default_rng(7)
     y = unit_y(generic_bundle, rng)
-    cs = contraction_set(generic_bundle, y, 0.1)
-    terms = appendix_terms(cs)
-    powers = cs.alpha ** np.arange(15)
-    lhs = float(terms @ powers)
-    bad = terms.copy()
-    bad[6] *= 50.0  # inject a dominant defect in t_6
-    denom = max(abs(lhs), 1.0)
-    sens = {m: abs(lhs - (float(bad @ powers) - bad[m] * powers[m])) / denom for m in range(15)}
-    assert min(sens, key=sens.get) == 6
+    good = verify_identity(generic_bundle, y, 0.1)
+    assert good.ok and good.suspect is None
+
+    def corrupted(cs, printed=False):
+        bad = appendix_terms(cs, printed)
+        bad[6] *= 50.0  # inject a dominant defect in t_6
+        return bad
+
+    monkeypatch.setattr(identity, "appendix_terms", corrupted)
+    diag = verify_identity(generic_bundle, y, 0.1)
+    assert not diag.ok
+    assert diag.suspect == 6

@@ -101,6 +101,24 @@ def test_domain_errors():
         x / Jet.constant(0.0, 1)
 
 
+def test_overflow_raises_jet_error():
+    (x,) = seed([1000.0], {0})
+    with pytest.raises(JetError, match="overflow"):
+        jexp(x)
+    with pytest.raises(JetError, match="overflow"):
+        (x * 1e300) ** 2
+    with pytest.raises(JetError, match="overflow"):
+        jsqrt(Jet.constant(1e-272, 1))
+    with pytest.raises(JetError, match="non-finite"):
+        elem(Jet.constant(math.inf, 1), "sin")
+
+
+def test_first_power_at_zero():
+    (x,) = seed([0.0], {0})
+    p = x**1
+    assert p.val == 0.0 and p.grad[0] == 1.0 and p.hess[0] == 0.0
+
+
 # (ArrayJet form, scalar Jet form, plain numpy form) of every array-jet operation
 ARRAY_OPS = {
     "add": (lambda a, b: a + b,) * 3,
