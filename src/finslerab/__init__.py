@@ -9,15 +9,7 @@ for analytic metrics defined in a small text format.
 from .jets import Jet, JetError, fd_oracle, seed
 from .dsl import MetricFileError, MetricSpec, parse_metric, validate_spec
 from .riemann import AlphaBetaBundle, GeometryError, bianchi_check, build_bundle
-from .finsler import (
-    PhiData,
-    extract_scalars,
-    flag_curvature_fit,
-    phi_data,
-    ricci_via_T,
-    riemann_curvature,
-    spray,
-)
+from .finsler import extract_scalars, flag_curvature_fit, ricci_via_T, riemann_curvature, spray
 from .scurvature import VolumeFactor, s_curvature_closed, s_curvature_def, volume_factor
 from .identity import appendix_terms, contraction_set, verify_identity
 from .testmetrics import list_shipped, random_metric, shipped_metric, shipped_metric_path
@@ -37,8 +29,6 @@ __all__ = [
     "GeometryError",
     "build_bundle",
     "bianchi_check",
-    "PhiData",
-    "phi_data",
     "spray",
     "riemann_curvature",
     "ricci_via_T",

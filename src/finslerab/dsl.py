@@ -1,4 +1,4 @@
-"""Metric definition files: parsing, evaluation over jets, validation.
+"""Metric definition files: parsing, evaluation over array jets, validation.
 
 A metric file declares an n-dimensional chart with a symmetric matrix of
 closed-form entries a_ij(x), a 1-form b_i(x), and a per-coordinate domain
@@ -27,6 +27,13 @@ Limits: ``dim`` is at most ``MAX_DIM``; an expression nests at most
 is a level and so is each operator of a chain such as ``1 + x1 + x1``; every
 number, domain bounds included, must be finite.  A file outside these
 limits is a ``MetricFileError`` with its line number.
+
+Evaluation is one walk of the expression tree over ``ArrayJet``s, in two
+shapes: values at a batch of points with no derivative directions
+(``a_values``/``b_values``, which ``validate_spec`` runs on all its sample
+points at once), and one point with exact first and second derivatives in
+the n chart directions (``chart_jets``, for ``build_bundle``).  A domain
+error, an overflow or any other non-finite intermediate is a ``JetError``.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jets import Jet, JetError, elem
+from .jets import ArrayJet, JetError
 
 __all__ = [
     "MetricFileError",
@@ -104,29 +111,61 @@ class Fun:
     child: object
 
 
-def eval_component(expr, env: list[Jet]) -> Jet:
-    """Evaluate an expression over a jet environment (one jet per coordinate)."""
+def eval_component(expr, env: list[ArrayJet]) -> ArrayJet:
+    """Evaluate an expression over ``env``, one ArrayJet per coordinate.
+
+    The walk runs with numpy's overflow, invalid and divide-by-zero flags
+    raised as errors, so a non-finite value anywhere in it is a ``JetError``
+    instead of a warning and a NaN.  A constant subtree is evaluated as a
+    number and lifted to a jet only where a jet operation needs one.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+            return _lift(_walk(expr, env), env)
+    except FloatingPointError as exc:
+        raise JetError(str(exc)) from None
+
+
+def _lift(v, env) -> ArrayJet:
+    """A number as a constant jet in the directions of ``env``; a jet as it is."""
+    if isinstance(v, ArrayJet):
+        return v
+    d = env[0].grad.shape[-1]
+    return ArrayJet(v, np.zeros(d), np.zeros((d, d)))
+
+
+def _walk(expr, env):
     if isinstance(expr, Const):
-        return Jet.constant(expr.value, env[0].d)
+        return np.float64(expr.value)
     if isinstance(expr, Var):
         return env[expr.index]
     if isinstance(expr, Neg):
-        return -eval_component(expr.child, env)
+        return -_walk(expr.child, env)
     if isinstance(expr, Bin):
-        a = eval_component(expr.left, env)
-        b = eval_component(expr.right, env)
+        a = _walk(expr.left, env)
+        b = _walk(expr.right, env)
         if expr.op == "+":
             return a + b
         if expr.op == "-":
             return a - b
         if expr.op == "*":
             return a * b
-        return a / b
+        return a * _lift(b, env).reciprocal()  # as the scalar jet divides, zero test included
     if isinstance(expr, Pow):
-        return eval_component(expr.base, env) ** expr.expo
-    if isinstance(expr, Fun):
-        return elem(eval_component(expr.child, env), expr.name)
+        return _lift(_walk(expr.base, env), env) ** expr.expo
+    if isinstance(expr, Fun):  # every name in _FUNCS is an ArrayJet method
+        return getattr(_lift(_walk(expr.child, env), env), expr.name)()
     raise TypeError(f"not an expression node: {expr!r}")
+
+
+def _stack(exprs, env) -> ArrayJet:
+    """The expressions over ``env`` as one ArrayJet, stacked on a last leading axis."""
+    shape, d, m = env[0].val.shape, env[0].grad.shape[-1], len(exprs)
+    out = ArrayJet(np.empty(shape + (m,)), np.empty(shape + (m, d)), np.empty(shape + (m, d, d)))
+    for k, expr in enumerate(exprs):
+        jet = eval_component(expr, env)  # a constant broadcasts over the points
+        out.val[..., k], out.grad[..., k, :], out.hess[..., k, :, :] = jet.val, jet.grad, jet.hess
+    return out
 
 
 def _num_repr(v: float) -> str:
@@ -337,35 +376,37 @@ class MetricSpec:
     def b_expr(self, i: int):
         return self.b_entries.get(i, self._ZERO)
 
-    def chart_jets(self, x, total_dirs: int | None = None) -> list[Jet]:
-        """Lift a chart point to jets with x-coordinates in directions 0..dim-1."""
-        d = self.dim if total_dirs is None else total_dirs
-        env = [Jet.variable(float(x[k]), k, d) for k in range(self.dim)]
-        return env
+    def chart_jets(self, x) -> list[ArrayJet]:
+        """Lift a chart point to jets, x^k seeded in direction k of n."""
+        eye, hess = np.eye(self.dim), np.zeros((self.dim, self.dim))
+        return [ArrayJet(float(x[k]), eye[k], hess) for k in range(self.dim)]
 
-    def eval_a_jets(self, env: list[Jet]):
+    def _points(self, x) -> list[ArrayJet]:
+        """Points x of shape S + (n,) as value-only jets (no directions) of shape S."""
+        x = np.asarray(x, dtype=float)
+        grad, hess = np.zeros(x.shape[:-1] + (0,)), np.zeros(x.shape[:-1] + (0, 0))
+        return [ArrayJet(x[..., k], grad, hess) for k in range(self.dim)]
+
+    def a_jet(self, env: list[ArrayJet]) -> ArrayJet:
+        """a_ij over ``env``, shape S + (n, n); each unordered pair is evaluated once and mirrored."""
         n = self.dim
-        rows = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                rows[i][j] = rows[j][i] = eval_component(self.a_expr(i, j), env)
-        return rows
+        iu, ju = np.triu_indices(n)
+        upper = _stack([self.a_expr(i, j) for i, j in zip(iu, ju)], env)
+        table = np.empty((n, n), dtype=np.intp)
+        table[iu, ju] = table[ju, iu] = np.arange(iu.size)
+        return ArrayJet(upper.val[..., table], upper.grad[..., table, :], upper.hess[..., table, :, :])
 
-    def eval_b_jets(self, env: list[Jet]):
-        return [eval_component(self.b_expr(i), env) for i in range(self.dim)]
+    def b_jet(self, env: list[ArrayJet]) -> ArrayJet:
+        """b_i over ``env``, shape S + (n,)."""
+        return _stack([self.b_expr(i) for i in range(self.dim)], env)
 
     def a_values(self, x) -> np.ndarray:
-        env = [Jet.constant(float(x[k]), 1) for k in range(self.dim)]
-        n = self.dim
-        out = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                out[i, j] = out[j, i] = eval_component(self.a_expr(i, j), env).val
-        return out
+        """a(x) at points x of shape S + (n,), shape S + (n, n)."""
+        return self.a_jet(self._points(x)).val
 
     def b_values(self, x) -> np.ndarray:
-        env = [Jet.constant(float(x[k]), 1) for k in range(self.dim)]
-        return np.array([eval_component(self.b_expr(i), env).val for i in range(self.dim)])
+        """b(x) at points x of shape S + (n,), shape S + (n,)."""
+        return self.b_jet(self._points(x)).val
 
     def to_text(self) -> str:
         lines = [f"# {self.name}", f"dim = {self.dim}"]
@@ -520,28 +561,34 @@ def validate_spec(spec: MetricSpec, samples: int = 200, seed: int = 0) -> Valida
     The 1/4 bound is the validity condition for the slope-type metric
     F = alpha^2/(alpha - beta): it needs |beta|_alpha < 1/2 pointwise.
     A component that cannot be evaluated at a sampled point (log or sqrt of
-    a non-positive value, division by zero, overflow) or whose value is not
-    finite is a violation too.  Violations are reported as data, not raised.
+    a non-positive value, division by zero, overflow) is a violation too.
+    Violations are reported as data, not raised, one per point at most.
+    All points are evaluated as one batch; only when the batch fails are
+    they evaluated one at a time, to find where.
     """
     rng = np.random.default_rng(seed)
     pts = sample_domain(spec, samples, rng)
+    failed: dict[int, str] = {}
+    try:
+        a, b = spec.a_values(pts), spec.b_values(pts)
+    except JetError:
+        a, b = np.zeros((samples, spec.dim, spec.dim)), np.zeros((samples, spec.dim))
+        for p, x in enumerate(pts):
+            try:
+                a[p], b[p] = spec.a_values(x), spec.b_values(x)
+            except JetError as exc:
+                failed[p] = str(exc)
     violations = []
-    for x in pts:
-        try:
-            a = spec.a_values(x)
-            b = spec.b_values(x)
-        except JetError as exc:
-            violations.append((x.copy(), "evaluation failed", str(exc)))
-            continue
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
-            violations.append((x.copy(), "evaluation failed", "value is not finite"))
+    for p, x in enumerate(pts):
+        if p in failed:
+            violations.append((x, "evaluation failed", failed[p]))
             continue
         try:
-            np.linalg.cholesky(a)
+            np.linalg.cholesky(a[p])
         except np.linalg.LinAlgError:
-            violations.append((x.copy(), "not positive definite", f"min eig {np.linalg.eigvalsh(a)[0]:.3g}"))
+            violations.append((x, "not positive definite", f"min eig {np.linalg.eigvalsh(a[p])[0]:.3g}"))
             continue
-        bsq = float(b @ np.linalg.solve(a, b))
+        bsq = float(b[p] @ np.linalg.solve(a[p], b[p]))
         if bsq >= 0.25:
-            violations.append((x.copy(), "b^2 >= 1/4", f"b^2 = {bsq:.6g}"))
+            violations.append((x, "b^2 >= 1/4", f"b^2 = {bsq:.6g}"))
     return ValidationReport(spec.name, samples, violations)

@@ -1,24 +1,18 @@
 """The deformed (slope-type) metric layer: F = alpha^2 / (alpha - beta).
 
 Builds the spray coefficients G^i at a point (x, y), with their exact
-derivatives over the 2n chart+fiber directions, by two independent
-formulas:
+derivatives over the 2n chart+fiber directions, from the closed rational
+form specific to this phi, evaluated on array jets (``ArrayJet``).  Each
+input (alpha^2, beta, r00, s0, s^i_0, Gbar^i, b^2, b^i, y) is a constant,
+linear or quadratic function of y whose x-dependent coefficients and first
+x-derivatives the bundle holds, so its jet is written down in closed form.
+The generic (alpha, beta) spray, with Q, Psi and Theta computed from
+phi(s) = 1/(1 - s) in scalar jets, is the test suite's oracle for it
+(``tests/oracles.py``).
 
-* ``mode="matsumoto"`` -- the closed rational form specific to this phi,
-  evaluated on array jets (``ArrayJet``).  Each input (alpha^2, beta, r00,
-  s0, s^i_0, Gbar^i, b^2, b^i, y) is a constant, linear or quadratic
-  function of y whose x-dependent coefficients and first x-derivatives
-  the bundle holds, so its jet is written down in closed form;
-* ``mode="general"``   -- the generic (alpha, beta) spray with the Q, Psi,
-  Theta coefficients computed from phi(s) = 1/(1 - s) and its derivatives,
-  propagated through scalar ``Jet`` arithmetic from jet lifts of the same
-  fields.  It shares no derivative code with the matsumoto route and serves
-  as its oracle.
-
-Both return one record, ``Spray``.  From it the Riemann curvature operator,
-its trace, the deformation field T^i = G^i - Gbar^i, the fundamental
-tensor and constant-scalar fits (lambda, c, sigma, flag curvature K) all
-follow.  The
+From the ``Spray`` record the Riemann curvature operator, its trace, the
+deformation field T^i = G^i - Gbar^i, the fundamental tensor and
+constant-scalar fits (lambda, c, sigma, flag curvature K) all follow.  The
 curvature is also computed a second way, through the deformation-field
 identity relating Ric to the Ricci curvature of alpha; agreement of the two
 routes is the engine's strongest self-check and is asserted in the test
@@ -27,19 +21,16 @@ suite rather than here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import ArrayJet, Jet, jsqrt
+from .jets import ArrayJet
 from .riemann import AlphaBetaBundle
 
 __all__ = [
-    "PhiData",
     "ScalarFit",
     "Spray",
-    "phi_data",
     "spray",
     "riemann_curvature",
     "ricci_via_T",
@@ -49,62 +40,13 @@ __all__ = [
     "unit_alpha_vectors",
 ]
 
-MODES = ("matsumoto", "general")
-
-
-@dataclass
-class PhiData:
-    """phi(s) = 1/(1-s) data at one (s, b^2): derivatives and the spray scalars."""
-
-    s: float
-    bsq: float
-    phi: float
-    dphi: float
-    d2phi: float
-    Q: float
-    Psi: float
-    Theta: float
-    Delta: float
-
-
-def phi_data(s: float, bsq: float, mode: str = "matsumoto") -> PhiData:
-    """Spray scalars Q, Psi, Theta and the convexity factor Delta.
-
-    ``general`` evaluates the generic (alpha, beta) formulas with
-    phi = 1/(1-s); ``matsumoto`` uses the simplified closed forms.  Both
-    require |s| <= b < 1/2, which keeps every denominator away from zero.
-    """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    b = math.sqrt(max(bsq, 0.0))
-    if b >= 0.5:
-        raise ValueError(f"validity violated: |beta|_alpha = {b} >= 1/2")
-    if abs(s) > b + 1e-12:
-        raise ValueError(f"|s| = {abs(s)} exceeds b = {b}")
-    u = 1.0 - s
-    phi = 1.0 / u
-    dphi = phi * phi
-    d2phi = 2.0 * phi**3
-    if mode == "general":
-        edge = phi - s * dphi
-        delta = edge + (bsq - s * s) * d2phi
-        q = dphi / edge
-        psi = d2phi / (2.0 * delta)
-        theta = (phi * dphi - s * (phi * d2phi + dphi * dphi)) / (2.0 * phi * delta)
-    else:
-        q = 1.0 / (1.0 - 2.0 * s)
-        psi = 1.0 / (1.0 + 2.0 * bsq - 3.0 * s)
-        theta = (1.0 - 4.0 * s) / (2.0 * (1.0 + 2.0 * bsq - 3.0 * s))
-        delta = (1.0 - 3.0 * s + 2.0 * bsq) / u**3
-    return PhiData(s=s, bsq=bsq, phi=phi, dphi=dphi, d2phi=d2phi, Q=q, Psi=psi, Theta=theta, Delta=delta)
-
 
 # -- spray --------------------------------------------------------------------
 
 
 @dataclass
 class Spray:
-    """The spray of F at one (x, y); the same record in both modes.
+    """The spray of F at one (x, y).
 
     Each field is an order-2 array jet over the 2n chart+fiber directions
     (x^1..x^n, then y^1..y^n): ``G`` = G^i and ``Gbar`` = Gbar^i, the spray
@@ -130,7 +72,7 @@ def _blocks(jet: ArrayJet):
     return jet.val, jet.grad[..., :n], jet.grad[..., n:], jet.hess[..., :n, n:], jet.hess[..., n:, n:]
 
 
-# Array-jet inputs of the matsumoto route.  ``dc`` carries the coefficients'
+# Array-jet inputs of the spray.  ``dc`` carries the coefficients'
 # first x-derivatives with the derivative direction last; y-derivatives are
 # exact, the x-x Hessian is zero (truncated).
 
@@ -173,7 +115,11 @@ def _field(v, dv: np.ndarray) -> ArrayJet:
     return ArrayJet(v, grad, np.zeros(lead + (2 * n, 2 * n)))
 
 
-def _matsumoto_spray(bundle: AlphaBetaBundle, y: np.ndarray) -> Spray:
+def spray(bundle: AlphaBetaBundle, y) -> Spray:
+    """Spray coefficients G^i at (x, y) with their exact derivatives, as a ``Spray``."""
+    y = np.asarray(y, dtype=float)
+    if not np.any(y):
+        raise ValueError("y must be nonzero")
     n = bundle.n
     yJ = _linear(np.eye(n), np.zeros((n, n, n)), y)
     alpha2 = _quadratic(bundle.a, bundle.dA, y)
@@ -197,88 +143,6 @@ def _matsumoto_spray(bundle: AlphaBetaBundle, y: np.ndarray) -> Spray:
     G = gbar + lead * si0 + coef_b * bup + coef_y * yJ
     F = alpha2 / (alpha - beta)
     return Spray(G=G, Gbar=gbar, F2=F * F)
-
-
-# Scalar-jet route (the oracle): Jet lifts of the same fields, and the sums
-# over y written out term by term.
-
-
-def _field_jets(values, xgrads: np.ndarray):
-    """Nested lists of scalar jets lifting an x-dependent field into 2n directions."""
-    if np.ndim(values) == 0:
-        n = xgrads.shape[0]
-        g = np.zeros(2 * n)
-        g[:n] = xgrads
-        return Jet(values, g, np.zeros(n * (2 * n + 1)))
-    return [_field_jets(v, g) for v, g in zip(values, xgrads)]
-
-
-def _sym_quadratic(coefJ, yJ):
-    """Sum_ij coefJ[i][j] y^i y^j for a symmetric jet matrix."""
-    n = len(yJ)
-    acc = None
-    for i in range(n):
-        for j in range(i, n):
-            term = coefJ[i][j] * (yJ[i] * yJ[j])
-            if j != i:
-                term = 2.0 * term
-            acc = term if acc is None else acc + term
-    return acc
-
-
-def _dot(vecJ, yJ):
-    acc = None
-    for v, y in zip(vecJ, yJ):
-        term = v * y
-        acc = term if acc is None else acc + term
-    return acc
-
-
-def _general_spray(bundle: AlphaBetaBundle, y: np.ndarray) -> Spray:
-    n = bundle.n
-    yJ = bundle.y_jets(y)
-    alpha2 = _sym_quadratic(bundle.aJ, yJ)
-    alpha = jsqrt(alpha2)
-    beta = _dot(bundle.bJ, yJ)
-    r00 = _sym_quadratic(_field_jets(bundle.r, bundle.dr), yJ)
-    s0 = _dot(_field_jets(bundle.svec, bundle.d_svec), yJ)
-    si0 = [_dot(row, yJ) for row in _field_jets(bundle.s_up, bundle.d_s_up)]
-    gbar = [0.5 * _sym_quadratic(g, yJ) for g in _field_jets(bundle.gamma, bundle.dgamma)]
-    bup = _field_jets(bundle.bup, bundle.d_bup)
-    bsq = _field_jets(bundle.bsq, bundle.d_bsq)
-    sj = beta / alpha
-
-    one = Jet.constant(1.0, 2 * n)
-    phi = one / (one - sj)
-    dphi = phi * phi
-    d2phi = 2.0 * phi * dphi
-    edge = phi - sj * dphi
-    delta = edge + (bsq - sj * sj) * d2phi
-    q = dphi / edge
-    psi = d2phi / (2.0 * delta)
-    theta = (phi * dphi - sj * (phi * d2phi + dphi * dphi)) / ((2.0 * phi) * delta)
-    common = r00 - (2.0 * alpha * q) * s0
-    lead = alpha * q
-    coef_b = psi * common
-    coef_y = (theta * common) / alpha
-
-    G = [gbar[i] + lead * si0[i] + coef_b * bup[i] + coef_y * yJ[i] for i in range(n)]
-    F = alpha2 / (alpha - beta)
-    return Spray(
-        G=ArrayJet.from_jets(G), Gbar=ArrayJet.from_jets(gbar), F2=ArrayJet.from_jets(F * F)
-    )
-
-
-def spray(bundle: AlphaBetaBundle, y, mode: str = "matsumoto") -> Spray:
-    """Spray coefficients G^i at (x, y) with their exact derivatives, as a ``Spray``."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    y = np.asarray(y, dtype=float)
-    if not np.any(y):
-        raise ValueError("y must be nonzero")
-    if mode == "matsumoto":
-        return _matsumoto_spray(bundle, y)
-    return _general_spray(bundle, y)
 
 
 def riemann_curvature(bundle: AlphaBetaBundle, y, G=None):

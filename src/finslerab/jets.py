@@ -15,8 +15,13 @@ fanned out across workers with no coordination.
 ``ArrayJet`` is the vector-mode counterpart: a whole array of order-2 jets
 over the same directions, with the full Hessian, propagated by numpy
 broadcasting (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008).
-The spray hot path runs on it; the scalar ``Jet`` stays the independent
-oracle it is tested against.
+It is the only representation production code evaluates: metric
+expressions (``dsl``) and the spray both run on it.  Its elementary
+functions raise ``JetError`` on the same domain and overflow cases as the
+scalar ones.  The scalar ``Jet`` stays as the independent oracle that
+``ArrayJet`` is tested against, and for demo 01; both take the values of
+exp, log, sin, cos and pow from numpy, so they differ only in how they
+propagate derivatives.
 """
 
 from __future__ import annotations
@@ -169,13 +174,12 @@ class Jet:
             raise JetError(f"fractional power of non-positive base {v}")
         if p < 0 and abs(v) < _TINY:
             raise JetError("negative power of zero")
-        try:
-            c0 = v**p
-            c1 = p * v ** (p - 1.0)
-            # at p = 1 the factor p - 1 is 0, and 0^-1 would raise at v = 0
-            c2 = p * (p - 1.0) * v ** (p - 2.0) if p != 1.0 else 0.0
-        except OverflowError:
-            raise JetError(f"overflow in {v}^{p}") from None
+        c0 = _numpy(np.power, v, p)
+        c1 = p * _numpy(np.power, v, p - 1.0)
+        # at p = 1 the factor p - 1 is 0, and 0^-1 would be inf at v = 0
+        c2 = p * (p - 1.0) * _numpy(np.power, v, p - 2.0) if p != 1.0 else 0.0
+        if not (math.isfinite(c0) and math.isfinite(c1) and math.isfinite(c2)):
+            raise JetError(f"overflow in {v}^{p}")
         return self._chain(c0, c1, c2)
 
     def _chain(self, c0: float, c1: float, c2: float) -> "Jet":
@@ -207,22 +211,12 @@ class ArrayJet:
     """
 
     __slots__ = ("val", "grad", "hess")
+    __array_ufunc__ = None  # a numpy scalar operand defers to the reflected operator
 
     def __init__(self, val, grad: np.ndarray, hess: np.ndarray):
         self.val = np.asarray(val, dtype=float)
         self.grad = grad
         self.hess = hess
-
-    @staticmethod
-    def from_jets(jets) -> "ArrayJet":
-        """Stack a scalar ``Jet``, or a list of them, into one ArrayJet."""
-        if isinstance(jets, Jet):
-            return ArrayJet(jets.val, jets.grad, jets.hess_matrix())
-        return ArrayJet(
-            [j.val for j in jets],
-            np.array([j.grad for j in jets]),
-            np.array([j.hess_matrix() for j in jets]),
-        )
 
     def __add__(self, other):
         if isinstance(other, ArrayJet):
@@ -235,10 +229,12 @@ class ArrayJet:
         return ArrayJet(-self.val, -self.grad, -self.hess)
 
     def __sub__(self, other):
-        return self + (-other)
+        if isinstance(other, ArrayJet):
+            return ArrayJet(self.val - other.val, self.grad - other.grad, self.hess - other.hess)
+        return ArrayJet(self.val - other, self.grad, self.hess)
 
     def __rsub__(self, other):
-        return -self + other
+        return ArrayJet(other - self.val, -self.grad, -self.hess)
 
     def __mul__(self, other):
         if isinstance(other, ArrayJet):
@@ -270,12 +266,72 @@ class ArrayJet:
         inv = 1.0 / v
         return self._chain(inv, -inv * inv, 2.0 * inv * inv * inv)
 
+    def __pow__(self, expo) -> "ArrayJet":
+        if isinstance(expo, ArrayJet):
+            raise JetError("exponent must be a real constant")
+        p = float(expo)
+        v = self.val
+        if p == 0.0:
+            return ArrayJet(np.ones_like(v), np.zeros_like(self.grad), np.zeros_like(self.hess))
+        if p != int(p) and (v <= 0.0).any():
+            raise JetError(f"fractional power of non-positive base {_first(v, v <= 0.0)}")
+        if p < 0 and (np.abs(v) < _TINY).any():
+            raise JetError("negative power of zero")
+        # at p = 1 the factor p - 1 is 0, and 0^-1 would be inf at v = 0
+        return self._elementary(
+            f"{{}}^{p}",
+            lambda v: (
+                np.power(v, p),
+                p * np.power(v, p - 1.0),
+                p * (p - 1.0) * np.power(v, p - 2.0) if p != 1.0 else np.zeros_like(v),
+            ),
+        )
+
     def sqrt(self) -> "ArrayJet":
         v = self.val
         if (v <= _TINY).any():
-            raise JetError(f"sqrt of non-positive value {np.min(v)}")
-        r = np.sqrt(v)
-        return self._chain(r, 0.5 / r, -0.25 / (r * v))
+            raise JetError(f"sqrt of non-positive value {_first(v, v <= _TINY)}")
+
+        def coefs(v):
+            r = np.sqrt(v)
+            return r, 0.5 / r, -0.25 / (r * v)  # r * v underflows below about 1e-206
+
+        return self._elementary("sqrt({})", coefs)
+
+    def log(self) -> "ArrayJet":
+        v = self.val
+        if (v <= _TINY).any():
+            raise JetError(f"log of non-positive value {_first(v, v <= _TINY)}")
+
+        def coefs(v):
+            inv = 1.0 / v
+            return np.log(v), inv, -inv * inv
+
+        return self._elementary("log({})", coefs)
+
+    def exp(self) -> "ArrayJet":
+        return self._elementary("exp({})", lambda v: (np.exp(v),) * 3)
+
+    def sin(self) -> "ArrayJet":
+        return self._elementary("sin({})", lambda v: (np.sin(v), np.cos(v), -np.sin(v)))
+
+    def cos(self) -> "ArrayJet":
+        return self._elementary("cos({})", lambda v: (np.cos(v), -np.sin(v), -np.cos(v)))
+
+    def _elementary(self, label: str, coefs) -> "ArrayJet":
+        """Compose with the function whose value and first two derivatives at val are ``coefs(val)``.
+
+        Each must be finite: otherwise the argument is not finite or the
+        function overflows there, and that is a ``JetError``.
+        """
+        with np.errstate(all="ignore"):
+            c0, c1, c2 = coefs(self.val)
+            bad = ~(np.isfinite(c0) & np.isfinite(c1) & np.isfinite(c2))
+        if bad.any():
+            v = _first(np.broadcast_to(self.val, bad.shape), bad)
+            what = "overflow" if math.isfinite(v) else "non-finite value"
+            raise JetError(f"{what} in {label.format(v)}")
+        return self._chain(c0, c1, c2)
 
     def _chain(self, c0, c1, c2) -> "ArrayJet":
         """Compose elementwise with a scalar function given its value and derivatives."""
@@ -285,7 +341,21 @@ class ArrayJet:
         return ArrayJet(c0, _trail(c1, 1) * g, hess)
 
 
+def _first(v: np.ndarray, mask: np.ndarray) -> float:
+    """The first entry of ``v`` where ``mask`` holds, for an error message."""
+    return float(v[mask][0])
+
+
 # -- elementary functions ---------------------------------------------------
+#
+# Values come from numpy, as in ArrayJet: numpy's exp, log and pow can differ
+# from the math module's in the last bit, and the oracle comparison should
+# see the derivative rules, not two libraries' rounding.
+
+
+def _numpy(fn, *args) -> float:
+    with np.errstate(all="ignore"):
+        return float(fn(*args))
 
 
 def jsqrt(a: Jet) -> Jet:
@@ -300,10 +370,9 @@ def jsqrt(a: Jet) -> Jet:
 
 
 def jexp(a: Jet) -> Jet:
-    try:
-        e = math.exp(a.val)
-    except OverflowError:
-        raise JetError(f"overflow in exp({a.val})") from None
+    e = _numpy(np.exp, a.val)
+    if not math.isfinite(e):
+        raise JetError(f"overflow in exp({a.val})")
     return a._chain(e, e, e)
 
 
@@ -311,16 +380,16 @@ def jlog(a: Jet) -> Jet:
     if a.val <= _TINY:
         raise JetError(f"log of non-positive value {a.val}")
     inv = 1.0 / a.val
-    return a._chain(math.log(a.val), inv, -inv * inv)
+    return a._chain(_numpy(np.log, a.val), inv, -inv * inv)
 
 
 def jsin(a: Jet) -> Jet:
-    s, c = math.sin(a.val), math.cos(a.val)
+    s, c = _numpy(np.sin, a.val), _numpy(np.cos, a.val)
     return a._chain(s, c, -s)
 
 
 def jcos(a: Jet) -> Jet:
-    s, c = math.sin(a.val), math.cos(a.val)
+    s, c = _numpy(np.sin, a.val), _numpy(np.cos, a.val)
     return a._chain(c, -s, -c)
 
 

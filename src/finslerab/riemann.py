@@ -14,31 +14,28 @@ bundle holds, as plain ndarrays,
   index-raised contractions,
 * the exact first x-derivatives of the fields the spray is built from
   (``dA``, ``db``, ``dgamma``, ``dr``, ``d_bup``, ``d_bsq``, ``d_s_up``,
-  ``d_svec``; the last index is always the derivative direction).
+  ``d_svec``; the last index is always the derivative direction),
+* ``dlndet[k]`` = d(ln det a)/dx^k, by Jacobi's formula tr(a^-1 d_k a).
 
 Every input of the spray is a constant, linear or quadratic function of y
 with these x-dependent coefficients, so the spray layer differentiates it
-in closed form from the arrays alone.  The bundle keeps the metric
-components as jets in the 2n chart+fiber directions (``aJ``, ``bJ``) for
-the scalar-jet routes: the general spray and the log-determinant of a.
+in closed form from the arrays alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dsl import MetricSpec
-from .jets import Jet, JetError
+from .jets import JetError
 
 __all__ = [
     "GeometryError",
     "AlphaBetaBundle",
     "build_bundle",
     "bianchi_check",
-    "det_jet",
 ]
 
 
@@ -88,21 +85,9 @@ class AlphaBetaBundle:
     d_bsq: np.ndarray
     d_s_up: np.ndarray
     d_svec: np.ndarray
-    # metric components as order-2 jets in the 2n-direction space
-    aJ: list = dc_field(repr=False, default=None)
-    bJ: list = dc_field(repr=False, default=None)
-
-    @cached_property
-    def dlndet(self) -> np.ndarray:
-        """d(ln det a)/dx^k, differentiated by jets through ``det_jet``."""
-        detJ = det_jet(self.aJ)
-        return detJ.grad[: self.n] / detJ.val
+    dlndet: np.ndarray
 
     # -- y-dependent alpha quantities (closed forms in y) --------------------
-
-    def y_jets(self, y) -> list[Jet]:
-        n = self.n
-        return [Jet.variable(float(y[j]), n + j, 2 * n) for j in range(n)]
 
     def alpha2(self, y) -> float:
         y = np.asarray(y, dtype=float)
@@ -144,28 +129,14 @@ def build_bundle(spec: MetricSpec, x) -> AlphaBetaBundle:
         if not lo <= x[k] <= hi:
             raise GeometryError(f"x{k + 1} = {x[k]} outside domain [{lo}, {hi}]")
 
-    env = spec.chart_jets(x, total_dirs=2 * n)
+    env = spec.chart_jets(x)
     try:
-        aJrows = spec.eval_a_jets(env)
-        bJ = spec.eval_b_jets(env)
+        A, B = spec.a_jet(env), spec.b_jet(env)
     except JetError as exc:
         raise GeometryError(f"metric evaluation failed at x={x}: {exc}") from exc
-
-    # raw tensors from the jets
-    a = np.empty((n, n))
-    dA = np.empty((n, n, n))
-    d2A = np.empty((n, n, n, n))
-    for i in range(n):
-        for j in range(n):
-            jet = aJrows[i][j]
-            a[i, j] = jet.val
-            dA[i, j] = jet.grad[:n]
-            d2A[i, j] = jet.hess_matrix()[:n, :n]
-    b = np.array([jet.val for jet in bJ])
-    db = np.array([jet.grad[:n] for jet in bJ])
-    d2b = np.array([jet.hess_matrix()[:n, :n] for jet in bJ])
-    if not all(np.isfinite(t).all() for t in (a, dA, d2A, b, db, d2b)):
-        raise GeometryError(f"metric data not finite at x={x}")
+    # d2A[i,j,k,l] = d^2 a_ij / dx^k dx^l, and likewise d2b
+    a, dA, d2A = A.val, A.grad, A.hess
+    b, db, d2b = B.val, B.grad, B.hess
 
     try:
         np.linalg.cholesky(a)
@@ -175,20 +146,12 @@ def build_bundle(spec: MetricSpec, x) -> AlphaBetaBundle:
 
     # Christoffels and their exact first derivatives:
     # gamma[i,j,k] = 1/2 a^il (d_k a_lj + d_j a_lk - d_l a_jk)
-    lower = np.empty((n, n, n))
-    for l in range(n):
-        for j in range(n):
-            for k in range(n):
-                lower[l, j, k] = 0.5 * (dA[l, j, k] + dA[l, k, j] - dA[j, k, l])
+    lower = 0.5 * (dA + dA.transpose(0, 2, 1) - dA.transpose(2, 0, 1))
     gamma = np.einsum("il,ljk->ijk", a_inv, lower)
 
     d_ainv = -np.einsum("ip,pqm,qj->ijm", a_inv, dA, a_inv)
-    dlower = np.empty((n, n, n, n))
-    for l in range(n):
-        for j in range(n):
-            for k in range(n):
-                dlower[l, j, k] = 0.5 * (d2A[l, j, k] + d2A[l, k, j] - d2A[j, k, l])
-    # dlower[l,j,k,m] = d_m lower[l,j,k]   (d2A[i,j,k,l] = d^2 a_ij / dx^k dx^l)
+    # dlower[l,j,k,m] = d_m lower[l,j,k]
+    dlower = 0.5 * (d2A + d2A.transpose(0, 2, 1, 3) - d2A.transpose(2, 0, 1, 3))
     dgamma = np.einsum("ilm,ljk->ijkm", d_ainv, lower) + np.einsum(
         "il,ljkm->ijkm", a_inv, dlower
     )
@@ -275,8 +238,7 @@ def build_bundle(spec: MetricSpec, x) -> AlphaBetaBundle:
         d_bsq=d_bsq,
         d_s_up=d_s_up,
         d_svec=d_svec,
-        aJ=aJrows,
-        bJ=bJ,
+        dlndet=np.einsum("ij,jik->k", a_inv, dA),
     )
 
 
@@ -289,25 +251,3 @@ def bianchi_check(bundle: AlphaBetaBundle) -> float:
     comm = bundle.D2b - bundle.D2b.transpose(0, 2, 1)
     rhs = np.einsum("s,jskl->jkl", bundle.bup, bundle.rbar4)
     return float(np.max(np.abs(comm - rhs)))
-
-
-def det_jet(mat: list[list[Jet]]) -> Jet:
-    """Determinant of a matrix of jets via Gaussian elimination with pivoting."""
-    m = [row[:] for row in mat]
-    n = len(m)
-    d = m[0][0].d
-    det = Jet.constant(1.0, d)
-    sign = 1.0
-    for c in range(n):
-        piv = max(range(c, n), key=lambda rr: abs(m[rr][c].val))
-        if abs(m[piv][c].val) < 1e-300:
-            raise GeometryError("singular matrix in jet determinant")
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        det = det * m[c][c]
-        for rr in range(c + 1, n):
-            factor = m[rr][c] / m[c][c]
-            for cc in range(c + 1, n):
-                m[rr][cc] = m[rr][cc] - factor * m[c][cc]
-    return sign * det

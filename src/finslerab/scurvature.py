@@ -11,12 +11,13 @@ S itself is computed two ways:
 
 * ``s_curvature_def``    -- straight from the definition
   S = dG^i/dy^i - y^i d(ln sigma_F)/dx^i with sigma_F = f(b(x)) sqrt(det a),
-  every x-derivative taken by jets;
+  the spray divergence read off the spray's jet and d(ln det a)/dx^i by
+  Jacobi's formula from the exact partials of a;
 * ``s_curvature_closed`` -- the closed rational form in (s, b^2, r00, r0, s0)
   obtained by dividing the spray divergence through the volume term.
 
-The two routes share only Lambda = f'/(b f); agreement is asserted in the
-tests.  Two details of the closed form differ from the printed
+The two routes share only Lambda = f'/(b f): the closed form never reads
+det a or the spray; agreement is asserted in the tests.  Two details of the closed form differ from the printed
 source derivation and were fixed against the definition route (machine
 precision over random metrics): the lone r0 term carries the first power
 of (3s - 2b^2 - 1), and the Lambda(r0 + s0) volume term enters with a
@@ -152,7 +153,7 @@ def s_curvature_def(bundle: AlphaBetaBundle, y, form: str = "bh", G=None) -> flo
     """S from the definition: spray divergence minus the log-volume drift.
 
     d(ln sigma_F)/dx^k = 1/2 d(ln det a)/dx^k + Lambda/2 * d(b^2)/dx^k, the
-    first by jets through the determinant of a (``bundle.dlndet``), the
+    first by Jacobi's formula tr(a^-1 d_k a) (``bundle.dlndet``), the
     second from the bundle's exact derivative of b^2; Lambda absorbs
     f'/(f b) with its b -> 0 limit so beta = 0 costs nothing special.
     ``G`` is the spray at (x, y) when the caller already has it.

@@ -4,11 +4,212 @@ Each one deliberately shares no code with the routine it checks, so a bug
 in the library cannot hide in both sides of the comparison.
 """
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
-from finslerab.dsl import MetricSpec
+from finslerab.dsl import Bin, Const, Fun, MetricSpec, Neg, Pow, Var
+from finslerab.finsler import Spray
 from finslerab.identity import ContractionSet
+from finslerab.jets import ArrayJet, Jet, JetError, elem, jsqrt
 from finslerab.riemann import AlphaBetaBundle
+
+
+def eval_jet(expr, env: list[Jet]) -> Jet:
+    """Scalar-jet evaluation of a metric expression: the oracle of ``dsl.eval_component``.
+
+    Follows the scalar ``Jet`` rules, and like the production walk treats a
+    non-finite value, gradient or Hessian at any node as a ``JetError``.
+    """
+    if isinstance(expr, Const):
+        out = Jet.constant(expr.value, env[0].d)
+    elif isinstance(expr, Var):
+        out = env[expr.index]
+    elif isinstance(expr, Neg):
+        out = -eval_jet(expr.child, env)
+    elif isinstance(expr, Bin):
+        a, b = eval_jet(expr.left, env), eval_jet(expr.right, env)
+        if expr.op == "+":
+            out = a + b
+        elif expr.op == "-":
+            out = a - b
+        elif expr.op == "*":
+            out = a * b
+        else:
+            out = a / b
+    elif isinstance(expr, Pow):
+        out = eval_jet(expr.base, env) ** expr.expo
+    elif isinstance(expr, Fun):
+        out = elem(eval_jet(expr.child, env), expr.name)
+    else:
+        raise TypeError(f"not an expression node: {expr!r}")
+    if not (math.isfinite(out.val) and np.isfinite(out.grad).all() and np.isfinite(out.hess).all()):
+        raise JetError(f"non-finite value {out.val}")
+    return out
+
+
+def det_jet(mat: list[list[Jet]]) -> Jet:
+    """Determinant of a matrix of jets via Gaussian elimination with pivoting.
+
+    Oracle for Jacobi's formula in ``bundle.dlndet``.
+    """
+    m = [row[:] for row in mat]
+    n = len(m)
+    det = Jet.constant(1.0, m[0][0].d)
+    sign = 1.0
+    for c in range(n):
+        piv = max(range(c, n), key=lambda rr: abs(m[rr][c].val))
+        if abs(m[piv][c].val) < 1e-300:
+            raise JetError("singular matrix in jet determinant")
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            sign = -sign
+        det = det * m[c][c]
+        for rr in range(c + 1, n):
+            factor = m[rr][c] / m[c][c]
+            for cc in range(c + 1, n):
+                m[rr][cc] = m[rr][cc] - factor * m[c][cc]
+    return sign * det
+
+
+def metric_jets(spec: MetricSpec, x, total_dirs: int):
+    """a_ij and b_i at x as scalar jets, x^k seeded in direction k of ``total_dirs``."""
+    n = spec.dim
+    env = [Jet.variable(float(x[k]), k, total_dirs) for k in range(n)]
+    aJ = [[eval_jet(spec.a_expr(i, j), env) for j in range(n)] for i in range(n)]
+    return aJ, [eval_jet(spec.b_expr(i), env) for i in range(n)]
+
+
+# -- phi data and the general spray -------------------------------------------
+
+@dataclass
+class PhiData:
+    """phi(s) = 1/(1-s) data at one (s, b^2): derivatives and the spray scalars."""
+
+    s: float
+    bsq: float
+    phi: float
+    dphi: float
+    d2phi: float
+    Q: float
+    Psi: float
+    Theta: float
+    Delta: float
+
+
+def _phi(s: float, bsq: float):
+    """phi and its first two derivatives at s; both forms require |s| <= b < 1/2."""
+    b = math.sqrt(max(bsq, 0.0))
+    if b >= 0.5:
+        raise ValueError(f"validity violated: |beta|_alpha = {b} >= 1/2")
+    if abs(s) > b + 1e-12:
+        raise ValueError(f"|s| = {abs(s)} exceeds b = {b}")
+    phi = 1.0 / (1.0 - s)
+    return phi, phi * phi, 2.0 * phi**3
+
+
+def phi_data(s: float, bsq: float) -> PhiData:
+    """Spray scalars Q, Psi, Theta and the convexity factor Delta in the closed forms of ``finsler.spray``."""
+    phi, dphi, d2phi = _phi(s, bsq)
+    q = 1.0 / (1.0 - 2.0 * s)
+    psi = 1.0 / (1.0 + 2.0 * bsq - 3.0 * s)
+    theta = (1.0 - 4.0 * s) / (2.0 * (1.0 + 2.0 * bsq - 3.0 * s))
+    delta = (1.0 - 3.0 * s + 2.0 * bsq) / (1.0 - s) ** 3
+    return PhiData(s=s, bsq=bsq, phi=phi, dphi=dphi, d2phi=d2phi, Q=q, Psi=psi, Theta=theta, Delta=delta)
+
+
+def phi_data_general(s: float, bsq: float) -> PhiData:
+    """The same scalars from the generic (alpha, beta) formulas with phi = 1/(1-s)."""
+    phi, dphi, d2phi = _phi(s, bsq)
+    edge = phi - s * dphi
+    delta = edge + (bsq - s * s) * d2phi
+    q = dphi / edge
+    psi = d2phi / (2.0 * delta)
+    theta = (phi * dphi - s * (phi * d2phi + dphi * dphi)) / (2.0 * phi * delta)
+    return PhiData(s=s, bsq=bsq, phi=phi, dphi=dphi, d2phi=d2phi, Q=q, Psi=psi, Theta=theta, Delta=delta)
+
+
+def _field_jets(values, xgrads: np.ndarray):
+    """Nested lists of scalar jets lifting an x-dependent field into 2n directions."""
+    if np.ndim(values) == 0:
+        n = xgrads.shape[0]
+        g = np.zeros(2 * n)
+        g[:n] = xgrads
+        return Jet(values, g, np.zeros(n * (2 * n + 1)))
+    return [_field_jets(v, g) for v, g in zip(values, xgrads)]
+
+
+def _sym_quadratic(coefJ, yJ):
+    """Sum_ij coefJ[i][j] y^i y^j for a symmetric jet matrix."""
+    n = len(yJ)
+    acc = None
+    for i in range(n):
+        for j in range(i, n):
+            term = coefJ[i][j] * (yJ[i] * yJ[j])
+            if j != i:
+                term = 2.0 * term
+            acc = term if acc is None else acc + term
+    return acc
+
+
+def _dot(vecJ, yJ):
+    acc = None
+    for v, y in zip(vecJ, yJ):
+        term = v * y
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def _array_jet(jets) -> ArrayJet:
+    """Stack a scalar ``Jet``, or a list of them, into one ArrayJet."""
+    if isinstance(jets, Jet):
+        return ArrayJet(jets.val, jets.grad, jets.hess_matrix())
+    return ArrayJet(
+        [j.val for j in jets], np.array([j.grad for j in jets]), np.array([j.hess_matrix() for j in jets])
+    )
+
+
+def general_spray(bundle: AlphaBetaBundle, y) -> Spray:
+    """The generic (alpha, beta) spray, in scalar jets: the oracle of ``finsler.spray``.
+
+    Q, Psi and Theta come from phi(s) = 1/(1 - s) and its derivatives.  The
+    metric components are lifted into the 2n chart+fiber directions by this
+    module's own scalar-jet walk of the metric expressions, so the oracle
+    shares neither the evaluator nor any derivative code with the spray.
+    """
+    y = np.asarray(y, dtype=float)
+    n = bundle.n
+    yJ = [Jet.variable(float(y[j]), n + j, 2 * n) for j in range(n)]
+    aJ, bJ = metric_jets(bundle.spec, bundle.x, 2 * n)
+    alpha2 = _sym_quadratic(aJ, yJ)
+    alpha = jsqrt(alpha2)
+    beta = _dot(bJ, yJ)
+    r00 = _sym_quadratic(_field_jets(bundle.r, bundle.dr), yJ)
+    s0 = _dot(_field_jets(bundle.svec, bundle.d_svec), yJ)
+    si0 = [_dot(row, yJ) for row in _field_jets(bundle.s_up, bundle.d_s_up)]
+    gbar = [0.5 * _sym_quadratic(g, yJ) for g in _field_jets(bundle.gamma, bundle.dgamma)]
+    bup = _field_jets(bundle.bup, bundle.d_bup)
+    bsq = _field_jets(bundle.bsq, bundle.d_bsq)
+    sj = beta / alpha
+
+    one = Jet.constant(1.0, 2 * n)
+    phi = one / (one - sj)
+    dphi = phi * phi
+    d2phi = 2.0 * phi * dphi
+    edge = phi - sj * dphi
+    delta = edge + (bsq - sj * sj) * d2phi
+    q = dphi / edge
+    psi = d2phi / (2.0 * delta)
+    theta = (phi * dphi - sj * (phi * d2phi + dphi * dphi)) / ((2.0 * phi) * delta)
+    common = r00 - (2.0 * alpha * q) * s0
+    lead = alpha * q
+    coef_b = psi * common
+    coef_y = (theta * common) / alpha
+
+    G = [gbar[i] + lead * si0[i] + coef_b * bup[i] + coef_y * yJ[i] for i in range(n)]
+    F = alpha2 / (alpha - beta)
+    return Spray(G=_array_jet(G), Gbar=_array_jet(gbar), F2=_array_jet(F * F))
 
 
 def christoffels_fd(spec: MetricSpec, x, h: float = 1e-5) -> np.ndarray:

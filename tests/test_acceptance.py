@@ -16,7 +16,6 @@ from finslerab.finsler import (
     extract_scalars,
     flag_curvature_fit,
     metric_value,
-    phi_data,
     ricci_via_T,
     riemann_curvature,
     spray,
@@ -25,6 +24,7 @@ from finslerab.identity import verify_identity
 from finslerab.riemann import bianchi_check, build_bundle
 from finslerab.scurvature import s_curvature_closed, s_curvature_def, volume_factor
 from .conftest import unit_y
+from .oracles import general_spray, phi_data, phi_data_general
 
 
 def _report(name: str, ok: bool, detail: str):
@@ -199,8 +199,8 @@ def test_criterion_6_phi_data_grid():
     worst = 0.0
     for b in np.linspace(0.005, 0.45, 30):
         for s in np.linspace(-b, b, 21):
-            g = phi_data(s, b * b, mode="general")
-            m = phi_data(s, b * b, mode="matsumoto")
+            g = phi_data_general(s, b * b)
+            m = phi_data(s, b * b)
             for name in ("Q", "Psi", "Theta", "Delta"):
                 x, y = getattr(g, name), getattr(m, name)
                 worst = max(worst, abs(x - y) / max(1.0, abs(x)))
@@ -222,9 +222,9 @@ def test_criterion_7_structural_invariants():
             rs_exact = rs_exact and np.array_equal(bu.r + bu.s, bu.Db)
             for _ in range(4):
                 y = unit_y(bu, rng)
-                S1 = spray(bu, y, mode="matsumoto")
+                S1 = spray(bu, y)
                 G1 = S1.G.val
-                G2 = spray(bu, y, mode="general").G.val
+                G2 = general_spray(bu, y).G.val
                 for a, b in zip(G1, G2):
                     worst_dual = max(worst_dual, abs(a - b) / max(1.0, abs(a)))
                 R, ric = riemann_curvature(bu, y, G=S1)

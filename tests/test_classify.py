@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -185,9 +186,13 @@ def test_cli_malformed_metric_exits_2(name, command, tmp_path, capsys):
     metric = tmp_path / f"{name}.metric"
     metric.write_text(MALFORMED[name])
     extra = ["--points", "2", "--y-per-point", "2"] if command == "check" else []
-    with np.errstate(all="ignore"):  # overflow warnings are not the exit contract
+    # a warning would reach stderr outside pytest, which records it instead
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert cli.main([command, str(metric), *extra]) == cli.EXIT_INVALID_METRIC
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "Warning" not in err
+    assert [str(w.message) for w in caught] == []
 
 
 def test_cli_metric_evaluation_failure_exit(tmp_path, monkeypatch, capsys):

@@ -8,13 +8,13 @@ from finslerab.finsler import (
     flag_curvature_fit,
     fundamental_tensor,
     metric_value,
-    phi_data,
     ricci_via_T,
     riemann_curvature,
     spray,
 )
 from finslerab.riemann import build_bundle
 from .conftest import example_point, unit_y
+from .oracles import general_spray, phi_data, phi_data_general
 
 
 def test_phi_data_at_origin():
@@ -39,8 +39,8 @@ def test_phi_data_modes_agree_on_grid():
     worst = 0.0
     for b in np.linspace(0.01, 0.45, 23):
         for s in np.linspace(-b, b, 17):
-            g = phi_data(s, b * b, mode="general")
-            m = phi_data(s, b * b, mode="matsumoto")
+            g = phi_data_general(s, b * b)
+            m = phi_data(s, b * b)
             for name in ("Q", "Psi", "Theta", "Delta"):
                 x, y = getattr(g, name), getattr(m, name)
                 worst = max(worst, abs(x - y) / max(1.0, abs(x)))
@@ -75,8 +75,9 @@ def test_spray_example_parallel(example_spec):
 
 
 def test_spray_dual_formula_agreement(generic3d):
-    # matsumoto (array jets) against general (scalar jets) on every block the
-    # curvature reads: value, d/dx, d/dy, d2/dx dy and d2/dy dy
+    # the spray (matsumoto closed form, array jets) against the general spray
+    # (scalar jets) on every block the curvature reads: value, d/dx, d/dy,
+    # d2/dx dy and d2/dy dy
     rng = np.random.default_rng(4)
     worst = 0.0
     for n in (2, 3, 5, 8):
@@ -85,8 +86,8 @@ def test_spray_dual_formula_agreement(generic3d):
             bu = build_bundle(spec, rng.uniform(-0.8, 0.8, n))
             for _ in range(10 if n == 3 else 3):
                 y = unit_y(bu, rng)
-                G1 = spray(bu, y, mode="matsumoto")
-                G2 = spray(bu, y, mode="general")
+                G1 = spray(bu, y)
+                G2 = general_spray(bu, y)
                 scale = np.maximum(1.0, np.abs(G1.G.val))
                 for a, b in zip(G1.blocks(), G2.blocks()):
                     assert a.shape == b.shape

@@ -3,14 +3,9 @@ import pytest
 
 from finslerab import finsler, testmetrics
 from finslerab.dsl import parse_metric
-from finslerab.riemann import (
-    GeometryError,
-    bianchi_check,
-    build_bundle,
-    det_jet,
-)
+from finslerab.riemann import GeometryError, bianchi_check, build_bundle
 from .conftest import example_point, unit_y
-from .oracles import christoffels_fd
+from .oracles import christoffels_fd, det_jet, metric_jets
 
 
 def test_euclidean_is_flat():
@@ -129,11 +124,11 @@ def test_classical_vs_spray_curvature(generic3d):
 
 
 def test_det_jet_matches_numpy(generic_bundle):
-    dj = det_jet(generic_bundle.aJ)
+    dj = det_jet(metric_jets(generic_bundle.spec, generic_bundle.x, 3)[0])
     assert abs(dj.val - np.linalg.det(generic_bundle.a)) < 1e-12
-    # gradient against the trace identity d(log det)/dx = tr(a^-1 da)
-    expected = np.einsum("ij,jik->k", generic_bundle.a_inv, generic_bundle.dA) * dj.val
-    assert np.max(np.abs(dj.grad[:3] - expected)) < 1e-12
+    # the bundle's d(log det)/dx by Jacobi's formula tr(a^-1 da) against the jet determinant
+    expected = dj.grad / dj.val
+    assert np.max(np.abs(generic_bundle.dlndet - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_domain_and_dimension_errors(example_spec):
