@@ -15,6 +15,8 @@ statuses; every number and verdict comes from ``classify``.  ``check``,
 ``scurv`` and ``flag`` run the same evaluation (``classify.run_check``):
 ``scurv`` and ``flag`` ask only for the condition groups they print, with 6
 y per point and the default tolerance, and exit 3 on any violation.
+``validate`` runs the validity check that the others run before sampling,
+with the same ``--seed``, so its exit status previews theirs.
 
 Exit status: 0 clean, 2 invalid metric file or arguments, 3 engine inconsistency detected.
 """
@@ -53,7 +55,7 @@ def _load(path: str):
 
 def _validated(path: str, seed: int):
     spec = _load(path)
-    report = validate_spec(spec, samples=200, seed=seed)
+    report = validate_spec(spec, seed=seed)
     if not report.valid:
         print(report.summary(), file=sys.stderr)
         raise SystemExit(EXIT_INVALID_METRIC)
@@ -102,7 +104,7 @@ def cmd_appendix(args) -> int:
 
 def cmd_validate(args) -> int:
     spec = _load(args.metric)
-    report = validate_spec(spec, samples=400, seed=args.seed)
+    report = validate_spec(spec, seed=args.seed)
     print(report.summary())
     return EXIT_OK if report.valid else EXIT_INVALID_METRIC
 

@@ -10,6 +10,14 @@ The generic (alpha, beta) spray, with Q, Psi and Theta computed from
 phi(s) = 1/(1 - s) in scalar jets, is the test suite's oracle for it
 (``tests/oracles.py``).
 
+y may carry a leading axis: ``spray``, ``riemann_curvature``,
+``metric_value`` and ``fundamental_tensor`` take one fiber vector, shape
+(n,), or a stack of m of them, shape (m, n), and their results then carry
+the same leading m axis.  The one-y call is the m-less case of the same
+code.  The input jets' y-independent blocks are built once per bundle, on
+the first spray there, and kept on it (``bundle.spray_inputs``).
+``extract_scalars`` evaluates its whole fit design as one stack.
+
 From the ``Spray`` record the Riemann curvature operator, its trace, the
 deformation field T^i = G^i - Gbar^i, the fundamental tensor and
 constant-scalar fits (lambda, c, sigma, flag curvature K) all follow.  The
@@ -50,7 +58,8 @@ class Spray:
 
     Each field is an order-2 array jet over the 2n chart+fiber directions
     (x^1..x^n, then y^1..y^n): ``G`` = G^i and ``Gbar`` = Gbar^i, the spray
-    of alpha, both of shape (n,), and the scalar ``F2`` = F^2.  Their pure
+    of alpha, both of shape (n,), and the scalar ``F2`` = F^2.  For a stack
+    of m y the shapes are (m, n) and (m,).  Their pure
     x-x second derivatives would need third derivatives of the metric; they
     are truncated and no formula reads them.
     """
@@ -62,7 +71,8 @@ class Spray:
     def blocks(self):
         """(G, dG/dx, dG/dy, d2G/dx dy, d2G/dy dy), the blocks the curvature reads.
 
-        Index order: ``gx[i, k]`` = dG^i/dx^k, ``hxy[i, j, k]`` = d2G^i/dx^j dy^k.
+        Index order: ``gx[i, k]`` = dG^i/dx^k, ``hxy[i, j, k]`` = d2G^i/dx^j dy^k,
+        after the leading y axis of a stack.
         """
         return _blocks(self.G)
 
@@ -74,36 +84,53 @@ def _blocks(jet: ArrayJet):
 
 # Array-jet inputs of the spray.  ``dc`` carries the coefficients'
 # first x-derivatives with the derivative direction last; y-derivatives are
-# exact, the x-x Hessian is zero (truncated).
+# exact, the x-x Hessian is zero (truncated).  Every block that does not
+# depend on y is built once per bundle (``_SprayInputs``).  ``y`` has shape
+# (n,), or (m, 1, n) for a stack: the unit axis makes a scalar input's jet
+# (m, 1), which broadcasts along the y axis against an (m, n) vector's.
 
 
-def _linear(c: np.ndarray, dc: np.ndarray, y: np.ndarray) -> ArrayJet:
-    """sum_j c[..., j] y^j."""
-    n = y.size
-    lead = c.shape[:-1]
-    grad = np.empty(lead + (2 * n,))
-    grad[..., :n] = np.einsum("...jk,j->...k", dc, y)
-    grad[..., n:] = c
-    hess = np.zeros(lead + (2 * n, 2 * n))
-    hess[..., :n, n:] = np.swapaxes(dc, -1, -2)
-    hess[..., n:, :n] = dc
-    return ArrayJet(c @ y, grad, hess)
+class _Linear:
+    """sum_j c[..., j] y^j.  Its Hessian does not depend on y."""
+
+    def __init__(self, c: np.ndarray, dc: np.ndarray):
+        n = c.shape[-1]
+        self.c, self.dc = c, dc
+        self.hess = np.zeros(c.shape[:-1] + (2 * n, 2 * n))
+        self.hess[..., :n, n:] = np.swapaxes(dc, -1, -2)
+        self.hess[..., n:, :n] = dc
+
+    def jet(self, y: np.ndarray) -> ArrayJet:
+        n = y.shape[-1]
+        gx = np.einsum("...jk,...j->...k", self.dc, y)
+        grad = np.empty(gx.shape[:-1] + (2 * n,))
+        grad[..., :n] = gx
+        grad[..., n:] = self.c
+        return ArrayJet(np.einsum("...j,...j->...", self.c, y), grad, self.hess)
 
 
-def _quadratic(q: np.ndarray, dq: np.ndarray, y: np.ndarray) -> ArrayJet:
-    """sum_jk q[..., j, k] y^j y^k for q symmetric in (j, k)."""
-    n = y.size
-    lead = q.shape[:-2]
-    qy = q @ y
-    dqy = np.einsum("...jkl,k->...jl", dq, y)
-    grad = np.empty(lead + (2 * n,))
-    grad[..., :n] = dqy.swapaxes(-1, -2) @ y
-    grad[..., n:] = 2.0 * qy
-    hess = np.zeros(lead + (2 * n, 2 * n))
-    hess[..., :n, n:] = 2.0 * np.swapaxes(dqy, -1, -2)
-    hess[..., n:, :n] = 2.0 * dqy
-    hess[..., n:, n:] = 2.0 * q
-    return ArrayJet(qy @ y, grad, hess)
+class _Quadratic:
+    """sum_jk q[..., j, k] y^j y^k for q symmetric in (j, k).  Its y-y Hessian is 2q."""
+
+    def __init__(self, q: np.ndarray, dq: np.ndarray):
+        n = q.shape[-1]
+        self.q, self.dq = q, dq
+        self.hess = np.zeros(q.shape[:-2] + (2 * n, 2 * n))
+        self.hess[..., n:, n:] = 2.0 * q
+
+    def jet(self, y: np.ndarray) -> ArrayJet:
+        n = y.shape[-1]
+        qy = np.einsum("...jk,...k->...j", self.q, y)
+        dqy = np.einsum("...jkl,...k->...jl", self.dq, y)
+        grad = np.empty(qy.shape[:-1] + (2 * n,))
+        grad[..., :n] = np.einsum("...jl,...j->...l", dqy, y)
+        grad[..., n:] = 2.0 * qy
+        dqy2 = 2.0 * dqy
+        hess = np.empty(qy.shape[:-1] + (2 * n, 2 * n))
+        hess[...] = self.hess  # the zero x-x and the 2q y-y blocks
+        hess[..., :n, n:] = np.swapaxes(dqy2, -1, -2)
+        hess[..., n:, :n] = dqy2
+        return ArrayJet(np.einsum("...j,...j->...", qy, y), grad, hess)
 
 
 def _field(v, dv: np.ndarray) -> ArrayJet:
@@ -115,22 +142,47 @@ def _field(v, dv: np.ndarray) -> ArrayJet:
     return ArrayJet(v, grad, np.zeros(lead + (2 * n, 2 * n)))
 
 
+class _SprayInputs:
+    """The spray's inputs at one bundle, with their y-independent blocks."""
+
+    def __init__(self, bundle: AlphaBetaBundle):
+        n = bundle.n
+        # y^i itself: only its value depends on y
+        self.y_grad = np.eye(n, 2 * n, n)
+        self.y_hess = np.zeros((n, 2 * n, 2 * n))
+        self.alpha2 = _Quadratic(bundle.a, bundle.dA)
+        self.beta = _Linear(bundle.b, bundle.db)
+        self.r00 = _Quadratic(bundle.r, bundle.dr)
+        self.s0 = _Linear(bundle.svec, bundle.d_svec)
+        self.si0 = _Linear(bundle.s_up, bundle.d_s_up)
+        self.gbar = _Quadratic(0.5 * bundle.gamma, 0.5 * bundle.dgamma)  # Gbar^i = Gamma^i_jk y^j y^k / 2
+        self.bup = _field(bundle.bup, bundle.d_bup)
+        self.bsq = _field(bundle.bsq, bundle.d_bsq)
+
+
 def spray(bundle: AlphaBetaBundle, y) -> Spray:
-    """Spray coefficients G^i at (x, y) with their exact derivatives, as a ``Spray``."""
+    """Spray coefficients G^i at (x, y) with their exact derivatives, as a ``Spray``.
+
+    ``y`` is one fiber vector, shape (n,), or a stack of m of them, shape
+    (m, n); the ``Spray`` then carries the same leading m axis.
+    """
     y = np.asarray(y, dtype=float)
-    if not np.any(y):
+    if not y.any(axis=-1).all():
         raise ValueError("y must be nonzero")
-    n = bundle.n
-    yJ = _linear(np.eye(n), np.zeros((n, n, n)), y)
-    alpha2 = _quadratic(bundle.a, bundle.dA, y)
+    inp = bundle.spray_inputs
+    if inp is None:
+        inp = bundle.spray_inputs = _SprayInputs(bundle)
+    stack = y.shape[:-1]
+    yc = y.reshape(stack + (1,) * len(stack) + y.shape[-1:])
+    alpha2 = inp.alpha2.jet(yc)
     alpha = alpha2.sqrt()
-    beta = _linear(bundle.b, bundle.db, y)
-    r00 = _quadratic(bundle.r, bundle.dr, y)
-    s0 = _linear(bundle.svec, bundle.d_svec, y)
-    si0 = _linear(bundle.s_up, bundle.d_s_up, y)
-    gbar = 0.5 * _quadratic(bundle.gamma, bundle.dgamma, y)
-    bup = _field(bundle.bup, bundle.d_bup)
-    bsq = _field(bundle.bsq, bundle.d_bsq)
+    beta = inp.beta.jet(yc)
+    r00 = inp.r00.jet(yc)
+    s0 = inp.s0.jet(yc)
+    si0 = inp.si0.jet(yc)
+    gbar = inp.gbar.jet(yc)
+    bup, bsq = inp.bup, inp.bsq
+    yJ = ArrayJet(y, inp.y_grad, inp.y_hess)
     sj = beta / alpha
 
     den1 = 2.0 * sj - 1.0
@@ -142,7 +194,10 @@ def spray(bundle: AlphaBetaBundle, y) -> Spray:
 
     G = gbar + lead * si0 + coef_b * bup + coef_y * yJ
     F = alpha2 / (alpha - beta)
-    return Spray(G=G, Gbar=gbar, F2=F * F)
+    F2 = F * F
+    d = 2 * bundle.n
+    F2 = ArrayJet(F2.val.reshape(stack), F2.grad.reshape(stack + (d,)), F2.hess.reshape(stack + (d, d)))
+    return Spray(G=G, Gbar=gbar, F2=F2)
 
 
 def riemann_curvature(bundle: AlphaBetaBundle, y, G=None):
@@ -150,14 +205,15 @@ def riemann_curvature(bundle: AlphaBetaBundle, y, G=None):
 
     R^i_k = 2 dG^i/dx^k - y^j d2G^i/dx^j dy^k + 2 G^j d2G^i/dy^j dy^k
             - dG^i/dy^j dG^j/dy^k.
+
+    For a stack of y, shape (m, n), R has shape (m, n, n) and Ric (m,).
     """
     y = np.asarray(y, dtype=float)
     if G is None:
         G = spray(bundle, y)
     gval, gx, gy, hxy, hyy = G.blocks()
-    R = 2.0 * gx - np.einsum("j,ijk->ik", y, hxy) + 2.0 * np.einsum("j,ijk->ik", gval, hyy) - gy @ gy
-    ric = float(np.trace(R))
-    return R, ric
+    R = 2.0 * gx - np.einsum("...j,...ijk->...ik", y, hxy) + 2.0 * np.einsum("...j,...ijk->...ik", gval, hyy) - gy @ gy
+    return R, np.trace(R, axis1=-2, axis2=-1)
 
 
 def ricci_via_T(bundle: AlphaBetaBundle, y, G=None) -> float:
@@ -190,10 +246,11 @@ def ricci_via_T(bundle: AlphaBetaBundle, y, G=None) -> float:
     return bundle.ricbar(y) + 2.0 * t_div - t_trace_cov + term3 - term4
 
 
-def metric_value(bundle: AlphaBetaBundle, y) -> float:
-    """F(x, y) = alpha^2 / (alpha - beta)."""
-    al = bundle.alpha(y)
-    return al * al / (al - bundle.beta(y))
+def metric_value(bundle: AlphaBetaBundle, y):
+    """F(x, y) = alpha^2 / (alpha - beta), for one y or a stack of them."""
+    y = np.asarray(y, dtype=float)
+    al = np.sqrt(np.einsum("...j,jk,...k->...", y, bundle.a, y))
+    return al * al / (al - y @ bundle.b)
 
 
 def fundamental_tensor(bundle: AlphaBetaBundle, y, G=None) -> np.ndarray:
@@ -201,7 +258,7 @@ def fundamental_tensor(bundle: AlphaBetaBundle, y, G=None) -> np.ndarray:
     if G is None:
         G = spray(bundle, y)
     n = bundle.n
-    return 0.5 * G.F2.hess[n:, n:]
+    return 0.5 * G.F2.hess[..., n:, n:]
 
 
 # -- scalar extraction --------------------------------------------------------
@@ -221,14 +278,12 @@ def unit_alpha_vectors(bundle: AlphaBetaBundle, count: int, rng) -> np.ndarray:
 def _design_vectors(bundle: AlphaBetaBundle, rng) -> np.ndarray:
     """Fit design: the 2n signed axis directions plus 2n random ones, alpha-normalized."""
     n = bundle.n
-    axes = []
-    for i in range(n):
-        for sgn in (1.0, -1.0):
-            e = np.zeros(n)
-            e[i] = sgn
-            axes.append(e / bundle.alpha(e))
-    rand = unit_alpha_vectors(bundle, 2 * n, rng)
-    return np.vstack([np.array(axes), rand])
+    unit = 1.0 / np.sqrt(np.diag(bundle.a))  # 1 / alpha(e_i)
+    axes = np.zeros((2 * n, n))
+    i = np.arange(n)
+    axes[2 * i, i] = unit
+    axes[2 * i + 1, i] = -unit
+    return np.vstack([axes, unit_alpha_vectors(bundle, 2 * n, rng)])
 
 
 @dataclass
@@ -249,18 +304,16 @@ def extract_scalars(bundle: AlphaBetaBundle, rng) -> ScalarFit:
     The samples are the fit design drawn from ``rng``, alpha-normalized so
     the alpha^2 design column is 1 and the lambda/c fits reduce to means;
     the sigma fit is least squares against F^2 which genuinely varies over
-    the fiber.  Residuals are max absolute
-    deviations of the fitted relation over the sample set.
+    the fiber.  Residuals are max absolute deviations of the fitted relation
+    over the sample set.  The whole design goes through one spray and one
+    curvature evaluation, as a stack.
     """
     ys = _design_vectors(bundle, rng)
-    ricbars = np.array([bundle.ricbar(y) for y in ys])
-    r00s = np.array([float(y @ bundle.r @ y) for y in ys])
-    alphas2 = np.array([bundle.alpha2(y) for y in ys])
-    rics = np.empty(len(ys))
-    F2 = np.empty(len(ys))
-    for i, y in enumerate(ys):
-        _, rics[i] = riemann_curvature(bundle, y)
-        F2[i] = metric_value(bundle, y) ** 2
+    ricbars = np.einsum("mj,jk,mk->m", ys, bundle.ricci_tensor, ys)
+    r00s = np.einsum("mj,jk,mk->m", ys, bundle.r, ys)
+    alphas2 = np.einsum("mj,jk,mk->m", ys, bundle.a, ys)
+    _, rics = riemann_curvature(bundle, ys)
+    F2 = metric_value(bundle, ys) ** 2
 
     lam = float(ricbars @ alphas2 / (alphas2 @ alphas2))
     c = float(r00s @ alphas2 / (alphas2 @ alphas2))

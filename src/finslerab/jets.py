@@ -207,7 +207,9 @@ class ArrayJet:
     ``val`` has a leading shape S, ``grad`` shape S + (d,) and ``hess`` the
     full symmetric Hessian, shape S + (d, d).  Operands broadcast over their
     leading shapes as numpy arrays do, so a scalar jet (S = ()) times a
-    vector of jets is a vector of jets.  A plain operand must be a scalar.
+    vector of jets is a vector of jets.  ``grad`` and ``hess`` need only
+    broadcast to S: derivatives that do not vary along a leading axis may
+    omit it.  A plain operand must be a scalar.
     """
 
     __slots__ = ("val", "grad", "hess")
@@ -240,8 +242,7 @@ class ArrayJet:
         if isinstance(other, ArrayJet):
             u, v = self.val, other.val
             outer = self.grad[..., :, None] * other.grad[..., None, :]
-            hess = _trail(u, 2) * other.hess
-            hess += _trail(v, 2) * self.hess
+            hess = _trail(u, 2) * other.hess + _trail(v, 2) * self.hess  # full shape S
             hess += outer
             hess += outer.swapaxes(-1, -2)
             return ArrayJet(u * v, _trail(u, 1) * other.grad + _trail(v, 1) * self.grad, hess)

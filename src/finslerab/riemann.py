@@ -24,7 +24,7 @@ in closed form from the arrays alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,6 +86,10 @@ class AlphaBetaBundle:
     d_s_up: np.ndarray
     d_svec: np.ndarray
     dlndet: np.ndarray
+    # the y-independent blocks of the spray's input jets, built by the first
+    # ``finsler.spray`` call at this point and reused by every later one
+    # (nothing changes a bundle's arrays after ``build_bundle``)
+    spray_inputs: object = field(default=None, init=False, repr=False, compare=False)
 
     # -- y-dependent alpha quantities (closed forms in y) --------------------
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from finslerab.dsl import Bin, Const, Fun, MetricSpec, Neg, Pow, Var
-from finslerab.finsler import Spray
+from finslerab.finsler import ScalarFit, Spray, riemann_curvature, unit_alpha_vectors
 from finslerab.identity import ContractionSet
 from finslerab.jets import ArrayJet, Jet, JetError, elem, jsqrt
 from finslerab.riemann import AlphaBetaBundle
@@ -210,6 +210,43 @@ def general_spray(bundle: AlphaBetaBundle, y) -> Spray:
     G = [gbar[i] + lead * si0[i] + coef_b * bup[i] + coef_y * yJ[i] for i in range(n)]
     F = alpha2 / (alpha - beta)
     return Spray(G=_array_jet(G), Gbar=_array_jet(gbar), F2=_array_jet(F * F))
+
+
+def extract_scalars_loop(bundle: AlphaBetaBundle, rng) -> ScalarFit:
+    """The scalar fits one design direction at a time: the oracle of ``finsler.extract_scalars``.
+
+    Draws the same design from ``rng`` (the 2n signed axes, alpha-normalized,
+    then 2n ``unit_alpha_vectors``) and takes each Ric from the curvature of
+    the general spray, so neither the batched spray nor the batched
+    contractions of the library are on this route.
+    """
+    n = bundle.n
+    axes = []
+    for i in range(n):
+        for sgn in (1.0, -1.0):
+            e = np.zeros(n)
+            e[i] = sgn
+            axes.append(e / bundle.alpha(e))
+    ricbars, r00s, alphas2, rics, F2 = [], [], [], [], []
+    for y in axes + list(unit_alpha_vectors(bundle, 2 * n, rng)):
+        ricbars.append(bundle.ricbar(y))
+        r00s.append(float(y @ bundle.r @ y))
+        alphas2.append(bundle.alpha2(y))
+        rics.append(riemann_curvature(bundle, y, G=general_spray(bundle, y))[1])
+        al = bundle.alpha(y)
+        F2.append((al * al / (al - bundle.beta(y))) ** 2)
+    ricbars, r00s, alphas2, rics, F2 = map(np.array, (ricbars, r00s, alphas2, rics, F2))
+    lam = float(ricbars @ alphas2 / (alphas2 @ alphas2))
+    c = float(r00s @ alphas2 / (alphas2 @ alphas2))
+    sig = float(rics @ F2 / (F2 @ F2))
+    return ScalarFit(
+        lam=lam,
+        c=c,
+        sigma=sig,
+        resid_lambda=float(np.max(np.abs(ricbars - lam * alphas2))),
+        resid_c=float(np.max(np.abs(r00s - c * alphas2))),
+        resid_sigma=float(np.max(np.abs(rics - sig * F2))),
+    )
 
 
 def christoffels_fd(spec: MetricSpec, x, h: float = 1e-5) -> np.ndarray:

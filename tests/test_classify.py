@@ -137,6 +137,18 @@ def test_cli_validate_bad_metric(tmp_path, capsys):
     assert cli.main(["validate", str(good)]) == 0
 
 
+def test_cli_validate_previews_check(tmp_path, capsys):
+    # validate runs the very check that check runs before sampling, so the two
+    # exit statuses agree on every file.  This generated metric once passed
+    # check but failed validate, which sampled twice as many points.
+    generated = tmp_path / "rand12_505.metric"
+    generated.write_text(testmetrics.random_metric(12, 505).to_text())
+    paths = [str(generated)] + [str(testmetrics.shipped_metric_path(m)) for m in testmetrics.list_shipped()]
+    for path in paths:
+        assert cli.main(["validate", path]) == cli.main(["check", path, "--points", "1"]), path
+    assert cli.main(["validate", str(generated)]) == cli.EXIT_OK
+
+
 def test_cli_check_rejects_invalid(tmp_path, capsys):
     bad = tmp_path / "syntax.metric"
     bad.write_text("dim = 2\na 1 1 = x9\n")

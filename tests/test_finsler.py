@@ -14,7 +14,7 @@ from finslerab.finsler import (
 )
 from finslerab.riemann import build_bundle
 from .conftest import example_point, unit_y
-from .oracles import general_spray, phi_data, phi_data_general
+from .oracles import extract_scalars_loop, general_spray, phi_data, phi_data_general
 
 
 def test_phi_data_at_origin():
@@ -201,6 +201,56 @@ def test_extract_scalars_conformal(homothetic_spec):
     bu = build_bundle(homothetic_spec, np.array([0.2, -0.5, 0.7]))
     fit = extract_scalars(bu, rng=np.random.default_rng(11))
     assert abs(fit.c - 0.1) <= 1e-10
+
+
+def test_extract_scalars_against_loop_oracle(example_spec, sphere_spec, homothetic_spec):
+    # the batched fit against one direction at a time through the general
+    # spray, on the same design drawn from the same seed
+    cases = [
+        (example_spec, np.array([0.1, -0.3, 0.5, 1.2, 0.4])),
+        (sphere_spec, np.array([1.3, -0.4])),
+        (homothetic_spec, np.array([0.2, -0.5, 0.7])),
+        (testmetrics.random_metric(5, 21), np.array([0.3, -0.6, 0.1, 0.5, -0.2])),
+    ]
+    for seed, (spec, x) in enumerate(cases):
+        bu = build_bundle(spec, x)
+        fit = extract_scalars(bu, np.random.default_rng(seed))
+        want = extract_scalars_loop(bu, np.random.default_rng(seed))
+        for name in ("lam", "c", "sigma", "resid_lambda", "resid_c", "resid_sigma"):
+            got, ref = getattr(fit, name), getattr(want, name)
+            assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref)), (spec.name, name, got, ref)
+
+
+def _rows_match(batch, one, k):
+    assert batch.shape[1:] == np.shape(one)
+    assert np.all(np.abs(batch[k] - one) <= 1e-14 * np.maximum(1.0, np.abs(one)))
+
+
+@pytest.mark.parametrize("bundle_name", ["generic_bundle", "example_bundle"])
+def test_batched_y_rows_match_one_y(bundle_name, request):
+    # m == n is the case where a per-y scalar broadcast along the component
+    # axis instead of the y axis would still produce the right shapes
+    bu = request.getfixturevalue(bundle_name)
+    n = bu.n
+    rng = np.random.default_rng(16)
+    for m in (1, n, 4 * n):
+        ys = np.array([unit_y(bu, rng) for _ in range(m)])
+        sp = spray(bu, ys)
+        R, ric = riemann_curvature(bu, ys)
+        F = metric_value(bu, ys)
+        g = fundamental_tensor(bu, ys)
+        assert sp.G.val.shape == (m, n) and sp.F2.val.shape == (m,)
+        assert R.shape == (m, n, n) and ric.shape == (m,) and F.shape == (m,) and g.shape == (m, n, n)
+        for k, y in enumerate(ys):
+            one = spray(bu, y)
+            for batch_jet, one_jet in ((sp.G, one.G), (sp.Gbar, one.Gbar), (sp.F2, one.F2)):
+                for part in ("val", "grad", "hess"):
+                    _rows_match(getattr(batch_jet, part), getattr(one_jet, part), k)
+            R1, ric1 = riemann_curvature(bu, y)
+            _rows_match(R, R1, k)
+            _rows_match(ric, ric1, k)
+            _rows_match(F, metric_value(bu, y), k)
+            _rows_match(g, fundamental_tensor(bu, y), k)
 
 
 def test_flag_fit_euclidean_zero():
