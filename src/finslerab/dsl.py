@@ -563,8 +563,8 @@ def validate_spec(spec: MetricSpec, samples: int = 200, seed: int = 0) -> Valida
     A component that cannot be evaluated at a sampled point (log or sqrt of
     a non-positive value, division by zero, overflow) is a violation too.
     Violations are reported as data, not raised, one per point at most.
-    All points are evaluated as one batch; only when the batch fails are
-    they evaluated one at a time, to find where.
+    All points are evaluated, factored and solved as one batch; only when
+    the batch fails are they taken one at a time, to find where.
     """
     rng = np.random.default_rng(seed)
     pts = sample_domain(spec, samples, rng)
@@ -578,6 +578,15 @@ def validate_spec(spec: MetricSpec, samples: int = 200, seed: int = 0) -> Valida
                 a[p], b[p] = spec.a_values(x), spec.b_values(x)
             except JetError as exc:
                 failed[p] = str(exc)
+    if not failed:
+        try:
+            np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            pass  # some a(x) is not positive definite: find which, point by point
+        else:
+            bsq = np.einsum("pi,pi->p", b, np.linalg.solve(a, b[..., None])[..., 0])
+            violations = [(x, "b^2 >= 1/4", f"b^2 = {v:.6g}") for x, v in zip(pts, bsq) if v >= 0.25]
+            return ValidationReport(spec.name, samples, violations)
     violations = []
     for p, x in enumerate(pts):
         if p in failed:

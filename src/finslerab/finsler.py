@@ -183,17 +183,18 @@ def spray(bundle: AlphaBetaBundle, y) -> Spray:
     gbar = inp.gbar.jet(yc)
     bup, bsq = inp.bup, inp.bsq
     yJ = ArrayJet(y, inp.y_grad, inp.y_hess)
-    sj = beta / alpha
+    # each distinct denominator -- alpha, 2s - 1, 3s - 2b^2 - 1, 1 - s -- is inverted once
+    inv_alpha = alpha.reciprocal()
+    sj = beta * inv_alpha
+    inv1 = (2.0 * sj - 1.0).reciprocal()
+    inv2 = (3.0 * sj - 2.0 * bsq - 1.0).reciprocal()
+    lead = alpha * inv1  # alpha / (2s - 1)
+    common = (2.0 * lead) * s0 + r00
+    coef_b = -(common * inv2)
+    coef_y = ((4.0 * sj - 1.0) * (0.5 * inv2)) * common * inv_alpha
 
-    den1 = 2.0 * sj - 1.0
-    den2 = 3.0 * sj - 2.0 * bsq - 1.0
-    common = (2.0 * alpha / den1) * s0 + r00
-    lead = -(alpha / den1)
-    coef_b = -(common / den2)
-    coef_y = ((4.0 * sj - 1.0) / (2.0 * den2)) * common / alpha
-
-    G = gbar + lead * si0 + coef_b * bup + coef_y * yJ
-    F = alpha2 / (alpha - beta)
+    G = gbar - lead * si0 + coef_b * bup + coef_y * yJ
+    F = alpha * (1.0 - sj).reciprocal()  # alpha^2 / (alpha - beta)
     F2 = F * F
     d = 2 * bundle.n
     F2 = ArrayJet(F2.val.reshape(stack), F2.grad.reshape(stack + (d,)), F2.hess.reshape(stack + (d, d)))

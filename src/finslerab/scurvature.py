@@ -84,11 +84,19 @@ def volume_factor(n: int, b: float, form: str = "bh") -> VolumeFactor:
     w = _WEIGHTS * _SIN ** (n - 2)
     c = _COS
     u = b * c
-    # the integrand and its first two b-derivatives at every node
+    plain = float(np.sum(w))
+    # integrals of the integrand and of its first two b-derivatives
     if form == "bh":
-        # denominator: phi(u)^-n = (1 - u)^n
+        # denominator: phi(u)^-n = (1 - u)^n, with its n-1 and n-2 powers
         v = 1.0 - u
-        g = np.stack([v**n, -n * c * v ** (n - 1), n * (n - 1) * c * c * v ** (n - 2)])
+        v2 = v ** (n - 2)
+        v1 = v2 * v
+        i0 = float((v1 * v) @ w)
+        i1 = -n * float((c * v1) @ w)
+        i2 = n * (n - 1) * float((c * c * v2) @ w)
+        f = plain / i0
+        fp = -f * i1 / i0
+        fpp = f * (2.0 * (i1 / i0) ** 2 - i2 / i0)
     else:
         # numerator: T(u) = phi (phi - u phi')^(n-2) [phi - u phi' + (b^2 - u^2) phi'']
         #                 = (1 - 2u)^(n-2) q / (1 - u)^(2n)
@@ -100,14 +108,7 @@ def volume_factor(n: int, b: float, form: str = "bh") -> VolumeFactor:
         t = (1.0 - 2.0 * u) ** (n - 2) * q / (1.0 - u) ** (2 * n)
         l1 = -2.0 * (n - 2) * e + dq / q + 2.0 * n * v
         l2 = -4.0 * (n - 2) * e * e + (4.0 - dq * dq / q) / q + 2.0 * n * v * v
-        g = np.stack([t, t * l1, t * (l2 + l1 * l1)])
-    plain = float(np.sum(w))
-    i0, i1, i2 = map(float, g @ w)
-    if form == "bh":
-        f = plain / i0
-        fp = -f * i1 / i0
-        fpp = f * (2.0 * (i1 / i0) ** 2 - i2 / i0)
-    else:
+        i0, i1, i2 = map(float, np.stack([t, t * l1, t * (l2 + l1 * l1)]) @ w)
         f, fp, fpp = i0 / plain, i1 / plain, i2 / plain
     if f <= 0.0:
         raise JetError(f"volume factor f({b}) = {f} not positive")

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from finslerab.dsl import Bin, Const, Fun, MetricSpec, Neg, Pow, Var
+from finslerab.dsl import Bin, Const, Fun, MetricSpec, Neg, Pow, ValidationReport, Var, sample_domain
 from finslerab.finsler import ScalarFit, Spray, riemann_curvature, unit_alpha_vectors
 from finslerab.identity import ContractionSet
 from finslerab.jets import ArrayJet, Jet, JetError, elem, jsqrt
@@ -354,3 +354,37 @@ def contraction_set_naive(bundle: AlphaBetaBundle, y, sigma: float = 0.0) -> Con
         r0k_sk=float(dot1(r0k, supvec)),
         sk0_sk=float(dot1(sk0, svec)),
     )
+
+
+def validate_spec_loop(spec: MetricSpec, samples: int = 200, seed: int = 0) -> ValidationReport:
+    """``dsl.validate_spec`` one point at a time: a Cholesky and a solve per point.
+
+    The oracle of the batched factor-and-solve; the components are
+    evaluated as there, in one batch with a per-point retry when it fails.
+    """
+    rng = np.random.default_rng(seed)
+    pts = sample_domain(spec, samples, rng)
+    failed: dict[int, str] = {}
+    try:
+        a, b = spec.a_values(pts), spec.b_values(pts)
+    except JetError:
+        a, b = np.zeros((samples, spec.dim, spec.dim)), np.zeros((samples, spec.dim))
+        for p, x in enumerate(pts):
+            try:
+                a[p], b[p] = spec.a_values(x), spec.b_values(x)
+            except JetError as exc:
+                failed[p] = str(exc)
+    violations = []
+    for p, x in enumerate(pts):
+        if p in failed:
+            violations.append((x, "evaluation failed", failed[p]))
+            continue
+        try:
+            np.linalg.cholesky(a[p])
+        except np.linalg.LinAlgError:
+            violations.append((x, "not positive definite", f"min eig {np.linalg.eigvalsh(a[p])[0]:.3g}"))
+            continue
+        bsq = float(b[p] @ np.linalg.solve(a[p], b[p]))
+        if bsq >= 0.25:
+            violations.append((x, "b^2 >= 1/4", f"b^2 = {bsq:.6g}"))
+    return ValidationReport(spec.name, samples, violations)

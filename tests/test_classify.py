@@ -95,7 +95,7 @@ def test_appendix_report(generic3d):
 
 
 def test_appendix_one_record_per_sample(generic3d, monkeypatch):
-    """Each sample evaluates the spray and the contraction set once at y and once at -y."""
+    """Each sample makes one spray, for y and -y as a stack, and one contraction set at each of them."""
     calls = {"verify_identity": 0, "spray": 0, "contraction_set": 0}
 
     def count(module, name):
@@ -111,7 +111,7 @@ def test_appendix_one_record_per_sample(generic3d, monkeypatch):
     count(finsler, "spray")
     count(identity, "contraction_set")
     assert run_appendix(generic3d, small_config(points=3, sigma_policy="random")).ok
-    assert calls == {"verify_identity": 3, "spray": 6, "contraction_set": 6}
+    assert calls == {"verify_identity": 3, "spray": 3, "contraction_set": 6}
 
 
 # -- CLI ------------------------------------------------------------------------
@@ -249,13 +249,13 @@ def test_cli_appendix_and_sweep(capsys):
 
 def test_cli_appendix_fails_on_parity_split(monkeypatch, capsys):
     """A cleared residual perturbed only at -y breaks the parity split, not the identity at y."""
-    cleared, seen = identity._cleared_lhs, []
+    cleared = identity._cleared_lhs
 
-    def perturbed_at_minus_y(bundle, y, sigma):
-        value = cleared(bundle, y, sigma)
-        if any(np.array_equal(-np.asarray(y), v) for v in seen):
-            return value + 0.1 * max(1.0, abs(value))
-        seen.append(np.array(y))
+    def perturbed_at_minus_y(bundle, ys, sigma):
+        # the stack is (y, -y): perturb row 1 only
+        value = cleared(bundle, ys, sigma)
+        assert np.array_equal(ys[1], -ys[0])
+        value[1] += 0.1 * max(1.0, abs(value[1]))
         return value
 
     monkeypatch.setattr(identity, "_cleared_lhs", perturbed_at_minus_y)

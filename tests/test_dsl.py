@@ -21,7 +21,7 @@ from finslerab.dsl import (
     validate_spec,
 )
 from finslerab.jets import ArrayJet, Jet, JetError
-from .oracles import eval_jet
+from .oracles import eval_jet, validate_spec_loop
 
 
 def _env(x):
@@ -125,6 +125,43 @@ def test_random_metric_passes_validation():
     cases = [(n, n + k) for n in (3, 4, 5) for k in range(60)] + [(12, 507), (12, 508), (12, 512)]
     for n, seed in cases:
         assert validate_spec(testmetrics.random_metric(n, seed)).valid, (n, seed)
+
+
+def _same_report(got, want):
+    assert (got.spec_name, got.samples) == (want.spec_name, want.samples)
+    assert [(kind, detail) for _, kind, detail in got.violations] == [
+        (kind, detail) for _, kind, detail in want.violations
+    ]
+    assert all(np.array_equal(x, y) for (x, _, _), (y, _, _) in zip(got.violations, want.violations))
+
+
+# one metric per kind of violation, each on part of the domain box only
+VALIDATE_CASES = {
+    # a_11 < 0 where x1 < -0.2; b^2 = 0.16 elsewhere
+    "not positive definite": "dim = 2\na 1 1 = 1 + 5*x1\na 2 2 = 1\nb 2 = 0.4",
+    # b^2 = (0.3 + 0.4 x2)^2 + x1^2 / 4
+    "b^2 >= 1/4": "dim = 2\na 1 1 = 1\na 2 2 = 4\nb 1 = 0.3 + 0.4*x2\nb 2 = x1",
+    # sqrt of a non-positive value where x1 <= -0.5
+    "evaluation failed": "dim = 2\na 1 1 = 1 + sqrt(x1 + 0.5)\na 2 2 = 1\nb 2 = 0.2",
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_validate_batch_matches_loop_oracle(seed):
+    """The batched factor-and-solve reports exactly what the per-point loop reports."""
+    specs = [testmetrics.shipped_metric(name.removesuffix(".metric")) for name in testmetrics.list_shipped()]
+    specs += [testmetrics.random_metric(n, 40 + n) for n in (2, 3, 5, 8)]
+    # unscreened random metrics, scaled up until some are indefinite or have b^2 >= 1/4
+    specs += [parse_metric(testmetrics.random_metric_text(n, 7 + n, eps, bscale), name=f"raw{n}")
+              for n in (3, 5) for eps, bscale in ((0.15, 0.25), (0.6, 0.6), (1.2, 1.0))]
+    for spec in specs:
+        _same_report(validate_spec(spec, seed=seed), validate_spec_loop(spec, seed=seed))
+    for kind, text in VALIDATE_CASES.items():
+        spec = parse_metric(text, kind)
+        want = validate_spec_loop(spec, seed=seed)
+        assert 0 < len(want.violations) < want.samples
+        assert {k for _, k, _ in want.violations} == {kind}
+        _same_report(validate_spec(spec, seed=seed), want)
 
 
 def test_validate_indefinite_flagged():

@@ -77,7 +77,8 @@ def test_spray_example_parallel(example_spec):
 def test_spray_dual_formula_agreement(generic3d):
     # the spray (matsumoto closed form, array jets) against the general spray
     # (scalar jets) on every block the curvature reads: value, d/dx, d/dy,
-    # d2/dx dy and d2/dy dy
+    # d2/dx dy and d2/dy dy; and F^2 on its value, gradient and y-y Hessian,
+    # the blocks the fundamental tensor reads
     rng = np.random.default_rng(4)
     worst = 0.0
     for n in (2, 3, 5, 8):
@@ -93,6 +94,11 @@ def test_spray_dual_formula_agreement(generic3d):
                     assert a.shape == b.shape
                     dev = np.abs(a - b).reshape(n, -1) / scale[:, None]
                     worst = max(worst, float(np.max(dev)))
+                F1, F2 = G1.F2, G2.F2
+                f_scale = max(1.0, abs(float(F1.val)))
+                for a, b in ((F1.val, F2.val), (F1.grad, F2.grad), (F1.hess[n:, n:], F2.hess[n:, n:])):
+                    assert np.shape(a) == np.shape(b)
+                    worst = max(worst, float(np.max(np.abs(a - b))) / f_scale)
     assert worst <= 1e-10
 
 
