@@ -5,6 +5,9 @@ the y-samples and evaluates the requested condition groups.  The ``check``,
 ``scurv`` and ``flag`` subcommands are views of it: each names the groups
 it prints, and only their quantities are computed; ``emit_report`` renders
 the full report (text, json, csv) or the ``scurv`` and ``flag`` views.
+Only the Ricci and flag groups read second derivatives of the spray; when
+neither runs, as in the ``scurv`` view, the spray of each y-sample is
+evaluated to first order, inside ``s_curvature_def``.
 
 Verdicts use the threshold  residual <= tol * max(1, scale)  where scale is
 the magnitude of the quantity's own constituent terms at the point, so a
@@ -125,8 +128,10 @@ def run_check(spec: MetricSpec, config: RunConfig, groups=GROUPS) -> ClassReport
         for y_idx, y in enumerate(finsler.unit_alpha_vectors(bu, config.y_per_point, rng)):
             where = f"point {p_idx}, y {y_idx}"
             row = {"point": p_idx, "y_index": y_idx, "x": [float(v) for v in x], "y": [float(v) for v in y]}
-            G = finsler.spray(bu, y)
+            # without the second-order readers, s_curvature_def makes its own order-1 spray
+            G = None
             if ricci or flag:
+                G = finsler.spray(bu, y)
                 R, ric = finsler.riemann_curvature(bu, y, G=G)
                 F = finsler.metric_value(bu, y)
             if ricci:

@@ -30,7 +30,7 @@ from pathlib import Path
 
 from . import classify
 from .classify import RunConfig
-from .dsl import MetricFileError, parse_metric, validate_spec
+from .dsl import MAX_DIM, MetricFileError, parse_metric, validate_spec
 from .jets import JetError
 from .riemann import GeometryError
 
@@ -131,7 +131,9 @@ _TOL = _arg(float, lambda v: math.isfinite(v) and v > 0.0, "a positive finite nu
 # kept as text: the report echoes the policy as given
 _SIGMA = _arg(str, lambda v: v == "random" or math.isfinite(float(v)), "a finite number or 'random'")
 _DIMS = _arg(
-    lambda t: [int(d) for d in t.split(",")], lambda ds: min(ds) >= 2, "a comma list of integers >= 2"
+    lambda t: [int(d) for d in t.split(",")],
+    lambda ds: all(2 <= d <= MAX_DIM for d in ds),
+    f"a comma list of integers in 2..{MAX_DIM}",
 )
 
 

@@ -18,6 +18,14 @@ code.  The input jets' y-independent blocks are built once per bundle, on
 the first spray there, and kept on it (``bundle.spray_inputs``).
 ``extract_scalars`` evaluates its whole fit design as one stack.
 
+The spray has a derivative ``order``, set by what its caller reads.  The
+curvature, the T-split Ricci route, the flag fit and the fundamental tensor
+read second derivatives, so they take the default order 2.  The
+S-curvature definition reads only dG^i/dy^i and asks for order 1: G and
+Gbar then come back as order-1 jets (no Hessian is formed) and F^2 is not
+formed at all.  Both orders run the same code on the same cached inputs,
+and the values and gradients of G and Gbar are the same bits at both.
+
 From the ``Spray`` record the Riemann curvature operator, its trace, the
 deformation field T^i = G^i - Gbar^i, the fundamental tensor and
 constant-scalar fits (lambda, c, sigma, flag curvature K) all follow.  The
@@ -56,17 +64,19 @@ __all__ = [
 class Spray:
     """The spray of F at one (x, y).
 
-    Each field is an order-2 array jet over the 2n chart+fiber directions
+    Each field is an array jet over the 2n chart+fiber directions
     (x^1..x^n, then y^1..y^n): ``G`` = G^i and ``Gbar`` = Gbar^i, the spray
     of alpha, both of shape (n,), and the scalar ``F2`` = F^2.  For a stack
-    of m y the shapes are (m, n) and (m,).  Their pure
-    x-x second derivatives would need third derivatives of the metric; they
-    are truncated and no formula reads them.
+    of m y the shapes are (m, n) and (m,).  At order 2 (the default) they
+    are order-2 jets, whose pure x-x second derivatives would need third
+    derivatives of the metric; those are truncated and no formula reads
+    them.  At order 1, ``G`` and ``Gbar`` are order-1 jets and ``F2`` is
+    None.
     """
 
     G: ArrayJet
     Gbar: ArrayJet
-    F2: ArrayJet
+    F2: ArrayJet | None
 
     def blocks(self):
         """(G, dG/dx, dG/dy, d2G/dx dy, d2G/dy dy), the blocks the curvature reads.
@@ -100,13 +110,13 @@ class _Linear:
         self.hess[..., :n, n:] = np.swapaxes(dc, -1, -2)
         self.hess[..., n:, :n] = dc
 
-    def jet(self, y: np.ndarray) -> ArrayJet:
+    def jet(self, y: np.ndarray, order: int) -> ArrayJet:
         n = y.shape[-1]
         gx = np.einsum("...jk,...j->...k", self.dc, y)
         grad = np.empty(gx.shape[:-1] + (2 * n,))
         grad[..., :n] = gx
         grad[..., n:] = self.c
-        return ArrayJet(np.einsum("...j,...j->...", self.c, y), grad, self.hess)
+        return ArrayJet(np.einsum("...j,...j->...", self.c, y), grad, None if order == 1 else self.hess)
 
 
 class _Quadratic:
@@ -118,19 +128,22 @@ class _Quadratic:
         self.hess = np.zeros(q.shape[:-2] + (2 * n, 2 * n))
         self.hess[..., n:, n:] = 2.0 * q
 
-    def jet(self, y: np.ndarray) -> ArrayJet:
+    def jet(self, y: np.ndarray, order: int) -> ArrayJet:
         n = y.shape[-1]
         qy = np.einsum("...jk,...k->...j", self.q, y)
         dqy = np.einsum("...jkl,...k->...jl", self.dq, y)
         grad = np.empty(qy.shape[:-1] + (2 * n,))
         grad[..., :n] = np.einsum("...jl,...j->...l", dqy, y)
         grad[..., n:] = 2.0 * qy
+        val = np.einsum("...j,...j->...", qy, y)
+        if order == 1:
+            return ArrayJet(val, grad, None)
         dqy2 = 2.0 * dqy
         hess = np.empty(qy.shape[:-1] + (2 * n, 2 * n))
         hess[...] = self.hess  # the zero x-x and the 2q y-y blocks
         hess[..., :n, n:] = np.swapaxes(dqy2, -1, -2)
         hess[..., n:, :n] = dqy2
-        return ArrayJet(np.einsum("...j,...j->...", qy, y), grad, hess)
+        return ArrayJet(val, grad, hess)
 
 
 def _field(v, dv: np.ndarray) -> ArrayJet:
@@ -160,12 +173,17 @@ class _SprayInputs:
         self.bsq = _field(bundle.bsq, bundle.d_bsq)
 
 
-def spray(bundle: AlphaBetaBundle, y) -> Spray:
+def spray(bundle: AlphaBetaBundle, y, order: int = 2) -> Spray:
     """Spray coefficients G^i at (x, y) with their exact derivatives, as a ``Spray``.
 
     ``y`` is one fiber vector, shape (n,), or a stack of m of them, shape
-    (m, n); the ``Spray`` then carries the same leading m axis.
+    (m, n); the ``Spray`` then carries the same leading m axis.  ``order``
+    is the highest derivative order the caller reads: at 2 the ``Spray``
+    holds order-2 jets of G, Gbar and F^2; at 1 it holds order-1 jets of G
+    and Gbar, with the same values and gradients, and no F^2.
     """
+    if order not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {order}")
     y = np.asarray(y, dtype=float)
     if not y.any(axis=-1).all():
         raise ValueError("y must be nonzero")
@@ -174,13 +192,13 @@ def spray(bundle: AlphaBetaBundle, y) -> Spray:
         inp = bundle.spray_inputs = _SprayInputs(bundle)
     stack = y.shape[:-1]
     yc = y.reshape(stack + (1,) * len(stack) + y.shape[-1:])
-    alpha2 = inp.alpha2.jet(yc)
+    alpha2 = inp.alpha2.jet(yc, order)
     alpha = alpha2.sqrt()
-    beta = inp.beta.jet(yc)
-    r00 = inp.r00.jet(yc)
-    s0 = inp.s0.jet(yc)
-    si0 = inp.si0.jet(yc)
-    gbar = inp.gbar.jet(yc)
+    beta = inp.beta.jet(yc, order)
+    r00 = inp.r00.jet(yc, order)
+    s0 = inp.s0.jet(yc, order)
+    si0 = inp.si0.jet(yc, order)
+    gbar = inp.gbar.jet(yc, order)
     bup, bsq = inp.bup, inp.bsq
     yJ = ArrayJet(y, inp.y_grad, inp.y_hess)
     # each distinct denominator -- alpha, 2s - 1, 3s - 2b^2 - 1, 1 - s -- is inverted once
@@ -194,6 +212,8 @@ def spray(bundle: AlphaBetaBundle, y) -> Spray:
     coef_y = ((4.0 * sj - 1.0) * (0.5 * inv2)) * common * inv_alpha
 
     G = gbar - lead * si0 + coef_b * bup + coef_y * yJ
+    if order == 1:
+        return Spray(G=G, Gbar=gbar, F2=None)
     F = alpha * (1.0 - sj).reciprocal()  # alpha^2 / (alpha - beta)
     F2 = F * F
     d = 2 * bundle.n

@@ -157,12 +157,14 @@ def s_curvature_def(bundle: AlphaBetaBundle, y, form: str = "bh", G=None) -> flo
     first by Jacobi's formula tr(a^-1 d_k a) (``bundle.dlndet``), the
     second from the bundle's exact derivative of b^2; Lambda absorbs
     f'/(f b) with its b -> 0 limit so beta = 0 costs nothing special.
-    ``G`` is the spray at (x, y) when the caller already has it.
+    ``G`` is the spray at (x, y) when the caller already has it, of either
+    order.  Without it, this evaluates its own spray to first order: the
+    divergence reads only the spray's gradient.
     """
     y = np.asarray(y, dtype=float)
     n = bundle.n
     if G is None:
-        G = finsler.spray(bundle, y)
+        G = finsler.spray(bundle, y, order=1)
     div_g = float(np.trace(G.G.grad[:, n:]))
     vf = volume_factor(n, math.sqrt(max(bundle.bsq, 0.0)), form)
     dln_sigma = 0.5 * bundle.dlndet + 0.5 * vf.Lambda * bundle.d_bsq

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from finslerab import cli, finsler, identity, testmetrics
-from finslerab.classify import RunConfig, emit_report, run_appendix, run_check
+from finslerab.classify import GROUPS, RunConfig, emit_report, run_appendix, run_check
 
 
 def small_config(**over):
@@ -114,6 +114,25 @@ def test_appendix_one_record_per_sample(generic3d, monkeypatch):
     assert calls == {"verify_identity": 3, "spray": 3, "contraction_set": 6}
 
 
+@pytest.mark.parametrize(
+    "groups, order, sprays",
+    [(("beta", "S"), 1, 4 * 3), (GROUPS, 2, 4 * (1 + 3))],  # per point: the fit design, then each y
+    ids=["scurv", "check"],
+)
+def test_check_spray_order_follows_its_readers(generic3d, monkeypatch, groups, order, sprays):
+    """The S-only view makes one order-1 spray per sample; with the curvature groups every spray is order 2."""
+    orders = []
+    orig = finsler.spray
+
+    def wrapped(bundle, y, order=2):
+        orders.append(order)
+        return orig(bundle, y, order)
+
+    monkeypatch.setattr(finsler, "spray", wrapped)
+    run_check(generic3d, small_config(), groups)
+    assert orders == [order] * sprays
+
+
 # -- CLI ------------------------------------------------------------------------
 
 
@@ -169,13 +188,14 @@ def test_cli_check_rejects_invalid(tmp_path, capsys):
         ["appendix", "METRIC", "--sigma", "nan"],
         ["appendix", "--dim-sweep", "x"],
         ["appendix", "--dim-sweep", "3,1"],
+        ["appendix", "--dim-sweep", "3,40"],  # above dsl.MAX_DIM
     ],
 )
 def test_cli_rejects_bad_arguments(argv, capsys):
     argv = [_example_path() if a == "METRIC" else a for a in argv]
     assert cli.main(argv) == cli.EXIT_INVALID_METRIC
     captured = capsys.readouterr()
-    assert "error:" in captured.err and captured.out == ""
+    assert "error:" in captured.err and "Traceback" not in captured.err and captured.out == ""
 
 
 MALFORMED = {

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from finslerab import testmetrics
-from finslerab.dsl import parse_metric
+from finslerab.dsl import parse_metric, sample_domain
 from finslerab.finsler import (
     extract_scalars,
     flag_curvature_fit,
@@ -257,6 +257,25 @@ def test_batched_y_rows_match_one_y(bundle_name, request):
             _rows_match(ric, ric1, k)
             _rows_match(F, metric_value(bu, y), k)
             _rows_match(g, fundamental_tensor(bu, y), k)
+
+
+@pytest.mark.parametrize("source", testmetrics.list_shipped() + [2, 3, 5, 8])  # a shipped metric, or random_metric(n)
+def test_first_order_spray_matches_second_order(source):
+    """The order-1 spray's G and Gbar are the order-2 spray's values and gradients, bit for bit."""
+    if isinstance(source, int):
+        spec = testmetrics.random_metric(source, 60 + source)
+    else:
+        spec = testmetrics.shipped_metric(source)
+    rng = np.random.default_rng(17)
+    for x in sample_domain(spec, 2, rng, shrink=0.05):
+        bu = build_bundle(spec, x)
+        ys = np.array([unit_y(bu, rng) for _ in range(3)])
+        for y in (ys[0], ys):
+            one, two = spray(bu, y, order=1), spray(bu, y)
+            assert one.F2 is None and two.F2 is not None
+            for jet1, jet2 in ((one.G, two.G), (one.Gbar, two.Gbar)):
+                assert jet1.hess is None
+                assert np.array_equal(jet1.val, jet2.val) and np.array_equal(jet1.grad, jet2.grad)
 
 
 def test_flag_fit_euclidean_zero():

@@ -143,6 +143,8 @@ ARRAY_OPS = {
 }
 # the operations this test covered first keep the random data they were drawn with
 _SEED = {op: i for i, op in enumerate(sorted(list(ARRAY_OPS)[:12]) + list(ARRAY_OPS)[12:])}
+# the operations that read their second operand
+_BINARY = {"add", "sub", "mul", "div"}
 
 
 def _quadratic_fields(rng, x0, count):
@@ -171,6 +173,16 @@ def _assert_matches(out, k, ref):
     np.testing.assert_allclose(out.hess[k], ref.hess_matrix(), rtol=1e-14, atol=1e-14)
 
 
+def _first_order(aj):
+    return ArrayJet(aj.val, aj.grad, None)
+
+
+def _assert_first_order_of(out1, out):
+    """``out1`` is the order-1 form of ``out``: the same value and gradient bits, no Hessian."""
+    assert out1.hess is None
+    assert np.array_equal(out1.val, out.val) and np.array_equal(out1.grad, out.grad)
+
+
 @pytest.mark.parametrize("op", sorted(ARRAY_OPS))
 def test_array_jet_matches_scalar_jet_and_fd(op):
     fn_array, fn_jet, fn_plain = ARRAY_OPS[op]
@@ -184,6 +196,10 @@ def test_array_jet_matches_scalar_jet_and_fd(op):
         for i in range(x0.size):
             fd = fd_oracle(lambda x: fn_plain(plain_a(x), plain_b(x))[k], x0, i)
             assert abs(out.grad[k, i] - fd) <= 1e-7 * max(1.0, abs(fd))
+    # an order-1 operand, alone or with another, gives the order-1 form of the result
+    a1, b1 = _first_order(a), _first_order(b)
+    for operands in [(a1, b), (a1, b1)] + ([(a, b1)] if op in _BINARY else []):
+        _assert_first_order_of(fn_array(*operands), out)
 
 
 def test_array_jet_broadcasts_over_leading_shape():
@@ -199,47 +215,63 @@ def test_array_jet_broadcasts_over_leading_shape():
         _assert_matches(scalar * v, k, ja * jv)
         _assert_matches(v / scalar, k, jv / ja)
         _assert_matches(scalar + v, k, ja + jv)
+    scalar1, v1 = _first_order(scalar), _first_order(v)
+    for s, w in ((scalar1, v), (scalar, v1), (scalar1, v1)):
+        _assert_first_order_of(s * w, scalar * v)
+        _assert_first_order_of(w / s, v / scalar)
+        _assert_first_order_of(s + w, scalar + v)
+        assert (s * w).grad.shape == (4, 3)
 
 
-def _array(*vals):
-    return ArrayJet(np.array(vals), np.ones((len(vals), 1)), np.zeros((len(vals), 1, 1)))
+def _domain_cases(order):
+    """(operation, message pattern) pairs that must raise ``JetError``, on jets of ``order``."""
+
+    def jet(val, grad):
+        return ArrayJet(val, grad, np.zeros(grad.shape + grad.shape[-1:]) if order == 2 else None)
+
+    def arr(*vals):
+        return jet(np.array(vals), np.ones((len(vals), 1)))
+
+    v = jet(np.array([1.0, -1.0]), np.eye(2))
+    # where the scalar functions raise, the array ones raise for any entry
+    cases = [
+        (lambda: v.sqrt(), "sqrt of non-positive value -1.0"),
+        (lambda: (v - v).reciprocal(), "division by zero jet"),
+        (lambda: v / 0.0, "division by zero"),
+        (lambda: v.log(), "log of non-positive value -1.0"),
+        (lambda: arr(1.0, 0.0).log(), "log of non-positive value 0.0"),
+        (lambda: v**0.5, "fractional power of non-positive base -1.0"),
+        (lambda: arr(2.0, 0.0) ** -2, "negative power of zero"),
+        (lambda: arr(1.0, 1000.0).exp(), r"overflow in exp\(1000.0\)"),
+        (lambda: arr(1.0, 1e300) ** 2, "overflow"),
+        (lambda: arr(1.0, 1e-272).sqrt(), "overflow"),
+        (lambda: arr(1.0, 1e-200).log(), "overflow"),  # the second derivative -1/v^2
+        (lambda: v ** jet(np.array(2.0), np.zeros(2)), "exponent must be a real constant"),
+    ]
+    for fn in (ArrayJet.sin, ArrayJet.cos, ArrayJet.exp, ArrayJet.log, ArrayJet.sqrt):
+        cases.append((lambda fn=fn: fn(arr(1.0, math.inf)), "non-finite value"))
+    return cases, arr
 
 
 def test_array_jet_domain_errors():
-    v = ArrayJet(np.array([1.0, -1.0]), np.eye(2), np.zeros((2, 2, 2)))
-    with pytest.raises(JetError):
-        v.sqrt()
-    with pytest.raises(JetError):
-        (v - v).reciprocal()
-    with pytest.raises(JetError):
-        v / 0.0
-    # where the scalar functions raise, the array ones raise for any entry
-    with pytest.raises(JetError, match="log of non-positive value -1.0"):
-        v.log()
-    with pytest.raises(JetError, match="log of non-positive value 0.0"):
-        _array(1.0, 0.0).log()
-    with pytest.raises(JetError, match="fractional power of non-positive base -1.0"):
-        v**0.5
-    with pytest.raises(JetError, match="negative power of zero"):
-        _array(2.0, 0.0) ** -2
-    with pytest.raises(JetError, match=r"overflow in exp\(1000.0\)"):
-        _array(1.0, 1000.0).exp()
-    with pytest.raises(JetError, match="overflow"):
-        _array(1.0, 1e300) ** 2
-    with pytest.raises(JetError, match="overflow"):
-        _array(1.0, 1e-272).sqrt()
-    with pytest.raises(JetError, match="overflow"):
-        _array(1.0, 1e-200).log()  # the second derivative -1/v^2
-    for fn in (ArrayJet.sin, ArrayJet.cos, ArrayJet.exp, ArrayJet.log, ArrayJet.sqrt):
-        with pytest.raises(JetError, match="non-finite value"):
-            fn(_array(1.0, math.inf))
-    # the scalar rules hold at the edges: x^0 = 1 anywhere, x^1 at 0, integer powers of negatives
-    assert (_array(-3.0, 0.0) ** 0).val.tolist() == [1.0, 1.0]
-    one = _array(0.0) ** 1
-    assert one.val == 0.0 and one.grad[0, 0] == 1.0 and one.hess[0, 0, 0] == 0.0
-    assert (_array(-2.0) ** 3).val.tolist() == [-8.0]
-    with pytest.raises(JetError):
-        v ** ArrayJet(np.array(2.0), np.zeros(2), np.zeros((2, 2)))
+    # every case raises the same message at order 1 as at order 2:
+    # the second-derivative coefficient is still computed and checked
+    messages = []
+    for order in (2, 1):
+        cases, arr = _domain_cases(order)
+        for k, (case, pattern) in enumerate(cases):
+            with pytest.raises(JetError, match=pattern) as info:
+                case()
+            if order == 2:
+                messages.append(str(info.value))
+            assert str(info.value) == messages[k]
+        # the scalar rules hold at the edges: x^0 = 1 anywhere, x^1 at 0, integer powers of negatives
+        zeroth = arr(-3.0, 0.0) ** 0
+        assert zeroth.val.tolist() == [1.0, 1.0] and (zeroth.hess is None) == (order == 1)
+        one = arr(0.0) ** 1
+        assert one.val == 0.0 and one.grad[0, 0] == 1.0
+        assert one.hess is None if order == 1 else one.hess[0, 0, 0] == 0.0
+        assert (arr(-2.0) ** 3).val.tolist() == [-8.0]
 
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False)

@@ -160,6 +160,7 @@ def test_s_curvature_def_reuses_spray_and_log_det(generic3d):
         y = unit_y(bu, rng)
         G = finsler.spray(bu, y)
         for form in ("bh", "ht"):
+            # without G it evaluates its own spray to first order: the same float
             assert s_curvature_def(bu, y, form, G=G) == s_curvature_def(bu, y, form)
     # Jacobi's formula against the jet determinant of the scalar-jet oracle
     detJ = det_jet(metric_jets(generic3d, bu.x, 3)[0])
