@@ -61,6 +61,9 @@ _FUNCS = ("sin", "cos", "exp", "log", "sqrt")
 MAX_DIM = 32
 MAX_DEPTH = 100
 
+# numpy error flags for an evaluation: a non-finite intermediate is an error
+_RAISE = dict(over="raise", invalid="raise", divide="raise", under="ignore")
+
 
 class MetricFileError(ValueError):
     """Syntax or consistency error in a metric file, with line/column info."""
@@ -120,7 +123,7 @@ def eval_component(expr, env: list[ArrayJet]) -> ArrayJet:
     number and lifted to a jet only where a jet operation needs one.
     """
     try:
-        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+        with np.errstate(**_RAISE):
             return _lift(_walk(expr, env), env)
     except FloatingPointError as exc:
         raise JetError(str(exc)) from None
@@ -159,12 +162,26 @@ def _walk(expr, env):
 
 
 def _stack(exprs, env) -> ArrayJet:
-    """The expressions over ``env`` as one ArrayJet, stacked on a last leading axis."""
+    """The expressions over ``env`` as one ArrayJet, stacked on a last leading axis.
+
+    Each entry is what ``eval_component`` gives, bit for bit, and the entries
+    are walked in order under one set of error flags, so the first failing
+    entry raises its ``JetError``.  A constant entry (the implicit zeros
+    included) is only its value: its derivatives stay the zeros the stack
+    starts from.
+    """
     shape, d, m = env[0].val.shape, env[0].grad.shape[-1], len(exprs)
-    out = ArrayJet(np.empty(shape + (m,)), np.empty(shape + (m, d)), np.empty(shape + (m, d, d)))
-    for k, expr in enumerate(exprs):
-        jet = eval_component(expr, env)  # a constant broadcasts over the points
-        out.val[..., k], out.grad[..., k, :], out.hess[..., k, :, :] = jet.val, jet.grad, jet.hess
+    out = ArrayJet(np.zeros(shape + (m,)), np.zeros(shape + (m, d)), np.zeros(shape + (m, d, d)))
+    try:
+        with np.errstate(**_RAISE):
+            for k, expr in enumerate(exprs):
+                v = expr.value if isinstance(expr, Const) else _walk(expr, env)
+                if isinstance(v, ArrayJet):
+                    out.val[..., k], out.grad[..., k, :], out.hess[..., k, :, :] = v.val, v.grad, v.hess
+                else:  # a constant broadcasts over the points
+                    out.val[..., k] = v
+    except FloatingPointError as exc:
+        raise JetError(str(exc)) from None
     return out
 
 

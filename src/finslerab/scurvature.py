@@ -5,7 +5,11 @@ form).  It is evaluated by one fixed 40-node Gauss-Legendre rule, which is
 accurate to machine precision because each integrand is analytic in a strip
 around the real axis; f'(b) and f''(b) are differentiated under the
 integral sign in closed form, so all three come out of the same pass with
-no finite differencing and no state kept between calls.
+no finite differencing.  f depends on x only through b = ||beta||_alpha(x),
+so every y-sample of a point asks for the same (n, b, form): the last
+result is kept, one entry, and returned again while the key matches.  That
+is the only state kept between calls, and a hit returns the very record a
+fresh evaluation would build.
 
 S itself is computed two ways:
 
@@ -54,8 +58,12 @@ _NODES, _WEIGHTS = leggauss(40)
 _NODES, _WEIGHTS = 0.5 * math.pi * (_NODES + 1.0), 0.5 * math.pi * _WEIGHTS
 _COS, _SIN = np.cos(_NODES), np.sin(_NODES)
 
+# The last (key, VolumeFactor) that volume_factor returned, or None: one entry,
+# replaced on every miss.
+_last: tuple | None = None
 
-@dataclass
+
+@dataclass(frozen=True)
 class VolumeFactor:
     """Volume-form distortion factor relative to the Riemannian volume of alpha."""
 
@@ -72,8 +80,11 @@ def volume_factor(n: int, b: float, form: str = "bh") -> VolumeFactor:
     """f(b), f'(b) and Lambda = f'(b)/(b f(b)) for the requested volume form.
 
     For b below 1e-4 the ratio f'/(b f) is replaced by its even-function
-    limit f''(b)/f(b), which the same quadrature provides directly.
+    limit f''(b)/f(b), which the same quadrature provides directly.  A call
+    with the arguments of the previous call returns the previous (frozen)
+    record without evaluating the rule again.
     """
+    global _last
     form = form.lower()
     if form not in FORMS:
         raise ValueError(f"form must be one of {FORMS}")
@@ -81,6 +92,19 @@ def volume_factor(n: int, b: float, form: str = "bh") -> VolumeFactor:
         raise ValueError(f"b = {b} outside [0, 1/2)")
     if n < 2:
         raise ValueError("dimension must be >= 2")
+    # the types and the sign of b are part of the key: the record stores n and
+    # b as given, and 0 == 0.0 == -0.0
+    key = (n, type(n), b, type(b), math.copysign(1.0, b), form)
+    last = _last
+    if last is not None and last[0] == key:
+        return last[1]
+    vf = _quadrature(n, b, form)
+    _last = (key, vf)
+    return vf
+
+
+def _quadrature(n: int, b: float, form: str) -> VolumeFactor:
+    """One evaluation of the Gauss-Legendre rule for valid, lower-case arguments."""
     w = _WEIGHTS * _SIN ** (n - 2)
     c = _COS
     u = b * c

@@ -73,6 +73,64 @@ def test_eval_component_square():
     assert j.val == 9.0 and j.grad[3] == 6.0 and j.hess[3, 3] == 2.0
 
 
+# constant entries (explicit, a constant subtree, a negative zero), implicit zeros
+# (a 2 3, b 2) and variable entries with constant subtrees inside
+_MIXED = """dim = 3
+a 1 1 = 2
+a 1 2 = 0
+a 1 3 = 0.5 * x2
+a 2 2 = 1 + x1^2
+a 3 3 = 3 * 2 - sin(x3)
+b 1 = 0.2 * 0.5
+b 3 = 0.05 * x1 * x2 + 2 * 3
+b 2 = -0
+"""
+
+
+@pytest.mark.parametrize("x", [[0.3, -0.7, 0.2], [[0.3, -0.7, 0.2], [-0.9, 0.4, 0.8]]])
+def test_stacks_match_per_entry_evaluation(x, example_spec):
+    # a_jet and b_jet hold, bit for bit, what eval_component gives for each entry
+    for spec in (parse_metric(_MIXED), example_spec):
+        x_spec = np.resize(np.asarray(x, dtype=float), np.shape(x)[:-1] + (spec.dim,))
+        for env in (_env(x_spec), spec._points(x_spec)):
+            a, b = spec.a_jet(env), spec.b_jet(env)
+            n = spec.dim
+            entries = [((i, j), a, spec.a_expr(i, j)) for i in range(n) for j in range(n)]
+            entries += [((i,), b, spec.b_expr(i)) for i in range(n)]
+            for idx, stack, expr in entries:
+                want = eval_component(expr, env)
+                at = (Ellipsis,) + idx
+                for got, w in (
+                    (stack.val[at], want.val),
+                    (stack.grad[at + (slice(None),)], want.grad),
+                    (stack.hess[at + (slice(None), slice(None))], want.hess),
+                ):
+                    w = np.ascontiguousarray(np.broadcast_to(w, got.shape))
+                    assert np.ascontiguousarray(got).tobytes() == w.tobytes(), (idx, expr)
+
+
+@pytest.mark.parametrize("entries", ["a", "b"])
+@pytest.mark.parametrize("first", ["domain", "overflow"])
+def test_stack_raises_first_failing_entry(entries, first):
+    bad = {"domain": "log(x1 - 5)", "overflow": "1 + 1e300 * x2 * 1e300"}
+    second = "overflow" if first == "domain" else "domain"
+    if entries == "a":
+        text = f"dim = 2\na 1 1 = 1\na 1 2 = {bad[first]}\na 2 2 = {bad[second]}\n"
+    else:
+        text = f"dim = 2\na 1 1 = 1\na 2 2 = 1\nb 1 = {bad[first]}\nb 2 = {bad[second]}\n"
+    spec = parse_metric(text)
+    for env in (spec.chart_jets([0.3, 0.4]), spec._points([[0.3, 0.4], [0.5, 0.6]])):
+        messages = []
+        for name in (first, second):
+            with pytest.raises(JetError) as alone:
+                eval_component(parse_expression(bad[name], 2), env)
+            messages.append(str(alone.value))
+        assert messages[0] != messages[1]
+        with pytest.raises(JetError) as stacked:
+            spec.a_jet(env) if entries == "a" else spec.b_jet(env)
+        assert str(stacked.value) == messages[0]
+
+
 def test_example_a33_derivatives(example_spec):
     j = eval_component(example_spec.a_expr(2, 2), _env([0.0, 0.0, 0.0, 1.0, 0.0]))
     # hand differentiation of 1/t at t = 1

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from finslerab import finsler, testmetrics
+from finslerab import cli, finsler, scurvature, testmetrics
 from finslerab.classify import RunConfig, run_check
 from finslerab.dsl import parse_metric
 from finslerab.riemann import build_bundle
@@ -70,19 +71,93 @@ def test_fsecond_matches_second_difference(n, form):
         assert abs(fpp - fd) <= 1e-6 * max(1.0, abs(fpp))
 
 
-def test_volume_factor_repeat_calls_equal():
-    first = volume_factor(4, 0.123456, "ht")
-    assert volume_factor(4, 0.123456, "ht") == first
-    assert volume_factor(4, 0.123456, "bh") == volume_factor(4, 0.123456, "bh")
+def _bits(vf):
+    """Each field of a VolumeFactor with its type and exact value (repr round-trips a float)."""
+    return [(type(v), repr(v)) for v in (getattr(vf, f.name) for f in dataclasses.fields(vf))]
+
+
+def test_volume_factor_cached_equals_fresh(monkeypatch):
+    # each key differs from the one before it in one place, so every first call
+    # must miss; a repeat must hit and give the record a fresh evaluation gives
+    b = 0.123456
+    keys = [
+        (4, b, "ht"), (4, b, "bh"), (4, b, "HT"), (5, b, "ht"), (5, math.nextafter(b, 1.0), "ht"),
+        (5, 5e-5, "ht"), (5, math.nextafter(5e-5, 0.0), "ht"), (5, 5e-5, "bh"), (5, 0.0, "bh"),
+        (5, -0.0, "bh"), (5, 0, "bh"), (5, 0, "Bh"), (np.int64(5), 0, "bh"), (5, np.float64(0.2), "bh"),
+        (5, 0.2, "bh"), (12, 0.4999, "ht"), (2, 0.4999, "ht"),
+    ]
+    for key in keys:
+        got = volume_factor(*key)
+        assert volume_factor(*key) is got  # a hit
+        monkeypatch.setattr(scurvature, "_last", None)
+        fresh = volume_factor(*key)
+        assert fresh is not got and _bits(got) == _bits(fresh), key
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        got.Lambda = 0.0
 
 
 def test_volume_factor_domain_errors():
-    with pytest.raises(ValueError):
-        volume_factor(3, 0.5, "bh")
-    with pytest.raises(ValueError):
-        volume_factor(1, 0.1, "bh")
-    with pytest.raises(ValueError):
-        volume_factor(3, 0.1, "euclidean")
+    valid = volume_factor(3, 0.1, "bh")
+    for n, b, form in [(3, 0.5, "bh"), (3, -0.1, "bh"), (3, math.nan, "bh"), (3, math.inf, "bh"),
+                       (1, 0.1, "bh"), (3, 0.1, "euclidean")]:
+        assert volume_factor(3, 0.1, "bh") is valid  # right after a cached call
+        with pytest.raises(ValueError):
+            volume_factor(n, b, form)
+    # no rejected call touched the cache
+    assert volume_factor(3, 0.1, "bh") is valid
+
+
+def test_volume_factor_cache_is_one_entry():
+    for k in range(200):
+        last = volume_factor(3 + k % 4, k / 401, "ht" if k % 2 else "bh")
+    _, record = scurvature._last  # one (key, record) pair, whatever came before
+    assert record is last
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(scurvature, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(scurvature, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("form", ["bh", "ht"])
+def test_run_check_one_quadrature_per_point(homothetic_spec, monkeypatch, form):
+    monkeypatch.setattr(scurvature, "_last", None)
+    calls = _count_calls(monkeypatch, "volume_factor")
+    quads = _count_calls(monkeypatch, "_quadrature")
+    cfg = RunConfig(points=5, y_per_point=4, seed=7, volume_form=form)
+    run_check(homothetic_spec, cfg, ("beta", "S"))
+    assert len(calls) == 2 * cfg.points * cfg.y_per_point
+    assert 1 <= len(quads) <= cfg.points
+
+
+@pytest.mark.parametrize("form", ["bh", "ht"])
+@pytest.mark.parametrize("name", ["euclidean_homothetic", "matsumoto_example"])
+def test_scurv_output_same_without_reuse(tmp_path, monkeypatch, name, form):
+    path = str(testmetrics.shipped_metric_path(name))
+
+    def scurv(out):
+        assert cli.main(["scurv", path, "--points", "3", "--seed", "4", "--volume", form, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    reused = scurv(tmp_path / "reused.txt")
+    calls = _count_calls(monkeypatch, "volume_factor")
+    quads = _count_calls(monkeypatch, "_quadrature")
+    original = scurvature.volume_factor
+
+    def fresh(*args):
+        scurvature._last = None
+        return original(*args)
+
+    monkeypatch.setattr(scurvature, "volume_factor", fresh)
+    assert scurv(tmp_path / "fresh.txt") == reused
+    assert len(quads) == len(calls) > 0  # every call evaluated the rule
 
 
 def test_dual_route_agreement(generic3d):
