@@ -4,8 +4,8 @@ Subcommands::
 
     finslerab check    <metric-file> [--points N] [--y-per-point M] [--seed S]
                        [--tol T] [--volume bh|ht] [--format text|json|csv] [--out PATH]
-    finslerab appendix [metric-file] [--sigma VALUE|random] [--points N] [--seed S]
-                       [--format text|json] [--dim-sweep 3,4,5]
+    finslerab appendix (metric-file | --dim-sweep 3,4,5) [--sigma VALUE|random]
+                       [--points N] [--seed S] [--format text|json]
     finslerab scurv    <metric-file> [--volume bh|ht] [--points N] [--seed S]
     finslerab flag     <metric-file> [--points N] [--seed S]
     finslerab validate <metric-file>
@@ -42,8 +42,8 @@ EXIT_INCONSISTENT = 3
 def _load(path: str):
     p = Path(path)
     try:
-        text = p.read_text()
-    except OSError as exc:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID_METRIC)
     try:
@@ -157,13 +157,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_check, groups=classify.GROUPS)
 
     p = sub.add_parser("appendix", help="cleared-identity check")
-    p.add_argument("metric", nargs="?", default=None)
+    # the sweep uses built-in metrics, so a metric file with it is an error, not ignored
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("metric", nargs="?", default=None)
     p.add_argument("--points", type=_COUNT, default=20)
     p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out", default=None)
     p.add_argument("--sigma", type=_SIGMA, default="0", help="a number, or 'random'")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--dim-sweep", type=_DIMS, default=None, help="comma list of dimensions, e.g. 3,4,5")
+    source.add_argument("--dim-sweep", type=_DIMS, default=None, help="comma list of dimensions, e.g. 3,4,5")
     p.set_defaults(fn=cmd_appendix)
 
     p = sub.add_parser("scurv", help="S-curvature report")

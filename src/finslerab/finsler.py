@@ -6,6 +6,10 @@ form specific to this phi, evaluated on array jets (``ArrayJet``).  Each
 input (alpha^2, beta, r00, s0, s^i_0, Gbar^i, b^2, b^i, y) is a constant,
 linear or quadratic function of y whose x-dependent coefficients and first
 x-derivatives the bundle holds, so its jet is written down in closed form.
+The three quadratic inputs (alpha^2, r00, Gbar^i) are one stacked jet over
+the forms [a; r; Gamma/2], and the three linear ones (beta, s0, s^i_0) one
+over [b; s_j; s^i_j]: a spray evaluates two input jets, not six, and reads
+each input as a row view of its stack, the same bits as its own jet.
 The generic (alpha, beta) spray, with Q, Psi and Theta computed from
 phi(s) = 1/(1 - s) in scalar jets, is the test suite's oracle for it
 (``tests/oracles.py``).
@@ -95,9 +99,9 @@ def _blocks(jet: ArrayJet):
 # Array-jet inputs of the spray.  ``dc`` carries the coefficients'
 # first x-derivatives with the derivative direction last; y-derivatives are
 # exact, the x-x Hessian is zero (truncated).  Every block that does not
-# depend on y is built once per bundle (``_SprayInputs``).  ``y`` has shape
-# (n,), or (m, 1, n) for a stack: the unit axis makes a scalar input's jet
-# (m, 1), which broadcasts along the y axis against an (m, n) vector's.
+# depend on y is built once per bundle (``_SprayInputs``).  The leading axes
+# of the coefficients stack several forms; ``y`` has shape (n,), or (m, 1, n)
+# for a stack of m, whose unit axis broadcasts against the form axis.
 
 
 class _Linear:
@@ -156,21 +160,51 @@ def _field(v, dv: np.ndarray) -> ArrayJet:
 
 
 class _SprayInputs:
-    """The spray's inputs at one bundle, with their y-independent blocks."""
+    """The spray's inputs at one bundle, as two stacked jets and two fields.
+
+    ``quad`` stacks the quadratic forms [a; r; Gamma/2], whose jets are
+    alpha^2, r00 and Gbar^i = Gamma^i_jk y^j y^k / 2; ``lin`` stacks the
+    linear forms [b; s_j; s^i_j], whose jets are beta, s0 and s^i_0.  Each
+    stack has n + 2 rows, so one evaluation of each gives all six inputs
+    (vector mode, as ``ArrayJet`` itself), and ``jets`` hands them out as
+    row views.  Every row is the same bits as the jet of its own form.
+    """
 
     def __init__(self, bundle: AlphaBetaBundle):
         n = bundle.n
         # y^i itself: only its value depends on y
         self.y_grad = np.eye(n, 2 * n, n)
         self.y_hess = np.zeros((n, 2 * n, 2 * n))
-        self.alpha2 = _Quadratic(bundle.a, bundle.dA)
-        self.beta = _Linear(bundle.b, bundle.db)
-        self.r00 = _Quadratic(bundle.r, bundle.dr)
-        self.s0 = _Linear(bundle.svec, bundle.d_svec)
-        self.si0 = _Linear(bundle.s_up, bundle.d_s_up)
-        self.gbar = _Quadratic(0.5 * bundle.gamma, 0.5 * bundle.dgamma)  # Gbar^i = Gamma^i_jk y^j y^k / 2
+        self.quad = _Quadratic(
+            np.concatenate([bundle.a[None], bundle.r[None], 0.5 * bundle.gamma]),
+            np.concatenate([bundle.dA[None], bundle.dr[None], 0.5 * bundle.dgamma]),
+        )
+        self.lin = _Linear(
+            np.concatenate([bundle.b[None], bundle.svec[None], bundle.s_up]),
+            np.concatenate([bundle.db[None], bundle.d_svec[None], bundle.d_s_up]),
+        )
         self.bup = _field(bundle.bup, bundle.d_bup)
         self.bsq = _field(bundle.bsq, bundle.d_bsq)
+
+    def jets(self, y: np.ndarray, order: int):
+        """(alpha^2, r00, Gbar^i, beta, s0, s^i_0) at ``y``, shape (n,) or (m, n).
+
+        A scalar input is 0-d at one y and (m, 1) at a stack of m, so that
+        it broadcasts along the y axis against an (m, n) vector input.
+        """
+        stack = y.shape[:-1]
+        yc = y.reshape(stack + (1,) * len(stack) + y.shape[-1:])
+        quad, lin = self.quad.jet(yc, order), self.lin.jet(yc, order)
+        # an integer index keeps a one-y row 0-d; a unit slice keeps a stack's row broadcastable
+        first, second = (slice(0, 1), slice(1, 2)) if stack else (0, 1)
+        rest = slice(2, None)
+        return tuple(_rows(jet, key) for jet in (quad, lin) for key in (first, second, rest))
+
+
+def _rows(jet: ArrayJet, key) -> ArrayJet:
+    """Rows ``key`` of a stacked input jet, as views; the stack axis is the last leading one."""
+    hess = None if jet.hess is None else jet.hess[..., key, :, :]
+    return ArrayJet(jet.val[..., key], jet.grad[..., key, :], hess)
 
 
 def spray(bundle: AlphaBetaBundle, y, order: int = 2) -> Spray:
@@ -190,15 +224,8 @@ def spray(bundle: AlphaBetaBundle, y, order: int = 2) -> Spray:
     inp = bundle.spray_inputs
     if inp is None:
         inp = bundle.spray_inputs = _SprayInputs(bundle)
-    stack = y.shape[:-1]
-    yc = y.reshape(stack + (1,) * len(stack) + y.shape[-1:])
-    alpha2 = inp.alpha2.jet(yc, order)
+    alpha2, r00, gbar, beta, s0, si0 = inp.jets(y, order)
     alpha = alpha2.sqrt()
-    beta = inp.beta.jet(yc, order)
-    r00 = inp.r00.jet(yc, order)
-    s0 = inp.s0.jet(yc, order)
-    si0 = inp.si0.jet(yc, order)
-    gbar = inp.gbar.jet(yc, order)
     bup, bsq = inp.bup, inp.bsq
     yJ = ArrayJet(y, inp.y_grad, inp.y_hess)
     # each distinct denominator -- alpha, 2s - 1, 3s - 2b^2 - 1, 1 - s -- is inverted once
@@ -216,7 +243,7 @@ def spray(bundle: AlphaBetaBundle, y, order: int = 2) -> Spray:
         return Spray(G=G, Gbar=gbar, F2=None)
     F = alpha * (1.0 - sj).reciprocal()  # alpha^2 / (alpha - beta)
     F2 = F * F
-    d = 2 * bundle.n
+    d, stack = 2 * bundle.n, y.shape[:-1]
     F2 = ArrayJet(F2.val.reshape(stack), F2.grad.reshape(stack + (d,)), F2.hess.reshape(stack + (d, d)))
     return Spray(G=G, Gbar=gbar, F2=F2)
 

@@ -17,6 +17,13 @@ bundle holds, as plain ndarrays,
   ``d_svec``; the last index is always the derivative direction),
 * ``dlndet[k]`` = d(ln det a)/dx^k, by Jacobi's formula tr(a^-1 d_k a).
 
+``build_bundle`` forms only what the spray, the S-curvature routes and the
+beta conditions read.  The curvature of alpha (``riem4``, ``rbar4``,
+``ricci_tensor``) and the second covariant calculus of b (``D2b``, ``Dr``,
+``Ds``, ``Drvec``, ``Dsvec``, with ``r_up``, ``supvec`` and ``r_scalar``)
+are formed on first use and then kept, by the same expressions; the
+fits, the Ricci routes and the appendix read them.
+
 Every input of the spray is a constant, linear or quadratic function of y
 with these x-dependent coefficients, so the spray layer differentiates it
 in closed form from the arrays alone.
@@ -25,6 +32,7 @@ in closed form from the arrays alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,7 +53,16 @@ class GeometryError(ValueError):
 
 @dataclass
 class AlphaBetaBundle:
-    """All alpha-side geometry at one chart point."""
+    """All alpha-side geometry at one chart point.
+
+    The fields are what ``build_bundle`` forms at every point: what the
+    spray, the S-curvature routes and the beta conditions read.  The
+    curvature of alpha (``riem4``, ``rbar4``, ``ricci_tensor``) and the
+    second covariant calculus of beta (``D2b``, ``Dr``, ``Ds``, ``Drvec``,
+    ``Dsvec``, ``r_up``, ``supvec``, ``r_scalar``) are cached properties,
+    formed from the fields on first use, so a run that reads none of them,
+    such as the ``scurv`` view, forms none.
+    """
 
     spec: MetricSpec
     x: np.ndarray
@@ -56,29 +73,19 @@ class AlphaBetaBundle:
     dA: np.ndarray
     b: np.ndarray
     db: np.ndarray
-    # connection and curvature of alpha
+    # connection of alpha
     gamma: np.ndarray
     dgamma: np.ndarray
-    riem4: np.ndarray
-    rbar4: np.ndarray  # rbar4[j,s,k,l] = a_sd R^d_jkl  (index-lowered)
-    ricci_tensor: np.ndarray
     # 1-form calculus
     bup: np.ndarray
     bsq: float
     Db: np.ndarray
-    D2b: np.ndarray
+    dDb: np.ndarray  # dDb[i,j,k] = d_k (b_i|j), the partial derivative of the raw Db
     r: np.ndarray
     s: np.ndarray
-    r_up: np.ndarray
     s_up: np.ndarray
     rvec: np.ndarray
     svec: np.ndarray
-    supvec: np.ndarray
-    r_scalar: float
-    Dr: np.ndarray
-    Ds: np.ndarray
-    Drvec: np.ndarray
-    Dsvec: np.ndarray
     # exact first x-derivatives of the spray's fields (last index: d/dx^k)
     dr: np.ndarray
     d_bup: np.ndarray
@@ -90,6 +97,73 @@ class AlphaBetaBundle:
     # ``finsler.spray`` call at this point and reused by every later one
     # (nothing changes a bundle's arrays after ``build_bundle``)
     spray_inputs: object = field(default=None, init=False, repr=False, compare=False)
+
+    # -- formed on first use --------------------------------------------------
+
+    @cached_property
+    def riem4(self) -> np.ndarray:
+        gamma, dgamma = self.gamma, self.dgamma
+        return (
+            dgamma.transpose(0, 1, 3, 2)  # d_k Gamma^i_jl : dgamma[i,j,l,k]
+            - dgamma  # d_l Gamma^i_jk : dgamma[i,j,k,l]
+            + np.einsum("ikm,mjl->ijkl", gamma, gamma)
+            - np.einsum("ilm,mjk->ijkl", gamma, gamma)
+        )
+
+    @cached_property
+    def rbar4(self) -> np.ndarray:
+        """rbar4[j,s,k,l] = a_sd R^d_jkl (index-lowered)."""
+        return np.einsum("sd,djkl->jskl", self.a, self.riem4)
+
+    @cached_property
+    def ricci_tensor(self) -> np.ndarray:
+        return np.einsum("kjkl->jl", self.riem4)
+
+    @cached_property
+    def D2b(self) -> np.ndarray:
+        gamma = self.gamma
+        Db = self.db - np.einsum("mij,m->ij", gamma, self.b)  # as formed, before the r + s reassembly
+        return (
+            self.dDb
+            - np.einsum("mik,mj->ijk", gamma, Db)
+            - np.einsum("mjk,im->ijk", gamma, Db)
+        )
+
+    @cached_property
+    def Dr(self) -> np.ndarray:
+        gamma, r = self.gamma, self.r
+        return self.dr - np.einsum("mik,mj->ijk", gamma, r) - np.einsum("mjk,im->ijk", gamma, r)
+
+    @cached_property
+    def Ds(self) -> np.ndarray:
+        gamma, s = self.gamma, self.s
+        ds = 0.5 * (self.dDb - self.dDb.transpose(1, 0, 2))
+        return ds - np.einsum("mik,mj->ijk", gamma, s) - np.einsum("mjk,im->ijk", gamma, s)
+
+    @cached_property
+    def r_up(self) -> np.ndarray:
+        return self.a_inv @ self.r
+
+    @cached_property
+    def supvec(self) -> np.ndarray:
+        return self.a_inv @ self.svec
+
+    @cached_property
+    def r_scalar(self) -> float:
+        return float(self.rvec @ self.bup)
+
+    # covariant derivatives of the contracted vectors:
+    # r_i|j = (b^m)|j r_mi + b^m r_mi|j,   (b^m)|j = r^m_j + s^m_j
+
+    @cached_property
+    def Drvec(self) -> np.ndarray:
+        bup_cov = self.r_up + self.s_up
+        return np.einsum("mj,mi->ij", bup_cov, self.r) + np.einsum("m,mij->ij", self.bup, self.Dr)
+
+    @cached_property
+    def Dsvec(self) -> np.ndarray:
+        bup_cov = self.r_up + self.s_up
+        return np.einsum("mj,mi->ij", bup_cov, self.s) + np.einsum("m,mij->ij", self.bup, self.Ds)
 
     # -- y-dependent alpha quantities (closed forms in y) --------------------
 
@@ -160,25 +234,11 @@ def build_bundle(spec: MetricSpec, x) -> AlphaBetaBundle:
         "il,ljkm->ijkm", a_inv, dlower
     )
 
-    riem4 = (
-        dgamma.transpose(0, 1, 3, 2)  # d_k Gamma^i_jl : dgamma[i,j,l,k]
-        - dgamma  # d_l Gamma^i_jk : dgamma[i,j,k,l]
-        + np.einsum("ikm,mjl->ijkl", gamma, gamma)
-        - np.einsum("ilm,mjk->ijkl", gamma, gamma)
-    )
-    rbar4 = np.einsum("sd,djkl->jskl", a, riem4)
-    ricci_tensor = np.einsum("kjkl->jl", riem4)
-
     # covariant calculus of b
     bup = a_inv @ b
     bsq = float(bup @ b)
     Db = db - np.einsum("mij,m->ij", gamma, b)
     dDb = d2b - np.einsum("mijk,m->ijk", dgamma, b) - np.einsum("mij,mk->ijk", gamma, db)
-    D2b = (
-        dDb
-        - np.einsum("mik,mj->ijk", gamma, Db)
-        - np.einsum("mjk,im->ijk", gamma, Db)
-    )
     # r symmetric and s antisymmetric bit-exactly (both are symmetrized sums,
     # which IEEE arithmetic keeps structurally (anti)symmetric); Db is then
     # re-assembled as r + s so the decomposition reconstructs it bit-exactly.
@@ -187,20 +247,10 @@ def build_bundle(spec: MetricSpec, x) -> AlphaBetaBundle:
     Db = r + s
     dr = 0.5 * (dDb + dDb.transpose(1, 0, 2))
     ds = 0.5 * (dDb - dDb.transpose(1, 0, 2))
-    Dr = dr - np.einsum("mik,mj->ijk", gamma, r) - np.einsum("mjk,im->ijk", gamma, r)
-    Ds = ds - np.einsum("mik,mj->ijk", gamma, s) - np.einsum("mjk,im->ijk", gamma, s)
 
-    r_up = a_inv @ r
     s_up = a_inv @ s
     rvec = bup @ r  # r_j = b^i r_ij
     svec = bup @ s
-    supvec = a_inv @ svec
-    r_scalar = float(rvec @ bup)
-    # covariant derivatives of the contracted vectors:
-    # r_i|j = (b^m)|j r_mi + b^m r_mi|j,   (b^m)|j = r^m_j + s^m_j
-    bup_cov = r_up + s_up
-    Drvec = np.einsum("mj,mi->ij", bup_cov, r) + np.einsum("m,mij->ij", bup, Dr)
-    Dsvec = np.einsum("mj,mi->ij", bup_cov, s) + np.einsum("m,mij->ij", bup, Ds)
 
     d_bup = np.einsum("imk,m->ik", d_ainv, b) + a_inv @ db
     d_bsq = np.einsum("ijk,i,j->k", d_ainv, b, b) + 2.0 * np.einsum("ij,ik,j->k", a_inv, db, b)
@@ -218,25 +268,15 @@ def build_bundle(spec: MetricSpec, x) -> AlphaBetaBundle:
         db=db,
         gamma=gamma,
         dgamma=dgamma,
-        riem4=riem4,
-        rbar4=rbar4,
-        ricci_tensor=ricci_tensor,
         bup=bup,
         bsq=bsq,
         Db=Db,
-        D2b=D2b,
+        dDb=dDb,
         r=r,
         s=s,
-        r_up=r_up,
         s_up=s_up,
         rvec=rvec,
         svec=svec,
-        supvec=supvec,
-        r_scalar=r_scalar,
-        Dr=Dr,
-        Ds=Ds,
-        Drvec=Drvec,
-        Dsvec=Dsvec,
         dr=dr,
         d_bup=d_bup,
         d_bsq=d_bsq,

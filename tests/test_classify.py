@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from finslerab import cli, finsler, identity, testmetrics
+from finslerab import classify, cli, finsler, identity, testmetrics
 from finslerab.classify import GROUPS, RunConfig, emit_report, run_appendix, run_check
 
 
@@ -133,6 +133,27 @@ def test_check_spray_order_follows_its_readers(generic3d, monkeypatch, groups, o
     assert orders == [order] * sprays
 
 
+def test_scurv_view_forms_no_curvature_tensor(generic3d, monkeypatch):
+    """The scurv view reads neither the curvature of alpha nor the appendix tensors, so no bundle forms them."""
+    bundles = []
+    orig = classify.build_bundle
+
+    def wrapped(spec, x):
+        bundles.append(orig(spec, x))
+        return bundles[-1]
+
+    monkeypatch.setattr(classify, "build_bundle", wrapped)
+    lazy = {"riem4", "ricci_tensor", "rbar4", "D2b", "Dr", "Ds", "Drvec", "Dsvec", "r_up", "supvec", "r_scalar"}
+    run_check(generic3d, small_config(), ("beta", "S"))
+    assert len(bundles) == 4
+    assert all(not lazy & set(vars(bu)) for bu in bundles)
+    # the full check forms the curvature (the fits and the Ricci routes read it), but not the appendix tensors
+    bundles.clear()
+    run_check(generic3d, small_config(), GROUPS)
+    assert len(bundles) == 4
+    assert all(lazy & set(vars(bu)) == {"riem4", "ricci_tensor"} for bu in bundles)
+
+
 # -- CLI ------------------------------------------------------------------------
 
 
@@ -189,10 +210,17 @@ def test_cli_check_rejects_invalid(tmp_path, capsys):
         ["appendix", "--dim-sweep", "x"],
         ["appendix", "--dim-sweep", "3,1"],
         ["appendix", "--dim-sweep", "3,40"],  # above dsl.MAX_DIM
+        ["appendix", "METRIC", "--dim-sweep", "3"],  # the sweep would ignore the file
+        ["appendix", "MISSING", "--dim-sweep", "3"],
+        ["validate", "BINARY"],  # not UTF-8
+        ["check", "BINARY"],
     ],
 )
-def test_cli_rejects_bad_arguments(argv, capsys):
-    argv = [_example_path() if a == "METRIC" else a for a in argv]
+def test_cli_rejects_bad_arguments(argv, tmp_path, capsys):
+    binary = tmp_path / "binary.metric"
+    binary.write_bytes(b"dim = 2\na 1 1 = \xff\xfe\x00\x80\n")
+    paths = {"METRIC": _example_path(), "MISSING": str(tmp_path / "missing.metric"), "BINARY": str(binary)}
+    argv = [paths.get(a, a) for a in argv]
     assert cli.main(argv) == cli.EXIT_INVALID_METRIC
     captured = capsys.readouterr()
     assert "error:" in captured.err and "Traceback" not in captured.err and captured.out == ""

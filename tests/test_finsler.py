@@ -4,6 +4,9 @@ import pytest
 from finslerab import testmetrics
 from finslerab.dsl import parse_metric, sample_domain
 from finslerab.finsler import (
+    _Linear,
+    _Quadratic,
+    _SprayInputs,
     extract_scalars,
     flag_curvature_fit,
     fundamental_tensor,
@@ -276,6 +279,48 @@ def test_first_order_spray_matches_second_order(source):
             for jet1, jet2 in ((one.G, two.G), (one.Gbar, two.Gbar)):
                 assert jet1.hess is None
                 assert np.array_equal(jet1.val, jet2.val) and np.array_equal(jet1.grad, jet2.grad)
+
+
+def _same_bits(a, b, shape):
+    return np.broadcast_to(a, shape).tobytes() == np.broadcast_to(b, shape).tobytes()
+
+
+@pytest.mark.parametrize("source", testmetrics.list_shipped() + [2, 3, 5, 8])  # a shipped metric, or random_metric(n)
+def test_spray_input_rows_match_single_forms(source):
+    """Each row of the two stacked input jets is, bit for bit, the jet of the one form it stands for."""
+    if isinstance(source, int):
+        spec = testmetrics.random_metric(source, 70 + source)
+    else:
+        spec = testmetrics.shipped_metric(source)
+    rng = np.random.default_rng(18)
+    for x in sample_domain(spec, 2, rng, shrink=0.05):
+        bu = build_bundle(spec, x)
+        n = bu.n
+        # alpha^2, r00, Gbar^i, beta, s0, s^i_0, each as its own jet
+        forms = (
+            _Quadratic(bu.a, bu.dA),
+            _Quadratic(bu.r, bu.dr),
+            _Quadratic(0.5 * bu.gamma, 0.5 * bu.dgamma),
+            _Linear(bu.b, bu.db),
+            _Linear(bu.svec, bu.d_svec),
+            _Linear(bu.s_up, bu.d_s_up),
+        )
+        inputs = _SprayInputs(bu)
+        ys = np.array([unit_y(bu, rng) for _ in range(4 * n)])
+        for y, yc in ((ys[0], ys[0]), (ys, ys[:, None, :])):
+            for order in (1, 2):
+                rows = inputs.jets(y, order)
+                assert len(rows) == len(forms)
+                for k, (row, form) in enumerate(zip(rows, forms)):
+                    want = form.jet(yc, order)
+                    shape = want.val.shape
+                    assert row.val.shape == shape, (k, order)
+                    assert _same_bits(row.val, want.val, shape), (k, order)
+                    assert _same_bits(row.grad, want.grad, shape + (2 * n,)), (k, order)
+                    if order == 1:
+                        assert row.hess is None and want.hess is None
+                    else:
+                        assert _same_bits(row.hess, want.hess, shape + (2 * n, 2 * n)), (k, order)
 
 
 def test_flag_fit_euclidean_zero():
