@@ -156,7 +156,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.set_defaults(fn=cmd_check, groups=classify.GROUPS)
 
-    p = sub.add_parser("appendix", help="cleared-identity check")
+    # argparse prints a group's positional apart from its options, so the usage
+    # line is written out to show the metric file and the sweep as alternatives
+    p = sub.add_parser(
+        "appendix",
+        help="cleared-identity check",
+        usage="%(prog)s [-h] [--points POINTS] [--seed SEED] [--out OUT] [--sigma SIGMA]\n"
+        "       [--format {text,json}] (metric | --dim-sweep DIMS)",
+    )
     # the sweep uses built-in metrics, so a metric file with it is an error, not ignored
     source = p.add_mutually_exclusive_group()
     source.add_argument("metric", nargs="?", default=None)
@@ -165,7 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--sigma", type=_SIGMA, default="0", help="a number, or 'random'")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    source.add_argument("--dim-sweep", type=_DIMS, default=None, help="comma list of dimensions, e.g. 3,4,5")
+    source.add_argument(
+        "--dim-sweep", type=_DIMS, default=None, metavar="DIMS", help="comma list of dimensions, e.g. 3,4,5"
+    )
     p.set_defaults(fn=cmd_appendix)
 
     p = sub.add_parser("scurv", help="S-curvature report")

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -224,6 +225,18 @@ def test_cli_rejects_bad_arguments(argv, tmp_path, capsys):
     assert cli.main(argv) == cli.EXIT_INVALID_METRIC
     captured = capsys.readouterr()
     assert "error:" in captured.err and "Traceback" not in captured.err and captured.out == ""
+
+
+def test_cli_appendix_usage_shows_exclusive_sources(capsys):
+    """The appendix usage line shows the metric file and --dim-sweep as alternatives, and every option."""
+    assert cli.main(["appendix", "--help"]) == cli.EXIT_OK
+    usage, body = capsys.readouterr().out.split("\n\n", 1)
+    assert "(metric | --dim-sweep DIMS)" in " ".join(usage.split())
+    options = set(re.findall(r"^  (--[a-z-]+)", body, re.M))
+    assert "--dim-sweep" in options and all(option in usage for option in options)
+    # an argparse error prints the same usage line
+    assert cli.main(["appendix", _example_path(), "--dim-sweep", "3"]) == cli.EXIT_INVALID_METRIC
+    assert capsys.readouterr().err.startswith(usage + "\n")
 
 
 MALFORMED = {

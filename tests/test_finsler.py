@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from finslerab.finsler import (
     _Linear,
     _Quadratic,
     _SprayInputs,
+    _blocks,
     extract_scalars,
     flag_curvature_fit,
     fundamental_tensor,
@@ -15,6 +19,7 @@ from finslerab.finsler import (
     riemann_curvature,
     spray,
 )
+from finslerab.jets import ArrayJet, JetError
 from finslerab.riemann import build_bundle
 from .conftest import example_point, unit_y
 from .oracles import extract_scalars_loop, general_spray, phi_data, phi_data_general
@@ -77,11 +82,37 @@ def test_spray_example_parallel(example_spec):
         assert abs(G.val[i] - gbar[i]) <= 1e-12 * max(1.0, abs(gbar[i]))
 
 
+def _oracle_deviation(bu, y):
+    """Worst deviation of ``spray(bu, y)`` at orders 1 and 2 from the general spray, one row of a stack at a time.
+
+    G is compared on every block the curvature reads -- value, d/dx, d/dy,
+    d2/dx dy and d2/dy dy; value and gradient at order 1 -- relative to
+    max(1, |G^i|), and F^2 on its value, gradient and y-y Hessian, the blocks
+    the fundamental tensor reads, relative to max(1, F^2).
+    """
+    n = bu.n
+    one, two = spray(bu, y, order=1), spray(bu, y)
+    worst = 0.0
+    for k, yk in enumerate(np.reshape(y, (-1, n))):
+        row = (lambda a: a) if y.ndim == 1 else (lambda a: a[k])
+        want = general_spray(bu, yk)
+        G = ArrayJet(row(two.G.val), row(two.G.grad), row(two.G.hess))
+        pairs = list(zip(_blocks(G), want.blocks())) + [(row(one.G.val), want.G.val), (row(one.G.grad), want.G.grad)]
+        scale = np.maximum(1.0, np.abs(want.G.val))[:, None]
+        for a, b in pairs:
+            assert a.shape == b.shape
+            worst = max(worst, float(np.max(np.abs(a - b).reshape(n, -1) / scale)))
+        F, f_want = two.F2, want.F2
+        f_scale = max(1.0, abs(float(f_want.val)))
+        for a, b in ((row(F.val), f_want.val), (row(F.grad), f_want.grad), (row(F.hess)[n:, n:], f_want.hess[n:, n:])):
+            assert np.shape(a) == np.shape(b)
+            worst = max(worst, float(np.max(np.abs(a - b))) / f_scale)
+    return worst
+
+
 def test_spray_dual_formula_agreement(generic3d):
-    # the spray (matsumoto closed form, array jets) against the general spray
-    # (scalar jets) on every block the curvature reads: value, d/dx, d/dy,
-    # d2/dx dy and d2/dy dy; and F^2 on its value, gradient and y-y Hessian,
-    # the blocks the fundamental tensor reads
+    # the spray (matsumoto closed form, preaccumulated coefficients) against
+    # the general spray (scalar jets), at orders 2 and 1 (_oracle_deviation)
     rng = np.random.default_rng(4)
     worst = 0.0
     for n in (2, 3, 5, 8):
@@ -89,20 +120,64 @@ def test_spray_dual_formula_agreement(generic3d):
         for _ in range(20 if n == 3 else 4):
             bu = build_bundle(spec, rng.uniform(-0.8, 0.8, n))
             for _ in range(10 if n == 3 else 3):
-                y = unit_y(bu, rng)
-                G1 = spray(bu, y)
-                G2 = general_spray(bu, y)
-                scale = np.maximum(1.0, np.abs(G1.G.val))
-                for a, b in zip(G1.blocks(), G2.blocks()):
-                    assert a.shape == b.shape
-                    dev = np.abs(a - b).reshape(n, -1) / scale[:, None]
-                    worst = max(worst, float(np.max(dev)))
-                F1, F2 = G1.F2, G2.F2
-                f_scale = max(1.0, abs(float(F1.val)))
-                for a, b in ((F1.val, F2.val), (F1.grad, F2.grad), (F1.hess[n:, n:], F2.hess[n:, n:])):
-                    assert np.shape(a) == np.shape(b)
-                    worst = max(worst, float(np.max(np.abs(a - b))) / f_scale)
-    assert worst <= 1e-10
+                worst = max(worst, _oracle_deviation(bu, unit_y(bu, rng)))
+    # the stacks the library makes, whose coefficients run on arrays rather
+    # than floats: the appendix's (2, n) [y, -y] and the fit design's (4n, n);
+    # on the shipped metrics as well
+    sources = [generic3d] + [testmetrics.random_metric(n, 60 + n) for n in (2, 5, 8)]
+    sources += [testmetrics.shipped_metric(name) for name in testmetrics.list_shipped()]
+    for spec in sources:
+        bu = build_bundle(spec, sample_domain(spec, 1, rng, shrink=0.05)[0])
+        ys = np.array([unit_y(bu, rng) for _ in range(4 * bu.n)])
+        for y in (ys[0], np.array([ys[0], -ys[0]]), ys):
+            worst = max(worst, _oracle_deviation(bu, y))
+    assert worst <= 1e-10, worst
+
+
+def _constant_bundle(b1, b2):
+    """a the identity and b = (b1, b2) on the plane, whatever b^2; at y = e1, s = b1."""
+    return build_bundle(parse_metric(f"dim = 2\na 1 1 = 1\na 2 2 = 1\nb 1 = {b1}\nb 2 = {b2}"), np.zeros(2))
+
+
+def _degenerate_bundle():
+    """A bundle whose a is diag(1, 0), made by hand: alpha^2 = 0 at y = e2."""
+    return dataclasses.replace(_constant_bundle(0.1, 0.0), a=np.diag([1.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "bundle, y, orders, message",
+    [
+        # 2s - 1 = 0: s = 0.5, b^2 = 0.5
+        (_constant_bundle(0.5, 0.5), [1.0, 0.0], (1, 2), "division by zero"),
+        # 3s - 2b^2 - 1 = 0: s = 0.75, b^2 = 0.625
+        (_constant_bundle(0.75, 0.25), [1.0, 0.0], (1, 2), "division by zero"),
+        # 1 - s = 0: s = 1, b^2 = 1.25; only F^2 divides by it, and it is formed at order 2
+        (_constant_bundle(1.0, 0.5), [1.0, 0.0], (2,), "division by zero"),
+        # alpha^2 = 0, on a hand-made degenerate a
+        (_degenerate_bundle(), [0.0, 1.0], (1, 2), "sqrt of non-positive"),
+        # alpha^2 = 1e-208 > _TINY, but alpha^3 underflows, so sqrt's second derivative overflows
+        (_constant_bundle(0.1, 0.0), [1e-104, 0.0], (1, 2), "overflow in sqrt"),
+    ],
+)
+def test_spray_guards_vanishing_denominators(bundle, y, orders, message):
+    """A vanishing denominator raises JetError, at one y and in a stack, with no warning on the way.
+
+    The orders that do not divide by it give finite jets.  The spray checks
+    what the jet operations check: the domain of the sqrt of alpha^2 and
+    denominators of magnitude below ``_TINY``.
+    """
+    y = np.array(y)
+    stack = np.array([[0.6, -0.8], y])  # the other row is regular in every case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ys in (y, stack):
+            for order in (1, 2):
+                if order in orders:
+                    with pytest.raises(JetError, match=message):
+                        spray(bundle, ys, order)
+                else:
+                    sp = spray(bundle, ys, order)
+                    assert np.all(np.isfinite(sp.G.val)) and np.all(np.isfinite(sp.G.grad))
 
 
 def test_curvature_trivial_and_homogeneity(generic3d):

@@ -1,0 +1,95 @@
+"""Re-derive the spray's local partials symbolically and check the shipped ones (dev tool).
+
+The spray of F = alpha^2/(alpha - beta) is
+
+    G^i = Gbar^i - L s^i_0 + C_b b^i + C_y y^i,
+
+and ``finslerab.finsler._coefficient_partials`` gives the values, the
+Jacobian and the Hessian of (L, C_b, C_y, F^2) over
+u = (alpha^2, beta, r00, s0, b^2), hand-factored.  This script writes the
+four coefficients from their definitions,
+
+    L   = alpha^2 / (2 beta - alpha),
+    C_b = -alpha K / Q,   C_y = (4 beta - alpha) K / (2 alpha Q),
+    K   = r00 + 2 L s0,   Q = 3 beta - (2 b^2 + 1) alpha,
+    F^2 = alpha^4 / (alpha - beta)^2,   alpha = sqrt(alpha^2),
+
+differentiates them with sympy, evaluates the result at random points in
+30-digit arithmetic, and compares it entry by entry with the shipped
+function, run both on Python floats (one y) and on (m, 1) arrays (a stack),
+to a relative 1e-12.  It also checks that the order-1 values and Jacobian
+are the order-2 ones, bit for bit.  Requires sympy (dev dependency only).
+
+Run:  PYTHONPATH=src python tools/rederive_spray_partials.py
+"""
+
+import time
+
+import mpmath
+import numpy as np
+import sympy as sp
+
+from finslerab.finsler import _UPPER, _coefficient_partials
+
+TOL = 1e-12
+POINTS = 40
+
+t0 = time.time()
+A, B, r00, s0, q = sp.symbols("A B r00 s0 q")
+u = (A, B, r00, s0, q)
+al = sp.sqrt(A)
+L = A / (2 * B - al)
+K = r00 + 2 * L * s0
+Q = 3 * B - (2 * q + 1) * al
+coefficients = (L, -al * K / Q, (4 * B - al) * K / (2 * al * Q), A**2 / (al - B) ** 2)
+names = ("L", "C_b", "C_y", "F^2")
+jacobian = [[sp.diff(c, v) for v in u] for c in coefficients]
+hessian = [[[sp.diff(dc, v) for v in u] for dc in row] for row in jacobian]
+evaluate = sp.lambdify(u, [list(coefficients), jacobian, hessian], modules="mpmath")
+print(f"derived in {time.time() - t0:.1f} s", flush=True)
+
+# points in the validity region: b^2 < 1/4, |s| = |beta / alpha| <= b
+rng = np.random.default_rng(0)
+alpha2 = rng.uniform(0.2, 5.0, POINTS)
+bsq = rng.uniform(0.0, 0.24, POINTS)
+beta = rng.uniform(-1.0, 1.0, POINTS) * np.sqrt(bsq * alpha2)
+r = rng.uniform(-2.0, 2.0, POINTS) * alpha2
+s = rng.uniform(-1.0, 1.0, POINTS) * np.sqrt(alpha2)
+
+mpmath.mp.dps = 30
+worst = 0.0
+failures = []
+
+
+def compare(label, got, want):
+    global worst
+    dev = abs(float(got) - float(want)) / max(1.0, abs(float(want)))
+    worst = max(worst, dev)
+    if not dev <= TOL:
+        failures.append(f"{label}: shipped {float(got)!r}, sympy {float(want)!r}")
+
+
+# the stack: every point at once, as (m, 1) arrays (b^2 too, which a bundle holds as one float)
+stack = _coefficient_partials(*(v[:, None] for v in (alpha2, beta, r, s, bsq)), 2)
+
+for k in range(POINTS):
+    point = (float(alpha2[k]), float(beta[k]), float(r[k]), float(s[k]), float(bsq[k]))
+    want = evaluate(*(mpmath.mpf(v) for v in point))
+    one = _coefficient_partials(*point, 2)
+    first = _coefficient_partials(*point, 1)
+    in_stack = [np.asarray(part)[..., k, 0] for part in stack]
+    for label, got in (("float", one), ("stack", in_stack)):
+        for c, name in enumerate(names):
+            compare(f"{label} {name} at point {k}", got[0][c], want[0][c])
+            for a in range(5):
+                compare(f"{label} d{name}/d{u[a]} at point {k}", got[1][c][a], want[1][c][a])
+                for b in range(5):
+                    compare(f"{label} d2{name}/d{u[a]}d{u[b]} at point {k}", got[2][c][_UPPER[a, b]], want[2][c][a][b])
+    if first[0] != one[0][:3] or first[1] != one[1][:3]:
+        failures.append(f"order 1 and order 2 disagree at point {k}")
+
+for line in failures[:20]:
+    print(line)
+print(f"{POINTS} points, floats and a stack: worst relative deviation {worst:.2e} (bound {TOL:.0e})")
+print("ALL MATCH" if not failures else f"{len(failures)} MISMATCHES", f" total time: {time.time() - t0:.1f} s")
+raise SystemExit(0 if not failures else 1)
