@@ -25,8 +25,8 @@ conditionals and no user-defined functions.
 Limits: ``dim`` is at most ``MAX_DIM``; an expression nests at most
 ``MAX_DEPTH`` levels, where each parenthesis, function call and unary minus
 is a level and so is each operator of a chain such as ``1 + x1 + x1``; every
-number, domain bounds included, must be finite.  A file outside these
-limits is a ``MetricFileError`` with its line number.
+number, domain bounds and the width of a domain included, must be finite.
+A file outside these limits is a ``MetricFileError`` with its line number.
 
 Evaluation is one walk of the expression tree over ``ArrayJet``s, in two
 shapes: values at a batch of points with no derivative directions
@@ -494,6 +494,8 @@ def parse_metric(text: str, name: str = "metric") -> MetricSpec:
                 raise MetricFileError("domain bounds must be finite", line_no)
             if not lo < hi:
                 raise MetricFileError("domain must have lo < hi", line_no)
+            if not math.isfinite(hi - lo):
+                raise MetricFileError("domain width hi - lo must be finite", line_no)
             domain_over[k - 1] = (lo, hi)
             continue
 

@@ -5,16 +5,23 @@ derivatives over the 2n chart+fiber directions, from the closed rational
 form specific to this phi.  Each input (alpha^2, beta, r00, s0, s^i_0,
 Gbar^i, b^2, b^i, y) is a constant, linear or quadratic function of y whose
 x-dependent coefficients and first x-derivatives the bundle holds, so its
-array jet (``ArrayJet``) is written down in closed form.  The three
-quadratic inputs (alpha^2, r00, Gbar^i) are one stacked jet over the forms
-[a; r; Gamma/2], and the three linear ones (beta, s0, s^i_0) one over
-[b; s_j; s^i_j]: a spray evaluates two input jets, not six, and reads each
-input as a row view of its stack, the same bits as its own jet.
+value and derivatives are written down in closed form.  ``_SprayInputs``
+packs all of them as rows of a few arrays and fills every y-independent
+part once per bundle; at a y, three einsums give the values of the
+quadratic forms [a; r; Gamma/2] and the linear forms [b; s_j; -s^i_j],
+and one matmul every entry that is affine in y.
+
+Second derivatives are carried as the y columns of the Hessian only: the
+x-y and y-y blocks, shape (..., 2n, n), which are all that the curvature,
+the T-split, the flag fit and the fundamental tensor read.  The pure x-x
+block, which would need third derivatives of the metric, is not formed
+(Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008, on
+exploiting known Hessian sparsity).
 
 The spray is G^i = Gbar^i - L s^i_0 + C_b b^i + C_y y^i, whose four scalar
 coefficients L, C_b, C_y and F^2 depend on u = (alpha^2, beta, r00, s0,
 b^2) alone.  Their values, Jacobian and Hessian over u are written out in
-closed form on plain numbers and pushed through the inputs' jets in one
+closed form on plain numbers and pushed through the packed inputs in one
 step, grad c = J grad u and hess c = J . hess u + grad u^T H grad u
 (preaccumulation of local derivatives), and the three vector terms are
 combined by one product rule: no jet operation runs on the chain between
@@ -27,8 +34,8 @@ y may carry a leading axis: ``spray``, ``riemann_curvature``,
 ``metric_value`` and ``fundamental_tensor`` take one fiber vector, shape
 (n,), or a stack of m of them, shape (m, n), and their results then carry
 the same leading m axis.  The one-y call is the m-less case of the same
-code.  The input jets' y-independent blocks are built once per bundle, on
-the first spray there, and kept on it (``bundle.spray_inputs``).
+code.  The inputs' y-independent parts are built once per bundle, on the
+first spray there, and kept on it (``bundle.spray_inputs``).
 ``extract_scalars`` evaluates its whole fit design as one stack.
 
 The spray has a derivative ``order``, set by what its caller reads.  The
@@ -81,13 +88,15 @@ class Spray:
     Each field is an array jet over the 2n chart+fiber directions
     (x^1..x^n, then y^1..y^n): ``G`` = G^i and ``Gbar`` = Gbar^i, the spray
     of alpha, both of shape (n,), and the scalar ``F2`` = F^2.  For a stack
-    of m y the shapes are (m, n) and (m,).  At order 2 (the default) they
-    are order-2 jets, whose pure x-x second derivatives would need third
-    derivatives of the metric.  That block stays truncated: ``Gbar``'s is
-    zero, and ``G``'s and ``F2``'s hold only the products of first
-    derivatives that the push-forward of the coefficients puts there.  No
-    formula reads it.  At order 1, ``G`` and ``Gbar`` are order-1 jets and
-    ``F2`` is None.
+    of m y the shapes are (m, n) and (m,).  At order 2 (the default) each
+    ``hess`` holds the y columns of the Hessian only, shape S + (2n, n):
+    ``hess[..., a, k]`` = d2/dz^a dy^k over the 2n directions z^a, so its
+    first n rows are the x-y block and its last n the y-y block, the only
+    ones the curvature, the T-split, the flag fit and the fundamental tensor
+    read.  There is no x-x block, which would need third derivatives of the
+    metric.  Only elementwise jet operations (G - Gbar) apply to such
+    jets.  At order 1, ``G`` and ``Gbar`` are order-1 jets and ``F2`` is
+    None.
     """
 
     G: ArrayJet
@@ -104,116 +113,107 @@ class Spray:
 
 
 def _blocks(jet: ArrayJet):
+    # the y columns are the last n of a Hessian, whether it holds only them or all 2n
     n = jet.grad.shape[-1] // 2
-    return jet.val, jet.grad[..., :n], jet.grad[..., n:], jet.hess[..., :n, n:], jet.hess[..., n:, n:]
-
-
-# Array-jet inputs of the spray.  ``dc`` carries the coefficients'
-# first x-derivatives with the derivative direction last; y-derivatives are
-# exact, the x-x Hessian is zero (truncated).  Every block that does not
-# depend on y is built once per bundle (``_SprayInputs``).  The leading axes
-# of the coefficients stack several forms; ``y`` has shape (n,), or (m, 1, n)
-# for a stack of m, whose unit axis broadcasts against the form axis.
-
-
-class _Linear:
-    """sum_j c[..., j] y^j.  Its Hessian does not depend on y."""
-
-    def __init__(self, c: np.ndarray, dc: np.ndarray):
-        n = c.shape[-1]
-        self.c, self.dc = c, dc
-        self.hess = np.zeros(c.shape[:-1] + (2 * n, 2 * n))
-        self.hess[..., :n, n:] = np.swapaxes(dc, -1, -2)
-        self.hess[..., n:, :n] = dc
-
-    def jet(self, y: np.ndarray, order: int) -> ArrayJet:
-        n = y.shape[-1]
-        gx = np.einsum("...jk,...j->...k", self.dc, y)
-        grad = np.empty(gx.shape[:-1] + (2 * n,))
-        grad[..., :n] = gx
-        grad[..., n:] = self.c
-        return ArrayJet(np.einsum("...j,...j->...", self.c, y), grad, None if order == 1 else self.hess)
-
-
-class _Quadratic:
-    """sum_jk q[..., j, k] y^j y^k for q symmetric in (j, k).  Its y-y Hessian is 2q."""
-
-    def __init__(self, q: np.ndarray, dq: np.ndarray):
-        n = q.shape[-1]
-        self.q, self.dq = q, dq
-        self.hess = np.zeros(q.shape[:-2] + (2 * n, 2 * n))
-        self.hess[..., n:, n:] = 2.0 * q
-
-    def jet(self, y: np.ndarray, order: int) -> ArrayJet:
-        n = y.shape[-1]
-        qy = np.einsum("...jk,...k->...j", self.q, y)
-        dqy = np.einsum("...jkl,...k->...jl", self.dq, y)
-        grad = np.empty(qy.shape[:-1] + (2 * n,))
-        grad[..., :n] = np.einsum("...jl,...j->...l", dqy, y)
-        grad[..., n:] = 2.0 * qy
-        val = np.einsum("...j,...j->...", qy, y)
-        if order == 1:
-            return ArrayJet(val, grad, None)
-        dqy2 = 2.0 * dqy
-        hess = np.empty(qy.shape[:-1] + (2 * n, 2 * n))
-        hess[...] = self.hess  # the zero x-x and the 2q y-y blocks
-        hess[..., :n, n:] = np.swapaxes(dqy2, -1, -2)
-        hess[..., n:, :n] = dqy2
-        return ArrayJet(val, grad, hess)
+    return jet.val, jet.grad[..., :n], jet.grad[..., n:], jet.hess[..., :n, -n:], jet.hess[..., n:, -n:]
 
 
 class _SprayInputs:
-    """The spray's inputs at one bundle: two stacked jets and the fields' gradients.
+    """The spray's inputs at one bundle, packed into rows, with every y-independent part filled once.
 
-    ``quad`` stacks the quadratic forms [a; r; Gamma/2], whose jets are
-    alpha^2, r00 and Gbar^i = Gamma^i_jk y^j y^k / 2; ``lin`` stacks the
-    linear forms [b; s_j; s^i_j], whose jets are beta, s0 and s^i_0.  Each
-    stack has n + 2 rows, so one evaluation of each gives all six inputs
-    (vector mode, as ``ArrayJet`` itself), and ``jets`` hands them out as
-    row views.  Every row is the same bits as the jet of its own form.
-    The spray takes the four scalar rows as the jets of u, the arguments of
-    its coefficients, and pushes the coefficients' partials through them.
+    Each input is a constant, linear or quadratic function of y whose
+    x-dependent coefficients and first x-derivatives the bundle holds.
+    ``at`` evaluates them all as the rows of packed arrays over the 2n
+    chart+fiber directions, in this order (``n`` = bundle.n):
 
-    The y-independent inputs need no jet: ``bsq_grad`` is the gradient of
-    b^2, and ``vector_grads[i]`` holds the gradients of b^i and of y^i
-    itself, the two vector inputs besides s^i_0.  The Hessians of all three
-    are zero (b's x-x block is truncated), so the spray reads none.
+    =================  ===============================  =====================
+    rows               input                            form
+    =================  ===============================  =====================
+    [0, n)             Gbar^i = Gamma^i_jk y^j y^k / 2  quadratic, Gamma/2
+    n, n + 1           alpha^2, r00                     quadratic, a and r
+    n + 2              b^2                              constant
+    n + 3, n + 4       beta, s0                         linear, b and s_j
+    [n + 5, 2n + 5)    -s^i_0                           linear, -s^i_j
+    [2n + 5, 3n + 5)   b^i                              constant
+    [3n + 5, 4n + 5)   y^i                              the fiber coordinate
+    =================  ===============================  =====================
+
+    Rows [n, n + 5) are u = (alpha^2, r00, b^2, beta, s0), the arguments of
+    the spray's scalar coefficients (``_U_ORDER`` maps them to the
+    coefficients' order), and rows [n + 5, 4n + 5) are the three vector
+    inputs of G - Gbar.  The quadratic rows [0, n + 2) and the linear rows
+    [n + 3, 2n + 5) are each contiguous, so one einsum gives the values of
+    each kind, the same arithmetic as a form's own jet.  Every other entry
+    of ``val`` and ``grad`` is affine in y, and so is ``dqy[f, l, j]`` =
+    sum_k dq_f[j, k, l] y^k, half the x-y Hessian block of quadratic row f,
+    whose contraction with y gives that row's x-gradient: one matmul
+    ``y @ slope + offset`` gives them all.
+
+    ``hess`` holds the y columns (see ``Spray``) of the Hessians of rows
+    [0, n + 5) only, shape (n + 5, 2n, n), over a template that holds the
+    constant y-y blocks 2q of the quadratic rows and x-y blocks of the
+    linear ones; there is no x-x block.  The Hessian of -s^i_0 does not
+    depend on y: ``si0_xy`` is its x-y block, and its y-y block is zero.
+    b^i and y^i have none.
     """
 
     def __init__(self, bundle: AlphaBetaBundle):
-        n = bundle.n
-        self.quad = _Quadratic(
-            np.concatenate([bundle.a[None], bundle.r[None], 0.5 * bundle.gamma]),
-            np.concatenate([bundle.dA[None], bundle.dr[None], 0.5 * bundle.dgamma]),
-        )
-        self.lin = _Linear(
-            np.concatenate([bundle.b[None], bundle.svec[None], bundle.s_up]),
-            np.concatenate([bundle.db[None], bundle.d_svec[None], bundle.d_s_up]),
-        )
-        self.bsq_grad = np.concatenate([bundle.d_bsq, np.zeros(n)])
-        self.vector_grads = np.zeros((n, 2, 2 * n))
-        self.vector_grads[:, 0, :n] = bundle.d_bup
-        self.vector_grads[:, 1, n:] = np.eye(n)
+        n = self.n = bundle.n
+        rows, d = 4 * n + 5, 2 * n
+        q, l = self.quad_rows, self.lin_rows = slice(0, n + 2), slice(n + 3, 2 * n + 5)
+        self.quad = np.concatenate([0.5 * bundle.gamma, bundle.a[None], bundle.r[None]])
+        self.lin = np.concatenate([bundle.b[None], bundle.svec[None], -bundle.s_up])
+        dlin = np.concatenate([bundle.db[None], bundle.d_svec[None], -bundle.d_s_up])
+        quad2, eye = 2.0 * self.quad, np.eye(n)
+        # the affine entries of [val | grad | dqy]: row k < n of ``affine`` is the
+        # coefficient of y^k, row n the constant term
+        affine = np.zeros((n + 1, rows * (1 + d) + (n + 2) * n * n))
+        val, grad, dqy = self._split(affine, (n + 1,))
+        val[n, n + 2] = bundle.bsq
+        val[n, 2 * n + 5 : 3 * n + 5] = bundle.bup
+        val[:n, 3 * n + 5 :] = eye
+        grad[:n, q, n:] = quad2.transpose(2, 0, 1)
+        grad[:n, l, :n] = dlin.transpose(1, 0, 2)
+        grad[n, n + 2, :n] = bundle.d_bsq
+        grad[n, l, n:] = self.lin
+        grad[n, 2 * n + 5 : 3 * n + 5, :n] = bundle.d_bup
+        grad[n, 3 * n + 5 :, n:] = eye
+        np.multiply(bundle.dgamma.transpose(2, 0, 3, 1), 0.5, out=dqy[:n, :n])
+        dqy[:n, n] = bundle.dA.transpose(1, 2, 0)
+        dqy[:n, n + 1] = bundle.dr.transpose(1, 2, 0)
+        self.slope, self.offset = affine[:n], affine[n]
+        self.hess = np.zeros((n + 5, d, n))
+        self.hess[q, n:, :] = quad2
+        self.hess[n + 3 :, :n, :] = dlin[:2].transpose(0, 2, 1)
+        self.si0_xy = dlin[2:].transpose(0, 2, 1)  # the x-y blocks of -s^i_0, whose y-y blocks are zero
 
-    def jets(self, y: np.ndarray, order: int):
-        """(alpha^2, r00, Gbar^i, beta, s0, s^i_0) at ``y``, shape (n,) or (m, n).
+    def _split(self, flat: np.ndarray, stack: tuple):
+        """``flat``, of shape stack + (C,), as views (val, grad, dqy)."""
+        n = self.n
+        rows, d = 4 * n + 5, 2 * n
+        grad = flat[..., rows : rows * (1 + d)].reshape(stack + (rows, d))
+        return flat[..., :rows], grad, flat[..., rows * (1 + d) :].reshape(stack + (n + 2, n, n))
 
-        A scalar input is 0-d at one y and (m, 1) at a stack of m, so that
-        it broadcasts along the y axis against an (m, n) vector input.
+    def at(self, y: np.ndarray, order: int):
+        """(val, grad, hess) of every row at ``y``, shape (n,) or (m, n); ``hess`` is None at order 1.
+
+        For a stack of m the three arrays carry a leading m axis.
         """
-        stack = y.shape[:-1]
-        yc = y.reshape(stack + (1,) * len(stack) + y.shape[-1:])
-        quad, lin = self.quad.jet(yc, order), self.lin.jet(yc, order)
-        # an integer index keeps a one-y row 0-d; a unit slice keeps a stack's row broadcastable
-        first, second = (slice(0, 1), slice(1, 2)) if stack else (0, 1)
-        rest = slice(2, None)
-        return tuple(_rows(jet, key) for jet in (quad, lin) for key in (first, second, rest))
-
-
-def _rows(jet: ArrayJet, key) -> ArrayJet:
-    """Rows ``key`` of a stacked input jet, as views; the stack axis is the last leading one."""
-    hess = None if jet.hess is None else jet.hess[..., key, :, :]
-    return ArrayJet(jet.val[..., key], jet.grad[..., key, :], hess)
+        n, stack, q, l = self.n, y.shape[:-1], self.quad_rows, self.lin_rows
+        yc = y[..., None, :] if stack else y  # (m, 1, n): broadcasts along the row axis
+        flat = y @ self.slope
+        flat += self.offset
+        val, grad, dqy = self._split(flat, stack)
+        qy = np.einsum("...jk,...k->...j", self.quad, yc)
+        np.einsum("...j,...j->...", qy, yc, out=val[..., q])
+        np.einsum("...j,...j->...", self.lin, yc, out=val[..., l])
+        np.matmul(dqy, yc[..., None], out=grad[..., q, :n, None])
+        if order == 1:
+            return val, grad, None
+        hess = np.empty(stack + self.hess.shape)
+        hess[...] = self.hess
+        np.multiply(dqy, 2.0, out=hess[..., q, :n, :])
+        return val, grad, hess
 
 
 # -- the spray's scalar coefficients ------------------------------------------
@@ -365,6 +365,9 @@ def _symmetric(AA, AB, BB, Ar, Br, As, Bs, Aq, Bq, rq, sq, qq, zero):
 _UPPER = np.zeros((5, 5), dtype=np.intp)
 _UPPER[np.triu_indices(5)] = np.arange(15)
 _UPPER = np.maximum(_UPPER, _UPPER.T)
+# u in the inputs' row order (alpha^2, r00, b^2, beta, s0), as places in the partials' order
+_U_ORDER = np.array([0, 2, 4, 1, 3])
+_UPPER_ROWS = _UPPER[np.ix_(_U_ORDER, _U_ORDER)]
 
 
 def _everywhere(mask) -> bool:
@@ -373,9 +376,12 @@ def _everywhere(mask) -> bool:
 
 
 def _packed(rows, depth: int) -> np.ndarray:
-    """A ``depth``-deep nested list of floats, or of equal-shape arrays, as one array with the list axes last."""
+    """A ``depth``-deep nested list of floats, or of (m, 1) arrays, as one array with the list axes last.
+
+    A stack's (m, 1) entries give shape (m, ...): the unit axis is dropped.
+    """
     out = np.array(rows)
-    return np.moveaxis(out, range(depth), range(-depth, 0)) if out.ndim > depth else out
+    return np.moveaxis(out[..., 0], range(depth), range(-depth, 0)) if out.ndim > depth else out
 
 
 def spray(bundle: AlphaBetaBundle, y, order: int = 2) -> Spray:
@@ -384,72 +390,61 @@ def spray(bundle: AlphaBetaBundle, y, order: int = 2) -> Spray:
     ``y`` is one fiber vector, shape (n,), or a stack of m of them, shape
     (m, n); the ``Spray`` then carries the same leading m axis.  ``order``
     is the highest derivative order the caller reads: at 2 the ``Spray``
-    holds order-2 jets of G, Gbar and F^2; at 1 it holds order-1 jets of G
-    and Gbar, with the same values and gradients, and no F^2.
+    holds order-2 jets of G, Gbar and F^2, with the y columns of their
+    Hessians; at 1 it holds order-1 jets of G and Gbar, with the same
+    values and gradients, and no F^2.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     y = np.asarray(y, dtype=float)
-    if not y.any(axis=-1).all():
+    if not np.logical_or.reduce(y, axis=-1).all():
         raise ValueError("y must be nonzero")
     inp = bundle.spray_inputs
     if inp is None:
         inp = bundle.spray_inputs = _SprayInputs(bundle)
-    alpha2, r00, gbar, beta, s0, si0 = inp.jets(y, order)
-    stack, d = y.shape[:-1], 2 * bundle.n
-    u = (alpha2.val, beta.val, r00.val, s0.val)
-    if not stack:
-        u = tuple(map(float, u))  # one y: the coefficients run on Python floats
-    partials = _coefficient_partials(*u, bundle.bsq, order)
-    values, jacobian = partials[0], partials[1]
-    L, Cb, Cy = values[:3]
-    # a scalar's trailing shape is () at one y and (m, 1) at a stack, as the inputs'
-    coefs = _packed(values[:3], 1)  # (L, C_b, C_y)
-
-    # the gradients of u, one row per entry, and of the coefficients: J grad u
-    grads = np.empty(np.shape(alpha2.val) + (5, d))
-    for row, jet in enumerate((alpha2, beta, r00, s0)):
-        grads[..., row, :] = jet.grad
-    grads[..., 4, :] = inp.bsq_grad
-    jac3 = _packed(jacobian[:3], 2)
-    coef_grads = jac3 @ grads
+    n, stack = bundle.n, y.shape[:-1]
+    d = 2 * n
+    val, grad, hess = inp.at(y, order)
+    if stack:  # each scalar is (m, 1), so that it broadcasts along the y axis of an (m, n) vector
+        alpha2, r00, _, beta, s0 = np.moveaxis(val[..., n : n + 5, None], -2, 0)
+    else:  # one y: the coefficients run on Python floats
+        alpha2, r00, _, beta, s0 = val[n : n + 5].tolist()
+    partials = _coefficient_partials(alpha2, beta, r00, s0, bundle.bsq, order)
+    values = partials[0]
+    coefs = _packed(values, 1)  # (L, C_b, C_y[, F^2])
+    # grad c = J grad u, with J's columns in the inputs' order of u
+    grads = grad[..., n : n + 5, :]
+    jac = _packed(partials[1], 2).take(_U_ORDER, axis=-1)
+    coef_grads = jac @ grads
+    cg = coef_grads[..., :3, :]  # of L, C_b and C_y
 
     # G - Gbar = sum_c coef_c vec_c over the vector inputs (-s^i_0, b^i, y^i),
     # differentiated by the product rule; the three have no Hessian but s^i_0's
-    vec = np.empty(si0.val.shape + (1, 3))
-    np.negative(si0.val, out=vec[..., 0, 0])
-    vec[..., 0, 1] = bundle.bup
-    vec[..., 0, 2] = y
-    vec_grads = np.empty(si0.grad.shape[:-1] + (3, d))
-    np.negative(si0.grad, out=vec_grads[..., 0, :])
-    vec_grads[..., 1:, :] = inp.vector_grads
-
-    val = gbar.val - L * si0.val + Cb * bundle.bup + Cy * y
-    grad = gbar.grad + (vec @ coef_grads + coefs[..., None, :] @ vec_grads)[..., 0, :]
+    vec = val[..., n + 5 :].reshape(stack + (3, n))
+    vec_grads = grad[..., n + 5 :, :].reshape(stack + (3, n, d))
+    terms = coefs[..., :3, None] * vec  # summed in the order Gbar^i - L s^i_0 + C_b b^i + C_y y^i
+    G = val[..., :n] + terms[..., 0, :]
+    G += terms[..., 1, :]
+    G += terms[..., 2, :]
+    G_grad = grad[..., :n, :] + vec.swapaxes(-1, -2) @ cg
+    G_grad += (coefs[..., None, :3] @ vec_grads.reshape(stack + (3, n * d))).reshape(stack + (n, d))
     if order == 1:
-        return Spray(G=ArrayJet(val, grad, None), Gbar=gbar, F2=None)
+        return Spray(G=ArrayJet(G, G_grad, None), Gbar=ArrayJet(val[..., :n], grad[..., :n, :], None), F2=None)
 
-    # the Hessians of all four coefficients: J . hess u + grad u^T H grad u
-    jac4 = np.concatenate((jac3, _packed(jacobian[3:], 2)), axis=-2)
-    hess_u = np.empty(np.shape(alpha2.val) + (4, d, d))  # b^2's is truncated to zero
-    for row, jet in enumerate((alpha2, beta, r00, s0)):
-        hess_u[..., row, :, :] = jet.hess
-    coef_hess = (jac4[..., :4] @ hess_u.reshape(hess_u.shape[:-2] + (d * d,))).reshape(hess_u.shape)
-    local_hess = _packed(partials[2], 2)[..., _UPPER]  # H, shape (..., 4, 5, 5)
-    coef_hess += grads.swapaxes(-1, -2)[..., None, :, :] @ (local_hess @ grads[..., None, :, :])
+    # the y columns of the coefficients' Hessians: J . hess u + grad u^T H grad u
+    coef_hess = (jac @ hess[..., n:, :, :].reshape(stack + (5, d * n))).reshape(stack + (4, d, n))
+    local_hess = _packed(partials[2], 2).take(_UPPER_ROWS, axis=-1)  # H, shape (..., 4, 5, 5)
+    coef_hess += grads.swapaxes(-1, -2)[..., None, :, :] @ (local_hess @ grads[..., None, :, n:])
 
-    cross = coef_grads.swapaxes(-1, -2) @ vec_grads
-    hess = (vec @ coef_hess[..., :3, :, :].reshape(coef_hess.shape[:-3] + (3, d * d))).reshape(val.shape + (d, d))
-    hess += gbar.hess
-    hess -= coefs[..., 0, None, None] * si0.hess
-    hess += cross
-    hess += cross.swapaxes(-1, -2)
-    F2 = ArrayJet(
-        np.reshape(values[3], stack),
-        (jac4[..., 3:, :] @ grads).reshape(stack + (d,)),
-        coef_hess[..., 3, :, :].reshape(stack + (d, d)),
-    )
-    return Spray(G=ArrayJet(val, grad, hess), Gbar=gbar, F2=F2)
+    by_row = vec_grads.swapaxes(-3, -2)  # (..., n, 3, d)
+    G_hess = (vec.swapaxes(-1, -2) @ coef_hess[..., :3, :, :].reshape(stack + (3, d * n))).reshape(stack + (n, d, n))
+    G_hess += hess[..., :n, :, :]
+    G_hess[..., :n, :] += coefs[..., 0, None, None, None] * inp.si0_xy
+    G_hess += cg.swapaxes(-1, -2)[..., None, :, :] @ by_row[..., n:]
+    G_hess += by_row.swapaxes(-1, -2) @ cg[..., None, :, n:]
+    F2 = ArrayJet(coefs[..., 3], coef_grads[..., 3, :], coef_hess[..., 3, :, :])
+    Gbar = ArrayJet(val[..., :n], grad[..., :n, :], hess[..., :n, :, :])
+    return Spray(G=ArrayJet(G, G_grad, G_hess), Gbar=Gbar, F2=F2)
 
 
 def riemann_curvature(bundle: AlphaBetaBundle, y, G=None):
@@ -510,7 +505,7 @@ def fundamental_tensor(bundle: AlphaBetaBundle, y, G=None) -> np.ndarray:
     if G is None:
         G = spray(bundle, y)
     n = bundle.n
-    return 0.5 * G.F2.hess[..., n:, n:]
+    return 0.5 * G.F2.hess[..., n:, -n:]
 
 
 # -- scalar extraction --------------------------------------------------------

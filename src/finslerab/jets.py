@@ -16,9 +16,10 @@ fanned out across workers with no coordination.
 over the same directions, with the full Hessian, propagated by numpy
 broadcasting (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008).
 It is the only representation production code evaluates: metric
-expressions (``dsl``) and the spray both run on it.  Its elementary
-functions raise ``JetError`` on the same domain and overflow cases as the
-scalar ones.  An ``ArrayJet`` may also be of order 1 (``hess`` is None),
+expressions (``dsl``) run on it, and the spray returns its results as array
+jets whose Hessians hold only their y columns (``finsler.Spray``).  Its
+elementary functions raise ``JetError`` on the same domain and overflow
+cases as the scalar ones.  An ``ArrayJet`` may also be of order 1 (``hess`` is None),
 for a caller that reads no second derivative: any operation with an
 order-1 operand gives an order-1 result and forms no Hessian, and its value
 and gradient are the same bits as at order 2, since the Hessian never feeds
@@ -200,7 +201,7 @@ def _trail(v, k: int):
     """``v`` with k trailing unit axes, to broadcast against grad (k = 1) or hess (k = 2).
 
     A 0-d value broadcasts as it is, and scalar-by-array products are the
-    cheaper numpy path, which matters on the spray's small arrays.
+    cheaper numpy path, which matters on small arrays.
     """
     return v.reshape(v.shape + (1,) * k) if v.ndim else v
 

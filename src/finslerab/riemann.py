@@ -93,7 +93,7 @@ class AlphaBetaBundle:
     d_s_up: np.ndarray
     d_svec: np.ndarray
     dlndet: np.ndarray
-    # the y-independent blocks of the spray's input jets, built by the first
+    # the y-independent parts of the spray's packed inputs, built by the first
     # ``finsler.spray`` call at this point and reused by every later one
     # (nothing changes a bundle's arrays after ``build_bundle``)
     spray_inputs: object = field(default=None, init=False, repr=False, compare=False)
@@ -186,11 +186,6 @@ class AlphaBetaBundle:
         """N^i_j = d Gbar^i / d y^j = Gamma^i_jk y^k."""
         y = np.asarray(y, dtype=float)
         return np.einsum("ijk,k->ij", self.gamma, y)
-
-    def rbar(self, y) -> np.ndarray:
-        """Curvature operator of alpha, Rbar^i_k = R^i_jkl y^j y^l (classical route)."""
-        y = np.asarray(y, dtype=float)
-        return np.einsum("ijkl,j,l->ik", self.riem4, y, y)
 
     def ricbar(self, y) -> float:
         y = np.asarray(y, dtype=float)

@@ -249,6 +249,12 @@ def extract_scalars_loop(bundle: AlphaBetaBundle, rng) -> ScalarFit:
     )
 
 
+def rbar(bundle: AlphaBetaBundle, y) -> np.ndarray:
+    """Curvature operator of alpha, Rbar^i_k = R^i_jkl y^j y^l: the classical route, from the bundle's Riemann tensor."""
+    y = np.asarray(y, dtype=float)
+    return np.einsum("ijkl,j,l->ik", bundle.riem4, y, y)
+
+
 def christoffels_fd(spec: MetricSpec, x, h: float = 1e-5) -> np.ndarray:
     """Christoffel symbols from central finite differences of a_ij.
 

@@ -265,7 +265,13 @@ def test_parse_limits():
 
 
 def test_parse_rejects_non_finite_numbers():
-    for line in ("a 1 1 = 1e400", "a 1 1 = 1 + 0*1e400", "domain x1 = [0, inf]", "domain x1 = [nan, 1]"):
+    for line in (
+        "a 1 1 = 1e400",
+        "a 1 1 = 1 + 0*1e400",
+        "domain x1 = [0, inf]",
+        "domain x1 = [nan, 1]",
+        "domain x1 = [-1e308, 1e308]",  # finite bounds whose width overflows
+    ):
         with pytest.raises(MetricFileError, match="line 2"):
             parse_metric(f"dim = 2\n{line}\n")
 

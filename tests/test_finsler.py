@@ -7,8 +7,6 @@ import pytest
 from finslerab import testmetrics
 from finslerab.dsl import parse_metric, sample_domain
 from finslerab.finsler import (
-    _Linear,
-    _Quadratic,
     _SprayInputs,
     _blocks,
     extract_scalars,
@@ -104,7 +102,7 @@ def _oracle_deviation(bu, y):
             worst = max(worst, float(np.max(np.abs(a - b).reshape(n, -1) / scale)))
         F, f_want = two.F2, want.F2
         f_scale = max(1.0, abs(float(f_want.val)))
-        for a, b in ((row(F.val), f_want.val), (row(F.grad), f_want.grad), (row(F.hess)[n:, n:], f_want.hess[n:, n:])):
+        for a, b in ((row(F.val), f_want.val), (row(F.grad), f_want.grad), (row(F.hess)[n:], f_want.hess[n:, n:])):
             assert np.shape(a) == np.shape(b)
             worst = max(worst, float(np.max(np.abs(a - b))) / f_scale)
     return worst
@@ -356,13 +354,80 @@ def test_first_order_spray_matches_second_order(source):
                 assert np.array_equal(jet1.val, jet2.val) and np.array_equal(jet1.grad, jet2.grad)
 
 
-def _same_bits(a, b, shape):
-    return np.broadcast_to(a, shape).tobytes() == np.broadcast_to(b, shape).tobytes()
+@pytest.mark.parametrize("source", testmetrics.list_shipped() + [2, 3, 5, 8, 12])  # a shipped metric, or random_metric(n)
+def test_spray_is_homogeneous_of_degree_two(source):
+    """Euler's relation on the spray's y columns, which needs no oracle.
+
+    G^i and F^2 are positively homogeneous of degree 2 in y, so with
+    D = sum_k y^k d/dy^k: D f = 2 f, D df/dx^j = 2 df/dx^j and
+    D df/dy^j = df/dy^j, for f = G^i and f = F^2, at one y and on stacks.
+    """
+    if isinstance(source, int):
+        spec = testmetrics.random_metric(source, 60 + source)
+    else:
+        spec = testmetrics.shipped_metric(source)
+    rng = np.random.default_rng(19)
+    worst = 0.0
+    for x in sample_domain(spec, 2, rng, shrink=0.05):
+        bu = build_bundle(spec, x)
+        n = bu.n
+        ys = np.array([unit_y(bu, rng) for _ in range(4 * n)])
+        for y in (ys[0], ys[:2], ys):
+            sp = spray(bu, y)
+            # G's component axis sits between the stack axis and the directions
+            for jet, yb in ((sp.G, y[..., None, :]), (sp.F2, y)):
+                hxy, hyy = jet.hess[..., :n, -n:], jet.hess[..., n:, -n:]  # the y columns
+                pairs = (
+                    (np.einsum("...k,...k->...", jet.grad[..., n:], yb), 2.0 * jet.val),
+                    (np.einsum("...jk,...k->...j", hxy, yb), 2.0 * jet.grad[..., :n]),
+                    (np.einsum("...jk,...k->...j", hyy, yb), jet.grad[..., n:]),
+                )
+                for lhs, rhs in pairs:
+                    assert lhs.shape == rhs.shape
+                    worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs)))))
+    assert worst <= 1e-12, worst
+
+
+def _quadratic_jet(q, dq, y):
+    """The jet of y^T q y for q symmetric: value, gradient [y^T dq y, 2 q y] and Hessian y columns [2 dq y; 2 q]."""
+    qy = np.einsum("...jk,...k->...j", q, y)
+    dqy = np.einsum("...jkl,...k->...jl", dq, y)
+    grad = np.concatenate([np.einsum("...jl,...j->...l", dqy, y), 2.0 * qy], axis=-1)
+    hess = np.concatenate([2.0 * np.swapaxes(dqy, -1, -2), np.broadcast_to(2.0 * q, dqy.shape)], axis=-2)
+    return np.einsum("...j,...j->...", qy, y), grad, hess
+
+
+def _linear_jet(c, dc, y):
+    """The jet of c y: value, gradient [dc^T y, c] and Hessian y columns [dc^T; 0]."""
+    gx = np.einsum("...jk,...j->...k", dc, y)
+    grad = np.concatenate([gx, np.broadcast_to(c, gx.shape)], axis=-1)
+    hess = np.concatenate([np.swapaxes(dc, -1, -2), np.zeros_like(dc)], axis=-2)
+    return np.einsum("...j,...j->...", c, y), grad, hess
+
+
+def _same_bits(got, want):
+    return np.broadcast_to(want, got.shape).tobytes() == got.tobytes()
+
+
+def _equal(got, want):
+    return np.array_equal(got, np.broadcast_to(want, got.shape))
+
+
+def _close(got, want):
+    want = np.broadcast_to(want, got.shape)
+    return bool(np.all(np.abs(got - want) <= 1e-14 * max(1.0, float(np.max(np.abs(want))))))
 
 
 @pytest.mark.parametrize("source", testmetrics.list_shipped() + [2, 3, 5, 8])  # a shipped metric, or random_metric(n)
 def test_spray_input_rows_match_single_forms(source):
-    """Each row of the two stacked input jets is, bit for bit, the jet of the one form it stands for."""
+    """Each packed input row is the jet of the one form it stands for, written out here.
+
+    The rows follow the table in ``_SprayInputs``.  The forms' values are
+    einsums in both, so they agree bit for bit (a stack is evaluated as the
+    spray evaluates it, with y of shape (m, 1, n)); the entries that do not
+    depend on y are copies and agree exactly; the gradients and x-y blocks
+    the inputs take from a matmul agree to rounding.
+    """
     if isinstance(source, int):
         spec = testmetrics.random_metric(source, 70 + source)
     else:
@@ -371,31 +436,45 @@ def test_spray_input_rows_match_single_forms(source):
     for x in sample_domain(spec, 2, rng, shrink=0.05):
         bu = build_bundle(spec, x)
         n = bu.n
-        # alpha^2, r00, Gbar^i, beta, s0, s^i_0, each as its own jet
-        forms = (
-            _Quadratic(bu.a, bu.dA),
-            _Quadratic(bu.r, bu.dr),
-            _Quadratic(0.5 * bu.gamma, 0.5 * bu.dgamma),
-            _Linear(bu.b, bu.db),
-            _Linear(bu.svec, bu.d_svec),
-            _Linear(bu.s_up, bu.d_s_up),
-        )
         inputs = _SprayInputs(bu)
         ys = np.array([unit_y(bu, rng) for _ in range(4 * n)])
-        for y, yc in ((ys[0], ys[0]), (ys, ys[:, None, :])):
+        for y, yc, lead in ((ys[0], ys[0], lambda a: a), (ys, ys[:, None, :], lambda a: a[:, 0])):
+            quadratic = [_quadratic_jet(0.5 * bu.gamma[i], 0.5 * bu.dgamma[i], yc) for i in range(n)]
+            quadratic += [_quadratic_jet(bu.a, bu.dA, yc), _quadratic_jet(bu.r, bu.dr, yc)]
+            linear = [_linear_jet(bu.b, bu.db, yc), _linear_jet(bu.svec, bu.d_svec, yc)]
+            linear += [_linear_jet(-bu.s_up[i], -bu.d_s_up[i], yc) for i in range(n)]
+            zero_x = np.zeros(n)
+            constant = [(bu.bsq, np.concatenate([bu.d_bsq, zero_x]))]
+            constant += [(bu.bup[i], np.concatenate([bu.d_bup[i], zero_x])) for i in range(n)]
+            constant += [(y[..., i], np.eye(2 * n)[n + i]) for i in range(n)]
+            kinds = ["quadratic"] * (n + 2) + ["constant"] + ["linear"] * (n + 2) + ["constant"] * (2 * n)
+            jets = [tuple(map(lead, jet)) for jet in quadratic] + constant[:1]
+            jets += [(lead(v), lead(g), h) for v, g, h in linear] + constant[1:]  # h does not depend on y
+            assert len(jets) == len(kinds) == 4 * n + 5
             for order in (1, 2):
-                rows = inputs.jets(y, order)
-                assert len(rows) == len(forms)
-                for k, (row, form) in enumerate(zip(rows, forms)):
-                    want = form.jet(yc, order)
-                    shape = want.val.shape
-                    assert row.val.shape == shape, (k, order)
-                    assert _same_bits(row.val, want.val, shape), (k, order)
-                    assert _same_bits(row.grad, want.grad, shape + (2 * n,)), (k, order)
+                val, grad, hess = inputs.at(y, order)
+                assert val.shape == y.shape[:-1] + (4 * n + 5,) and grad.shape == val.shape + (2 * n,)
+                assert (hess is None) == (order == 1)
+                for k, (kind, jet) in enumerate(zip(kinds, jets)):
+                    v, g = jet[:2]
+                    if kind == "constant":
+                        assert _equal(val[..., k], v) and _equal(grad[..., k, :], g), (k, order)
+                        continue
+                    assert _same_bits(val[..., k], v), (k, order)
+                    assert _close(grad[..., k, :], g), (k, order)
+                    if kind == "linear":
+                        assert _equal(grad[..., k, n:], g[..., n:]), (k, order)
                     if order == 1:
-                        assert row.hess is None and want.hess is None
-                    else:
-                        assert _same_bits(row.hess, want.hess, shape + (2 * n, 2 * n)), (k, order)
+                        continue
+                    h = jet[2]
+                    if kind == "quadratic":
+                        assert _close(hess[..., k, :n, :], h[..., :n, :]) and _equal(hess[..., k, n:, :], h[..., n:, :]), (k, order)
+                    elif k < n + 5:  # beta and s0
+                        assert _equal(hess[..., k, :, :], h), (k, order)
+                    else:  # -s^i_0, whose Hessian does not depend on y
+                        assert _equal(inputs.si0_xy[k - n - 5], h[..., :n, :]) and not h[..., n:, :].any(), (k, order)
+                if order == 2:
+                    assert not hess[..., n + 2, :, :].any()  # b^2's, truncated
 
 
 def test_flag_fit_euclidean_zero():

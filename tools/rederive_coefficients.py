@@ -17,7 +17,7 @@ The result is compared coefficient-by-coefficient against
 fifteen lines certifies the correction layer in ``identity.py``; this is the
 script that generated it.  Requires sympy (dev dependency only).
 
-Run:  python tools/rederive_coefficients.py
+Run:  PYTHONPATH=src python tools/rederive_coefficients.py
 """
 
 import time
