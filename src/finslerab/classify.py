@@ -9,6 +9,11 @@ Only the Ricci and flag groups read second derivatives of the spray; when
 neither runs, as in the ``scurv`` view, the spray of each y-sample is
 evaluated to first order, inside ``s_curvature_def``.
 
+``run_check`` and ``run_appendix`` take the jets of a and b from one walk
+of the metric per chunk of points, a chunk being as many points as fit a
+fixed float budget.  Each point's bundle, and all that follows, is built
+point by point.
+
 Verdicts use the threshold  residual <= tol * max(1, scale)  where scale is
 the magnitude of the quantity's own constituent terms at the point, so a
 tiny metric does not pass checks by being tiny and a large one does not fail
@@ -35,6 +40,7 @@ import numpy as np
 
 from . import finsler, identity, scurvature, testmetrics
 from .dsl import MetricSpec, sample_domain
+from .jets import ArrayJet, JetError
 from .riemann import build_bundle
 
 __all__ = [
@@ -90,6 +96,37 @@ def _thr(tol: float, scale: float) -> float:
     return tol * max(1.0, scale)
 
 
+# Floats of a and b jets that one walk of the metric may form: the default 20
+# points are one walk up to n = 10, and memory stays bounded for any count.
+_CHUNK_FLOATS = 2**18
+
+
+def _point_jets(spec: MetricSpec, pts):
+    """Each point's (a, b) jets for ``build_bundle``, from one walk of the metric per chunk of points.
+
+    A chunk is walked when its first point is asked for.  Each point gets
+    fresh copies of its slice, not views into the chunk: the gather that
+    mirrors a_ij leaves the point axis innermost, so a slice of a is
+    strided, and the fits and the identity that read the bundle round
+    differently on strided arrays.  With copies a point builds bit for bit
+    what its own walk builds.  A chunk whose walk fails gives None for each
+    of its points: ``build_bundle`` then walks them one at a time and
+    raises at the first that fails.
+    """
+    n = spec.dim
+    size = max(1, _CHUNK_FLOATS // ((n * n + n) * (1 + n + n * n)))
+    for start in range(0, len(pts), size):
+        chunk = pts[start:start + size]
+        env = spec.chart_jets(chunk)
+        try:
+            jets = spec.a_jet(env), spec.b_jet(env)
+        except JetError:
+            yield from [None] * len(chunk)
+            continue
+        for p in range(len(chunk)):
+            yield tuple(ArrayJet(j.val[p].copy(), j.grad[p].copy(), j.hess[p].copy()) for j in jets)
+
+
 def run_check(spec: MetricSpec, config: RunConfig, groups=GROUPS) -> ClassReport:
     """Evaluate the classification conditions of ``groups`` at sampled points.
 
@@ -111,8 +148,8 @@ def run_check(spec: MetricSpec, config: RunConfig, groups=GROUPS) -> ClassReport
         if dev > 10.0 * tol:
             violations.append(f"{route} routes disagree at {where}: {a} vs {b}")
 
-    for p_idx, x in enumerate(pts):
-        bu = build_bundle(spec, x)
+    for p_idx, (x, jets) in enumerate(zip(pts, _point_jets(spec, pts))):
+        bu = build_bundle(spec, x, jets)
         peak("beta", np.max(np.abs(bu.b)))
         if beta:
             gamma_b = np.einsum("mij,m->ij", bu.gamma, bu.b)
@@ -243,8 +280,8 @@ def run_appendix(spec: MetricSpec, config: RunConfig) -> AppendixReport:
     samples = []
     worst = worst_parity = 0.0
     failures = []
-    for p_idx, x in enumerate(pts):
-        bu = build_bundle(spec, x)
+    for p_idx, (x, jets) in enumerate(zip(pts, _point_jets(spec, pts))):
+        bu = build_bundle(spec, x, jets)
         y = finsler.unit_alpha_vectors(bu, 1, rng)[0]
         if config.sigma_policy == "random":
             sigma = float(rng.uniform(-1.0, 1.0))

@@ -28,12 +28,17 @@ is a level and so is each operator of a chain such as ``1 + x1 + x1``; every
 number, domain bounds and the width of a domain included, must be finite.
 A file outside these limits is a ``MetricFileError`` with its line number.
 
-Evaluation is one walk of the expression tree over ``ArrayJet``s, in two
-shapes: values at a batch of points with no derivative directions
+Evaluation is one walk of the expression tree over ``ArrayJet``s at points
+of any leading shape S, one point (S = ()) or a batch, as numpy broadcasts.
+The points are lifted either to values alone, with no derivative directions
 (``a_values``/``b_values``, which ``validate_spec`` runs on all its sample
-points at once), and one point with exact first and second derivatives in
-the n chart directions (``chart_jets``, for ``build_bundle``).  A domain
-error, an overflow or any other non-finite intermediate is a ``JetError``.
+points at once), or to exact first and second derivatives in the n chart
+directions (``chart_jets``: a run walks a chunk of its points at once and
+hands ``build_bundle`` each point's slice).  Every operation of the walk is
+elementwise over S, so a point's entries in a batch are the bits its own
+walk gives.  A domain error, an overflow or any other non-finite
+intermediate is a ``JetError``; a batch raises it exactly when one of its
+points would.
 """
 
 from __future__ import annotations
@@ -394,9 +399,14 @@ class MetricSpec:
         return self.b_entries.get(i, self._ZERO)
 
     def chart_jets(self, x) -> list[ArrayJet]:
-        """Lift a chart point to jets, x^k seeded in direction k of n."""
+        """Points x of shape S + (n,) as jets of shape S, x^k seeded in direction k of n.
+
+        The derivatives are the same at every point, so they are one unit
+        gradient and one zero Hessian that broadcast over S.
+        """
+        x = np.asarray(x, dtype=float)
         eye, hess = np.eye(self.dim), np.zeros((self.dim, self.dim))
-        return [ArrayJet(float(x[k]), eye[k], hess) for k in range(self.dim)]
+        return [ArrayJet(x[..., k], eye[k], hess) for k in range(self.dim)]
 
     def _points(self, x) -> list[ArrayJet]:
         """Points x of shape S + (n,) as value-only jets (no directions) of shape S."""

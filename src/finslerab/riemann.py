@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .dsl import MetricSpec
-from .jets import JetError
+from .jets import ArrayJet, JetError
 
 __all__ = [
     "GeometryError",
@@ -192,8 +192,15 @@ class AlphaBetaBundle:
         return float(y @ self.ricci_tensor @ y)
 
 
-def build_bundle(spec: MetricSpec, x) -> AlphaBetaBundle:
-    """Evaluate all alpha/beta geometry of ``spec`` at the chart point ``x``."""
+def build_bundle(spec: MetricSpec, x, jets: tuple[ArrayJet, ArrayJet] | None = None) -> AlphaBetaBundle:
+    """Evaluate all alpha/beta geometry of ``spec`` at the chart point ``x``.
+
+    ``jets`` are the order-2 jets of a_ij and b_i at ``x`` in the n chart
+    directions, as ``spec.a_jet`` and ``spec.b_jet`` give them over
+    ``spec.chart_jets(x)``; a run passes each point's slice of one walk
+    over many points.  Without them the metric is walked here, at ``x``
+    alone.  Everything after the jets is per point.
+    """
     x = np.asarray(x, dtype=float)
     n = spec.dim
     if x.shape != (n,):
@@ -202,11 +209,13 @@ def build_bundle(spec: MetricSpec, x) -> AlphaBetaBundle:
         if not lo <= x[k] <= hi:
             raise GeometryError(f"x{k + 1} = {x[k]} outside domain [{lo}, {hi}]")
 
-    env = spec.chart_jets(x)
-    try:
-        A, B = spec.a_jet(env), spec.b_jet(env)
-    except JetError as exc:
-        raise GeometryError(f"metric evaluation failed at x={x}: {exc}") from exc
+    if jets is None:
+        env = spec.chart_jets(x)
+        try:
+            jets = spec.a_jet(env), spec.b_jet(env)
+        except JetError as exc:
+            raise GeometryError(f"metric evaluation failed at x={x}: {exc}") from exc
+    A, B = jets
     # d2A[i,j,k,l] = d^2 a_ij / dx^k dx^l, and likewise d2b
     a, dA, d2A = A.val, A.grad, A.hess
     b, db, d2b = B.val, B.grad, B.hess

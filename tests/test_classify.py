@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +9,8 @@ import pytest
 
 from finslerab import classify, cli, finsler, identity, testmetrics
 from finslerab.classify import GROUPS, RunConfig, emit_report, run_appendix, run_check
+from finslerab.dsl import parse_metric, sample_domain, validate_spec
+from finslerab.riemann import GeometryError, build_bundle
 
 
 def small_config(**over):
@@ -134,17 +138,21 @@ def test_check_spray_order_follows_its_readers(generic3d, monkeypatch, groups, o
     assert orders == [order] * sprays
 
 
+# the bundle's tensors formed on first use
+_LAZY = ("riem4", "ricci_tensor", "rbar4", "D2b", "Dr", "Ds", "Drvec", "Dsvec", "r_up", "supvec", "r_scalar")
+
+
 def test_scurv_view_forms_no_curvature_tensor(generic3d, monkeypatch):
     """The scurv view reads neither the curvature of alpha nor the appendix tensors, so no bundle forms them."""
     bundles = []
     orig = classify.build_bundle
 
-    def wrapped(spec, x):
-        bundles.append(orig(spec, x))
+    def wrapped(spec, x, jets=None):
+        bundles.append(orig(spec, x, jets))
         return bundles[-1]
 
     monkeypatch.setattr(classify, "build_bundle", wrapped)
-    lazy = {"riem4", "ricci_tensor", "rbar4", "D2b", "Dr", "Ds", "Drvec", "Dsvec", "r_up", "supvec", "r_scalar"}
+    lazy = set(_LAZY)
     run_check(generic3d, small_config(), ("beta", "S"))
     assert len(bundles) == 4
     assert all(not lazy & set(vars(bu)) for bu in bundles)
@@ -153,6 +161,120 @@ def test_scurv_view_forms_no_curvature_tensor(generic3d, monkeypatch):
     run_check(generic3d, small_config(), GROUPS)
     assert len(bundles) == 4
     assert all(lazy & set(vars(bu)) == {"riem4", "ricci_tensor"} for bu in bundles)
+
+
+# -- the metric walked a chunk of points at a time -------------------------------
+
+# every function of the metric language, division, powers and constant entries
+_EVERY_FORM = """dim = 3
+domain x3 = [0.5, 2]
+a 1 1 = 2 + 0.3 * sin(x1)
+a 2 2 = 1 + exp(x2) / 4
+a 3 3 = sqrt(x3) + log(x3 + 1)^2
+a 1 2 = 0.1 * cos(x1 * x2)
+a 1 3 = 0.05
+a 2 3 = x1^3 / (x3^-0.5 + 2)
+b 1 = 0.1 / x3
+b 2 = -0.05
+b 3 = 0.02 * x1^2 - 0.01 * sqrt(x3)^1.5
+"""
+
+def _bundle_bytes(bu) -> dict:
+    names = [f.name for f in dataclasses.fields(bu) if f.name not in ("spec", "n", "spray_inputs")]
+    return {name: np.asarray(getattr(bu, name)).tobytes() for name in names + list(_LAZY)}
+
+
+def _walk_spec(name):
+    if name == "every_form":
+        return parse_metric(_EVERY_FORM, name)
+    if name.startswith("random"):
+        n = int(name.removeprefix("random"))
+        return testmetrics.random_metric(n, 60 + n)
+    return testmetrics.shipped_metric(name)
+
+
+def _spy_walks(spec, monkeypatch) -> list:
+    """The leading shape of the points of each walk of ``spec``'s metric, in order."""
+    walks, walk = [], spec.chart_jets
+    monkeypatch.setattr(spec, "chart_jets", lambda x: walks.append(np.shape(x)[:-1]) or walk(x))
+    return walks
+
+
+@pytest.mark.parametrize(
+    "name", testmetrics.list_shipped() + [f"random{n}" for n in (2, 3, 5, 8, 12)] + ["every_form"]
+)
+def test_bundles_from_chunked_jets_match_per_point_bytes(name, monkeypatch):
+    # each point's slice of a chunk's walk builds, array for array, the bytes its own walk
+    # builds, and so do the fits and the identity that read the bundle.  Slices passed as
+    # views into the chunk (a strided a) build the same bundle fields but move those
+    # readers in the last bit, so each point's jets must be fresh arrays.
+    spec = _walk_spec(name)
+    assert validate_spec(spec).valid
+    pts = sample_domain(spec, 25, np.random.default_rng(3), shrink=0.05)
+    walks = _spy_walks(spec, monkeypatch)
+    batched = list(classify._point_jets(spec, pts))
+    monkeypatch.undo()
+    assert sum(size for size, in walks) == len(pts) and (spec.dim < 12 or len(walks) >= 2)
+    for p, (x, jets) in enumerate(zip(pts, batched)):
+        assert all(arr.base is None for jet in jets for arr in (jet.val, jet.grad, jet.hess))
+        one, alone = build_bundle(spec, x, jets), build_bundle(spec, x)
+        assert _bundle_bytes(one) == _bundle_bytes(alone)
+        y = finsler.unit_alpha_vectors(alone, 1, np.random.default_rng(p))[0]
+        readers = (
+            lambda bu: identity.verify_identity(bu, y, 0.3),
+            lambda bu: finsler.extract_scalars(bu, np.random.default_rng(p)),
+        )
+        for read in readers:
+            assert dataclasses.astuple(read(one)) == dataclasses.astuple(read(alone))
+
+
+def _log_edge_metric(t: float):
+    """A 12-dimensional metric whose a_11 takes log(x1 - t): it fails to evaluate where x1 <= t."""
+    lines = ["dim = 12", f"a 1 1 = 1 + (x1 - ({t!r})) * log(x1 - ({t!r}))"]
+    lines += [f"a {i} {i} = 1" for i in range(2, 13)] + ["b 2 = 0.1 * x3"]
+    return parse_metric("\n".join(lines), "log_edge")
+
+
+@pytest.mark.parametrize("run", ["check", "appendix"])
+@pytest.mark.parametrize("chunk", ["first", "later"])
+def test_metric_failure_names_first_failing_point(run, chunk, monkeypatch):
+    # called directly, so validate_spec does not stop the metric first; the error is the one
+    # the failing point's own walk raises, after the points before it ran in order
+    config = RunConfig(points=30, y_per_point=2, seed=1)
+    pts = sample_domain(testmetrics.euclidean(12), config.points, np.random.default_rng(config.seed), shrink=0.05)
+    whole = _log_edge_metric(-1.0)  # evaluates at every sampled point
+    walks = _spy_walks(whole, monkeypatch)
+    next(classify._point_jets(whole, pts))
+    (size,) = walks[0]
+    # with t = x1 of a point below every earlier point, that point fails first
+    lows = [k for k in range(1, len(pts)) if pts[k, 0] < pts[:k, 0].min()]
+    k = next(k for k in lows if (k < size) == (chunk == "first"))
+    spec = _log_edge_metric(float(pts[k, 0]))
+    walks = _spy_walks(spec, monkeypatch)
+    with pytest.raises(GeometryError) as failed:
+        run_check(spec, config) if run == "check" else run_appendix(spec, config)
+    assert str(failed.value) == f"metric evaluation failed at x={pts[k]}: log of non-positive value 0.0"
+    # each chunk's walk up to the failing one, then one walk per point of it up to the failing point
+    first = k - k % size
+    assert walks == [(size,)] * (first // size + 1) + [()] * (k - first + 1)
+
+
+def test_chunked_walk_memory_is_bounded():
+    # the walk holds one chunk at a time, however many points a run samples
+    spec = testmetrics.random_metric(12, 72)
+    peaks = []
+    for count in (20, 2000):
+        pts = sample_domain(spec, count, np.random.default_rng(0), shrink=0.05)
+        tracemalloc.start()
+        try:
+            for _ in classify._point_jets(spec, pts):
+                pass
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    budget = 8 * classify._CHUNK_FLOATS
+    assert max(peaks) < 3 * budget
+    assert peaks[1] < peaks[0] + budget // 4
 
 
 # -- CLI ------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from finslerab.dsl import (
     Const,
     Fun,
     MetricFileError,
+    MetricSpec,
     Neg,
     Pow,
     Var,
@@ -338,20 +339,22 @@ _POINTS = np.array([[0.3, -0.7], [-1.9, 0.0], [0.0, 2.5], [1.1, 1.1], [-0.25, 40
 @settings(max_examples=300, deadline=None)
 def test_batched_evaluation_matches_scalar_oracle(expr):
     # the batch fails exactly when the scalar oracle fails at one of its points;
-    # then each point alone fails exactly where the oracle does
+    # then each point alone fails exactly where the oracle does.  Otherwise the
+    # batch gives each point's value and derivatives bit for bit as its own walk.
+    spec = MetricSpec(dim=2)
     envs = [[Jet.variable(v, k, 2) for k, v in enumerate(x)] for x in _POINTS]
     with np.errstate(all="ignore"):  # the oracle tests finiteness itself, node by node
         want = [_jet_or_error(eval_jet, expr, env) for env in envs]
-    batch = _jet_or_error(eval_component, expr, _env(_POINTS))
+    batch = _jet_or_error(eval_component, expr, spec.chart_jets(_POINTS))
     assert (batch is None) == any(w is None for w in want)
     for p, w in enumerate(want):
-        got = _jet_or_error(eval_component, expr, _env(_POINTS[p]))
+        got = _jet_or_error(eval_component, expr, spec.chart_jets(_POINTS[p]))
         assert (got is None) == (w is None)
         if w is None:
             continue
-        rows = [(got.val, got.grad, got.hess)]
-        if batch is not None and batch.val.ndim:  # a constant expression gives one jet for all points
-            rows.append((batch.val[p], batch.grad[p], batch.hess[p]))
-        for val, grad, hess in rows:
-            for a, b in ((val, w.val), (grad, w.grad), (hess, w.hess_matrix())):
-                np.testing.assert_allclose(a, b, rtol=1e-13, atol=0)
+        for a, b in ((got.val, w.val), (got.grad, w.grad), (got.hess, w.hess_matrix())):
+            np.testing.assert_allclose(a, b, rtol=1e-13, atol=0)
+        if batch is not None:
+            for rows, own in ((batch.val, got.val), (batch.grad, got.grad), (batch.hess, got.hess)):
+                # a constant expression gives one jet for all points
+                assert np.broadcast_to(rows, (len(_POINTS),) + own.shape)[p].tobytes() == own.tobytes()
