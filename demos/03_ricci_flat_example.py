@@ -10,7 +10,7 @@ constant flag curvature: the K-fit residual stays order one.
 import numpy as np
 
 from finslerab import build_bundle, shipped_metric
-from finslerab.finsler import flag_curvature_fit, metric_value, ricci_via_T, riemann_curvature
+from finslerab.finsler import flag_curvature_fit, metric_value, ricci_via_T, riemann_curvature, spray
 from finslerab.scurvature import s_curvature_def
 
 spec = shipped_metric("matsumoto_example")
@@ -25,13 +25,15 @@ print("max |Ricci tensor of alpha| :", np.max(np.abs(bu.ricci_tensor)))
 print("max |curvature tensor|      :", np.max(np.abs(bu.riem4)), " (Ricci-flat, NOT flat)")
 print("max |b_i|j|                 :", np.max(np.abs(bu.Db)), " (parallel form)")
 
-R, ric = riemann_curvature(bu, y)
+# one spray record at (x, y): every curvature and S reader below takes it
+sp = spray(bu, y)
+R, ric = riemann_curvature(sp)
 print("\nRic of F, direct route      :", ric)
-print("Ric of F, deformation route :", ricci_via_T(bu, y))
+print("Ric of F, deformation route :", ricci_via_T(sp))
 print("F^2 at the sample           :", metric_value(bu, y) ** 2)
-print("S-curvature (BH volume)     :", s_curvature_def(bu, y, "bh"))
+print("S-curvature (BH volume)     :", s_curvature_def(sp, "bh"))
 
-K, res = flag_curvature_fit(bu, y)
+K, res = flag_curvature_fit(sp, R)
 print("\nflag-curvature fit          : K =", K, " residual =", res)
 print("  -> no constant flag curvature, exactly as the theory demands for")
 print("     a parallel form over a curved Ricci-flat alpha.")

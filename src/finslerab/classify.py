@@ -5,14 +5,17 @@ the y-samples and evaluates the requested condition groups.  The ``check``,
 ``scurv`` and ``flag`` subcommands are views of it: each names the groups
 it prints, and only their quantities are computed; ``emit_report`` renders
 the full report (text, json, csv) or the ``scurv`` and ``flag`` views.
-Only the Ricci and flag groups read second derivatives of the spray; when
-neither runs, as in the ``scurv`` view, the spray of each y-sample is
-evaluated to first order, inside ``s_curvature_def``.
+Each y-sample gets one spray, which every reader there is handed; only the
+Ricci and flag groups read its second derivatives, so when neither runs,
+as in the ``scurv`` view, it is evaluated to first order.
 
-``run_check`` and ``run_appendix`` take the jets of a and b from one walk
-of the metric per chunk of points, a chunk being as many points as fit a
-fixed float budget.  Each point's bundle, and all that follows, is built
-point by point.
+``run_check`` and ``run_appendix`` share one loop over the sampled points'
+bundles.  It takes the jets of a and b from one walk of the metric per
+chunk of points, a chunk being as many points as fit a fixed float budget,
+and builds each point's bundle, and all that follows, point by point.  A
+point where b^2 >= 1/4, outside the domain of F, stops the run with a
+``GeometryError``: its own sample points are checked, not only those of
+``validate_spec``.
 
 Verdicts use the threshold  residual <= tol * max(1, scale)  where scale is
 the magnitude of the quantity's own constituent terms at the point, so a
@@ -41,7 +44,7 @@ import numpy as np
 from . import finsler, identity, scurvature, testmetrics
 from .dsl import MetricSpec, sample_domain
 from .jets import ArrayJet, JetError
-from .riemann import build_bundle
+from .riemann import GeometryError, build_bundle
 
 __all__ = [
     "RunConfig", "ClassReport", "GROUPS", "run_check", "run_appendix", "run_dim_sweep",
@@ -105,13 +108,10 @@ def _point_jets(spec: MetricSpec, pts):
     """Each point's (a, b) jets for ``build_bundle``, from one walk of the metric per chunk of points.
 
     A chunk is walked when its first point is asked for.  Each point gets
-    fresh copies of its slice, not views into the chunk: the gather that
-    mirrors a_ij leaves the point axis innermost, so a slice of a is
-    strided, and the fits and the identity that read the bundle round
-    differently on strided arrays.  With copies a point builds bit for bit
-    what its own walk builds.  A chunk whose walk fails gives None for each
-    of its points: ``build_bundle`` then walks them one at a time and
-    raises at the first that fails.
+    views of its slice, which are C-contiguous, as its own walk's arrays
+    are.  A chunk whose walk fails gives None for each of its points:
+    ``build_bundle`` then walks them one at a time and raises at the first
+    that fails.
     """
     n = spec.dim
     size = max(1, _CHUNK_FLOATS // ((n * n + n) * (1 + n + n * n)))
@@ -124,7 +124,16 @@ def _point_jets(spec: MetricSpec, pts):
             yield from [None] * len(chunk)
             continue
         for p in range(len(chunk)):
-            yield tuple(ArrayJet(j.val[p].copy(), j.grad[p].copy(), j.hess[p].copy()) for j in jets)
+            yield tuple(ArrayJet(j.val[p], j.grad[p], j.hess[p]) for j in jets)
+
+
+def _bundles(spec: MetricSpec, pts):
+    """The bundle at each point of ``pts``, in order; a ``GeometryError`` at the first where b^2 >= 1/4."""
+    for x, jets in zip(pts, _point_jets(spec, pts)):
+        bu = build_bundle(spec, x, jets)
+        if bu.bsq >= 0.25:
+            raise GeometryError(f"b^2 = {bu.bsq:.6g} >= 1/4 at x={x}: F = alpha^2/(alpha - beta) is not defined there")
+        yield bu
 
 
 def run_check(spec: MetricSpec, config: RunConfig, groups=GROUPS) -> ClassReport:
@@ -148,8 +157,7 @@ def run_check(spec: MetricSpec, config: RunConfig, groups=GROUPS) -> ClassReport
         if dev > 10.0 * tol:
             violations.append(f"{route} routes disagree at {where}: {a} vs {b}")
 
-    for p_idx, (x, jets) in enumerate(zip(pts, _point_jets(spec, pts))):
-        bu = build_bundle(spec, x, jets)
+    for p_idx, bu in enumerate(_bundles(spec, pts)):
         peak("beta", np.max(np.abs(bu.b)))
         if beta:
             gamma_b = np.einsum("mij,m->ij", bu.gamma, bu.b)
@@ -164,25 +172,24 @@ def run_check(spec: MetricSpec, config: RunConfig, groups=GROUPS) -> ClassReport
 
         for y_idx, y in enumerate(finsler.unit_alpha_vectors(bu, config.y_per_point, rng)):
             where = f"point {p_idx}, y {y_idx}"
-            row = {"point": p_idx, "y_index": y_idx, "x": [float(v) for v in x], "y": [float(v) for v in y]}
-            # without the second-order readers, s_curvature_def makes its own order-1 spray
-            G = None
+            row = {"point": p_idx, "y_index": y_idx, "x": [float(v) for v in bu.x], "y": [float(v) for v in y]}
+            if ricci or S or flag:
+                sp = finsler.spray(bu, y, 2 if ricci or flag else 1)
             if ricci or flag:
-                G = finsler.spray(bu, y)
-                R, ric = finsler.riemann_curvature(bu, y, G=G)
+                R, ric = finsler.riemann_curvature(sp)
                 F = finsler.metric_value(bu, y)
             if ricci:
-                cross("Ricci", ric, finsler.ricci_via_T(bu, y, G=G), where)
+                cross("Ricci", ric, finsler.ricci_via_T(sp), where)
                 peak("ricbar", abs(bu.ricbar(y)))
                 peak("Ric/F2", abs(ric) / max(1.0, F * F))
                 row.update(Ric=float(ric), F2=float(F * F))
             if S:
-                s_def = scurvature.s_curvature_def(bu, y, config.volume_form, G=G)
+                s_def = scurvature.s_curvature_def(sp, config.volume_form)
                 cross("S-curvature", s_def, scurvature.s_curvature_closed(bu, y, config.volume_form), where)
                 peak("S", abs(s_def))
                 row["S"] = float(s_def)
             if flag:
-                K, fres = finsler.flag_curvature_fit(bu, y, G=G, R=R)
+                K, fres = finsler.flag_curvature_fit(sp, R)
                 flag_K.append(K)
                 peak("flag_residual", fres / max(1.0, F * F))
                 row.update(K_fit=float(K), flag_residual=float(fres))
@@ -280,8 +287,7 @@ def run_appendix(spec: MetricSpec, config: RunConfig) -> AppendixReport:
     samples = []
     worst = worst_parity = 0.0
     failures = []
-    for p_idx, (x, jets) in enumerate(zip(pts, _point_jets(spec, pts))):
-        bu = build_bundle(spec, x, jets)
+    for p_idx, bu in enumerate(_bundles(spec, pts)):
         y = finsler.unit_alpha_vectors(bu, 1, rng)[0]
         if config.sigma_policy == "random":
             sigma = float(rng.uniform(-1.0, 1.0))

@@ -16,7 +16,8 @@ statuses; every number and verdict comes from ``classify``.  ``check``,
 ``scurv`` and ``flag`` ask only for the condition groups they print, with 6
 y per point and the default tolerance, and exit 3 on any violation.
 ``validate`` runs the validity check that the others run before sampling,
-with the same ``--seed``, so its exit status previews theirs.
+with the same ``--seed``.  A run also rejects its own sample points where
+b^2 >= 1/4 (exit 2), which validate's 200 points may miss.
 
 Exit status: 0 clean, 2 invalid metric file or arguments, 3 engine inconsistency detected.
 """

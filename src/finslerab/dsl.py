@@ -421,7 +421,7 @@ class MetricSpec:
         upper = _stack([self.a_expr(i, j) for i, j in zip(iu, ju)], env)
         table = np.empty((n, n), dtype=np.intp)
         table[iu, ju] = table[ju, iu] = np.arange(iu.size)
-        return ArrayJet(upper.val[..., table], upper.grad[..., table, :], upper.hess[..., table, :, :])
+        return ArrayJet(upper.val.take(table, -1), upper.grad.take(table, -2), upper.hess.take(table, -3))
 
     def b_jet(self, env: list[ArrayJet]) -> ArrayJet:
         """b_i over ``env``, shape S + (n,)."""

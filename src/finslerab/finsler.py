@@ -30,29 +30,31 @@ forms against sympy.  The generic (alpha, beta) spray, with Q, Psi and
 Theta computed from phi(s) = 1/(1 - s) in scalar jets, is the test suite's
 oracle for the whole spray (``tests/oracles.py``).
 
-y may carry a leading axis: ``spray``, ``riemann_curvature``,
-``metric_value`` and ``fundamental_tensor`` take one fiber vector, shape
-(n,), or a stack of m of them, shape (m, n), and their results then carry
-the same leading m axis.  The one-y call is the m-less case of the same
-code.  The inputs' y-independent parts are built once per bundle, on the
-first spray there, and kept on it (``bundle.spray_inputs``).
-``extract_scalars`` evaluates its whole fit design as one stack.
+The ``Spray`` record is the one input of every reader of the spray:
+``riemann_curvature``, ``ricci_via_T``, ``fundamental_tensor``,
+``flag_curvature_fit`` and ``scurvature.s_curvature_def`` take it, and
+read the bundle and the y it was taken at from it, so no reader can be
+handed a spray of another y.  y may carry a leading axis: ``spray``,
+``riemann_curvature``, ``metric_value`` and ``fundamental_tensor`` take
+one fiber vector, shape (n,), or a stack of m of them, shape (m, n), and
+their results then carry the same leading m axis.  The one-y call is the
+m-less case of the same code.  The inputs' y-independent parts are built
+once per bundle, on the first spray there, and kept on it
+(``bundle.spray_inputs``).  ``extract_scalars`` evaluates its whole fit
+design as one stack.
 
 The spray has a derivative ``order``, set by what its caller reads.  The
 curvature, the T-split Ricci route, the flag fit and the fundamental tensor
-read second derivatives, so they take the default order 2.  The
-S-curvature definition reads only dG^i/dy^i and asks for order 1: G and
-Gbar then come back as order-1 jets (no Hessian is formed) and F^2 is not
-formed at all.  Both orders run the same code on the same cached inputs,
-and the values and gradients of G and Gbar are the same bits at both.
+read second derivatives, so they need the default order 2.  The
+S-curvature definition reads only dG^i/dy^i, so a caller that reads
+nothing else asks for order 1: no Hessian and no F^2 is formed.  Both
+orders run the same code on the same cached inputs, and the values and
+gradients of G and Gbar are the same bits at both.
 
-From the ``Spray`` record the Riemann curvature operator, its trace, the
-deformation field T^i = G^i - Gbar^i, the fundamental tensor and
-constant-scalar fits (lambda, c, sigma, flag curvature K) all follow.  The
-curvature is also computed a second way, through the deformation-field
-identity relating Ric to the Ricci curvature of alpha; agreement of the two
-routes is the engine's strongest self-check and is asserted in the test
-suite rather than here.
+The curvature is computed two ways, directly from the spray and through
+the deformation-field identity relating Ric to the Ricci curvature of
+alpha; agreement of the two routes is the engine's strongest self-check
+and is asserted in the test suite rather than here.
 """
 
 from __future__ import annotations
@@ -83,22 +85,24 @@ __all__ = [
 
 @dataclass
 class Spray:
-    """The spray of F at one (x, y).
+    """The spray of F at the bundle's point and ``y``, shape (n,) or a stack (m, n).
 
-    Each field is an array jet over the 2n chart+fiber directions
-    (x^1..x^n, then y^1..y^n): ``G`` = G^i and ``Gbar`` = Gbar^i, the spray
-    of alpha, both of shape (n,), and the scalar ``F2`` = F^2.  For a stack
-    of m y the shapes are (m, n) and (m,).  At order 2 (the default) each
-    ``hess`` holds the y columns of the Hessian only, shape S + (2n, n):
-    ``hess[..., a, k]`` = d2/dz^a dy^k over the 2n directions z^a, so its
-    first n rows are the x-y block and its last n the y-y block, the only
-    ones the curvature, the T-split, the flag fit and the fundamental tensor
-    read.  There is no x-x block, which would need third derivatives of the
-    metric.  Only elementwise jet operations (G - Gbar) apply to such
-    jets.  At order 1, ``G`` and ``Gbar`` are order-1 jets and ``F2`` is
-    None.
+    ``G`` = G^i and ``Gbar`` = Gbar^i, the spray of alpha, are array jets
+    over the 2n chart+fiber directions (x^1..x^n, then y^1..y^n) of shape
+    (n,), and ``F2`` = F^2 a scalar one; for a stack the shapes are (m, n)
+    and (m,).  At order 2 (the default) each ``hess`` holds the y columns of
+    the Hessian only, shape S + (2n, n): ``hess[..., a, k]`` = d2/dz^a dy^k
+    over the 2n directions z^a, so its first n rows are the x-y block and
+    its last n the y-y block, the only ones the curvature, the T-split, the
+    flag fit and the fundamental tensor read.  There is no x-x block, which
+    would need third derivatives of the metric.  Only elementwise jet
+    operations (G - Gbar) apply to such jets.  At order 1, ``G`` and
+    ``Gbar`` are ``ArrayJet(val, grad, None)``, containers of a value and a
+    gradient to which no jet operation applies, and ``F2`` is None.
     """
 
+    bundle: AlphaBetaBundle
+    y: np.ndarray
     G: ArrayJet
     Gbar: ArrayJet
     F2: ArrayJet | None
@@ -252,7 +256,7 @@ def _coefficient_partials(alpha2, beta, r00, s0, bsq, order: int):
     """
     if not _everywhere((alpha2 > _SQRT_SAFE) & (alpha2 < math.inf)):
         # raises exactly where, and as, the jet sqrt of alpha^2 does
-        ArrayJet(alpha2, np.zeros(np.shape(alpha2) + (1,)), None).sqrt()
+        ArrayJet(alpha2, np.zeros(np.shape(alpha2) + (1,)), np.zeros(np.shape(alpha2) + (1, 1))).sqrt()
     a = alpha2**0.5
     ia = 1.0 / a
     s = beta * ia  # finite, as alpha^2 is
@@ -391,8 +395,8 @@ def spray(bundle: AlphaBetaBundle, y, order: int = 2) -> Spray:
     (m, n); the ``Spray`` then carries the same leading m axis.  ``order``
     is the highest derivative order the caller reads: at 2 the ``Spray``
     holds order-2 jets of G, Gbar and F^2, with the y columns of their
-    Hessians; at 1 it holds order-1 jets of G and Gbar, with the same
-    values and gradients, and no F^2.
+    Hessians; at 1 it holds the values and gradients of G and Gbar, the
+    same bits, and no F^2.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
@@ -429,7 +433,8 @@ def spray(bundle: AlphaBetaBundle, y, order: int = 2) -> Spray:
     G_grad = grad[..., :n, :] + vec.swapaxes(-1, -2) @ cg
     G_grad += (coefs[..., None, :3] @ vec_grads.reshape(stack + (3, n * d))).reshape(stack + (n, d))
     if order == 1:
-        return Spray(G=ArrayJet(G, G_grad, None), Gbar=ArrayJet(val[..., :n], grad[..., :n, :], None), F2=None)
+        Gbar = ArrayJet(val[..., :n], grad[..., :n, :], None)
+        return Spray(bundle=bundle, y=y, G=ArrayJet(G, G_grad, None), Gbar=Gbar, F2=None)
 
     # the y columns of the coefficients' Hessians: J . hess u + grad u^T H grad u
     coef_hess = (jac @ hess[..., n:, :, :].reshape(stack + (5, d * n))).reshape(stack + (4, d, n))
@@ -444,37 +449,32 @@ def spray(bundle: AlphaBetaBundle, y, order: int = 2) -> Spray:
     G_hess += by_row.swapaxes(-1, -2) @ cg[..., None, :, n:]
     F2 = ArrayJet(coefs[..., 3], coef_grads[..., 3, :], coef_hess[..., 3, :, :])
     Gbar = ArrayJet(val[..., :n], grad[..., :n, :], hess[..., :n, :, :])
-    return Spray(G=ArrayJet(G, G_grad, G_hess), Gbar=Gbar, F2=F2)
+    return Spray(bundle=bundle, y=y, G=ArrayJet(G, G_grad, G_hess), Gbar=Gbar, F2=F2)
 
 
-def riemann_curvature(bundle: AlphaBetaBundle, y, G=None):
-    """Riemann curvature operator R^i_k of F and its trace Ric at (x, y).
+def riemann_curvature(sp: Spray):
+    """Riemann curvature operator R^i_k of F and its trace Ric, from an order-2 spray.
 
     R^i_k = 2 dG^i/dx^k - y^j d2G^i/dx^j dy^k + 2 G^j d2G^i/dy^j dy^k
             - dG^i/dy^j dG^j/dy^k.
 
     For a stack of y, shape (m, n), R has shape (m, n, n) and Ric (m,).
     """
-    y = np.asarray(y, dtype=float)
-    if G is None:
-        G = spray(bundle, y)
-    gval, gx, gy, hxy, hyy = G.blocks()
+    y, (gval, gx, gy, hxy, hyy) = sp.y, sp.blocks()
     R = 2.0 * gx - np.einsum("...j,...ijk->...ik", y, hxy) + 2.0 * np.einsum("...j,...ijk->...ik", gval, hyy) - gy @ gy
     return R, np.trace(R, axis1=-2, axis2=-1)
 
 
-def ricci_via_T(bundle: AlphaBetaBundle, y, G=None) -> float:
-    """Ricci curvature through the deformation field T^i = G^i - Gbar^i.
+def ricci_via_T(sp: Spray) -> float:
+    """Ricci curvature through the deformation field T^i = G^i - Gbar^i, from an order-2 spray at one y.
 
     Ric = Ricbar + 2 T^k_|k - y^j T^k_.k|j + 2 T^j T^k_.j.k - T^k_.j T^j_.k,
     with | and . the horizontal/vertical derivatives of alpha.  Entirely
     different bookkeeping from the direct curvature trace, hence a strong
     cross-check on both.
     """
-    y = np.asarray(y, dtype=float)
-    if G is None:
-        G = spray(bundle, y)
-    tval, tx, ty, txy, tyy = _blocks(G.G - G.Gbar)
+    bundle, y = sp.bundle, sp.y
+    tval, tx, ty, txy, tyy = _blocks(sp.G - sp.Gbar)
 
     nconn = bundle.nonlinear_connection(y)
     gamma = bundle.gamma
@@ -500,12 +500,10 @@ def metric_value(bundle: AlphaBetaBundle, y):
     return al * al / (al - y @ bundle.b)
 
 
-def fundamental_tensor(bundle: AlphaBetaBundle, y, G=None) -> np.ndarray:
-    """g_ij = 1/2 [F^2]_{y^i y^j}, from the exact fiber Hessian of the F^2 jet."""
-    if G is None:
-        G = spray(bundle, y)
-    n = bundle.n
-    return 0.5 * G.F2.hess[..., n:, -n:]
+def fundamental_tensor(sp: Spray) -> np.ndarray:
+    """g_ij = 1/2 [F^2]_{y^i y^j}, from the exact fiber Hessian of an order-2 spray's F^2 jet."""
+    n = sp.bundle.n
+    return 0.5 * sp.F2.hess[..., n:, -n:]
 
 
 # -- scalar extraction --------------------------------------------------------
@@ -559,7 +557,7 @@ def extract_scalars(bundle: AlphaBetaBundle, rng) -> ScalarFit:
     ricbars = np.einsum("mj,jk,mk->m", ys, bundle.ricci_tensor, ys)
     r00s = np.einsum("mj,jk,mk->m", ys, bundle.r, ys)
     alphas2 = np.einsum("mj,jk,mk->m", ys, bundle.a, ys)
-    _, rics = riemann_curvature(bundle, ys)
+    _, rics = riemann_curvature(spray(bundle, ys))
     F2 = metric_value(bundle, ys) ** 2
 
     lam = float(ricbars @ alphas2 / (alphas2 @ alphas2))
@@ -575,19 +573,15 @@ def extract_scalars(bundle: AlphaBetaBundle, rng) -> ScalarFit:
     )
 
 
-def flag_curvature_fit(bundle: AlphaBetaBundle, y, G=None, R=None):
+def flag_curvature_fit(sp: Spray, R):
     """Least-squares K in R^i_k = K (F^2 delta^i_k - y^i y_k), y_k = g_kj y^j.
 
-    Returns (K, residual) with residual the max-entry deviation of the fit.
-    ``G`` and ``R`` are the spray and curvature operator at (x, y) when the
-    caller already has them.
+    ``sp`` is an order-2 spray at one y and ``R`` its curvature operator
+    (``riemann_curvature(sp)``).  Returns (K, residual) with residual the
+    max-entry deviation of the fit.
     """
-    y = np.asarray(y, dtype=float)
-    if G is None:
-        G = spray(bundle, y)
-    if R is None:
-        R, _ = riemann_curvature(bundle, y, G=G)
-    g = fundamental_tensor(bundle, y, G=G)
+    bundle, y = sp.bundle, sp.y
+    g = fundamental_tensor(sp)
     F = metric_value(bundle, y)
     ylow = g @ y
     M = F * F * np.eye(bundle.n) - np.outer(y, ylow)

@@ -528,7 +528,7 @@ def _rel(a: float, b: float) -> float:
 
 def _cleared_lhs(bundle: AlphaBetaBundle, ys: np.ndarray, sigma: float) -> np.ndarray:
     """The cleared Einstein residual at each row of the stack ``ys``, from one curvature pass."""
-    _, ric = finsler.riemann_curvature(bundle, ys)
+    _, ric = finsler.riemann_curvature(finsler.spray(bundle, ys))
     al = np.sqrt(np.einsum("mj,jk,mk->m", ys, bundle.a, ys))
     be = ys @ bundle.b
     b2 = bundle.bsq

@@ -19,11 +19,7 @@ It is the only representation production code evaluates: metric
 expressions (``dsl``) run on it, and the spray returns its results as array
 jets whose Hessians hold only their y columns (``finsler.Spray``).  Its
 elementary functions raise ``JetError`` on the same domain and overflow
-cases as the scalar ones.  An ``ArrayJet`` may also be of order 1 (``hess`` is None),
-for a caller that reads no second derivative: any operation with an
-order-1 operand gives an order-1 result and forms no Hessian, and its value
-and gradient are the same bits as at order 2, since the Hessian never feeds
-them.  The scalar ``Jet`` stays as the independent oracle that
+cases as the scalar ones.  The scalar ``Jet`` stays as the independent oracle that
 ``ArrayJet`` is tested against, and for demo 01; both take the values of
 exp, log, sin, cos and pow from numpy, so they differ only in how they
 propagate derivatives.
@@ -207,20 +203,16 @@ def _trail(v, k: int):
 
 
 class ArrayJet:
-    """Array of order-2 (or order-1) jets over ``d`` shared directions.
+    """Array of order-2 jets over ``d`` shared directions.
 
     ``val`` has a leading shape S, ``grad`` shape S + (d,) and ``hess`` the
     full symmetric Hessian, shape S + (d, d).  Operands broadcast over their
     leading shapes as numpy arrays do, so a scalar jet (S = ()) times a
     vector of jets is a vector of jets.  ``grad`` and ``hess`` need only
     broadcast to S: derivatives that do not vary along a leading axis may
-    omit it.  A plain operand must be a scalar.
-
-    An order-1 jet has ``hess`` None.  An operation with an order-1 operand
-    returns an order-1 jet and forms no Hessian; its value and gradient are
-    computed exactly as at order 2, so they are the same bits.  The
-    elementary functions still compute and check their second-derivative
-    coefficient, so a ``JetError`` does not depend on the order.
+    omit it.  A plain operand must be a scalar.  Division is by
+    ``reciprocal``.  ``hess`` is None only in an order-1 ``finsler.Spray``,
+    which holds such jets as containers and applies no operation to them.
     """
 
     __slots__ = ("val", "grad", "hess")
@@ -233,47 +225,33 @@ class ArrayJet:
 
     def __add__(self, other):
         if isinstance(other, ArrayJet):
-            h, k = self.hess, other.hess
-            return ArrayJet(self.val + other.val, self.grad + other.grad, None if h is None or k is None else h + k)
+            return ArrayJet(self.val + other.val, self.grad + other.grad, self.hess + other.hess)
         return ArrayJet(self.val + other, self.grad, self.hess)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ArrayJet(-self.val, -self.grad, None if self.hess is None else -self.hess)
+        return ArrayJet(-self.val, -self.grad, -self.hess)
 
     def __sub__(self, other):
         if isinstance(other, ArrayJet):
-            h, k = self.hess, other.hess
-            return ArrayJet(self.val - other.val, self.grad - other.grad, None if h is None or k is None else h - k)
+            return ArrayJet(self.val - other.val, self.grad - other.grad, self.hess - other.hess)
         return ArrayJet(self.val - other, self.grad, self.hess)
 
     def __rsub__(self, other):
-        return ArrayJet(other - self.val, -self.grad, None if self.hess is None else -self.hess)
+        return ArrayJet(other - self.val, -self.grad, -self.hess)
 
     def __mul__(self, other):
         if isinstance(other, ArrayJet):
             u, v = self.val, other.val
-            hess = None
-            if self.hess is not None and other.hess is not None:
-                outer = self.grad[..., :, None] * other.grad[..., None, :]
-                hess = _trail(u, 2) * other.hess + _trail(v, 2) * self.hess  # full shape S
-                hess += outer
-                hess += outer.swapaxes(-1, -2)
+            outer = self.grad[..., :, None] * other.grad[..., None, :]
+            hess = _trail(u, 2) * other.hess + _trail(v, 2) * self.hess  # full shape S
+            hess += outer
+            hess += outer.swapaxes(-1, -2)
             return ArrayJet(u * v, _trail(u, 1) * other.grad + _trail(v, 1) * self.grad, hess)
-        return ArrayJet(self.val * other, self.grad * other, None if self.hess is None else self.hess * other)
+        return ArrayJet(self.val * other, self.grad * other, self.hess * other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, ArrayJet):
-            return self * other.reciprocal()
-        if abs(other) < _TINY:
-            raise JetError("division by zero")
-        return self * (1.0 / other)
-
-    def __rtruediv__(self, other):
-        return other * self.reciprocal()
 
     def reciprocal(self) -> "ArrayJet":
         v = self.val
@@ -288,8 +266,7 @@ class ArrayJet:
         p = float(expo)
         v = self.val
         if p == 0.0:
-            hess = None if self.hess is None else np.zeros_like(self.hess)
-            return ArrayJet(np.ones_like(v), np.zeros_like(self.grad), hess)
+            return ArrayJet(np.ones_like(v), np.zeros_like(self.grad), np.zeros_like(self.hess))
         if p != int(p) and (v <= 0.0).any():
             raise JetError(f"fractional power of non-positive base {_first(v, v <= 0.0)}")
         if p < 0 and (np.abs(v) < _TINY).any():
@@ -353,8 +330,6 @@ class ArrayJet:
     def _chain(self, c0, c1, c2) -> "ArrayJet":
         """Compose elementwise with a scalar function given its value and derivatives."""
         g = self.grad
-        if self.hess is None:
-            return ArrayJet(c0, _trail(c1, 1) * g, None)
         hess = _trail(c1, 2) * self.hess
         hess += _trail(c2, 2) * (g[..., :, None] * g[..., None, :])
         return ArrayJet(c0, _trail(c1, 1) * g, hess)

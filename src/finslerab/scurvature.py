@@ -13,12 +13,14 @@ fresh evaluation would build.
 
 S itself is computed two ways:
 
-* ``s_curvature_def``    -- straight from the definition
+* ``s_curvature_def(sp, form)``    -- straight from the definition
   S = dG^i/dy^i - y^i d(ln sigma_F)/dx^i with sigma_F = f(b(x)) sqrt(det a),
-  the spray divergence read off the spray's jet and d(ln det a)/dx^i by
-  Jacobi's formula from the exact partials of a;
-* ``s_curvature_closed`` -- the closed rational form in (s, b^2, r00, r0, s0)
-  obtained by dividing the spray divergence through the volume term.
+  the spray divergence read off the ``finsler.Spray`` record ``sp`` (of
+  either order) and d(ln det a)/dx^i by Jacobi's formula from the exact
+  partials of a;
+* ``s_curvature_closed(bundle, y, form)`` -- the closed rational form in
+  (s, b^2, r00, r0, s0) obtained by dividing the spray divergence through
+  the volume term.
 
 The two routes share only Lambda = f'/(b f): the closed form never reads
 det a or the spray; agreement is asserted in the tests.  Two details of the closed form differ from the printed
@@ -36,9 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .finsler import Spray
 from .jets import JetError
 from .riemann import AlphaBetaBundle
-from . import finsler
 
 __all__ = [
     "VolumeFactor",
@@ -174,22 +176,17 @@ def s_curvature_closed(bundle: AlphaBetaBundle, y, form: str = "bh") -> float:
     return spray_part - vf.Lambda * (r0 + s0)
 
 
-def s_curvature_def(bundle: AlphaBetaBundle, y, form: str = "bh", G=None) -> float:
-    """S from the definition: spray divergence minus the log-volume drift.
+def s_curvature_def(sp: Spray, form: str = "bh") -> float:
+    """S from the definition at the one y of the spray ``sp``: spray divergence minus the log-volume drift.
 
     d(ln sigma_F)/dx^k = 1/2 d(ln det a)/dx^k + Lambda/2 * d(b^2)/dx^k, the
     first by Jacobi's formula tr(a^-1 d_k a) (``bundle.dlndet``), the
     second from the bundle's exact derivative of b^2; Lambda absorbs
-    f'/(f b) with its b -> 0 limit so beta = 0 costs nothing special.
-    ``G`` is the spray at (x, y) when the caller already has it, of either
-    order.  Without it, this evaluates its own spray to first order: the
-    divergence reads only the spray's gradient.
+    f'/(f b) with its b -> 0 limit so beta = 0 costs nothing special.  The
+    divergence reads only the spray's gradient, so ``sp`` may be of order 1.
     """
-    y = np.asarray(y, dtype=float)
-    n = bundle.n
-    if G is None:
-        G = finsler.spray(bundle, y, order=1)
-    div_g = float(np.trace(G.G.grad[:, n:]))
+    bundle, y, n = sp.bundle, sp.y, sp.bundle.n
+    div_g = float(np.trace(sp.G.grad[:, n:]))
     vf = volume_factor(n, math.sqrt(max(bundle.bsq, 0.0)), form)
     dln_sigma = 0.5 * bundle.dlndet + 0.5 * vf.Lambda * bundle.d_bsq
     return float(div_g - y @ dln_sigma)

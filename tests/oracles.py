@@ -209,7 +209,7 @@ def general_spray(bundle: AlphaBetaBundle, y) -> Spray:
 
     G = [gbar[i] + lead * si0[i] + coef_b * bup[i] + coef_y * yJ[i] for i in range(n)]
     F = alpha2 / (alpha - beta)
-    return Spray(G=_array_jet(G), Gbar=_array_jet(gbar), F2=_array_jet(F * F))
+    return Spray(bundle=bundle, y=y, G=_array_jet(G), Gbar=_array_jet(gbar), F2=_array_jet(F * F))
 
 
 def extract_scalars_loop(bundle: AlphaBetaBundle, rng) -> ScalarFit:
@@ -232,7 +232,7 @@ def extract_scalars_loop(bundle: AlphaBetaBundle, rng) -> ScalarFit:
         ricbars.append(bundle.ricbar(y))
         r00s.append(float(y @ bundle.r @ y))
         alphas2.append(bundle.alpha2(y))
-        rics.append(riemann_curvature(bundle, y, G=general_spray(bundle, y))[1])
+        rics.append(riemann_curvature(general_spray(bundle, y))[1])
         al = bundle.alpha(y)
         F2.append((al * al / (al - bundle.beta(y))) ** 2)
     ricbars, r00s, alphas2, rics, F2 = map(np.array, (ricbars, r00s, alphas2, rics, F2))

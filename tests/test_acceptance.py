@@ -47,10 +47,11 @@ def test_criterion_1_example_reproduction(example_spec):
             y = unit_y(bu, rng)
             a2 = bu.alpha2(y)
             worst_ricbar = max(worst_ricbar, abs(bu.ricbar(y)) / a2)
-            _, ric = riemann_curvature(bu, y)
+            sp = spray(bu, y)
+            _, ric = riemann_curvature(sp)
             F2 = metric_value(bu, y) ** 2
             worst_ricf = max(worst_ricf, abs(ric) / F2)
-            worst_s = max(worst_s, abs(s_curvature_def(bu, y, "bh")))
+            worst_s = max(worst_s, abs(s_curvature_def(sp, "bh")))
     elapsed = time.perf_counter() - t0
     ok = (
         worst_ricbar <= 1e-8
@@ -81,8 +82,8 @@ def test_criterion_1_flag_curvature_clause(example_spec):
     for x in pts:
         bu = build_bundle(example_spec, x)
         for _ in range(12):
-            y = unit_y(bu, rng)
-            K, res = flag_curvature_fit(bu, y)
+            sp = spray(bu, unit_y(bu, rng))
+            K, res = flag_curvature_fit(sp, riemann_curvature(sp)[0])
             worst_K = max(worst_K, abs(K))
             worst_res = max(worst_res, res)
     print(f"ACCEPTANCE 1 (flag clause): K fit {worst_K:.1e}, residual {worst_res:.1e}", flush=True)
@@ -102,9 +103,9 @@ def test_criterion_2_dual_route_ricci(example_spec, homothetic_spec, rotational_
             bu = build_bundle(spec, x)
             for _ in range(5):
                 y = unit_y(bu, rng)
-                G = spray(bu, y)
-                _, direct = riemann_curvature(bu, y, G=G)
-                via_t = ricci_via_T(bu, y, G=G)
+                sp = spray(bu, y)
+                _, direct = riemann_curvature(sp)
+                via_t = ricci_via_T(sp)
                 worst = max(worst, abs(direct - via_t) / max(1.0, abs(direct)))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and elapsed < 30.0
@@ -149,7 +150,7 @@ def test_criterion_4_s_curvature_theorem(example_spec, homothetic_spec, rotation
         for x in pts:
             bu = build_bundle(spec, x)
             for _ in range(4):
-                worst_zero = max(worst_zero, abs(s_curvature_def(bu, unit_y(bu, rng), "bh")))
+                worst_zero = max(worst_zero, abs(s_curvature_def(spray(bu, unit_y(bu, rng), 1), "bh")))
 
     non_const = [homothetic_spec, rotational_spec, testmetrics.shipped_metric("euclidean_shear")]
     max_each = []
@@ -161,7 +162,7 @@ def test_criterion_4_s_curvature_theorem(example_spec, homothetic_spec, rotation
             bu = build_bundle(spec, x)
             for _ in range(4):
                 y = unit_y(bu, rng)
-                s_def = s_curvature_def(bu, y, "bh")
+                s_def = s_curvature_def(spray(bu, y, 1), "bh")
                 s_cl = s_curvature_closed(bu, y, "bh")
                 worst_routes = max(worst_routes, abs(s_def - s_cl) / max(1.0, abs(s_def)))
                 biggest = max(biggest, abs(s_def))
@@ -227,9 +228,9 @@ def test_criterion_7_structural_invariants():
                 G2 = general_spray(bu, y).G.val
                 for a, b in zip(G1, G2):
                     worst_dual = max(worst_dual, abs(a - b) / max(1.0, abs(a)))
-                R, ric = riemann_curvature(bu, y, G=S1)
+                R, ric = riemann_curvature(S1)
                 worst_ry = max(worst_ry, float(np.max(np.abs(R @ y))) / max(1.0, float(np.max(np.abs(R)))))
-                R2, ric2 = riemann_curvature(bu, 2 * y)
+                R2, ric2 = riemann_curvature(spray(bu, 2 * y))
                 G2x = spray(bu, 2 * y).G.val
                 worst_hom = max(
                     worst_hom,

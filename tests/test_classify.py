@@ -9,7 +9,7 @@ import pytest
 
 from finslerab import classify, cli, finsler, identity, testmetrics
 from finslerab.classify import GROUPS, RunConfig, emit_report, run_appendix, run_check
-from finslerab.dsl import parse_metric, sample_domain, validate_spec
+from finslerab.dsl import Bin, Const, parse_metric, sample_domain, validate_spec
 from finslerab.riemann import GeometryError, build_bundle
 
 
@@ -119,10 +119,50 @@ def test_appendix_one_record_per_sample(generic3d, monkeypatch):
     assert calls == {"verify_identity": 3, "spray": 3, "contraction_set": 6}
 
 
+def _rescaled(spec, c: float):
+    """``spec`` with a -> c^2 a and b -> c b, rewritten in its expression trees."""
+
+    def times(k, entries):
+        return {key: Bin("*", Const(k), expr) for key, expr in entries.items()}
+
+    return dataclasses.replace(spec, a_entries=times(c * c, spec.a_entries), b_entries=times(c, spec.b_entries))
+
+
+@pytest.mark.parametrize("c", [2.0, 0.5])
+@pytest.mark.parametrize("name", testmetrics.list_shipped())
+def test_check_rescales_with_the_metric(name, c):
+    """A metamorphic oracle: a -> c^2 a and b -> c b make F -> c F with the same b^2.
+
+    The spray is unchanged and the same seed draws the same points and the
+    alpha-unit y / c, so every verdict stands, and per sample Ric scales by
+    1/c^2, S by 1/c and F^2 not at all; lambda, sigma and K scale by 1/c^2.
+    A slip that both routes of a cross-check share can still break these laws.
+    Powers of two keep the rescaling exact in floating point.
+    """
+    spec = testmetrics.shipped_metric(name)
+    base, scaled = run_check(spec, small_config()), run_check(_rescaled(spec, c), small_config())
+
+    def close(got, want):
+        return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    assert {k: cond.verdict for k, cond in scaled.conditions.items()} == {
+        k: cond.verdict for k, cond in base.conditions.items()
+    }
+    assert scaled.consistency == base.consistency
+    for key in ("alpha_einstein", "F_einstein", "constant_flag_curvature"):
+        assert close(scaled.conditions[key].value, base.conditions[key].value / c**2), key
+    assert len(scaled.points) == len(base.points)
+    for row, want in zip(scaled.points, base.points):
+        assert row["x"] == want["x"] and row["y"] == [v / c for v in want["y"]]
+        pairs = [("Ric", 1 / c**2), ("S", 1 / c), ("F2", 1.0), ("K_fit", 1 / c**2)]
+        assert all(close(row[k], want[k] * f) for k, f in pairs), (row, want)
+
+
 @pytest.mark.parametrize(
     "groups, order, sprays",
-    [(("beta", "S"), 1, 4 * 3), (GROUPS, 2, 4 * (1 + 3))],  # per point: the fit design, then each y
-    ids=["scurv", "check"],
+    # per point: the fit design, then each y; a run with no per-y reader makes no spray
+    [(("beta", "S"), 1, 4 * 3), (GROUPS, 2, 4 * (1 + 3)), (("beta",), 1, 0)],
+    ids=["scurv", "check", "beta"],
 )
 def test_check_spray_order_follows_its_readers(generic3d, monkeypatch, groups, order, sprays):
     """The S-only view makes one order-1 spray per sample; with the curvature groups every spray is order 2."""
@@ -205,9 +245,9 @@ def _spy_walks(spec, monkeypatch) -> list:
 )
 def test_bundles_from_chunked_jets_match_per_point_bytes(name, monkeypatch):
     # each point's slice of a chunk's walk builds, array for array, the bytes its own walk
-    # builds, and so do the fits and the identity that read the bundle.  Slices passed as
-    # views into the chunk (a strided a) build the same bundle fields but move those
-    # readers in the last bit, so each point's jets must be fresh arrays.
+    # builds, and so do the fits and the identity that read the bundle.  A strided slice of
+    # a builds the same bundle fields but moves those readers in the last bit, so each
+    # point's jets must be C-contiguous, as its own walk's are.
     spec = _walk_spec(name)
     assert validate_spec(spec).valid
     pts = sample_domain(spec, 25, np.random.default_rng(3), shrink=0.05)
@@ -216,7 +256,7 @@ def test_bundles_from_chunked_jets_match_per_point_bytes(name, monkeypatch):
     monkeypatch.undo()
     assert sum(size for size, in walks) == len(pts) and (spec.dim < 12 or len(walks) >= 2)
     for p, (x, jets) in enumerate(zip(pts, batched)):
-        assert all(arr.base is None for jet in jets for arr in (jet.val, jet.grad, jet.hess))
+        assert all(arr.flags.c_contiguous for jet in jets for arr in (jet.val, jet.grad, jet.hess))
         one, alone = build_bundle(spec, x, jets), build_bundle(spec, x)
         assert _bundle_bytes(one) == _bundle_bytes(alone)
         y = finsler.unit_alpha_vectors(alone, 1, np.random.default_rng(p))[0]
@@ -310,6 +350,35 @@ def test_cli_validate_previews_check(tmp_path, capsys):
     for path in paths:
         assert cli.main(["validate", path]) == cli.main(["check", path, "--points", "1"]), path
     assert cli.main(["validate", str(generated)]) == cli.EXIT_OK
+
+
+# b_1 reaches 0.6 only near x1 = 0.3: the 200 points validate samples at seed 31 miss that
+# bump, and the points a run samples at seed 31 do not
+_BUMP = "dim = 3\na 1 1 = 1\na 2 2 = 1\na 3 3 = 1\nb 1 = 0.6*exp(-400*(x1-0.3)^2)\n"
+
+
+@pytest.mark.parametrize("view", ["check", "scurv", "flag", "appendix"])
+def test_run_rejects_its_points_outside_the_domain_of_F(view):
+    # called directly, so validate_spec does not stop the metric first: b^2 = 0.36 at every point
+    spec = parse_metric("dim = 2\na 1 1 = 1\na 2 2 = 1\nb 1 = 0.6\n", "wide_beta")
+    config = small_config()
+    first = sample_domain(spec, config.points, np.random.default_rng(config.seed), shrink=0.05)[0]
+    groups = {"check": GROUPS, "scurv": ("beta", "S"), "flag": ("flag",)}
+    with pytest.raises(GeometryError) as failed:
+        run_appendix(spec, config) if view == "appendix" else run_check(spec, config, groups[view])
+    assert str(failed.value) == f"b^2 = 0.36 >= 1/4 at x={first}: F = alpha^2/(alpha - beta) is not defined there"
+
+
+@pytest.mark.parametrize("command", ["check", "scurv", "flag", "appendix"])
+def test_cli_run_rejects_its_points_outside_the_domain_of_F(command, tmp_path, capsys):
+    metric = tmp_path / "bump.metric"
+    metric.write_text(_BUMP)
+    assert cli.main(["validate", str(metric), "--seed", "31"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main([command, str(metric), "--seed", "31"]) == cli.EXIT_INVALID_METRIC
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: b^2 = 0.333219 >= 1/4 at x=[0.29016996")
 
 
 def test_cli_check_rejects_invalid(tmp_path, capsys):

@@ -180,7 +180,7 @@ def test_spray_guards_vanishing_denominators(bundle, y, orders, message):
 
 def test_curvature_trivial_and_homogeneity(generic3d):
     bu0 = build_bundle(testmetrics.euclidean(3), np.zeros(3))
-    R, ric = riemann_curvature(bu0, np.array([1.0, 0.2, -0.5]))
+    R, ric = riemann_curvature(spray(bu0, np.array([1.0, 0.2, -0.5])))
     assert np.max(np.abs(R)) == 0.0 and ric == 0.0
 
     rng = np.random.default_rng(5)
@@ -190,8 +190,8 @@ def test_curvature_trivial_and_homogeneity(generic3d):
     G1 = spray(bu, y).G
     for a, b in zip(G2.val, G1.val):
         assert abs(a - 4 * b) <= 1e-12 * max(1.0, abs(a))
-    R1, ric1 = riemann_curvature(bu, y)
-    R2, ric2 = riemann_curvature(bu, 2 * y)
+    R1, ric1 = riemann_curvature(spray(bu, y))
+    R2, ric2 = riemann_curvature(spray(bu, 2 * y))
     assert np.max(np.abs(R2 - 4 * R1)) <= 1e-10 * max(1.0, np.max(np.abs(R2)))
     assert abs(ric2 - 4 * ric1) <= 1e-10 * max(1.0, abs(ric2))
     assert np.max(np.abs(R1 @ y)) <= 1e-9 * max(1.0, np.max(np.abs(R1)))
@@ -204,7 +204,7 @@ def test_example_is_ricci_flat(example_spec):
         bu = build_bundle(example_spec, example_point(rng))
         for _ in range(4):
             y = unit_y(bu, rng)
-            _, ric = riemann_curvature(bu, y)
+            _, ric = riemann_curvature(spray(bu, y))
             F = metric_value(bu, y)
             assert abs(ric) <= 1e-8 * F * F
 
@@ -215,26 +215,27 @@ def test_ricci_via_T_routes(generic3d, example_spec):
         np.array([1.0, 0.2]),
     )
     y = np.array([0.5, 0.4])
-    assert abs(ricci_via_T(bu0, y) - bu0.ricbar(y)) < 1e-12  # T = 0 route
+    assert abs(ricci_via_T(spray(bu0, y)) - bu0.ricbar(y)) < 1e-12  # T = 0 route
 
     rng = np.random.default_rng(7)
     be = build_bundle(example_spec, example_point(rng))
     ye = unit_y(be, rng)
-    _, ric_direct = riemann_curvature(be, ye)
-    assert abs(ric_direct) < 1e-8 and abs(ricci_via_T(be, ye)) < 1e-8
+    _, ric_direct = riemann_curvature(spray(be, ye))
+    assert abs(ric_direct) < 1e-8 and abs(ricci_via_T(spray(be, ye))) < 1e-8
 
     for _ in range(10):
         bu = build_bundle(generic3d, rng.uniform(-0.8, 0.8, 3))
         y = unit_y(bu, rng)
-        _, direct = riemann_curvature(bu, y)
-        via_t = ricci_via_T(bu, y)
+        sp = spray(bu, y)
+        _, direct = riemann_curvature(sp)
+        via_t = ricci_via_T(sp)
         assert abs(direct - via_t) <= 1e-8 * max(1.0, abs(direct))
 
 
 def test_einstein_residual_linear_in_sigma(generic_bundle):
     y = np.array([0.4, -0.7, 0.2])
     F = metric_value(generic_bundle, y)
-    _, ric = riemann_curvature(generic_bundle, y)
+    _, ric = riemann_curvature(spray(generic_bundle, y))
     r0 = ric - 0.0 * F * F
     r1 = ric - 1.0 * F * F
     assert r1 - r0 == -F * F
@@ -245,7 +246,7 @@ def test_einstein_residual_example(example_spec):
     bu = build_bundle(example_spec, example_point(rng))
     y = unit_y(bu, rng)
     F = metric_value(bu, y)
-    _, ric = riemann_curvature(bu, y)
+    _, ric = riemann_curvature(spray(bu, y))
     assert abs(ric - 0.0 * F * F) <= 1e-8 * F * F
 
 
@@ -253,13 +254,13 @@ def test_fundamental_tensor_riemannian_limit():
     spec = parse_metric("dim = 3\na 1 1 = 1 + 0.1*x1^2\na 2 2 = 1\na 3 3 = 1 + 0.05*x2^2")
     bu = build_bundle(spec, np.array([0.3, -0.4, 0.2]))
     y = np.array([0.5, 0.1, -0.8])
-    g = fundamental_tensor(bu, y)
+    g = fundamental_tensor(spray(bu, y))
     assert np.max(np.abs(g - bu.a)) <= 1e-12
 
 
 def test_fundamental_tensor_positive_definite(generic_bundle):
     y = np.array([0.7, 0.2, -0.4])
-    g = fundamental_tensor(generic_bundle, y)
+    g = fundamental_tensor(spray(generic_bundle, y))
     assert np.allclose(g, g.T, atol=1e-14)
     assert np.linalg.eigvalsh(g)[0] > 0
 
@@ -318,9 +319,9 @@ def test_batched_y_rows_match_one_y(bundle_name, request):
     for m in (1, n, 4 * n):
         ys = np.array([unit_y(bu, rng) for _ in range(m)])
         sp = spray(bu, ys)
-        R, ric = riemann_curvature(bu, ys)
+        R, ric = riemann_curvature(sp)
         F = metric_value(bu, ys)
-        g = fundamental_tensor(bu, ys)
+        g = fundamental_tensor(sp)
         assert sp.G.val.shape == (m, n) and sp.F2.val.shape == (m,)
         assert R.shape == (m, n, n) and ric.shape == (m,) and F.shape == (m,) and g.shape == (m, n, n)
         for k, y in enumerate(ys):
@@ -328,11 +329,11 @@ def test_batched_y_rows_match_one_y(bundle_name, request):
             for batch_jet, one_jet in ((sp.G, one.G), (sp.Gbar, one.Gbar), (sp.F2, one.F2)):
                 for part in ("val", "grad", "hess"):
                     _rows_match(getattr(batch_jet, part), getattr(one_jet, part), k)
-            R1, ric1 = riemann_curvature(bu, y)
+            R1, ric1 = riemann_curvature(one)
             _rows_match(R, R1, k)
             _rows_match(ric, ric1, k)
             _rows_match(F, metric_value(bu, y), k)
-            _rows_match(g, fundamental_tensor(bu, y), k)
+            _rows_match(g, fundamental_tensor(one), k)
 
 
 @pytest.mark.parametrize("source", testmetrics.list_shipped() + [2, 3, 5, 8])  # a shipped metric, or random_metric(n)
@@ -477,15 +478,20 @@ def test_spray_input_rows_match_single_forms(source):
                     assert not hess[..., n + 2, :, :].any()  # b^2's, truncated
 
 
+def _flag_fit(bu, y):
+    sp = spray(bu, y)
+    return flag_curvature_fit(sp, riemann_curvature(sp)[0])
+
+
 def test_flag_fit_euclidean_zero():
     bu = build_bundle(testmetrics.euclidean(3), np.zeros(3))
-    K, res = flag_curvature_fit(bu, np.array([0.3, -0.9, 0.4]))
+    K, res = _flag_fit(bu, np.array([0.3, -0.9, 0.4]))
     assert K == 0.0 and res == 0.0
 
 
 def test_flag_fit_sphere_unit(sphere_spec):
     bu = build_bundle(sphere_spec, np.array([1.1, 0.4]))
-    K, res = flag_curvature_fit(bu, np.array([0.3, 0.7]))
+    K, res = _flag_fit(bu, np.array([0.3, 0.7]))
     assert abs(K - 1.0) <= 1e-7
     assert res <= 1e-7
 
@@ -497,7 +503,7 @@ def test_flag_fit_example_not_constant(example_spec):
     rng = np.random.default_rng(12)
     bu = build_bundle(example_spec, example_point(rng))
     y = unit_y(bu, rng)
-    K, res = flag_curvature_fit(bu, y)
+    K, res = _flag_fit(bu, y)
     assert abs(K) < 0.1
     assert res > 1e-3
 
@@ -505,8 +511,9 @@ def test_flag_fit_example_not_constant(example_spec):
 def test_finsler_eval_record(generic_bundle):
     y = np.array([0.6, -0.2, 0.5])
     sp = spray(generic_bundle, y)
-    R, ric = riemann_curvature(generic_bundle, y, G=sp)
+    R, ric = riemann_curvature(sp)
     T = sp.G - sp.Gbar
+    assert sp.bundle is generic_bundle and np.array_equal(sp.y, y)
     assert ric == np.trace(R)
     assert np.allclose(sp.G.val - T.val, generic_bundle.gbar(y), atol=1e-14)
     assert T.grad.shape == (3, 6)
@@ -537,6 +544,6 @@ def test_deformation_matches_conformal_closed_form(homothetic_spec):
 def test_flag_curvature_degree_zero(generic_bundle):
     rng = np.random.default_rng(14)
     y = unit_y(generic_bundle, rng)
-    K1, _ = flag_curvature_fit(generic_bundle, y)
-    K2, _ = flag_curvature_fit(generic_bundle, 2 * y)
+    K1, _ = _flag_fit(generic_bundle, y)
+    K2, _ = _flag_fit(generic_bundle, 2 * y)
     assert abs(K1 - K2) <= 1e-10 * max(1.0, abs(K1))

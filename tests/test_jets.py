@@ -119,17 +119,24 @@ def test_first_power_at_zero():
     assert p.val == 0.0 and p.grad[0] == 1.0 and p.hess[0] == 0.0
 
 
-# (ArrayJet form, scalar Jet form, plain numpy form) of every array-jet operation
+def _constant(v, like):
+    """``v`` as a constant array jet in the directions of ``like``, as the metric walk lifts a number."""
+    d = like.grad.shape[-1]
+    return ArrayJet(v, np.zeros(d), np.zeros((d, d)))
+
+
+# (ArrayJet form, scalar Jet form, plain numpy form) of every array-jet operation;
+# an ArrayJet divides as the metric walk does, by multiplying with the reciprocal
 ARRAY_OPS = {
     "add": (lambda a, b: a + b,) * 3,
     "sub": (lambda a, b: a - b,) * 3,
     "mul": (lambda a, b: a * b,) * 3,
-    "div": (lambda a, b: a / b,) * 3,
+    "div": (lambda a, b: a * b.reciprocal(), lambda a, b: a / b, lambda a, b: a / b),
     "radd": (lambda a, b: 2.5 + a,) * 3,
     "rsub": (lambda a, b: 2.5 - a,) * 3,
     "rmul": (lambda a, b: 2.5 * a,) * 3,
-    "rdiv": (lambda a, b: 2.5 / a,) * 3,
-    "div_const": (lambda a, b: a / 2.5,) * 3,
+    "rdiv": (lambda a, b: 2.5 * a.reciprocal(), lambda a, b: 2.5 / a, lambda a, b: 2.5 / a),
+    "div_const": (lambda a, b: a * _constant(2.5, a).reciprocal(), lambda a, b: a / 2.5, lambda a, b: a / 2.5),
     "neg": (lambda a, b: -a,) * 3,
     "reciprocal": (lambda a, b: a.reciprocal(), lambda a, b: 1.0 / a, lambda a, b: 1.0 / a),
     "sqrt": (lambda a, b: a.sqrt(), lambda a, b: jsqrt(a), lambda a, b: np.sqrt(a)),
@@ -143,8 +150,6 @@ ARRAY_OPS = {
 }
 # the operations this test covered first keep the random data they were drawn with
 _SEED = {op: i for i, op in enumerate(sorted(list(ARRAY_OPS)[:12]) + list(ARRAY_OPS)[12:])}
-# the operations that read their second operand
-_BINARY = {"add", "sub", "mul", "div"}
 
 
 def _quadratic_fields(rng, x0, count):
@@ -173,16 +178,6 @@ def _assert_matches(out, k, ref):
     np.testing.assert_allclose(out.hess[k], ref.hess_matrix(), rtol=1e-14, atol=1e-14)
 
 
-def _first_order(aj):
-    return ArrayJet(aj.val, aj.grad, None)
-
-
-def _assert_first_order_of(out1, out):
-    """``out1`` is the order-1 form of ``out``: the same value and gradient bits, no Hessian."""
-    assert out1.hess is None
-    assert np.array_equal(out1.val, out.val) and np.array_equal(out1.grad, out.grad)
-
-
 @pytest.mark.parametrize("op", sorted(ARRAY_OPS))
 def test_array_jet_matches_scalar_jet_and_fd(op):
     fn_array, fn_jet, fn_plain = ARRAY_OPS[op]
@@ -196,10 +191,6 @@ def test_array_jet_matches_scalar_jet_and_fd(op):
         for i in range(x0.size):
             fd = fd_oracle(lambda x: fn_plain(plain_a(x), plain_b(x))[k], x0, i)
             assert abs(out.grad[k, i] - fd) <= 1e-7 * max(1.0, abs(fd))
-    # an order-1 operand, alone or with another, gives the order-1 form of the result
-    a1, b1 = _first_order(a), _first_order(b)
-    for operands in [(a1, b), (a1, b1)] + ([(a, b1)] if op in _BINARY else []):
-        _assert_first_order_of(fn_array(*operands), out)
 
 
 def test_array_jet_broadcasts_over_leading_shape():
@@ -209,25 +200,19 @@ def test_array_jet_broadcasts_over_leading_shape():
     _, v = _quadratic_fields(rng, x0, 4)
     scalar = ArrayJet(a.val[0], a.grad[0], a.hess[0])
     (ja,) = _scalar_jets(a)
-    for out in (scalar * v, v / scalar, scalar + v):
+    for out in (scalar * v, v * scalar.reciprocal(), scalar + v):
         assert out.val.shape == (4,) and out.hess.shape == (4, 3, 3)
     for k, jv in enumerate(_scalar_jets(v)):
         _assert_matches(scalar * v, k, ja * jv)
-        _assert_matches(v / scalar, k, jv / ja)
+        _assert_matches(v * scalar.reciprocal(), k, jv / ja)
         _assert_matches(scalar + v, k, ja + jv)
-    scalar1, v1 = _first_order(scalar), _first_order(v)
-    for s, w in ((scalar1, v), (scalar, v1), (scalar1, v1)):
-        _assert_first_order_of(s * w, scalar * v)
-        _assert_first_order_of(w / s, v / scalar)
-        _assert_first_order_of(s + w, scalar + v)
-        assert (s * w).grad.shape == (4, 3)
 
 
-def _domain_cases(order):
-    """(operation, message pattern) pairs that must raise ``JetError``, on jets of ``order``."""
+def _domain_cases():
+    """(operation, message pattern) pairs that must raise ``JetError``."""
 
     def jet(val, grad):
-        return ArrayJet(val, grad, np.zeros(grad.shape + grad.shape[-1:]) if order == 2 else None)
+        return ArrayJet(val, grad, np.zeros(grad.shape + grad.shape[-1:]))
 
     def arr(*vals):
         return jet(np.array(vals), np.ones((len(vals), 1)))
@@ -237,7 +222,6 @@ def _domain_cases(order):
     cases = [
         (lambda: v.sqrt(), "sqrt of non-positive value -1.0"),
         (lambda: (v - v).reciprocal(), "division by zero jet"),
-        (lambda: v / 0.0, "division by zero"),
         (lambda: v.log(), "log of non-positive value -1.0"),
         (lambda: arr(1.0, 0.0).log(), "log of non-positive value 0.0"),
         (lambda: v**0.5, "fractional power of non-positive base -1.0"),
@@ -254,24 +238,16 @@ def _domain_cases(order):
 
 
 def test_array_jet_domain_errors():
-    # every case raises the same message at order 1 as at order 2:
-    # the second-derivative coefficient is still computed and checked
-    messages = []
-    for order in (2, 1):
-        cases, arr = _domain_cases(order)
-        for k, (case, pattern) in enumerate(cases):
-            with pytest.raises(JetError, match=pattern) as info:
-                case()
-            if order == 2:
-                messages.append(str(info.value))
-            assert str(info.value) == messages[k]
-        # the scalar rules hold at the edges: x^0 = 1 anywhere, x^1 at 0, integer powers of negatives
-        zeroth = arr(-3.0, 0.0) ** 0
-        assert zeroth.val.tolist() == [1.0, 1.0] and (zeroth.hess is None) == (order == 1)
-        one = arr(0.0) ** 1
-        assert one.val == 0.0 and one.grad[0, 0] == 1.0
-        assert one.hess is None if order == 1 else one.hess[0, 0, 0] == 0.0
-        assert (arr(-2.0) ** 3).val.tolist() == [-8.0]
+    cases, arr = _domain_cases()
+    for case, pattern in cases:
+        with pytest.raises(JetError, match=pattern):
+            case()
+    # the scalar rules hold at the edges: x^0 = 1 anywhere, x^1 at 0, integer powers of negatives
+    zeroth = arr(-3.0, 0.0) ** 0
+    assert zeroth.val.tolist() == [1.0, 1.0] and not zeroth.hess.any()
+    one = arr(0.0) ** 1
+    assert one.val == 0.0 and one.grad[0, 0] == 1.0 and one.hess[0, 0, 0] == 0.0
+    assert (arr(-2.0) ** 3).val.tolist() == [-8.0]
 
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False)

@@ -118,7 +118,7 @@ def test_classical_vs_spray_curvature(generic3d):
     for _ in range(5):
         bu = build_bundle(spec, rng.uniform(-0.8, 0.8, 3))
         y = unit_y(bu, rng)
-        R_spray, ric_spray = finsler.riemann_curvature(bu, y)
+        R_spray, ric_spray = finsler.riemann_curvature(finsler.spray(bu, y))
         assert np.max(np.abs(R_spray - rbar(bu, y))) < 1e-9
         assert abs(ric_spray - bu.ricbar(y)) < 1e-9
 
