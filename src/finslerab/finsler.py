@@ -21,14 +21,14 @@ exploiting known Hessian sparsity).
 The spray is G^i = Gbar^i - L s^i_0 + C_b b^i + C_y y^i, whose four scalar
 coefficients L, C_b, C_y and F^2 depend on u = (alpha^2, beta, r00, s0,
 b^2) alone.  Their values, Jacobian and Hessian over u are written out in
-closed form on plain numbers and pushed through the packed inputs in one
-step, grad c = J grad u and hess c = J . hess u + grad u^T H grad u
-(preaccumulation of local derivatives), and the three vector terms are
-combined by one product rule: no jet operation runs on the chain between
-the inputs and G.  ``tools/rederive_spray_partials.py`` checks the closed
-forms against sympy.  The generic (alpha, beta) spray, with Q, Psi and
-Theta computed from phi(s) = 1/(1 - s) in scalar jets, is the test suite's
-oracle for the whole spray (``tests/oracles.py``).
+closed form on Python floats, once per y, and pushed through the packed
+inputs in one step, grad c = J grad u and hess c = J . hess u + grad u^T H
+grad u (preaccumulation of local derivatives), and the three vector terms
+are combined by one product rule: no jet operation runs on the chain
+between the inputs and G.  ``tools/rederive_spray_partials.py`` checks the
+closed forms against sympy.  The generic (alpha, beta) spray, with Q, Psi
+and Theta computed from phi(s) = 1/(1 - s) in scalar jets, is the test
+suite's oracle for the whole spray (``tests/oracles.py``).
 
 The ``Spray`` record is the one input of every reader of the spray:
 ``riemann_curvature``, ``ricci_via_T``, ``fundamental_tensor``,
@@ -47,7 +47,8 @@ The spray has a derivative ``order``, set by what its caller reads.  The
 curvature, the T-split Ricci route, the flag fit and the fundamental tensor
 read second derivatives, so they need the default order 2.  The
 S-curvature definition reads only dG^i/dy^i, so a caller that reads
-nothing else asks for order 1: no Hessian and no F^2 is formed.  Both
+nothing else asks for order 1: no Hessian and no F^2 is formed, and a
+second-order reader handed such a spray raises ``ValueError``.  Both
 orders run the same code on the same cached inputs, and the values and
 gradients of G and Gbar are the same bits at both.
 
@@ -114,6 +115,11 @@ class Spray:
         after the leading y axis of a stack.
         """
         return _blocks(self.G)
+
+    def check_order_2(self, reader: str):
+        """Raise ``ValueError`` unless this spray has the second derivatives that ``reader`` reads."""
+        if self.F2 is None:
+            raise ValueError(f"{reader} needs an order-2 spray, got one of order 1")
 
 
 def _blocks(jet: ArrayJet):
@@ -232,10 +238,9 @@ class _SprayInputs:
 # over u are written out below in s = beta / alpha and the reciprocals of
 # alpha, 2s - 1, 3s - 2b^2 - 1 and 1 - s, and pushed through the inputs'
 # jets in one step (preaccumulation of local derivatives: Griewank &
-# Walther, *Evaluating Derivatives*, 2nd ed., 2008, ch. 10).  The
-# expressions use arithmetic operators only, so they run on Python floats at
-# one y and on (m, 1) arrays at a stack of m.
-# ``tools/rederive_spray_partials.py`` checks them against sympy.
+# Walther, *Evaluating Derivatives*, 2nd ed., 2008, ch. 10).  They run on
+# Python floats, once per y, so a row of a stack gets the bits of its y
+# alone.  ``tools/rederive_spray_partials.py`` checks them against sympy.
 
 # Above this alpha^2 the jet sqrt raises nowhere; below it, its own checks decide.
 _SQRT_SAFE = 1e-200
@@ -244,29 +249,29 @@ _SQRT_SAFE = 1e-200
 def _coefficient_partials(alpha2, beta, r00, s0, bsq, order: int):
     """(values, jacobian[, hessian]) of the spray's scalar coefficients over u.
 
-    u = (alpha^2, beta, r00, s0, b^2).  At order 1 the coefficients are
-    (L, C_b, C_y): ``values`` is a list of 3 and ``jacobian`` a 3 x 5
-    nested list.  At order 2 F^2 is the fourth, and ``hessian`` lists for
-    each coefficient the 15 entries of the upper triangle of its Hessian,
-    row by row (``_UPPER`` maps (i, j) to the place of d2/du_i du_j).  The
-    first three values and Jacobian rows are the same expressions at both
-    orders.  Raises ``JetError`` where the jet chain did: alpha^2 outside
-    the domain of the jet sqrt, or 2s - 1, 3s - 2b^2 - 1 or (at order 2)
-    1 - s of magnitude below ``_TINY``.
+    u = (alpha^2, beta, r00, s0, b^2), at one y, as Python floats.  At
+    order 1 the coefficients are (L, C_b, C_y): ``values`` is a list of 3
+    and ``jacobian`` a 3 x 5 nested list.  At order 2 F^2 is the fourth,
+    and ``hessian`` lists for each coefficient the 15 entries of the upper
+    triangle of its Hessian, row by row (``_UPPER`` maps (i, j) to the place
+    of d2/du_i du_j).  The first three values and Jacobian rows are the same
+    expressions at both orders.  Raises ``JetError`` where the jet chain
+    did: alpha^2 outside the domain of the jet sqrt, or 2s - 1,
+    3s - 2b^2 - 1 or (at order 2) 1 - s of magnitude below ``_TINY``.
     """
-    if not _everywhere((alpha2 > _SQRT_SAFE) & (alpha2 < math.inf)):
+    if not _SQRT_SAFE < alpha2 < math.inf:
         # raises exactly where, and as, the jet sqrt of alpha^2 does
-        ArrayJet(alpha2, np.zeros(np.shape(alpha2) + (1,)), np.zeros(np.shape(alpha2) + (1, 1))).sqrt()
+        ArrayJet(alpha2, np.zeros(1), np.zeros((1, 1))).sqrt()
     a = alpha2**0.5
     ia = 1.0 / a
     s = beta * ia  # finite, as alpha^2 is
     d1 = 2.0 * s - 1.0
     d2 = 3.0 * s - 2.0 * bsq - 1.0
-    nonzero = (abs(d1) >= _TINY) & (abs(d2) >= _TINY)
+    nonzero = abs(d1) >= _TINY and abs(d2) >= _TINY
     if order == 2:
         d3 = 1.0 - s
-        nonzero = nonzero & (abs(d3) >= _TINY)
-    if not _everywhere(nonzero):
+        nonzero = nonzero and abs(d3) >= _TINY
+    if not nonzero:
         raise JetError("division by zero jet")
     i1 = 1.0 / d1
     i2 = 1.0 / d2
@@ -295,7 +300,7 @@ def _coefficient_partials(alpha2, beta, r00, s0, bsq, order: int):
     nu = -0.5 * w * ia
     nu_A = (2.0 * s - 0.25) * ia2 * ia
     nu_B = -2.0 * ia2
-    zero = s - s
+    zero = 0.0
     jacobian = [
         [L_A, L_B, zero, zero, zero],
         [Cb_A, Cb_B, X, Cb_s, Cb_q],
@@ -326,7 +331,7 @@ def _coefficient_partials(alpha2, beta, r00, s0, bsq, order: int):
     Cb_Bq = K_B * X_q + K * X_Bq
     Cb_sq = K_s * X_q
     Cb_qq = K * X_qq
-    cb = _symmetric(Cb_AA, Cb_AB, Cb_BB, X_A, X_B, Cb_As, Cb_Bs, Cb_Aq, Cb_Bq, X_q, Cb_sq, Cb_qq, zero)
+    cb = _symmetric(Cb_AA, Cb_AB, Cb_BB, X_A, X_B, Cb_As, Cb_Bs, Cb_Aq, Cb_Bq, X_q, Cb_sq, Cb_qq)
     # C_y = nu C_b; nu is a function of (alpha^2, beta) alone
     nu_AA = (0.375 - 4.0 * s) * ia2 * ia2 * ia
     nu_AB = 2.0 * ia2 * ia2  # and nu_BB = 0
@@ -343,7 +348,6 @@ def _coefficient_partials(alpha2, beta, r00, s0, bsq, order: int):
         nu * X_q,
         nu * Cb_sq,
         nu * Cb_qq,
-        zero,
     )
     # F^2 = alpha^2 / (1 - s)^2
     i3 = 1.0 / d3
@@ -353,17 +357,17 @@ def _coefficient_partials(alpha2, beta, r00, s0, bsq, order: int):
     values.append(F * F)
     jacobian.append([(1.0 - 2.0 * s) * f3, 2.0 * a * f3, zero, zero, zero])
     hessian = [
-        _symmetric(L_AA, L_AB, L_BB, *(zero,) * 10),
+        _symmetric(L_AA, L_AB, L_BB, *(zero,) * 9),
         cb,
         cy,
-        _symmetric(0.5 * s * w * ia2 * f4, -w * ia * f4, 6.0 * f4, *(zero,) * 10),
+        _symmetric(0.5 * s * w * ia2 * f4, -w * ia * f4, 6.0 * f4, *(zero,) * 9),
     ]
     return values, jacobian, hessian
 
 
-def _symmetric(AA, AB, BB, Ar, Br, As, Bs, Aq, Bq, rq, sq, qq, zero):
+def _symmetric(AA, AB, BB, Ar, Br, As, Bs, Aq, Bq, rq, sq, qq):
     """The upper triangle, row by row, of the Hessian over u with these entries; its (r00, s0) block is zero."""
-    return [AA, AB, Ar, As, Aq, BB, Br, Bs, Bq, zero, zero, rq, zero, sq, qq]
+    return [AA, AB, Ar, As, Aq, BB, Br, Bs, Bq, 0.0, 0.0, rq, 0.0, sq, qq]
 
 
 _UPPER = np.zeros((5, 5), dtype=np.intp)
@@ -372,20 +376,6 @@ _UPPER = np.maximum(_UPPER, _UPPER.T)
 # u in the inputs' row order (alpha^2, r00, b^2, beta, s0), as places in the partials' order
 _U_ORDER = np.array([0, 2, 4, 1, 3])
 _UPPER_ROWS = _UPPER[np.ix_(_U_ORDER, _U_ORDER)]
-
-
-def _everywhere(mask) -> bool:
-    """Whether ``mask`` holds: a Python bool at one y, a boolean array at a stack."""
-    return mask if isinstance(mask, bool) else bool(mask.all())
-
-
-def _packed(rows, depth: int) -> np.ndarray:
-    """A ``depth``-deep nested list of floats, or of (m, 1) arrays, as one array with the list axes last.
-
-    A stack's (m, 1) entries give shape (m, ...): the unit axis is dropped.
-    """
-    out = np.array(rows)
-    return np.moveaxis(out[..., 0], range(depth), range(-depth, 0)) if out.ndim > depth else out
 
 
 def spray(bundle: AlphaBetaBundle, y, order: int = 2) -> Spray:
@@ -401,24 +391,20 @@ def spray(bundle: AlphaBetaBundle, y, order: int = 2) -> Spray:
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     y = np.asarray(y, dtype=float)
-    if not np.logical_or.reduce(y, axis=-1).all():
-        raise ValueError("y must be nonzero")
+    if not (y.size and np.logical_or.reduce(y, axis=-1).all()):
+        raise ValueError("y must be a nonzero vector or a nonempty stack of them")
     inp = bundle.spray_inputs
     if inp is None:
         inp = bundle.spray_inputs = _SprayInputs(bundle)
     n, stack = bundle.n, y.shape[:-1]
     d = 2 * n
     val, grad, hess = inp.at(y, order)
-    if stack:  # each scalar is (m, 1), so that it broadcasts along the y axis of an (m, n) vector
-        alpha2, r00, _, beta, s0 = np.moveaxis(val[..., n : n + 5, None], -2, 0)
-    else:  # one y: the coefficients run on Python floats
-        alpha2, r00, _, beta, s0 = val[n : n + 5].tolist()
-    partials = _coefficient_partials(alpha2, beta, r00, s0, bundle.bsq, order)
-    values = partials[0]
-    coefs = _packed(values, 1)  # (L, C_b, C_y[, F^2])
+    u, bsq = val[..., n : n + 5].tolist(), bundle.bsq  # u in the inputs' order (alpha^2, r00, b^2, beta, s0)
+    per_y = [_coefficient_partials(a2, beta, r00, s0, bsq, order) for a2, r00, _, beta, s0 in (u if stack else [u])]
+    coefs, jac, *local = map(np.array, zip(*per_y) if stack else per_y[0])  # coefs: (L, C_b, C_y[, F^2])
     # grad c = J grad u, with J's columns in the inputs' order of u
     grads = grad[..., n : n + 5, :]
-    jac = _packed(partials[1], 2).take(_U_ORDER, axis=-1)
+    jac = jac.take(_U_ORDER, axis=-1)
     coef_grads = jac @ grads
     cg = coef_grads[..., :3, :]  # of L, C_b and C_y
 
@@ -438,7 +424,7 @@ def spray(bundle: AlphaBetaBundle, y, order: int = 2) -> Spray:
 
     # the y columns of the coefficients' Hessians: J . hess u + grad u^T H grad u
     coef_hess = (jac @ hess[..., n:, :, :].reshape(stack + (5, d * n))).reshape(stack + (4, d, n))
-    local_hess = _packed(partials[2], 2).take(_UPPER_ROWS, axis=-1)  # H, shape (..., 4, 5, 5)
+    local_hess = local[0].take(_UPPER_ROWS, axis=-1)  # H, shape (..., 4, 5, 5)
     coef_hess += grads.swapaxes(-1, -2)[..., None, :, :] @ (local_hess @ grads[..., None, :, n:])
 
     by_row = vec_grads.swapaxes(-3, -2)  # (..., n, 3, d)
@@ -460,6 +446,7 @@ def riemann_curvature(sp: Spray):
 
     For a stack of y, shape (m, n), R has shape (m, n, n) and Ric (m,).
     """
+    sp.check_order_2("riemann_curvature")
     y, (gval, gx, gy, hxy, hyy) = sp.y, sp.blocks()
     R = 2.0 * gx - np.einsum("...j,...ijk->...ik", y, hxy) + 2.0 * np.einsum("...j,...ijk->...ik", gval, hyy) - gy @ gy
     return R, np.trace(R, axis1=-2, axis2=-1)
@@ -473,6 +460,7 @@ def ricci_via_T(sp: Spray) -> float:
     different bookkeeping from the direct curvature trace, hence a strong
     cross-check on both.
     """
+    sp.check_order_2("ricci_via_T")
     bundle, y = sp.bundle, sp.y
     tval, tx, ty, txy, tyy = _blocks(sp.G - sp.Gbar)
 
@@ -502,6 +490,7 @@ def metric_value(bundle: AlphaBetaBundle, y):
 
 def fundamental_tensor(sp: Spray) -> np.ndarray:
     """g_ij = 1/2 [F^2]_{y^i y^j}, from the exact fiber Hessian of an order-2 spray's F^2 jet."""
+    sp.check_order_2("fundamental_tensor")
     n = sp.bundle.n
     return 0.5 * sp.F2.hess[..., n:, -n:]
 
@@ -580,6 +569,7 @@ def flag_curvature_fit(sp: Spray, R):
     (``riemann_curvature(sp)``).  Returns (K, residual) with residual the
     max-entry deviation of the fit.
     """
+    sp.check_order_2("flag_curvature_fit")
     bundle, y = sp.bundle, sp.y
     g = fundamental_tensor(sp)
     F = metric_value(bundle, y)

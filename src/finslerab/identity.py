@@ -140,7 +140,7 @@ def printed_table_defects(cs: ContractionSet) -> np.ndarray:
     b2 = cs.bsq
     R00, R0, S0 = cs.r00, cs.r0, cs.s0
     b4, b6 = b2 * b2, b2**3
-    d = np.zeros(15) if not hasattr(B, "free_symbols") else np.array([0] * 15, dtype=object)
+    d = [0] * 15  # a plain list, as in _printed_terms: the same code runs on floats and on sympy scalars
     d[3] = -1728 * B**8 * R00 * S0
     d[4] = 576 * B**7 * S0 * (3 * B * R0 + 4 * R00 * b2 + 14 * R00)
     d[5] = -48 * B**6 * S0 * (48 * B * R0 * b2 + 159 * B * R0 + 72 * B * S0 + 16 * R00 * b4 + 208 * R00 * b2 + 334 * R00)

@@ -7,10 +7,11 @@ import warnings
 import numpy as np
 import pytest
 
-from finslerab import classify, cli, finsler, identity, testmetrics
+from finslerab import classify, cli, finsler, identity, scurvature, testmetrics
 from finslerab.classify import GROUPS, RunConfig, emit_report, run_appendix, run_check
-from finslerab.dsl import Bin, Const, parse_metric, sample_domain, validate_spec
+from finslerab.dsl import Bin, Const, Var, parse_metric, sample_domain, validate_spec
 from finslerab.riemann import GeometryError, build_bundle
+from .conftest import unit_y
 
 
 def small_config(**over):
@@ -156,6 +157,59 @@ def test_check_rescales_with_the_metric(name, c):
         assert row["x"] == want["x"] and row["y"] == [v / c for v in want["y"]]
         pairs = [("Ric", 1 / c**2), ("S", 1 / c), ("F2", 1.0), ("K_fit", 1 / c**2)]
         assert all(close(row[k], want[k] * f) for k, f in pairs), (row, want)
+
+
+def _relabeled(expr, new):
+    """``expr`` with every ``Var(k)`` replaced by ``Var(new[k])``."""
+    if isinstance(expr, Var):
+        return Var(int(new[expr.index]))
+    children = {k: _relabeled(v, new) for k, v in vars(expr).items() if not isinstance(v, (str, int, float))}
+    return dataclasses.replace(expr, **children)
+
+
+def _permuted(spec, perm):
+    """``spec`` in the coordinates x'^i = x^perm[i]: a'_ij = a_perm[i]perm[j], b'_i = b_perm[i]."""
+    new, n = np.argsort(perm), spec.dim  # old coordinate k is new coordinate new[k]
+    a = {(i, j): _relabeled(spec.a_expr(perm[i], perm[j]), new) for i in range(n) for j in range(i, n)}
+    b = {i: _relabeled(spec.b_expr(perm[i]), new) for i in range(n)}
+    return dataclasses.replace(spec, a_entries=a, b_entries=b, domain=[spec.domain[k] for k in perm])
+
+
+def _pointwise_scalars(spec, x, y) -> dict:
+    """Every per-(x, y) scalar that a run reports or cross-checks, each from its own route."""
+    bu = build_bundle(spec, x)
+    sp = finsler.spray(bu, y)
+    R, ric = finsler.riemann_curvature(sp)
+    K, resid = finsler.flag_curvature_fit(sp, R)
+    check = identity.verify_identity(bu, y, 0.25)
+    out = dict(Ric=ric, Ric_T=finsler.ricci_via_T(sp), F=finsler.metric_value(bu, y), Ricbar=bu.ricbar(y))
+    for form in ("bh", "ht"):
+        out[f"S_def_{form}"] = scurvature.s_curvature_def(sp, form)
+        out[f"S_closed_{form}"] = scurvature.s_curvature_closed(bu, y, form)
+    return out | dict(lhs=check.lhs, rhs=check.rhs, K_fit=K, flag_residual=resid)
+
+
+@pytest.mark.parametrize("source", testmetrics.list_shipped() + [3, 5])  # a shipped metric, or random_metric(n, 60 + n)
+def test_pointwise_scalars_are_invariant_under_a_coordinate_permutation(source):
+    """A metamorphic oracle: relabeling the coordinates changes no scalar at the relabeled (x, y).
+
+    The metric's expression trees, its domain and the point are rewritten,
+    not the engine's arrays, so a slip that both routes of a cross-check
+    share still shows here.  The Frobenius flag fit is invariant under
+    permutations, though not under general charts.
+    """
+    if isinstance(source, int):
+        spec = testmetrics.random_metric(source, 60 + source)
+    else:
+        spec = testmetrics.shipped_metric(source)
+    perm = np.roll(np.arange(spec.dim), 1)
+    moved = _permuted(spec, perm)
+    rng = np.random.default_rng(23)
+    for x in sample_domain(spec, 2, rng, shrink=0.05):
+        for y in (unit_y(build_bundle(spec, x), rng) for _ in range(2)):
+            want, got = _pointwise_scalars(spec, x, y), _pointwise_scalars(moved, x[perm], y[perm])
+            for key, v in want.items():
+                assert abs(got[key] - v) <= 1e-12 * max(1.0, abs(v)), (key, got[key], v)
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from finslerab import testmetrics
+from finslerab import finsler, testmetrics
 from finslerab.dsl import parse_metric, sample_domain
 from finslerab.finsler import (
     _SprayInputs,
@@ -309,31 +309,61 @@ def _rows_match(batch, one, k):
     assert np.all(np.abs(batch[k] - one) <= 1e-14 * np.maximum(1.0, np.abs(one)))
 
 
-@pytest.mark.parametrize("bundle_name", ["generic_bundle", "example_bundle"])
-def test_batched_y_rows_match_one_y(bundle_name, request):
-    # m == n is the case where a per-y scalar broadcast along the component
-    # axis instead of the y axis would still produce the right shapes
-    bu = request.getfixturevalue(bundle_name)
-    n = bu.n
+@pytest.mark.parametrize(
+    "source",  # a bundle fixture, a shipped metric, or random_metric(n, 40 + n)
+    ["generic_bundle", "example_bundle"] + testmetrics.list_shipped() + [3, 5, 8],
+)
+def test_batched_y_rows_match_one_y(source, request):
+    """Each row of a stacked spray is the one-y spray: the same bits for the values of G, Gbar and F^2.
+
+    The scalar coefficients are evaluated per y on the same floats either
+    way; the gradients and Hessians go through stacked matmuls, which may
+    sum in another order, so they agree to 1e-14.  m == n is the case where
+    a per-y scalar broadcast along the component axis instead of the y axis
+    would still produce the right shapes.
+    """
     rng = np.random.default_rng(16)
-    for m in (1, n, 4 * n):
-        ys = np.array([unit_y(bu, rng) for _ in range(m)])
-        sp = spray(bu, ys)
-        R, ric = riemann_curvature(sp)
-        F = metric_value(bu, ys)
-        g = fundamental_tensor(sp)
-        assert sp.G.val.shape == (m, n) and sp.F2.val.shape == (m,)
-        assert R.shape == (m, n, n) and ric.shape == (m,) and F.shape == (m,) and g.shape == (m, n, n)
-        for k, y in enumerate(ys):
-            one = spray(bu, y)
-            for batch_jet, one_jet in ((sp.G, one.G), (sp.Gbar, one.Gbar), (sp.F2, one.F2)):
-                for part in ("val", "grad", "hess"):
-                    _rows_match(getattr(batch_jet, part), getattr(one_jet, part), k)
-            R1, ric1 = riemann_curvature(one)
-            _rows_match(R, R1, k)
-            _rows_match(ric, ric1, k)
-            _rows_match(F, metric_value(bu, y), k)
-            _rows_match(g, fundamental_tensor(one), k)
+    if str(source).endswith("_bundle"):
+        bundles = [request.getfixturevalue(source)]
+    else:
+        spec = testmetrics.random_metric(source, 40 + source) if isinstance(source, int) else testmetrics.shipped_metric(source)
+        bundles = [build_bundle(spec, x) for x in sample_domain(spec, 2, rng, shrink=0.05)]
+    for bu in bundles:
+        n = bu.n
+        for m in (1, n, 4 * n):
+            ys = np.array([unit_y(bu, rng) for _ in range(m)])
+            sp = spray(bu, ys)
+            R, ric = riemann_curvature(sp)
+            F = metric_value(bu, ys)
+            g = fundamental_tensor(sp)
+            assert sp.G.val.shape == (m, n) and sp.F2.val.shape == (m,)
+            assert R.shape == (m, n, n) and ric.shape == (m,) and F.shape == (m,) and g.shape == (m, n, n)
+            for k, y in enumerate(ys):
+                one = spray(bu, y)
+                for batch_jet, one_jet in ((sp.G, one.G), (sp.Gbar, one.Gbar), (sp.F2, one.F2)):
+                    assert np.array_equal(batch_jet.val[k], one_jet.val), (k, batch_jet.val[k] - one_jet.val)
+                    for part in ("grad", "hess"):
+                        _rows_match(getattr(batch_jet, part), getattr(one_jet, part), k)
+                R1, ric1 = riemann_curvature(one)
+                _rows_match(R, R1, k)
+                _rows_match(ric, ric1, k)
+                _rows_match(F, metric_value(bu, y), k)
+                _rows_match(g, fundamental_tensor(one), k)
+
+
+@pytest.mark.parametrize("y", [[0.0, 0.0, 0.0], [[0.3, -0.5, 0.8], [0.0, 0.0, 0.0]], np.zeros((0, 3))])
+def test_spray_rejects_a_zero_or_empty_y(generic_bundle, y):
+    with pytest.raises(ValueError, match="y must be a nonzero vector or a nonempty stack"):
+        spray(generic_bundle, y)
+
+
+@pytest.mark.parametrize("reader", ["riemann_curvature", "ricci_via_T", "fundamental_tensor", "flag_curvature_fit"])
+def test_second_order_readers_reject_an_order_1_spray(generic_bundle, reader):
+    """A reader of second derivatives raises a named ValueError on an order-1 spray, not a failure inside numpy."""
+    sp = spray(generic_bundle, np.array([0.3, -0.5, 0.8]), order=1)
+    args = (np.zeros((3, 3)),) if reader == "flag_curvature_fit" else ()
+    with pytest.raises(ValueError, match=f"{reader} needs an order-2 spray"):
+        getattr(finsler, reader)(sp, *args)
 
 
 @pytest.mark.parametrize("source", testmetrics.list_shipped() + [2, 3, 5, 8])  # a shipped metric, or random_metric(n)
