@@ -5,9 +5,9 @@ the y-samples and evaluates the requested condition groups.  The ``check``,
 ``scurv`` and ``flag`` subcommands are views of it: each names the groups
 it prints, and only their quantities are computed; ``emit_report`` renders
 the full report (text, json, csv) or the ``scurv`` and ``flag`` views.
-Each y-sample gets one spray, which every reader there is handed; only the
-Ricci and flag groups read its second derivatives, so when neither runs,
-as in the ``scurv`` view, it is evaluated to first order.
+At each point the Ricci and flag groups read one order-2 spray of the
+whole stack of y-samples, and each of their readers runs once on it; the
+S group gets one order-1 spray per y-sample, as its routes take one y.
 
 ``run_check`` and ``run_appendix`` share one loop over the sampled points'
 bundles.  It takes the jets of a and b from one walk of the metric per
@@ -141,6 +141,11 @@ def run_check(spec: MetricSpec, config: RunConfig, groups=GROUPS) -> ClassReport
 
     The random stream is drawn in one order for every view: the points,
     then per point the fit design (with "fits" only) and the y-samples.
+    When "ricci" or "flag" runs, a point's y-samples are evaluated as one
+    (y_per_point, n) stack: one order-2 spray, and one call on it of the
+    curvature, F, the T-split Ricci route, the flag fit and Ricbar.  "S"
+    evaluates each y on its own, with an order-1 spray and one call of
+    each S route.  The per-y loop files the rows and the cross-checks.
     """
     tol = config.tolerance
     rng = np.random.default_rng(config.seed)
@@ -170,29 +175,33 @@ def run_check(spec: MetricSpec, config: RunConfig, groups=GROUPS) -> ClassReport
         if fits:
             fit_list.append(finsler.extract_scalars(bu, rng))
 
-        for y_idx, y in enumerate(finsler.unit_alpha_vectors(bu, config.y_per_point, rng)):
+        ys = finsler.unit_alpha_vectors(bu, config.y_per_point, rng)
+        if ricci or flag:
+            sp = finsler.spray(bu, ys)
+            R, ric = finsler.riemann_curvature(sp)
+            F2 = (finsler.metric_value(bu, ys) ** 2).tolist()
+        if ricci:
+            ric, ric_T, ricbar = ric.tolist(), finsler.ricci_via_T(sp).tolist(), bu.ricbar(ys).tolist()
+        if flag:
+            K, fres = (v.tolist() for v in finsler.flag_curvature_fit(sp, R))
+
+        for y_idx, y in enumerate(ys):
             where = f"point {p_idx}, y {y_idx}"
-            row = {"point": p_idx, "y_index": y_idx, "x": [float(v) for v in bu.x], "y": [float(v) for v in y]}
-            if ricci or S or flag:
-                sp = finsler.spray(bu, y, 2 if ricci or flag else 1)
-            if ricci or flag:
-                R, ric = finsler.riemann_curvature(sp)
-                F = finsler.metric_value(bu, y)
+            row = {"point": p_idx, "y_index": y_idx, "x": bu.x.tolist(), "y": y.tolist()}
             if ricci:
-                cross("Ricci", ric, finsler.ricci_via_T(sp), where)
-                peak("ricbar", abs(bu.ricbar(y)))
-                peak("Ric/F2", abs(ric) / max(1.0, F * F))
-                row.update(Ric=float(ric), F2=float(F * F))
+                cross("Ricci", ric[y_idx], ric_T[y_idx], where)
+                peak("ricbar", abs(ricbar[y_idx]))
+                peak("Ric/F2", abs(ric[y_idx]) / max(1.0, F2[y_idx]))
+                row.update(Ric=ric[y_idx], F2=F2[y_idx])
             if S:
-                s_def = scurvature.s_curvature_def(sp, config.volume_form)
+                s_def = scurvature.s_curvature_def(finsler.spray(bu, y, 1), config.volume_form)
                 cross("S-curvature", s_def, scurvature.s_curvature_closed(bu, y, config.volume_form), where)
                 peak("S", abs(s_def))
-                row["S"] = float(s_def)
+                row["S"] = s_def
             if flag:
-                K, fres = finsler.flag_curvature_fit(sp, R)
-                flag_K.append(K)
-                peak("flag_residual", fres / max(1.0, F * F))
-                row.update(K_fit=float(K), flag_residual=float(fres))
+                flag_K.append(K[y_idx])
+                peak("flag_residual", fres[y_idx] / max(1.0, F2[y_idx]))
+                row.update(K_fit=K[y_idx], flag_residual=fres[y_idx])
             point_rows.append(row)
 
     if fits:

@@ -35,13 +35,16 @@ The ``Spray`` record is the one input of every reader of the spray:
 ``flag_curvature_fit`` and ``scurvature.s_curvature_def`` take it, and
 read the bundle and the y it was taken at from it, so no reader can be
 handed a spray of another y.  y may carry a leading axis: ``spray``,
-``riemann_curvature``, ``metric_value`` and ``fundamental_tensor`` take
-one fiber vector, shape (n,), or a stack of m of them, shape (m, n), and
-their results then carry the same leading m axis.  The one-y call is the
-m-less case of the same code.  The inputs' y-independent parts are built
-once per bundle, on the first spray there, and kept on it
-(``bundle.spray_inputs``).  ``extract_scalars`` evaluates its whole fit
-design as one stack.
+``riemann_curvature``, ``metric_value``, ``fundamental_tensor``,
+``ricci_via_T`` and ``flag_curvature_fit`` take one fiber vector, shape
+(n,), or a stack of m of them, shape (m, n), and their results then carry
+the same leading m axis.  The one-y call is the m-less case of the same
+code; ``ricci_via_T`` and ``flag_curvature_fit`` return floats there.  The
+two S routes take one y only and raise ``ValueError`` on a stack.  The
+inputs' y-independent parts are built once per bundle, on the first spray
+there, and kept on it (``bundle.spray_inputs``).  ``extract_scalars``
+evaluates its whole fit design as one stack, and ``classify.run_check``
+each point's y-samples.
 
 The spray has a derivative ``order``, set by what its caller reads.  The
 curvature, the T-split Ricci route, the flag fit and the fundamental tensor
@@ -452,13 +455,14 @@ def riemann_curvature(sp: Spray):
     return R, np.trace(R, axis1=-2, axis2=-1)
 
 
-def ricci_via_T(sp: Spray) -> float:
-    """Ricci curvature through the deformation field T^i = G^i - Gbar^i, from an order-2 spray at one y.
+def ricci_via_T(sp: Spray):
+    """Ricci curvature through the deformation field T^i = G^i - Gbar^i, from an order-2 spray.
 
     Ric = Ricbar + 2 T^k_|k - y^j T^k_.k|j + 2 T^j T^k_.j.k - T^k_.j T^j_.k,
     with | and . the horizontal/vertical derivatives of alpha.  Entirely
     different bookkeeping from the direct curvature trace, hence a strong
-    cross-check on both.
+    cross-check on both.  A float for a spray at one y; for a stack of m
+    y, shape (m,), each row the one-y value.
     """
     sp.check_order_2("ricci_via_T")
     bundle, y = sp.bundle, sp.y
@@ -468,17 +472,18 @@ def ricci_via_T(sp: Spray) -> float:
     gamma = bundle.gamma
     # T^k_|k = dT^k/dx^k - N^m_k dT^k/dy^m + T^m Gamma^k_mk
     t_div = (
-        float(np.trace(tx))
-        - float(np.einsum("mk,km->", nconn, ty))
-        + float(np.einsum("m,kmk->", tval, gamma))
+        np.trace(tx, axis1=-2, axis2=-1)
+        - np.einsum("...mk,...km->...", nconn, ty)
+        + np.einsum("...m,kmk->...", tval, gamma)
     )
     # f = T^k_.k is a scalar on the slit tangent bundle: f_|j = df/dx^j - N^m_j df/dy^m
-    f_x = np.einsum("kjk->j", txy)
-    f_y = np.einsum("kmk->m", tyy)
-    t_trace_cov = float(y @ (f_x - nconn.T @ f_y))
-    term3 = 2.0 * float(np.einsum("j,kjk->", tval, tyy))
-    term4 = float(np.einsum("kj,jk->", ty, ty))
-    return bundle.ricbar(y) + 2.0 * t_div - t_trace_cov + term3 - term4
+    f_x = np.einsum("...kjk->...j", txy)
+    f_y = np.einsum("...kmk->...m", tyy)
+    t_trace_cov = np.einsum("...j,...j->...", y, f_x - np.einsum("...mj,...m->...j", nconn, f_y))
+    term3 = 2.0 * np.einsum("...j,...kjk->...", tval, tyy)
+    term4 = np.einsum("...kj,...jk->...", ty, ty)
+    ric = bundle.ricbar(y) + 2.0 * t_div - t_trace_cov + term3 - term4
+    return ric if y.ndim > 1 else float(ric)
 
 
 def metric_value(bundle: AlphaBetaBundle, y):
@@ -565,19 +570,20 @@ def extract_scalars(bundle: AlphaBetaBundle, rng) -> ScalarFit:
 def flag_curvature_fit(sp: Spray, R):
     """Least-squares K in R^i_k = K (F^2 delta^i_k - y^i y_k), y_k = g_kj y^j.
 
-    ``sp`` is an order-2 spray at one y and ``R`` its curvature operator
+    ``sp`` is an order-2 spray and ``R`` its curvature operator
     (``riemann_curvature(sp)``).  Returns (K, residual) with residual the
-    max-entry deviation of the fit.
+    max-entry deviation of the fit: two floats for a spray at one y, or for
+    a stack of m y two arrays of shape (m,), each row fitted on its own.
     """
     sp.check_order_2("flag_curvature_fit")
     bundle, y = sp.bundle, sp.y
     g = fundamental_tensor(sp)
     F = metric_value(bundle, y)
-    ylow = g @ y
-    M = F * F * np.eye(bundle.n) - np.outer(y, ylow)
-    denom = float(np.sum(M * M))
-    if denom < 1e-300:
+    ylow = np.einsum("...kj,...j->...k", g, y)
+    M = (F * F)[..., None, None] * np.eye(bundle.n) - y[..., :, None] * ylow[..., None, :]
+    denom = np.sum(M * M, axis=(-2, -1))
+    if np.any(denom < 1e-300):
         raise ValueError("degenerate flag tensor (y = 0?)")
-    K = float(np.sum(R * M) / denom)
-    resid = float(np.max(np.abs(R - K * M)))
-    return K, resid
+    K = np.sum(R * M, axis=(-2, -1)) / denom
+    resid = np.max(np.abs(R - K[..., None, None] * M), axis=(-2, -1))
+    return (K, resid) if y.ndim > 1 else (float(K), float(resid))

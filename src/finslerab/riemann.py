@@ -183,13 +183,16 @@ class AlphaBetaBundle:
         return 0.5 * np.einsum("ijk,j,k->i", self.gamma, y, y)
 
     def nonlinear_connection(self, y) -> np.ndarray:
-        """N^i_j = d Gbar^i / d y^j = Gamma^i_jk y^k."""
+        """N^i_j = d Gbar^i / d y^j = Gamma^i_jk y^k, shape (n, n), or (m, n, n) for a stack of y."""
         y = np.asarray(y, dtype=float)
-        return np.einsum("ijk,k->ij", self.gamma, y)
+        return np.einsum("ijk,...k->...ij", self.gamma, y)
 
-    def ricbar(self, y) -> float:
+    def ricbar(self, y):
+        """Ricci curvature of alpha, Ricbar_jk y^j y^k: a float for one y, shape (m,) for a stack."""
         y = np.asarray(y, dtype=float)
-        return float(y @ self.ricci_tensor @ y)
+        # each row is the one-y product (y Ricbar) y, with the same bits
+        ric = (y[..., None, :] @ self.ricci_tensor @ y[..., :, None])[..., 0, 0]
+        return ric if y.ndim > 1 else float(ric)
 
 
 def build_bundle(spec: MetricSpec, x, jets: tuple[ArrayJet, ArrayJet] | None = None) -> AlphaBetaBundle:

@@ -144,6 +144,8 @@ def _quadrature(n: int, b: float, form: str) -> VolumeFactor:
 
 def _pointwise_scalars(bundle: AlphaBetaBundle, y):
     y = np.asarray(y, dtype=float)
+    if y.shape != (bundle.n,):
+        raise ValueError(f"s_curvature_closed takes one y of shape ({bundle.n},), got shape {y.shape}")
     al = bundle.alpha(y)
     s = bundle.beta(y) / al
     return (
@@ -157,7 +159,7 @@ def _pointwise_scalars(bundle: AlphaBetaBundle, y):
 
 
 def s_curvature_closed(bundle: AlphaBetaBundle, y, form: str = "bh") -> float:
-    """Closed form of S at (x, y): see module docstring for the two fixes."""
+    """Closed form of S at (x, y), for one y of shape (n,): see module docstring for the two fixes."""
     al, s, b2, r00, r0, s0 = _pointwise_scalars(bundle, y)
     n = bundle.n
     d1 = 2.0 * s - 1.0
@@ -184,8 +186,11 @@ def s_curvature_def(sp: Spray, form: str = "bh") -> float:
     second from the bundle's exact derivative of b^2; Lambda absorbs
     f'/(f b) with its b -> 0 limit so beta = 0 costs nothing special.  The
     divergence reads only the spray's gradient, so ``sp`` may be of order 1.
+    A spray of a stack of y raises ``ValueError``.
     """
     bundle, y, n = sp.bundle, sp.y, sp.bundle.n
+    if y.shape != (n,):
+        raise ValueError(f"s_curvature_def takes one y of shape ({n},), got a spray at shape {y.shape}")
     div_g = float(np.trace(sp.G.grad[:, n:]))
     vf = volume_factor(n, math.sqrt(max(bundle.bsq, 0.0)), form)
     dln_sigma = 0.5 * bundle.dlndet + 0.5 * vf.Lambda * bundle.d_bsq

@@ -189,7 +189,14 @@ def _pointwise_scalars(spec, x, y) -> dict:
     return out | dict(lhs=check.lhs, rhs=check.rhs, K_fit=K, flag_residual=resid)
 
 
-@pytest.mark.parametrize("source", testmetrics.list_shipped() + [3, 5])  # a shipped metric, or random_metric(n, 60 + n)
+def _shipped_or_random(source):
+    """A shipped metric by name, or ``random_metric(n, 60 + n)`` for an int n."""
+    if isinstance(source, int):
+        return testmetrics.random_metric(source, 60 + source)
+    return testmetrics.shipped_metric(source)
+
+
+@pytest.mark.parametrize("source", testmetrics.list_shipped() + [3, 5, 8])
 def test_pointwise_scalars_are_invariant_under_a_coordinate_permutation(source):
     """A metamorphic oracle: relabeling the coordinates changes no scalar at the relabeled (x, y).
 
@@ -198,10 +205,7 @@ def test_pointwise_scalars_are_invariant_under_a_coordinate_permutation(source):
     share still shows here.  The Frobenius flag fit is invariant under
     permutations, though not under general charts.
     """
-    if isinstance(source, int):
-        spec = testmetrics.random_metric(source, 60 + source)
-    else:
-        spec = testmetrics.shipped_metric(source)
+    spec = _shipped_or_random(source)
     perm = np.roll(np.arange(spec.dim), 1)
     moved = _permuted(spec, perm)
     rng = np.random.default_rng(23)
@@ -212,24 +216,44 @@ def test_pointwise_scalars_are_invariant_under_a_coordinate_permutation(source):
                 assert abs(got[key] - v) <= 1e-12 * max(1.0, abs(v)), (key, got[key], v)
 
 
+@pytest.mark.parametrize("source", testmetrics.list_shipped() + [3, 5, 8])
+def test_check_verdicts_are_invariant_under_a_coordinate_permutation(source):
+    """A metamorphic oracle: ``run_check`` on the relabeled metric reaches the same verdicts, with no violation.
+
+    ``sample_domain`` draws each coordinate in order, so the relabeled run
+    samples other points: only the verdicts, not the rows, can be compared.
+    """
+    spec = _shipped_or_random(source)
+    base = run_check(spec, small_config())
+    moved = run_check(_permuted(spec, np.roll(np.arange(spec.dim), 1)), small_config())
+    assert base.consistency == moved.consistency == {"violations": []}
+    assert {k: c.verdict for k, c in moved.conditions.items()} == {k: c.verdict for k, c in base.conditions.items()}
+
+
 @pytest.mark.parametrize(
-    "groups, order, sprays",
-    # per point: the fit design, then each y; a run with no per-y reader makes no spray
-    [(("beta", "S"), 1, 4 * 3), (GROUPS, 2, 4 * (1 + 3)), (("beta",), 1, 0)],
+    "groups, per_point",
+    # (order, shape of y) of each spray at a point of generic3d (n = 3) with 3 y per point;
+    # a run with no per-y reader makes no spray
+    [
+        (("beta", "S"), [(1, (3,))] * 3),
+        (GROUPS, [(2, (12, 3)), (2, (3, 3))] + [(1, (3,))] * 3),
+        (("beta",), []),
+    ],
     ids=["scurv", "check", "beta"],
 )
-def test_check_spray_order_follows_its_readers(generic3d, monkeypatch, groups, order, sprays):
-    """The S-only view makes one order-1 spray per sample; with the curvature groups every spray is order 2."""
-    orders = []
+def test_check_spray_order_follows_its_readers(generic3d, monkeypatch, groups, per_point):
+    """The S group makes one order-1 spray per sample; the curvature groups one order-2 spray of all the
+    point's samples, after the fit design's (4n, n) stack."""
+    sprays = []
     orig = finsler.spray
 
     def wrapped(bundle, y, order=2):
-        orders.append(order)
+        sprays.append((order, np.shape(y)))
         return orig(bundle, y, order)
 
     monkeypatch.setattr(finsler, "spray", wrapped)
     run_check(generic3d, small_config(), groups)
-    assert orders == [order] * sprays
+    assert sprays == per_point * 4
 
 
 # the bundle's tensors formed on first use

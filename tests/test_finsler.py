@@ -318,9 +318,12 @@ def test_batched_y_rows_match_one_y(source, request):
 
     The scalar coefficients are evaluated per y on the same floats either
     way; the gradients and Hessians go through stacked matmuls, which may
-    sum in another order, so they agree to 1e-14.  m == n is the case where
-    a per-y scalar broadcast along the component axis instead of the y axis
-    would still produce the right shapes.
+    sum in another order, so they agree to 1e-14.  So do the rows of every
+    reader that takes a stack: the curvature, F, g, the T-split Ricci route,
+    the flag fit (K and its residual, each row fitted on its own) and the
+    bundle's N^i_j and Ricbar.  m == n is the case where a per-y scalar
+    broadcast along the component axis instead of the y axis would still
+    produce the right shapes.
     """
     rng = np.random.default_rng(16)
     if str(source).endswith("_bundle"):
@@ -336,8 +339,12 @@ def test_batched_y_rows_match_one_y(source, request):
             R, ric = riemann_curvature(sp)
             F = metric_value(bu, ys)
             g = fundamental_tensor(sp)
+            ric_T = ricci_via_T(sp)
+            K, resid = flag_curvature_fit(sp, R)
+            nconn, ricbar = bu.nonlinear_connection(ys), bu.ricbar(ys)
             assert sp.G.val.shape == (m, n) and sp.F2.val.shape == (m,)
             assert R.shape == (m, n, n) and ric.shape == (m,) and F.shape == (m,) and g.shape == (m, n, n)
+            assert ric_T.shape == K.shape == resid.shape == ricbar.shape == (m,) and nconn.shape == (m, n, n)
             for k, y in enumerate(ys):
                 one = spray(bu, y)
                 for batch_jet, one_jet in ((sp.G, one.G), (sp.Gbar, one.Gbar), (sp.F2, one.F2)):
@@ -349,6 +356,13 @@ def test_batched_y_rows_match_one_y(source, request):
                 _rows_match(ric, ric1, k)
                 _rows_match(F, metric_value(bu, y), k)
                 _rows_match(g, fundamental_tensor(one), k)
+                one_T, (K1, resid1), ricbar1 = ricci_via_T(one), flag_curvature_fit(one, R1), bu.ricbar(y)
+                assert all(type(v) is float for v in (one_T, K1, resid1, ricbar1))
+                _rows_match(ric_T, one_T, k)
+                _rows_match(K, K1, k)
+                _rows_match(resid, resid1, k)
+                _rows_match(nconn, bu.nonlinear_connection(y), k)
+                _rows_match(ricbar, ricbar1, k)
 
 
 @pytest.mark.parametrize("y", [[0.0, 0.0, 0.0], [[0.3, -0.5, 0.8], [0.0, 0.0, 0.0]], np.zeros((0, 3))])

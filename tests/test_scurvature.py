@@ -160,6 +160,22 @@ def test_scurv_output_same_without_reuse(tmp_path, monkeypatch, name, form):
     assert len(quads) == len(calls) > 0  # every call evaluated the rule
 
 
+@pytest.mark.parametrize("m", [1, "n", 12])
+@pytest.mark.parametrize("route", ["s_curvature_def", "s_curvature_closed"])
+@pytest.mark.parametrize("name", ["matsumoto_example", "euclidean_shear"])
+def test_s_routes_reject_a_stack_of_y(name, route, m):
+    """Both S routes take one y of shape (n,); a stack, even of one row, is a named ValueError."""
+    spec = testmetrics.shipped_metric(name)
+    bu = build_bundle(spec, np.array([(lo + hi) / 2 for lo, hi in spec.domain]))
+    rng = np.random.default_rng(7)
+    ys = np.array([unit_y(bu, rng) for _ in range(bu.n if m == "n" else m)])
+    with pytest.raises(ValueError, match=rf"{route} takes one y of shape \({bu.n},\)"):
+        if route == "s_curvature_def":
+            s_curvature_def(finsler.spray(bu, ys, 1))
+        else:
+            s_curvature_closed(bu, ys)
+
+
 def test_dual_route_agreement(generic3d):
     rng = np.random.default_rng(1)
     worst = 0.0
