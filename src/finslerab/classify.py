@@ -34,10 +34,9 @@ computed every condition it names.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +51,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     points: int = 20
     y_per_point: int = 12
     seed: int = 0
@@ -62,8 +60,7 @@ class RunConfig:
     sigma_policy: str = "0"  # a float literal or "random"
 
 
-@dataclass
-class Condition:
+class Condition(NamedTuple):
     verdict: bool
     residual: float
     value: float | None = None
@@ -75,8 +72,7 @@ class Condition:
         return d
 
 
-@dataclass
-class ClassReport:
+class ClassReport(NamedTuple):
     metric: str
     config: dict
     conditions: dict
@@ -275,8 +271,7 @@ def run_check(spec: MetricSpec, config: RunConfig, groups=GROUPS) -> ClassReport
     )
 
 
-@dataclass
-class AppendixReport:
+class AppendixReport(NamedTuple):
     metric: str
     config: dict
     samples: list
@@ -293,9 +288,7 @@ def run_appendix(spec: MetricSpec, config: RunConfig) -> AppendixReport:
     """Check the cleared identity and its parity split at sampled (x, y, sigma), one record each."""
     rng = np.random.default_rng(config.seed)
     pts = sample_domain(spec, config.points, rng, shrink=0.05)
-    samples = []
-    worst = worst_parity = 0.0
-    failures = []
+    samples, rel_devs, parity_devs, failures = [], [], [], []
     for p_idx, bu in enumerate(_bundles(spec, pts)):
         y = finsler.unit_alpha_vectors(bu, 1, rng)[0]
         if config.sigma_policy == "random":
@@ -303,8 +296,8 @@ def run_appendix(spec: MetricSpec, config: RunConfig) -> AppendixReport:
         else:
             sigma = float(config.sigma_policy)
         rec = identity.verify_identity(bu, y, sigma)
-        worst = max(worst, rec.rel_dev)
-        worst_parity = max(worst_parity, rec.even_dev, rec.odd_dev)
+        rel_devs.append(rec.rel_dev)
+        parity_devs += [rec.even_dev, rec.odd_dev]
         row = {
             "point": p_idx,
             "sigma": sigma,
@@ -325,14 +318,14 @@ def run_appendix(spec: MetricSpec, config: RunConfig) -> AppendixReport:
         metric=spec.name,
         config={"points": config.points, "seed": config.seed, "sigma": config.sigma_policy},
         samples=samples,
-        max_rel_dev=worst,
-        max_parity_dev=worst_parity,
+        # np.max, unlike max(), returns a NaN it meets
+        max_rel_dev=float(np.max(rel_devs, initial=0.0)),
+        max_parity_dev=float(np.max(parity_devs, initial=0.0)),
         failures=failures,
     )
 
 
-@dataclass
-class SweepReport:
+class SweepReport(NamedTuple):
     rows: list  # one dict per swept metric: dim, metric, max_rel_dev, max_parity_dev, ok
 
     @property
@@ -373,6 +366,8 @@ def emit_report(report: ClassReport, fmt: str = "text") -> str:
     if fmt == "json":
         return json.dumps(_check_as_dict(report), indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
+        import csv  # imported here: no other format needs it, and every run would pay for it at start-up
+
         buf = io.StringIO()
         wr = csv.writer(buf)
         head = ["point", "y_index"]

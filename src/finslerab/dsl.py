@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,36 +86,30 @@ class MetricFileError(ValueError):
 # -- expression AST ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     index: int  # 0-based coordinate index
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     child: object
 
 
-@dataclass(frozen=True)
-class Bin:
+class Bin(NamedTuple):
     op: str  # one of + - * /
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(NamedTuple):
     base: object
     expo: float
 
 
-@dataclass(frozen=True)
-class Fun:
+class Fun(NamedTuple):
     name: str
     child: object
 
@@ -555,8 +550,7 @@ def parse_metric(text: str, name: str = "metric") -> MetricSpec:
 # -- validation ---------------------------------------------------------------
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     spec_name: str
     samples: int
     violations: list

@@ -64,7 +64,7 @@ and is asserted in the test suite rather than here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,8 +87,7 @@ __all__ = [
 # -- spray --------------------------------------------------------------------
 
 
-@dataclass
-class Spray:
+class Spray(NamedTuple):
     """The spray of F at the bundle's point and ``y``, shape (n,) or a stack (m, n).
 
     ``G`` = G^i and ``Gbar`` = Gbar^i, the spray of alpha, are array jets
@@ -525,8 +524,7 @@ def _design_vectors(bundle: AlphaBetaBundle, rng) -> np.ndarray:
     return np.vstack([axes, unit_alpha_vectors(bundle, 2 * n, rng)])
 
 
-@dataclass
-class ScalarFit:
+class ScalarFit(NamedTuple):
     """Least-squares fits of the pointwise Einstein/conformal scalars."""
 
     lam: float

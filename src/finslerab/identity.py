@@ -30,11 +30,12 @@ names the coefficient whose zeroing brings the sides closest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from typing import NamedTuple
 
 import numpy as np
 
-from .riemann import AlphaBetaBundle
+from .riemann import AlphaBetaBundle, GeometryError
 from . import finsler
 
 __all__ = [
@@ -47,8 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class ContractionSet:
+class ContractionSet(NamedTuple):
     """Every contraction scalar consumed by the coefficient table, at one (x, y)."""
 
     n: int
@@ -500,8 +500,7 @@ IDENTITY_TOL = 1e-6  # relative, for the identity and for each line of its parit
 TERM_PARITY_TOL = 1e-10  # t_m(-y) = (-1)^m t_m(y) holds up to rounding
 
 
-@dataclass
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     """The cleared identity and its parity split at one sample (x, y, sigma)."""
 
     lhs: float  # cleared Einstein residual at y, from the curvature pipeline
@@ -534,7 +533,8 @@ def _cleared_lhs(bundle: AlphaBetaBundle, ys: np.ndarray, sigma: float) -> np.nd
     b2 = bundle.bsq
     F = al * al / (al - be)
     clear = al**2 * (be - al) ** 2 * (2 * be - al) ** 4 * (3 * be - (2 * b2 + 1) * al) ** 4
-    return (ric - sigma * F * F) * clear
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge sigma: verify_identity rejects the result
+        return (ric - sigma * F * F) * clear
 
 
 def verify_identity(bundle: AlphaBetaBundle, y, sigma: float = 0.0) -> IdentityCheck:
@@ -545,14 +545,21 @@ def verify_identity(bundle: AlphaBetaBundle, y, sigma: float = 0.0) -> IdentityC
     alpha, each checked against the parity projection of the cleared
     residual.  The left side is evaluated at y and -y as one stack, through
     one spray and one curvature pass; the table at -y is computed, not
-    derived from the one at y, so the term parity is a test.
+    derived from the one at y, so the term parity is a test.  A side that
+    is not finite, as a huge sigma makes it, raises a ``GeometryError``.
     """
     y = np.asarray(y, dtype=float)
     lhs, lhs_neg = map(float, _cleared_lhs(bundle, np.stack([y, -y]), sigma))
     cs = contraction_set(bundle, y, sigma)
     terms, terms_neg = appendix_terms(cs), appendix_terms(contraction_set(bundle, -y, sigma))
     powers = cs.alpha ** np.arange(15)
-    rhs = float(terms @ powers)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = float(terms @ powers)
+    if not all(map(math.isfinite, (lhs, lhs_neg, rhs))):
+        raise GeometryError(
+            f"the cleared identity at sigma = {sigma!r} is not finite at x={bundle.x}: "
+            f"lhs {lhs} (at -y {lhs_neg}), rhs {rhs}"
+        )
     rel = _rel(lhs, rhs)
     suspect = None
     if not rel <= IDENTITY_TOL:
@@ -564,7 +571,8 @@ def verify_identity(bundle: AlphaBetaBundle, y, sigma: float = 0.0) -> IdentityC
     odd = float(terms[1::2] @ powers[1::2])
     return IdentityCheck(
         lhs, rhs, rel, term_parity_dev,
-        even_dev=_rel(0.5 * (lhs + lhs_neg), even),
-        odd_dev=_rel(0.5 * (lhs - lhs_neg), odd),
+        # halved before the sum, which cannot overflow for finite sides
+        even_dev=_rel(0.5 * lhs + 0.5 * lhs_neg, even),
+        odd_dev=_rel(0.5 * lhs - 0.5 * lhs_neg, odd),
         suspect=suspect,
     )

@@ -48,7 +48,7 @@ __all__ = [
 
 
 class GeometryError(ValueError):
-    """Point outside the domain box, singular or non-positive-definite a(x)."""
+    """Point outside the domain box, singular or non-positive-definite a(x), or a non-finite result there."""
 
 
 @dataclass

@@ -3,13 +3,16 @@
 The volume-form factor f(b) is a ratio of integrals over [0, pi] (one per
 form).  It is evaluated by one fixed 40-node Gauss-Legendre rule, which is
 accurate to machine precision because each integrand is analytic in a strip
-around the real axis; f'(b) and f''(b) are differentiated under the
-integral sign in closed form, so all three come out of the same pass with
-no finite differencing.  f depends on x only through b = ||beta||_alpha(x),
-so every y-sample of a point asks for the same (n, b, form): the last
-result is kept, one entry, and returned again while the key matches.  That
-is the only state kept between calls, and a hit returns the very record a
-fresh evaluation would build.
+around the real axis.  The rule's nodes and weights, mapped to [0, pi], are
+stored as float literals, so importing this module computes no rule; a test
+pins them bit for bit to numpy's ``leggauss(40)`` mapped the same way.
+f'(b) and f''(b) are differentiated under the integral sign in closed form,
+so all three come out of the same pass with no finite differencing.  f
+depends on x only through b = ||beta||_alpha(x), so every y-sample of a
+point asks for the same (n, b, form): the last result is kept, one entry,
+and returned again while the key matches.  That is the only state kept
+between calls, and a hit returns the very record a fresh evaluation would
+build.
 
 S itself is computed two ways:
 
@@ -33,10 +36,9 @@ minus sign.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .finsler import Spray
 from .jets import JetError
@@ -55,9 +57,32 @@ FORMS = ("bh", "ht")
 # One fixed Gauss-Legendre rule on [0, pi].  Every integrand below is
 # sin^(n-2) t, which is entire, times a rational function of b cos t whose
 # only pole (1 - b cos t = 0) lies at |Im t| >= acosh 2 for b < 1/2, so 40
-# nodes reach machine precision over the whole domain.
-_NODES, _WEIGHTS = leggauss(40)
-_NODES, _WEIGHTS = 0.5 * math.pi * (_NODES + 1.0), 0.5 * math.pi * _WEIGHTS
+# nodes reach machine precision over the whole domain.  The literals are
+# 0.5 pi (x + 1) and 0.5 pi w for (x, w) = numpy's leggauss(40), bit for bit.
+_NODES = np.array([
+    0.002768199113400018, 0.01456719018646565, 0.035719987036619556, 0.06610410579882159,
+    0.10553739396351941, 0.15378283440213047, 0.21055031999594598, 0.2754984635717852,
+    0.34823666841041073, 0.42832748313168584, 0.5152892348376665, 0.608598926940507,
+    0.7076953850009173, 0.8119826319427471, 0.9208334724638646, 1.0335932651402349,
+    1.1495838595634769, 1.2681076748469198, 1.3884518949788065, 1.5098927557954338,
+    1.6316998977943593, 1.7531407586109866, 1.8734849787428733, 1.9920087940263163,
+    2.1079993884495583, 2.220759181125928, 2.329610021647046, 2.433897268588876,
+    2.5329937266492863, 2.626303418752127, 2.7132651704581074, 2.7933559851793826,
+    2.866094190018008, 2.9310423335938474, 2.9878098191876625, 3.036055259626274,
+    3.0754885477909717, 3.1058726665531737, 3.1270254634033274, 3.1388244544763935,
+])
+_WEIGHTS = np.array([
+    0.007102005458802785, 0.016490666779184093, 0.025794138188383792, 0.03494369820063019,
+    0.043883347945864196, 0.052559151843666156, 0.06091888699944359, 0.06891226143121164,
+    0.07649119576348187, 0.08361010652556858, 0.09022617831327084, 0.09629962051748982,
+    0.10179390629919553, 0.10667599211169579, 0.11091651635116936, 0.11448997589996213,
+    0.11737487948273011, 0.11955387690453353, 0.12101386338934692, 0.12174605838926557,
+    0.12174605838926557, 0.12101386338934692, 0.11955387690453353, 0.11737487948273011,
+    0.11448997589996213, 0.11091651635116936, 0.10667599211169579, 0.10179390629919553,
+    0.09629962051748982, 0.09022617831327084, 0.08361010652556858, 0.07649119576348187,
+    0.06891226143121164, 0.06091888699944359, 0.052559151843666156, 0.043883347945864196,
+    0.03494369820063019, 0.025794138188383792, 0.016490666779184093, 0.007102005458802785,
+])
 _COS, _SIN = np.cos(_NODES), np.sin(_NODES)
 
 # The last (key, VolumeFactor) that volume_factor returned, or None: one entry,
@@ -65,8 +90,7 @@ _COS, _SIN = np.cos(_NODES), np.sin(_NODES)
 _last: tuple | None = None
 
 
-@dataclass(frozen=True)
-class VolumeFactor:
+class VolumeFactor(NamedTuple):
     """Volume-form distortion factor relative to the Riemannian volume of alpha."""
 
     form: str
@@ -83,7 +107,7 @@ def volume_factor(n: int, b: float, form: str = "bh") -> VolumeFactor:
 
     For b below 1e-4 the ratio f'/(b f) is replaced by its even-function
     limit f''(b)/f(b), which the same quadrature provides directly.  A call
-    with the arguments of the previous call returns the previous (frozen)
+    with the arguments of the previous call returns the previous (immutable)
     record without evaluating the rule again.
     """
     global _last

@@ -1,6 +1,11 @@
 import dataclasses
 import json
+import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -163,8 +168,8 @@ def _relabeled(expr, new):
     """``expr`` with every ``Var(k)`` replaced by ``Var(new[k])``."""
     if isinstance(expr, Var):
         return Var(int(new[expr.index]))
-    children = {k: _relabeled(v, new) for k, v in vars(expr).items() if not isinstance(v, (str, int, float))}
-    return dataclasses.replace(expr, **children)
+    children = {k: _relabeled(v, new) for k, v in expr._asdict().items() if not isinstance(v, (str, int, float))}
+    return expr._replace(**children)
 
 
 def _permuted(spec, perm):
@@ -343,7 +348,7 @@ def test_bundles_from_chunked_jets_match_per_point_bytes(name, monkeypatch):
             lambda bu: finsler.extract_scalars(bu, np.random.default_rng(p)),
         )
         for read in readers:
-            assert dataclasses.astuple(read(one)) == dataclasses.astuple(read(alone))
+            assert tuple(read(one)) == tuple(read(alone))
 
 
 def _log_edge_metric(t: float):
@@ -575,6 +580,55 @@ def test_cli_appendix_and_sweep(capsys):
     assert cli.main(["appendix", "--dim-sweep", "3", "--points", "3"]) == 0
     out = capsys.readouterr().out
     assert "sweep worst relative deviation" in out
+
+
+def test_cli_appendix_with_a_huge_sigma(capsys):
+    """A finite sigma that overflows a side of the cleared identity exits 2, naming sigma and x."""
+    flat = str(testmetrics.shipped_metric_path("euclidean_flat"))
+    # lhs = -sigma at y and at -y: their halves sum to it, where the sides' own sum overflows
+    assert cli.main(["appendix", flat, "--points", "2", "--sigma", "1e308", "--format", "json"]) == cli.EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["max_parity_dev"] == 0.0
+    assert all(row["lhs"] == -1e308 and row["parity_even_dev"] == 0.0 for row in payload["samples"])
+    for sigma in ("1e307", "1e308", "-1e308"):
+        assert cli.main(["appendix", _example_path(), "--points", "2", f"--sigma={sigma}"]) == cli.EXIT_INVALID_METRIC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: the cleared identity at sigma = {float(sigma)!r} is not finite at x=[")
+
+
+def test_appendix_maxima_carry_a_nan(monkeypatch, example_spec):
+    verify = identity.verify_identity
+    calls = []
+
+    def nan_at_second_point(bundle, y, sigma):
+        rec = verify(bundle, y, sigma)
+        calls.append(rec)
+        return rec._replace(rel_dev=math.nan, even_dev=math.nan) if len(calls) == 2 else rec
+
+    monkeypatch.setattr(identity, "verify_identity", nan_at_second_point)
+    rep = run_appendix(example_spec, small_config(points=3))
+    assert len(calls) == 3
+    assert math.isnan(rep.max_rel_dev) and math.isnan(rep.max_parity_dev)
+
+
+def test_cli_import_loads_no_unused_module():
+    """``import finslerab.cli`` imports neither numpy.polynomial nor csv, and makes two dataclasses only."""
+    probe = (
+        "import sys\n"
+        "import finslerab.cli\n"
+        "loaded = [name for name in ('numpy.polynomial', 'csv') if name in sys.modules]\n"
+        "import dataclasses, inspect\n"
+        "mods = [m for name, m in list(sys.modules.items()) if name.split('.')[0] == 'finslerab']\n"
+        "made = sorted(name for m in mods for name, obj in vars(m).items()\n"
+        "              if inspect.isclass(obj) and obj.__module__ == m.__name__ and dataclasses.is_dataclass(obj))\n"
+        "print(loaded, made)\n"
+    )
+    src = pathlib.Path(classify.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[] ['AlphaBetaBundle', 'MetricSpec']\n"
 
 
 def test_cli_appendix_fails_on_parity_split(monkeypatch, capsys):

@@ -255,11 +255,13 @@ def test_parse_limits():
     with pytest.raises(MetricFileError, match=r"dim must be an integer in 2\.\.32, got 33.0 \(line 1\)"):
         parse_metric(f"dim = {MAX_DIM + 1}\n")
     nested = "(" * MAX_DEPTH + "x1" + ")" * MAX_DEPTH
-    assert parse_expression(nested, 1) == Var(0)
+    node = parse_expression(nested, 1)
+    assert type(node) is Var and node == Var(0)
     chain = "x1" + " + 1" * (MAX_DEPTH - 1)
     assert eval_component(parse_expression(chain, 1), _env([0.5])).val == MAX_DEPTH - 0.5
     negated = parse_metric(f"dim = 2\na 1 1 = 2 + {'-' * (MAX_DEPTH - 2)}x1\na 2 2 = 1\n")
-    assert parse_metric(negated.to_text()) == negated
+    back = parse_metric(negated.to_text())
+    assert back == negated and repr(back) == repr(negated)  # repr also compares each node's type
     for deeper in ("(" + nested + ")", "-" * (MAX_DEPTH + 1) + "x1", chain + " + 1"):
         with pytest.raises(MetricFileError, match="nested deeper than 100 levels .line 3"):
             parse_metric(f"dim = 2\na 2 2 = 1\na 1 1 = {deeper}\n")

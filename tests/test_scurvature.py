@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -73,7 +72,7 @@ def test_fsecond_matches_second_difference(n, form):
 
 def _bits(vf):
     """Each field of a VolumeFactor with its type and exact value (repr round-trips a float)."""
-    return [(type(v), repr(v)) for v in (getattr(vf, f.name) for f in dataclasses.fields(vf))]
+    return [(type(v), repr(v)) for v in vf]
 
 
 def test_volume_factor_cached_equals_fresh(monkeypatch):
@@ -92,8 +91,16 @@ def test_volume_factor_cached_equals_fresh(monkeypatch):
         monkeypatch.setattr(scurvature, "_last", None)
         fresh = volume_factor(*key)
         assert fresh is not got and _bits(got) == _bits(fresh), key
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         got.Lambda = 0.0
+
+
+def test_stored_rule_is_leggauss_40_on_0_pi():
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(40)
+    assert scurvature._NODES.tobytes() == (0.5 * math.pi * (x + 1.0)).tobytes()
+    assert scurvature._WEIGHTS.tobytes() == (0.5 * math.pi * w).tobytes()
 
 
 def test_volume_factor_domain_errors():
