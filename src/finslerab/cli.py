@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=_COUNT, default=20)
     p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out", default=None)
-    p.add_argument("--sigma", type=_SIGMA, default="0", help="a number, or 'random'")
+    p.add_argument("--sigma", type=_SIGMA, default="0", help="a number, or 'random' (negative: --sigma=-1e-3)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     source.add_argument(
         "--dim-sweep", type=_DIMS, default=None, metavar="DIMS", help="comma list of dimensions, e.g. 3,4,5"

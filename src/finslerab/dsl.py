@@ -10,23 +10,32 @@ box.  Line format (``#`` starts a comment)::
     a 1 2 = sin(x2) * 0.1
     b 3 = 0.4
 
-Expression grammar::
+Each line is tokenized once and read to its end by one grammar::
 
+    line   := "dim" "=" int | "domain" coord "=" "[" signed "," signed "]"
+            | "a" int int "=" expr | "b" int "=" expr
     expr   := term (("+"|"-") term)*
     term   := factor (("*"|"/") factor)*
-    factor := base ("^" signed-number)?
-    base   := number | "x" digits | "(" expr ")" | "-" base | func "(" expr ")"
+    factor := base ("^" signed)?
+    base   := number | coord | "(" expr ")" | "-" base | func "(" expr ")"
+    signed := ("+"|"-")? number
+    coord  := "x" digits
     func   := "sin" | "cos" | "exp" | "log" | "sqrt"
 
-Exponents are literal (possibly signed, possibly fractional) numbers, so
-every expression is an explicit rational/power/trig form; there are no
-conditionals and no user-defined functions.
+Digits are ASCII 0-9 only.  Exponents are literal (possibly signed,
+possibly fractional) numbers, so every expression is an explicit
+rational/power/trig form; there are no conditionals and no user-defined
+functions.  An ``a``, ``b`` or ``domain`` line may repeat an earlier
+line's entry with the same value (``a i j`` and ``a j i`` are one entry);
+with another value it is an error.
 
 Limits: ``dim`` is at most ``MAX_DIM``; an expression nests at most
 ``MAX_DEPTH`` levels, where each parenthesis, function call and unary minus
 is a level and so is each operator of a chain such as ``1 + x1 + x1``; every
 number, domain bounds and the width of a domain included, must be finite.
-A file outside these limits is a ``MetricFileError`` with its line number.
+A file outside the grammar or these limits is a ``MetricFileError`` with its
+line number and, where one token is at fault, that token's column, counted
+from the start of the line.
 
 Evaluation is one walk of the expression tree over ``ArrayJet``s at points
 of any leading shape S, one point (S = ()) or a batch, as numpy broadcasts.
@@ -44,6 +53,7 @@ points would.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -216,54 +226,43 @@ def _power_operand(expr) -> str:
 # -- tokenizer / recursive-descent parser ------------------------------------
 
 
+# Digits are ASCII only, [0-9] and not \d: '٢' and '１' are digits to Unicode, not to a metric file.
+_SPACE = re.compile(r"\s*")  # any Unicode whitespace separates tokens
+_TOKEN = re.compile(
+    r"(?P<num>(?:[0-9]|\.[0-9])[0-9.]*(?:[eE][+-]?[0-9]+)?)|(?P<name>[^\W\d_]\w*)|(?P<op>[-+*/^()=\[\],])|#|\Z"
+)
+_COORDINATE = re.compile(r"x[0-9]+")
+
+
 def _tokenize(text: str, line_no: int):
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t":
-            i += 1
-            continue
-        if ch == "#":
-            break
-        col = i + 1
-        if ch in "+-*/^()=[],":
-            toks.append((ch, ch, col))
-            i += 1
-        elif ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
+    """The line's tokens ``(kind, value, column)`` up to a comment, then ``("end", None, column)``."""
+    toks, i = [], 0
+    while True:
+        i = _SPACE.match(text, i).end()
+        m = _TOKEN.match(text, i)
+        if m is None:
+            raise MetricFileError(f"unexpected character {text[i]!r}", line_no, i + 1)
+        kind, tok = m.lastgroup, m.group()
+        if kind is None:
+            toks.append(("end", None, i + 1))
+            return toks
+        if kind == "num":
             try:
-                val = float(text[i:j])
+                val = float(tok)
             except ValueError:
-                raise MetricFileError(f"bad number {text[i:j]!r}", line_no, col)
+                raise MetricFileError(f"bad number {tok!r}", line_no, i + 1)
             if not math.isfinite(val):
-                raise MetricFileError(f"number {text[i:j]!r} is not finite", line_no, col)
-            toks.append(("num", val, col))
-            i = j
-        elif ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(("name", text[i:j], col))
-            i = j
+                raise MetricFileError(f"number {tok!r} is not finite", line_no, i + 1)
+            toks.append(("num", val, i + 1))
         else:
-            raise MetricFileError(f"unexpected character {ch!r}", line_no, col)
-    toks.append(("end", None, n + 1))
-    return toks
+            toks.append(("name", tok, i + 1) if kind == "name" else (tok, tok, i + 1))
+        i = m.end()
 
 
 class _Parser:
-    def __init__(self, toks, line_no: int, dim: int):
+    """One line's tokens, read by the grammar of the module docstring."""
+
+    def __init__(self, toks, line_no: int, dim: int | None):
         self.toks = toks
         self.pos = 0
         self.line = line_no
@@ -279,6 +278,75 @@ class _Parser:
             raise MetricFileError(f"expected {kind!r}, found {tok[1]!r}", self.line, tok[2])
         self.pos += 1
         return tok
+
+    def directive(self):
+        """The line, read to its end, as ``(key, value)``: ``(("dim",), n)``,
+        ``(("domain", k), (lo, hi))``, ``(("a", i, j), expr)`` with i <= j or
+        ``(("b", i), expr)``, with 0-based indices.
+        """
+        _, head, col = self.take("name")
+        if head == "dim":
+            if self.dim is not None:
+                raise MetricFileError("duplicate dim", self.line, col)
+            self.take("=")
+            key, value = ("dim",), self.integer("dim", 2, MAX_DIM)
+        elif self.dim is None:
+            raise MetricFileError("dim must be declared first", self.line, col)
+        elif head == "domain":
+            k = self.coordinate()
+            self.take("=")
+            bracket = self.take("[")[2]
+            lo = self.signed()
+            self.take(",")
+            hi = self.signed()
+            self.take("]")
+            if not lo < hi:
+                raise MetricFileError("domain must have lo < hi", self.line, bracket)
+            if not math.isfinite(hi - lo):
+                raise MetricFileError("domain width hi - lo must be finite", self.line, bracket)
+            key, value = ("domain", k), (lo, hi)
+        elif head in ("a", "b"):
+            idx = sorted(self.integer("index", 1, self.dim) - 1 for _ in range(2 if head == "a" else 1))
+            self.take("=")
+            key, value = (head, *idx), self.expression()
+        else:
+            raise MetricFileError(f"unknown directive {head!r}", self.line, col)
+        self.take("end")
+        return key, value
+
+    def integer(self, what: str, lo: int, hi: int) -> int:
+        """A number token with an integral value in lo..hi."""
+        _, val, col = self.take("num")
+        if val != int(val) or not lo <= val <= hi:
+            raise MetricFileError(f"{what} must be an integer in {lo}..{hi}, got {val}", self.line, col)
+        return int(val)
+
+    def signed(self) -> float:
+        """A number with an optional leading '+' or '-': an exponent or a domain bound."""
+        negative = self.peek()[0] in "+-" and self.take()[0] == "-"
+        val = self.take("num")[1]
+        return -val if negative else val
+
+    def coordinate(self) -> int:
+        """A name token ``x<k>`` as the 0-based index k - 1."""
+        _, val, col = self.take("name")
+        if not _COORDINATE.fullmatch(val):
+            raise MetricFileError(f"unknown name {val!r}", self.line, col)
+        # int() refuses a long enough digit string, which is out of range anyway
+        digits = val[1:].lstrip("0")
+        k = int(digits) if 0 < len(digits) <= len(str(MAX_DIM)) else 0
+        if not 1 <= k <= self.dim:
+            raise MetricFileError(f"variable {val} out of range 1..{self.dim}", self.line, col)
+        return k - 1
+
+    def expression(self):
+        """An ``expr`` whose tree is at most ``MAX_DEPTH`` levels high."""
+        col = self.peek()[2]
+        node = self.expr()
+        # a long operator chain is deep without any nesting in the text
+        if _height(node) > MAX_DEPTH:
+            raise MetricFileError(f"expression nested deeper than {MAX_DEPTH} levels", self.line, col)
+        return node
 
     def expr(self):
         node = self.term()
@@ -298,12 +366,7 @@ class _Parser:
         node = self.base()
         if self.peek()[0] == "^":
             self.take()
-            sign = 1.0
-            if self.peek()[0] in "+-":
-                if self.take()[0] == "-":
-                    sign = -1.0
-            tok = self.take("num")
-            return Pow(node, sign * tok[1])
+            return Pow(node, self.signed())
         return node
 
     def nested(self, parse):
@@ -329,21 +392,14 @@ class _Parser:
             node = self.nested(self.expr)
             self.take(")")
             return node
-        if kind == "name":
+        if kind == "name" and val in _FUNCS:
             self.take()
-            if val in _FUNCS:
-                self.take("(")
-                node = self.nested(self.expr)
-                self.take(")")
-                return Fun(val, node)
-            if val.startswith("x") and val[1:].isdecimal():
-                k = int(val[1:])
-                if not 1 <= k <= self.dim:
-                    raise MetricFileError(
-                        f"variable x{k} out of range 1..{self.dim}", self.line, col
-                    )
-                return Var(k - 1)
-            raise MetricFileError(f"unknown name {val!r}", self.line, col)
+            self.take("(")
+            node = self.nested(self.expr)
+            self.take(")")
+            return Fun(val, node)
+        if kind == "name":
+            return Var(self.coordinate())
         raise MetricFileError(f"unexpected token {val!r}", self.line, col)
 
 
@@ -364,11 +420,8 @@ def _height(expr) -> int:
 
 def parse_expression(text: str, dim: int, line_no: int = 1):
     p = _Parser(_tokenize(text, line_no), line_no, dim)
-    node = p.expr()
+    node = p.expression()
     p.take("end")
-    # a long operator chain is deep without any nesting in the text
-    if _height(node) > MAX_DEPTH:
-        raise MetricFileError(f"expression nested deeper than {MAX_DEPTH} levels", line_no)
     return node
 
 
@@ -443,108 +496,32 @@ class MetricSpec:
 
 
 def parse_metric(text: str, name: str = "metric") -> MetricSpec:
-    """Parse a metric definition file into a MetricSpec.
+    """Parse a metric definition file into a MetricSpec, one ``_Parser.directive`` per line.
 
-    ``a i j`` lines fill both (i, j) and (j, i); assigning the same unordered
-    pair twice is an error unless the expressions are structurally identical.
+    An entry of ``a``, ``b`` or ``domain`` set twice must have the same value both times.
     """
     dim = None
-    a_entries: dict = {}
-    b_entries: dict = {}
-    domain_over: dict = {}
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    entries: dict = {}  # key -> (value, line of its first assignment)
+    for line_no, line in enumerate(text.splitlines(), start=1):
         toks = _tokenize(line, line_no)
-        head = toks[0]
-        if head[0] != "name":
-            raise MetricFileError(f"unexpected {head[1]!r}", line_no, head[2])
-
-        if head[1] == "dim":
-            if dim is not None:
-                raise MetricFileError("duplicate dim", line_no)
-            if toks[1][0] != "=" or toks[2][0] != "num":
-                raise MetricFileError("expected 'dim = <n>'", line_no)
-            dim = int(toks[2][1])
-            if not 2 <= dim <= MAX_DIM or dim != toks[2][1]:
-                raise MetricFileError(f"dim must be an integer in 2..{MAX_DIM}, got {toks[2][1]}", line_no)
+        if toks[0][0] == "end":
             continue
-
-        if dim is None:
-            raise MetricFileError("dim must be declared first", line_no)
-
-        if head[1] == "domain":
-            # domain x<k> = [lo, hi]
-            if toks[1][0] != "name" or not toks[1][1].startswith("x") or not toks[1][1][1:].isdecimal():
-                raise MetricFileError("expected 'domain x<k> = [lo, hi]'", line_no)
-            k = int(toks[1][1][1:])
-            if not 1 <= k <= dim:
-                raise MetricFileError(f"domain coordinate x{k} out of range", line_no)
-            rest = line.split("=", 1)
-            if len(rest) != 2:
-                raise MetricFileError("expected '=' in domain line", line_no)
-            body = rest[1].strip()
-            if not (body.startswith("[") and body.endswith("]")):
-                raise MetricFileError("domain must be '[lo, hi]'", line_no)
-            parts = body[1:-1].split(",")
-            if len(parts) != 2:
-                raise MetricFileError("domain must be '[lo, hi]'", line_no)
-            try:
-                lo, hi = float(parts[0]), float(parts[1])
-            except ValueError:
-                raise MetricFileError("bad domain bounds", line_no)
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise MetricFileError("domain bounds must be finite", line_no)
-            if not lo < hi:
-                raise MetricFileError("domain must have lo < hi", line_no)
-            if not math.isfinite(hi - lo):
-                raise MetricFileError("domain width hi - lo must be finite", line_no)
-            domain_over[k - 1] = (lo, hi)
+        key, value = _Parser(toks, line_no, dim).directive()
+        if key == ("dim",):
+            dim = value
             continue
-
-        if head[1] in ("a", "b"):
-            idx = []
-            pos = 1
-            while toks[pos][0] == "num":
-                v = toks[pos][1]
-                if v != int(v):
-                    raise MetricFileError("indices must be integers", line_no, toks[pos][2])
-                idx.append(int(v))
-                pos += 1
-            want = 2 if head[1] == "a" else 1
-            if len(idx) != want:
-                raise MetricFileError(
-                    f"'{head[1]}' takes {want} index(es), got {len(idx)}", line_no
-                )
-            if toks[pos][0] != "=":
-                raise MetricFileError("expected '='", line_no, toks[pos][2])
-            for k in idx:
-                if not 1 <= k <= dim:
-                    raise MetricFileError(f"index {k} out of range 1..{dim}", line_no)
-            body = line.split("=", 1)[1]
-            expr = parse_expression(body, dim, line_no)
-            if head[1] == "a":
-                key = (min(idx) - 1, max(idx) - 1)
-                if key in a_entries and a_entries[key] != expr:
-                    raise MetricFileError(
-                        f"conflicting duplicate entry a {key[0] + 1} {key[1] + 1}", line_no
-                    )
-                a_entries[key] = expr
-            else:
-                key = idx[0] - 1
-                if key in b_entries and b_entries[key] != expr:
-                    raise MetricFileError(f"conflicting duplicate entry b {idx[0]}", line_no)
-                b_entries[key] = expr
-            continue
-
-        raise MetricFileError(f"unknown directive {head[1]!r}", line_no, head[2])
+        first, first_line = entries.setdefault(key, (value, line_no))
+        # repr tells the node types apart, which == on the tuples does not: Var(0) == Const(0.0)
+        if repr(first) != repr(value):
+            raise MetricFileError(f"conflicting duplicate of line {first_line}", line_no, toks[0][2])
 
     if dim is None:
         raise MetricFileError("missing dim")
-    domain = [domain_over.get(k, (-1.0, 1.0)) for k in range(dim)]
-    return MetricSpec(dim=dim, a_entries=a_entries, b_entries=b_entries, domain=domain, name=name)
+    by_kind = {"a": {}, "b": {}, "domain": {}}
+    for (kind, *idx), (value, _) in entries.items():
+        by_kind[kind][tuple(idx) if kind == "a" else idx[0]] = value
+    domain = [by_kind["domain"].get(k, (-1.0, 1.0)) for k in range(dim)]
+    return MetricSpec(dim=dim, a_entries=by_kind["a"], b_entries=by_kind["b"], domain=domain, name=name)
 
 
 # -- validation ---------------------------------------------------------------

@@ -582,6 +582,14 @@ def test_cli_appendix_and_sweep(capsys):
     assert "sweep worst relative deviation" in out
 
 
+def test_cli_negative_sigma_in_e_notation(capsys):
+    """argparse reads '--sigma -1e-3' as an option without its value; '--sigma=-1e-3', as the help says, runs."""
+    assert cli.main(["appendix", "--help"]) == cli.EXIT_OK
+    assert "--sigma=-1e-3" in capsys.readouterr().out
+    assert cli.main(["appendix", _example_path(), "--points", "2", "--sigma=-1e-3"]) == cli.EXIT_OK
+    assert "sigma policy: -1e-3" in capsys.readouterr().out
+
+
 def test_cli_appendix_with_a_huge_sigma(capsys):
     """A finite sigma that overflows a side of the cleared identity exits 2, naming sigma and x."""
     flat = str(testmetrics.shipped_metric_path("euclidean_flat"))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -233,7 +235,7 @@ def test_validate_indefinite_flagged():
 def test_parse_errors_carry_location():
     with pytest.raises(MetricFileError, match="line 2"):
         parse_metric("dim = 2\na 1 1 = x1 +")
-    with pytest.raises(MetricFileError, match="out of range"):
+    with pytest.raises(MetricFileError, match=r"index must be an integer in 1\.\.2, got 3.0 \(line 2, col 5\)"):
         parse_metric("dim = 2\na 1 3 = 1")
     with pytest.raises(MetricFileError, match="out of range"):
         parse_metric("dim = 2\na 1 1 = x5")
@@ -243,16 +245,77 @@ def test_parse_errors_carry_location():
         parse_metric("# nothing but comments\n")
     with pytest.raises(MetricFileError, match="conflicting"):
         parse_metric("dim = 2\na 1 2 = x1\na 2 1 = x2")
+    # every line is read to its end, and a position counts from the start of its line
+    for text, where in (
+        ("dim = 2 7", "line 1, col 9"),
+        ("dim = 3 junk", "line 1, col 9"),
+        ("dim = 2\ndomain x1 foo = [0.5, 2]", "line 2, col 11"),
+        ("dim = 2\ndomain (x1) = [0.5, 2]", "line 2, col 8"),
+        ("dim = 2\ndomain -x1 = [0.5, 2]", "line 2, col 8"),
+        ("dim = 2\ndomain x1 = [0.5, 2] 3", "line 2, col 22"),
+        ("dim = 2\ndomain x1 = [0.5, 2]\ndomain x1 = [0.5, 3]", "line 3, col 1"),
+        ("dim = 2\na 1 1 = 1 + x9", "line 2, col 13"),
+        ("dim = 2\nb 1 = = 1", "line 2, col 7"),
+        ("dim = 2\n   a 1 1 = x1 +", "line 2, col 16"),
+        ("dim = 2\na 1 1 = x" + "1" * 5000, "line 2, col 9"),  # more digits than int() reads
+        ("dim = 2\ndomain x" + "9" * 5000 + " = [0, 1]", "line 2, col 8"),
+    ):
+        with pytest.raises(MetricFileError, match=re.escape(f"({where})")):
+            parse_metric(text)
 
 
 def test_duplicate_identical_entry_allowed():
     spec = parse_metric("dim = 2\na 1 1 = 1\na 2 2 = 1\na 1 2 = x1\na 2 1 = x1")
     assert expr_to_text(spec.a_expr(0, 1)) == "x1"
+    spec = parse_metric("dim = 2\ndomain x1 = [0.5, 2]\ndomain x1 = [+0.5, 2.0]  # the same box")
+    assert spec.domain == [(0.5, 2.0), (-1.0, 1.0)]
+
+
+@pytest.mark.parametrize("first, second", [("x1", "0"), ("x2 + 1", "1 + 1"), ("x1^2", "0^2")])
+def test_duplicate_rule_tells_node_types_apart(first, second):
+    # Var(0) == Const(0.0) as tuples, but a variable and a number are not the same entry
+    with pytest.raises(MetricFileError, match=r"conflicting duplicate of line 2 \(line 3, col 1\)"):
+        parse_metric(f"dim = 2\na 1 1 = {first}\na 1 1 = {second}")
+
+
+def test_digits_are_ascii_only():
+    # U+FF11 is a fullwidth 1, U+0661 and U+0662 are Arabic-Indic 1 and 2: digits to str.isdigit
+    for text, where in (
+        ("dim = 2\na 1 1 = \uff11", "line 2, col 9"),
+        ("dim = \u0662", "line 1, col 7"),
+        ("dim = 2\na \u0661 \u0661 = 2", "line 2, col 3"),
+        ("dim = 2\na 1 1 = 1 + x\u0661", "line 2, col 13"),
+        ("dim = 2\ndomain x\u0661 = [0.5, 2]", "line 2, col 8"),
+    ):
+        with pytest.raises(MetricFileError, match=re.escape(f"({where})")):
+            parse_metric(text)
+    with pytest.raises(MetricFileError, match=re.escape("(line 1, col 5)")):
+        parse_expression("1 + x\u0661", 2)
+
+
+# a token boundary: the start of a number, a name or any other non-space character
+_TOKEN_START = re.compile(r"(?:[0-9]|\.[0-9])[0-9.]*(?:[eE][+-]?[0-9]+)?|\w+|[^\s#]")
+
+
+def test_a_junk_token_anywhere_is_an_error():
+    """Every shipped file with ' zz ' inserted at any token boundary of any line fails to parse."""
+    mutants = 0
+    for name in testmetrics.list_shipped():
+        lines = testmetrics.shipped_metric_path(name).read_text().splitlines()
+        for k, line in enumerate(lines):
+            code = line.split("#", 1)[0]
+            cuts = [m.start() for m in _TOKEN_START.finditer(code)]
+            for cut in cuts + [len(code.rstrip())] * bool(cuts):
+                text = "\n".join(lines[:k] + [line[:cut] + " zz " + line[cut:]] + lines[k + 1:])
+                with pytest.raises(MetricFileError, match=re.escape(f"(line {k + 1}, col ")):
+                    parse_metric(text)
+                mutants += 1
+    assert mutants == 210
 
 
 def test_parse_limits():
     parse_metric(f"dim = {MAX_DIM}\n")
-    with pytest.raises(MetricFileError, match=r"dim must be an integer in 2\.\.32, got 33.0 \(line 1\)"):
+    with pytest.raises(MetricFileError, match=r"dim must be an integer in 2\.\.32, got 33.0 \(line 1, col 7\)"):
         parse_metric(f"dim = {MAX_DIM + 1}\n")
     nested = "(" * MAX_DEPTH + "x1" + ")" * MAX_DEPTH
     node = parse_expression(nested, 1)
