@@ -4,7 +4,8 @@ The metric alpha = diag(t^2, t^2, 1/t, t, 1) with t = x4 is Ricci-flat but
 genuinely curved, and the constant 1-form beta = 0.4 dy^5 is parallel.  The
 deformed metric F = alpha^2/(alpha - beta) is then Ricci-flat as well, its
 S-curvature vanishes, and -- because alpha is not flat -- it does NOT have
-constant flag curvature: the K-fit residual stays order one.
+constant flag curvature: the fit K = Ric / ((n - 1) F^2) is 0, but the fit's
+residual stays order one.
 """
 
 import numpy as np

@@ -235,7 +235,10 @@ _COORDINATE = re.compile(r"x[0-9]+")
 
 
 def _tokenize(text: str, line_no: int):
-    """The line's tokens ``(kind, value, column)`` up to a comment, then ``("end", None, column)``."""
+    """The line's tokens ``(kind, text, column)`` up to a comment, then ``("end", "", column)``.
+
+    A token keeps its source text; a ``num`` token's text is a finite float.
+    """
     toks, i = [], 0
     while True:
         i = _SPACE.match(text, i).end()
@@ -244,7 +247,7 @@ def _tokenize(text: str, line_no: int):
             raise MetricFileError(f"unexpected character {text[i]!r}", line_no, i + 1)
         kind, tok = m.lastgroup, m.group()
         if kind is None:
-            toks.append(("end", None, i + 1))
+            toks.append(("end", "", i + 1))
             return toks
         if kind == "num":
             try:
@@ -253,10 +256,13 @@ def _tokenize(text: str, line_no: int):
                 raise MetricFileError(f"bad number {tok!r}", line_no, i + 1)
             if not math.isfinite(val):
                 raise MetricFileError(f"number {tok!r} is not finite", line_no, i + 1)
-            toks.append(("num", val, i + 1))
-        else:
-            toks.append(("name", tok, i + 1) if kind == "name" else (tok, tok, i + 1))
+        toks.append((tok if kind == "op" else kind, tok, i + 1))
         i = m.end()
+
+
+def _shown(tok) -> str:
+    """A token as an error message names it: its source text, or the end of the line."""
+    return "end of line" if tok[0] == "end" else repr(tok[1])
 
 
 class _Parser:
@@ -275,7 +281,7 @@ class _Parser:
     def take(self, kind=None):
         tok = self.toks[self.pos]
         if kind is not None and tok[0] != kind:
-            raise MetricFileError(f"expected {kind!r}, found {tok[1]!r}", self.line, tok[2])
+            raise MetricFileError(f"expected {kind!r}, found {_shown(tok)}", self.line, tok[2])
         self.pos += 1
         return tok
 
@@ -316,7 +322,8 @@ class _Parser:
 
     def integer(self, what: str, lo: int, hi: int) -> int:
         """A number token with an integral value in lo..hi."""
-        _, val, col = self.take("num")
+        _, text, col = self.take("num")
+        val = float(text)
         if val != int(val) or not lo <= val <= hi:
             raise MetricFileError(f"{what} must be an integer in {lo}..{hi}, got {val}", self.line, col)
         return int(val)
@@ -324,7 +331,7 @@ class _Parser:
     def signed(self) -> float:
         """A number with an optional leading '+' or '-': an exponent or a domain bound."""
         negative = self.peek()[0] in "+-" and self.take()[0] == "-"
-        val = self.take("num")[1]
+        val = float(self.take("num")[1])
         return -val if negative else val
 
     def coordinate(self) -> int:
@@ -383,7 +390,7 @@ class _Parser:
         kind, val, col = self.peek()
         if kind == "num":
             self.take()
-            return Const(val)
+            return Const(float(val))
         if kind == "-":
             self.take()
             return Neg(self.nested(self.base))
@@ -400,7 +407,7 @@ class _Parser:
             return Fun(val, node)
         if kind == "name":
             return Var(self.coordinate())
-        raise MetricFileError(f"unexpected token {val!r}", self.line, col)
+        raise MetricFileError(f"unexpected {_shown(self.peek())}", self.line, col)
 
 
 def _height(expr) -> int:

@@ -12,15 +12,14 @@ quadratic forms [a; r; Gamma/2] and the linear forms [b; s_j; -s^i_j],
 and one matmul every entry that is affine in y.
 
 Second derivatives are carried as the y columns of the Hessian only: the
-x-y and y-y blocks, shape (..., 2n, n), which are all that the curvature,
-the T-split, the flag fit and the fundamental tensor read.  The pure x-x
-block, which would need third derivatives of the metric, is not formed
-(Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008, on
-exploiting known Hessian sparsity).
+x-y and y-y blocks, shape (..., 2n, n), which are all that the curvature
+and the T-split read.  The pure x-x block, which would need third
+derivatives of the metric, is not formed (Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., 2008, on exploiting known Hessian sparsity).
 
-The spray is G^i = Gbar^i - L s^i_0 + C_b b^i + C_y y^i, whose four scalar
-coefficients L, C_b, C_y and F^2 depend on u = (alpha^2, beta, r00, s0,
-b^2) alone.  Their values, Jacobian and Hessian over u are written out in
+The spray is G^i = Gbar^i - L s^i_0 + C_b b^i + C_y y^i, whose three scalar
+coefficients L, C_b and C_y depend on u = (alpha^2, beta, r00, s0, b^2)
+alone.  Their values, Jacobian and Hessian over u are written out in
 closed form on Python floats, once per y, and pushed through the packed
 inputs in one step, grad c = J grad u and hess c = J . hess u + grad u^T H
 grad u (preaccumulation of local derivatives), and the three vector terms
@@ -31,34 +30,37 @@ and Theta computed from phi(s) = 1/(1 - s) in scalar jets, is the test
 suite's oracle for the whole spray (``tests/oracles.py``).
 
 The ``Spray`` record is the one input of every reader of the spray:
-``riemann_curvature``, ``ricci_via_T``, ``fundamental_tensor``,
-``flag_curvature_fit`` and ``scurvature.s_curvature_def`` take it, and
-read the bundle and the y it was taken at from it, so no reader can be
-handed a spray of another y.  y may carry a leading axis: ``spray``,
-``riemann_curvature``, ``metric_value``, ``fundamental_tensor``,
-``ricci_via_T`` and ``flag_curvature_fit`` take one fiber vector, shape
-(n,), or a stack of m of them, shape (m, n), and their results then carry
-the same leading m axis.  The one-y call is the m-less case of the same
-code; ``ricci_via_T`` and ``flag_curvature_fit`` return floats there.  The
-two S routes take one y only and raise ``ValueError`` on a stack.  The
-inputs' y-independent parts are built once per bundle, on the first spray
-there, and kept on it (``bundle.spray_inputs``).  ``extract_scalars``
-evaluates its whole fit design as one stack, and ``classify.run_check``
-each point's y-samples.
+``riemann_curvature``, ``ricci_via_T``, ``flag_curvature_fit`` and
+``scurvature.s_curvature_def`` take it, and read the bundle and the y it
+was taken at from it, so no reader can be handed a spray of another y.
+y may carry a leading axis: ``spray``, ``riemann_curvature``,
+``metric_value``, ``ricci_via_T`` and ``flag_curvature_fit`` take one
+fiber vector, shape (n,), or a stack of m of them, shape (m, n), and their
+results then carry the same leading m axis.  The one-y call is the
+m-less case of the same code; ``ricci_via_T`` and ``flag_curvature_fit``
+return floats there.  The two S routes take one y only and raise
+``ValueError`` on a stack.  The inputs' y-independent parts are built
+once per bundle, on the first spray there, and kept on it
+(``bundle.spray_inputs``).  ``extract_scalars`` evaluates its whole fit
+design as one stack, and ``classify.run_check`` each point's y-samples.
 
 The spray has a derivative ``order``, set by what its caller reads.  The
-curvature, the T-split Ricci route, the flag fit and the fundamental tensor
-read second derivatives, so they need the default order 2.  The
-S-curvature definition reads only dG^i/dy^i, so a caller that reads
-nothing else asks for order 1: no Hessian and no F^2 is formed, and a
-second-order reader handed such a spray raises ``ValueError``.  Both
-orders run the same code on the same cached inputs, and the values and
-gradients of G and Gbar are the same bits at both.
+curvature, the T-split Ricci route and the flag fit read second
+derivatives, so they need the default order 2.  The S-curvature
+definition reads only dG^i/dy^i, so a caller that reads nothing else asks
+for order 1: no Hessian is formed, and a second-order reader handed such a
+spray raises ``ValueError``.  Both orders run the same code on the same
+cached inputs, and the values and gradients of G and Gbar are the same
+bits at both.
 
 The curvature is computed two ways, directly from the spray and through
 the deformation-field identity relating Ric to the Ricci curvature of
 alpha; agreement of the two routes is the engine's strongest self-check
-and is asserted in the test suite rather than here.
+and is asserted in the test suite rather than here.  The flag fit of
+R = K (F^2 I - y y_flat^T) is least squares in the inner product of the
+fundamental tensor g, where it is closed-form in Ric and F and reads of g
+only y_flat = g y, itself closed-form in alpha, beta, a y and b; so K and
+its residual are the same in every chart.
 """
 
 from __future__ import annotations
@@ -77,7 +79,6 @@ __all__ = [
     "spray",
     "riemann_curvature",
     "ricci_via_T",
-    "fundamental_tensor",
     "extract_scalars",
     "flag_curvature_fit",
     "unit_alpha_vectors",
@@ -92,23 +93,21 @@ class Spray(NamedTuple):
 
     ``G`` = G^i and ``Gbar`` = Gbar^i, the spray of alpha, are array jets
     over the 2n chart+fiber directions (x^1..x^n, then y^1..y^n) of shape
-    (n,), and ``F2`` = F^2 a scalar one; for a stack the shapes are (m, n)
-    and (m,).  At order 2 (the default) each ``hess`` holds the y columns of
-    the Hessian only, shape S + (2n, n): ``hess[..., a, k]`` = d2/dz^a dy^k
-    over the 2n directions z^a, so its first n rows are the x-y block and
-    its last n the y-y block, the only ones the curvature, the T-split, the
-    flag fit and the fundamental tensor read.  There is no x-x block, which
+    (n,), or (m, n) for a stack.  At order 2 (the default) each ``hess``
+    holds the y columns of the Hessian only, shape S + (2n, n):
+    ``hess[..., a, k]`` = d2/dz^a dy^k over the 2n directions z^a, so its
+    first n rows are the x-y block and its last n the y-y block, the only
+    ones the curvature and the T-split read.  There is no x-x block, which
     would need third derivatives of the metric.  Only elementwise jet
     operations (G - Gbar) apply to such jets.  At order 1, ``G`` and
     ``Gbar`` are ``ArrayJet(val, grad, None)``, containers of a value and a
-    gradient to which no jet operation applies, and ``F2`` is None.
+    gradient to which no jet operation applies.
     """
 
     bundle: AlphaBetaBundle
     y: np.ndarray
     G: ArrayJet
     Gbar: ArrayJet
-    F2: ArrayJet | None
 
     def blocks(self):
         """(G, dG/dx, dG/dy, d2G/dx dy, d2G/dy dy), the blocks the curvature reads.
@@ -120,7 +119,7 @@ class Spray(NamedTuple):
 
     def check_order_2(self, reader: str):
         """Raise ``ValueError`` unless this spray has the second derivatives that ``reader`` reads."""
-        if self.F2 is None:
+        if self.G.hess is None:
             raise ValueError(f"{reader} needs an order-2 spray, got one of order 1")
 
 
@@ -230,15 +229,15 @@ class _SprayInputs:
 
 # -- the spray's scalar coefficients ------------------------------------------
 #
-# G^i = Gbar^i - L s^i_0 + C_b b^i + C_y y^i, and the scalars L, C_b, C_y and
-# F^2 are functions of u = (alpha^2, beta, r00, s0, b^2) alone:
+# G^i = Gbar^i - L s^i_0 + C_b b^i + C_y y^i, and the scalars L, C_b and C_y
+# are functions of u = (alpha^2, beta, r00, s0, b^2) alone:
 #
 #   L = alpha^2 / P,  C_b = -alpha K / Q,  C_y = (4 beta - alpha) K / (2 alpha Q),
-#   F^2 = alpha^4 / (alpha - beta)^2,  K = r00 + 2 L s0,
+#   K = r00 + 2 L s0,
 #
 # with P = 2 beta - alpha and Q = 3 beta - (2 b^2 + 1) alpha.  Their partials
 # over u are written out below in s = beta / alpha and the reciprocals of
-# alpha, 2s - 1, 3s - 2b^2 - 1 and 1 - s, and pushed through the inputs'
+# alpha, 2s - 1 and 3s - 2b^2 - 1, and pushed through the inputs'
 # jets in one step (preaccumulation of local derivatives: Griewank &
 # Walther, *Evaluating Derivatives*, 2nd ed., 2008, ch. 10).  They run on
 # Python floats, once per y, so a row of a stack gets the bits of its y
@@ -251,15 +250,14 @@ _SQRT_SAFE = 1e-200
 def _coefficient_partials(alpha2, beta, r00, s0, bsq, order: int):
     """(values, jacobian[, hessian]) of the spray's scalar coefficients over u.
 
-    u = (alpha^2, beta, r00, s0, b^2), at one y, as Python floats.  At
-    order 1 the coefficients are (L, C_b, C_y): ``values`` is a list of 3
-    and ``jacobian`` a 3 x 5 nested list.  At order 2 F^2 is the fourth,
-    and ``hessian`` lists for each coefficient the 15 entries of the upper
-    triangle of its Hessian, row by row (``_UPPER`` maps (i, j) to the place
-    of d2/du_i du_j).  The first three values and Jacobian rows are the same
-    expressions at both orders.  Raises ``JetError`` where the jet chain
-    did: alpha^2 outside the domain of the jet sqrt, or 2s - 1,
-    3s - 2b^2 - 1 or (at order 2) 1 - s of magnitude below ``_TINY``.
+    u = (alpha^2, beta, r00, s0, b^2), at one y, as Python floats.  The
+    coefficients are (L, C_b, C_y): ``values`` is a list of 3 and
+    ``jacobian`` a 3 x 5 nested list, the same expressions at both orders.
+    At order 2 ``hessian`` lists for each coefficient the 15 entries of the
+    upper triangle of its Hessian, row by row (``_UPPER`` maps (i, j) to the
+    place of d2/du_i du_j).  Raises ``JetError`` where the jet chain did:
+    alpha^2 outside the domain of the jet sqrt, or 2s - 1 or 3s - 2b^2 - 1
+    of magnitude below ``_TINY``.
     """
     if not _SQRT_SAFE < alpha2 < math.inf:
         # raises exactly where, and as, the jet sqrt of alpha^2 does
@@ -269,11 +267,7 @@ def _coefficient_partials(alpha2, beta, r00, s0, bsq, order: int):
     s = beta * ia  # finite, as alpha^2 is
     d1 = 2.0 * s - 1.0
     d2 = 3.0 * s - 2.0 * bsq - 1.0
-    nonzero = abs(d1) >= _TINY and abs(d2) >= _TINY
-    if order == 2:
-        d3 = 1.0 - s
-        nonzero = nonzero and abs(d3) >= _TINY
-    if not nonzero:
+    if not (abs(d1) >= _TINY and abs(d2) >= _TINY):
         raise JetError("division by zero jet")
     i1 = 1.0 / d1
     i2 = 1.0 / d2
@@ -351,20 +345,7 @@ def _coefficient_partials(alpha2, beta, r00, s0, bsq, order: int):
         nu * Cb_sq,
         nu * Cb_qq,
     )
-    # F^2 = alpha^2 / (1 - s)^2
-    i3 = 1.0 / d3
-    F = a * i3
-    f3 = i3 * i3 * i3
-    f4 = f3 * i3
-    values.append(F * F)
-    jacobian.append([(1.0 - 2.0 * s) * f3, 2.0 * a * f3, zero, zero, zero])
-    hessian = [
-        _symmetric(L_AA, L_AB, L_BB, *(zero,) * 9),
-        cb,
-        cy,
-        _symmetric(0.5 * s * w * ia2 * f4, -w * ia * f4, 6.0 * f4, *(zero,) * 9),
-    ]
-    return values, jacobian, hessian
+    return values, jacobian, [_symmetric(L_AA, L_AB, L_BB, *(zero,) * 9), cb, cy]
 
 
 def _symmetric(AA, AB, BB, Ar, Br, As, Bs, Aq, Bq, rq, sq, qq):
@@ -386,9 +367,8 @@ def spray(bundle: AlphaBetaBundle, y, order: int = 2) -> Spray:
     ``y`` is one fiber vector, shape (n,), or a stack of m of them, shape
     (m, n); the ``Spray`` then carries the same leading m axis.  ``order``
     is the highest derivative order the caller reads: at 2 the ``Spray``
-    holds order-2 jets of G, Gbar and F^2, with the y columns of their
-    Hessians; at 1 it holds the values and gradients of G and Gbar, the
-    same bits, and no F^2.
+    holds order-2 jets of G and Gbar, with the y columns of their Hessians;
+    at 1 it holds their values and gradients, the same bits.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
@@ -403,41 +383,39 @@ def spray(bundle: AlphaBetaBundle, y, order: int = 2) -> Spray:
     val, grad, hess = inp.at(y, order)
     u, bsq = val[..., n : n + 5].tolist(), bundle.bsq  # u in the inputs' order (alpha^2, r00, b^2, beta, s0)
     per_y = [_coefficient_partials(a2, beta, r00, s0, bsq, order) for a2, r00, _, beta, s0 in (u if stack else [u])]
-    coefs, jac, *local = map(np.array, zip(*per_y) if stack else per_y[0])  # coefs: (L, C_b, C_y[, F^2])
+    coefs, jac, *local = map(np.array, zip(*per_y) if stack else per_y[0])  # coefs: (L, C_b, C_y)
     # grad c = J grad u, with J's columns in the inputs' order of u
     grads = grad[..., n : n + 5, :]
     jac = jac.take(_U_ORDER, axis=-1)
-    coef_grads = jac @ grads
-    cg = coef_grads[..., :3, :]  # of L, C_b and C_y
+    cg = jac @ grads
 
     # G - Gbar = sum_c coef_c vec_c over the vector inputs (-s^i_0, b^i, y^i),
     # differentiated by the product rule; the three have no Hessian but s^i_0's
     vec = val[..., n + 5 :].reshape(stack + (3, n))
     vec_grads = grad[..., n + 5 :, :].reshape(stack + (3, n, d))
-    terms = coefs[..., :3, None] * vec  # summed in the order Gbar^i - L s^i_0 + C_b b^i + C_y y^i
+    terms = coefs[..., None] * vec  # summed in the order Gbar^i - L s^i_0 + C_b b^i + C_y y^i
     G = val[..., :n] + terms[..., 0, :]
     G += terms[..., 1, :]
     G += terms[..., 2, :]
     G_grad = grad[..., :n, :] + vec.swapaxes(-1, -2) @ cg
-    G_grad += (coefs[..., None, :3] @ vec_grads.reshape(stack + (3, n * d))).reshape(stack + (n, d))
+    G_grad += (coefs[..., None, :] @ vec_grads.reshape(stack + (3, n * d))).reshape(stack + (n, d))
     if order == 1:
         Gbar = ArrayJet(val[..., :n], grad[..., :n, :], None)
-        return Spray(bundle=bundle, y=y, G=ArrayJet(G, G_grad, None), Gbar=Gbar, F2=None)
+        return Spray(bundle=bundle, y=y, G=ArrayJet(G, G_grad, None), Gbar=Gbar)
 
     # the y columns of the coefficients' Hessians: J . hess u + grad u^T H grad u
-    coef_hess = (jac @ hess[..., n:, :, :].reshape(stack + (5, d * n))).reshape(stack + (4, d, n))
-    local_hess = local[0].take(_UPPER_ROWS, axis=-1)  # H, shape (..., 4, 5, 5)
+    coef_hess = (jac @ hess[..., n:, :, :].reshape(stack + (5, d * n))).reshape(stack + (3, d, n))
+    local_hess = local[0].take(_UPPER_ROWS, axis=-1)  # H, shape (..., 3, 5, 5)
     coef_hess += grads.swapaxes(-1, -2)[..., None, :, :] @ (local_hess @ grads[..., None, :, n:])
 
     by_row = vec_grads.swapaxes(-3, -2)  # (..., n, 3, d)
-    G_hess = (vec.swapaxes(-1, -2) @ coef_hess[..., :3, :, :].reshape(stack + (3, d * n))).reshape(stack + (n, d, n))
+    G_hess = (vec.swapaxes(-1, -2) @ coef_hess.reshape(stack + (3, d * n))).reshape(stack + (n, d, n))
     G_hess += hess[..., :n, :, :]
     G_hess[..., :n, :] += coefs[..., 0, None, None, None] * inp.si0_xy
     G_hess += cg.swapaxes(-1, -2)[..., None, :, :] @ by_row[..., n:]
     G_hess += by_row.swapaxes(-1, -2) @ cg[..., None, :, n:]
-    F2 = ArrayJet(coefs[..., 3], coef_grads[..., 3, :], coef_hess[..., 3, :, :])
     Gbar = ArrayJet(val[..., :n], grad[..., :n, :], hess[..., :n, :, :])
-    return Spray(bundle=bundle, y=y, G=ArrayJet(G, G_grad, G_hess), Gbar=Gbar, F2=F2)
+    return Spray(bundle=bundle, y=y, G=ArrayJet(G, G_grad, G_hess), Gbar=Gbar)
 
 
 def riemann_curvature(sp: Spray):
@@ -492,11 +470,18 @@ def metric_value(bundle: AlphaBetaBundle, y):
     return al * al / (al - y @ bundle.b)
 
 
-def fundamental_tensor(sp: Spray) -> np.ndarray:
-    """g_ij = 1/2 [F^2]_{y^i y^j}, from the exact fiber Hessian of an order-2 spray's F^2 jet."""
-    sp.check_order_2("fundamental_tensor")
-    n = sp.bundle.n
-    return 0.5 * sp.F2.hess[..., n:, -n:]
+def _lowered_y(bundle: AlphaBetaBundle, y):
+    """(F, y_flat): F(x, y) and y_flat = g y = 1/2 dF^2/dy, for one y or a stack of them.
+
+    y_flat = F ((alpha - 2 beta) a y + alpha^2 b) / (alpha - beta)^2, the
+    y-gradient of F^2 = alpha^4 / (alpha - beta)^2 halved, in closed form.
+    """
+    ay = y @ bundle.a
+    al2 = np.einsum("...j,...j->...", ay, y)
+    al, be = np.sqrt(al2), y @ bundle.b
+    F = al2 / (al - be)
+    scale = F / ((al - be) * (al - be))
+    return F, ((scale * (al - 2.0 * be))[..., None] * ay + (scale * al2)[..., None] * bundle.b)
 
 
 # -- scalar extraction --------------------------------------------------------
@@ -566,22 +551,22 @@ def extract_scalars(bundle: AlphaBetaBundle, rng) -> ScalarFit:
 
 
 def flag_curvature_fit(sp: Spray, R):
-    """Least-squares K in R^i_k = K (F^2 delta^i_k - y^i y_k), y_k = g_kj y^j.
+    """Least-squares K in R^i_k = K M^i_k, M = F^2 delta^i_k - y^i y_k, y_k = g_kj y^j, in the g inner product.
 
     ``sp`` is an order-2 spray and ``R`` its curvature operator
-    (``riemann_curvature(sp)``).  Returns (K, residual) with residual the
-    max-entry deviation of the fit: two floats for a spray at one y, or for
-    a stack of m y two arrays of shape (m,), each row fitted on its own.
+    (``riemann_curvature(sp)``).  R and M are g-self-adjoint, M^2 = F^2 M
+    and R y = 0, so the fit has the closed form K = Ric / ((n - 1) F^2),
+    and its residual is the g-norm of the rest, |R - K M|_g =
+    sqrt(tr((R - K M)^2)).  Returns (K, residual): two floats for a spray
+    at one y, or for a stack of m y two arrays of shape (m,), each row
+    fitted on its own.
     """
     sp.check_order_2("flag_curvature_fit")
-    bundle, y = sp.bundle, sp.y
-    g = fundamental_tensor(sp)
-    F = metric_value(bundle, y)
-    ylow = np.einsum("...kj,...j->...k", g, y)
-    M = (F * F)[..., None, None] * np.eye(bundle.n) - y[..., :, None] * ylow[..., None, :]
-    denom = np.sum(M * M, axis=(-2, -1))
-    if np.any(denom < 1e-300):
-        raise ValueError("degenerate flag tensor (y = 0?)")
-    K = np.sum(R * M, axis=(-2, -1)) / denom
-    resid = np.max(np.abs(R - K[..., None, None] * M), axis=(-2, -1))
+    y, n = sp.y, sp.bundle.n
+    F, y_flat = _lowered_y(sp.bundle, y)
+    F2 = F * F
+    M = F2[..., None, None] * np.eye(n) - y[..., :, None] * y_flat[..., None, :]
+    K = np.trace(R, axis1=-2, axis2=-1) / ((n - 1) * F2)
+    rest = R - K[..., None, None] * M
+    resid = np.sqrt(np.maximum(0.0, np.einsum("...ij,...ji->...", rest, rest)))
     return (K, resid) if y.ndim > 1 else (float(K), float(resid))

@@ -170,6 +170,22 @@ def _array_jet(jets) -> ArrayJet:
     )
 
 
+def _fiber_jets(bundle: AlphaBetaBundle, y):
+    """y^j as scalar jets over the 2n chart+fiber directions, and the jets of alpha^2, alpha and beta."""
+    n = bundle.n
+    yJ = [Jet.variable(float(y[j]), n + j, 2 * n) for j in range(n)]
+    aJ, bJ = metric_jets(bundle.spec, bundle.x, 2 * n)
+    alpha2 = _sym_quadratic(aJ, yJ)
+    return yJ, alpha2, jsqrt(alpha2), _dot(bJ, yJ)
+
+
+def general_F2(bundle: AlphaBetaBundle, y) -> ArrayJet:
+    """F^2 = (alpha^2 / (alpha - beta))^2 in scalar jets: the oracle of y_flat = 1/2 dF^2/dy."""
+    _, alpha2, alpha, beta = _fiber_jets(bundle, np.asarray(y, dtype=float))
+    F = alpha2 / (alpha - beta)
+    return _array_jet(F * F)
+
+
 def general_spray(bundle: AlphaBetaBundle, y) -> Spray:
     """The generic (alpha, beta) spray, in scalar jets: the oracle of ``finsler.spray``.
 
@@ -180,11 +196,7 @@ def general_spray(bundle: AlphaBetaBundle, y) -> Spray:
     """
     y = np.asarray(y, dtype=float)
     n = bundle.n
-    yJ = [Jet.variable(float(y[j]), n + j, 2 * n) for j in range(n)]
-    aJ, bJ = metric_jets(bundle.spec, bundle.x, 2 * n)
-    alpha2 = _sym_quadratic(aJ, yJ)
-    alpha = jsqrt(alpha2)
-    beta = _dot(bJ, yJ)
+    yJ, alpha2, alpha, beta = _fiber_jets(bundle, y)
     r00 = _sym_quadratic(_field_jets(bundle.r, bundle.dr), yJ)
     s0 = _dot(_field_jets(bundle.svec, bundle.d_svec), yJ)
     si0 = [_dot(row, yJ) for row in _field_jets(bundle.s_up, bundle.d_s_up)]
@@ -208,8 +220,7 @@ def general_spray(bundle: AlphaBetaBundle, y) -> Spray:
     coef_y = (theta * common) / alpha
 
     G = [gbar[i] + lead * si0[i] + coef_b * bup[i] + coef_y * yJ[i] for i in range(n)]
-    F = alpha2 / (alpha - beta)
-    return Spray(bundle=bundle, y=y, G=_array_jet(G), Gbar=_array_jet(gbar), F2=_array_jet(F * F))
+    return Spray(bundle=bundle, y=y, G=_array_jet(G), Gbar=_array_jet(gbar))
 
 
 def extract_scalars_loop(bundle: AlphaBetaBundle, rng) -> ScalarFit:

@@ -72,8 +72,8 @@ def test_criterion_1_example_reproduction(example_spec):
 @pytest.mark.xfail(
     strict=True,
     reason="unattainable as stated: the example's alpha is Ricci-flat but not flat "
-    "(R^1_414 = 1/(2 x4^2) != 0), so F has no constant flag curvature and the "
-    "tensor-fit residual is order one, not 1e-8",
+    "(R^1_414 = 1/(2 x4^2) != 0), so F has no constant flag curvature: the fit's "
+    "K = Ric/(4 F^2) is about 0, but its g-norm residual is order one, not 1e-8",
 )
 def test_criterion_1_flag_curvature_clause(example_spec):
     rng = np.random.default_rng(20240518)

@@ -164,20 +164,54 @@ def test_check_rescales_with_the_metric(name, c):
         assert all(close(row[k], want[k] * f) for k, f in pairs), (row, want)
 
 
-def _relabeled(expr, new):
-    """``expr`` with every ``Var(k)`` replaced by ``Var(new[k])``."""
+def _substituted(expr, sub):
+    """``expr`` with every ``Var(k)`` replaced by the expression ``sub[k]``."""
     if isinstance(expr, Var):
-        return Var(int(new[expr.index]))
-    children = {k: _relabeled(v, new) for k, v in expr._asdict().items() if not isinstance(v, (str, int, float))}
+        return sub[expr.index]
+    children = {k: _substituted(v, sub) for k, v in expr._asdict().items() if not isinstance(v, (str, int, float))}
     return expr._replace(**children)
+
+
+def _combination(terms):
+    """The sum of c * e over the pairs (c, e) of ``terms``, where e = None stands for 1.
+
+    A term with c = 0 or e = 0 is left out and a unit c is not written, so a
+    sum with one term of c = 1 is that term's own tree.
+    """
+    out = None
+    for c, e in terms:
+        if c == 0.0 or (isinstance(e, Const) and e.value == 0.0):
+            continue
+        e = Const(float(c)) if e is None else e if c == 1.0 else Bin("*", Const(float(c)), e)
+        out = e if out is None else Bin("+", out, e)
+    return Const(0.0) if out is None else out
+
+
+def _charted(spec, A, t, domain):
+    """``spec`` in the chart x = A x' + t, over the box ``domain`` of x'.
+
+    a'_ij = A_ki a_kl A_lj and b'_i = A_ki b_k, each at x = A x' + t: the
+    expression trees are rewritten, with each x^k the expression of x' that
+    ``_combination`` writes.  A permutation matrix relabels the trees and
+    adds no arithmetic.
+    """
+    n = spec.dim
+    x_of = [_combination([(A[k, j], Var(j)) for j in range(n)] + [(t[k], None)]) for k in range(n)]
+    a_old = [[_substituted(spec.a_expr(k, l), x_of) for l in range(n)] for k in range(n)]
+    b_old = [_substituted(spec.b_expr(k), x_of) for k in range(n)]
+    a = {
+        (i, j): _combination([(A[k, i] * A[l, j], a_old[k][l]) for k in range(n) for l in range(n)])
+        for i in range(n)
+        for j in range(i, n)
+    }
+    b = {i: _combination([(A[k, i], b_old[k]) for k in range(n)]) for i in range(n)}
+    return dataclasses.replace(spec, a_entries=a, b_entries=b, domain=list(domain))
 
 
 def _permuted(spec, perm):
     """``spec`` in the coordinates x'^i = x^perm[i]: a'_ij = a_perm[i]perm[j], b'_i = b_perm[i]."""
-    new, n = np.argsort(perm), spec.dim  # old coordinate k is new coordinate new[k]
-    a = {(i, j): _relabeled(spec.a_expr(perm[i], perm[j]), new) for i in range(n) for j in range(i, n)}
-    b = {i: _relabeled(spec.b_expr(perm[i]), new) for i in range(n)}
-    return dataclasses.replace(spec, a_entries=a, b_entries=b, domain=[spec.domain[k] for k in perm])
+    n = spec.dim
+    return _charted(spec, np.eye(n)[:, perm], np.zeros(n), [spec.domain[k] for k in perm])
 
 
 def _pointwise_scalars(spec, x, y) -> dict:
@@ -207,8 +241,7 @@ def test_pointwise_scalars_are_invariant_under_a_coordinate_permutation(source):
 
     The metric's expression trees, its domain and the point are rewritten,
     not the engine's arrays, so a slip that both routes of a cross-check
-    share still shows here.  The Frobenius flag fit is invariant under
-    permutations, though not under general charts.
+    share still shows here.
     """
     spec = _shipped_or_random(source)
     perm = np.roll(np.arange(spec.dim), 1)
@@ -217,6 +250,31 @@ def test_pointwise_scalars_are_invariant_under_a_coordinate_permutation(source):
     for x in sample_domain(spec, 2, rng, shrink=0.05):
         for y in (unit_y(build_bundle(spec, x), rng) for _ in range(2)):
             want, got = _pointwise_scalars(spec, x, y), _pointwise_scalars(moved, x[perm], y[perm])
+            for key, v in want.items():
+                assert abs(got[key] - v) <= 1e-12 * max(1.0, abs(v)), (key, got[key], v)
+
+
+@pytest.mark.parametrize("source", testmetrics.list_shipped() + [3, 5, 8])
+def test_pointwise_scalars_are_invariant_under_an_affine_chart_change(source):
+    """A metamorphic oracle: in the chart x = A x' + t, with y = A y', no scalar changes at the mapped (x', y').
+
+    A is dense and not orthogonal, so the coordinate entries of every
+    tensor change; Ric, S, F, Ricbar, the identity's sides and the flag
+    fit's K and residual, which is taken in the g inner product, must not.
+    The moved metric's domain is the bounding box of the mapped points, the
+    only points it is evaluated at.
+    """
+    spec = _shipped_or_random(source)
+    n = spec.dim
+    rng = np.random.default_rng(29)
+    A = np.eye(n) + rng.uniform(-0.3, 0.3, (n, n))
+    t = rng.uniform(-0.2, 0.2, n)
+    xs = sample_domain(spec, 2, rng, shrink=0.05)
+    moved_xs = np.linalg.solve(A, (xs - t).T).T
+    moved = _charted(spec, A, t, zip(moved_xs.min(axis=0).tolist(), moved_xs.max(axis=0).tolist()))
+    for x, moved_x in zip(xs, moved_xs):
+        for y in (unit_y(build_bundle(spec, x), rng) for _ in range(2)):
+            want, got = _pointwise_scalars(spec, x, y), _pointwise_scalars(moved, moved_x, np.linalg.solve(A, y))
             for key, v in want.items():
                 assert abs(got[key] - v) <= 1e-12 * max(1.0, abs(v)), (key, got[key], v)
 

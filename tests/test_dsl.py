@@ -264,6 +264,22 @@ def test_parse_errors_carry_location():
             parse_metric(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("dim = 2 7", "expected 'end', found '7' (line 1, col 9)"),
+        ("dim = 2\na 1 1 =", "unexpected end of line (line 2, col 8)"),
+        ("dim = 2\na 1 1 = 1.50 )", "expected 'end', found ')' (line 2, col 14)"),
+        ("dim =", "expected 'num', found end of line (line 1, col 6)"),
+        ("dim = 2\ndomain x1 = [0.5 2]", "expected ',', found '2' (line 2, col 18)"),
+    ],
+)
+def test_parse_errors_name_the_token_by_its_source_text(text, message):
+    # a number as written, not as its float; the end of the line by name
+    with pytest.raises(MetricFileError, match=re.escape(message) + "$"):
+        parse_metric(text)
+
+
 def test_duplicate_identical_entry_allowed():
     spec = parse_metric("dim = 2\na 1 1 = 1\na 2 2 = 1\na 1 2 = x1\na 2 1 = x1")
     assert expr_to_text(spec.a_expr(0, 1)) == "x1"

@@ -9,9 +9,9 @@ from finslerab.dsl import parse_metric, sample_domain
 from finslerab.finsler import (
     _SprayInputs,
     _blocks,
+    _lowered_y,
     extract_scalars,
     flag_curvature_fit,
-    fundamental_tensor,
     metric_value,
     ricci_via_T,
     riemann_curvature,
@@ -20,7 +20,7 @@ from finslerab.finsler import (
 from finslerab.jets import ArrayJet, JetError
 from finslerab.riemann import build_bundle
 from .conftest import example_point, unit_y
-from .oracles import extract_scalars_loop, general_spray, phi_data, phi_data_general
+from .oracles import extract_scalars_loop, general_F2, general_spray, phi_data, phi_data_general
 
 
 def test_phi_data_at_origin():
@@ -85,8 +85,7 @@ def _oracle_deviation(bu, y):
 
     G is compared on every block the curvature reads -- value, d/dx, d/dy,
     d2/dx dy and d2/dy dy; value and gradient at order 1 -- relative to
-    max(1, |G^i|), and F^2 on its value, gradient and y-y Hessian, the blocks
-    the fundamental tensor reads, relative to max(1, F^2).
+    max(1, |G^i|).
     """
     n = bu.n
     one, two = spray(bu, y, order=1), spray(bu, y)
@@ -100,11 +99,6 @@ def _oracle_deviation(bu, y):
         for a, b in pairs:
             assert a.shape == b.shape
             worst = max(worst, float(np.max(np.abs(a - b).reshape(n, -1) / scale)))
-        F, f_want = two.F2, want.F2
-        f_scale = max(1.0, abs(float(f_want.val)))
-        for a, b in ((row(F.val), f_want.val), (row(F.grad), f_want.grad), (row(F.hess)[n:], f_want.hess[n:, n:])):
-            assert np.shape(a) == np.shape(b)
-            worst = max(worst, float(np.max(np.abs(a - b))) / f_scale)
     return worst
 
 
@@ -149,8 +143,8 @@ def _degenerate_bundle():
         (_constant_bundle(0.5, 0.5), [1.0, 0.0], (1, 2), "division by zero"),
         # 3s - 2b^2 - 1 = 0: s = 0.75, b^2 = 0.625
         (_constant_bundle(0.75, 0.25), [1.0, 0.0], (1, 2), "division by zero"),
-        # 1 - s = 0: s = 1, b^2 = 1.25; only F^2 divides by it, and it is formed at order 2
-        (_constant_bundle(1.0, 0.5), [1.0, 0.0], (2,), "division by zero"),
+        # 1 - s = 0: s = 1, b^2 = 1.25; F divides by it, but no spray coefficient does
+        (_constant_bundle(1.0, 0.5), [1.0, 0.0], (), "division by zero"),
         # alpha^2 = 0, on a hand-made degenerate a
         (_degenerate_bundle(), [0.0, 1.0], (1, 2), "sqrt of non-positive"),
         # alpha^2 = 1e-208 > _TINY, but alpha^3 underflows, so sqrt's second derivative overflows
@@ -250,19 +244,54 @@ def test_einstein_residual_example(example_spec):
     assert abs(ric - 0.0 * F * F) <= 1e-8 * F * F
 
 
-def test_fundamental_tensor_riemannian_limit():
+def test_lowered_y_riemannian_limit():
+    # b = 0 makes F = alpha, so y_flat = g y is a y
     spec = parse_metric("dim = 3\na 1 1 = 1 + 0.1*x1^2\na 2 2 = 1\na 3 3 = 1 + 0.05*x2^2")
     bu = build_bundle(spec, np.array([0.3, -0.4, 0.2]))
-    y = np.array([0.5, 0.1, -0.8])
-    g = fundamental_tensor(spray(bu, y))
-    assert np.max(np.abs(g - bu.a)) <= 1e-12
+    ys = np.array([[0.5, 0.1, -0.8], [-2.0, 0.3, 0.7]])
+    for y in (ys[0], ys):
+        assert np.max(np.abs(_lowered_y(bu, y)[1] - y @ bu.a)) <= 1e-14
 
 
-def test_fundamental_tensor_positive_definite(generic_bundle):
-    y = np.array([0.7, 0.2, -0.4])
-    g = fundamental_tensor(spray(generic_bundle, y))
-    assert np.allclose(g, g.T, atol=1e-14)
-    assert np.linalg.eigvalsh(g)[0] > 0
+@pytest.mark.parametrize("source", testmetrics.list_shipped() + [3, 5, 8])  # a shipped metric, or random_metric(n)
+def test_flag_fit_against_the_oracle_F2(source):
+    """y_flat and the flag fit against the oracle's scalar-jet F^2, one y and stacked.
+
+    y_flat's closed form is compared with 1/2 dF^2/dy, and K and the
+    residual with the fit written out in the g inner product
+    <A, B>_g = tr(g^-1 A^T g B), g being 1/2 the y-y Hessian of F^2: so
+    neither y_flat's closed form nor the identities that the fit's closed
+    form rests on (R y = 0, M^2 = F^2 M) are on the oracle's route.  The
+    residual is finite and nonnegative on every row of a stack.
+    """
+    spec = testmetrics.random_metric(source, 60 + source) if isinstance(source, int) else testmetrics.shipped_metric(source)
+    rng = np.random.default_rng(21)
+    for x in sample_domain(spec, 2, rng, shrink=0.05):
+        bu = build_bundle(spec, x)
+        n = bu.n
+        ys = np.array([unit_y(bu, rng) * rng.uniform(0.5, 2.0) for _ in range(3)])
+        sp = spray(bu, ys)
+        R = riemann_curvature(sp)[0]
+        K, resid = flag_curvature_fit(sp, R)
+        assert np.all(np.isfinite(resid)) and np.all(resid >= 0.0)
+        F, y_flat = _lowered_y(bu, ys)
+        for k, y in enumerate(ys):
+            F2 = general_F2(bu, y)
+            assert abs(F[k] ** 2 - F2.val) <= 1e-13 * max(1.0, F2.val)
+            for got in (y_flat[k], _lowered_y(bu, y)[1]):
+                assert np.max(np.abs(got - 0.5 * F2.grad[n:])) <= 1e-13 * max(1.0, F2.val)
+            g = 0.5 * F2.hess[n:, n:]
+            M = F2.val * np.eye(n) - np.outer(y, g @ y)
+
+            def inner(A, B):
+                return np.trace(np.linalg.solve(g, A.T @ g @ B))
+
+            want_K = inner(R[k], M) / inner(M, M)
+            rest = R[k] - want_K * M
+            want_resid = np.sqrt(max(0.0, inner(rest, rest)))
+            scale = max(1.0, float(np.max(np.abs(R[k]))))
+            assert abs(K[k] - want_K) <= 1e-12 * scale, (K[k], want_K)
+            assert abs(resid[k] - want_resid) <= 1e-10 * scale, (resid[k], want_resid)
 
 
 def test_extract_scalars_example(example_spec):
@@ -314,14 +343,14 @@ def _rows_match(batch, one, k):
     ["generic_bundle", "example_bundle"] + testmetrics.list_shipped() + [3, 5, 8],
 )
 def test_batched_y_rows_match_one_y(source, request):
-    """Each row of a stacked spray is the one-y spray: the same bits for the values of G, Gbar and F^2.
+    """Each row of a stacked spray is the one-y spray: the same bits for the values of G and Gbar.
 
     The scalar coefficients are evaluated per y on the same floats either
     way; the gradients and Hessians go through stacked matmuls, which may
     sum in another order, so they agree to 1e-14.  So do the rows of every
-    reader that takes a stack: the curvature, F, g, the T-split Ricci route,
-    the flag fit (K and its residual, each row fitted on its own) and the
-    bundle's N^i_j and Ricbar.  m == n is the case where a per-y scalar
+    reader that takes a stack: the curvature, F, y_flat, the T-split Ricci
+    route, the flag fit (K and its residual, each row fitted on its own) and
+    the bundle's N^i_j and Ricbar.  m == n is the case where a per-y scalar
     broadcast along the component axis instead of the y axis would still
     produce the right shapes.
     """
@@ -338,16 +367,16 @@ def test_batched_y_rows_match_one_y(source, request):
             sp = spray(bu, ys)
             R, ric = riemann_curvature(sp)
             F = metric_value(bu, ys)
-            g = fundamental_tensor(sp)
+            y_flat = _lowered_y(bu, ys)[1]
             ric_T = ricci_via_T(sp)
             K, resid = flag_curvature_fit(sp, R)
             nconn, ricbar = bu.nonlinear_connection(ys), bu.ricbar(ys)
-            assert sp.G.val.shape == (m, n) and sp.F2.val.shape == (m,)
-            assert R.shape == (m, n, n) and ric.shape == (m,) and F.shape == (m,) and g.shape == (m, n, n)
+            assert sp.G.val.shape == (m, n)
+            assert R.shape == (m, n, n) and ric.shape == (m,) and F.shape == (m,) and y_flat.shape == (m, n)
             assert ric_T.shape == K.shape == resid.shape == ricbar.shape == (m,) and nconn.shape == (m, n, n)
             for k, y in enumerate(ys):
                 one = spray(bu, y)
-                for batch_jet, one_jet in ((sp.G, one.G), (sp.Gbar, one.Gbar), (sp.F2, one.F2)):
+                for batch_jet, one_jet in ((sp.G, one.G), (sp.Gbar, one.Gbar)):
                     assert np.array_equal(batch_jet.val[k], one_jet.val), (k, batch_jet.val[k] - one_jet.val)
                     for part in ("grad", "hess"):
                         _rows_match(getattr(batch_jet, part), getattr(one_jet, part), k)
@@ -355,7 +384,7 @@ def test_batched_y_rows_match_one_y(source, request):
                 _rows_match(R, R1, k)
                 _rows_match(ric, ric1, k)
                 _rows_match(F, metric_value(bu, y), k)
-                _rows_match(g, fundamental_tensor(one), k)
+                _rows_match(y_flat, _lowered_y(bu, y)[1], k)
                 one_T, (K1, resid1), ricbar1 = ricci_via_T(one), flag_curvature_fit(one, R1), bu.ricbar(y)
                 assert all(type(v) is float for v in (one_T, K1, resid1, ricbar1))
                 _rows_match(ric_T, one_T, k)
@@ -371,7 +400,7 @@ def test_spray_rejects_a_zero_or_empty_y(generic_bundle, y):
         spray(generic_bundle, y)
 
 
-@pytest.mark.parametrize("reader", ["riemann_curvature", "ricci_via_T", "fundamental_tensor", "flag_curvature_fit"])
+@pytest.mark.parametrize("reader", ["riemann_curvature", "ricci_via_T", "flag_curvature_fit"])
 def test_second_order_readers_reject_an_order_1_spray(generic_bundle, reader):
     """A reader of second derivatives raises a named ValueError on an order-1 spray, not a failure inside numpy."""
     sp = spray(generic_bundle, np.array([0.3, -0.5, 0.8]), order=1)
@@ -393,9 +422,8 @@ def test_first_order_spray_matches_second_order(source):
         ys = np.array([unit_y(bu, rng) for _ in range(3)])
         for y in (ys[0], ys):
             one, two = spray(bu, y, order=1), spray(bu, y)
-            assert one.F2 is None and two.F2 is not None
             for jet1, jet2 in ((one.G, two.G), (one.Gbar, two.Gbar)):
-                assert jet1.hess is None
+                assert jet1.hess is None and jet2.hess is not None
                 assert np.array_equal(jet1.val, jet2.val) and np.array_equal(jet1.grad, jet2.grad)
 
 
@@ -403,9 +431,9 @@ def test_first_order_spray_matches_second_order(source):
 def test_spray_is_homogeneous_of_degree_two(source):
     """Euler's relation on the spray's y columns, which needs no oracle.
 
-    G^i and F^2 are positively homogeneous of degree 2 in y, so with
-    D = sum_k y^k d/dy^k: D f = 2 f, D df/dx^j = 2 df/dx^j and
-    D df/dy^j = df/dy^j, for f = G^i and f = F^2, at one y and on stacks.
+    G^i is positively homogeneous of degree 2 in y, so with
+    D = sum_k y^k d/dy^k: D G = 2 G, D dG/dx^j = 2 dG/dx^j and
+    D dG/dy^j = dG/dy^j, at one y and on stacks.
     """
     if isinstance(source, int):
         spec = testmetrics.random_metric(source, 60 + source)
@@ -420,16 +448,16 @@ def test_spray_is_homogeneous_of_degree_two(source):
         for y in (ys[0], ys[:2], ys):
             sp = spray(bu, y)
             # G's component axis sits between the stack axis and the directions
-            for jet, yb in ((sp.G, y[..., None, :]), (sp.F2, y)):
-                hxy, hyy = jet.hess[..., :n, -n:], jet.hess[..., n:, -n:]  # the y columns
-                pairs = (
-                    (np.einsum("...k,...k->...", jet.grad[..., n:], yb), 2.0 * jet.val),
-                    (np.einsum("...jk,...k->...j", hxy, yb), 2.0 * jet.grad[..., :n]),
-                    (np.einsum("...jk,...k->...j", hyy, yb), jet.grad[..., n:]),
-                )
-                for lhs, rhs in pairs:
-                    assert lhs.shape == rhs.shape
-                    worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs)))))
+            jet, yb = sp.G, y[..., None, :]
+            hxy, hyy = jet.hess[..., :n, -n:], jet.hess[..., n:, -n:]  # the y columns
+            pairs = (
+                (np.einsum("...k,...k->...", jet.grad[..., n:], yb), 2.0 * jet.val),
+                (np.einsum("...jk,...k->...j", hxy, yb), 2.0 * jet.grad[..., :n]),
+                (np.einsum("...jk,...k->...j", hyy, yb), jet.grad[..., n:]),
+            )
+            for lhs, rhs in pairs:
+                assert lhs.shape == rhs.shape
+                worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs)))))
     assert worst <= 1e-12, worst
 
 

@@ -5,14 +5,13 @@ The spray of F = alpha^2/(alpha - beta) is
     G^i = Gbar^i - L s^i_0 + C_b b^i + C_y y^i,
 
 and ``finslerab.finsler._coefficient_partials`` gives the values, the
-Jacobian and the Hessian of (L, C_b, C_y, F^2) over
+Jacobian and the Hessian of (L, C_b, C_y) over
 u = (alpha^2, beta, r00, s0, b^2), hand-factored.  This script writes the
-four coefficients from their definitions,
+three coefficients from their definitions,
 
     L   = alpha^2 / (2 beta - alpha),
     C_b = -alpha K / Q,   C_y = (4 beta - alpha) K / (2 alpha Q),
-    K   = r00 + 2 L s0,   Q = 3 beta - (2 b^2 + 1) alpha,
-    F^2 = alpha^4 / (alpha - beta)^2,   alpha = sqrt(alpha^2),
+    K   = r00 + 2 L s0,   Q = 3 beta - (2 b^2 + 1) alpha,   alpha = sqrt(alpha^2),
 
 differentiates them with sympy, evaluates the result at random points in
 30-digit arithmetic, and compares it entry by entry with the shipped
@@ -42,8 +41,8 @@ al = sp.sqrt(A)
 L = A / (2 * B - al)
 K = r00 + 2 * L * s0
 Q = 3 * B - (2 * q + 1) * al
-coefficients = (L, -al * K / Q, (4 * B - al) * K / (2 * al * Q), A**2 / (al - B) ** 2)
-names = ("L", "C_b", "C_y", "F^2")
+coefficients = (L, -al * K / Q, (4 * B - al) * K / (2 * al * Q))
+names = ("L", "C_b", "C_y")
 jacobian = [[sp.diff(c, v) for v in u] for c in coefficients]
 hessian = [[[sp.diff(dc, v) for v in u] for dc in row] for row in jacobian]
 evaluate = sp.lambdify(u, [list(coefficients), jacobian, hessian], modules="mpmath")
@@ -81,7 +80,7 @@ for k in range(POINTS):
             compare(f"d{name}/d{u[a]} at point {k}", one[1][c][a], want[1][c][a])
             for b in range(5):
                 compare(f"d2{name}/d{u[a]}d{u[b]} at point {k}", one[2][c][_UPPER[a, b]], want[2][c][a][b])
-    if first[0] != one[0][:3] or first[1] != one[1][:3]:
+    if first[0] != one[0] or first[1] != one[1]:
         failures.append(f"order 1 and order 2 disagree at point {k}")
 
 for line in failures[:20]:
