@@ -5,9 +5,9 @@ the y-samples and evaluates the requested condition groups.  The ``check``,
 ``scurv`` and ``flag`` subcommands are views of it: each names the groups
 it prints, and only their quantities are computed; ``emit_report`` renders
 the full report (text, json, csv) or the ``scurv`` and ``flag`` views.
-At each point the Ricci and flag groups read one order-2 spray of the
-whole stack of y-samples, and each of their readers runs once on it; the
-S group gets one order-1 spray per y-sample, as its routes take one y.
+At each point the fits, Ricci and flag groups read one order-2 spray of
+the whole stack of y-samples, and each of their readers runs once on it;
+the S group gets one order-1 spray per y-sample, as its routes take one y.
 
 ``run_check`` and ``run_appendix`` share one loop over the sampled points'
 bundles.  It takes the jets of a and b from one walk of the metric per
@@ -85,9 +85,9 @@ class ClassReport(NamedTuple):
         return bool(self.consistency["violations"])
 
 
-# The groups of quantities a run can compute: per bundle ("beta"), the
-# scalar fits over the fit design ("fits"), and per y-sample the Ricci
-# routes ("ricci"), the S routes ("S") and the flag fit ("flag").
+# The groups of quantities a run can compute: per point the beta tensors
+# ("beta") and the scalar fits ("fits"), and per y-sample the Ricci routes
+# ("ricci"), the S routes ("S") and the flag fit ("flag").
 GROUPS = ("beta", "fits", "ricci", "S", "flag")
 
 
@@ -136,17 +136,22 @@ def run_check(spec: MetricSpec, config: RunConfig, groups=GROUPS) -> ClassReport
     """Evaluate the classification conditions of ``groups`` at sampled points.
 
     The random stream is drawn in one order for every view: the points,
-    then per point the fit design (with "fits" only) and the y-samples.
-    When "ricci" or "flag" runs, a point's y-samples are evaluated as one
-    (y_per_point, n) stack: one order-2 spray, and one call on it of the
-    curvature, F, the T-split Ricci route, the flag fit and Ricbar.  "S"
+    then per point 2n unread normal n-vectors (with "fits" only, so each
+    seed keeps its y-samples) and the y-samples.  When "fits", "ricci" or
+    "flag" runs, a point's y-samples are evaluated as one (y_per_point, n)
+    stack: one order-2 spray, and one call on it of the curvature, F, the
+    scalar fits, the T-split Ricci route, the flag fit and Ricbar.  "S"
     evaluates each y on its own, with an order-1 spray and one call of
     each S route.  The per-y loop files the rows and the cross-checks.
+    "fits" raises ``ValueError`` below 2 y-samples per point: one fits
+    sigma exactly, whatever F is.
     """
+    beta, fits, ricci, S, flag = (g in groups for g in GROUPS)
+    if fits and config.y_per_point < 2:
+        raise ValueError(f"the scalar fits need at least 2 y-samples per point, got {config.y_per_point}")
     tol = config.tolerance
     rng = np.random.default_rng(config.seed)
     pts = sample_domain(spec, config.points, rng, shrink=0.05)
-    beta, fits, ricci, S, flag = (g in groups for g in GROUPS)
     worst, fit_list, flag_K, point_rows, violations = {}, [], [], [], []
 
     def peak(key, value):
@@ -169,13 +174,16 @@ def run_check(spec: MetricSpec, config: RunConfig, groups=GROUPS) -> ClassReport
             peak("norm_grad", np.max(np.abs(bu.rvec + bu.svec)))
             peak("Db_scale", max(float(np.max(np.abs(bu.db))), float(np.max(np.abs(gamma_b)))))
         if fits:
-            fit_list.append(finsler.extract_scalars(bu, rng))
+            rng.standard_normal((2 * bu.n, bu.n))  # unread: see the docstring
 
         ys = finsler.unit_alpha_vectors(bu, config.y_per_point, rng)
-        if ricci or flag:
+        if fits or ricci or flag:
             sp = finsler.spray(bu, ys)
             R, ric = finsler.riemann_curvature(sp)
-            F2 = (finsler.metric_value(bu, ys) ** 2).tolist()
+            F2 = finsler.metric_value(bu, ys) ** 2
+            if fits:
+                fit_list.append(finsler.extract_scalars(bu, ric, F2))
+            F2 = F2.tolist()
         if ricci:
             ric, ric_T, ricbar = ric.tolist(), finsler.ricci_via_T(sp).tolist(), bu.ricbar(ys).tolist()
         if flag:

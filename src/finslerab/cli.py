@@ -15,6 +15,7 @@ statuses; every number and verdict comes from ``classify``.  ``check``,
 ``scurv`` and ``flag`` run the same evaluation (``classify.run_check``):
 ``scurv`` and ``flag`` ask only for the condition groups they print, with 6
 y per point and the default tolerance, and exit 3 on any violation.
+``check`` takes ``--y-per-point`` >= 2, as one y fits F's Einstein sigma exactly.
 ``validate`` runs the validity check that the others run before sampling,
 with the same ``--seed``.  A run also rejects its own sample points where
 b^2 >= 1/4 (exit 2), which validate's 200 points may miss.
@@ -127,6 +128,7 @@ def _arg(convert, ok, what: str):
 
 
 _COUNT = _arg(int, lambda v: v >= 1, "an integer >= 1")
+_Y_COUNT = _arg(int, lambda v: v >= 2, "an integer >= 2")
 _SEED = _arg(int, lambda v: v >= 0, "an integer >= 0")
 _TOL = _arg(float, lambda v: math.isfinite(v) and v > 0.0, "a positive finite number")
 # kept as text: the report echoes the policy as given
@@ -151,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="full classification report")
     common(p)
-    p.add_argument("--y-per-point", type=_COUNT, default=defaults.y_per_point)
+    p.add_argument("--y-per-point", type=_Y_COUNT, default=defaults.y_per_point)
     p.add_argument("--tol", type=_TOL, default=defaults.tolerance)
     p.add_argument("--volume", choices=("bh", "ht"), default=defaults.volume_form)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")

@@ -41,8 +41,8 @@ m-less case of the same code; ``ricci_via_T`` and ``flag_curvature_fit``
 return floats there.  The two S routes take one y only and raise
 ``ValueError`` on a stack.  The inputs' y-independent parts are built
 once per bundle, on the first spray there, and kept on it
-(``bundle.spray_inputs``).  ``extract_scalars`` evaluates its whole fit
-design as one stack, and ``classify.run_check`` each point's y-samples.
+(``bundle.spray_inputs``).  ``classify.run_check`` evaluates each point's
+y-samples as one stack.
 
 The spray has a derivative ``order``, set by what its caller reads.  The
 curvature, the T-split Ricci route and the flag fit read second
@@ -488,29 +488,19 @@ def _lowered_y(bundle: AlphaBetaBundle, y):
 
 
 def unit_alpha_vectors(bundle: AlphaBetaBundle, count: int, rng) -> np.ndarray:
-    """Random y-samples normalized to alpha(x, y) = 1."""
-    out = np.empty((count, bundle.n))
-    for i in range(count):
-        v = rng.standard_normal(bundle.n)
-        while np.linalg.norm(v) < 1e-8:
-            v = rng.standard_normal(bundle.n)
-        out[i] = v / bundle.alpha(v)
-    return out
+    """``count`` random y-samples normalized to alpha(x, y) = 1, drawn as one stack.
 
-
-def _design_vectors(bundle: AlphaBetaBundle, rng) -> np.ndarray:
-    """Fit design: the 2n signed axis directions plus 2n random ones, alpha-normalized."""
-    n = bundle.n
-    unit = 1.0 / np.sqrt(np.diag(bundle.a))  # 1 / alpha(e_i)
-    axes = np.zeros((2 * n, n))
-    i = np.arange(n)
-    axes[2 * i, i] = unit
-    axes[2 * i + 1, i] = -unit
-    return np.vstack([axes, unit_alpha_vectors(bundle, 2 * n, rng)])
+    A row of norm below 1e-8 is redrawn: the rows and draws are those of one row at a time.
+    """
+    v = np.empty((0, bundle.n))
+    while len(v) < count:
+        more = rng.standard_normal((count - len(v), bundle.n))
+        v = np.concatenate([v, more[np.linalg.norm(more, axis=1) >= 1e-8]])
+    return v / np.sqrt((v[:, None, :] @ bundle.a @ v[:, :, None])[:, 0, 0])[:, None]
 
 
 class ScalarFit(NamedTuple):
-    """Least-squares fits of the pointwise Einstein/conformal scalars."""
+    """The pointwise Einstein/conformal scalars and the residual of each identity."""
 
     lam: float
     c: float
@@ -520,33 +510,32 @@ class ScalarFit(NamedTuple):
     resid_sigma: float
 
 
-def extract_scalars(bundle: AlphaBetaBundle, rng) -> ScalarFit:
-    """Fit Ricbar = lambda alpha^2, r00 = c alpha^2, Ric = sigma F^2 over y-samples.
+def extract_scalars(bundle: AlphaBetaBundle, ric, F2) -> ScalarFit:
+    """Fit Ricbar = lambda a, r = c a and Ric = sigma F^2 at the bundle's point.
 
-    The samples are the fit design drawn from ``rng``, alpha-normalized so
-    the alpha^2 design column is 1 and the lambda/c fits reduce to means;
-    the sigma fit is least squares against F^2 which genuinely varies over
-    the fiber.  Residuals are max absolute deviations of the fitted relation
-    over the sample set.  The whole design goes through one spray and one
-    curvature evaluation, as a stack.
+    lambda and c fit tensor identities in the inner product of a, the same
+    in every chart: with P = a^-1 T, T = Ricbar or r, k = tr P / n, and the
+    residual |P - k I|_a = sqrt(tr((P - k I)^2)) is zero exactly when
+    T = k a and no less than |T(y, y) - k| at any alpha-unit y.  sigma is
+    least squares of ``ric`` against ``F2``, Ric and F^2 at the point's
+    y-samples, shape (m,), with the largest deviation as residual; one
+    sample fits it exactly, whatever F is.
     """
-    ys = _design_vectors(bundle, rng)
-    ricbars = np.einsum("mj,jk,mk->m", ys, bundle.ricci_tensor, ys)
-    r00s = np.einsum("mj,jk,mk->m", ys, bundle.r, ys)
-    alphas2 = np.einsum("mj,jk,mk->m", ys, bundle.a, ys)
-    _, rics = riemann_curvature(spray(bundle, ys))
-    F2 = metric_value(bundle, ys) ** 2
-
-    lam = float(ricbars @ alphas2 / (alphas2 @ alphas2))
-    c = float(r00s @ alphas2 / (alphas2 @ alphas2))
-    sig = float(rics @ F2 / (F2 @ F2))
+    tensor_fits = []
+    for T in (bundle.ricci_tensor, bundle.r):
+        P = bundle.a_inv @ T
+        k = float(np.trace(P)) / bundle.n
+        Q = P - k * np.eye(bundle.n)
+        tensor_fits += [k, float(np.sqrt(max(0.0, np.einsum("ij,ji->", Q, Q))))]
+    lam, resid_lambda, c, resid_c = tensor_fits
+    sig = float(ric @ F2 / (F2 @ F2))
     return ScalarFit(
         lam=lam,
         c=c,
         sigma=sig,
-        resid_lambda=float(np.max(np.abs(ricbars - lam * alphas2))),
-        resid_c=float(np.max(np.abs(r00s - c * alphas2))),
-        resid_sigma=float(np.max(np.abs(rics - sig * F2))),
+        resid_lambda=resid_lambda,
+        resid_c=resid_c,
+        resid_sigma=float(np.max(np.abs(ric - sig * F2))),
     )
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from finslerab.dsl import Bin, Const, Fun, MetricSpec, Neg, Pow, ValidationReport, Var, sample_domain
-from finslerab.finsler import ScalarFit, Spray, riemann_curvature, unit_alpha_vectors
+from finslerab.finsler import Spray, riemann_curvature
 from finslerab.identity import ContractionSet
 from finslerab.jets import ArrayJet, Jet, JetError, elem, jsqrt
 from finslerab.riemann import AlphaBetaBundle
@@ -223,41 +223,38 @@ def general_spray(bundle: AlphaBetaBundle, y) -> Spray:
     return Spray(bundle=bundle, y=y, G=_array_jet(G), Gbar=_array_jet(gbar))
 
 
-def extract_scalars_loop(bundle: AlphaBetaBundle, rng) -> ScalarFit:
-    """The scalar fits one design direction at a time: the oracle of ``finsler.extract_scalars``.
+def alpha_quadratics(bundle: AlphaBetaBundle, y) -> tuple[float, float]:
+    """(Ricbar(y, y), r00) at one y, in scalar jets: the oracle of the tensor fits of ``finsler.extract_scalars``.
 
-    Draws the same design from ``rng`` (the 2n signed axes, alpha-normalized,
-    then 2n ``unit_alpha_vectors``) and takes each Ric from the curvature of
-    the general spray, so neither the batched spray nor the batched
-    contractions of the library are on this route.
+    Ricbar is the trace of the curvature of alpha's own spray, Gbar^i =
+    Gamma^i_jk y^j y^k / 2 lifted into scalar jets, not the bundle's Ricci
+    tensor.  r00 = b_i|j y^i y^j = y^j dbeta/dx^j - 2 b_i Gbar^i, with beta
+    and Gbar^i = a^il (y^j d2alpha^2/dx^j dy^l - dalpha^2/dx^l) / 4 read off
+    this module's own scalar-jet walk of the metric, not the bundle's r.
     """
+    y = np.asarray(y, dtype=float)
     n = bundle.n
-    axes = []
-    for i in range(n):
-        for sgn in (1.0, -1.0):
-            e = np.zeros(n)
-            e[i] = sgn
-            axes.append(e / bundle.alpha(e))
-    ricbars, r00s, alphas2, rics, F2 = [], [], [], [], []
-    for y in axes + list(unit_alpha_vectors(bundle, 2 * n, rng)):
-        ricbars.append(bundle.ricbar(y))
-        r00s.append(float(y @ bundle.r @ y))
-        alphas2.append(bundle.alpha2(y))
-        rics.append(riemann_curvature(general_spray(bundle, y))[1])
-        al = bundle.alpha(y)
-        F2.append((al * al / (al - bundle.beta(y))) ** 2)
-    ricbars, r00s, alphas2, rics, F2 = map(np.array, (ricbars, r00s, alphas2, rics, F2))
-    lam = float(ricbars @ alphas2 / (alphas2 @ alphas2))
-    c = float(r00s @ alphas2 / (alphas2 @ alphas2))
-    sig = float(rics @ F2 / (F2 @ F2))
-    return ScalarFit(
-        lam=lam,
-        c=c,
-        sigma=sig,
-        resid_lambda=float(np.max(np.abs(ricbars - lam * alphas2))),
-        resid_c=float(np.max(np.abs(r00s - c * alphas2))),
-        resid_sigma=float(np.max(np.abs(rics - sig * F2))),
-    )
+    yJ, alpha2, _, beta = _fiber_jets(bundle, y)
+    gbar = _array_jet([0.5 * _sym_quadratic(g, yJ) for g in _field_jets(bundle.gamma, bundle.dgamma)])
+    _, ricbar = riemann_curvature(Spray(bundle=bundle, y=y, G=gbar, Gbar=gbar))
+    h = alpha2.hess_matrix()
+    gbar_walk = np.linalg.solve(0.5 * h[n:, n:], y @ h[:n, n:] - alpha2.grad[:n]) / 4.0
+    r00 = beta.grad[:n] @ y - 2.0 * beta.grad[n:] @ gbar_walk
+    return float(ricbar), float(r00)
+
+
+def unit_alpha_vectors_loop(bundle: AlphaBetaBundle, count: int, rng) -> np.ndarray:
+    """The y-samples one row at a time: the oracle of ``finsler.unit_alpha_vectors``.
+
+    Each row is drawn on its own and redrawn while its norm is below 1e-8.
+    """
+    out = np.empty((count, bundle.n))
+    for i in range(count):
+        v = rng.standard_normal(bundle.n)
+        while np.linalg.norm(v) < 1e-8:
+            v = rng.standard_normal(bundle.n)
+        out[i] = v / bundle.alpha(v)
+    return out
 
 
 def rbar(bundle: AlphaBetaBundle, y) -> np.ndarray:

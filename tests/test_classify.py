@@ -221,7 +221,10 @@ def _pointwise_scalars(spec, x, y) -> dict:
     R, ric = finsler.riemann_curvature(sp)
     K, resid = finsler.flag_curvature_fit(sp, R)
     check = identity.verify_identity(bu, y, 0.25)
-    out = dict(Ric=ric, Ric_T=finsler.ricci_via_T(sp), F=finsler.metric_value(bu, y), Ricbar=bu.ricbar(y))
+    F = finsler.metric_value(bu, y)
+    fit = finsler.extract_scalars(bu, np.array([ric]), np.array([F * F]))
+    out = dict(Ric=ric, Ric_T=finsler.ricci_via_T(sp), F=F, Ricbar=bu.ricbar(y))
+    out |= dict(lam=fit.lam, resid_lambda=fit.resid_lambda, c=fit.c, resid_c=fit.resid_c)
     for form in ("bh", "ht"):
         out[f"S_def_{form}"] = scurvature.s_curvature_def(sp, form)
         out[f"S_closed_{form}"] = scurvature.s_curvature_closed(bu, y, form)
@@ -259,8 +262,9 @@ def test_pointwise_scalars_are_invariant_under_an_affine_chart_change(source):
     """A metamorphic oracle: in the chart x = A x' + t, with y = A y', no scalar changes at the mapped (x', y').
 
     A is dense and not orthogonal, so the coordinate entries of every
-    tensor change; Ric, S, F, Ricbar, the identity's sides and the flag
-    fit's K and residual, which is taken in the g inner product, must not.
+    tensor change; Ric, S, F, Ricbar, the identity's sides, the flag fit's
+    K and residual, which is taken in the g inner product, and lambda, c and
+    their residuals, taken in the a inner product, must not.
     The moved metric's domain is the bounding box of the mapped points, the
     only points it is evaluated at.
     """
@@ -299,14 +303,14 @@ def test_check_verdicts_are_invariant_under_a_coordinate_permutation(source):
     # a run with no per-y reader makes no spray
     [
         (("beta", "S"), [(1, (3,))] * 3),
-        (GROUPS, [(2, (12, 3)), (2, (3, 3))] + [(1, (3,))] * 3),
+        (GROUPS, [(2, (3, 3))] + [(1, (3,))] * 3),
         (("beta",), []),
     ],
     ids=["scurv", "check", "beta"],
 )
 def test_check_spray_order_follows_its_readers(generic3d, monkeypatch, groups, per_point):
-    """The S group makes one order-1 spray per sample; the curvature groups one order-2 spray of all the
-    point's samples, after the fit design's (4n, n) stack."""
+    """The S group makes one order-1 spray per sample; the fits and curvature groups one order-2 spray of
+    all the point's samples."""
     sprays = []
     orig = finsler.spray
 
@@ -317,6 +321,18 @@ def test_check_spray_order_follows_its_readers(generic3d, monkeypatch, groups, p
     monkeypatch.setattr(finsler, "spray", wrapped)
     run_check(generic3d, small_config(), groups)
     assert sprays == per_point * 4
+
+
+def test_check_reads_a_single_row_stack_and_no_fits_on_it(generic3d):
+    """A stack of one y-sample runs every curvature reader without a numpy warning; the fits refuse it,
+    since one sample fits sigma exactly whatever F is."""
+    config = small_config(y_per_point=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = run_check(generic3d, config, ("beta", "ricci", "flag"))
+    assert len(report.points) == config.points and not report.engine_inconsistent
+    with pytest.raises(ValueError, match="at least 2 y-samples"):
+        run_check(generic3d, config, ("fits",))
 
 
 # the bundle's tensors formed on first use
@@ -400,10 +416,13 @@ def test_bundles_from_chunked_jets_match_per_point_bytes(name, monkeypatch):
         assert all(arr.flags.c_contiguous for jet in jets for arr in (jet.val, jet.grad, jet.hess))
         one, alone = build_bundle(spec, x, jets), build_bundle(spec, x)
         assert _bundle_bytes(one) == _bundle_bytes(alone)
-        y = finsler.unit_alpha_vectors(alone, 1, np.random.default_rng(p))[0]
+        ys = finsler.unit_alpha_vectors(alone, 2, np.random.default_rng(p))
+        y = ys[0]
         readers = (
             lambda bu: identity.verify_identity(bu, y, 0.3),
-            lambda bu: finsler.extract_scalars(bu, np.random.default_rng(p)),
+            lambda bu: finsler.extract_scalars(
+                bu, finsler.riemann_curvature(finsler.spray(bu, ys))[1], finsler.metric_value(bu, ys) ** 2
+            ),
         )
         for read in readers:
             assert tuple(read(one)) == tuple(read(alone))
@@ -547,6 +566,7 @@ def test_cli_check_rejects_invalid(tmp_path, capsys):
         ["appendix", "MISSING", "--dim-sweep", "3"],
         ["validate", "BINARY"],  # not UTF-8
         ["check", "BINARY"],
+        ["check", "METRIC", "--y-per-point", "1"],  # one sample fits sigma exactly
     ],
 )
 def test_cli_rejects_bad_arguments(argv, tmp_path, capsys):

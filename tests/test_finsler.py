@@ -20,7 +20,14 @@ from finslerab.finsler import (
 from finslerab.jets import ArrayJet, JetError
 from finslerab.riemann import build_bundle
 from .conftest import example_point, unit_y
-from .oracles import extract_scalars_loop, general_F2, general_spray, phi_data, phi_data_general
+from .oracles import (
+    alpha_quadratics,
+    general_F2,
+    general_spray,
+    phi_data,
+    phi_data_general,
+    unit_alpha_vectors_loop,
+)
 
 
 def test_phi_data_at_origin():
@@ -294,10 +301,16 @@ def test_flag_fit_against_the_oracle_F2(source):
             assert abs(resid[k] - want_resid) <= 1e-10 * scale, (resid[k], want_resid)
 
 
+def _fit(bu, rng, samples: int = 12):
+    """``extract_scalars`` at ``bu`` on the Ric and F^2 of ``samples`` alpha-unit y drawn from ``rng``."""
+    ys = finsler.unit_alpha_vectors(bu, samples, rng)
+    return extract_scalars(bu, riemann_curvature(spray(bu, ys))[1], metric_value(bu, ys) ** 2)
+
+
 def test_extract_scalars_example(example_spec):
     rng = np.random.default_rng(9)
     bu = build_bundle(example_spec, example_point(rng))
-    fit = extract_scalars(bu, rng=rng)
+    fit = _fit(bu, rng)
     assert abs(fit.lam) <= 1e-8 and fit.resid_lambda <= 1e-8
     assert abs(fit.c) <= 1e-10 and fit.resid_c <= 1e-10
     assert abs(fit.sigma) <= 1e-8 and fit.resid_sigma <= 1e-8
@@ -305,32 +318,93 @@ def test_extract_scalars_example(example_spec):
 
 def test_extract_scalars_sphere(sphere_spec):
     bu = build_bundle(sphere_spec, np.array([1.3, -0.4]))
-    fit = extract_scalars(bu, rng=np.random.default_rng(10))
+    fit = _fit(bu, np.random.default_rng(10))
     assert abs(fit.lam - 1.0) <= 1e-8
 
 
 def test_extract_scalars_conformal(homothetic_spec):
     bu = build_bundle(homothetic_spec, np.array([0.2, -0.5, 0.7]))
-    fit = extract_scalars(bu, rng=np.random.default_rng(11))
+    fit = _fit(bu, np.random.default_rng(11))
     assert abs(fit.c - 0.1) <= 1e-10
 
 
-def test_extract_scalars_against_loop_oracle(example_spec, sphere_spec, homothetic_spec):
-    # the batched fit against one direction at a time through the general
-    # spray, on the same design drawn from the same seed
-    cases = [
-        (example_spec, np.array([0.1, -0.3, 0.5, 1.2, 0.4])),
-        (sphere_spec, np.array([1.3, -0.4])),
-        (homothetic_spec, np.array([0.2, -0.5, 0.7])),
-        (testmetrics.random_metric(5, 21), np.array([0.3, -0.6, 0.1, 0.5, -0.2])),
-    ]
-    for seed, (spec, x) in enumerate(cases):
-        bu = build_bundle(spec, x)
-        fit = extract_scalars(bu, np.random.default_rng(seed))
-        want = extract_scalars_loop(bu, np.random.default_rng(seed))
-        for name in ("lam", "c", "sigma", "resid_lambda", "resid_c", "resid_sigma"):
-            got, ref = getattr(fit, name), getattr(want, name)
-            assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref)), (spec.name, name, got, ref)
+def test_extract_scalars_sigma_is_least_squares_over_the_samples(generic_bundle):
+    # F is not Einstein here, so sigma depends on every sample: least squares of Ric against F^2
+    ys = finsler.unit_alpha_vectors(generic_bundle, 9, np.random.default_rng(5))
+    ric, F2 = riemann_curvature(spray(generic_bundle, ys))[1], metric_value(generic_bundle, ys) ** 2
+    fit = extract_scalars(generic_bundle, ric, F2)
+    want = float(np.linalg.lstsq(F2[:, None], ric, rcond=None)[0][0])
+    assert abs(fit.sigma - want) <= 1e-13 * max(1.0, abs(want)), (fit.sigma, want)
+    assert abs(fit.resid_sigma - np.max(np.abs(ric - want * F2))) <= 1e-13 * max(1.0, float(np.max(np.abs(ric))))
+    assert fit.resid_sigma > 1e-3
+
+
+@pytest.mark.parametrize("source", ["matsumoto_example", "sphere_round", "euclidean_homothetic", "euclidean_shear", 5])
+def test_extract_scalars_against_scalar_jets(source):
+    # lambda, c and their residuals against Ricbar(y, y) and r00 from the scalar-jet oracle.
+    # In an alpha-orthonormal frame e, T = k a means T(e_i, e_j) = k delta_ij, so k is the mean
+    # of the diagonal and the residual the Frobenius norm of the rest (off the diagonal by
+    # polarization); and at no alpha-unit y may T(y, y) deviate from k by more than the residual.
+    spec = testmetrics.random_metric(source, 21) if isinstance(source, int) else testmetrics.shipped_metric(source)
+    rng = np.random.default_rng(4)
+    bu = build_bundle(spec, sample_domain(spec, 1, rng, shrink=0.05)[0])
+    fit = _fit(bu, rng)
+    n = bu.n
+    e = np.linalg.inv(np.linalg.cholesky(bu.a)).T  # columns: an alpha-orthonormal frame
+
+    def q(v):
+        return np.array(alpha_quadratics(bu, v))
+
+    forms = np.empty((n, n, 2))  # Ricbar and r in the frame
+    for i in range(n):
+        forms[i, i] = q(e[:, i])
+        for j in range(i + 1, n):
+            forms[i, j] = forms[j, i] = (q(e[:, i] + e[:, j]) - q(e[:, i] - e[:, j])) / 4.0
+    ys = finsler.unit_alpha_vectors(bu, 20, rng)
+    for k, (value, resid) in enumerate(((fit.lam, fit.resid_lambda), (fit.c, fit.resid_c))):
+        T = forms[..., k]
+        scale = max(1.0, float(np.max(np.abs(T))))
+        want = float(np.trace(T)) / n
+        assert abs(value - want) <= 1e-10 * scale, (k, value, want)
+        want_resid = float(np.linalg.norm(T - want * np.eye(n)))
+        assert abs(resid - want_resid) <= 1e-10 * scale, (k, resid, want_resid)
+        for y in ys:
+            got = q(y)[k]
+            assert abs(got - value) <= resid + 1e-10 * scale, (k, got, value, resid)
+
+
+class _Stream:
+    """A stand-in generator: ``standard_normal`` hands out the given values in order, in the shape asked for."""
+
+    def __init__(self, values):
+        self.values, self.used = np.asarray(values, dtype=float).ravel(), 0
+
+    def standard_normal(self, size):
+        count = int(np.prod(size))
+        out = self.values[self.used : self.used + count].reshape(size)
+        self.used += count
+        return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 12])
+def test_unit_alpha_vectors_match_the_row_loop(n):
+    # one draw of the stack gives the loop's rows bit for bit and leaves the stream where it does
+    spec = testmetrics.random_metric(n, 60 + n)
+    bu = build_bundle(spec, sample_domain(spec, 1, np.random.default_rng(n), shrink=0.05)[0])
+    for seed in range(10):
+        for count in (1, 2, 12):
+            stack, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+            got, want = finsler.unit_alpha_vectors(bu, count, stack), unit_alpha_vectors_loop(bu, count, loop)
+            assert got.tobytes() == want.tobytes()
+            assert stack.bit_generator.state == loop.bit_generator.state
+    # a row of norm below 1e-8 is dropped and the stack topped up from the stream, in order
+    rows = np.random.default_rng(n).standard_normal((8, n))
+    rows[[1, 3, 4]] = 1e-10
+    stack, loop = _Stream(rows), _Stream(rows)
+    got, want = finsler.unit_alpha_vectors(bu, 4, stack), unit_alpha_vectors_loop(bu, 4, loop)
+    assert got.tobytes() == want.tobytes() and stack.used == loop.used == 7 * n
+    kept = rows[[0, 2, 5, 6]]
+    assert np.allclose(got, kept / np.sqrt(np.einsum("mj,jk,mk->m", kept, bu.a, kept))[:, None], rtol=1e-14, atol=0.0)
 
 
 def _rows_match(batch, one, k):

@@ -13,10 +13,16 @@ other tree's value.  The report gives the count of byte-identical outputs,
 every output that differs, and the worst relative deviation with where it
 occurred (a key path in JSON, a line and field elsewhere).
 
-Exit status: 0 when every exit status and text is equal and every number
-within the bound, 1 otherwise.
+``--moved KEY ...`` names the JSON key paths whose numbers a change moves
+on purpose, such as ``conditions.F_einstein``: a number at such a path, or
+below it, may move by any amount, and the report counts those that moved
+and gives the largest move.  Everything else is held as before, including
+the text, so a verdict under a moved key must still be equal.
 
-Run:  python tools/compare_cli.py PARENT_ROOT
+Exit status: 0 when every exit status and text is equal and every number
+not under a moved key within the bound, 1 otherwise.
+
+Run:  python tools/compare_cli.py PARENT_ROOT [--moved KEY ...]
 """
 
 from __future__ import annotations
@@ -89,10 +95,20 @@ def _json_numbers(value, path="") -> list:
     return []
 
 
-def compare(label: str, argv: list, parent: tuple, child: tuple) -> dict:
-    """The differences of one output: ``problems`` (text or status) and the worst number deviation."""
+def _under(where: str, keys) -> bool:
+    """Whether the place ``where`` of a JSON number is one of the key paths ``keys`` or below one."""
+    return any(where == k or where.startswith((k + ".", k + "[", k + " ")) for k in keys)
+
+
+def compare(label: str, argv: list, parent: tuple, child: tuple, moved=()) -> dict:
+    """The differences of one output: ``problems`` (text or status), the worst number deviation and the moves.
+
+    A JSON number under a key path of ``moved`` is not held to the bound:
+    ``moves`` counts those that changed and ``worst_move`` is the largest change.
+    """
     (rc_p, out_p), (rc_c, out_c) = parent, child
-    result = {"label": label, "identical": rc_p == rc_c and out_p == out_c, "problems": [], "worst": (0.0, "")}
+    result = {"label": label, "identical": rc_p == rc_c and out_p == out_c, "problems": [], "worst": (0.0, ""),
+              "moves": 0, "worst_move": (0.0, "")}
     if rc_p != rc_c:
         result["problems"].append(f"exit status {rc_p} -> {rc_c}")
     skel_p, nums_p = _split(out_p)
@@ -108,8 +124,12 @@ def compare(label: str, argv: list, parent: tuple, child: tuple) -> dict:
             pass  # not JSON after all (an error run): keep the places by line
     for (a, where), (b, _) in zip(nums_p, nums_c):
         dev = abs(b - a) / max(1.0, abs(a))
-        if dev > result["worst"][0]:
-            result["worst"] = (dev, where)
+        key = "worst"
+        if _under(where, moved):
+            result["moves"] += a != b
+            key = "worst_move"
+        if dev > result[key][0]:
+            result[key] = (dev, where)
     if result["worst"][0] > BOUND:
         result["problems"].append(f"deviation {result['worst'][0]:.3g} at {result['worst'][1]} exceeds {BOUND:g}")
     return result
@@ -118,20 +138,24 @@ def compare(label: str, argv: list, parent: tuple, child: tuple) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent_root", type=Path, help="root of the other source tree")
+    ap.add_argument("--moved", nargs="+", default=[], metavar="KEY",
+                    help="JSON key paths whose numbers may move, e.g. conditions.F_einstein")
     args = ap.parse_args(argv)
     parent = args.parent_root.resolve()
     runs = matrix(ROOT)
 
     def both(item):
         label, cmd = item
-        return compare(label, cmd, run(parent, cmd), run(ROOT, cmd))
+        return compare(label, cmd, run(parent, cmd), run(ROOT, cmd), args.moved)
 
     with ThreadPoolExecutor(JOBS) as pool:
         results = list(pool.map(both, runs))
     bad = [r for r in results if r["problems"]]
     for r in results:
         if not r["identical"]:
-            status = "; ".join(r["problems"]) or f"worst {r['worst'][0]:.3g} at {r['worst'][1]}"
+            status = "; ".join(r["problems"]) or f"worst {r['worst'][0]:.3g} at {r['worst'][1] or '-'}"
+            if r["moves"]:
+                status += f"; {r['moves']} moved, largest {r['worst_move'][0]:.3g} at {r['worst_move'][1]}"
             print(f"differs: {r['label']}: {status}")
     worst = max(results, key=lambda r: r["worst"][0])
     identical = sum(r["identical"] for r in results)
@@ -140,6 +164,11 @@ def main(argv=None) -> int:
         print(f"worst relative deviation {worst['worst'][0]:.3g}: {worst['label']}, {worst['worst'][1]}")
     else:
         print("worst relative deviation 0")
+    if args.moved:
+        most = max(results, key=lambda r: r["worst_move"][0])
+        print(f"moved keys {', '.join(args.moved)}: {sum(r['moves'] for r in results)} numbers moved, "
+              f"largest relative move {most['worst_move'][0]:.3g}"
+              + (f": {most['label']}, {most['worst_move'][1]}" if most["worst_move"][0] > 0.0 else ""))
     return 1 if bad else 0
 
 
