@@ -18,16 +18,17 @@ derivatives of the metric, is not formed (Griewank & Walther, *Evaluating
 Derivatives*, 2nd ed., 2008, on exploiting known Hessian sparsity).
 
 The spray is G^i = Gbar^i - L s^i_0 + C_b b^i + C_y y^i, whose three scalar
-coefficients L, C_b and C_y depend on u = (alpha^2, beta, r00, s0, b^2)
-alone.  Their values, Jacobian and Hessian over u are written out in
-closed form on Python floats, once per y, and pushed through the packed
-inputs in one step, grad c = J grad u and hess c = J . hess u + grad u^T H
-grad u (preaccumulation of local derivatives), and the three vector terms
-are combined by one product rule: no jet operation runs on the chain
-between the inputs and G.  ``tools/rederive_spray_partials.py`` checks the
-closed forms against sympy.  The generic (alpha, beta) spray, with Q, Psi
-and Theta computed from phi(s) = 1/(1 - s) in scalar jets, is the test
-suite's oracle for the whole spray (``tests/oracles.py``).
+coefficients L, C_b and C_y depend on u = (alpha^2, r00, b^2, beta, s0),
+five packed input rows, alone.  Their values, Jacobian and Hessian over u
+are written out in closed form on Python floats, once per y, as one flat
+list, and pushed through the packed inputs in one step, grad c = J grad u
+and hess c = J . hess u + grad u^T H grad u (preaccumulation of local
+derivatives), and the three vector terms are combined by one product rule:
+no jet operation runs on the chain between the inputs and G.
+``tools/rederive_spray_partials.py`` checks the closed forms against sympy.
+The generic (alpha, beta) spray, with Q, Psi and Theta computed from
+phi(s) = 1/(1 - s) in scalar jets, is the test suite's oracle for the whole
+spray (``tests/oracles.py``).
 
 The ``Spray`` record is the one input of every reader of the spray:
 ``riemann_curvature``, ``ricci_via_T``, ``flag_curvature_fit`` and
@@ -59,8 +60,8 @@ alpha; agreement of the two routes is the engine's strongest self-check
 and is asserted in the test suite rather than here.  The flag fit of
 R = K (F^2 I - y y_flat^T) is least squares in the inner product of the
 fundamental tensor g, where it is closed-form in Ric and F and reads of g
-only y_flat = g y, itself closed-form in alpha, beta, a y and b; so K and
-its residual are the same in every chart.
+only y_flat = g y, itself closed-form in F, alpha, beta, a y and b; so K and
+its residual are the same in every chart.  F is always ``metric_value``'s.
 """
 
 from __future__ import annotations
@@ -150,15 +151,14 @@ class _SprayInputs:
     =================  ===============================  =====================
 
     Rows [n, n + 5) are u = (alpha^2, r00, b^2, beta, s0), the arguments of
-    the spray's scalar coefficients (``_U_ORDER`` maps them to the
-    coefficients' order), and rows [n + 5, 4n + 5) are the three vector
-    inputs of G - Gbar.  The quadratic rows [0, n + 2) and the linear rows
-    [n + 3, 2n + 5) are each contiguous, so one einsum gives the values of
-    each kind, the same arithmetic as a form's own jet.  Every other entry
-    of ``val`` and ``grad`` is affine in y, and so is ``dqy[f, l, j]`` =
-    sum_k dq_f[j, k, l] y^k, half the x-y Hessian block of quadratic row f,
-    whose contraction with y gives that row's x-gradient: one matmul
-    ``y @ slope + offset`` gives them all.
+    the spray's scalar coefficients in this order, and rows [n + 5, 4n + 5)
+    are the three vector inputs of G - Gbar.  The quadratic rows [0, n + 2)
+    and the linear rows [n + 3, 2n + 5) are each contiguous, so one einsum
+    gives the values of each kind, the same arithmetic as a form's own jet.
+    Every other entry of ``val`` and ``grad`` is affine in y, and so is
+    ``dqy[f, l, j]`` = sum_k dq_f[j, k, l] y^k, half the x-y Hessian block
+    of quadratic row f, whose contraction with y gives that row's
+    x-gradient: one matmul ``y @ slope + offset`` gives them all.
 
     ``hess`` holds the y columns (see ``Spray``) of the Hessians of rows
     [0, n + 5) only, shape (n + 5, 2n, n), over a template that holds the
@@ -230,7 +230,7 @@ class _SprayInputs:
 # -- the spray's scalar coefficients ------------------------------------------
 #
 # G^i = Gbar^i - L s^i_0 + C_b b^i + C_y y^i, and the scalars L, C_b and C_y
-# are functions of u = (alpha^2, beta, r00, s0, b^2) alone:
+# are functions of u = (alpha^2, r00, b^2, beta, s0) alone:
 #
 #   L = alpha^2 / P,  C_b = -alpha K / Q,  C_y = (4 beta - alpha) K / (2 alpha Q),
 #   K = r00 + 2 L s0,
@@ -247,17 +247,17 @@ class _SprayInputs:
 _SQRT_SAFE = 1e-200
 
 
-def _coefficient_partials(alpha2, beta, r00, s0, bsq, order: int):
-    """(values, jacobian[, hessian]) of the spray's scalar coefficients over u.
+def _coefficient_partials(alpha2, r00, bsq, beta, s0, order: int):
+    """The values and partials over u of the spray's scalar coefficients, as one flat list.
 
-    u = (alpha^2, beta, r00, s0, b^2), at one y, as Python floats.  The
-    coefficients are (L, C_b, C_y): ``values`` is a list of 3 and
-    ``jacobian`` a 3 x 5 nested list, the same expressions at both orders.
-    At order 2 ``hessian`` lists for each coefficient the 15 entries of the
-    upper triangle of its Hessian, row by row (``_UPPER`` maps (i, j) to the
-    place of d2/du_i du_j).  Raises ``JetError`` where the jet chain did:
-    alpha^2 outside the domain of the jet sqrt, or 2s - 1 or 3s - 2b^2 - 1
-    of magnitude below ``_TINY``.
+    u = (alpha^2, r00, b^2, beta, s0), at one y, as Python floats, in the
+    order of the packed inputs' rows.  The coefficients are (L, C_b, C_y):
+    the list holds their 3 values, then their 3 x 5 Jacobian row by row,
+    the same expressions at both orders, and at order 2 for each
+    coefficient the 15 entries of the upper triangle of its Hessian, row by
+    row (``_UPPER`` maps (i, j) to the place of d2/du_i du_j).  Raises
+    ``JetError`` where the jet chain did: alpha^2 outside the domain of the
+    jet sqrt, or 2s - 1 or 3s - 2b^2 - 1 of magnitude below ``_TINY``.
     """
     if not _SQRT_SAFE < alpha2 < math.inf:
         # raises exactly where, and as, the jet sqrt of alpha^2 does
@@ -276,9 +276,8 @@ def _coefficient_partials(alpha2, beta, r00, s0, bsq, order: int):
     K = (2.0 * L) * s0 + r00
     X = -i2  # -alpha / Q: C_b = K X, and C_y = nu C_b with nu = (1 - 4s) / (2 alpha)
     Cb = K * X
-    values = [L, Cb, (w * (0.5 * i2)) * K * ia]
 
-    # first partials; the suffixes A, B, r, s, q stand for alpha^2, beta, r00, s0, b^2
+    # first partials; the suffixes A, r, q, B, s stand for alpha^2, r00, b^2, beta, s0
     ia2 = ia * ia
     e1 = i1 * i1
     e2 = i2 * i2
@@ -297,13 +296,14 @@ def _coefficient_partials(alpha2, beta, r00, s0, bsq, order: int):
     nu_A = (2.0 * s - 0.25) * ia2 * ia
     nu_B = -2.0 * ia2
     zero = 0.0
-    jacobian = [
-        [L_A, L_B, zero, zero, zero],
-        [Cb_A, Cb_B, X, Cb_s, Cb_q],
-        [nu_A * Cb + nu * Cb_A, nu_B * Cb + nu * Cb_B, nu * X, nu * Cb_s, nu * Cb_q],
+    parts = [
+        L, Cb, (w * (0.5 * i2)) * K * ia,  # the values, then the Jacobian row by row
+        L_A, zero, zero, L_B, zero,
+        Cb_A, X, Cb_q, Cb_B, Cb_s,
+        nu_A * Cb + nu * Cb_A, nu * X, nu * Cb_q, nu_B * Cb + nu * Cb_B, nu * Cb_s,
     ]
     if order == 1:
-        return values, jacobian
+        return parts
 
     g1 = e1 * i1 * ia
     L_AA = 0.25 * (6.0 * s - 1.0) * ia2 * g1
@@ -327,38 +327,38 @@ def _coefficient_partials(alpha2, beta, r00, s0, bsq, order: int):
     Cb_Bq = K_B * X_q + K * X_Bq
     Cb_sq = K_s * X_q
     Cb_qq = K * X_qq
-    cb = _symmetric(Cb_AA, Cb_AB, Cb_BB, X_A, X_B, Cb_As, Cb_Bs, Cb_Aq, Cb_Bq, X_q, Cb_sq, Cb_qq)
     # C_y = nu C_b; nu is a function of (alpha^2, beta) alone
     nu_AA = (0.375 - 4.0 * s) * ia2 * ia2 * ia
     nu_AB = 2.0 * ia2 * ia2  # and nu_BB = 0
-    cy = _symmetric(
+    parts += _upper(L_AA, zero, zero, L_AB, *(zero,) * 6, L_BB, zero)
+    parts += _upper(Cb_AA, X_A, Cb_Aq, Cb_AB, Cb_As, X_q, X_B, Cb_qq, Cb_Bq, Cb_sq, Cb_BB, Cb_Bs)
+    parts += _upper(
         nu_AA * Cb + 2.0 * nu_A * Cb_A + nu * Cb_AA,
-        nu_AB * Cb + nu_A * Cb_B + nu_B * Cb_A + nu * Cb_AB,
-        2.0 * nu_B * Cb_B + nu * Cb_BB,
         nu_A * X + nu * X_A,
-        nu_B * X + nu * X_B,
-        nu_A * Cb_s + nu * Cb_As,
-        nu_B * Cb_s + nu * Cb_Bs,
         nu_A * Cb_q + nu * Cb_Aq,
-        nu_B * Cb_q + nu * Cb_Bq,
+        nu_AB * Cb + nu_A * Cb_B + nu_B * Cb_A + nu * Cb_AB,
+        nu_A * Cb_s + nu * Cb_As,
         nu * X_q,
-        nu * Cb_sq,
+        nu_B * X + nu * X_B,
         nu * Cb_qq,
+        nu_B * Cb_q + nu * Cb_Bq,
+        nu * Cb_sq,
+        2.0 * nu_B * Cb_B + nu * Cb_BB,
+        nu_B * Cb_s + nu * Cb_Bs,
     )
-    return values, jacobian, [_symmetric(L_AA, L_AB, L_BB, *(zero,) * 9), cb, cy]
+    return parts
 
 
-def _symmetric(AA, AB, BB, Ar, Br, As, Bs, Aq, Bq, rq, sq, qq):
+def _upper(AA, Ar, Aq, AB, As, rq, rB, qq, qB, qs, BB, Bs):
     """The upper triangle, row by row, of the Hessian over u with these entries; its (r00, s0) block is zero."""
-    return [AA, AB, Ar, As, Aq, BB, Br, Bs, Bq, 0.0, 0.0, rq, 0.0, sq, qq]
+    return [AA, Ar, Aq, AB, As, 0.0, rq, rB, 0.0, qq, qB, qs, BB, Bs, 0.0]
 
 
 _UPPER = np.zeros((5, 5), dtype=np.intp)
 _UPPER[np.triu_indices(5)] = np.arange(15)
 _UPPER = np.maximum(_UPPER, _UPPER.T)
-# u in the inputs' row order (alpha^2, r00, b^2, beta, s0), as places in the partials' order
-_U_ORDER = np.array([0, 2, 4, 1, 3])
-_UPPER_ROWS = _UPPER[np.ix_(_U_ORDER, _U_ORDER)]
+# the places of the coefficients' Hessians, (3, 5, 5), in the order-2 list of partials
+_HESSIANS = 18 + 15 * np.arange(3)[:, None, None] + _UPPER
 
 
 def spray(bundle: AlphaBetaBundle, y, order: int = 2) -> Spray:
@@ -381,12 +381,11 @@ def spray(bundle: AlphaBetaBundle, y, order: int = 2) -> Spray:
     n, stack = bundle.n, y.shape[:-1]
     d = 2 * n
     val, grad, hess = inp.at(y, order)
-    u, bsq = val[..., n : n + 5].tolist(), bundle.bsq  # u in the inputs' order (alpha^2, r00, b^2, beta, s0)
-    per_y = [_coefficient_partials(a2, beta, r00, s0, bsq, order) for a2, r00, _, beta, s0 in (u if stack else [u])]
-    coefs, jac, *local = map(np.array, zip(*per_y) if stack else per_y[0])  # coefs: (L, C_b, C_y)
-    # grad c = J grad u, with J's columns in the inputs' order of u
+    rows = val[..., n : n + 5].reshape(-1, 5).tolist()  # u at each y; one y is a stack of one here
+    parts = np.array([_coefficient_partials(*u, order) for u in rows]).reshape(stack + (-1,))
+    coefs, jac = parts[..., :3], parts[..., 3:18].reshape(stack + (3, 5))  # coefs: (L, C_b, C_y)
+    # grad c = J grad u
     grads = grad[..., n : n + 5, :]
-    jac = jac.take(_U_ORDER, axis=-1)
     cg = jac @ grads
 
     # G - Gbar = sum_c coef_c vec_c over the vector inputs (-s^i_0, b^i, y^i),
@@ -405,7 +404,7 @@ def spray(bundle: AlphaBetaBundle, y, order: int = 2) -> Spray:
 
     # the y columns of the coefficients' Hessians: J . hess u + grad u^T H grad u
     coef_hess = (jac @ hess[..., n:, :, :].reshape(stack + (5, d * n))).reshape(stack + (3, d, n))
-    local_hess = local[0].take(_UPPER_ROWS, axis=-1)  # H, shape (..., 3, 5, 5)
+    local_hess = parts[..., _HESSIANS]  # H, shape (..., 3, 5, 5)
     coef_hess += grads.swapaxes(-1, -2)[..., None, :, :] @ (local_hess @ grads[..., None, :, n:])
 
     by_row = vec_grads.swapaxes(-3, -2)  # (..., n, 3, d)
@@ -470,8 +469,8 @@ def metric_value(bundle: AlphaBetaBundle, y):
     return al * al / (al - y @ bundle.b)
 
 
-def _lowered_y(bundle: AlphaBetaBundle, y):
-    """(F, y_flat): F(x, y) and y_flat = g y = 1/2 dF^2/dy, for one y or a stack of them.
+def _lowered_y(bundle: AlphaBetaBundle, y, F):
+    """y_flat = g y = 1/2 dF^2/dy, for one y or a stack of them, given F there (``metric_value``).
 
     y_flat = F ((alpha - 2 beta) a y + alpha^2 b) / (alpha - beta)^2, the
     y-gradient of F^2 = alpha^4 / (alpha - beta)^2 halved, in closed form.
@@ -479,9 +478,8 @@ def _lowered_y(bundle: AlphaBetaBundle, y):
     ay = y @ bundle.a
     al2 = np.einsum("...j,...j->...", ay, y)
     al, be = np.sqrt(al2), y @ bundle.b
-    F = al2 / (al - be)
     scale = F / ((al - be) * (al - be))
-    return F, ((scale * (al - 2.0 * be))[..., None] * ay + (scale * al2)[..., None] * bundle.b)
+    return (scale * (al - 2.0 * be))[..., None] * ay + (scale * al2)[..., None] * bundle.b
 
 
 # -- scalar extraction --------------------------------------------------------
@@ -546,14 +544,15 @@ def flag_curvature_fit(sp: Spray, R):
     (``riemann_curvature(sp)``).  R and M are g-self-adjoint, M^2 = F^2 M
     and R y = 0, so the fit has the closed form K = Ric / ((n - 1) F^2),
     and its residual is the g-norm of the rest, |R - K M|_g =
-    sqrt(tr((R - K M)^2)).  Returns (K, residual): two floats for a spray
-    at one y, or for a stack of m y two arrays of shape (m,), each row
-    fitted on its own.
+    sqrt(tr((R - K M)^2)), with F = ``metric_value``, behind every printed
+    F^2.  Returns (K, residual): two floats for a spray at one y, or for a
+    stack of m y two arrays of shape (m,), each row fitted on its own.
     """
     sp.check_order_2("flag_curvature_fit")
     y, n = sp.y, sp.bundle.n
-    F, y_flat = _lowered_y(sp.bundle, y)
+    F = metric_value(sp.bundle, y)
     F2 = F * F
+    y_flat = _lowered_y(sp.bundle, y, F)
     M = F2[..., None, None] * np.eye(n) - y[..., :, None] * y_flat[..., None, :]
     K = np.trace(R, axis1=-2, axis2=-1) / ((n - 1) * F2)
     rest = R - K[..., None, None] * M

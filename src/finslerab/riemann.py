@@ -31,6 +31,7 @@ in closed form from the arrays alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -202,7 +203,8 @@ def build_bundle(spec: MetricSpec, x, jets: tuple[ArrayJet, ArrayJet] | None = N
     directions, as ``spec.a_jet`` and ``spec.b_jet`` give them over
     ``spec.chart_jets(x)``; a run passes each point's slice of one walk
     over many points.  Without them the metric is walked here, at ``x``
-    alone.  Everything after the jets is per point.
+    alone.  Everything after the jets is per point.  A ``GeometryError``
+    names a point where a field formed from the jets is not finite.
     """
     x = np.asarray(x, dtype=float)
     n = spec.dim
@@ -264,33 +266,16 @@ def build_bundle(spec: MetricSpec, x, jets: tuple[ArrayJet, ArrayJet] | None = N
     d_s_up = np.einsum("imk,mj->ijk", d_ainv, s) + np.einsum("im,mjk->ijk", a_inv, ds)
     d_svec = np.einsum("mk,mj->jk", d_bup, s) + np.einsum("m,mjk->jk", bup, ds)
 
-    return AlphaBetaBundle(
-        spec=spec,
-        x=x,
-        n=n,
-        a=a,
-        a_inv=a_inv,
-        dA=dA,
-        b=b,
-        db=db,
-        gamma=gamma,
-        dgamma=dgamma,
-        bup=bup,
-        bsq=bsq,
-        Db=Db,
-        dDb=dDb,
-        r=r,
-        s=s,
-        s_up=s_up,
-        rvec=rvec,
-        svec=svec,
-        dr=dr,
-        d_bup=d_bup,
-        d_bsq=d_bsq,
-        d_s_up=d_s_up,
-        d_svec=d_svec,
-        dlndet=np.einsum("ij,jik->k", a_inv, dA),
+    # the arrays formed from the jets: an einsum that overflows sets no
+    # floating-point flag, so they and b^2 are checked to be finite here
+    formed = dict(
+        a_inv=a_inv, gamma=gamma, dgamma=dgamma, bup=bup, Db=Db, dDb=dDb, r=r, s=s, s_up=s_up, rvec=rvec, svec=svec,
+        dr=dr, d_bup=d_bup, d_bsq=d_bsq, d_s_up=d_s_up, d_svec=d_svec, dlndet=np.einsum("ij,jik->k", a_inv, dA),
     )
+    if not (math.isfinite(bsq) and np.isfinite(np.concatenate([f.ravel() for f in formed.values()])).all()):
+        bad = [name for name, f in dict(formed, bsq=bsq).items() if not np.isfinite(f).all()]
+        raise GeometryError(f"non-finite geometry at x={x}: {', '.join(bad)}")
+    return AlphaBetaBundle(spec=spec, x=x, n=n, a=a, dA=dA, b=b, db=db, bsq=bsq, **formed)
 
 
 def bianchi_check(bundle: AlphaBetaBundle) -> float:

@@ -541,6 +541,72 @@ def test_cli_run_rejects_its_points_outside_the_domain_of_F(command, tmp_path, c
     assert captured.err.startswith("error: b^2 = 0.333219 >= 1/4 at x=[0.29016996")
 
 
+# a_11 reaches about 1e187 near x = (-0.83, -0.87), where Gamma = a^-1 da overflows
+# inside an einsum, which sets no floating-point flag; validate's 200 points miss it
+_NON_FINITE = "dim = 2\na 1 1 = exp(600*x1*x2)\na 2 2 = exp(-600*x1*x2)\nb 1 = 0.4*exp(300*x1*x2)\n"
+
+
+@pytest.mark.parametrize("command", ["check", "scurv", "flag", "appendix"])
+def test_cli_run_rejects_a_non_finite_geometry(command, tmp_path, capsys):
+    metric = tmp_path / "non_finite.metric"
+    metric.write_text(_NON_FINITE)
+    assert cli.main(["validate", str(metric)]) == cli.EXIT_OK
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main([command, str(metric)]) == cli.EXIT_INVALID_METRIC
+    captured = capsys.readouterr()
+    assert [str(w.message) for w in caught] == []
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert re.fullmatch(r"error: non-finite geometry at x=\[-0\.826\d* -0\.870\d*\]: .+\n", captured.err)
+
+
+def test_check_random_stream_is_pinned():
+    """The points and y-samples of one seeded run, bit for bit, for every view.
+
+    ``check`` draws 2n unread normal vectors per point before the y-samples;
+    the ``scurv`` and ``flag`` views do not, so their first y differs from
+    ``check``'s.  Changing the draw order moves every row, which no
+    tolerance-based test would notice.
+    """
+    spec = testmetrics.shipped_metric("matsumoto_example")
+    config = RunConfig(seed=3)
+    x0 = ["-0x1.7ddda05247515p-1", "-0x1.e51c62411ba7cp-2", "0x1.15a79066a7255p-1", "0x1.5c652bce1f9b5p+0",
+          "-0x1.760d112ca87d8p-1"]
+    want = {
+        (0, 0): (x0, ["0x1.7ab2684fd24b7p-2", "0x1.32dd13e3b6342p-1", "0x1.a790699b7f343p-8",
+                      "0x1.dfcec4f78338ep-3", "0x1.4e7745fd40b63p-4"]),
+        (1, 11): (["-0x1.ed0aac866ebe8p-4", "-0x1.34e6b39c37a00p-5", "-0x1.3995a969725f0p-1",
+                   "0x1.9111e2937bc0fp+0", "-0x1.640a34afe1dfep-1"],
+                  ["-0x1.8aeff272ef3d1p-2", "-0x1.c706f383a690fp-2", "-0x1.25b5057a92305p-7",
+                   "0x1.34045e2a2005ep-2", "0x1.7830e7731074cp-4"]),
+        (19, 11): (["0x1.53e1fd36de6a0p-5", "0x1.939171c25f1c8p-4", "-0x1.162f6ad5f1f86p-1",
+                    "0x1.3e56361172e04p+0", "-0x1.5938fe47c4a30p-1"],
+                   ["0x1.0a9334e6dba77p-1", "-0x1.07c579352549ep-2", "-0x1.2f8d3967187ffp-2",
+                    "-0x1.ea45579ec5a9fp-4", "-0x1.3fa39b7204628p-1"]),
+    }
+    rows = {(r["point"], r["y_index"]): r for r in run_check(spec, config).points}
+    for key, (x, y) in want.items():
+        assert [v.hex() for v in rows[key]["x"]] == x, key
+        assert [v.hex() for v in rows[key]["y"]] == y, key
+    y0 = ["0x1.34e4a343e3f39p-1", "0x1.8164d3f788b40p-2", "0x1.b71f9acc16948p-4", "-0x1.42e84d9888ba6p-3",
+          "0x1.2a8d38d2224fep-3"]
+    for groups in (("beta", "S"), ("flag",)):
+        first = run_check(spec, config, groups).points[0]
+        assert [v.hex() for v in first["x"]] == x0 and [v.hex() for v in first["y"]] == y0, groups
+
+
+@pytest.mark.parametrize("name", testmetrics.list_shipped())
+def test_flag_fit_reads_the_printed_F2(name, capsys):
+    # the flag fit takes F from the function behind the F2 column, so K = Ric / ((n - 1) F2) exactly
+    assert cli.main(["check", str(testmetrics.shipped_metric_path(name)), "--format", "json"]) == cli.EXIT_OK
+    rows = json.loads(capsys.readouterr().out)["points"]
+    assert rows
+    for row in rows:
+        n = len(row["x"])
+        assert row["K_fit"] == row["Ric"] / ((n - 1) * row["F2"]), (row["point"], row["y_index"])
+
+
 def test_cli_check_rejects_invalid(tmp_path, capsys):
     bad = tmp_path / "syntax.metric"
     bad.write_text("dim = 2\na 1 1 = x9\n")

@@ -257,7 +257,7 @@ def test_lowered_y_riemannian_limit():
     bu = build_bundle(spec, np.array([0.3, -0.4, 0.2]))
     ys = np.array([[0.5, 0.1, -0.8], [-2.0, 0.3, 0.7]])
     for y in (ys[0], ys):
-        assert np.max(np.abs(_lowered_y(bu, y)[1] - y @ bu.a)) <= 1e-14
+        assert np.max(np.abs(_lowered_y(bu, y, metric_value(bu, y)) - y @ bu.a)) <= 1e-14
 
 
 @pytest.mark.parametrize("source", testmetrics.list_shipped() + [3, 5, 8])  # a shipped metric, or random_metric(n)
@@ -281,11 +281,12 @@ def test_flag_fit_against_the_oracle_F2(source):
         R = riemann_curvature(sp)[0]
         K, resid = flag_curvature_fit(sp, R)
         assert np.all(np.isfinite(resid)) and np.all(resid >= 0.0)
-        F, y_flat = _lowered_y(bu, ys)
+        F = metric_value(bu, ys)
+        y_flat = _lowered_y(bu, ys, F)
         for k, y in enumerate(ys):
             F2 = general_F2(bu, y)
             assert abs(F[k] ** 2 - F2.val) <= 1e-13 * max(1.0, F2.val)
-            for got in (y_flat[k], _lowered_y(bu, y)[1]):
+            for got in (y_flat[k], _lowered_y(bu, y, metric_value(bu, y))):
                 assert np.max(np.abs(got - 0.5 * F2.grad[n:])) <= 1e-13 * max(1.0, F2.val)
             g = 0.5 * F2.hess[n:, n:]
             M = F2.val * np.eye(n) - np.outer(y, g @ y)
@@ -441,7 +442,7 @@ def test_batched_y_rows_match_one_y(source, request):
             sp = spray(bu, ys)
             R, ric = riemann_curvature(sp)
             F = metric_value(bu, ys)
-            y_flat = _lowered_y(bu, ys)[1]
+            y_flat = _lowered_y(bu, ys, F)
             ric_T = ricci_via_T(sp)
             K, resid = flag_curvature_fit(sp, R)
             nconn, ricbar = bu.nonlinear_connection(ys), bu.ricbar(ys)
@@ -458,7 +459,7 @@ def test_batched_y_rows_match_one_y(source, request):
                 _rows_match(R, R1, k)
                 _rows_match(ric, ric1, k)
                 _rows_match(F, metric_value(bu, y), k)
-                _rows_match(y_flat, _lowered_y(bu, y)[1], k)
+                _rows_match(y_flat, _lowered_y(bu, y, metric_value(bu, y)), k)
                 one_T, (K1, resid1), ricbar1 = ricci_via_T(one), flag_curvature_fit(one, R1), bu.ricbar(y)
                 assert all(type(v) is float for v in (one_T, K1, resid1, ricbar1))
                 _rows_match(ric_T, one_T, k)

@@ -6,7 +6,9 @@ The spray of F = alpha^2/(alpha - beta) is
 
 and ``finslerab.finsler._coefficient_partials`` gives the values, the
 Jacobian and the Hessian of (L, C_b, C_y) over
-u = (alpha^2, beta, r00, s0, b^2), hand-factored.  This script writes the
+u = (alpha^2, r00, b^2, beta, s0), hand-factored, as one flat list: 3
+values, the 3 x 5 Jacobian row by row and, at order 2, the upper triangle
+of each coefficient's Hessian.  This script writes the
 three coefficients from their definitions,
 
     L   = alpha^2 / (2 beta - alpha),
@@ -17,7 +19,7 @@ differentiates them with sympy, evaluates the result at random points in
 30-digit arithmetic, and compares it entry by entry with the shipped
 function, which runs on Python floats (``finsler.spray`` calls it once per
 y, also for each row of a stack), to a relative 1e-12.  It also checks that
-the order-1 values and Jacobian are the order-2 ones, bit for bit.
+the order-1 list is the start of the order-2 one, bit for bit.
 Requires sympy (dev dependency only).
 
 Run:  PYTHONPATH=src python tools/rederive_spray_partials.py
@@ -29,14 +31,14 @@ import mpmath
 import numpy as np
 import sympy as sp
 
-from finslerab.finsler import _UPPER, _coefficient_partials
+from finslerab.finsler import _HESSIANS, _coefficient_partials
 
 TOL = 1e-12
 POINTS = 40
 
 t0 = time.time()
-A, B, r00, s0, q = sp.symbols("A B r00 s0 q")
-u = (A, B, r00, s0, q)
+A, r00, q, B, s0 = sp.symbols("A r00 q B s0")
+u = (A, r00, q, B, s0)
 al = sp.sqrt(A)
 L = A / (2 * B - al)
 K = r00 + 2 * L * s0
@@ -70,17 +72,17 @@ def compare(label, got, want):
 
 
 for k in range(POINTS):
-    point = (float(alpha2[k]), float(beta[k]), float(r[k]), float(s[k]), float(bsq[k]))
+    point = (float(alpha2[k]), float(r[k]), float(bsq[k]), float(beta[k]), float(s[k]))
     want = evaluate(*(mpmath.mpf(v) for v in point))
     one = _coefficient_partials(*point, 2)
     first = _coefficient_partials(*point, 1)
     for c, name in enumerate(names):
-        compare(f"{name} at point {k}", one[0][c], want[0][c])
+        compare(f"{name} at point {k}", one[c], want[0][c])
         for a in range(5):
-            compare(f"d{name}/d{u[a]} at point {k}", one[1][c][a], want[1][c][a])
+            compare(f"d{name}/d{u[a]} at point {k}", one[3 + 5 * c + a], want[1][c][a])
             for b in range(5):
-                compare(f"d2{name}/d{u[a]}d{u[b]} at point {k}", one[2][c][_UPPER[a, b]], want[2][c][a][b])
-    if first[0] != one[0] or first[1] != one[1]:
+                compare(f"d2{name}/d{u[a]}d{u[b]} at point {k}", one[_HESSIANS[c, a, b]], want[2][c][a][b])
+    if first != one[:18]:
         failures.append(f"order 1 and order 2 disagree at point {k}")
 
 for line in failures[:20]:
