@@ -34,7 +34,7 @@ print("Ric of F, deformation route :", ricci_via_T(sp))
 print("F^2 at the sample           :", metric_value(bu, y) ** 2)
 print("S-curvature (BH volume)     :", s_curvature_def(sp, "bh"))
 
-K, res = flag_curvature_fit(sp, R)
+K, res = flag_curvature_fit(sp, R, metric_value(bu, y))
 print("\nflag-curvature fit          : K =", K, " residual =", res)
 print("  -> no constant flag curvature, exactly as the theory demands for")
 print("     a parallel form over a curved Ricci-flat alpha.")

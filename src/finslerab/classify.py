@@ -6,8 +6,10 @@ the y-samples and evaluates the requested condition groups.  The ``check``,
 it prints, and only their quantities are computed; ``emit_report`` renders
 the full report (text, json, csv) or the ``scurv`` and ``flag`` views.
 At each point the fits, Ricci and flag groups read one order-2 spray of
-the whole stack of y-samples, and each of their readers runs once on it;
-the S group gets one order-1 spray per y-sample, as its routes take one y.
+the whole stack of y-samples, and each of their readers runs once on it.
+The S group asks for one order-1 spray per y-sample, as its routes take one
+y; where the stack was sprayed, ``finsler.spray`` serves each of them from
+it, the same bits, and otherwise computes it.
 
 ``run_check`` and ``run_appendix`` share one loop over the sampled points'
 bundles.  It takes the jets of a and b from one walk of the metric per
@@ -141,10 +143,11 @@ def run_check(spec: MetricSpec, config: RunConfig, groups=GROUPS) -> ClassReport
     "flag" runs, a point's y-samples are evaluated as one (y_per_point, n)
     stack: one order-2 spray, and one call on it of the curvature, F, the
     scalar fits, the T-split Ricci route, the flag fit and Ricbar.  "S"
-    evaluates each y on its own, with an order-1 spray and one call of
-    each S route.  The per-y loop files the rows and the cross-checks.
-    "fits" raises ``ValueError`` below 2 y-samples per point: one fits
-    sigma exactly, whatever F is.
+    evaluates each y on its own, with an order-1 spray (a row of the
+    point's stack, where there is one) and one call of each S route.  The
+    per-y loop files the rows and the cross-checks.  "fits" raises
+    ``ValueError`` below 2 y-samples per point: one fits sigma exactly,
+    whatever F is.
     """
     beta, fits, ricci, S, flag = (g in groups for g in GROUPS)
     if fits and config.y_per_point < 2:
@@ -180,14 +183,15 @@ def run_check(spec: MetricSpec, config: RunConfig, groups=GROUPS) -> ClassReport
         if fits or ricci or flag:
             sp = finsler.spray(bu, ys)
             R, ric = finsler.riemann_curvature(sp)
-            F2 = finsler.metric_value(bu, ys) ** 2
+            F = finsler.metric_value(bu, ys)
+            F2 = F * F
             if fits:
                 fit_list.append(finsler.extract_scalars(bu, ric, F2))
             F2 = F2.tolist()
         if ricci:
             ric, ric_T, ricbar = ric.tolist(), finsler.ricci_via_T(sp).tolist(), bu.ricbar(ys).tolist()
         if flag:
-            K, fres = (v.tolist() for v in finsler.flag_curvature_fit(sp, R))
+            K, fres = (v.tolist() for v in finsler.flag_curvature_fit(sp, R, F))
 
         for y_idx, y in enumerate(ys):
             where = f"point {p_idx}, y {y_idx}"

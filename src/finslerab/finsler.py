@@ -9,7 +9,7 @@ value and derivatives are written down in closed form.  ``_SprayInputs``
 packs all of them as rows of a few arrays and fills every y-independent
 part once per bundle; at a y, three einsums give the values of the
 quadratic forms [a; r; Gamma/2] and the linear forms [b; s_j; -s^i_j],
-and one matmul every entry that is affine in y.
+and one vector-matrix product every entry that is affine in y.
 
 Second derivatives are carried as the y columns of the Hessian only: the
 x-y and y-y blocks, shape (..., 2n, n), which are all that the curvature
@@ -45,6 +45,20 @@ once per bundle, on the first spray there, and kept on it
 (``bundle.spray_inputs``).  ``classify.run_check`` evaluates each point's
 y-samples as one stack.
 
+Every step of a stacked spray works row by row, down to one
+vector-matrix product per y for the inputs' affine entries, so each row
+of a stack is the one-y spray bit for bit: values, gradients and Hessian
+y columns.  That makes an exact memo possible, and ``spray`` keeps one
+per bundle: the arrays of G and Gbar of the bundle's last stack, made
+read-only, with a copy of its y.  A later one-y spray whose y has the
+bytes of a row returns views of that row (without their Hessians at
+order 1; an order-2 request after an order-1 stack is computed in full).
+So the S group's order-1 sprays in ``run_check`` cost a lookup each.
+The memo holds arrays only, never a ``Spray`` or the bundle, so a
+bundle is freed as soon as its caller drops it; it builds its row index
+on the first one-y lookup, so a stack that no one-y spray follows pays
+only the copy of its y.
+
 The spray has a derivative ``order``, set by what its caller reads.  The
 curvature, the T-split Ricci route and the flag fit read second
 derivatives, so they need the default order 2.  The S-curvature
@@ -61,7 +75,8 @@ and is asserted in the test suite rather than here.  The flag fit of
 R = K (F^2 I - y y_flat^T) is least squares in the inner product of the
 fundamental tensor g, where it is closed-form in Ric and F and reads of g
 only y_flat = g y, itself closed-form in F, alpha, beta, a y and b; so K and
-its residual are the same in every chart.  F is always ``metric_value``'s.
+its residual are the same in every chart.  The fit takes F from its
+caller, which has it from ``metric_value`` for the printed F^2.
 """
 
 from __future__ import annotations
@@ -158,7 +173,8 @@ class _SprayInputs:
     Every other entry of ``val`` and ``grad`` is affine in y, and so is
     ``dqy[f, l, j]`` = sum_k dq_f[j, k, l] y^k, half the x-y Hessian block
     of quadratic row f, whose contraction with y gives that row's
-    x-gradient: one matmul ``y @ slope + offset`` gives them all.
+    x-gradient: one vector-matrix product per y, ``y @ slope + offset``,
+    gives them all.
 
     ``hess`` holds the y columns (see ``Spray``) of the Hessians of rows
     [0, n + 5) only, shape (n + 5, 2n, n), over a template that holds the
@@ -197,6 +213,8 @@ class _SprayInputs:
         self.hess[q, n:, :] = quad2
         self.hess[n + 3 :, :n, :] = dlin[:2].transpose(0, 2, 1)
         self.si0_xy = dlin[2:].transpose(0, 2, 1)  # the x-y blocks of -s^i_0, whose y-y blocks are zero
+        self.kept = None  # the last stacked spray: (y, order, G's arrays, Gbar's arrays), all read-only
+        self.index = None  # the kept y's rows by their bytes, built on the first lookup
 
     def _split(self, flat: np.ndarray, stack: tuple):
         """``flat``, of shape stack + (C,), as views (val, grad, dqy)."""
@@ -208,11 +226,12 @@ class _SprayInputs:
     def at(self, y: np.ndarray, order: int):
         """(val, grad, hess) of every row at ``y``, shape (n,) or (m, n); ``hess`` is None at order 1.
 
-        For a stack of m the three arrays carry a leading m axis.
+        For a stack of m the three arrays carry a leading m axis, and each
+        row has the bits of its y alone.
         """
         n, stack, q, l = self.n, y.shape[:-1], self.quad_rows, self.lin_rows
         yc = y[..., None, :] if stack else y  # (m, 1, n): broadcasts along the row axis
-        flat = y @ self.slope
+        flat = (y[..., None, :] @ self.slope)[..., 0, :]  # one vector-matrix product per row, as for one y
         flat += self.offset
         val, grad, dqy = self._split(flat, stack)
         qy = np.einsum("...jk,...k->...j", self.quad, yc)
@@ -225,6 +244,29 @@ class _SprayInputs:
         hess[...] = self.hess
         np.multiply(dqy, 2.0, out=hess[..., q, :n, :])
         return val, grad, hess
+
+    def keep(self, y: np.ndarray, order: int, G: ArrayJet, Gbar: ArrayJet):
+        """Keep the arrays of the stacked spray (G, Gbar) at ``y``, shape (m, n), for ``row``; they become read-only."""
+        arrays = (G.val, G.grad, G.hess), (Gbar.val, Gbar.grad, Gbar.hess)
+        for jet in arrays:
+            for a in jet[:order + 1]:  # an order-1 jet's hess is None
+                a.setflags(write=False)
+        self.kept, self.index = (y.copy(), order, *arrays), None
+
+    def row(self, y: np.ndarray, order: int):
+        """(G, Gbar) at the one ``y`` from the kept stack, or None where no row has its bytes or the stack's order is lower.
+
+        The jets are read-only views of the row, the bits a spray at ``y``
+        alone computes; at order 1 they carry no Hessian.
+        """
+        if self.kept is None or self.kept[1] < order:
+            return None
+        if self.index is None:
+            self.index = {v.tobytes(): k for k, v in enumerate(self.kept[0])}
+        k = self.index.get(y.tobytes())
+        if k is None:
+            return None
+        return [ArrayJet(val[k], grad[k], hess[k] if order == 2 else None) for val, grad, hess in self.kept[2:]]
 
 
 # -- the spray's scalar coefficients ------------------------------------------
@@ -368,7 +410,10 @@ def spray(bundle: AlphaBetaBundle, y, order: int = 2) -> Spray:
     (m, n); the ``Spray`` then carries the same leading m axis.  ``order``
     is the highest derivative order the caller reads: at 2 the ``Spray``
     holds order-2 jets of G and Gbar, with the y columns of their Hessians;
-    at 1 it holds their values and gradients, the same bits.
+    at 1 it holds their values and gradients, the same bits.  A stack's
+    arrays are read-only and kept on the bundle, and a one-y call at the
+    bytes of one of its rows returns read-only views of that row, the bits
+    it would compute.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
@@ -378,6 +423,10 @@ def spray(bundle: AlphaBetaBundle, y, order: int = 2) -> Spray:
     inp = bundle.spray_inputs
     if inp is None:
         inp = bundle.spray_inputs = _SprayInputs(bundle)
+    if y.ndim == 1:
+        kept = inp.row(y, order)
+        if kept is not None:
+            return Spray(bundle, y, *kept)
     n, stack = bundle.n, y.shape[:-1]
     d = 2 * n
     val, grad, hess = inp.at(y, order)
@@ -399,22 +448,23 @@ def spray(bundle: AlphaBetaBundle, y, order: int = 2) -> Spray:
     G_grad = grad[..., :n, :] + vec.swapaxes(-1, -2) @ cg
     G_grad += (coefs[..., None, :] @ vec_grads.reshape(stack + (3, n * d))).reshape(stack + (n, d))
     if order == 1:
-        Gbar = ArrayJet(val[..., :n], grad[..., :n, :], None)
-        return Spray(bundle=bundle, y=y, G=ArrayJet(G, G_grad, None), Gbar=Gbar)
+        G, Gbar = ArrayJet(G, G_grad, None), ArrayJet(val[..., :n], grad[..., :n, :], None)
+    else:
+        # the y columns of the coefficients' Hessians: J . hess u + grad u^T H grad u
+        coef_hess = (jac @ hess[..., n:, :, :].reshape(stack + (5, d * n))).reshape(stack + (3, d, n))
+        local_hess = parts[..., _HESSIANS]  # H, shape (..., 3, 5, 5)
+        coef_hess += grads.swapaxes(-1, -2)[..., None, :, :] @ (local_hess @ grads[..., None, :, n:])
 
-    # the y columns of the coefficients' Hessians: J . hess u + grad u^T H grad u
-    coef_hess = (jac @ hess[..., n:, :, :].reshape(stack + (5, d * n))).reshape(stack + (3, d, n))
-    local_hess = parts[..., _HESSIANS]  # H, shape (..., 3, 5, 5)
-    coef_hess += grads.swapaxes(-1, -2)[..., None, :, :] @ (local_hess @ grads[..., None, :, n:])
-
-    by_row = vec_grads.swapaxes(-3, -2)  # (..., n, 3, d)
-    G_hess = (vec.swapaxes(-1, -2) @ coef_hess.reshape(stack + (3, d * n))).reshape(stack + (n, d, n))
-    G_hess += hess[..., :n, :, :]
-    G_hess[..., :n, :] += coefs[..., 0, None, None, None] * inp.si0_xy
-    G_hess += cg.swapaxes(-1, -2)[..., None, :, :] @ by_row[..., n:]
-    G_hess += by_row.swapaxes(-1, -2) @ cg[..., None, :, n:]
-    Gbar = ArrayJet(val[..., :n], grad[..., :n, :], hess[..., :n, :, :])
-    return Spray(bundle=bundle, y=y, G=ArrayJet(G, G_grad, G_hess), Gbar=Gbar)
+        by_row = vec_grads.swapaxes(-3, -2)  # (..., n, 3, d)
+        G_hess = (vec.swapaxes(-1, -2) @ coef_hess.reshape(stack + (3, d * n))).reshape(stack + (n, d, n))
+        G_hess += hess[..., :n, :, :]
+        G_hess[..., :n, :] += coefs[..., 0, None, None, None] * inp.si0_xy
+        G_hess += cg.swapaxes(-1, -2)[..., None, :, :] @ by_row[..., n:]
+        G_hess += by_row.swapaxes(-1, -2) @ cg[..., None, :, n:]
+        G, Gbar = ArrayJet(G, G_grad, G_hess), ArrayJet(val[..., :n], grad[..., :n, :], hess[..., :n, :, :])
+    if y.ndim == 2:
+        inp.keep(y, order, G, Gbar)
+    return Spray(bundle=bundle, y=y, G=G, Gbar=Gbar)
 
 
 def riemann_curvature(sp: Spray):
@@ -537,20 +587,21 @@ def extract_scalars(bundle: AlphaBetaBundle, ric, F2) -> ScalarFit:
     )
 
 
-def flag_curvature_fit(sp: Spray, R):
+def flag_curvature_fit(sp: Spray, R, F):
     """Least-squares K in R^i_k = K M^i_k, M = F^2 delta^i_k - y^i y_k, y_k = g_kj y^j, in the g inner product.
 
-    ``sp`` is an order-2 spray and ``R`` its curvature operator
-    (``riemann_curvature(sp)``).  R and M are g-self-adjoint, M^2 = F^2 M
-    and R y = 0, so the fit has the closed form K = Ric / ((n - 1) F^2),
-    and its residual is the g-norm of the rest, |R - K M|_g =
-    sqrt(tr((R - K M)^2)), with F = ``metric_value``, behind every printed
-    F^2.  Returns (K, residual): two floats for a spray at one y, or for a
-    stack of m y two arrays of shape (m,), each row fitted on its own.
+    ``sp`` is an order-2 spray, ``R`` its curvature operator
+    (``riemann_curvature(sp)``) and ``F`` = ``metric_value(sp.bundle,
+    sp.y)``, the F behind every printed F^2, which the caller has already.
+    R and M are g-self-adjoint, M^2 = F^2 M and R y = 0, so the fit has the
+    closed form K = Ric / ((n - 1) F^2), and its residual is the g-norm of
+    the rest, |R - K M|_g = sqrt(tr((R - K M)^2)).  Returns (K, residual):
+    two floats for a spray at one y, or for a stack of m y two arrays of
+    shape (m,), each row fitted on its own.
     """
     sp.check_order_2("flag_curvature_fit")
     y, n = sp.y, sp.bundle.n
-    F = metric_value(sp.bundle, y)
+    F = np.asarray(F, dtype=float)
     F2 = F * F
     y_flat = _lowered_y(sp.bundle, y, F)
     M = F2[..., None, None] * np.eye(n) - y[..., :, None] * y_flat[..., None, :]

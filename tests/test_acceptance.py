@@ -87,7 +87,7 @@ def test_criterion_1_flag_curvature_clause(example_spec):
         bu = build_bundle(example_spec, x)
         for _ in range(12):
             sp = spray(bu, unit_y(bu, rng))
-            K, res = flag_curvature_fit(sp, riemann_curvature(sp)[0])
+            K, res = flag_curvature_fit(sp, riemann_curvature(sp)[0], metric_value(bu, sp.y))
             worst_K = max(worst_K, abs(K))
             worst_res = max(worst_res, res)
     print(f"ACCEPTANCE 1 (flag clause): K fit {worst_K:.1e}, residual {worst_res:.1e}", flush=True)

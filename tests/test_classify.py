@@ -219,9 +219,9 @@ def _pointwise_scalars(spec, x, y) -> dict:
     bu = build_bundle(spec, x)
     sp = finsler.spray(bu, y)
     R, ric = finsler.riemann_curvature(sp)
-    K, resid = finsler.flag_curvature_fit(sp, R)
-    check = identity.verify_identity(bu, y, 0.25)
     F = finsler.metric_value(bu, y)
+    K, resid = finsler.flag_curvature_fit(sp, R, F)
+    check = identity.verify_identity(bu, y, 0.25)
     fit = finsler.extract_scalars(bu, np.array([ric]), np.array([F * F]))
     out = dict(Ric=ric, Ric_T=finsler.ricci_via_T(sp), F=F, Ricbar=bu.ricbar(y))
     out |= dict(lam=fit.lam, resid_lambda=fit.resid_lambda, c=fit.c, resid_c=fit.resid_c)
@@ -310,7 +310,7 @@ def test_check_verdicts_are_invariant_under_a_coordinate_permutation(source):
 )
 def test_check_spray_order_follows_its_readers(generic3d, monkeypatch, groups, per_point):
     """The S group makes one order-1 spray per sample; the fits and curvature groups one order-2 spray of
-    all the point's samples."""
+    all the point's samples, which then serves the S group's sprays."""
     sprays = []
     orig = finsler.spray
 
@@ -321,6 +321,42 @@ def test_check_spray_order_follows_its_readers(generic3d, monkeypatch, groups, p
     monkeypatch.setattr(finsler, "spray", wrapped)
     run_check(generic3d, small_config(), groups)
     assert sprays == per_point * 4
+
+
+@pytest.mark.parametrize("command, per_point", [("check", 1), ("scurv", 6)])
+def test_spray_inputs_evaluated_once_per_stack_or_sample(command, per_point, monkeypatch):
+    """``check`` evaluates the spray's inputs once per point, for its stack, and serves each S sample's spray
+    from that stack; ``scurv`` makes no stack, so it evaluates them once per sample (6 y per point)."""
+    calls = []
+    orig = finsler._SprayInputs.at
+
+    def counted(self, y, order):
+        calls.append(np.shape(y))
+        return orig(self, y, order)
+
+    monkeypatch.setattr(finsler._SprayInputs, "at", counted)
+    assert cli.main([command, _example_path(), "--points", "3"]) == cli.EXIT_OK
+    assert len(calls) == 3 * per_point
+
+
+def _check_json(path, form, out):
+    assert cli.main(["check", str(path), "--format", "json", "--volume", form, "--out", str(out)]) == cli.EXIT_OK
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("form", ["bh", "ht"])
+@pytest.mark.parametrize("source", testmetrics.list_shipped() + [8])  # a shipped metric, or random_metric(8, 48)
+def test_check_output_same_without_the_spray_memo(source, form, tmp_path, monkeypatch):
+    """``check`` prints the same bytes when every S sample's spray is computed afresh instead of served
+    from the point's stack."""
+    if isinstance(source, int):
+        path = tmp_path / "dense.metric"
+        path.write_text(testmetrics.random_metric(source, 40 + source).to_text())
+    else:
+        path = testmetrics.shipped_metric_path(source)
+    served = _check_json(path, form, tmp_path / "served.json")
+    monkeypatch.setattr(finsler._SprayInputs, "row", lambda self, y, order: None)
+    assert _check_json(path, form, tmp_path / "fresh.json") == served
 
 
 def test_check_reads_a_single_row_stack_and_no_fits_on_it(generic3d):

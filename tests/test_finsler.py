@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -279,9 +281,9 @@ def test_flag_fit_against_the_oracle_F2(source):
         ys = np.array([unit_y(bu, rng) * rng.uniform(0.5, 2.0) for _ in range(3)])
         sp = spray(bu, ys)
         R = riemann_curvature(sp)[0]
-        K, resid = flag_curvature_fit(sp, R)
-        assert np.all(np.isfinite(resid)) and np.all(resid >= 0.0)
         F = metric_value(bu, ys)
+        K, resid = flag_curvature_fit(sp, R, F)
+        assert np.all(np.isfinite(resid)) and np.all(resid >= 0.0)
         y_flat = _lowered_y(bu, ys, F)
         for k, y in enumerate(ys):
             F2 = general_F2(bu, y)
@@ -408,26 +410,31 @@ def test_unit_alpha_vectors_match_the_row_loop(n):
     assert np.allclose(got, kept / np.sqrt(np.einsum("mj,jk,mk->m", kept, bu.a, kept))[:, None], rtol=1e-14, atol=0.0)
 
 
-def _rows_match(batch, one, k):
+def _rows_equal(batch, one, k):
     assert batch.shape[1:] == np.shape(one)
-    assert np.all(np.abs(batch[k] - one) <= 1e-14 * np.maximum(1.0, np.abs(one)))
+    assert np.array_equal(batch[k], one), (k, batch[k] - one)
 
 
 @pytest.mark.parametrize(
     "source",  # a bundle fixture, a shipped metric, or random_metric(n, 40 + n)
-    ["generic_bundle", "example_bundle"] + testmetrics.list_shipped() + [3, 5, 8],
+    ["generic_bundle", "example_bundle"] + testmetrics.list_shipped() + [3, 5, 8, 12],
 )
 def test_batched_y_rows_match_one_y(source, request):
-    """Each row of a stacked spray is the one-y spray: the same bits for the values of G and Gbar.
+    """Each row of a stacked spray is the one-y spray, bit for bit, and so is each row of its readers.
 
-    The scalar coefficients are evaluated per y on the same floats either
-    way; the gradients and Hessians go through stacked matmuls, which may
-    sum in another order, so they agree to 1e-14.  So do the rows of every
-    reader that takes a stack: the curvature, F, y_flat, the T-split Ricci
-    route, the flag fit (K and its residual, each row fitted on its own) and
-    the bundle's N^i_j and Ricbar.  m == n is the case where a per-y scalar
-    broadcast along the component axis instead of the y axis would still
-    produce the right shapes.
+    Each one-y spray is taken on a fresh bundle of the same point, so the
+    stack's bundle cannot serve it from the stack it keeps.  ``at`` forms a
+    stack's affine entries with one vector-matrix product per row and every
+    later step works row by row, so the values, gradients and Hessian y
+    columns of G and Gbar have the bits of the one-y spray, and so do the
+    rows of the curvature, the T-split Ricci route, the flag fit's K (given
+    the same F) and the bundle's N^i_j and Ricbar.  F and y_flat read no
+    spray: closed forms in y, their stacks come from stacked dot products
+    that numpy may sum in another order, so they agree to 1e-14, and so
+    does the flag residual, which reads y_flat.  (Rows of its own for them
+    would move the printed flag residual of shipped metrics.)
+    m == n is the case where a per-y scalar broadcast along the component
+    axis instead of the y axis would still produce the right shapes.
     """
     rng = np.random.default_rng(16)
     if str(source).endswith("_bundle"):
@@ -444,29 +451,124 @@ def test_batched_y_rows_match_one_y(source, request):
             F = metric_value(bu, ys)
             y_flat = _lowered_y(bu, ys, F)
             ric_T = ricci_via_T(sp)
-            K, resid = flag_curvature_fit(sp, R)
+            K, resid = flag_curvature_fit(sp, R, F)
             nconn, ricbar = bu.nonlinear_connection(ys), bu.ricbar(ys)
             assert sp.G.val.shape == (m, n)
             assert R.shape == (m, n, n) and ric.shape == (m,) and F.shape == (m,) and y_flat.shape == (m, n)
             assert ric_T.shape == K.shape == resid.shape == ricbar.shape == (m,) and nconn.shape == (m, n, n)
             for k, y in enumerate(ys):
-                one = spray(bu, y)
+                fresh = build_bundle(bu.spec, bu.x)
+                one = spray(fresh, y)
                 for batch_jet, one_jet in ((sp.G, one.G), (sp.Gbar, one.Gbar)):
-                    assert np.array_equal(batch_jet.val[k], one_jet.val), (k, batch_jet.val[k] - one_jet.val)
-                    for part in ("grad", "hess"):
-                        _rows_match(getattr(batch_jet, part), getattr(one_jet, part), k)
+                    for part in ("val", "grad", "hess"):
+                        _rows_equal(getattr(batch_jet, part), getattr(one_jet, part), k)
                 R1, ric1 = riemann_curvature(one)
-                _rows_match(R, R1, k)
-                _rows_match(ric, ric1, k)
-                _rows_match(F, metric_value(bu, y), k)
-                _rows_match(y_flat, _lowered_y(bu, y, metric_value(bu, y)), k)
-                one_T, (K1, resid1), ricbar1 = ricci_via_T(one), flag_curvature_fit(one, R1), bu.ricbar(y)
+                _rows_equal(R, R1, k)
+                _rows_equal(ric, ric1, k)
+                one_T, (K1, resid1), ricbar1 = ricci_via_T(one), flag_curvature_fit(one, R1, F[k]), fresh.ricbar(y)
                 assert all(type(v) is float for v in (one_T, K1, resid1, ricbar1))
-                _rows_match(ric_T, one_T, k)
-                _rows_match(K, K1, k)
-                _rows_match(resid, resid1, k)
-                _rows_match(nconn, bu.nonlinear_connection(y), k)
-                _rows_match(ricbar, ricbar1, k)
+                _rows_equal(ric_T, one_T, k)
+                _rows_equal(K, K1, k)
+                _rows_equal(nconn, fresh.nonlinear_connection(y), k)
+                _rows_equal(ricbar, ricbar1, k)
+                F1 = metric_value(fresh, y)
+                for batch, one_y in ((F, F1), (y_flat, _lowered_y(fresh, y, F1)), (resid, resid1)):
+                    assert np.all(np.abs(batch[k] - one_y) <= 1e-14 * np.maximum(1.0, np.abs(one_y)))
+
+
+def _memo_case(source, m=6):
+    """(spec, x, ys): a point of a shipped metric or of random_metric(n, 40 + n), and m alpha-unit y there."""
+    spec = testmetrics.random_metric(source, 40 + source) if isinstance(source, int) else testmetrics.shipped_metric(source)
+    rng = np.random.default_rng(24)
+    x = sample_domain(spec, 1, rng, shrink=0.05)[0]
+    return spec, x, finsler.unit_alpha_vectors(build_bundle(spec, x), m, rng)
+
+
+def _same_spray(got, want):
+    """Whether two sprays hold the same bits in every array of G and Gbar, and the same order."""
+    for a, b in ((got.G, want.G), (got.Gbar, want.Gbar)):
+        if (a.hess is None) != (b.hess is None) or not all(
+            np.array_equal(u, v) for u, v in ((a.val, b.val), (a.grad, b.grad), (a.hess, b.hess)) if u is not None
+        ):
+            return False
+    return np.array_equal(got.y, want.y)
+
+
+def _served(one, stack):
+    """Whether the one-y spray ``one`` is a row of ``stack``'s arrays, not a spray of its own."""
+    return np.shares_memory(one.G.val, stack.G.val) and np.shares_memory(one.Gbar.grad, stack.Gbar.grad)
+
+
+@pytest.mark.parametrize("source", ["matsumoto_example", "euclidean_shear", 3, 8])
+@pytest.mark.parametrize("order", [1, 2])
+def test_spray_serves_a_row_of_the_last_stack(source, order):
+    """A one-y spray at the bytes of a row of the bundle's last stack is that row: the bits of a fresh bundle's spray."""
+    spec, x, ys = _memo_case(source)
+    bu = build_bundle(spec, x)
+    stack = spray(bu, ys)
+    for y in ys:
+        one = spray(bu, y, order)
+        assert _served(one, stack)
+        assert (one.G.hess is None) == (order == 1)
+        assert _same_spray(one, spray(build_bundle(spec, x), y, order))
+
+
+@pytest.mark.parametrize("source", ["matsumoto_example", 5])
+def test_spray_memo_misses_other_bytes_and_a_higher_order(source):
+    """A y one ulp away or with the other sign of a zero is not a row; an order-1 stack does not serve order 2."""
+    spec, x, ys = _memo_case(source)
+    ys[0, 1] = 0.0
+    bu = build_bundle(spec, x)
+    stack = spray(bu, ys)
+    near = ys[1].copy()
+    near[0] = np.nextafter(near[0], np.inf)
+    signed = ys[0].copy()
+    signed[1] = -0.0
+    for y in (near, signed):
+        for order in (1, 2):
+            one = spray(bu, y, order)
+            assert not _served(one, stack)
+            assert _same_spray(one, spray(build_bundle(spec, x), y, order))
+    assert _served(spray(bu, ys[0], 1), stack)  # the +0.0 row itself is served
+
+    first = spray(bu, ys, order=1)
+    two = spray(bu, ys[2])
+    assert not _served(two, first) and two.G.hess is not None
+    assert _same_spray(two, spray(build_bundle(spec, x), ys[2]))
+    assert _served(spray(bu, ys[2], 1), first)
+
+
+def test_spray_memo_keeps_no_bundle_alive(example_spec):
+    """With the cycle collector off, a bundle dies once its caller drops it after a stack and a served row."""
+    _, x, ys = _memo_case("matsumoto_example")
+    gc.disable()
+    try:
+        bu = build_bundle(example_spec, x)
+        ref = weakref.ref(bu)
+        stack, one = spray(bu, ys), spray(bu, ys[0], 1)
+        assert _served(one, stack)
+        del bu, stack, one
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_spray_memo_cannot_be_written_through(example_spec):
+    """Neither a served row, nor the stack's spray, nor the caller's y stack can change what the memo serves."""
+    _, x, ys = _memo_case("matsumoto_example")
+    bu, fresh = build_bundle(example_spec, x), build_bundle(example_spec, x)
+    want = spray(fresh, ys[0])
+    stack = spray(bu, ys.copy())
+    stack.y[0] = ys[1]  # the memo keeps its own copy of the stack's y
+    one = spray(bu, ys[0])
+    assert _served(one, stack) and _same_spray(one, want)
+    for jet in (one.G, one.Gbar, stack.G, stack.Gbar):
+        for part in (jet.val, jet.grad, jet.hess):
+            with pytest.raises(ValueError, match="read-only"):
+                part[...] = 0.0
+    one.G.val = np.zeros_like(one.G.val)  # rebinds this record's own jet only
+    again = spray(bu, ys[0])
+    assert _served(again, stack) and _same_spray(again, want)
 
 
 @pytest.mark.parametrize("y", [[0.0, 0.0, 0.0], [[0.3, -0.5, 0.8], [0.0, 0.0, 0.0]], np.zeros((0, 3))])
@@ -479,7 +581,7 @@ def test_spray_rejects_a_zero_or_empty_y(generic_bundle, y):
 def test_second_order_readers_reject_an_order_1_spray(generic_bundle, reader):
     """A reader of second derivatives raises a named ValueError on an order-1 spray, not a failure inside numpy."""
     sp = spray(generic_bundle, np.array([0.3, -0.5, 0.8]), order=1)
-    args = (np.zeros((3, 3)),) if reader == "flag_curvature_fit" else ()
+    args = (np.zeros((3, 3)), 1.0) if reader == "flag_curvature_fit" else ()
     with pytest.raises(ValueError, match=f"{reader} needs an order-2 spray"):
         getattr(finsler, reader)(sp, *args)
 
@@ -627,7 +729,7 @@ def test_spray_input_rows_match_single_forms(source):
 
 def _flag_fit(bu, y):
     sp = spray(bu, y)
-    return flag_curvature_fit(sp, riemann_curvature(sp)[0])
+    return flag_curvature_fit(sp, riemann_curvature(sp)[0], metric_value(bu, y))
 
 
 def test_flag_fit_euclidean_zero():

@@ -4,7 +4,12 @@ Runs one matrix of ``finslerab`` commands in both source trees and compares
 their outputs: the 6 shipped metrics x seeds {0, 1, 2} x (``check --format
 json`` under bh and ht, ``check --format csv``, ``scurv`` under bh and ht,
 ``flag``, ``appendix --sigma random --format json``), plus ``appendix
---dim-sweep 3,4,5,8,12 --format json`` at seeds 0-2.
+--dim-sweep 3,4,5,8,12 --format json`` at seeds 0-2, plus dense metrics:
+``random_metric(n, 40 + n)`` for n in {3, 5, 8, 12}, written once as
+metric files by this tree, x seeds {0, 1, 2} x (``check --format json``
+and ``scurv``, each under bh and ht).  The shipped metrics are sparse and
+small, so a change in the order in which a stack's dot products are summed
+can leave their outputs byte-identical; the dense ones show it.
 
 Each output is split into its numbers and the text between them.  The text
 must be equal: it holds every verdict, key, consistency record and
@@ -33,19 +38,34 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 METRICS = Path("src/finslerab/metrics")
 SEEDS = (0, 1, 2)
+DENSE_DIMS = (3, 5, 8, 12)  # random_metric(n, 40 + n)
 BOUND = 1e-12
 JOBS = 2  # commands run at once
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
-def matrix(root: Path) -> list:
-    """(label, argv) of every command, for the shipped metrics of ``root``."""
+def write_dense_metrics(folder: Path) -> list:
+    """Write ``random_metric(n, 40 + n)`` of this tree for each n of DENSE_DIMS into ``folder``; their paths."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from finslerab.testmetrics import random_metric
+
+    paths = []
+    for n in DENSE_DIMS:
+        path = folder / f"random_{n}_{40 + n}.metric"
+        path.write_text(random_metric(n, 40 + n).to_text())
+        paths.append(path)
+    return paths
+
+
+def matrix(root: Path, dense=()) -> list:
+    """(label, argv) of every command, for the shipped metrics of ``root`` and the metric files ``dense``."""
     runs = []
     for path in sorted((root / METRICS).glob("*.metric")):
         metric, name = str(METRICS / path.name), path.stem
@@ -63,6 +83,14 @@ def matrix(root: Path) -> list:
     for seed in SEEDS:
         runs.append((f"dim-sweep json seed {seed}", ["appendix", "--dim-sweep", "3,4,5,8,12", "--format", "json",
                                                      "--seed", str(seed)]))
+    for path in dense:
+        for seed in SEEDS:
+            for form in ("bh", "ht"):
+                s = ["--volume", form, "--seed", str(seed)]
+                runs += [
+                    (f"check json {form} {path.stem} seed {seed}", ["check", str(path), "--format", "json", *s]),
+                    (f"scurv {form} {path.stem} seed {seed}", ["scurv", str(path), *s]),
+                ]
     return runs
 
 
@@ -142,14 +170,13 @@ def main(argv=None) -> int:
                     help="JSON key paths whose numbers may move, e.g. conditions.F_einstein")
     args = ap.parse_args(argv)
     parent = args.parent_root.resolve()
-    runs = matrix(ROOT)
 
     def both(item):
         label, cmd = item
         return compare(label, cmd, run(parent, cmd), run(ROOT, cmd), args.moved)
 
-    with ThreadPoolExecutor(JOBS) as pool:
-        results = list(pool.map(both, runs))
+    with tempfile.TemporaryDirectory() as folder, ThreadPoolExecutor(JOBS) as pool:
+        results = list(pool.map(both, matrix(ROOT, write_dense_metrics(Path(folder)))))
     bad = [r for r in results if r["problems"]]
     for r in results:
         if not r["identical"]:
