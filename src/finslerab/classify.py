@@ -5,11 +5,10 @@ the y-samples and evaluates the requested condition groups.  The ``check``,
 ``scurv`` and ``flag`` subcommands are views of it: each names the groups
 it prints, and only their quantities are computed; ``emit_report`` renders
 the full report (text, json, csv) or the ``scurv`` and ``flag`` views.
-At each point the fits, Ricci and flag groups read one order-2 spray of
-the whole stack of y-samples, and each of their readers runs once on it.
-The S group asks for one order-1 spray per y-sample, as its routes take one
-y; where the stack was sprayed, ``finsler.spray`` serves each of them from
-it, the same bits, and otherwise computes it.
+At each point every group but "beta" reads one spray of the whole stack
+of y-samples.  The fits, Ricci and flag readers run once on it; the S
+group asks for one spray per y-sample, as its routes take one y, and
+``finsler.spray`` serves each of them as a row of the stack, the same bits.
 
 ``run_check`` and ``run_appendix`` share one loop over the sampled points'
 bundles.  It takes the jets of a and b from one walk of the metric per
@@ -139,13 +138,13 @@ def run_check(spec: MetricSpec, config: RunConfig, groups=GROUPS) -> ClassReport
 
     The random stream is drawn in one order for every view: the points,
     then per point 2n unread normal n-vectors (with "fits" only, so each
-    seed keeps its y-samples) and the y-samples.  When "fits", "ricci" or
-    "flag" runs, a point's y-samples are evaluated as one (y_per_point, n)
-    stack: one order-2 spray, and one call on it of the curvature, F, the
-    scalar fits, the T-split Ricci route, the flag fit and Ricbar.  "S"
-    evaluates each y on its own, with an order-1 spray (a row of the
-    point's stack, where there is one) and one call of each S route.  The
-    per-y loop files the rows and the cross-checks.  "fits" raises
+    seed keeps its y-samples) and the y-samples.  When any group but
+    "beta" runs, a point's y-samples are sprayed as one (y_per_point, n)
+    stack.  "fits", "ricci" and "flag" make one call on it of the
+    curvature, F, the scalar fits, the T-split Ricci route, the flag fit
+    and Ricbar.  "S" evaluates each y on its own: its spray is a row of the
+    point's stack, and it makes one call of each S route.  The per-y loop
+    files the rows and the cross-checks.  "fits" raises
     ``ValueError`` below 2 y-samples per point: one fits sigma exactly,
     whatever F is.
     """
@@ -180,8 +179,9 @@ def run_check(spec: MetricSpec, config: RunConfig, groups=GROUPS) -> ClassReport
             rng.standard_normal((2 * bu.n, bu.n))  # unread: see the docstring
 
         ys = finsler.unit_alpha_vectors(bu, config.y_per_point, rng)
-        if fits or ricci or flag:
+        if fits or ricci or S or flag:
             sp = finsler.spray(bu, ys)
+        if fits or ricci or flag:
             R, ric = finsler.riemann_curvature(sp)
             F = finsler.metric_value(bu, ys)
             F2 = F * F
@@ -202,7 +202,7 @@ def run_check(spec: MetricSpec, config: RunConfig, groups=GROUPS) -> ClassReport
                 peak("Ric/F2", abs(ric[y_idx]) / max(1.0, F2[y_idx]))
                 row.update(Ric=ric[y_idx], F2=F2[y_idx])
             if S:
-                s_def = scurvature.s_curvature_def(finsler.spray(bu, y, 1), config.volume_form)
+                s_def = scurvature.s_curvature_def(finsler.spray(bu, y), config.volume_form)
                 cross("S-curvature", s_def, scurvature.s_curvature_closed(bu, y, config.volume_form), where)
                 peak("S", abs(s_def))
                 row["S"] = s_def

@@ -15,7 +15,8 @@ statuses; every number and verdict comes from ``classify``.  ``check``,
 ``scurv`` and ``flag`` run the same evaluation (``classify.run_check``):
 ``scurv`` and ``flag`` ask only for the condition groups they print, with 6
 y per point and the default tolerance, and exit 3 on any violation.
-``check`` takes ``--y-per-point`` >= 2, as one y fits F's Einstein sigma exactly.
+``check`` takes ``--y-per-point`` >= 2, as one y fits F's Einstein sigma exactly,
+and ``--tol`` >= ``TOL_FLOOR`` (1e-14), as the dual routes agree only to rounding.
 ``validate`` runs the validity check that the others run before sampling,
 with the same ``--seed``.  A run also rejects its own sample points where
 b^2 >= 1/4 (exit 2), which validate's 200 points may miss.
@@ -130,7 +131,12 @@ def _arg(convert, ok, what: str):
 _COUNT = _arg(int, lambda v: v >= 1, "an integer >= 1")
 _Y_COUNT = _arg(int, lambda v: v >= 2, "an integer >= 2")
 _SEED = _arg(int, lambda v: v >= 0, "an integer >= 0")
-_TOL = _arg(float, lambda v: math.isfinite(v) and v > 0.0, "a positive finite number")
+# The dual routes agree only to rounding: where S = 0 the two S routes can
+# differ by 1.1e-16, and at a tolerance near that "constant Killing => S == 0"
+# fails on a constant-Killing metric.  A tolerance below this floor tests
+# rounding, not the geometry, so it is refused.
+TOL_FLOOR = 1e-14
+_TOL = _arg(float, lambda v: math.isfinite(v) and v >= TOL_FLOOR, f"a finite number >= {TOL_FLOOR:g}")
 # kept as text: the report echoes the policy as given
 _SIGMA = _arg(str, lambda v: v == "random" or math.isfinite(float(v)), "a finite number or 'random'")
 _DIMS = _arg(

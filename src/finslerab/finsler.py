@@ -51,22 +51,12 @@ of a stack is the one-y spray bit for bit: values, gradients and Hessian
 y columns.  That makes an exact memo possible, and ``spray`` keeps one
 per bundle: the arrays of G and Gbar of the bundle's last stack, made
 read-only, with a copy of its y.  A later one-y spray whose y has the
-bytes of a row returns views of that row (without their Hessians at
-order 1; an order-2 request after an order-1 stack is computed in full).
-So the S group's order-1 sprays in ``run_check`` cost a lookup each.
+bytes of a row returns views of that row.  So the S group's one-y
+sprays in ``run_check`` cost a lookup each.
 The memo holds arrays only, never a ``Spray`` or the bundle, so a
 bundle is freed as soon as its caller drops it; it builds its row index
 on the first one-y lookup, so a stack that no one-y spray follows pays
 only the copy of its y.
-
-The spray has a derivative ``order``, set by what its caller reads.  The
-curvature, the T-split Ricci route and the flag fit read second
-derivatives, so they need the default order 2.  The S-curvature
-definition reads only dG^i/dy^i, so a caller that reads nothing else asks
-for order 1: no Hessian is formed, and a second-order reader handed such a
-spray raises ``ValueError``.  Both orders run the same code on the same
-cached inputs, and the values and gradients of G and Gbar are the same
-bits at both.
 
 The curvature is computed two ways, directly from the spray and through
 the deformation-field identity relating Ric to the Ricci curvature of
@@ -109,15 +99,13 @@ class Spray(NamedTuple):
 
     ``G`` = G^i and ``Gbar`` = Gbar^i, the spray of alpha, are array jets
     over the 2n chart+fiber directions (x^1..x^n, then y^1..y^n) of shape
-    (n,), or (m, n) for a stack.  At order 2 (the default) each ``hess``
-    holds the y columns of the Hessian only, shape S + (2n, n):
+    (n,), or (m, n) for a stack.  Each ``hess`` holds the y columns of the
+    Hessian only, shape S + (2n, n):
     ``hess[..., a, k]`` = d2/dz^a dy^k over the 2n directions z^a, so its
     first n rows are the x-y block and its last n the y-y block, the only
     ones the curvature and the T-split read.  There is no x-x block, which
     would need third derivatives of the metric.  Only elementwise jet
-    operations (G - Gbar) apply to such jets.  At order 1, ``G`` and
-    ``Gbar`` are ``ArrayJet(val, grad, None)``, containers of a value and a
-    gradient to which no jet operation applies.
+    operations (G - Gbar) apply to such jets.
     """
 
     bundle: AlphaBetaBundle
@@ -132,11 +120,6 @@ class Spray(NamedTuple):
         after the leading y axis of a stack.
         """
         return _blocks(self.G)
-
-    def check_order_2(self, reader: str):
-        """Raise ``ValueError`` unless this spray has the second derivatives that ``reader`` reads."""
-        if self.G.hess is None:
-            raise ValueError(f"{reader} needs an order-2 spray, got one of order 1")
 
 
 def _blocks(jet: ArrayJet):
@@ -213,7 +196,7 @@ class _SprayInputs:
         self.hess[q, n:, :] = quad2
         self.hess[n + 3 :, :n, :] = dlin[:2].transpose(0, 2, 1)
         self.si0_xy = dlin[2:].transpose(0, 2, 1)  # the x-y blocks of -s^i_0, whose y-y blocks are zero
-        self.kept = None  # the last stacked spray: (y, order, G's arrays, Gbar's arrays), all read-only
+        self.kept = None  # the last stacked spray: (y, G's arrays, Gbar's arrays), all read-only
         self.index = None  # the kept y's rows by their bytes, built on the first lookup
 
     def _split(self, flat: np.ndarray, stack: tuple):
@@ -223,8 +206,8 @@ class _SprayInputs:
         grad = flat[..., rows : rows * (1 + d)].reshape(stack + (rows, d))
         return flat[..., :rows], grad, flat[..., rows * (1 + d) :].reshape(stack + (n + 2, n, n))
 
-    def at(self, y: np.ndarray, order: int):
-        """(val, grad, hess) of every row at ``y``, shape (n,) or (m, n); ``hess`` is None at order 1.
+    def at(self, y: np.ndarray):
+        """(val, grad, hess) of every row at ``y``, shape (n,) or (m, n).
 
         For a stack of m the three arrays carry a leading m axis, and each
         row has the bits of its y alone.
@@ -238,35 +221,33 @@ class _SprayInputs:
         np.einsum("...j,...j->...", qy, yc, out=val[..., q])
         np.einsum("...j,...j->...", self.lin, yc, out=val[..., l])
         np.matmul(dqy, yc[..., None], out=grad[..., q, :n, None])
-        if order == 1:
-            return val, grad, None
         hess = np.empty(stack + self.hess.shape)
         hess[...] = self.hess
         np.multiply(dqy, 2.0, out=hess[..., q, :n, :])
         return val, grad, hess
 
-    def keep(self, y: np.ndarray, order: int, G: ArrayJet, Gbar: ArrayJet):
+    def keep(self, y: np.ndarray, G: ArrayJet, Gbar: ArrayJet):
         """Keep the arrays of the stacked spray (G, Gbar) at ``y``, shape (m, n), for ``row``; they become read-only."""
         arrays = (G.val, G.grad, G.hess), (Gbar.val, Gbar.grad, Gbar.hess)
         for jet in arrays:
-            for a in jet[:order + 1]:  # an order-1 jet's hess is None
+            for a in jet:
                 a.setflags(write=False)
-        self.kept, self.index = (y.copy(), order, *arrays), None
+        self.kept, self.index = (y.copy(), *arrays), None
 
-    def row(self, y: np.ndarray, order: int):
-        """(G, Gbar) at the one ``y`` from the kept stack, or None where no row has its bytes or the stack's order is lower.
+    def row(self, y: np.ndarray):
+        """(G, Gbar) at the one ``y`` from the kept stack, or None where no row has its bytes.
 
         The jets are read-only views of the row, the bits a spray at ``y``
-        alone computes; at order 1 they carry no Hessian.
+        alone computes.
         """
-        if self.kept is None or self.kept[1] < order:
+        if self.kept is None:
             return None
         if self.index is None:
             self.index = {v.tobytes(): k for k, v in enumerate(self.kept[0])}
         k = self.index.get(y.tobytes())
         if k is None:
             return None
-        return [ArrayJet(val[k], grad[k], hess[k] if order == 2 else None) for val, grad, hess in self.kept[2:]]
+        return [ArrayJet(val[k], grad[k], hess[k]) for val, grad, hess in self.kept[1:]]
 
 
 # -- the spray's scalar coefficients ------------------------------------------
@@ -289,17 +270,17 @@ class _SprayInputs:
 _SQRT_SAFE = 1e-200
 
 
-def _coefficient_partials(alpha2, r00, bsq, beta, s0, order: int):
+def _coefficient_partials(alpha2, r00, bsq, beta, s0):
     """The values and partials over u of the spray's scalar coefficients, as one flat list.
 
     u = (alpha^2, r00, b^2, beta, s0), at one y, as Python floats, in the
     order of the packed inputs' rows.  The coefficients are (L, C_b, C_y):
     the list holds their 3 values, then their 3 x 5 Jacobian row by row,
-    the same expressions at both orders, and at order 2 for each
-    coefficient the 15 entries of the upper triangle of its Hessian, row by
-    row (``_UPPER`` maps (i, j) to the place of d2/du_i du_j).  Raises
-    ``JetError`` where the jet chain did: alpha^2 outside the domain of the
-    jet sqrt, or 2s - 1 or 3s - 2b^2 - 1 of magnitude below ``_TINY``.
+    and for each coefficient the 15 entries of the upper triangle of its
+    Hessian, row by row (``_UPPER`` maps (i, j) to the place of
+    d2/du_i du_j).  Raises ``JetError`` where the jet chain did: alpha^2
+    outside the domain of the jet sqrt, or 2s - 1 or 3s - 2b^2 - 1 of
+    magnitude below ``_TINY``.
     """
     if not _SQRT_SAFE < alpha2 < math.inf:
         # raises exactly where, and as, the jet sqrt of alpha^2 does
@@ -344,8 +325,6 @@ def _coefficient_partials(alpha2, r00, bsq, beta, s0, order: int):
         Cb_A, X, Cb_q, Cb_B, Cb_s,
         nu_A * Cb + nu * Cb_A, nu * X, nu * Cb_q, nu_B * Cb + nu * Cb_B, nu * Cb_s,
     ]
-    if order == 1:
-        return parts
 
     g1 = e1 * i1 * ia
     L_AA = 0.25 * (6.0 * s - 1.0) * ia2 * g1
@@ -399,24 +378,20 @@ def _upper(AA, Ar, Aq, AB, As, rq, rB, qq, qB, qs, BB, Bs):
 _UPPER = np.zeros((5, 5), dtype=np.intp)
 _UPPER[np.triu_indices(5)] = np.arange(15)
 _UPPER = np.maximum(_UPPER, _UPPER.T)
-# the places of the coefficients' Hessians, (3, 5, 5), in the order-2 list of partials
+# the places of the coefficients' Hessians, (3, 5, 5), in the list of partials
 _HESSIANS = 18 + 15 * np.arange(3)[:, None, None] + _UPPER
 
 
-def spray(bundle: AlphaBetaBundle, y, order: int = 2) -> Spray:
+def spray(bundle: AlphaBetaBundle, y) -> Spray:
     """Spray coefficients G^i at (x, y) with their exact derivatives, as a ``Spray``.
 
     ``y`` is one fiber vector, shape (n,), or a stack of m of them, shape
-    (m, n); the ``Spray`` then carries the same leading m axis.  ``order``
-    is the highest derivative order the caller reads: at 2 the ``Spray``
-    holds order-2 jets of G and Gbar, with the y columns of their Hessians;
-    at 1 it holds their values and gradients, the same bits.  A stack's
-    arrays are read-only and kept on the bundle, and a one-y call at the
-    bytes of one of its rows returns read-only views of that row, the bits
-    it would compute.
+    (m, n); the ``Spray`` then carries the same leading m axis.  It holds
+    order-2 jets of G and Gbar, with the y columns of their Hessians.  A
+    stack's arrays are read-only and kept on the bundle, and a one-y call at
+    the bytes of one of its rows returns read-only views of that row, the
+    bits it would compute.
     """
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
     y = np.asarray(y, dtype=float)
     if not (y.size and np.logical_or.reduce(y, axis=-1).all()):
         raise ValueError("y must be a nonzero vector or a nonempty stack of them")
@@ -424,14 +399,14 @@ def spray(bundle: AlphaBetaBundle, y, order: int = 2) -> Spray:
     if inp is None:
         inp = bundle.spray_inputs = _SprayInputs(bundle)
     if y.ndim == 1:
-        kept = inp.row(y, order)
+        kept = inp.row(y)
         if kept is not None:
             return Spray(bundle, y, *kept)
     n, stack = bundle.n, y.shape[:-1]
     d = 2 * n
-    val, grad, hess = inp.at(y, order)
+    val, grad, hess = inp.at(y)
     rows = val[..., n : n + 5].reshape(-1, 5).tolist()  # u at each y; one y is a stack of one here
-    parts = np.array([_coefficient_partials(*u, order) for u in rows]).reshape(stack + (-1,))
+    parts = np.array([_coefficient_partials(*u) for u in rows]).reshape(stack + (-1,))
     coefs, jac = parts[..., :3], parts[..., 3:18].reshape(stack + (3, 5))  # coefs: (L, C_b, C_y)
     # grad c = J grad u
     grads = grad[..., n : n + 5, :]
@@ -447,42 +422,39 @@ def spray(bundle: AlphaBetaBundle, y, order: int = 2) -> Spray:
     G += terms[..., 2, :]
     G_grad = grad[..., :n, :] + vec.swapaxes(-1, -2) @ cg
     G_grad += (coefs[..., None, :] @ vec_grads.reshape(stack + (3, n * d))).reshape(stack + (n, d))
-    if order == 1:
-        G, Gbar = ArrayJet(G, G_grad, None), ArrayJet(val[..., :n], grad[..., :n, :], None)
-    else:
-        # the y columns of the coefficients' Hessians: J . hess u + grad u^T H grad u
-        coef_hess = (jac @ hess[..., n:, :, :].reshape(stack + (5, d * n))).reshape(stack + (3, d, n))
-        local_hess = parts[..., _HESSIANS]  # H, shape (..., 3, 5, 5)
-        coef_hess += grads.swapaxes(-1, -2)[..., None, :, :] @ (local_hess @ grads[..., None, :, n:])
 
-        by_row = vec_grads.swapaxes(-3, -2)  # (..., n, 3, d)
-        G_hess = (vec.swapaxes(-1, -2) @ coef_hess.reshape(stack + (3, d * n))).reshape(stack + (n, d, n))
-        G_hess += hess[..., :n, :, :]
-        G_hess[..., :n, :] += coefs[..., 0, None, None, None] * inp.si0_xy
-        G_hess += cg.swapaxes(-1, -2)[..., None, :, :] @ by_row[..., n:]
-        G_hess += by_row.swapaxes(-1, -2) @ cg[..., None, :, n:]
-        G, Gbar = ArrayJet(G, G_grad, G_hess), ArrayJet(val[..., :n], grad[..., :n, :], hess[..., :n, :, :])
+    # the y columns of the coefficients' Hessians: J . hess u + grad u^T H grad u
+    coef_hess = (jac @ hess[..., n:, :, :].reshape(stack + (5, d * n))).reshape(stack + (3, d, n))
+    local_hess = parts[..., _HESSIANS]  # H, shape (..., 3, 5, 5)
+    coef_hess += grads.swapaxes(-1, -2)[..., None, :, :] @ (local_hess @ grads[..., None, :, n:])
+
+    by_row = vec_grads.swapaxes(-3, -2)  # (..., n, 3, d)
+    G_hess = (vec.swapaxes(-1, -2) @ coef_hess.reshape(stack + (3, d * n))).reshape(stack + (n, d, n))
+    G_hess += hess[..., :n, :, :]
+    G_hess[..., :n, :] += coefs[..., 0, None, None, None] * inp.si0_xy
+    G_hess += cg.swapaxes(-1, -2)[..., None, :, :] @ by_row[..., n:]
+    G_hess += by_row.swapaxes(-1, -2) @ cg[..., None, :, n:]
+    G, Gbar = ArrayJet(G, G_grad, G_hess), ArrayJet(val[..., :n], grad[..., :n, :], hess[..., :n, :, :])
     if y.ndim == 2:
-        inp.keep(y, order, G, Gbar)
+        inp.keep(y, G, Gbar)
     return Spray(bundle=bundle, y=y, G=G, Gbar=Gbar)
 
 
 def riemann_curvature(sp: Spray):
-    """Riemann curvature operator R^i_k of F and its trace Ric, from an order-2 spray.
+    """Riemann curvature operator R^i_k of F and its trace Ric, from the spray.
 
     R^i_k = 2 dG^i/dx^k - y^j d2G^i/dx^j dy^k + 2 G^j d2G^i/dy^j dy^k
             - dG^i/dy^j dG^j/dy^k.
 
     For a stack of y, shape (m, n), R has shape (m, n, n) and Ric (m,).
     """
-    sp.check_order_2("riemann_curvature")
     y, (gval, gx, gy, hxy, hyy) = sp.y, sp.blocks()
     R = 2.0 * gx - np.einsum("...j,...ijk->...ik", y, hxy) + 2.0 * np.einsum("...j,...ijk->...ik", gval, hyy) - gy @ gy
     return R, np.trace(R, axis1=-2, axis2=-1)
 
 
 def ricci_via_T(sp: Spray):
-    """Ricci curvature through the deformation field T^i = G^i - Gbar^i, from an order-2 spray.
+    """Ricci curvature through the deformation field T^i = G^i - Gbar^i, from the spray.
 
     Ric = Ricbar + 2 T^k_|k - y^j T^k_.k|j + 2 T^j T^k_.j.k - T^k_.j T^j_.k,
     with | and . the horizontal/vertical derivatives of alpha.  Entirely
@@ -490,7 +462,6 @@ def ricci_via_T(sp: Spray):
     cross-check on both.  A float for a spray at one y; for a stack of m
     y, shape (m,), each row the one-y value.
     """
-    sp.check_order_2("ricci_via_T")
     bundle, y = sp.bundle, sp.y
     tval, tx, ty, txy, tyy = _blocks(sp.G - sp.Gbar)
 
@@ -590,7 +561,7 @@ def extract_scalars(bundle: AlphaBetaBundle, ric, F2) -> ScalarFit:
 def flag_curvature_fit(sp: Spray, R, F):
     """Least-squares K in R^i_k = K M^i_k, M = F^2 delta^i_k - y^i y_k, y_k = g_kj y^j, in the g inner product.
 
-    ``sp`` is an order-2 spray, ``R`` its curvature operator
+    ``sp`` is the spray, ``R`` its curvature operator
     (``riemann_curvature(sp)``) and ``F`` = ``metric_value(sp.bundle,
     sp.y)``, the F behind every printed F^2, which the caller has already.
     R and M are g-self-adjoint, M^2 = F^2 M and R y = 0, so the fit has the
@@ -599,7 +570,6 @@ def flag_curvature_fit(sp: Spray, R, F):
     two floats for a spray at one y, or for a stack of m y two arrays of
     shape (m,), each row fitted on its own.
     """
-    sp.check_order_2("flag_curvature_fit")
     y, n = sp.y, sp.bundle.n
     F = np.asarray(F, dtype=float)
     F2 = F * F

@@ -211,14 +211,13 @@ class ArrayJet:
     vector of jets is a vector of jets.  ``grad`` and ``hess`` need only
     broadcast to S: derivatives that do not vary along a leading axis may
     omit it.  A plain operand must be a scalar.  Division is by
-    ``reciprocal``.  ``hess`` is None only in an order-1 ``finsler.Spray``,
-    which holds such jets as containers and applies no operation to them.
+    ``reciprocal``.
     """
 
     __slots__ = ("val", "grad", "hess")
     __array_ufunc__ = None  # a numpy scalar operand defers to the reflected operator
 
-    def __init__(self, val, grad: np.ndarray, hess: np.ndarray | None):
+    def __init__(self, val, grad: np.ndarray, hess: np.ndarray):
         self.val = np.asarray(val, dtype=float)
         self.grad = grad
         self.hess = hess

@@ -18,9 +18,8 @@ S itself is computed two ways:
 
 * ``s_curvature_def(sp, form)``    -- straight from the definition
   S = dG^i/dy^i - y^i d(ln sigma_F)/dx^i with sigma_F = f(b(x)) sqrt(det a),
-  the spray divergence read off the ``finsler.Spray`` record ``sp`` (of
-  either order) and d(ln det a)/dx^i by Jacobi's formula from the exact
-  partials of a;
+  the spray divergence read off the ``finsler.Spray`` record ``sp`` and
+  d(ln det a)/dx^i by Jacobi's formula from the exact partials of a;
 * ``s_curvature_closed(bundle, y, form)`` -- the closed rational form in
   (s, b^2, r00, r0, s0) obtained by dividing the spray divergence through
   the volume term.
@@ -209,8 +208,8 @@ def s_curvature_def(sp: Spray, form: str = "bh") -> float:
     first by Jacobi's formula tr(a^-1 d_k a) (``bundle.dlndet``), the
     second from the bundle's exact derivative of b^2; Lambda absorbs
     f'/(f b) with its b -> 0 limit so beta = 0 costs nothing special.  The
-    divergence reads only the spray's gradient, so ``sp`` may be of order 1.
-    A spray of a stack of y raises ``ValueError``.
+    divergence reads only the spray's gradient.  A spray of a stack of y
+    raises ``ValueError``.
     """
     bundle, y, n = sp.bundle, sp.y, sp.bundle.n
     if y.shape != (n,):

@@ -154,7 +154,7 @@ def test_criterion_4_s_curvature_theorem(example_spec, homothetic_spec, rotation
         for x in pts:
             bu = build_bundle(spec, x)
             for _ in range(4):
-                worst_zero = max(worst_zero, abs(s_curvature_def(spray(bu, unit_y(bu, rng), 1), "bh")))
+                worst_zero = max(worst_zero, abs(s_curvature_def(spray(bu, unit_y(bu, rng)), "bh")))
 
     non_const = [homothetic_spec, rotational_spec, testmetrics.shipped_metric("euclidean_shear")]
     max_each = []
@@ -166,7 +166,7 @@ def test_criterion_4_s_curvature_theorem(example_spec, homothetic_spec, rotation
             bu = build_bundle(spec, x)
             for _ in range(4):
                 y = unit_y(bu, rng)
-                s_def = s_curvature_def(spray(bu, y, 1), "bh")
+                s_def = s_curvature_def(spray(bu, y), "bh")
                 s_cl = s_curvature_closed(bu, y, "bh")
                 worst_routes = max(worst_routes, abs(s_def - s_cl) / max(1.0, abs(s_def)))
                 biggest = max(biggest, abs(s_def))

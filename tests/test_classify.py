@@ -299,44 +299,44 @@ def test_check_verdicts_are_invariant_under_a_coordinate_permutation(source):
 
 @pytest.mark.parametrize(
     "groups, per_point",
-    # (order, shape of y) of each spray at a point of generic3d (n = 3) with 3 y per point;
+    # the shape of y of each spray at a point of generic3d (n = 3) with 3 y per point;
     # a run with no per-y reader makes no spray
     [
-        (("beta", "S"), [(1, (3,))] * 3),
-        (GROUPS, [(2, (3, 3))] + [(1, (3,))] * 3),
+        (("beta", "S"), [(3, 3)] + [(3,)] * 3),
+        (GROUPS, [(3, 3)] + [(3,)] * 3),
         (("beta",), []),
     ],
     ids=["scurv", "check", "beta"],
 )
 def test_check_spray_order_follows_its_readers(generic3d, monkeypatch, groups, per_point):
-    """The S group makes one order-1 spray per sample; the fits and curvature groups one order-2 spray of
-    all the point's samples, which then serves the S group's sprays."""
+    """Every view with a per-y group makes one spray of all the point's samples, first; the S group then
+    asks for one spray per sample, each a row of that stack."""
     sprays = []
     orig = finsler.spray
 
-    def wrapped(bundle, y, order=2):
-        sprays.append((order, np.shape(y)))
-        return orig(bundle, y, order)
+    def wrapped(bundle, y):
+        sprays.append(np.shape(y))
+        return orig(bundle, y)
 
     monkeypatch.setattr(finsler, "spray", wrapped)
     run_check(generic3d, small_config(), groups)
     assert sprays == per_point * 4
 
 
-@pytest.mark.parametrize("command, per_point", [("check", 1), ("scurv", 6)])
-def test_spray_inputs_evaluated_once_per_stack_or_sample(command, per_point, monkeypatch):
-    """``check`` evaluates the spray's inputs once per point, for its stack, and serves each S sample's spray
-    from that stack; ``scurv`` makes no stack, so it evaluates them once per sample (6 y per point)."""
+@pytest.mark.parametrize("command, samples", [("check", 12), ("scurv", 6)])
+def test_spray_inputs_evaluated_once_per_stack_or_sample(command, samples, monkeypatch):
+    """``check`` and ``scurv`` evaluate the spray's inputs once per point, for its stack of ``samples``
+    y-samples, and serve each S sample's spray from that stack."""
     calls = []
     orig = finsler._SprayInputs.at
 
-    def counted(self, y, order):
+    def counted(self, y):
         calls.append(np.shape(y))
-        return orig(self, y, order)
+        return orig(self, y)
 
     monkeypatch.setattr(finsler._SprayInputs, "at", counted)
     assert cli.main([command, _example_path(), "--points", "3"]) == cli.EXIT_OK
-    assert len(calls) == 3 * per_point
+    assert calls == [(samples, 5)] * 3
 
 
 def _check_json(path, form, out):
@@ -347,16 +347,23 @@ def _check_json(path, form, out):
 @pytest.mark.parametrize("form", ["bh", "ht"])
 @pytest.mark.parametrize("source", testmetrics.list_shipped() + [8])  # a shipped metric, or random_metric(8, 48)
 def test_check_output_same_without_the_spray_memo(source, form, tmp_path, monkeypatch):
-    """``check`` prints the same bytes when every S sample's spray is computed afresh instead of served
-    from the point's stack."""
+    """``check`` prints the same bytes, and the ``scurv`` view gives the same bits of every S, when every
+    S sample's spray is computed afresh instead of served from the point's stack."""
     if isinstance(source, int):
+        spec = testmetrics.random_metric(source, 40 + source)
         path = tmp_path / "dense.metric"
-        path.write_text(testmetrics.random_metric(source, 40 + source).to_text())
+        path.write_text(spec.to_text())
     else:
-        path = testmetrics.shipped_metric_path(source)
-    served = _check_json(path, form, tmp_path / "served.json")
-    monkeypatch.setattr(finsler._SprayInputs, "row", lambda self, y, order: None)
+        spec, path = testmetrics.shipped_metric(source), testmetrics.shipped_metric_path(source)
+    config = RunConfig(y_per_point=6, volume_form=form)
+
+    def s_bits():
+        return [row["S"].hex() for row in run_check(spec, config, ("beta", "S")).points]
+
+    served, served_s = _check_json(path, form, tmp_path / "served.json"), s_bits()
+    monkeypatch.setattr(finsler._SprayInputs, "row", lambda self, y: None)
     assert _check_json(path, form, tmp_path / "fresh.json") == served
+    assert s_bits() == served_s
 
 
 def test_check_reads_a_single_row_stack_and_no_fits_on_it(generic3d):
@@ -598,12 +605,15 @@ def test_cli_run_rejects_a_non_finite_geometry(command, tmp_path, capsys):
 
 
 def test_check_random_stream_is_pinned():
-    """The points and y-samples of one seeded run, bit for bit, for every view.
+    """The points and y-samples of one seeded run, bit for bit, for every view, and S at its pinned rows.
 
     ``check`` draws 2n unread normal vectors per point before the y-samples;
     the ``scurv`` and ``flag`` views do not, so their first y differs from
     ``check``'s.  Changing the draw order moves every row, which no
-    tolerance-based test would notice.
+    tolerance-based test would notice.  S is pinned in ``check`` and in the
+    ("beta", "S") view, on this metric, where it is 0, and on
+    ``euclidean_shear``, where it is not: a change in how the spray or the S
+    routes round moves these bits.
     """
     spec = testmetrics.shipped_metric("matsumoto_example")
     config = RunConfig(seed=3)
@@ -630,6 +640,20 @@ def test_check_random_stream_is_pinned():
     for groups in (("beta", "S"), ("flag",)):
         first = run_check(spec, config, groups).points[0]
         assert [v.hex() for v in first["x"]] == x0 and [v.hex() for v in first["y"]] == y0, groups
+
+    # S at the rows (0, 0), (1, 11) and (19, 11): of check, then of the ("beta", "S") view
+    want_s = {
+        "matsumoto_example": (["0x0.0p+0"] * 3, ["0x0.0p+0"] * 3),
+        "euclidean_shear": (
+            ["0x1.23bbdd37a38d0p-7", "0x1.a4cf20d3e60d4p-6", "-0x1.b40b9252a3232p-4"],
+            ["-0x1.3fa6f9b5b432ap-4", "0x1.59b4c2bb47807p-4", "0x1.212c84ddc3c76p-5"],
+        ),
+    }
+    for name, views in want_s.items():
+        spec = testmetrics.shipped_metric(name)
+        for groups, s_hex in zip((GROUPS, ("beta", "S")), views):
+            rows = {(r["point"], r["y_index"]): r for r in run_check(spec, config, groups).points}
+            assert [rows[key]["S"].hex() for key in ((0, 0), (1, 11), (19, 11))] == s_hex, (name, groups)
 
 
 @pytest.mark.parametrize("name", testmetrics.list_shipped())
@@ -659,6 +683,7 @@ def test_cli_check_rejects_invalid(tmp_path, capsys):
         ["check", "METRIC", "--seed", "-1"],
         ["check", "METRIC", "--tol", "-1"],
         ["check", "METRIC", "--tol", "inf"],
+        ["check", "METRIC", "--tol", "1e-16"],  # below cli.TOL_FLOOR: the routes agree only to rounding
         ["appendix", "METRIC", "--sigma", "abc"],
         ["appendix", "METRIC", "--sigma", "nan"],
         ["appendix", "--dim-sweep", "x"],

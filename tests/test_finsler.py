@@ -90,20 +90,19 @@ def test_spray_example_parallel(example_spec):
 
 
 def _oracle_deviation(bu, y):
-    """Worst deviation of ``spray(bu, y)`` at orders 1 and 2 from the general spray, one row of a stack at a time.
+    """Worst deviation of ``spray(bu, y)`` from the general spray, one row of a stack at a time.
 
     G is compared on every block the curvature reads -- value, d/dx, d/dy,
-    d2/dx dy and d2/dy dy; value and gradient at order 1 -- relative to
-    max(1, |G^i|).
+    d2/dx dy and d2/dy dy -- relative to max(1, |G^i|).
     """
     n = bu.n
-    one, two = spray(bu, y, order=1), spray(bu, y)
+    sp = spray(bu, y)
     worst = 0.0
     for k, yk in enumerate(np.reshape(y, (-1, n))):
         row = (lambda a: a) if y.ndim == 1 else (lambda a: a[k])
         want = general_spray(bu, yk)
-        G = ArrayJet(row(two.G.val), row(two.G.grad), row(two.G.hess))
-        pairs = list(zip(_blocks(G), want.blocks())) + [(row(one.G.val), want.G.val), (row(one.G.grad), want.G.grad)]
+        G = ArrayJet(row(sp.G.val), row(sp.G.grad), row(sp.G.hess))
+        pairs = list(zip(_blocks(G), want.blocks()))
         scale = np.maximum(1.0, np.abs(want.G.val))[:, None]
         for a, b in pairs:
             assert a.shape == b.shape
@@ -113,7 +112,7 @@ def _oracle_deviation(bu, y):
 
 def test_spray_dual_formula_agreement(generic3d):
     # the spray (matsumoto closed form, preaccumulated coefficients) against
-    # the general spray (scalar jets), at orders 2 and 1 (_oracle_deviation)
+    # the general spray (scalar jets), on every block the curvature reads (_oracle_deviation)
     rng = np.random.default_rng(4)
     worst = 0.0
     for n in (2, 3, 5, 8):
@@ -146,39 +145,39 @@ def _degenerate_bundle():
 
 
 @pytest.mark.parametrize(
-    "bundle, y, orders, message",
+    "bundle, y, message",
     [
         # 2s - 1 = 0: s = 0.5, b^2 = 0.5
-        (_constant_bundle(0.5, 0.5), [1.0, 0.0], (1, 2), "division by zero"),
+        (_constant_bundle(0.5, 0.5), [1.0, 0.0], "division by zero"),
         # 3s - 2b^2 - 1 = 0: s = 0.75, b^2 = 0.625
-        (_constant_bundle(0.75, 0.25), [1.0, 0.0], (1, 2), "division by zero"),
+        (_constant_bundle(0.75, 0.25), [1.0, 0.0], "division by zero"),
         # 1 - s = 0: s = 1, b^2 = 1.25; F divides by it, but no spray coefficient does
-        (_constant_bundle(1.0, 0.5), [1.0, 0.0], (), "division by zero"),
+        (_constant_bundle(1.0, 0.5), [1.0, 0.0], None),
         # alpha^2 = 0, on a hand-made degenerate a
-        (_degenerate_bundle(), [0.0, 1.0], (1, 2), "sqrt of non-positive"),
+        (_degenerate_bundle(), [0.0, 1.0], "sqrt of non-positive"),
         # alpha^2 = 1e-208 > _TINY, but alpha^3 underflows, so sqrt's second derivative overflows
-        (_constant_bundle(0.1, 0.0), [1e-104, 0.0], (1, 2), "overflow in sqrt"),
+        (_constant_bundle(0.1, 0.0), [1e-104, 0.0], "overflow in sqrt"),
     ],
 )
-def test_spray_guards_vanishing_denominators(bundle, y, orders, message):
+def test_spray_guards_vanishing_denominators(bundle, y, message):
     """A vanishing denominator raises JetError, at one y and in a stack, with no warning on the way.
 
-    The orders that do not divide by it give finite jets.  The spray checks
-    what the jet operations check: the domain of the sqrt of alpha^2 and
-    denominators of magnitude below ``_TINY``.
+    A denominator the spray does not divide by (``message`` None) gives
+    finite jets.  The spray checks what the jet operations check: the
+    domain of the sqrt of alpha^2 and denominators of magnitude below
+    ``_TINY``.
     """
     y = np.array(y)
     stack = np.array([[0.6, -0.8], y])  # the other row is regular in every case
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for ys in (y, stack):
-            for order in (1, 2):
-                if order in orders:
-                    with pytest.raises(JetError, match=message):
-                        spray(bundle, ys, order)
-                else:
-                    sp = spray(bundle, ys, order)
-                    assert np.all(np.isfinite(sp.G.val)) and np.all(np.isfinite(sp.G.grad))
+            if message is not None:
+                with pytest.raises(JetError, match=message):
+                    spray(bundle, ys)
+            else:
+                sp = spray(bundle, ys)
+                assert np.all(np.isfinite(sp.G.val)) and np.all(np.isfinite(sp.G.grad))
 
 
 def test_curvature_trivial_and_homogeneity(generic3d):
@@ -485,11 +484,9 @@ def _memo_case(source, m=6):
 
 
 def _same_spray(got, want):
-    """Whether two sprays hold the same bits in every array of G and Gbar, and the same order."""
+    """Whether two sprays hold the same bits in every array of G and Gbar."""
     for a, b in ((got.G, want.G), (got.Gbar, want.Gbar)):
-        if (a.hess is None) != (b.hess is None) or not all(
-            np.array_equal(u, v) for u, v in ((a.val, b.val), (a.grad, b.grad), (a.hess, b.hess)) if u is not None
-        ):
+        if not all(np.array_equal(u, v) for u, v in ((a.val, b.val), (a.grad, b.grad), (a.hess, b.hess))):
             return False
     return np.array_equal(got.y, want.y)
 
@@ -500,22 +497,20 @@ def _served(one, stack):
 
 
 @pytest.mark.parametrize("source", ["matsumoto_example", "euclidean_shear", 3, 8])
-@pytest.mark.parametrize("order", [1, 2])
-def test_spray_serves_a_row_of_the_last_stack(source, order):
+def test_spray_serves_a_row_of_the_last_stack(source):
     """A one-y spray at the bytes of a row of the bundle's last stack is that row: the bits of a fresh bundle's spray."""
     spec, x, ys = _memo_case(source)
     bu = build_bundle(spec, x)
     stack = spray(bu, ys)
     for y in ys:
-        one = spray(bu, y, order)
+        one = spray(bu, y)
         assert _served(one, stack)
-        assert (one.G.hess is None) == (order == 1)
-        assert _same_spray(one, spray(build_bundle(spec, x), y, order))
+        assert _same_spray(one, spray(build_bundle(spec, x), y))
 
 
 @pytest.mark.parametrize("source", ["matsumoto_example", 5])
-def test_spray_memo_misses_other_bytes_and_a_higher_order(source):
-    """A y one ulp away or with the other sign of a zero is not a row; an order-1 stack does not serve order 2."""
+def test_spray_memo_misses_other_bytes(source):
+    """A y one ulp away or with the other sign of a zero is not a row of the last stack; an earlier stack serves none."""
     spec, x, ys = _memo_case(source)
     ys[0, 1] = 0.0
     bu = build_bundle(spec, x)
@@ -525,17 +520,14 @@ def test_spray_memo_misses_other_bytes_and_a_higher_order(source):
     signed = ys[0].copy()
     signed[1] = -0.0
     for y in (near, signed):
-        for order in (1, 2):
-            one = spray(bu, y, order)
-            assert not _served(one, stack)
-            assert _same_spray(one, spray(build_bundle(spec, x), y, order))
-    assert _served(spray(bu, ys[0], 1), stack)  # the +0.0 row itself is served
+        one = spray(bu, y)
+        assert not _served(one, stack)
+        assert _same_spray(one, spray(build_bundle(spec, x), y))
+    assert _served(spray(bu, ys[0]), stack)  # the +0.0 row itself is served
 
-    first = spray(bu, ys, order=1)
-    two = spray(bu, ys[2])
-    assert not _served(two, first) and two.G.hess is not None
-    assert _same_spray(two, spray(build_bundle(spec, x), ys[2]))
-    assert _served(spray(bu, ys[2], 1), first)
+    later = spray(bu, ys[::-1].copy())
+    one = spray(bu, ys[2])
+    assert _served(one, later) and not _served(one, stack)
 
 
 def test_spray_memo_keeps_no_bundle_alive(example_spec):
@@ -545,7 +537,7 @@ def test_spray_memo_keeps_no_bundle_alive(example_spec):
     try:
         bu = build_bundle(example_spec, x)
         ref = weakref.ref(bu)
-        stack, one = spray(bu, ys), spray(bu, ys[0], 1)
+        stack, one = spray(bu, ys), spray(bu, ys[0])
         assert _served(one, stack)
         del bu, stack, one
         assert ref() is None
@@ -575,33 +567,6 @@ def test_spray_memo_cannot_be_written_through(example_spec):
 def test_spray_rejects_a_zero_or_empty_y(generic_bundle, y):
     with pytest.raises(ValueError, match="y must be a nonzero vector or a nonempty stack"):
         spray(generic_bundle, y)
-
-
-@pytest.mark.parametrize("reader", ["riemann_curvature", "ricci_via_T", "flag_curvature_fit"])
-def test_second_order_readers_reject_an_order_1_spray(generic_bundle, reader):
-    """A reader of second derivatives raises a named ValueError on an order-1 spray, not a failure inside numpy."""
-    sp = spray(generic_bundle, np.array([0.3, -0.5, 0.8]), order=1)
-    args = (np.zeros((3, 3)), 1.0) if reader == "flag_curvature_fit" else ()
-    with pytest.raises(ValueError, match=f"{reader} needs an order-2 spray"):
-        getattr(finsler, reader)(sp, *args)
-
-
-@pytest.mark.parametrize("source", testmetrics.list_shipped() + [2, 3, 5, 8])  # a shipped metric, or random_metric(n)
-def test_first_order_spray_matches_second_order(source):
-    """The order-1 spray's G and Gbar are the order-2 spray's values and gradients, bit for bit."""
-    if isinstance(source, int):
-        spec = testmetrics.random_metric(source, 60 + source)
-    else:
-        spec = testmetrics.shipped_metric(source)
-    rng = np.random.default_rng(17)
-    for x in sample_domain(spec, 2, rng, shrink=0.05):
-        bu = build_bundle(spec, x)
-        ys = np.array([unit_y(bu, rng) for _ in range(3)])
-        for y in (ys[0], ys):
-            one, two = spray(bu, y, order=1), spray(bu, y)
-            for jet1, jet2 in ((one.G, two.G), (one.Gbar, two.Gbar)):
-                assert jet1.hess is None and jet2.hess is not None
-                assert np.array_equal(jet1.val, jet2.val) and np.array_equal(jet1.grad, jet2.grad)
 
 
 @pytest.mark.parametrize("source", testmetrics.list_shipped() + [2, 3, 5, 8, 12])  # a shipped metric, or random_metric(n)
@@ -701,30 +666,25 @@ def test_spray_input_rows_match_single_forms(source):
             jets = [tuple(map(lead, jet)) for jet in quadratic] + constant[:1]
             jets += [(lead(v), lead(g), h) for v, g, h in linear] + constant[1:]  # h does not depend on y
             assert len(jets) == len(kinds) == 4 * n + 5
-            for order in (1, 2):
-                val, grad, hess = inputs.at(y, order)
-                assert val.shape == y.shape[:-1] + (4 * n + 5,) and grad.shape == val.shape + (2 * n,)
-                assert (hess is None) == (order == 1)
-                for k, (kind, jet) in enumerate(zip(kinds, jets)):
-                    v, g = jet[:2]
-                    if kind == "constant":
-                        assert _equal(val[..., k], v) and _equal(grad[..., k, :], g), (k, order)
-                        continue
-                    assert _same_bits(val[..., k], v), (k, order)
-                    assert _close(grad[..., k, :], g), (k, order)
-                    if kind == "linear":
-                        assert _equal(grad[..., k, n:], g[..., n:]), (k, order)
-                    if order == 1:
-                        continue
-                    h = jet[2]
-                    if kind == "quadratic":
-                        assert _close(hess[..., k, :n, :], h[..., :n, :]) and _equal(hess[..., k, n:, :], h[..., n:, :]), (k, order)
-                    elif k < n + 5:  # beta and s0
-                        assert _equal(hess[..., k, :, :], h), (k, order)
-                    else:  # -s^i_0, whose Hessian does not depend on y
-                        assert _equal(inputs.si0_xy[k - n - 5], h[..., :n, :]) and not h[..., n:, :].any(), (k, order)
-                if order == 2:
-                    assert not hess[..., n + 2, :, :].any()  # b^2's, truncated
+            val, grad, hess = inputs.at(y)
+            assert val.shape == y.shape[:-1] + (4 * n + 5,) and grad.shape == val.shape + (2 * n,)
+            for k, (kind, jet) in enumerate(zip(kinds, jets)):
+                v, g = jet[:2]
+                if kind == "constant":
+                    assert _equal(val[..., k], v) and _equal(grad[..., k, :], g), k
+                    continue
+                assert _same_bits(val[..., k], v), k
+                assert _close(grad[..., k, :], g), k
+                if kind == "linear":
+                    assert _equal(grad[..., k, n:], g[..., n:]), k
+                h = jet[2]
+                if kind == "quadratic":
+                    assert _close(hess[..., k, :n, :], h[..., :n, :]) and _equal(hess[..., k, n:, :], h[..., n:, :]), k
+                elif k < n + 5:  # beta and s0
+                    assert _equal(hess[..., k, :, :], h), k
+                else:  # -s^i_0, whose Hessian does not depend on y
+                    assert _equal(inputs.si0_xy[k - n - 5], h[..., :n, :]) and not h[..., n:, :].any(), k
+            assert not hess[..., n + 2, :, :].any()  # b^2's, truncated
 
 
 def _flag_fit(bu, y):

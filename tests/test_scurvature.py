@@ -178,7 +178,7 @@ def test_s_routes_reject_a_stack_of_y(name, route, m):
     ys = np.array([unit_y(bu, rng) for _ in range(bu.n if m == "n" else m)])
     with pytest.raises(ValueError, match=rf"{route} takes one y of shape \({bu.n},\)"):
         if route == "s_curvature_def":
-            s_curvature_def(finsler.spray(bu, ys, 1))
+            s_curvature_def(finsler.spray(bu, ys))
         else:
             s_curvature_closed(bu, ys)
 
@@ -192,7 +192,7 @@ def test_dual_route_agreement(generic3d):
             y = unit_y(bu, rng)
             for form in ("bh", "ht"):
                 a = s_curvature_closed(bu, y, form)
-                b = s_curvature_def(finsler.spray(bu, y, 1), form)
+                b = s_curvature_def(finsler.spray(bu, y), form)
                 worst = max(worst, abs(a - b) / max(1.0, abs(a)))
     assert worst <= 1e-7
 
@@ -211,7 +211,7 @@ def test_example_vanishing_s(example_spec):
         bu = build_bundle(example_spec, example_point(rng))
         y = unit_y(bu, rng)
         assert abs(s_curvature_closed(bu, y, "bh")) <= 1e-10
-        assert abs(s_curvature_def(finsler.spray(bu, y, 1), "bh")) <= 1e-9
+        assert abs(s_curvature_def(finsler.spray(bu, y), "bh")) <= 1e-9
 
 
 def test_constant_killing_forms_have_zero_s():
@@ -221,7 +221,7 @@ def test_constant_killing_forms_have_zero_s():
     rng = np.random.default_rng(3)
     y = unit_y(bu, rng)
     assert s_curvature_closed(bu, y, "bh") == 0.0
-    assert abs(s_curvature_def(finsler.spray(bu, y, 1), "bh")) <= 1e-12
+    assert abs(s_curvature_def(finsler.spray(bu, y), "bh")) <= 1e-12
     c = run_check(spec, RunConfig(points=4, y_per_point=1, seed=3), ("beta",)).conditions
     assert c["beta_constant_killing"].verdict and c["beta_killing"].residual <= 1e-15
 
@@ -229,7 +229,7 @@ def test_constant_killing_forms_have_zero_s():
 def test_conformal_beta_nonzero_s(homothetic_spec):
     bu = build_bundle(homothetic_spec, np.array([0.4, -0.2, 0.6]))
     rng = np.random.default_rng(4)
-    vals = [abs(s_curvature_def(finsler.spray(bu, unit_y(bu, rng), 1), "bh")) for _ in range(6)]
+    vals = [abs(s_curvature_def(finsler.spray(bu, unit_y(bu, rng)), "bh")) for _ in range(6)]
     assert max(vals) > 1e-3
 
 
@@ -242,7 +242,7 @@ def test_killing_with_varying_norm_nonzero_s(rotational_spec):
     assert c["beta_constant_killing"].residual > 0.01
     bu = build_bundle(rotational_spec, np.array([0.5, 0.3]))
     rng = np.random.default_rng(5)
-    vals = [abs(s_curvature_def(finsler.spray(bu, unit_y(bu, rng), 1), "bh")) for _ in range(6)]
+    vals = [abs(s_curvature_def(finsler.spray(bu, unit_y(bu, rng)), "bh")) for _ in range(6)]
     assert max(vals) > 1e-3
 
 
@@ -256,10 +256,10 @@ def test_s_curvature_def_reuses_spray_and_log_det(generic3d):
     rng = np.random.default_rng(21)
     for _ in range(3):
         y = unit_y(bu, rng)
-        two, one = finsler.spray(bu, y), finsler.spray(bu, y, 1)
+        first, again = finsler.spray(bu, y), finsler.spray(bu, y)
         for form in ("bh", "ht"):
-            # the divergence reads only the gradient, so either order gives the same float
-            assert s_curvature_def(two, form) == s_curvature_def(one, form)
+            # a second spray at the same y, and the log-det kept on the bundle, give the same float
+            assert s_curvature_def(first, form) == s_curvature_def(again, form)
     # Jacobi's formula against the jet determinant of the scalar-jet oracle
     detJ = det_jet(metric_jets(generic3d, bu.x, 3)[0])
     want = detJ.grad / detJ.val
