@@ -8,7 +8,7 @@ downstream (sprays, Ricci, S-curvature) reads from it.
 
 import numpy as np
 
-from finslerab import bianchi_check, build_bundle, parse_metric, validate_spec
+from finslerab import build_bundle, parse_metric, validate_spec
 
 TEXT = """
 dim = 2
@@ -29,22 +29,3 @@ y = np.array([0.3, 0.7])
 print("\nRicci curvature of alpha along y:", bu.ricbar(y))
 print("alpha^2 along y                  :", bu.alpha2(y))
 print("ratio (sectional curvature)      :", bu.ricbar(y) / bu.alpha2(y))
-
-# A curved metric with a generic 1-form: the Ricci-type identity
-# b_j|k|l - b_j|l|k = b^s Rbar_jskl holds for ANY smooth data, so its residual
-# certifies the entire derivative pipeline.
-generic = parse_metric(
-    """
-dim = 3
-a 1 1 = 1 + 0.1*x1^2
-a 2 2 = 1 + 0.08*sin(x1)
-a 3 3 = 1 + 0.06*x3^2
-a 1 2 = 0.04*x1*x3
-b 1 = 0.1*x2
-b 2 = 0.08*x3^2
-b 3 = 0.07
-""",
-    "generic",
-)
-bg = build_bundle(generic, np.array([0.3, -0.2, 0.4]))
-print("\ncommutation-identity residual on a generic metric:", bianchi_check(bg))

@@ -6,9 +6,9 @@ pointwise verification of the cleared Einstein-condition polynomial identity,
 for analytic metrics defined in a small text format.
 """
 
-from .jets import Jet, JetError, fd_oracle, seed
+from .jets import JetError
 from .dsl import MetricFileError, MetricSpec, parse_metric, validate_spec
-from .riemann import AlphaBetaBundle, GeometryError, bianchi_check, build_bundle
+from .riemann import AlphaBetaBundle, GeometryError, build_bundle
 from .finsler import extract_scalars, flag_curvature_fit, ricci_via_T, riemann_curvature, spray
 from .scurvature import VolumeFactor, s_curvature_closed, s_curvature_def, volume_factor
 from .identity import appendix_terms, contraction_set, verify_identity
@@ -17,10 +17,7 @@ from .testmetrics import list_shipped, random_metric, shipped_metric, shipped_me
 __version__ = "0.1.0"
 
 __all__ = [
-    "Jet",
     "JetError",
-    "seed",
-    "fd_oracle",
     "MetricSpec",
     "MetricFileError",
     "parse_metric",
@@ -28,7 +25,6 @@ __all__ = [
     "AlphaBetaBundle",
     "GeometryError",
     "build_bundle",
-    "bianchi_check",
     "spray",
     "riemann_curvature",
     "ricci_via_T",

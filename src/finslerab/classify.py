@@ -16,7 +16,7 @@ chunk of points, a chunk being as many points as fit a fixed float budget,
 and builds each point's bundle, and all that follows, point by point.  A
 point where b^2 >= 1/4, outside the domain of F, stops the run with a
 ``GeometryError``: its own sample points are checked, not only those of
-``validate_spec``.
+``validate_spec``.  So does a point with a non-finite number to report.
 
 Verdicts use the threshold  residual <= tol * max(1, scale)  where scale is
 the magnitude of the quantity's own constituent terms at the point, so a
@@ -44,7 +44,7 @@ import numpy as np
 from . import finsler, identity, scurvature, testmetrics
 from .dsl import MetricSpec, sample_domain
 from .jets import ArrayJet, JetError
-from .riemann import GeometryError, build_bundle
+from .riemann import GeometryError, _finite, build_bundle
 
 __all__ = [
     "RunConfig", "ClassReport", "GROUPS", "run_check", "run_appendix", "run_dim_sweep",
@@ -193,6 +193,7 @@ def run_check(spec: MetricSpec, config: RunConfig, groups=GROUPS) -> ClassReport
         if flag:
             K, fres = (v.tolist() for v in finsler.flag_curvature_fit(sp, R, F))
 
+        s_point = []
         for y_idx, y in enumerate(ys):
             where = f"point {p_idx}, y {y_idx}"
             row = {"point": p_idx, "y_index": y_idx, "x": bu.x.tolist(), "y": y.tolist()}
@@ -206,11 +207,15 @@ def run_check(spec: MetricSpec, config: RunConfig, groups=GROUPS) -> ClassReport
                 cross("S-curvature", s_def, scurvature.s_curvature_closed(bu, y, config.volume_form), where)
                 peak("S", abs(s_def))
                 row["S"] = s_def
+                s_point.append(s_def)
             if flag:
                 flag_K.append(K[y_idx])
                 peak("flag_residual", fres[y_idx] / max(1.0, F2[y_idx]))
                 row.update(K_fit=K[y_idx], flag_residual=fres[y_idx])
             point_rows.append(row)
+        # every number this point adds to the report: a group that did not run holds False
+        _finite("result", bu.x, dict(worst, fit=fits and fit_list[-1], Ric=ricci and ric, F2=ricci and F2, S=s_point,
+                                     K_fit=flag and K, flag_residual=flag and fres))
 
     if fits:
         lam = float(np.mean([f.lam for f in fit_list]))

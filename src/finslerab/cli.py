@@ -17,6 +17,7 @@ statuses; every number and verdict comes from ``classify``.  ``check``,
 y per point and the default tolerance, and exit 3 on any violation.
 ``check`` takes ``--y-per-point`` >= 2, as one y fits F's Einstein sigma exactly,
 and ``--tol`` >= ``TOL_FLOOR`` (1e-14), as the dual routes agree only to rounding.
+A run of more than ``MAX_SAMPLES`` samples (points x y per point) is refused.
 ``validate`` runs the validity check that the others run before sampling,
 with the same ``--seed``.  A run also rejects its own sample points where
 b^2 >= 1/4 (exit 2), which validate's 200 points may miss.
@@ -76,8 +77,16 @@ def _write_out(text: str, out: str | None):
         raise SystemExit(EXIT_INVALID_METRIC)
 
 
+def _bounded(points: int, y_per_point: int):
+    """Refuse a run of more than ``MAX_SAMPLES`` samples: exit 2."""
+    if points * y_per_point > MAX_SAMPLES:
+        print(f"error: {points} points x {y_per_point} y per point exceeds {MAX_SAMPLES} samples", file=sys.stderr)
+        raise SystemExit(EXIT_INVALID_METRIC)
+
+
 def cmd_check(args) -> int:
     """check, scurv and flag: the condition groups and the view come from the subcommand."""
+    _bounded(args.points, args.y_per_point)
     spec = _validated(args.metric, args.seed)
     config = RunConfig(
         points=args.points,
@@ -92,6 +101,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_appendix(args) -> int:
+    _bounded(args.points, 1)
     config = RunConfig(points=args.points, seed=args.seed, sigma_policy=args.sigma)
     if args.dim_sweep:
         rep = classify.run_dim_sweep(args.dim_sweep, config)
@@ -136,6 +146,10 @@ _SEED = _arg(int, lambda v: v >= 0, "an integer >= 0")
 # fails on a constant-Killing metric.  A tolerance below this floor tests
 # rounding, not the geometry, so it is refused.
 TOL_FLOOR = 1e-14
+# A report keeps one row per sample (point x y-sample): about 1 KB held and
+# 3.9 KB at peak each on a 5-dimensional metric with --format json.  A run
+# of more samples than this, about 0.4 GB, is refused before it allocates.
+MAX_SAMPLES = 10**5
 _TOL = _arg(float, lambda v: math.isfinite(v) and v >= TOL_FLOOR, f"a finite number >= {TOL_FLOOR:g}")
 # kept as text: the report echoes the policy as given
 _SIGMA = _arg(str, lambda v: v == "random" or math.isfinite(float(v)), "a finite number or 'random'")

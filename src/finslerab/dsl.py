@@ -66,8 +66,6 @@ __all__ = [
     "MetricSpec",
     "ValidationReport",
     "parse_metric",
-    "parse_expression",
-    "eval_component",
     "expr_to_text",
     "validate_spec",
 ]
@@ -124,21 +122,6 @@ class Fun(NamedTuple):
     child: object
 
 
-def eval_component(expr, env: list[ArrayJet]) -> ArrayJet:
-    """Evaluate an expression over ``env``, one ArrayJet per coordinate.
-
-    The walk runs with numpy's overflow, invalid and divide-by-zero flags
-    raised as errors, so a non-finite value anywhere in it is a ``JetError``
-    instead of a warning and a NaN.  A constant subtree is evaluated as a
-    number and lifted to a jet only where a jet operation needs one.
-    """
-    try:
-        with np.errstate(**_RAISE):
-            return _lift(_walk(expr, env), env)
-    except FloatingPointError as exc:
-        raise JetError(str(exc)) from None
-
-
 def _lift(v, env) -> ArrayJet:
     """A number as a constant jet in the directions of ``env``; a jet as it is."""
     if isinstance(v, ArrayJet):
@@ -174,11 +157,11 @@ def _walk(expr, env):
 def _stack(exprs, env) -> ArrayJet:
     """The expressions over ``env`` as one ArrayJet, stacked on a last leading axis.
 
-    Each entry is what ``eval_component`` gives, bit for bit, and the entries
-    are walked in order under one set of error flags, so the first failing
-    entry raises its ``JetError``.  A constant entry (the implicit zeros
-    included) is only its value: its derivatives stay the zeros the stack
-    starts from.
+    The entries are walked in order with numpy's overflow, invalid and
+    divide-by-zero flags raised, so the first entry with a non-finite value
+    raises a ``JetError``, not a warning and a NaN.  A constant subtree is a
+    number, lifted to a jet only where a jet operation needs one; a constant
+    entry (the implicit zeros included) keeps the stack's zero derivatives.
     """
     shape, d, m = env[0].val.shape, env[0].grad.shape[-1], len(exprs)
     out = ArrayJet(np.zeros(shape + (m,)), np.zeros(shape + (m, d)), np.zeros(shape + (m, d, d)))
@@ -423,13 +406,6 @@ def _height(expr) -> int:
         elif isinstance(node, Pow):
             stack.append((node.base, level + 1))
     return height
-
-
-def parse_expression(text: str, dim: int, line_no: int = 1):
-    p = _Parser(_tokenize(text, line_no), line_no, dim)
-    node = p.expression()
-    p.take("end")
-    return node
 
 
 # -- metric spec --------------------------------------------------------------

@@ -1,28 +1,20 @@
 """Truncated Taylor (jet) arithmetic of total order 2.
 
-A Jet carries the value of a quantity together with its exact first and
-second partial derivatives with respect to a fixed set of ``d`` seed
-directions.  Arithmetic on jets propagates those derivatives through the
-chain/product rule with no truncation error at order <= 2, which is what
-every curvature formula downstream consumes.
+An ``ArrayJet`` is an array of order-2 jets over ``d`` shared seed
+directions: values with their exact first partials and full Hessians,
+propagated by the chain and product rules through numpy broadcasting, with
+no truncation error at order <= 2 (Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., 2008).  It is the only representation production
+code evaluates: metric expressions (``dsl``) run on it, and the spray
+returns array jets whose Hessians hold only their y columns
+(``finsler.Spray``).  Its elementary functions raise ``JetError`` on domain
+violations and on overflow.
 
-The Hessian is stored as the packed upper triangle (row-major, i <= j),
-so symmetry is structural rather than asserted.
-
-Jets are immutable values and every operation is pure, so evaluation can be
-fanned out across workers with no coordination.
-
-``ArrayJet`` is the vector-mode counterpart: a whole array of order-2 jets
-over the same directions, with the full Hessian, propagated by numpy
-broadcasting (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008).
-It is the only representation production code evaluates: metric
-expressions (``dsl``) run on it, and the spray returns its results as array
-jets whose Hessians hold only their y columns (``finsler.Spray``).  Its
-elementary functions raise ``JetError`` on the same domain and overflow
-cases as the scalar ones.  The scalar ``Jet`` stays as the independent oracle that
-``ArrayJet`` is tested against, and for demo 01; both take the values of
-exp, log, sin, cos and pow from numpy, so they differ only in how they
-propagate derivatives.
+The scalar ``Jet`` is read by no run.  The test suite's scalar oracles
+build on its rules, which share nothing with ``ArrayJet``'s, and it stays
+here only because the benchmark's tracer binds ``finslerab.jets.Jet`` by
+name.  Both types take the values of exp, log, sin, cos and pow from numpy,
+so they differ only in how they propagate derivatives.
 """
 
 from __future__ import annotations
@@ -31,19 +23,7 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "Jet",
-    "ArrayJet",
-    "JetError",
-    "seed",
-    "elem",
-    "fd_oracle",
-    "jsqrt",
-    "jsin",
-    "jcos",
-    "jexp",
-    "jlog",
-]
+__all__ = ["ArrayJet", "JetError"]
 
 # Denominators smaller than this are treated as singular instead of being
 # allowed to overflow into inf/NaN silently.
@@ -339,96 +319,11 @@ def _first(v: np.ndarray, mask: np.ndarray) -> float:
     return float(v[mask][0])
 
 
-# -- elementary functions ---------------------------------------------------
-#
-# Values come from numpy, as in ArrayJet: numpy's exp, log and pow can differ
-# from the math module's in the last bit, and the oracle comparison should
-# see the derivative rules, not two libraries' rounding.
+# Jet.__pow__ takes its values from numpy, as ArrayJet does: numpy's pow can
+# differ from the math module's in the last bit, and the oracle comparison
+# should see the derivative rules, not two libraries' rounding.
 
 
 def _numpy(fn, *args) -> float:
     with np.errstate(all="ignore"):
         return float(fn(*args))
-
-
-def jsqrt(a: Jet) -> Jet:
-    if a.val <= _TINY:
-        raise JetError(f"sqrt of non-positive value {a.val}")
-    r = math.sqrt(a.val)
-    try:
-        c2 = -0.25 / (r * a.val)
-    except ZeroDivisionError:  # a.val^1.5 underflows below about 1e-206
-        raise JetError(f"overflow in the second derivative of sqrt({a.val})") from None
-    return a._chain(r, 0.5 / r, c2)
-
-
-def jexp(a: Jet) -> Jet:
-    e = _numpy(np.exp, a.val)
-    if not math.isfinite(e):
-        raise JetError(f"overflow in exp({a.val})")
-    return a._chain(e, e, e)
-
-
-def jlog(a: Jet) -> Jet:
-    if a.val <= _TINY:
-        raise JetError(f"log of non-positive value {a.val}")
-    inv = 1.0 / a.val
-    return a._chain(_numpy(np.log, a.val), inv, -inv * inv)
-
-
-def jsin(a: Jet) -> Jet:
-    s, c = _numpy(np.sin, a.val), _numpy(np.cos, a.val)
-    return a._chain(s, c, -s)
-
-
-def jcos(a: Jet) -> Jet:
-    s, c = _numpy(np.sin, a.val), _numpy(np.cos, a.val)
-    return a._chain(c, -s, -c)
-
-
-_ELEM = {"sqrt": jsqrt, "sin": jsin, "cos": jcos, "exp": jexp, "log": jlog}
-
-
-def seed(values, active) -> list[Jet]:
-    """Seed a tuple of input values as jets.
-
-    ``values[i]`` becomes the i-th coordinate; it carries a unit gradient in
-    direction i when ``i in active`` and is a constant jet otherwise.
-    """
-    active = list(active)
-    if len(set(active)) != len(active):
-        raise JetError("duplicate direction index in seed")
-    d = len(values)
-    if d < 1:
-        raise JetError("need at least one direction")
-    out = []
-    for i, v in enumerate(values):
-        if i in active:
-            out.append(Jet.variable(v, i, d))
-        else:
-            out.append(Jet.constant(v, d))
-    return out
-
-
-def elem(a: Jet, name: str) -> Jet:
-    """Named elementary function, one of sqrt/sin/cos/exp/log, of a finite value."""
-    try:
-        fn = _ELEM[name]
-    except KeyError:
-        raise JetError(f"unknown function {name!r}") from None
-    if not math.isfinite(a.val):
-        raise JetError(f"{name} of non-finite value {a.val}")
-    return fn(a)
-
-
-def fd_oracle(f, x, i: int, h: float = 1e-5) -> float:
-    """Central-difference first derivative of a plain scalar field.
-
-    Independent of the jet machinery on purpose: every jet gradient in the
-    test suite is checked against this.
-    """
-    xp = np.array(x, dtype=float)
-    xm = xp.copy()
-    xp[i] += h
-    xm[i] -= h
-    return (f(xp) - f(xm)) / (2.0 * h)

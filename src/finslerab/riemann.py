@@ -9,7 +9,7 @@ bundle holds, as plain ndarrays,
 * ``dgamma[i, j, k, l]`` = d Gamma^i_jk / dx^l,
 * ``riem4[i, j, k, l]`` = R^i_jkl = d_k Gamma^i_jl - d_l Gamma^i_jk
   + Gamma^i_km Gamma^m_jl - Gamma^i_lm Gamma^m_jk,
-* ``Db[i, j]`` = b_i|j,  ``D2b[i, j, k]`` = b_i|j|k,
+* ``Db[i, j]`` = b_i|j,
 * the symmetric/antisymmetric split r/s of Db and all its b- and
   index-raised contractions,
 * the exact first x-derivatives of the fields the spray is built from
@@ -18,11 +18,11 @@ bundle holds, as plain ndarrays,
 * ``dlndet[k]`` = d(ln det a)/dx^k, by Jacobi's formula tr(a^-1 d_k a).
 
 ``build_bundle`` forms only what the spray, the S-curvature routes and the
-beta conditions read.  The curvature of alpha (``riem4``, ``rbar4``,
-``ricci_tensor``) and the second covariant calculus of b (``D2b``, ``Dr``,
-``Ds``, ``Drvec``, ``Dsvec``, with ``r_up``, ``supvec`` and ``r_scalar``)
-are formed on first use and then kept, by the same expressions; the
-fits, the Ricci routes and the appendix read them.
+beta conditions read.  The curvature of alpha (``riem4``, ``ricci_tensor``)
+and the second covariant calculus of b (``Dr``, ``Ds``, ``Drvec``,
+``Dsvec``, with ``r_up``, ``supvec`` and ``r_scalar``) are formed on first
+use and then kept, by the same expressions; the fits, the Ricci routes and
+the appendix read them.
 
 Every input of the spray is a constant, linear or quadratic function of y
 with these x-dependent coefficients, so the spray layer differentiates it
@@ -31,7 +31,6 @@ in closed form from the arrays alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -44,7 +43,6 @@ __all__ = [
     "GeometryError",
     "AlphaBetaBundle",
     "build_bundle",
-    "bianchi_check",
 ]
 
 
@@ -58,9 +56,9 @@ class AlphaBetaBundle:
 
     The fields are what ``build_bundle`` forms at every point: what the
     spray, the S-curvature routes and the beta conditions read.  The
-    curvature of alpha (``riem4``, ``rbar4``, ``ricci_tensor``) and the
-    second covariant calculus of beta (``D2b``, ``Dr``, ``Ds``, ``Drvec``,
-    ``Dsvec``, ``r_up``, ``supvec``, ``r_scalar``) are cached properties,
+    curvature of alpha (``riem4``, ``ricci_tensor``) and the second
+    covariant calculus of beta (``Dr``, ``Ds``, ``Drvec``, ``Dsvec``,
+    ``r_up``, ``supvec``, ``r_scalar``) are cached properties,
     formed from the fields on first use, so a run that reads none of them,
     such as the ``scurv`` view, forms none.
     """
@@ -112,23 +110,8 @@ class AlphaBetaBundle:
         )
 
     @cached_property
-    def rbar4(self) -> np.ndarray:
-        """rbar4[j,s,k,l] = a_sd R^d_jkl (index-lowered)."""
-        return np.einsum("sd,djkl->jskl", self.a, self.riem4)
-
-    @cached_property
     def ricci_tensor(self) -> np.ndarray:
         return np.einsum("kjkl->jl", self.riem4)
-
-    @cached_property
-    def D2b(self) -> np.ndarray:
-        gamma = self.gamma
-        Db = self.db - np.einsum("mij,m->ij", gamma, self.b)  # as formed, before the r + s reassembly
-        return (
-            self.dDb
-            - np.einsum("mik,mj->ijk", gamma, Db)
-            - np.einsum("mjk,im->ijk", gamma, Db)
-        )
 
     @cached_property
     def Dr(self) -> np.ndarray:
@@ -177,11 +160,6 @@ class AlphaBetaBundle:
 
     def beta(self, y) -> float:
         return float(self.b @ np.asarray(y, dtype=float))
-
-    def gbar(self, y) -> np.ndarray:
-        """Geodesic coefficients of alpha: Gbar^i = (1/2) Gamma^i_jk y^j y^k."""
-        y = np.asarray(y, dtype=float)
-        return 0.5 * np.einsum("ijk,j,k->i", self.gamma, y, y)
 
     def nonlinear_connection(self, y) -> np.ndarray:
         """N^i_j = d Gbar^i / d y^j = Gamma^i_jk y^k, shape (n, n), or (m, n, n) for a stack of y."""
@@ -272,18 +250,12 @@ def build_bundle(spec: MetricSpec, x, jets: tuple[ArrayJet, ArrayJet] | None = N
         a_inv=a_inv, gamma=gamma, dgamma=dgamma, bup=bup, Db=Db, dDb=dDb, r=r, s=s, s_up=s_up, rvec=rvec, svec=svec,
         dr=dr, d_bup=d_bup, d_bsq=d_bsq, d_s_up=d_s_up, d_svec=d_svec, dlndet=np.einsum("ij,jik->k", a_inv, dA),
     )
-    if not (math.isfinite(bsq) and np.isfinite(np.concatenate([f.ravel() for f in formed.values()])).all()):
-        bad = [name for name, f in dict(formed, bsq=bsq).items() if not np.isfinite(f).all()]
-        raise GeometryError(f"non-finite geometry at x={x}: {', '.join(bad)}")
+    _finite("geometry", x, dict(formed, bsq=bsq))
     return AlphaBetaBundle(spec=spec, x=x, n=n, a=a, dA=dA, b=b, db=db, bsq=bsq, **formed)
 
 
-def bianchi_check(bundle: AlphaBetaBundle) -> float:
-    """Max residual of the Ricci identity b_j|k|l - b_j|l|k = b^s Rbar_jskl.
-
-    Holds for any smooth metric and 1-form, so a nonzero residual certifies
-    a bug in the derivative plumbing rather than a property of the data.
-    """
-    comm = bundle.D2b - bundle.D2b.transpose(0, 2, 1)
-    rhs = np.einsum("s,jskl->jkl", bundle.bup, bundle.rbar4)
-    return float(np.max(np.abs(comm - rhs)))
+def _finite(what: str, x, held: dict):
+    """Raise a ``GeometryError`` at x naming each entry of ``held``, a number or an array, that is not finite."""
+    if not np.isfinite(np.concatenate([np.ravel(v) for v in held.values()])).all():
+        bad = [name for name, v in held.items() if not np.isfinite(v).all()]
+        raise GeometryError(f"non-finite {what} at x={x}: {', '.join(bad)}")

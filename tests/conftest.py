@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from finslerab import dsl, riemann, testmetrics
+from finslerab.jets import ArrayJet
 
 GENERIC_3D = """
 dim = 3
@@ -62,3 +63,9 @@ def example_bundle(example_spec):
 @pytest.fixture(scope="session")
 def generic_bundle(generic3d):
     return riemann.build_bundle(generic3d, np.array([0.3, -0.2, 0.4]))
+
+
+def expression_jet(expr, env):
+    """One metric expression over ``env`` by the program's evaluator: the entry of a one-entry ``b_jet``."""
+    b = dsl.MetricSpec(dim=1, b_entries={0: expr}).b_jet(env)
+    return ArrayJet(b.val[..., 0], b.grad[..., 0, :], b.hess[..., 0, :, :])

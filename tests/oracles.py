@@ -1,7 +1,22 @@
 """Test-only oracles: independent second implementations of library quantities.
 
 Each one deliberately shares no code with the routine it checks, so a bug
-in the library cannot hide in both sides of the comparison.
+in the library cannot hide in both sides of the comparison.  No run of the
+program reads anything here.  The module holds:
+
+* the scalar-jet layer: the elementary functions of ``finslerab.jets.Jet``,
+  ``seed`` and ``elem``, and a scalar-jet walk of the metric expressions
+  (``eval_jet``, ``metric_jets``, ``det_jet``), all on the scalar rules,
+  none on ``ArrayJet``'s;
+* ``fd_oracle`` and ``christoffels_fd``, central differences that share no
+  derivative code with either jet type;
+* the generic (alpha, beta) spray and F^2 (``general_spray``,
+  ``general_F2``, ``phi_data_general``) and the alpha quadratics of the fits;
+* the Ricci-identity self-check of the bundle (``bianchi_check``, with the
+  two tensors only it reads, ``D2b`` and ``rbar4``), ``gbar`` and ``rbar``
+  in closed form;
+* loop forms of batched routines (``contraction_set_naive``,
+  ``unit_alpha_vectors_loop``, ``validate_spec_loop``).
 """
 
 import math
@@ -12,12 +27,109 @@ import numpy as np
 from finslerab.dsl import Bin, Const, Fun, MetricSpec, Neg, Pow, ValidationReport, Var, sample_domain
 from finslerab.finsler import Spray, riemann_curvature
 from finslerab.identity import ContractionSet
-from finslerab.jets import ArrayJet, Jet, JetError, elem, jsqrt
+from finslerab.jets import ArrayJet, Jet, JetError
 from finslerab.riemann import AlphaBetaBundle
+
+# -- the elementary functions of the scalar Jet -------------------------------
+#
+# Values come from numpy, as in ArrayJet: numpy's exp, log and pow can differ
+# from the math module's in the last bit, and the oracle comparison should
+# see the derivative rules, not two libraries' rounding.
+
+# the bound of finslerab.jets: sqrt and log refuse a value at or below it
+_TINY = 1e-300
+
+
+def _numpy(fn, *args) -> float:
+    with np.errstate(all="ignore"):
+        return float(fn(*args))
+
+
+def jsqrt(a: Jet) -> Jet:
+    if a.val <= _TINY:
+        raise JetError(f"sqrt of non-positive value {a.val}")
+    r = math.sqrt(a.val)
+    try:
+        c2 = -0.25 / (r * a.val)
+    except ZeroDivisionError:  # a.val^1.5 underflows below about 1e-206
+        raise JetError(f"overflow in the second derivative of sqrt({a.val})") from None
+    return a._chain(r, 0.5 / r, c2)
+
+
+def jexp(a: Jet) -> Jet:
+    e = _numpy(np.exp, a.val)
+    if not math.isfinite(e):
+        raise JetError(f"overflow in exp({a.val})")
+    return a._chain(e, e, e)
+
+
+def jlog(a: Jet) -> Jet:
+    if a.val <= _TINY:
+        raise JetError(f"log of non-positive value {a.val}")
+    inv = 1.0 / a.val
+    return a._chain(_numpy(np.log, a.val), inv, -inv * inv)
+
+
+def jsin(a: Jet) -> Jet:
+    s, c = _numpy(np.sin, a.val), _numpy(np.cos, a.val)
+    return a._chain(s, c, -s)
+
+
+def jcos(a: Jet) -> Jet:
+    s, c = _numpy(np.sin, a.val), _numpy(np.cos, a.val)
+    return a._chain(c, -s, -c)
+
+
+_ELEM = {"sqrt": jsqrt, "sin": jsin, "cos": jcos, "exp": jexp, "log": jlog}
+
+
+def seed(values, active) -> list[Jet]:
+    """Seed a tuple of input values as jets.
+
+    ``values[i]`` becomes the i-th coordinate; it carries a unit gradient in
+    direction i when ``i in active`` and is a constant jet otherwise.
+    """
+    active = list(active)
+    if len(set(active)) != len(active):
+        raise JetError("duplicate direction index in seed")
+    d = len(values)
+    if d < 1:
+        raise JetError("need at least one direction")
+    out = []
+    for i, v in enumerate(values):
+        if i in active:
+            out.append(Jet.variable(v, i, d))
+        else:
+            out.append(Jet.constant(v, d))
+    return out
+
+
+def elem(a: Jet, name: str) -> Jet:
+    """Named elementary function, one of sqrt/sin/cos/exp/log, of a finite value."""
+    try:
+        fn = _ELEM[name]
+    except KeyError:
+        raise JetError(f"unknown function {name!r}") from None
+    if not math.isfinite(a.val):
+        raise JetError(f"{name} of non-finite value {a.val}")
+    return fn(a)
+
+
+def fd_oracle(f, x, i: int, h: float = 1e-5) -> float:
+    """Central-difference first derivative of a plain scalar field.
+
+    Independent of the jet machinery on purpose: every jet gradient in the
+    test suite is checked against this.
+    """
+    xp = np.array(x, dtype=float)
+    xm = xp.copy()
+    xp[i] += h
+    xm[i] -= h
+    return (f(xp) - f(xm)) / (2.0 * h)
 
 
 def eval_jet(expr, env: list[Jet]) -> Jet:
-    """Scalar-jet evaluation of a metric expression: the oracle of ``dsl.eval_component``.
+    """Scalar-jet evaluation of a metric expression: the oracle of the walk of ``MetricSpec.a_jet``/``b_jet``.
 
     Follows the scalar ``Jet`` rules, and like the production walk treats a
     non-finite value, gradient or Hessian at any node as a ``JetError``.
@@ -261,6 +373,43 @@ def rbar(bundle: AlphaBetaBundle, y) -> np.ndarray:
     """Curvature operator of alpha, Rbar^i_k = R^i_jkl y^j y^l: the classical route, from the bundle's Riemann tensor."""
     y = np.asarray(y, dtype=float)
     return np.einsum("ijkl,j,l->ik", bundle.riem4, y, y)
+
+
+def gbar(bundle: AlphaBetaBundle, y) -> np.ndarray:
+    """Geodesic coefficients of alpha: Gbar^i = (1/2) Gamma^i_jk y^j y^k."""
+    y = np.asarray(y, dtype=float)
+    return 0.5 * np.einsum("ijk,j,k->i", bundle.gamma, y, y)
+
+
+# -- the Ricci-identity self-check of the bundle -------------------------------
+
+
+def rbar4(bundle: AlphaBetaBundle) -> np.ndarray:
+    """rbar4[j,s,k,l] = a_sd R^d_jkl (index-lowered)."""
+    return np.einsum("sd,djkl->jskl", bundle.a, bundle.riem4)
+
+
+def D2b(bundle: AlphaBetaBundle) -> np.ndarray:
+    """D2b[i,j,k] = b_i|j|k."""
+    gamma = bundle.gamma
+    Db = bundle.db - np.einsum("mij,m->ij", gamma, bundle.b)  # as formed, before the r + s reassembly
+    return (
+        bundle.dDb
+        - np.einsum("mik,mj->ijk", gamma, Db)
+        - np.einsum("mjk,im->ijk", gamma, Db)
+    )
+
+
+def bianchi_check(bundle: AlphaBetaBundle) -> float:
+    """Max residual of the Ricci identity b_j|k|l - b_j|l|k = b^s Rbar_jskl.
+
+    Holds for any smooth metric and 1-form, so a nonzero residual certifies
+    a bug in the derivative plumbing rather than a property of the data.
+    """
+    d2b = D2b(bundle)
+    comm = d2b - d2b.transpose(0, 2, 1)
+    rhs = np.einsum("s,jskl->jkl", bundle.bup, rbar4(bundle))
+    return float(np.max(np.abs(comm - rhs)))
 
 
 def christoffels_fd(spec: MetricSpec, x, h: float = 1e-5) -> np.ndarray:

@@ -21,10 +21,10 @@ from finslerab.finsler import (
     spray,
 )
 from finslerab.identity import verify_identity
-from finslerab.riemann import bianchi_check, build_bundle
+from finslerab.riemann import build_bundle
 from finslerab.scurvature import s_curvature_closed, s_curvature_def, volume_factor
 from .conftest import unit_y
-from .oracles import general_spray, phi_data, phi_data_general
+from .oracles import D2b, bianchi_check, general_spray, phi_data, phi_data_general, rbar4
 
 
 def _report(name: str, ok: bool, detail: str):
@@ -222,7 +222,7 @@ def test_criterion_7_structural_invariants():
         pts = sample_domain(spec, 5, rng, shrink=0.05)
         for x in pts:
             bu = build_bundle(spec, x)
-            scale = max(1.0, float(np.max(np.abs(bu.D2b))), float(np.max(np.abs(bu.rbar4))))
+            scale = max(1.0, float(np.max(np.abs(D2b(bu)))), float(np.max(np.abs(rbar4(bu)))))
             worst_bianchi = max(worst_bianchi, bianchi_check(bu) / scale)
             rs_exact = rs_exact and np.array_equal(bu.r + bu.s, bu.Db)
             for _ in range(4):

@@ -379,7 +379,7 @@ def test_check_reads_a_single_row_stack_and_no_fits_on_it(generic3d):
 
 
 # the bundle's tensors formed on first use
-_LAZY = ("riem4", "ricci_tensor", "rbar4", "D2b", "Dr", "Ds", "Drvec", "Dsvec", "r_up", "supvec", "r_scalar")
+_LAZY = ("riem4", "ricci_tensor", "Dr", "Ds", "Drvec", "Dsvec", "r_up", "supvec", "r_scalar")
 
 
 def test_scurv_view_forms_no_curvature_tensor(generic3d, monkeypatch):
@@ -604,6 +604,29 @@ def test_cli_run_rejects_a_non_finite_geometry(command, tmp_path, capsys):
     assert re.fullmatch(r"error: non-finite geometry at x=\[-0\.826\d* -0\.870\d*\]: .+\n", captured.err)
 
 
+# a_11 = exp(1e120 x1) is finite on the domain, but the squares summed in the flag fit's
+# residual overflow: that residual is the one number of the run that is not finite
+_NON_FINITE_RESULT = "dim = 2\ndomain x1 = [-1e-120, 1e-120]\na 1 1 = exp(1e120*x1)\na 2 2 = 1\nb 2 = 0.1\n"
+
+
+@pytest.mark.parametrize("command", ["check", "flag"])
+def test_cli_run_rejects_a_non_finite_result(command, tmp_path, capsys):
+    metric = tmp_path / "non_finite_result.metric"
+    metric.write_text(_NON_FINITE_RESULT)
+    assert cli.main(["validate", str(metric)]) == cli.EXIT_OK
+    capsys.readouterr()
+    extra = ["--format", "json"] if command == "check" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main([command, str(metric), "--points", "2", *extra]) == cli.EXIT_INVALID_METRIC
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Infinity" not in captured.err and "Traceback" not in captured.err
+    assert re.fullmatch(r"error: non-finite result at x=\[[^]]+\]: flag_residual\n", captured.err)
+    # the S and identity views report no number that overflows here
+    for view in ("scurv", "appendix"):
+        assert cli.main([view, str(metric), "--points", "2"]) == cli.EXIT_OK
+
+
 def test_check_random_stream_is_pinned():
     """The points and y-samples of one seeded run, bit for bit, for every view, and S at its pinned rows.
 
@@ -694,6 +717,13 @@ def test_cli_check_rejects_invalid(tmp_path, capsys):
         ["validate", "BINARY"],  # not UTF-8
         ["check", "BINARY"],
         ["check", "METRIC", "--y-per-point", "1"],  # one sample fits sigma exactly
+        # more samples than cli.MAX_SAMPLES: refused before anything is allocated
+        ["check", "METRIC", "--points", "10000000000000000"],
+        ["scurv", "METRIC", "--points", "10000000000000000"],
+        ["flag", "METRIC", "--points", "10000000000000000"],
+        ["appendix", "METRIC", "--points", "10000000000000000"],
+        ["check", "METRIC", "--points", "10000000000000000000"],
+        ["check", "METRIC", "--y-per-point", "10000000000000000000"],
     ],
 )
 def test_cli_rejects_bad_arguments(argv, tmp_path, capsys):

@@ -17,14 +17,18 @@ from finslerab.dsl import (
     Neg,
     Pow,
     Var,
-    eval_component,
     expr_to_text,
-    parse_expression,
     parse_metric,
     validate_spec,
 )
 from finslerab.jets import ArrayJet, Jet, JetError
+from .conftest import expression_jet
 from .oracles import eval_jet, validate_spec_loop
+
+
+def _parse(text: str, dim: int = 2):
+    """An expression parsed as the body of the line ``b 1 = <text>``, the second line of a metric file."""
+    return parse_metric(f"dim = {dim}\nb 1 = {text}").b_expr(0)
 
 
 def _env(x):
@@ -58,21 +62,21 @@ def test_parse_euclidean_plane():
 def test_symmetric_completion():
     spec = parse_metric("dim = 2\na 1 1 = 1\na 2 2 = 1\na 1 2 = x1")
     env = spec.chart_jets([0.7, 0.1])
-    j12 = eval_component(spec.a_expr(0, 1), env)
-    j21 = eval_component(spec.a_expr(1, 0), env)
+    j12 = expression_jet(spec.a_expr(0, 1), env)
+    j21 = expression_jet(spec.a_expr(1, 0), env)
     assert j12.val == j21.val == 0.7
     assert j12.grad.tolist() == j21.grad.tolist()
 
 
 def test_eval_component_inverse_power():
-    expr = parse_expression("x4^-1", 5)
-    j = eval_component(expr, _env([0.0, 0.0, 0.0, 2.0, 0.0]))
+    expr = _parse("x4^-1", 5)
+    j = expression_jet(expr, _env([0.0, 0.0, 0.0, 2.0, 0.0]))
     assert j.val == 0.5 and j.grad[3] == -0.25 and j.hess[3, 3] == 0.25
 
 
 def test_eval_component_square():
-    expr = parse_expression("x4^2", 5)
-    j = eval_component(expr, _env([0.0, 0.0, 0.0, 3.0, 0.0]))
+    expr = _parse("x4^2", 5)
+    j = expression_jet(expr, _env([0.0, 0.0, 0.0, 3.0, 0.0]))
     assert j.val == 9.0 and j.grad[3] == 6.0 and j.hess[3, 3] == 2.0
 
 
@@ -92,7 +96,7 @@ b 2 = -0
 
 @pytest.mark.parametrize("x", [[0.3, -0.7, 0.2], [[0.3, -0.7, 0.2], [-0.9, 0.4, 0.8]]])
 def test_stacks_match_per_entry_evaluation(x, example_spec):
-    # a_jet and b_jet hold, bit for bit, what eval_component gives for each entry
+    # a_jet and b_jet hold, bit for bit, what each entry gives when it is walked alone
     for spec in (parse_metric(_MIXED), example_spec):
         x_spec = np.resize(np.asarray(x, dtype=float), np.shape(x)[:-1] + (spec.dim,))
         for env in (_env(x_spec), spec._points(x_spec)):
@@ -101,7 +105,7 @@ def test_stacks_match_per_entry_evaluation(x, example_spec):
             entries = [((i, j), a, spec.a_expr(i, j)) for i in range(n) for j in range(n)]
             entries += [((i,), b, spec.b_expr(i)) for i in range(n)]
             for idx, stack, expr in entries:
-                want = eval_component(expr, env)
+                want = expression_jet(expr, env)
                 at = (Ellipsis,) + idx
                 for got, w in (
                     (stack.val[at], want.val),
@@ -126,7 +130,7 @@ def test_stack_raises_first_failing_entry(entries, first):
         messages = []
         for name in (first, second):
             with pytest.raises(JetError) as alone:
-                eval_component(parse_expression(bad[name], 2), env)
+                expression_jet(_parse(bad[name]), env)
             messages.append(str(alone.value))
         assert messages[0] != messages[1]
         with pytest.raises(JetError) as stacked:
@@ -135,14 +139,14 @@ def test_stack_raises_first_failing_entry(entries, first):
 
 
 def test_example_a33_derivatives(example_spec):
-    j = eval_component(example_spec.a_expr(2, 2), _env([0.0, 0.0, 0.0, 1.0, 0.0]))
+    j = expression_jet(example_spec.a_expr(2, 2), _env([0.0, 0.0, 0.0, 1.0, 0.0]))
     # hand differentiation of 1/t at t = 1
     assert j.val == 1.0 and j.grad[3] == -1.0 and j.hess[3, 3] == 2.0
 
 
 def test_grammar_unary_and_functions():
-    expr = parse_expression("-x1^2 + sin(x2)*2 - 3/x1", 2)
-    j = eval_component(expr, _env([2.0, 0.5]))
+    expr = _parse("-x1^2 + sin(x2)*2 - 3/x1")
+    j = expression_jet(expr, _env([2.0, 0.5]))
     # grammar binds '^' to the base after unary minus: (-x1)^2 = 4
     assert abs(j.val - (4.0 + 2 * np.sin(0.5) - 1.5)) < 1e-15
 
@@ -305,8 +309,8 @@ def test_digits_are_ascii_only():
     ):
         with pytest.raises(MetricFileError, match=re.escape(f"({where})")):
             parse_metric(text)
-    with pytest.raises(MetricFileError, match=re.escape("(line 1, col 5)")):
-        parse_expression("1 + x\u0661", 2)
+    with pytest.raises(MetricFileError, match=re.escape("(line 2, col 11)")):
+        _parse("1 + x\u0661")
 
 
 # a token boundary: the start of a number, a name or any other non-space character
@@ -334,10 +338,10 @@ def test_parse_limits():
     with pytest.raises(MetricFileError, match=r"dim must be an integer in 2\.\.32, got 33.0 \(line 1, col 7\)"):
         parse_metric(f"dim = {MAX_DIM + 1}\n")
     nested = "(" * MAX_DEPTH + "x1" + ")" * MAX_DEPTH
-    node = parse_expression(nested, 1)
+    node = _parse(nested)
     assert type(node) is Var and node == Var(0)
     chain = "x1" + " + 1" * (MAX_DEPTH - 1)
-    assert eval_component(parse_expression(chain, 1), _env([0.5])).val == MAX_DEPTH - 0.5
+    assert expression_jet(_parse(chain), _env([0.5])).val == MAX_DEPTH - 0.5
     negated = parse_metric(f"dim = 2\na 1 1 = 2 + {'-' * (MAX_DEPTH - 2)}x1\na 2 2 = 1\n")
     back = parse_metric(negated.to_text())
     assert back == negated and repr(back) == repr(negated)  # repr also compares each node's type
@@ -404,8 +408,8 @@ def _jet_or_error(evaluate, expr, env):
 @settings(max_examples=300, deadline=None)
 def test_expression_text_roundtrip(expr):
     env = _env([0.3, -0.7])
-    want = _jet_or_error(eval_component, expr, env)
-    got = _jet_or_error(eval_component, parse_expression(expr_to_text(expr), 2), env)
+    want = _jet_or_error(expression_jet, expr, env)
+    got = _jet_or_error(expression_jet, _parse(expr_to_text(expr)), env)
     assert (want is None) == (got is None)
     if want is not None:
         for a, b in ((want.val, got.val), (want.grad, got.grad), (want.hess, got.hess)):
@@ -426,10 +430,10 @@ def test_batched_evaluation_matches_scalar_oracle(expr):
     envs = [[Jet.variable(v, k, 2) for k, v in enumerate(x)] for x in _POINTS]
     with np.errstate(all="ignore"):  # the oracle tests finiteness itself, node by node
         want = [_jet_or_error(eval_jet, expr, env) for env in envs]
-    batch = _jet_or_error(eval_component, expr, spec.chart_jets(_POINTS))
+    batch = _jet_or_error(expression_jet, expr, spec.chart_jets(_POINTS))
     assert (batch is None) == any(w is None for w in want)
     for p, w in enumerate(want):
-        got = _jet_or_error(eval_component, expr, spec.chart_jets(_POINTS[p]))
+        got = _jet_or_error(expression_jet, expr, spec.chart_jets(_POINTS[p]))
         assert (got is None) == (w is None)
         if w is None:
             continue

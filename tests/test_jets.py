@@ -5,8 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finslerab.dsl import eval_component
-from finslerab.jets import ArrayJet, Jet, JetError, elem, fd_oracle, jexp, jlog, jsqrt, seed
+from finslerab.jets import ArrayJet, Jet, JetError
+from finslerab.riemann import build_bundle
+from .conftest import expression_jet
+from .oracles import (
+    alpha_quadratics,
+    bianchi_check,
+    contraction_set_naive,
+    elem,
+    fd_oracle,
+    general_F2,
+    general_spray,
+    jexp,
+    jlog,
+    jsqrt,
+    metric_jets,
+    seed,
+)
 
 
 def test_seed_single_direction():
@@ -296,10 +311,10 @@ def test_jets_match_fd_on_metric_expressions(name):
         x = rng.uniform(lo + 2 * h, hi - 2 * h)
         env = spec.chart_jets(x)
         for expr in _all_expressions(spec):
-            jet = eval_component(expr, env)
+            jet = expression_jet(expr, env)
 
             def plain(pt, expr=expr):
-                return float(eval_component(expr, spec.chart_jets(pt)).val)
+                return float(expression_jet(expr, spec.chart_jets(pt)).val)
 
             for k in range(n):
                 d_fd = fd_oracle(plain, x, k, h)
@@ -309,8 +324,37 @@ def test_jets_match_fd_on_metric_expressions(name):
                 xp, xm = x.copy(), x.copy()
                 xp[k] += h
                 xm[k] -= h
-                gp = eval_component(expr, spec.chart_jets(xp)).grad[k]
-                gm = eval_component(expr, spec.chart_jets(xm)).grad[k]
+                gp = expression_jet(expr, spec.chart_jets(xp)).grad[k]
+                gm = expression_jet(expr, spec.chart_jets(xm)).grad[k]
                 h2_fd = (gp - gm) / (2 * h)
                 tol2 = max(1e-4, 1e-4 * abs(jet.val))
                 assert abs(jet.hess[k, k] - h2_fd) < tol2
+
+
+# every rule by which an ArrayJet computes a value or a derivative
+_ARRAY_JET_RULES = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__", "__pow__",
+    "reciprocal", "sqrt", "log", "exp", "sin", "cos", "_chain", "_elementary",
+)
+
+
+def test_scalar_oracles_share_no_rule_with_array_jet(generic3d, monkeypatch):
+    """The scalar-jet oracles run to the end with every ArrayJet rule broken, so they cannot share one."""
+    x, y = np.array([0.3, -0.2, 0.4]), np.array([0.6, -0.2, 0.5])
+    bu = build_bundle(generic3d, x)  # the production walk, before the rules break
+
+    def broken(*args, **kwargs):
+        raise AssertionError("an oracle used an ArrayJet rule")
+
+    for name in _ARRAY_JET_RULES:
+        monkeypatch.setattr(ArrayJet, name, broken)
+    with pytest.raises(AssertionError, match="ArrayJet rule"):
+        bu.spec.a_jet(bu.spec.chart_jets(x))  # the patch is in force
+    metric_jets(generic3d, x, 3)
+    general_spray(bu, y)
+    general_F2(bu, y)
+    alpha_quadratics(bu, y)
+    contraction_set_naive(bu, y, 0.3)
+    assert bianchi_check(bu) <= 1e-10
+    (v,) = seed([2.0], {0})
+    assert jsqrt(v).val == math.sqrt(2.0) and elem(v, "exp").val == np.exp(2.0)
