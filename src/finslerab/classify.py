@@ -16,7 +16,7 @@ chunk of points, a chunk being as many points as fit a fixed float budget,
 and builds each point's bundle, and all that follows, point by point.  A
 point where b^2 >= 1/4, outside the domain of F, stops the run with a
 ``GeometryError``: its own sample points are checked, not only those of
-``validate_spec``.  So does a point with a non-finite number to report.
+``validate_spec``.  So does a non-finite number to report or to compare.
 
 Verdicts use the threshold  residual <= tol * max(1, scale)  where scale is
 the magnitude of the quantity's own constituent terms at the point, so a
@@ -91,6 +91,10 @@ class ClassReport(NamedTuple):
 # ("ricci"), the S routes ("S") and the flag fit ("flag").
 GROUPS = ("beta", "fits", "ricci", "S", "flag")
 
+# The per-y columns a report row files, and each dual route's (filed side, check side) columns.
+_ROW_KEYS = ("Ric", "F2", "S", "K_fit", "flag_residual")
+_ROUTES = {"Ricci": ("Ric", "Ric_T"), "S-curvature": ("S", "S_closed")}
+
 
 def _thr(tol: float, scale: float) -> float:
     return tol * max(1.0, scale)
@@ -143,10 +147,10 @@ def run_check(spec: MetricSpec, config: RunConfig, groups=GROUPS) -> ClassReport
     stack.  "fits", "ricci" and "flag" make one call on it of the
     curvature, F, the scalar fits, the T-split Ricci route, the flag fit
     and Ricbar.  "S" evaluates each y on its own: its spray is a row of the
-    point's stack, and it makes one call of each S route.  The per-y loop
-    files the rows and the cross-checks.  "fits" raises
-    ``ValueError`` below 2 y-samples per point: one fits sigma exactly,
-    whatever F is.
+    point's stack, and it makes one call of each S route.  Every per-y
+    quantity, each route's two sides too, is a column checked finite before
+    any is compared.  "fits" raises ``ValueError`` below 2 y-samples per
+    point: one fits sigma exactly, whatever F is.
     """
     beta, fits, ricci, S, flag = (g in groups for g in GROUPS)
     if fits and config.y_per_point < 2:
@@ -154,16 +158,11 @@ def run_check(spec: MetricSpec, config: RunConfig, groups=GROUPS) -> ClassReport
     tol = config.tolerance
     rng = np.random.default_rng(config.seed)
     pts = sample_domain(spec, config.points, rng, shrink=0.05)
-    worst, fit_list, flag_K, point_rows, violations = {}, [], [], [], []
+    worst, fit_list, point_rows, violations = {}, [], [], []
 
-    def peak(key, value):
-        worst[key] = max(worst.get(key, 0.0), float(value))
-
-    def cross(route, a, b, where):
-        dev = abs(a - b) / max(1.0, abs(a))
-        peak(f"{route} routes", dev)
-        if dev > 10.0 * tol:
-            violations.append(f"{route} routes disagree at {where}: {a} vs {b}")
+    def peak(key, values):
+        # np.max, unlike max(), returns a NaN it meets
+        worst[key] = float(np.max(values, initial=worst.get(key, 0.0)))
 
     for p_idx, bu in enumerate(_bundles(spec, pts)):
         peak("beta", np.max(np.abs(bu.b)))
@@ -179,6 +178,7 @@ def run_check(spec: MetricSpec, config: RunConfig, groups=GROUPS) -> ClassReport
             rng.standard_normal((2 * bu.n, bu.n))  # unread: see the docstring
 
         ys = finsler.unit_alpha_vectors(bu, config.y_per_point, rng)
+        cols = {}  # each per-y quantity, shape (y_per_point,)
         if fits or ricci or S or flag:
             sp = finsler.spray(bu, ys)
         if fits or ricci or flag:
@@ -187,35 +187,38 @@ def run_check(spec: MetricSpec, config: RunConfig, groups=GROUPS) -> ClassReport
             F2 = F * F
             if fits:
                 fit_list.append(finsler.extract_scalars(bu, ric, F2))
-            F2 = F2.tolist()
         if ricci:
-            ric, ric_T, ricbar = ric.tolist(), finsler.ricci_via_T(sp).tolist(), bu.ricbar(ys).tolist()
+            cols.update(Ric=ric, F2=F2, Ric_T=finsler.ricci_via_T(sp), ricbar=bu.ricbar(ys))
+        if S:
+            cols["S"] = np.array([scurvature.s_curvature_def(finsler.spray(bu, y), config.volume_form) for y in ys])
+            cols["S_closed"] = np.array([scurvature.s_curvature_closed(bu, y, config.volume_form) for y in ys])
         if flag:
-            K, fres = (v.tolist() for v in finsler.flag_curvature_fit(sp, R, F))
+            cols["K_fit"], cols["flag_residual"] = finsler.flag_curvature_fit(sp, R, F)
+        # every number the point adds to the report, and each route's check side, before any is compared
+        _finite("result", bu.x, dict(cols, fit=fit_list[-1]) if fits else cols)
 
-        s_point = []
-        for y_idx, y in enumerate(ys):
-            where = f"point {p_idx}, y {y_idx}"
-            row = {"point": p_idx, "y_index": y_idx, "x": bu.x.tolist(), "y": y.tolist()}
-            if ricci:
-                cross("Ricci", ric[y_idx], ric_T[y_idx], where)
-                peak("ricbar", abs(ricbar[y_idx]))
-                peak("Ric/F2", abs(ric[y_idx]) / max(1.0, F2[y_idx]))
-                row.update(Ric=ric[y_idx], F2=F2[y_idx])
-            if S:
-                s_def = scurvature.s_curvature_def(finsler.spray(bu, y), config.volume_form)
-                cross("S-curvature", s_def, scurvature.s_curvature_closed(bu, y, config.volume_form), where)
-                peak("S", abs(s_def))
-                row["S"] = s_def
-                s_point.append(s_def)
-            if flag:
-                flag_K.append(K[y_idx])
-                peak("flag_residual", fres[y_idx] / max(1.0, F2[y_idx]))
-                row.update(K_fit=K[y_idx], flag_residual=fres[y_idx])
-            point_rows.append(row)
-        # every number this point adds to the report: a group that did not run holds False
-        _finite("result", bu.x, dict(worst, fit=fits and fit_list[-1], Ric=ricci and ric, F2=ricci and F2, S=s_point,
-                                     K_fit=flag and K, flag_residual=flag and fres))
+        if ricci:
+            peak("ricbar", np.abs(cols["ricbar"]))
+            peak("Ric/F2", np.abs(ric) / np.maximum(1.0, F2))
+        if S:
+            peak("S", np.abs(cols["S"]))
+        if flag:
+            peak("flag_residual", cols["flag_residual"] / np.maximum(1.0, F2))
+        failing = []  # (y index, route, direct value, check value) of each row where a route disagrees
+        for route, (direct, check) in _ROUTES.items():
+            if direct in cols:
+                a, b = cols[direct], cols[check]
+                dev = np.abs(a - b) / np.maximum(1.0, np.abs(a))
+                peak(f"{route} routes", dev)
+                failing += [(y, route, float(a[y]), float(b[y])) for y in np.flatnonzero(dev > 10.0 * tol)]
+        # y-major, and at one y in route order: the sort is stable
+        violations += [f"{route} routes disagree at point {p_idx}, y {y}: {a} vs {b}"
+                       for y, route, a, b in sorted(failing, key=lambda f: f[0])]
+        _finite("result", bu.x, worst)
+
+        filed = [k for k in _ROW_KEYS if k in cols]
+        point_rows += [{"point": p_idx, "y_index": y_idx, "x": bu.x.tolist(), "y": y, **dict(zip(filed, values))}
+                       for y_idx, (y, *values) in enumerate(zip(ys.tolist(), *(cols[k].tolist() for k in filed)))]
 
     if fits:
         lam = float(np.mean([f.lam for f in fit_list]))
@@ -225,6 +228,7 @@ def run_check(spec: MetricSpec, config: RunConfig, groups=GROUPS) -> ClassReport
         res_c = max(f.resid_c for f in fit_list)
         res_sig = max(f.resid_sigma for f in fit_list)
     if flag:
+        flag_K = [row["K_fit"] for row in point_rows]
         K_mean = float(np.mean(flag_K))
         worst["K_spread"] = float(np.max(flag_K) - np.min(flag_K))
     kill = _thr(tol, worst.get("Db", 0.0))
@@ -390,13 +394,9 @@ def emit_report(report: ClassReport, fmt: str = "text") -> str:
         head = ["point", "y_index"]
         nx = len(report.points[0]["x"]) if report.points else 0
         head += [f"x{i+1}" for i in range(nx)] + [f"y{i+1}" for i in range(nx)]
-        head += ["Ric", "F2", "S", "K_fit", "flag_residual"]
-        wr.writerow(head)
+        wr.writerow(head + list(_ROW_KEYS))
         for row in report.points:
-            wr.writerow(
-                [row["point"], row["y_index"], *row["x"], *row["y"],
-                 row["Ric"], row["F2"], row["S"], row["K_fit"], row["flag_residual"]]
-            )
+            wr.writerow([row["point"], row["y_index"], *row["x"], *row["y"], *(row[k] for k in _ROW_KEYS)])
         return buf.getvalue()
     lines = [f"metric: {report.metric}"]
     lines.append(f"config: {report.config}")

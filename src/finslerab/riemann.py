@@ -256,6 +256,6 @@ def build_bundle(spec: MetricSpec, x, jets: tuple[ArrayJet, ArrayJet] | None = N
 
 def _finite(what: str, x, held: dict):
     """Raise a ``GeometryError`` at x naming each entry of ``held``, a number or an array, that is not finite."""
-    if not np.isfinite(np.concatenate([np.ravel(v) for v in held.values()])).all():
+    if held and not np.isfinite(np.concatenate(list(held.values()), axis=None)).all():
         bad = [name for name, v in held.items() if not np.isfinite(v).all()]
         raise GeometryError(f"non-finite {what} at x={x}: {', '.join(bad)}")

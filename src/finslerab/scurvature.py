@@ -24,12 +24,12 @@ S itself is computed two ways:
   (s, b^2, r00, r0, s0) obtained by dividing the spray divergence through
   the volume term.
 
-The two routes share only Lambda = f'/(b f): the closed form never reads
-det a or the spray; agreement is asserted in the tests.  Two details of the closed form differ from the printed
-source derivation and were fixed against the definition route (machine
-precision over random metrics): the lone r0 term carries the first power
-of (3s - 2b^2 - 1), and the Lambda(r0 + s0) volume term enters with a
-minus sign.
+The two routes share only Lambda = f'/(b f): the closed form never reads det a
+or the spray; ``classify.run_check`` asserts their agreement at every sample.
+Two details of the closed form differ from the printed source derivation and
+were fixed against the definition route (machine precision over random
+metrics): the lone r0 term carries the first power of (3s - 2b^2 - 1), and the
+Lambda(r0 + s0) volume term enters with a minus sign.
 """
 
 from __future__ import annotations

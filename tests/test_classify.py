@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from finslerab import classify, cli, finsler, identity, scurvature, testmetrics
+from finslerab import classify, cli, finsler, identity, riemann, scurvature, testmetrics
 from finslerab.classify import GROUPS, RunConfig, emit_report, run_appendix, run_check
 from finslerab.dsl import Bin, Const, Var, parse_metric, sample_domain, validate_spec
 from finslerab.riemann import GeometryError, build_bundle
@@ -806,6 +806,67 @@ def test_cli_engine_inconsistency_exit(monkeypatch, capsys, example_spec):
     monkeypatch.setattr(cli.classify, "run_check", sabotaged)
     code = cli.main(["check", _example_path(), "--points", "2", "--y-per-point", "2"])
     assert code == cli.EXIT_INCONSISTENT
+
+
+def _spy_check_sides(monkeypatch, change):
+    """Route every value of the check side of each dual route through ``change(route, point, y, value)``.
+
+    ``ricci_via_T`` is called once per point on its stack, ``s_curvature_closed`` once per y-sample of
+    ``check``'s default 12.
+    """
+    ricci_via_T, s_closed = finsler.ricci_via_T, scurvature.s_curvature_closed
+    calls = {"Ricci": 0, "S-curvature": 0}
+
+    def ricci(sp):
+        point, calls["Ricci"] = calls["Ricci"], calls["Ricci"] + 1
+        return np.array([change("Ricci", point, y, v) for y, v in enumerate(ricci_via_T(sp).tolist())])
+
+    def closed(bundle, y, form="bh"):
+        k, calls["S-curvature"] = calls["S-curvature"], calls["S-curvature"] + 1
+        return change("S-curvature", k // 12, k % 12, s_closed(bundle, y, form))
+
+    monkeypatch.setattr(finsler, "ricci_via_T", ricci)
+    monkeypatch.setattr(scurvature, "s_curvature_closed", closed)
+
+
+def test_cli_check_reports_the_rows_where_a_route_disagrees(monkeypatch, capsys):
+    """The check side of each dual route nudged by 1e-5 relative at chosen rows: ``check`` names exactly
+    those rows, y-major and Ricci before S, with both values, and exits 3."""
+    nudged = {}
+    rows = (("S-curvature", 1, 0), ("Ricci", 1, 2), ("S-curvature", 1, 2))  # in the order they are reported
+
+    def nudge(route, point, y, value):
+        if (route, point, y) in rows:
+            value = nudged[route, point, y] = value + 1e-5 * max(1.0, abs(value))
+        return value
+
+    _spy_check_sides(monkeypatch, nudge)
+    sphere = str(testmetrics.shipped_metric_path("sphere_round"))
+    assert cli.main(["check", sphere, "--points", "2", "--format", "json"]) == cli.EXIT_INCONSISTENT
+    payload = json.loads(capsys.readouterr().out)
+    direct = {(r["point"], r["y_index"]): {"Ricci": r["Ric"], "S-curvature": r["S"]} for r in payload["points"]}
+    want = [f"{route} routes disagree at point {p}, y {y}: {direct[p, y][route]} vs {nudged[route, p, y]}"
+            for route, p, y in rows]
+    assert payload["consistency"]["violations"] == want
+
+
+@pytest.mark.parametrize("culprit", ["Ric_T", "S_closed", "ricbar"])
+def test_cli_check_rejects_a_non_finite_route_value(culprit, monkeypatch, capsys):
+    """A NaN on the check side of a dual route, or in Ricbar, exits 2 naming it: it is not read as a
+    deviation of 0."""
+    if culprit == "ricbar":
+        ricbar = riemann.AlphaBetaBundle.ricbar
+        monkeypatch.setattr(riemann.AlphaBetaBundle, "ricbar", lambda bundle, y: ricbar(bundle, y) * math.nan)
+    else:
+        nan_row = ({"Ric_T": "Ricci", "S_closed": "S-curvature"}[culprit], 1, 3)
+        _spy_check_sides(monkeypatch, lambda route, p, y, value: math.nan if (route, p, y) == nan_row else value)
+    sphere = str(testmetrics.shipped_metric_path("sphere_round"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["check", sphere, "--points", "2"]) == cli.EXIT_INVALID_METRIC
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert re.fullmatch(rf"error: non-finite result at x=\[[^]]+\]: (\w+, )*{culprit}(, \w+)*\n", captured.err)
 
 
 def test_cli_appendix_and_sweep(capsys):

@@ -16,7 +16,8 @@ must be equal: it holds every verdict, key, consistency record and
 failure list.  Each number may move by at most 1e-12 max(1, |x|), x the
 other tree's value.  The report gives the count of byte-identical outputs,
 every output that differs, and the worst relative deviation with where it
-occurred (a key path in JSON, a line and field elsewhere).
+occurred (a key path in JSON, a line and field elsewhere); its last line is
+the line count of the Python source under ``src/finslerab`` in each tree.
 
 ``--moved KEY ...`` names the JSON key paths whose numbers a change moves
 on purpose, such as ``conditions.F_einstein``: a number at such a path, or
@@ -49,6 +50,11 @@ DENSE_DIMS = (3, 5, 8, 12)  # random_metric(n, 40 + n)
 BOUND = 1e-12
 JOBS = 2  # commands run at once
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def source_lines(root: Path) -> int:
+    """The number of lines of the Python files under ``src/finslerab`` of ``root``, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (root / "src/finslerab").rglob("*.py"))
 
 
 def write_dense_metrics(folder: Path) -> list:
@@ -196,6 +202,8 @@ def main(argv=None) -> int:
         print(f"moved keys {', '.join(args.moved)}: {sum(r['moves'] for r in results)} numbers moved, "
               f"largest relative move {most['worst_move'][0]:.3g}"
               + (f": {most['label']}, {most['worst_move'][1]}" if most["worst_move"][0] > 0.0 else ""))
+    lines_p, lines_c = source_lines(parent), source_lines(ROOT)
+    print(f"src/finslerab lines: {lines_p} in {parent}, {lines_c} in {ROOT} ({lines_c - lines_p:+d})")
     return 1 if bad else 0
 
 
