@@ -149,8 +149,11 @@ def run_check(spec: MetricSpec, config: RunConfig, groups=GROUPS) -> ClassReport
     and Ricbar.  "S" evaluates each y on its own: its spray is a row of the
     point's stack, and it makes one call of each S route.  Every per-y
     quantity, each route's two sides too, is a column checked finite before
-    any is compared.  "fits" raises ``ValueError`` below 2 y-samples per
-    point: one fits sigma exactly, whatever F is.
+    any is compared.  Every measure a verdict reads (the beta tensors, the
+    per-y magnitudes, each route's deviations) is reduced to its peak at the
+    point in one pass over all of them, and the worst so far must stay
+    finite.  "fits" raises ``ValueError`` below 2 y-samples per point: one
+    fits sigma exactly, whatever F is.
     """
     beta, fits, ricci, S, flag = (g in groups for g in GROUPS)
     if fits and config.y_per_point < 2:
@@ -158,22 +161,16 @@ def run_check(spec: MetricSpec, config: RunConfig, groups=GROUPS) -> ClassReport
     tol = config.tolerance
     rng = np.random.default_rng(config.seed)
     pts = sample_domain(spec, config.points, rng, shrink=0.05)
-    worst, fit_list, point_rows, violations = {}, [], [], []
-
-    def peak(key, values):
-        # np.max, unlike max(), returns a NaN it meets
-        worst[key] = float(np.max(values, initial=worst.get(key, 0.0)))
+    fit_list, point_rows, violations = [], [], []
+    peaks = starts = None  # the worst of each measure over the points so far, and where each starts in a point's terms
 
     for p_idx, bu in enumerate(_bundles(spec, pts)):
-        peak("beta", np.max(np.abs(bu.b)))
+        # each measure's terms at this point, in one order at every point: the measure is their largest magnitude
+        terms = {"beta": bu.b}
         if beta:
             gamma_b = np.einsum("mij,m->ij", bu.gamma, bu.b)
-            peak("r", np.max(np.abs(bu.r)))
-            peak("s", np.max(np.abs(bu.s)))
-            peak("Db", np.max(np.abs(bu.Db)))
-            peak("s_i", np.max(np.abs(bu.svec)))
-            peak("norm_grad", np.max(np.abs(bu.rvec + bu.svec)))
-            peak("Db_scale", max(float(np.max(np.abs(bu.db))), float(np.max(np.abs(gamma_b)))))
+            terms.update(r=bu.r, s=bu.s, Db=bu.Db, s_i=bu.svec, norm_grad=bu.rvec + bu.svec,
+                         Db_scale=np.concatenate([bu.db, gamma_b], axis=None))
         if fits:
             rng.standard_normal((2 * bu.n, bu.n))  # unread: see the docstring
 
@@ -197,28 +194,36 @@ def run_check(spec: MetricSpec, config: RunConfig, groups=GROUPS) -> ClassReport
         # every number the point adds to the report, and each route's check side, before any is compared
         _finite("result", bu.x, dict(cols, fit=fit_list[-1]) if fits else cols)
 
+        if ricci or flag:
+            scale = np.maximum(1.0, F2)
         if ricci:
-            peak("ricbar", np.abs(cols["ricbar"]))
-            peak("Ric/F2", np.abs(ric) / np.maximum(1.0, F2))
+            terms["ricbar"], terms["Ric/F2"] = cols["ricbar"], np.abs(ric) / scale
         if S:
-            peak("S", np.abs(cols["S"]))
+            terms["S"] = cols["S"]
         if flag:
-            peak("flag_residual", cols["flag_residual"] / np.maximum(1.0, F2))
+            terms["flag_residual"] = cols["flag_residual"] / scale
         failing = []  # (y index, route, direct value, check value) of each row where a route disagrees
         for route, (direct, check) in _ROUTES.items():
             if direct in cols:
                 a, b = cols[direct], cols[check]
-                dev = np.abs(a - b) / np.maximum(1.0, np.abs(a))
-                peak(f"{route} routes", dev)
+                dev = terms[f"{route} routes"] = np.abs(a - b) / np.maximum(1.0, np.abs(a))
                 failing += [(y, route, float(a[y]), float(b[y])) for y in np.flatnonzero(dev > 10.0 * tol)]
         # y-major, and at one y in route order: the sort is stable
         violations += [f"{route} routes disagree at point {p_idx}, y {y}: {a} vs {b}"
                        for y, route, a, b in sorted(failing, key=lambda f: f[0])]
-        _finite("result", bu.x, worst)
+        if peaks is None:  # the same measures and sizes at every point
+            peaks, starts = np.zeros(len(terms)), np.cumsum([0] + [t.size for t in terms.values()][:-1])
+        # one pass over every term; np.maximum, unlike max(), returns a NaN it meets
+        np.maximum(peaks, np.maximum.reduceat(np.abs(np.concatenate(list(terms.values()), axis=None)), starts),
+                   out=peaks)
+        if not np.isfinite(peaks).all():
+            _finite("result", bu.x, dict(zip(terms, peaks)))
 
-        filed = [k for k in _ROW_KEYS if k in cols]
-        point_rows += [{"point": p_idx, "y_index": y_idx, "x": bu.x.tolist(), "y": y, **dict(zip(filed, values))}
-                       for y_idx, (y, *values) in enumerate(zip(ys.tolist(), *(cols[k].tolist() for k in filed)))]
+        x, filed = bu.x.tolist(), [k for k in _ROW_KEYS if k in cols]
+        row_keys = ("point", "y_index", "x", "y", *filed)
+        point_rows += [dict(zip(row_keys, (p_idx, y_idx, list(x), *values)))
+                       for y_idx, values in enumerate(zip(ys.tolist(), *(cols[k].tolist() for k in filed)))]
+    worst = dict(zip(terms, peaks.tolist())) if point_rows else {}
 
     if fits:
         lam = float(np.mean([f.lam for f in fit_list]))
@@ -378,14 +383,66 @@ def _check_as_dict(report: ClassReport) -> dict:
     }
 
 
+def _json_rows(rows: list) -> str | None:
+    """The ``"points"`` list of a report as ``json.dumps(indent=2, sort_keys=True)`` lays it out, one level deep.
+
+    Every row of a run has the same keys, and its lists the same lengths,
+    so the rows share one template.  All their numbers are encoded by one
+    call of the C encoder, which gives each the text the indenting encoder
+    would: ``repr`` of the float or int.  None when ``rows`` does not have
+    that shape, for the caller to encode them the slow way.
+    """
+    if not rows:
+        return None
+    first = rows[0]
+    keys = sorted(first)
+    lengths = [len(first[k]) if isinstance(first[k], list) else None for k in keys]
+    fields = []
+    for k, m in zip(keys, lengths):
+        head = "      " + json.dumps(k).replace("%", "%%") + ": "
+        if m is None:
+            fields.append(head + "%s")
+        else:
+            fields.append(head + ("[\n" + ",\n".join(["        %s"] * m) + "\n      ]" if m else "[]"))
+    template = "    {\n" + ",\n".join(fields) + "\n    }"
+    leaves = []
+    for row in rows:
+        if row.keys() != first.keys():
+            return None
+        for k, m in zip(keys, lengths):
+            v = row[k]
+            if m is None:
+                leaves.append(v)
+            elif type(v) is list and len(v) == m:
+                leaves += v
+            else:
+                return None
+    if not (leaves and set(map(type, leaves)) <= {int, float}):
+        return None  # a leaf of another kind may be laid out over lines, or hold the separator
+    return ",\n".join([template] * len(rows)) % tuple(json.dumps(leaves)[1:-1].split(", "))
+
+
 def emit_report(report: ClassReport, fmt: str = "text") -> str:
-    """Serialize a classification report as text, json or csv, or as the scurv or flag view."""
+    """Serialize a classification report as text, json or csv, or as the scurv or flag view.
+
+    The json text is ``json.dumps(_check_as_dict(report), indent=2,
+    sort_keys=True)`` and a newline, byte for byte.  The head, everything but
+    the rows, goes through that call; ``"points"``, the last key in sorted
+    order and nearly all of the text, is filled into one row template from
+    one call of the C encoder (``_json_rows``).
+    """
     if fmt == "scurv":
         return _emit_scurv(report)
     if fmt == "flag":
         return _emit_flag(report)
     if fmt == "json":
-        return json.dumps(_check_as_dict(report), indent=2, sort_keys=True) + "\n"
+        whole = _check_as_dict(report)
+        rows = _json_rows(whole.pop("points"))
+        if rows is None:
+            return json.dumps(_check_as_dict(report), indent=2, sort_keys=True) + "\n"
+        # every other key sorts before "points", so the head's text ends where the rows begin
+        head = json.dumps(whole, indent=2, sort_keys=True)
+        return head[:-2] + ',\n  "points": [\n' + rows + "\n  ]\n}\n"
     if fmt == "csv":
         import csv  # imported here: no other format needs it, and every run would pay for it at start-up
 

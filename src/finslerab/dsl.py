@@ -308,7 +308,7 @@ class _Parser:
         _, text, col = self.take("num")
         val = float(text)
         if val != int(val) or not lo <= val <= hi:
-            raise MetricFileError(f"{what} must be an integer in {lo}..{hi}, got {val}", self.line, col)
+            raise MetricFileError(f"{what} must be an integer in {lo}..{hi}, got {text}", self.line, col)
         return int(val)
 
     def signed(self) -> float:

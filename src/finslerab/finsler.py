@@ -51,7 +51,8 @@ of a stack is the one-y spray bit for bit: values, gradients and Hessian
 y columns.  That makes an exact memo possible, and ``spray`` keeps one
 per bundle: the arrays of G and Gbar of the bundle's last stack, made
 read-only, with a copy of its y.  A later one-y spray whose y has the
-bytes of a row returns views of that row.  So the S group's one-y
+bytes of a row returns views of that row, before y is checked to be
+nonzero, which every row of a stack has passed.  So the S group's one-y
 sprays in ``run_check`` cost a lookup each.
 The memo holds arrays only, never a ``Spray`` or the bundle, so a
 bundle is freed as soon as its caller drops it; it builds its row index
@@ -393,15 +394,15 @@ def spray(bundle: AlphaBetaBundle, y) -> Spray:
     bits it would compute.
     """
     y = np.asarray(y, dtype=float)
-    if not (y.size and np.logical_or.reduce(y, axis=-1).all()):
-        raise ValueError("y must be a nonzero vector or a nonempty stack of them")
     inp = bundle.spray_inputs
-    if inp is None:
-        inp = bundle.spray_inputs = _SprayInputs(bundle)
-    if y.ndim == 1:
-        kept = inp.row(y)
+    if inp is not None and y.ndim == 1:
+        kept = inp.row(y)  # a row of a stack, which has passed the check below
         if kept is not None:
             return Spray(bundle, y, *kept)
+    if not (y.size and np.logical_or.reduce(y, axis=-1).all()):
+        raise ValueError("y must be a nonzero vector or a nonempty stack of them")
+    if inp is None:
+        inp = bundle.spray_inputs = _SprayInputs(bundle)
     n, stack = bundle.n, y.shape[:-1]
     d = 2 * n
     val, grad, hess = inp.at(y)
@@ -511,10 +512,9 @@ def unit_alpha_vectors(bundle: AlphaBetaBundle, count: int, rng) -> np.ndarray:
 
     A row of norm below 1e-8 is redrawn: the rows and draws are those of one row at a time.
     """
-    v = np.empty((0, bundle.n))
-    while len(v) < count:
-        more = rng.standard_normal((count - len(v), bundle.n))
-        v = np.concatenate([v, more[np.linalg.norm(more, axis=1) >= 1e-8]])
+    v = rng.standard_normal((count, bundle.n))
+    while not (kept := np.linalg.norm(v, axis=1) >= 1e-8).all():
+        v = np.concatenate([v[kept], rng.standard_normal((count - int(kept.sum()), bundle.n))])
     return v / np.sqrt((v[:, None, :] @ bundle.a @ v[:, :, None])[:, 0, 0])[:, None]
 
 

@@ -96,6 +96,9 @@ class AlphaBetaBundle:
     # ``finsler.spray`` call at this point and reused by every later one
     # (nothing changes a bundle's arrays after ``build_bundle``)
     spray_inputs: object = field(default=None, init=False, repr=False, compare=False)
+    # (volume factor record, d(ln sigma_F)/dx) of the last ``scurvature.s_curvature_def``
+    # at this point: the drift depends on the point and on f alone, not on y
+    volume_drift: object = field(default=None, init=False, repr=False, compare=False)
 
     # -- formed on first use --------------------------------------------------
 

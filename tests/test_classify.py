@@ -97,6 +97,54 @@ def test_json_determinism(example_spec):
     assert a == b
 
 
+def _dumped(report) -> str:
+    return json.dumps(classify._check_as_dict(report), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("form", ["bh", "ht"])
+@pytest.mark.parametrize("name", testmetrics.list_shipped())
+def test_json_writer_is_json_dumps_on_shipped_metrics(name, form):
+    spec = testmetrics.shipped_metric(name)
+    for seed in range(3):
+        report = run_check(spec, RunConfig(seed=seed, volume_form=form))
+        assert emit_report(report, "json") == _dumped(report), seed
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_json_writer_is_json_dumps_on_dense_metrics(n):
+    report = run_check(testmetrics.random_metric(n, 40 + n), RunConfig())
+    assert emit_report(report, "json") == _dumped(report)
+
+
+@pytest.mark.parametrize("groups", [GROUPS, ("beta",), ("beta", "S"), ("flag",)])
+def test_json_writer_is_json_dumps_on_one_point(example_spec, groups):
+    report = run_check(example_spec, RunConfig(points=1, y_per_point=2), groups)
+    assert len(report.points) == 2
+    assert emit_report(report, "json") == _dumped(report)
+
+
+def test_cli_json_is_json_dumps_with_an_escaped_metric_name(tmp_path):
+    path = tmp_path / 'quote"d_é.metric'
+    text = testmetrics.shipped_metric_path("euclidean_shear").read_text()
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out.json"
+    assert cli.main(["check", str(path), "--points", "3", "--format", "json", "--out", str(out)]) == cli.EXIT_OK
+    report = run_check(parse_metric(text, name=path.stem), RunConfig(points=3))
+    assert report.metric == 'quote"d_é'
+    assert out.read_text() == _dumped(report)
+    assert '"metric": "quote\\"d_\\u00e9"' in out.read_text()
+
+
+def test_json_writer_falls_back_on_rows_of_another_shape(example_spec):
+    """Rows the run never files (another key, a string, a nested list) are still written as json.dumps writes them."""
+    report = run_check(example_spec, small_config(points=1, y_per_point=2))
+    first, second = report.points
+    for changed in ({"S": "a, b"}, {"S": [1.0, [2.0]]}, {"S": True}, {"extra": 1.0}, {"x": [0.5]}):
+        rows = [first, dict(second, **changed)]
+        odd = report._replace(points=rows)
+        assert emit_report(odd, "json") == _dumped(odd), changed
+
+
 def test_appendix_report(generic3d):
     rep = run_appendix(generic3d, small_config(points=6, sigma_policy="random"))
     assert rep.ok
@@ -867,6 +915,19 @@ def test_cli_check_rejects_a_non_finite_route_value(culprit, monkeypatch, capsys
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert re.fullmatch(rf"error: non-finite result at x=\[[^]]+\]: (\w+, )*{culprit}(, \w+)*\n", captured.err)
+
+
+def test_cli_check_rejects_an_overflowing_route_deviation(monkeypatch, capsys):
+    """Both sides of the S route finite, their difference not: the route's worst deviation is infinite,
+    and ``check`` exits 2 naming that worst value."""
+    monkeypatch.setattr(scurvature, "s_curvature_def", lambda sp, form="bh": 1e308)
+    monkeypatch.setattr(scurvature, "s_curvature_closed", lambda bundle, y, form="bh": -1e308)
+    sphere = str(testmetrics.shipped_metric_path("sphere_round"))
+    with np.errstate(over="ignore"):
+        assert cli.main(["check", sphere, "--points", "2"]) == cli.EXIT_INVALID_METRIC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: non-finite result at x=\[[^]]+\]: S-curvature routes\n", captured.err)
 
 
 def test_cli_appendix_and_sweep(capsys):

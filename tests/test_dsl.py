@@ -239,8 +239,15 @@ def test_validate_indefinite_flagged():
 def test_parse_errors_carry_location():
     with pytest.raises(MetricFileError, match="line 2"):
         parse_metric("dim = 2\na 1 1 = x1 +")
-    with pytest.raises(MetricFileError, match=r"index must be an integer in 1\.\.2, got 3.0 \(line 2, col 5\)"):
-        parse_metric("dim = 2\na 1 3 = 1")
+    # an integer is named as written, not as the float it parses to
+    for text, message in (
+        ("dim = 2\na 1 3 = 1", "index must be an integer in 1..2, got 3 (line 2, col 5)"),
+        ("dim = 2\na 0 1 = 1", "index must be an integer in 1..2, got 0 (line 2, col 3)"),
+        ("dim = 1", "dim must be an integer in 2..32, got 1 (line 1, col 7)"),
+        ("dim = 2.5", "dim must be an integer in 2..32, got 2.5 (line 1, col 7)"),
+    ):
+        with pytest.raises(MetricFileError, match=re.escape(message)):
+            parse_metric(text)
     with pytest.raises(MetricFileError, match="out of range"):
         parse_metric("dim = 2\na 1 1 = x5")
     with pytest.raises(MetricFileError, match="dim"):
@@ -335,7 +342,7 @@ def test_a_junk_token_anywhere_is_an_error():
 
 def test_parse_limits():
     parse_metric(f"dim = {MAX_DIM}\n")
-    with pytest.raises(MetricFileError, match=r"dim must be an integer in 2\.\.32, got 33.0 \(line 1, col 7\)"):
+    with pytest.raises(MetricFileError, match=r"dim must be an integer in 2\.\.32, got 33 \(line 1, col 7\)"):
         parse_metric(f"dim = {MAX_DIM + 1}\n")
     nested = "(" * MAX_DEPTH + "x1" + ")" * MAX_DEPTH
     node = _parse(nested)
