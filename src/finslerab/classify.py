@@ -152,12 +152,15 @@ def run_check(spec: MetricSpec, config: RunConfig, groups=GROUPS) -> ClassReport
     any is compared.  Every measure a verdict reads (the beta tensors, the
     per-y magnitudes, each route's deviations) is reduced to its peak at the
     point in one pass over all of them, and the worst so far must stay
-    finite.  "fits" raises ``ValueError`` below 2 y-samples per point: one
+    finite.  A run files at least one row: it raises ``ValueError`` without
+    a point or a y-sample, and "fits" below 2 y-samples per point, as one
     fits sigma exactly, whatever F is.
     """
     beta, fits, ricci, S, flag = (g in groups for g in GROUPS)
-    if fits and config.y_per_point < 2:
-        raise ValueError(f"the scalar fits need at least 2 y-samples per point, got {config.y_per_point}")
+    least = 2 if fits else 1
+    if config.points < 1 or config.y_per_point < least:
+        raise ValueError(f"a run needs a point and at least {least} y-samples per point, "
+                         f"got {config.points} points and {config.y_per_point} y-samples")
     tol = config.tolerance
     rng = np.random.default_rng(config.seed)
     pts = sample_domain(spec, config.points, rng, shrink=0.05)
@@ -223,7 +226,7 @@ def run_check(spec: MetricSpec, config: RunConfig, groups=GROUPS) -> ClassReport
         row_keys = ("point", "y_index", "x", "y", *filed)
         point_rows += [dict(zip(row_keys, (p_idx, y_idx, list(x), *values)))
                        for y_idx, values in enumerate(zip(ys.tolist(), *(cols[k].tolist() for k in filed)))]
-    worst = dict(zip(terms, peaks.tolist())) if point_rows else {}
+    worst = dict(zip(terms, peaks.tolist()))
 
     if fits:
         lam = float(np.mean([f.lam for f in fit_list]))
@@ -383,53 +386,44 @@ def _check_as_dict(report: ClassReport) -> dict:
     }
 
 
-def _json_rows(rows: list) -> str | None:
-    """The ``"points"`` list of a report as ``json.dumps(indent=2, sort_keys=True)`` lays it out, one level deep.
-
-    Every row of a run has the same keys, and its lists the same lengths,
-    so the rows share one template.  All their numbers are encoded by one
-    call of the C encoder, which gives each the text the indenting encoder
-    would: ``repr`` of the float or int.  None when ``rows`` does not have
-    that shape, for the caller to encode them the slow way.
-    """
-    if not rows:
-        return None
-    first = rows[0]
-    keys = sorted(first)
-    lengths = [len(first[k]) if isinstance(first[k], list) else None for k in keys]
-    fields = []
-    for k, m in zip(keys, lengths):
-        head = "      " + json.dumps(k).replace("%", "%%") + ": "
-        if m is None:
-            fields.append(head + "%s")
-        else:
-            fields.append(head + ("[\n" + ",\n".join(["        %s"] * m) + "\n      ]" if m else "[]"))
-    template = "    {\n" + ",\n".join(fields) + "\n    }"
+def _leaves(rows: list, keys) -> list:
+    """The numbers of ``rows``, row by row and in each row key by key of ``keys``, a list's entries in its place."""
+    many = [type(rows[0][k]) is list for k in keys]
     leaves = []
     for row in rows:
-        if row.keys() != first.keys():
-            return None
-        for k, m in zip(keys, lengths):
-            v = row[k]
-            if m is None:
-                leaves.append(v)
-            elif type(v) is list and len(v) == m:
-                leaves += v
+        for k, m in zip(keys, many):
+            if m:
+                leaves += row[k]
             else:
-                return None
-    if not (leaves and set(map(type, leaves)) <= {int, float}):
-        return None  # a leaf of another kind may be laid out over lines, or hold the separator
-    return ",\n".join([template] * len(rows)) % tuple(json.dumps(leaves)[1:-1].split(", "))
+                leaves.append(row[k])
+    return leaves
+
+
+def _json_rows(rows: list) -> str:
+    """The ``"points"`` list of a report as ``json.dumps(indent=2, sort_keys=True)`` lays it out, one level deep.
+
+    ``run_check`` files every row with one key tuple, and its x and y hold n
+    numbers each, so every row has the layout of the first.  The row
+    template is ``json.dumps``'s own text of that layout, ``%s`` in place of
+    each number, indented to the rows' depth.  All the numbers are encoded
+    by one call of the C encoder, which gives each the text the indenting
+    encoder would: ``repr`` of the float or int.
+    """
+    shape = {k: ["%s"] * len(v) if type(v) is list else "%s" for k, v in rows[0].items()}
+    template = "    " + json.dumps(shape, indent=2, sort_keys=True).replace('"%s"', "%s").replace("\n", "\n    ")
+    numbers = json.dumps(_leaves(rows, sorted(shape)))[1:-1].split(", ")
+    return ",\n".join([template] * len(rows)) % tuple(numbers)
 
 
 def emit_report(report: ClassReport, fmt: str = "text") -> str:
     """Serialize a classification report as text, json or csv, or as the scurv or flag view.
 
-    The json text is ``json.dumps(_check_as_dict(report), indent=2,
-    sort_keys=True)`` and a newline, byte for byte.  The head, everything but
-    the rows, goes through that call; ``"points"``, the last key in sorted
-    order and nearly all of the text, is filled into one row template from
-    one call of the C encoder (``_json_rows``).
+    json and csv write every row in the layout of the first: point, y_index,
+    x, y and the columns ``run_check`` filed, in that order in csv.  The json
+    text is ``json.dumps(_check_as_dict(report), indent=2, sort_keys=True)``
+    and a newline, byte for byte.  The head, everything but the rows, goes
+    through that call; ``"points"``, the last key in sorted order and nearly
+    all of the text, through ``_json_rows``.
     """
     if fmt == "scurv":
         return _emit_scurv(report)
@@ -438,22 +432,18 @@ def emit_report(report: ClassReport, fmt: str = "text") -> str:
     if fmt == "json":
         whole = _check_as_dict(report)
         rows = _json_rows(whole.pop("points"))
-        if rows is None:
-            return json.dumps(_check_as_dict(report), indent=2, sort_keys=True) + "\n"
         # every other key sorts before "points", so the head's text ends where the rows begin
         head = json.dumps(whole, indent=2, sort_keys=True)
         return head[:-2] + ',\n  "points": [\n' + rows + "\n  ]\n}\n"
     if fmt == "csv":
         import csv  # imported here: no other format needs it, and every run would pay for it at start-up
 
+        first, head = report.points[0], []
+        for k, v in first.items():
+            head += [f"{k}{i + 1}" for i in range(len(v))] if type(v) is list else [k]
+        leaves, width = _leaves(report.points, list(first)), len(head)
         buf = io.StringIO()
-        wr = csv.writer(buf)
-        head = ["point", "y_index"]
-        nx = len(report.points[0]["x"]) if report.points else 0
-        head += [f"x{i+1}" for i in range(nx)] + [f"y{i+1}" for i in range(nx)]
-        wr.writerow(head + list(_ROW_KEYS))
-        for row in report.points:
-            wr.writerow([row["point"], row["y_index"], *row["x"], *row["y"], *(row[k] for k in _ROW_KEYS)])
+        csv.writer(buf).writerows([head, *(leaves[i:i + width] for i in range(0, len(leaves), width))])
         return buf.getvalue()
     lines = [f"metric: {report.metric}"]
     lines.append(f"config: {report.config}")

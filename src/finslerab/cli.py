@@ -5,10 +5,10 @@ Subcommands::
     finslerab check    <metric-file> [--points N] [--y-per-point M] [--seed S]
                        [--tol T] [--volume bh|ht] [--format text|json|csv] [--out PATH]
     finslerab appendix (metric-file | --dim-sweep 3,4,5) [--sigma VALUE|random]
-                       [--points N] [--seed S] [--format text|json]
-    finslerab scurv    <metric-file> [--volume bh|ht] [--points N] [--seed S]
-    finslerab flag     <metric-file> [--points N] [--seed S]
-    finslerab validate <metric-file>
+                       [--points N] [--seed S] [--format text|json] [--out PATH]
+    finslerab scurv    <metric-file> [--volume bh|ht] [--points N] [--seed S] [--out PATH]
+    finslerab flag     <metric-file> [--points N] [--seed S] [--out PATH]
+    finslerab validate <metric-file> [--seed S]
 
 This module parses arguments, writes output and maps results to exit
 statuses; every number and verdict comes from ``classify``.  ``check``,

@@ -61,8 +61,8 @@ only the copy of its y.
 
 The curvature is computed two ways, directly from the spray and through
 the deformation-field identity relating Ric to the Ricci curvature of
-alpha; agreement of the two routes is the engine's strongest self-check
-and is asserted in the test suite rather than here.  The flag fit of
+alpha; agreement of the two routes is the engine's strongest self-check,
+and ``classify.run_check`` asserts it at every sample.  The flag fit of
 R = K (F^2 I - y y_flat^T) is least squares in the inner product of the
 fundamental tensor g, where it is closed-form in Ric and F and reads of g
 only y_flat = g y, itself closed-form in F, alpha, beta, a y and b; so K and

@@ -1,4 +1,7 @@
+import argparse
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -6,6 +9,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 import warnings
 
@@ -116,11 +120,36 @@ def test_json_writer_is_json_dumps_on_dense_metrics(n):
     assert emit_report(report, "json") == _dumped(report)
 
 
-@pytest.mark.parametrize("groups", [GROUPS, ("beta",), ("beta", "S"), ("flag",)])
+# each view's condition groups, with the columns a row of it files after point, y_index, x and y
+FILED = {
+    GROUPS: ["Ric", "F2", "S", "K_fit", "flag_residual"],
+    ("beta",): [],
+    ("beta", "S"): ["S"],
+    ("flag",): ["K_fit", "flag_residual"],
+    ("fits",): [],
+    ("ricci",): ["Ric", "F2"],
+}
+
+
+@pytest.mark.parametrize("groups", FILED)
 def test_json_writer_is_json_dumps_on_one_point(example_spec, groups):
     report = run_check(example_spec, RunConfig(points=1, y_per_point=2), groups)
     assert len(report.points) == 2
     assert emit_report(report, "json") == _dumped(report)
+
+
+@pytest.mark.parametrize("groups", FILED)
+def test_csv_writes_the_filed_columns(example_spec, groups):
+    """The header is point, y_index, x1.., y1.. and the filed columns; each row reads back to the report's numbers."""
+    report = run_check(example_spec, RunConfig(points=2, y_per_point=2), groups)
+    head, *lines = csv.reader(io.StringIO(emit_report(report, "csv")))
+    n = example_spec.dim
+    assert head == ["point", "y_index", *(f"x{i + 1}" for i in range(n)), *(f"y{i + 1}" for i in range(n)),
+                    *FILED[groups]]
+    assert len(lines) == len(report.points) == 4
+    for line, row in zip(lines, report.points):
+        assert [float(v) for v in line] == [row["point"], row["y_index"], *row["x"], *row["y"],
+                                             *(row[k] for k in FILED[groups])]
 
 
 def test_cli_json_is_json_dumps_with_an_escaped_metric_name(tmp_path):
@@ -133,16 +162,6 @@ def test_cli_json_is_json_dumps_with_an_escaped_metric_name(tmp_path):
     assert report.metric == 'quote"d_é'
     assert out.read_text() == _dumped(report)
     assert '"metric": "quote\\"d_\\u00e9"' in out.read_text()
-
-
-def test_json_writer_falls_back_on_rows_of_another_shape(example_spec):
-    """Rows the run never files (another key, a string, a nested list) are still written as json.dumps writes them."""
-    report = run_check(example_spec, small_config(points=1, y_per_point=2))
-    first, second = report.points
-    for changed in ({"S": "a, b"}, {"S": [1.0, [2.0]]}, {"S": True}, {"extra": 1.0}, {"x": [0.5]}):
-        rows = [first, dict(second, **changed)]
-        odd = report._replace(points=rows)
-        assert emit_report(odd, "json") == _dumped(odd), changed
 
 
 def test_appendix_report(generic3d):
@@ -424,6 +443,14 @@ def test_check_reads_a_single_row_stack_and_no_fits_on_it(generic3d):
     assert len(report.points) == config.points and not report.engine_inconsistent
     with pytest.raises(ValueError, match="at least 2 y-samples"):
         run_check(generic3d, config, ("fits",))
+
+
+@pytest.mark.parametrize("groups", [(), ("beta",), ("S",)])
+@pytest.mark.parametrize("points, y_per_point", [(0, 3), (2, 0)])
+def test_check_refuses_a_run_that_files_no_row(generic3d, groups, points, y_per_point):
+    """Every report has rows, and the writers lay each out as its first."""
+    with pytest.raises(ValueError, match="a run needs a point and at least 1 y-samples"):
+        run_check(generic3d, small_config(points=points, y_per_point=y_per_point), groups)
 
 
 # the bundle's tensors formed on first use
@@ -794,6 +821,19 @@ def test_cli_appendix_usage_shows_exclusive_sources(capsys):
     # an argparse error prints the same usage line
     assert cli.main(["appendix", _example_path(), "--dim-sweep", "3"]) == cli.EXIT_INVALID_METRIC
     assert capsys.readouterr().err.startswith(usage + "\n")
+
+
+def test_usage_blocks_match_the_parser():
+    """README's usage block is the cli docstring's, and each subcommand in it shows exactly the parser's options."""
+    doc = textwrap.dedent(cli.__doc__.split("Subcommands::\n\n", 1)[1].split("\n\n", 1)[0])
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    assert doc == readme.split("## Command line\n\n```bash\n", 1)[1].split("\n```", 1)[0]
+    shown = {entry.split()[0]: set(re.findall(r"--[a-z][a-z-]*", entry))
+             for entry in re.split(r"^finslerab ", doc, flags=re.M)[1:]}
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: {o for a in p._actions for o in a.option_strings if o.startswith("--") and o != "--help"}
+               for name, p in sub.choices.items()}
+    assert shown == options
 
 
 MALFORMED = {

@@ -11,6 +11,10 @@ and ``scurv``, each under bh and ht).  The shipped metrics are sparse and
 small, so a change in the order in which a stack's dot products are summed
 can leave their outputs byte-identical; the dense ones show it.
 
+The other tree's commands run under ``PYTHONHASHSEED=0`` and this tree's
+under ``PYTHONHASHSEED=1``, so this tree compared with itself checks that
+every output is independent of hash order.
+
 Each output is split into its numbers and the text between them.  The text
 must be equal: it holds every verdict, key, consistency record and
 failure list.  Each number may move by at most 1e-12 max(1, |x|), x the
@@ -100,8 +104,8 @@ def matrix(root: Path, dense=()) -> list:
     return runs
 
 
-def run(root: Path, argv: list) -> tuple[int, str]:
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+def run(root: Path, argv: list, hash_seed: str) -> tuple[int, str]:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED=hash_seed)
     proc = subprocess.run([sys.executable, "-m", "finslerab.cli", *argv], cwd=root, env=env,
                           capture_output=True, text=True, timeout=600)
     return proc.returncode, proc.stdout
@@ -179,7 +183,7 @@ def main(argv=None) -> int:
 
     def both(item):
         label, cmd = item
-        return compare(label, cmd, run(parent, cmd), run(ROOT, cmd), args.moved)
+        return compare(label, cmd, run(parent, cmd, "0"), run(ROOT, cmd, "1"), args.moved)
 
     with tempfile.TemporaryDirectory() as folder, ThreadPoolExecutor(JOBS) as pool:
         results = list(pool.map(both, matrix(ROOT, write_dense_metrics(Path(folder)))))
