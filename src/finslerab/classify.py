@@ -13,8 +13,9 @@ group asks for one spray per y-sample, as its routes take one y, and
 ``run_check`` and ``run_appendix`` share one loop over the sampled points'
 bundles.  It takes the jets of a and b from one walk of the metric per
 chunk of points, a chunk being as many points as fit a fixed float budget,
-and builds each point's bundle, and all that follows, point by point.  A
-point where b^2 >= 1/4, outside the domain of F, stops the run with a
+and forms their bundle fields in array passes of up to 32 points; each
+bundle, its checks and all that follows run point by point.  A point
+where b^2 >= 1/4, outside the domain of F, stops the run with a
 ``GeometryError``: its own sample points are checked, not only those of
 ``validate_spec``.  So does a non-finite number to report or to compare.
 
@@ -44,7 +45,7 @@ import numpy as np
 from . import finsler, identity, scurvature, testmetrics
 from .dsl import MetricSpec, sample_domain
 from .jets import ArrayJet, JetError
-from .riemann import GeometryError, _finite, build_bundle
+from .riemann import GeometryError, _chunk_pass, _finite, build_bundle
 
 __all__ = [
     "RunConfig", "ClassReport", "GROUPS", "run_check", "run_appendix", "run_dim_sweep",
@@ -103,19 +104,24 @@ def _thr(tol: float, scale: float) -> float:
 # Floats of a and b jets that one walk of the metric may form: the default 20
 # points are one walk up to n = 10, and memory stays bounded for any count.
 _CHUNK_FLOATS = 2**18
+# Floats of dgamma, the largest bundle field, that one pass may form, in at most
+# _PASS_POINTS points: 20 points are one pass up to n = 7, and from n = 14 on,
+# where batching gains nothing, a pass is one point.
+_PASS_FLOATS, _PASS_POINTS = 2**16, 32
 
 
 def _point_jets(spec: MetricSpec, pts):
-    """Each point's (a, b) jets for ``build_bundle``, from one walk of the metric per chunk of points.
+    """Each point's slice of a ``_chunk_pass`` for ``build_bundle``: its jets and every field formed from them.
 
-    A chunk is walked when its first point is asked for.  Each point gets
-    views of its slice, which are C-contiguous, as its own walk's arrays
-    are.  A chunk whose walk fails gives None for each of its points:
-    ``build_bundle`` then walks them one at a time and raises at the first
-    that fails.
+    A chunk is walked, and a pass formed, when its first point is asked
+    for.  A chunk whose walk fails, or a pass where some a(x) is not
+    positive definite, gives None for each of its points: ``build_bundle``
+    then walks and forms them one at a time, and raises at the first that
+    fails.
     """
     n = spec.dim
     size = max(1, _CHUNK_FLOATS // ((n * n + n) * (1 + n + n * n)))
+    part = max(1, min(_PASS_POINTS, _PASS_FLOATS // n**4))
     for start in range(0, len(pts), size):
         chunk = pts[start:start + size]
         env = spec.chart_jets(chunk)
@@ -124,17 +130,45 @@ def _point_jets(spec: MetricSpec, pts):
         except JetError:
             yield from [None] * len(chunk)
             continue
-        for p in range(len(chunk)):
-            yield tuple(ArrayJet(j.val[p], j.grad[p], j.hess[p]) for j in jets)
+        for lo in range(0, len(chunk), part):
+            cut = [ArrayJet(j.val[lo:lo + part], j.grad[lo:lo + part], j.hess[lo:lo + part]) for j in jets]
+            try:
+                slices = _chunk_pass(*cut)
+            except np.linalg.LinAlgError:
+                slices = [None] * len(cut[0].val)
+            yield from slices
 
 
 def _bundles(spec: MetricSpec, pts):
     """The bundle at each point of ``pts``, in order; a ``GeometryError`` at the first where b^2 >= 1/4."""
-    for x, jets in zip(pts, _point_jets(spec, pts)):
-        bu = build_bundle(spec, x, jets)
+    for x, point in zip(pts, _point_jets(spec, pts)):
+        bu = build_bundle(spec, x, point)
         if bu.bsq >= 0.25:
             raise GeometryError(f"b^2 = {bu.bsq:.6g} >= 1/4 at x={x}: F = alpha^2/(alpha - beta) is not defined there")
         yield bu
+
+
+# The implication lattice: (name, premises, conclusions, whether it is the paper's theorem,
+# which needs dim >= 3 and beta != 0), in report order.
+_IMPLICATIONS = (
+    ("parallel => constant Killing", ("beta_parallel",), ("beta_constant_killing",), False),
+    ("constant Killing => Killing", ("beta_constant_killing",), ("beta_killing",), False),
+    ("S == 0 => constant Killing", ("S_zero",), ("beta_constant_killing",), False),
+    ("constant Killing => S == 0", ("beta_constant_killing",), ("S_zero",), False),
+    ("Einstein F with constant |beta| => alpha Ricci-flat and beta parallel",
+     ("F_einstein", "beta_norm_constant"), ("alpha_ricci_flat", "beta_parallel"), True),
+    ("Einstein F with S == 0 => Ricci-flat F", ("F_einstein", "S_zero"), ("F_ricci_flat",), True),
+)
+
+
+def _implication_violations(verdicts: dict, theorem: bool) -> list:
+    """A message per implication whose conditions were all computed, premises hold and a conclusion fails."""
+    found = []
+    for name, premises, conclusions, needs_theorem in _IMPLICATIONS:
+        if (theorem or not needs_theorem) and all(k in verdicts for k in premises + conclusions):
+            if all(verdicts[k] for k in premises) and not all(verdicts[k] for k in conclusions):
+                found.append(f"implication violated: {name}")
+    return found
 
 
 def run_check(spec: MetricSpec, config: RunConfig, groups=GROUPS) -> ClassReport:
@@ -264,24 +298,8 @@ def run_check(spec: MetricSpec, config: RunConfig, groups=GROUPS) -> ClassReport
     }
     conditions = {k: cond for k, cond in conditions.items() if cond}
 
-    v = {k: cond.verdict for k, cond in conditions.items()}
-
-    def implies(name, premises, conclusions):
-        if all(k in v for k in premises + conclusions):
-            if all(v[k] for k in premises) and not all(v[k] for k in conclusions):
-                violations.append(f"implication violated: {name}")
-
-    implies("parallel => constant Killing", ("beta_parallel",), ("beta_constant_killing",))
-    implies("constant Killing => Killing", ("beta_constant_killing",), ("beta_killing",))
-    implies("S == 0 => constant Killing", ("S_zero",), ("beta_constant_killing",))
-    implies("constant Killing => S == 0", ("beta_constant_killing",), ("S_zero",))
-    if spec.dim >= 3 and worst.get("beta", 0.0) > tol:
-        implies(
-            "Einstein F with constant |beta| => alpha Ricci-flat and beta parallel",
-            ("F_einstein", "beta_norm_constant"),
-            ("alpha_ricci_flat", "beta_parallel"),
-        )
-        implies("Einstein F with S == 0 => Ricci-flat F", ("F_einstein", "S_zero"), ("F_ricci_flat",))
+    verdicts = {k: cond.verdict for k, cond in conditions.items()}
+    violations += _implication_violations(verdicts, theorem=spec.dim >= 3 and worst.get("beta", 0.0) > tol)
 
     return ClassReport(
         metric=spec.name,

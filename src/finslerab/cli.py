@@ -147,8 +147,9 @@ _SEED = _arg(int, lambda v: v >= 0, "an integer >= 0")
 # rounding, not the geometry, so it is refused.
 TOL_FLOOR = 1e-14
 # A report keeps one row per sample (point x y-sample): about 1 KB held and
-# 3.9 KB at peak each on a 5-dimensional metric with --format json.  A run
-# of more samples than this, about 0.4 GB, is refused before it allocates.
+# 3.9 KB at peak each on a 5-dimensional metric with --format json.  This cap
+# bounds the report at about 0.4 GB, but not a point's y-stack, which is
+# sprayed at once: about 133 KB per y at n = 12 (ROADMAP, item 5).
 MAX_SAMPLES = 10**5
 _TOL = _arg(float, lambda v: math.isfinite(v) and v >= TOL_FLOOR, f"a finite number >= {TOL_FLOOR:g}")
 # kept as text: the report echoes the policy as given
@@ -160,10 +161,18 @@ _DIMS = _arg(
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser; given ``command``, only its options are filled in, which saves start-up time.
+
+    Every subcommand is registered either way, so top-level help and errors are the same.
+    """
     defaults = RunConfig()
     ap = argparse.ArgumentParser(prog="finslerab", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
+
+    def add(name, **kwargs):
+        p = sub.add_parser(name, **kwargs)
+        return p if command in (None, name) else None
 
     def common(p):
         p.add_argument("metric", help="metric definition file")
@@ -171,56 +180,58 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=_SEED, default=0)
         p.add_argument("--out", default=None)
 
-    p = sub.add_parser("check", help="full classification report")
-    common(p)
-    p.add_argument("--y-per-point", type=_Y_COUNT, default=defaults.y_per_point)
-    p.add_argument("--tol", type=_TOL, default=defaults.tolerance)
-    p.add_argument("--volume", choices=("bh", "ht"), default=defaults.volume_form)
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.set_defaults(fn=cmd_check, groups=classify.GROUPS)
+    if p := add("check", help="full classification report"):
+        common(p)
+        p.add_argument("--y-per-point", type=_Y_COUNT, default=defaults.y_per_point)
+        p.add_argument("--tol", type=_TOL, default=defaults.tolerance)
+        p.add_argument("--volume", choices=("bh", "ht"), default=defaults.volume_form)
+        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        p.set_defaults(fn=cmd_check, groups=classify.GROUPS)
 
     # argparse prints a group's positional apart from its options, so the usage
     # line is written out to show the metric file and the sweep as alternatives
-    p = sub.add_parser(
+    if p := add(
         "appendix",
         help="cleared-identity check",
         usage="%(prog)s [-h] [--points POINTS] [--seed SEED] [--out OUT] [--sigma SIGMA]\n"
         "       [--format {text,json}] (metric | --dim-sweep DIMS)",
-    )
-    # the sweep uses built-in metrics, so a metric file with it is an error, not ignored
-    source = p.add_mutually_exclusive_group()
-    source.add_argument("metric", nargs="?", default=None)
-    p.add_argument("--points", type=_COUNT, default=20)
-    p.add_argument("--seed", type=_SEED, default=0)
-    p.add_argument("--out", default=None)
-    p.add_argument("--sigma", type=_SIGMA, default="0", help="a number, or 'random' (negative: --sigma=-1e-3)")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    source.add_argument(
-        "--dim-sweep", type=_DIMS, default=None, metavar="DIMS", help="comma list of dimensions, e.g. 3,4,5"
-    )
-    p.set_defaults(fn=cmd_appendix)
+    ):
+        # the sweep uses built-in metrics, so a metric file with it is an error, not ignored
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("metric", nargs="?", default=None)
+        p.add_argument("--points", type=_COUNT, default=20)
+        p.add_argument("--seed", type=_SEED, default=0)
+        p.add_argument("--out", default=None)
+        p.add_argument("--sigma", type=_SIGMA, default="0", help="a number, or 'random' (negative: --sigma=-1e-3)")
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        source.add_argument(
+            "--dim-sweep", type=_DIMS, default=None, metavar="DIMS", help="comma list of dimensions, e.g. 3,4,5"
+        )
+        p.set_defaults(fn=cmd_appendix)
 
-    p = sub.add_parser("scurv", help="S-curvature report")
-    common(p)
-    p.add_argument("--volume", choices=("bh", "ht"), default=defaults.volume_form)
     # the views of check that print only some condition groups, at fixed sampling
     views = dict(fn=cmd_check, y_per_point=6, tol=defaults.tolerance)
-    p.set_defaults(groups=("beta", "S"), format="scurv", **views)
+    if p := add("scurv", help="S-curvature report"):
+        common(p)
+        p.add_argument("--volume", choices=("bh", "ht"), default=defaults.volume_form)
+        p.set_defaults(groups=("beta", "S"), format="scurv", **views)
 
-    p = sub.add_parser("flag", help="flag-curvature constancy report")
-    common(p)
-    p.set_defaults(groups=("flag",), format="flag", volume=defaults.volume_form, **views)
+    if p := add("flag", help="flag-curvature constancy report"):
+        common(p)
+        p.set_defaults(groups=("flag",), format="flag", volume=defaults.volume_form, **views)
 
-    p = sub.add_parser("validate", help="domain validity of a metric file")
-    p.add_argument("metric")
-    p.add_argument("--seed", type=_SEED, default=0)
-    p.set_defaults(fn=cmd_validate)
+    if p := add("validate", help="domain validity of a metric file"):
+        p.add_argument("metric")
+        p.add_argument("--seed", type=_SEED, default=0)
+        p.set_defaults(fn=cmd_validate)
     return ap
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        # the top-level parser has no option that takes a value: its first other word names the subcommand
+        args = build_parser(next((a for a in argv if not a.startswith("-")), None)).parse_args(argv)
         return args.fn(args)
     except SystemExit as exc:  # raised by argparse and the loaders with the proper status
         return int(exc.code)

@@ -17,8 +17,9 @@ bundle holds, as plain ndarrays,
   ``d_svec``; the last index is always the derivative direction),
 * ``dlndet[k]`` = d(ln det a)/dx^k, by Jacobi's formula tr(a^-1 d_k a).
 
-``build_bundle`` forms only what the spray, the S-curvature routes and the
-beta conditions read.  The curvature of alpha (``riem4``, ``ricci_tensor``)
+``build_bundle`` holds only what the spray, the S-curvature routes and the
+beta conditions read, formed for a chunk of points at once by
+``_chunk_pass``.  The curvature of alpha (``riem4``, ``ricci_tensor``)
 and the second covariant calculus of b (``Dr``, ``Ds``, ``Drvec``,
 ``Dsvec``, with ``r_up``, ``supvec`` and ``r_scalar``) are formed on first
 use and then kept, by the same expressions; the fits, the Ricci routes and
@@ -177,15 +178,13 @@ class AlphaBetaBundle:
         return ric if y.ndim > 1 else float(ric)
 
 
-def build_bundle(spec: MetricSpec, x, jets: tuple[ArrayJet, ArrayJet] | None = None) -> AlphaBetaBundle:
+def build_bundle(spec: MetricSpec, x, point: tuple[dict, bool] | None = None) -> AlphaBetaBundle:
     """Evaluate all alpha/beta geometry of ``spec`` at the chart point ``x``.
 
-    ``jets`` are the order-2 jets of a_ij and b_i at ``x`` in the n chart
-    directions, as ``spec.a_jet`` and ``spec.b_jet`` give them over
-    ``spec.chart_jets(x)``; a run passes each point's slice of one walk
-    over many points.  Without them the metric is walked here, at ``x``
-    alone.  Everything after the jets is per point.  A ``GeometryError``
-    names a point where a field formed from the jets is not finite.
+    ``point`` is this point's slice of a ``_chunk_pass`` over many points:
+    every field, as views, and whether the formed ones are finite.  Without
+    it ``x`` alone is walked and formed, as a chunk of one.  A
+    ``GeometryError`` names each check that fails at ``x``.
     """
     x = np.asarray(x, dtype=float)
     n = spec.dim
@@ -195,66 +194,86 @@ def build_bundle(spec: MetricSpec, x, jets: tuple[ArrayJet, ArrayJet] | None = N
         if not lo <= x[k] <= hi:
             raise GeometryError(f"x{k + 1} = {x[k]} outside domain [{lo}, {hi}]")
 
-    if jets is None:
+    if point is None:
         env = spec.chart_jets(x)
         try:
             jets = spec.a_jet(env), spec.b_jet(env)
         except JetError as exc:
             raise GeometryError(f"metric evaluation failed at x={x}: {exc}") from exc
-    A, B = jets
-    # d2A[i,j,k,l] = d^2 a_ij / dx^k dx^l, and likewise d2b
+        try:
+            (point,) = _chunk_pass(*(ArrayJet(j.val[None], j.grad[None], j.hess[None]) for j in jets))
+        except np.linalg.LinAlgError:
+            raise GeometryError(f"a(x) not positive definite at x={x}") from None
+    fields, finite = point
+    if not finite:
+        _finite("geometry", x, fields)
+    return AlphaBetaBundle(spec=spec, x=x, n=n, **fields)
+
+
+def _chunk_pass(A: ArrayJet, B: ArrayJet) -> list[tuple[dict, bool]]:
+    """Each point's slice for ``build_bundle``, from the jets of a and b at a chunk of points.
+
+    ``A`` and ``B`` hold the jets at p points on a leading axis, and each
+    contraction is one numpy call for all p.  A point's views have the
+    layout and bits of a pass over it alone.  A ``LinAlgError`` means some
+    a(x) is not positive definite.  No warning is raised: a point that
+    overflows may lie beyond where a run stops.
+    """
     a, dA, d2A = A.val, A.grad, A.hess
     b, db, d2b = B.val, B.grad, B.hess
-
-    try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        raise GeometryError(f"a(x) not positive definite at x={x}") from None
+    np.linalg.cholesky(a)
     a_inv = np.linalg.inv(a)
 
-    # Christoffels and their exact first derivatives:
-    # gamma[i,j,k] = 1/2 a^il (d_k a_lj + d_j a_lk - d_l a_jk)
-    lower = 0.5 * (dA + dA.transpose(0, 2, 1) - dA.transpose(2, 0, 1))
-    gamma = np.einsum("il,ljk->ijk", a_inv, lower)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Christoffels and their exact first derivatives:
+        # gamma[i,j,k] = 1/2 a^il (d_k a_lj + d_j a_lk - d_l a_jk)
+        lower = 0.5 * (dA + dA.transpose(0, 1, 3, 2) - dA.transpose(0, 3, 1, 2))
+        gamma = np.einsum("pil,pljk->pijk", a_inv, lower)
 
-    d_ainv = -np.einsum("ip,pqm,qj->ijm", a_inv, dA, a_inv)
-    # dlower[l,j,k,m] = d_m lower[l,j,k]
-    dlower = 0.5 * (d2A + d2A.transpose(0, 2, 1, 3) - d2A.transpose(2, 0, 1, 3))
-    dgamma = np.einsum("ilm,ljk->ijkm", d_ainv, lower) + np.einsum(
-        "il,ljkm->ijkm", a_inv, dlower
-    )
+        d_ainv = -np.einsum("pia,pabm,pbj->pijm", a_inv, dA, a_inv)
+        # dlower[l,j,k,m] = d_m lower[l,j,k], d2A[i,j,k,l] = d^2 a_ij / dx^k dx^l: in place, for memory
+        dlower = d2A + d2A.transpose(0, 1, 3, 2, 4)
+        dlower -= d2A.transpose(0, 3, 1, 2, 4)
+        dlower *= 0.5
+        dgamma = np.einsum("pil,pljkm->pijkm", a_inv, dlower)
+        del dlower
+        dgamma += np.einsum("pilm,pljk->pijkm", d_ainv, lower)
 
-    # covariant calculus of b
-    bup = a_inv @ b
-    bsq = float(bup @ b)
-    Db = db - np.einsum("mij,m->ij", gamma, b)
-    dDb = d2b - np.einsum("mijk,m->ijk", dgamma, b) - np.einsum("mij,mk->ijk", gamma, db)
-    # r symmetric and s antisymmetric bit-exactly (both are symmetrized sums,
-    # which IEEE arithmetic keeps structurally (anti)symmetric); Db is then
-    # re-assembled as r + s so the decomposition reconstructs it bit-exactly.
-    r = 0.5 * (Db + Db.T)
-    s = 0.5 * (Db - Db.T)
-    Db = r + s
-    dr = 0.5 * (dDb + dDb.transpose(1, 0, 2))
-    ds = 0.5 * (dDb - dDb.transpose(1, 0, 2))
+        # covariant calculus of b; a vector is a (1, n) or (n, 1) matrix in a product, as numpy treats it
+        bup = (a_inv @ b[:, :, None])[:, :, 0]
+        bsq = (bup[:, None, :] @ b[:, :, None])[:, 0, 0]
+        Db = db - np.einsum("pmij,pm->pij", gamma, b)
+        dDb = d2b - np.einsum("pmijk,pm->pijk", dgamma, b) - np.einsum("pmij,pmk->pijk", gamma, db)
+        # r symmetric and s antisymmetric bit-exactly (both are symmetrized sums,
+        # which IEEE arithmetic keeps structurally (anti)symmetric); Db is then
+        # re-assembled as r + s so the decomposition reconstructs it bit-exactly.
+        r = 0.5 * (Db + Db.swapaxes(1, 2))
+        s = 0.5 * (Db - Db.swapaxes(1, 2))
+        Db = r + s
+        dr = 0.5 * (dDb + dDb.swapaxes(1, 2))
+        ds = 0.5 * (dDb - dDb.swapaxes(1, 2))
 
-    s_up = a_inv @ s
-    rvec = bup @ r  # r_j = b^i r_ij
-    svec = bup @ s
+        s_up = a_inv @ s
+        rvec = (bup[:, None, :] @ r)[:, 0]  # r_j = b^i r_ij
+        svec = (bup[:, None, :] @ s)[:, 0]
 
-    d_bup = np.einsum("imk,m->ik", d_ainv, b) + a_inv @ db
-    d_bsq = np.einsum("ijk,i,j->k", d_ainv, b, b) + 2.0 * np.einsum("ij,ik,j->k", a_inv, db, b)
-    d_s_up = np.einsum("imk,mj->ijk", d_ainv, s) + np.einsum("im,mjk->ijk", a_inv, ds)
-    d_svec = np.einsum("mk,mj->jk", d_bup, s) + np.einsum("m,mjk->jk", bup, ds)
+        d_bup = np.einsum("pimk,pm->pik", d_ainv, b) + a_inv @ db
+        d_bsq = np.einsum("pijk,pi,pj->pk", d_ainv, b, b) + 2.0 * np.einsum("pij,pik,pj->pk", a_inv, db, b)
+        d_s_up = np.einsum("pimk,pmj->pijk", d_ainv, s) + np.einsum("pim,pmjk->pijk", a_inv, ds)
+        d_svec = np.einsum("pmk,pmj->pjk", d_bup, s) + np.einsum("pm,pmjk->pjk", bup, ds)
 
-    # the arrays formed from the jets: an einsum that overflows sets no
-    # floating-point flag, so they and b^2 are checked to be finite here
+    # the formed fields, b^2 last: an einsum that overflows sets no flag, so each
+    # point's are checked to be finite (by their flags: a copy would double the memory)
     formed = dict(
         a_inv=a_inv, gamma=gamma, dgamma=dgamma, bup=bup, Db=Db, dDb=dDb, r=r, s=s, s_up=s_up, rvec=rvec, svec=svec,
-        dr=dr, d_bup=d_bup, d_bsq=d_bsq, d_s_up=d_s_up, d_svec=d_svec, dlndet=np.einsum("ij,jik->k", a_inv, dA),
+        dr=dr, d_bup=d_bup, d_bsq=d_bsq, d_s_up=d_s_up, d_svec=d_svec,
+        dlndet=np.einsum("pij,pjik->pk", a_inv, dA), bsq=bsq,
     )
-    _finite("geometry", x, dict(formed, bsq=bsq))
-    return AlphaBetaBundle(spec=spec, x=x, n=n, a=a, dA=dA, b=b, db=db, bsq=bsq, **formed)
+    finite = np.concatenate([np.isfinite(v).reshape(len(a), -1) for v in formed.values()], axis=1).all(axis=1)
+    fields = dict(formed, a=a, dA=dA, b=b, db=db)
+    # a point's b^2 is a float, as each of its arrays is a view
+    columns = [v.tolist() if v.ndim == 1 else list(v) for v in fields.values()]
+    return [(dict(zip(fields, row)), ok) for *row, ok in zip(*columns, finite.tolist())]
 
 
 def _finite(what: str, x, held: dict):

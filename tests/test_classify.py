@@ -364,6 +364,38 @@ def test_check_verdicts_are_invariant_under_a_coordinate_permutation(source):
     assert {k: c.verdict for k, c in moved.conditions.items()} == {k: c.verdict for k, c in base.conditions.items()}
 
 
+# The implication lattice written out apart from the engine's table: (name, premises,
+# conclusions, asserted only for dim >= 3 and beta != 0, as the paper's theorem is)
+_LATTICE = [
+    ("parallel => constant Killing", ["beta_parallel"], ["beta_constant_killing"], False),
+    ("constant Killing => Killing", ["beta_constant_killing"], ["beta_killing"], False),
+    ("S == 0 => constant Killing", ["S_zero"], ["beta_constant_killing"], False),
+    ("constant Killing => S == 0", ["beta_constant_killing"], ["S_zero"], False),
+    ("Einstein F with constant |beta| => alpha Ricci-flat and beta parallel",
+     ["F_einstein", "beta_norm_constant"], ["alpha_ricci_flat", "beta_parallel"], True),
+    ("Einstein F with S == 0 => Ricci-flat F", ["F_einstein", "S_zero"], ["F_ricci_flat"], True),
+]
+
+
+def test_every_implication_reports_its_violation(generic3d):
+    """Premises true and one conclusion false report exactly that implication; all verdicts true, none."""
+    violations = classify._implication_violations
+    for name, premises, conclusions, theorem in _LATTICE:
+        for false in conclusions:
+            verdicts = dict.fromkeys(premises + conclusions, True) | {false: False}
+            assert violations(verdicts, theorem=True) == [f"implication violated: {name}"]
+            assert violations(verdicts, theorem=False) == ([] if theorem else [f"implication violated: {name}"])
+            # an implication naming a condition the run did not compute is not checked
+            assert violations({k: v for k, v in verdicts.items() if k != premises[0]}, theorem=True) == []
+    conditions = run_check(generic3d, small_config()).conditions
+    assert len(conditions) == 12 and violations(dict.fromkeys(conditions, True), theorem=True) == []
+    # several at once are reported in lattice order
+    verdicts = dict.fromkeys(conditions, True) | dict.fromkeys(
+        ["beta_constant_killing", "alpha_ricci_flat", "F_ricci_flat"], False
+    )
+    assert violations(verdicts, theorem=True) == [f"implication violated: {_LATTICE[i][0]}" for i in (0, 2, 4, 5)]
+
+
 @pytest.mark.parametrize(
     "groups, per_point",
     # the shape of y of each spray at a point of generic3d (n = 3) with 3 y per point;
@@ -462,8 +494,8 @@ def test_scurv_view_forms_no_curvature_tensor(generic3d, monkeypatch):
     bundles = []
     orig = classify.build_bundle
 
-    def wrapped(spec, x, jets=None):
-        bundles.append(orig(spec, x, jets))
+    def wrapped(spec, x, point=None):
+        bundles.append(orig(spec, x, point))
         return bundles[-1]
 
     monkeypatch.setattr(classify, "build_bundle", wrapped)
@@ -519,21 +551,28 @@ def _spy_walks(spec, monkeypatch) -> list:
     "name", testmetrics.list_shipped() + [f"random{n}" for n in (2, 3, 5, 8, 12)] + ["every_form"]
 )
 def test_bundles_from_chunked_jets_match_per_point_bytes(name, monkeypatch):
-    # each point's slice of a chunk's walk builds, array for array, the bytes its own walk
-    # builds, and so do the fits and the identity that read the bundle.  A strided slice of
-    # a builds the same bundle fields but moves those readers in the last bit, so each
-    # point's jets must be C-contiguous, as its own walk's are.
+    # each point's slice of a chunk's walk and pass builds, field for field, the bytes that its
+    # own walk and a pass over a chunk of one build, in the same layout, and so do the fits and
+    # the identity that read the bundle.  A strided slice of a builds the same bundle fields but
+    # moves those readers in the last bit, so each point's arrays must be C-contiguous, as its
+    # own walk's and pass's are.  Up to n = 13 a pass forms several points at once.
     spec = _walk_spec(name)
     assert validate_spec(spec).valid
     pts = sample_domain(spec, 25, np.random.default_rng(3), shrink=0.05)
-    walks = _spy_walks(spec, monkeypatch)
+    walks, passes, chunk_pass = _spy_walks(spec, monkeypatch), [], classify._chunk_pass
+    monkeypatch.setattr(classify, "_chunk_pass", lambda A, B: passes.append(len(A.val)) or chunk_pass(A, B))
     batched = list(classify._point_jets(spec, pts))
     monkeypatch.undo()
     assert sum(size for size, in walks) == len(pts) and (spec.dim < 12 or len(walks) >= 2)
-    for p, (x, jets) in enumerate(zip(pts, batched)):
-        assert all(arr.flags.c_contiguous for jet in jets for arr in (jet.val, jet.grad, jet.hess))
-        one, alone = build_bundle(spec, x, jets), build_bundle(spec, x)
+    assert sum(passes) == len(pts) and max(passes) > 1
+    for p, (x, (fields, finite)) in enumerate(zip(pts, batched)):
+        assert finite and all(v.flags.c_contiguous for v in fields.values() if isinstance(v, np.ndarray))
+        one, alone = build_bundle(spec, x, (fields, finite)), build_bundle(spec, x)
         assert _bundle_bytes(one) == _bundle_bytes(alone)
+        assert [np.shape(v) + np.asarray(v).strides for v in fields.values()] == [
+            np.shape(getattr(alone, k)) + np.asarray(getattr(alone, k)).strides for k in fields
+        ]
+        assert type(one.bsq) is type(alone.bsq) is float
         ys = finsler.unit_alpha_vectors(alone, 2, np.random.default_rng(p))
         y = ys[0]
         readers = (
@@ -578,21 +617,64 @@ def test_metric_failure_names_first_failing_point(run, chunk, monkeypatch):
 
 
 def test_chunked_walk_memory_is_bounded():
-    # the walk holds one chunk at a time, however many points a run samples
-    spec = testmetrics.random_metric(12, 72)
-    peaks = []
-    for count in (20, 2000):
-        pts = sample_domain(spec, count, np.random.default_rng(0), shrink=0.05)
-        tracemalloc.start()
-        try:
-            for _ in classify._point_jets(spec, pts):
-                pass
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    # the walk holds one chunk at a time and the bundle algebra one pass, however many points
+    # a run samples: at n = 12 a pass is 3 points and 20 points are two chunks; at n = 5 a
+    # pass is 32 points and 600 points are three chunks
     budget = 8 * classify._CHUNK_FLOATS
-    assert max(peaks) < 3 * budget
-    assert peaks[1] < peaks[0] + budget // 4
+    for n, few in ((12, 20), (5, 600)):
+        spec = testmetrics.random_metric(n, 60 + n)
+        peaks = []
+        for count in (few, 2000):
+            pts = sample_domain(spec, count, np.random.default_rng(0), shrink=0.05)
+            tracemalloc.start()
+            try:
+                for _ in classify._bundles(spec, pts):
+                    pass
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 3 * budget
+        assert peaks[1] < peaks[0] + budget // 4
+
+
+# Gamma's derivatives overflow where |x1 x2| is large, and forming them there meets inf - inf:
+# the first such point of the 30 drawn at seed 3 is point 10
+_OVERFLOWING = "dim = 2\na 1 1 = exp(600*x1*x2)\na 2 2 = exp(-600*x1*x2)\nb 1 = 0.4*exp(300*x1*x2)\n"
+
+
+@pytest.mark.parametrize("failure", ["a(x) not positive definite", "non-finite geometry", "b^2 = 0.52 >= 1/4"])
+def test_chunk_pass_raises_at_the_first_failing_point(failure, monkeypatch):
+    # one pass forms all 30 points, and point k fails: the run raises the message the per-point
+    # path raises there, after the k bundles before it, and no floating-point warning, though
+    # point 10 of the pass overflows.  Every point before k is over 0.03 from point k in x1,
+    # where a bump of width 0.01 centred on point k is below 2e-4.
+    pts = sample_domain(parse_metric(_OVERFLOWING), 30, np.random.default_rng(3), shrink=0.05)
+    k = 10 if failure == "non-finite geometry" else 3
+    assert np.abs(pts[:k, 0] - pts[k, 0]).min() > 0.03
+    bump = f"exp(-10000*(x1 - ({float(pts[k, 0])!r}))^2)"
+    text = {
+        "a(x) not positive definite": _OVERFLOWING.replace("exp(600*x1*x2)", f"exp(600*x1*x2)*(1 - 2*{bump})", 1),
+        "non-finite geometry": _OVERFLOWING,
+        "b^2 = 0.52 >= 1/4": _OVERFLOWING + f"b 2 = 0.6*{bump}*exp(-300*x1*x2)\n",  # b^2 = 0.16 + 0.36 bump^2
+    }[failure]
+    spec = parse_metric(text, "failing")
+    passes, chunk_pass = [], classify._chunk_pass
+    monkeypatch.setattr(classify, "_chunk_pass", lambda A, B: passes.append(len(A.val)) or chunk_pass(A, B))
+    built = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(GeometryError) as failed:
+            for bu in classify._bundles(spec, pts):
+                built.append(bu.x)
+        if failure.startswith("b^2"):
+            expected = (f"b^2 = {build_bundle(spec, pts[k]).bsq:.6g} >= 1/4 at x={pts[k]}: "
+                        "F = alpha^2/(alpha - beta) is not defined there")
+        else:
+            with pytest.raises(GeometryError) as alone:
+                build_bundle(spec, pts[k])
+            expected = str(alone.value)
+    assert str(failed.value) == expected and expected.startswith(f"{failure} at x={pts[k]}")
+    assert passes == [len(pts)] and np.array_equal(built, pts[:k])
 
 
 # -- CLI ------------------------------------------------------------------------
@@ -834,6 +916,27 @@ def test_usage_blocks_match_the_parser():
     options = {name: {o for a in p._actions for o in a.option_strings if o.startswith("--") and o != "--help"}
                for name, p in sub.choices.items()}
     assert shown == options
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], [], ["bogus"], ["--bogus"]]
+    + [[command, *extra] for command in ("check", "appendix", "scurv", "flag", "validate")
+       for extra in (["--help"], ["x.metric", "--bogus"], ["--seed", "-1"])],
+)
+def test_cli_parses_as_the_full_parser(argv, capsys):
+    """``main`` fills in only its subcommand's options, and prints and exits as the parser of every subcommand."""
+
+    def run(parse):  # the exit status: main returns the one that argparse raises
+        try:
+            status = parse(argv)
+        except SystemExit as exc:
+            status = exc.code
+        return (status, *capsys.readouterr())
+
+    full = run(cli.build_parser().parse_args)
+    assert full[0] in (0, 2) and full[1] + full[2]
+    assert run(cli.main) == full
 
 
 MALFORMED = {
