@@ -13,7 +13,7 @@ group asks for one spray per y-sample, as its routes take one y, and
 ``run_check`` and ``run_appendix`` share one loop over the sampled points'
 bundles.  It takes the jets of a and b from one walk of the metric per
 chunk of points, a chunk being as many points as fit a fixed float budget,
-and forms their bundle fields in array passes of up to 32 points; each
+and forms their bundle fields in array passes of up to 4 points; each
 bundle, its checks and all that follows run point by point.  A point
 where b^2 >= 1/4, outside the domain of F, stops the run with a
 ``GeometryError``: its own sample points are checked, not only those of
@@ -104,10 +104,12 @@ def _thr(tol: float, scale: float) -> float:
 # Floats of a and b jets that one walk of the metric may form: the default 20
 # points are one walk up to n = 10, and memory stays bounded for any count.
 _CHUNK_FLOATS = 2**18
-# Floats of dgamma, the largest bundle field, that one pass may form, in at most
-# _PASS_POINTS points: 20 points are one pass up to n = 7, and from n = 14 on,
-# where batching gains nothing, a pass is one point.
-_PASS_FLOATS, _PASS_POINTS = 2**16, 32
+# Floats of dgamma, the largest bundle field, that one pass may form, and the
+# points it may hold.  A pass keeps its points' fields until its last point is
+# done, so each point of it adds to a run's peak memory (about 20 KB at n = 5);
+# 4 points give most of the speed of larger passes.  From n = 14 on, where
+# batching gains nothing, a pass is one point.
+_PASS_FLOATS, _PASS_POINTS = 2**16, 4
 
 
 def _point_jets(spec: MetricSpec, pts):
@@ -148,27 +150,25 @@ def _bundles(spec: MetricSpec, pts):
         yield bu
 
 
-# The implication lattice: (name, premises, conclusions, whether it is the paper's theorem,
-# which needs dim >= 3 and beta != 0), in report order.
+# The implication lattice in report order; the last two are the paper's theorem,
+# asserted only where dim >= 3 and beta != 0.
 _IMPLICATIONS = (
-    ("parallel => constant Killing", ("beta_parallel",), ("beta_constant_killing",), False),
-    ("constant Killing => Killing", ("beta_constant_killing",), ("beta_killing",), False),
-    ("S == 0 => constant Killing", ("S_zero",), ("beta_constant_killing",), False),
-    ("constant Killing => S == 0", ("beta_constant_killing",), ("S_zero",), False),
+    ("parallel => constant Killing", ("beta_parallel",), ("beta_constant_killing",)),
+    ("constant Killing => Killing", ("beta_constant_killing",), ("beta_killing",)),
+    ("S == 0 => constant Killing", ("S_zero",), ("beta_constant_killing",)),
+    ("constant Killing => S == 0", ("beta_constant_killing",), ("S_zero",)),
     ("Einstein F with constant |beta| => alpha Ricci-flat and beta parallel",
-     ("F_einstein", "beta_norm_constant"), ("alpha_ricci_flat", "beta_parallel"), True),
-    ("Einstein F with S == 0 => Ricci-flat F", ("F_einstein", "S_zero"), ("F_ricci_flat",), True),
+     ("F_einstein", "beta_norm_constant"), ("alpha_ricci_flat", "beta_parallel")),
+    ("Einstein F with S == 0 => Ricci-flat F", ("F_einstein", "S_zero"), ("F_ricci_flat",)),
 )
 
 
-def _implication_violations(verdicts: dict, theorem: bool) -> list:
+def _implication_violations(v: dict, theorem: bool) -> list:
     """A message per implication whose conditions were all computed, premises hold and a conclusion fails."""
-    found = []
-    for name, premises, conclusions, needs_theorem in _IMPLICATIONS:
-        if (theorem or not needs_theorem) and all(k in verdicts for k in premises + conclusions):
-            if all(verdicts[k] for k in premises) and not all(verdicts[k] for k in conclusions):
-                found.append(f"implication violated: {name}")
-    return found
+    return [
+        f"implication violated: {name}" for name, ps, cs in _IMPLICATIONS[: None if theorem else 4]
+        if all(k in v for k in ps + cs) and all(v[k] for k in ps) and not all(v[k] for k in cs)
+    ]
 
 
 def run_check(spec: MetricSpec, config: RunConfig, groups=GROUPS) -> ClassReport:

@@ -210,7 +210,7 @@ def build_bundle(spec: MetricSpec, x, point: tuple[dict, bool] | None = None) ->
     return AlphaBetaBundle(spec=spec, x=x, n=n, **fields)
 
 
-def _chunk_pass(A: ArrayJet, B: ArrayJet) -> list[tuple[dict, bool]]:
+def _chunk_pass(A: ArrayJet, B: ArrayJet):
     """Each point's slice for ``build_bundle``, from the jets of a and b at a chunk of points.
 
     ``A`` and ``B`` hold the jets at p points on a leading axis, and each
@@ -262,18 +262,19 @@ def _chunk_pass(A: ArrayJet, B: ArrayJet) -> list[tuple[dict, bool]]:
         d_s_up = np.einsum("pimk,pmj->pijk", d_ainv, s) + np.einsum("pim,pmjk->pijk", a_inv, ds)
         d_svec = np.einsum("pmk,pmj->pjk", d_bup, s) + np.einsum("pm,pmjk->pjk", bup, ds)
 
-    # the formed fields, b^2 last: an einsum that overflows sets no flag, so each
-    # point's are checked to be finite (by their flags: a copy would double the memory)
+    # the formed fields, b^2 last: an einsum that overflows sets no flag, so each point's
+    # are checked to be finite, a field at a time and after the arrays that are not
+    # fields are freed, as the pass holds the most memory here
+    del lower, d_ainv, ds
     formed = dict(
         a_inv=a_inv, gamma=gamma, dgamma=dgamma, bup=bup, Db=Db, dDb=dDb, r=r, s=s, s_up=s_up, rvec=rvec, svec=svec,
         dr=dr, d_bup=d_bup, d_bsq=d_bsq, d_s_up=d_s_up, d_svec=d_svec,
         dlndet=np.einsum("pij,pjik->pk", a_inv, dA), bsq=bsq,
     )
-    finite = np.concatenate([np.isfinite(v).reshape(len(a), -1) for v in formed.values()], axis=1).all(axis=1)
-    fields = dict(formed, a=a, dA=dA, b=b, db=db)
-    # a point's b^2 is a float, as each of its arrays is a view
-    columns = [v.tolist() if v.ndim == 1 else list(v) for v in fields.values()]
-    return [(dict(zip(fields, row)), ok) for *row, ok in zip(*columns, finite.tolist())]
+    finite = np.logical_and.reduce([np.isfinite(v).reshape(len(a), -1).all(axis=1) for v in formed.values()])
+    # a point's b^2 is a float and each of its arrays a view, made when the point is reached
+    fields = {k: v.tolist() if v.ndim == 1 else v for k, v in dict(formed, a=a, dA=dA, b=b, db=db).items()}
+    return (({k: v[i] for k, v in fields.items()}, ok) for i, ok in enumerate(finite.tolist()))
 
 
 def _finite(what: str, x, held: dict):

@@ -364,8 +364,9 @@ def test_check_verdicts_are_invariant_under_a_coordinate_permutation(source):
     assert {k: c.verdict for k, c in moved.conditions.items()} == {k: c.verdict for k, c in base.conditions.items()}
 
 
-# The implication lattice written out apart from the engine's table: (name, premises,
-# conclusions, asserted only for dim >= 3 and beta != 0, as the paper's theorem is)
+# The implication lattice written out apart from the engine's table, so that an entry
+# deleted there still has its case here: (name, premises, conclusions, asserted only
+# for dim >= 3 and beta != 0, as the paper's theorem is)
 _LATTICE = [
     ("parallel => constant Killing", ["beta_parallel"], ["beta_constant_killing"], False),
     ("constant Killing => Killing", ["beta_constant_killing"], ["beta_killing"], False),
@@ -619,7 +620,7 @@ def test_metric_failure_names_first_failing_point(run, chunk, monkeypatch):
 def test_chunked_walk_memory_is_bounded():
     # the walk holds one chunk at a time and the bundle algebra one pass, however many points
     # a run samples: at n = 12 a pass is 3 points and 20 points are two chunks; at n = 5 a
-    # pass is 32 points and 600 points are three chunks
+    # pass is 4 points and 600 points are three chunks
     budget = 8 * classify._CHUNK_FLOATS
     for n, few in ((12, 20), (5, 600)):
         spec = testmetrics.random_metric(n, 60 + n)
@@ -660,6 +661,7 @@ def test_chunk_pass_raises_at_the_first_failing_point(failure, monkeypatch):
     spec = parse_metric(text, "failing")
     passes, chunk_pass = [], classify._chunk_pass
     monkeypatch.setattr(classify, "_chunk_pass", lambda A, B: passes.append(len(A.val)) or chunk_pass(A, B))
+    monkeypatch.setattr(classify, "_PASS_POINTS", len(pts))
     built = []
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -937,6 +939,11 @@ def test_cli_parses_as_the_full_parser(argv, capsys):
     full = run(cli.build_parser().parse_args)
     assert full[0] in (0, 2) and full[1] + full[2]
     assert run(cli.main) == full
+
+
+def test_top_level_options_take_no_value():
+    """``main`` names the subcommand by its first word that is not an option, which holds while none takes a value."""
+    assert all(action.nargs == 0 for action in cli.build_parser()._actions if action.option_strings)
 
 
 MALFORMED = {
