@@ -51,7 +51,8 @@ class GeometryError(ValueError):
     """Point outside the domain box, singular or non-positive-definite a(x), or a non-finite result there."""
 
 
-@dataclass
+# no generated eq or repr: they would compare and print some 25 arrays, and each costs import time
+@dataclass(eq=False, repr=False)
 class AlphaBetaBundle:
     """All alpha-side geometry at one chart point.
 
@@ -96,10 +97,10 @@ class AlphaBetaBundle:
     # the y-independent parts of the spray's packed inputs, built by the first
     # ``finsler.spray`` call at this point and reused by every later one
     # (nothing changes a bundle's arrays after ``build_bundle``)
-    spray_inputs: object = field(default=None, init=False, repr=False, compare=False)
+    spray_inputs: object = field(default=None, init=False)
     # (volume factor record, d(ln sigma_F)/dx) of the last ``scurvature.s_curvature_def``
     # at this point: the drift depends on the point and on f alone, not on y
-    volume_drift: object = field(default=None, init=False, repr=False, compare=False)
+    volume_drift: object = field(default=None, init=False)
 
     # -- formed on first use --------------------------------------------------
 
