@@ -162,7 +162,7 @@ _DIMS = _arg(
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser; given ``command``, only its options are filled in, which saves start-up time.
+    """The parser; given ``command``, only its options are filled in, which saves start-up work and memory.
 
     Every subcommand is registered either way, so top-level help and errors are the same.
     """
