@@ -15,8 +15,11 @@ statuses; every number and verdict comes from ``classify``.  ``check``,
 ``scurv`` and ``flag`` run the same evaluation (``classify.run_check``):
 ``scurv`` and ``flag`` ask only for the condition groups they print, with 6
 y per point and the default tolerance, and exit 3 on any violation.
-``check`` takes ``--y-per-point`` >= 2, as one y fits F's Einstein sigma exactly,
-and ``--tol`` >= ``TOL_FLOOR`` (1e-14), as the dual routes agree only to rounding.
+``check`` takes ``--y-per-point`` >= 2, as one y fits F's Einstein sigma exactly.
+Its ``--tol``, in [``TOL_FLOOR``, 1) = [1e-14, 1), sets each verdict's threshold,
+tol * max(1, scale), and, until the cross-route gates get a bound of their own
+(ROADMAP, item 12), those gates at 10 * tol.  Below the floor it would test
+rounding, and from 1 up a residual of order one would read as zero.
 A run of more than ``MAX_SAMPLES`` samples (points x y per point) is refused.
 ``validate`` runs the validity check that the others run before sampling,
 with the same ``--seed``.  A run also rejects its own sample points where
@@ -151,7 +154,7 @@ TOL_FLOOR = 1e-14
 # bounds the report at about 0.4 GB, but not a point's y-stack, which is
 # sprayed at once: about 133 KB per y at n = 12 (ROADMAP, item 5).
 MAX_SAMPLES = 10**5
-_TOL = _arg(float, lambda v: math.isfinite(v) and v >= TOL_FLOOR, f"a finite number >= {TOL_FLOOR:g}")
+_TOL = _arg(float, lambda v: TOL_FLOOR <= v < 1, f"a number in [{TOL_FLOOR:g}, 1)")
 # kept as text: the report echoes the policy as given
 _SIGMA = _arg(str, lambda v: v == "random" or math.isfinite(float(v)), "a finite number or 'random'")
 _DIMS = _arg(

@@ -66,7 +66,6 @@ __all__ = [
     "MetricSpec",
     "ValidationReport",
     "parse_metric",
-    "expr_to_text",
     "validate_spec",
 ]
 
@@ -176,34 +175,6 @@ def _stack(exprs, env) -> ArrayJet:
     except FloatingPointError as exc:
         raise JetError(str(exc)) from None
     return out
-
-
-def _num_repr(v: float) -> str:
-    return repr(int(v)) if v == int(v) and abs(v) < 1e15 else repr(v)
-
-
-def expr_to_text(expr) -> str:
-    """Serialize an expression; parse(expr_to_text(e)) evaluates identically to e."""
-    if isinstance(expr, Const):
-        return _num_repr(expr.value)
-    if isinstance(expr, Var):
-        return f"x{expr.index + 1}"
-    if isinstance(expr, Neg):
-        return f"-{_power_operand(expr.child)}"
-    if isinstance(expr, Bin):
-        return f"({expr_to_text(expr.left)} {expr.op} {expr_to_text(expr.right)})"
-    if isinstance(expr, Pow):
-        return f"{_power_operand(expr.base)}^{_num_repr(expr.expo)}"
-    if isinstance(expr, Fun):
-        return f"{expr.name}({expr_to_text(expr.child)})"
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
-def _power_operand(expr) -> str:
-    # '^' binds after unary minus and takes one exponent: -x1^2 is (-x1)^2.
-    # Nothing else needs parentheses, so the text nests no deeper than the tree.
-    text = expr_to_text(expr)
-    return f"({text})" if isinstance(expr, Pow) else text
 
 
 # -- tokenizer / recursive-descent parser ------------------------------------
@@ -465,17 +436,6 @@ class MetricSpec:
     def b_values(self, x) -> np.ndarray:
         """b(x) at points x of shape S + (n,), shape S + (n,)."""
         return self.b_jet(self._points(x)).val
-
-    def to_text(self) -> str:
-        lines = [f"# {self.name}", f"dim = {self.dim}"]
-        for k, (lo, hi) in enumerate(self.domain):
-            if (lo, hi) != (-1.0, 1.0):
-                lines.append(f"domain x{k + 1} = [{_num_repr(lo)}, {_num_repr(hi)}]")
-        for (i, j), expr in sorted(self.a_entries.items()):
-            lines.append(f"a {i + 1} {j + 1} = {expr_to_text(expr)}")
-        for i, expr in sorted(self.b_entries.items()):
-            lines.append(f"b {i + 1} = {expr_to_text(expr)}")
-        return "\n".join(lines) + "\n"
 
 
 def parse_metric(text: str, name: str = "metric") -> MetricSpec:

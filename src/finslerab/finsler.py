@@ -114,17 +114,12 @@ class Spray(NamedTuple):
     G: ArrayJet
     Gbar: ArrayJet
 
-    def blocks(self):
-        """(G, dG/dx, dG/dy, d2G/dx dy, d2G/dy dy), the blocks the curvature reads.
-
-        Index order: ``gx[i, k]`` = dG^i/dx^k, ``hxy[i, j, k]`` = d2G^i/dx^j dy^k,
-        after the leading y axis of a stack.
-        """
-        return _blocks(self.G)
-
 
 def _blocks(jet: ArrayJet):
-    # the y columns are the last n of a Hessian, whether it holds only them or all 2n
+    """(G, dG/dx, dG/dy, d2G/dx dy, d2G/dy dy) of a spray's jet, whose Hessian has the y columns or all 2n.
+
+    Index order after any leading y axis: ``gx[i, k]`` = dG^i/dx^k, ``hxy[i, j, k]`` = d2G^i/dx^j dy^k.
+    """
     n = jet.grad.shape[-1] // 2
     return jet.val, jet.grad[..., :n], jet.grad[..., n:], jet.hess[..., :n, -n:], jet.hess[..., n:, -n:]
 
@@ -449,7 +444,7 @@ def riemann_curvature(sp: Spray):
 
     For a stack of y, shape (m, n), R has shape (m, n, n) and Ric (m,).
     """
-    y, (gval, gx, gy, hxy, hyy) = sp.y, sp.blocks()
+    y, (gval, gx, gy, hxy, hyy) = sp.y, _blocks(sp.G)
     R = 2.0 * gx - np.einsum("...j,...ijk->...ik", y, hxy) + 2.0 * np.einsum("...j,...ijk->...ik", gval, hyy) - gy @ gy
     return R, np.trace(R, axis1=-2, axis2=-1)
 

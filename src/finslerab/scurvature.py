@@ -1,11 +1,16 @@
 """S-curvature of the slope metric under Busemann-Hausdorff / Holmes-Thompson volume.
 
 The volume-form factor f(b) is a ratio of integrals over [0, pi] (one per
-form).  It is evaluated by one fixed 40-node Gauss-Legendre rule, which is
-accurate to machine precision because each integrand is analytic in a strip
-around the real axis.  The rule's nodes and weights, mapped to [0, pi], are
-stored as float literals, so importing this module computes no rule; a test
-pins them bit for bit to numpy's ``leggauss(40)`` mapped the same way.
+form).  It is evaluated by one fixed 40-node Gauss-Legendre rule, which
+converges geometrically, as each integrand is analytic in a strip around the
+real axis, but not to machine precision everywhere: against 40-digit mpmath
+at b = 0.4999, the HT Lambda is off by 6.9e-16 (relative) at n = 12, 5.4e-12
+at n = 20 and 4.7e-9 at n = 32, where f is off by 7.7e-11, and the BH f and
+Lambda by 1.1e-13 and 3.2e-13 at n = 32.  Both S routes read this Lambda, so
+their cross-check cannot see the error (ROADMAP, item 11).  The rule's nodes
+and weights, mapped to [0, pi], are stored as float literals, so importing
+this module computes no rule; a test pins them bit for bit to numpy's
+``leggauss(40)`` mapped the same way.
 f'(b) and f''(b) are differentiated under the integral sign in closed form,
 so all three come out of the same pass with no finite differencing.  f
 depends on x only through b = ||beta||_alpha(x), so every y-sample of a
@@ -61,8 +66,8 @@ FORMS = ("bh", "ht")
 
 # One fixed Gauss-Legendre rule on [0, pi].  Every integrand below is
 # sin^(n-2) t, which is entire, times a rational function of b cos t whose
-# only pole (1 - b cos t = 0) lies at |Im t| >= acosh 2 for b < 1/2, so 40
-# nodes reach machine precision over the whole domain.  The literals are
+# only pole (1 - b cos t = 0) lies at |Im t| >= acosh 2 for b < 1/2; the
+# error grows with n all the same (module docstring).  The literals are
 # 0.5 pi (x + 1) and 0.5 pi w for (x, w) = numpy's leggauss(40), bit for bit.
 _NODES = np.array([
     0.002768199113400018, 0.01456719018646565, 0.035719987036619556, 0.06610410579882159,
@@ -98,9 +103,6 @@ _last: tuple | None = None
 class VolumeFactor(NamedTuple):
     """Volume-form distortion factor relative to the Riemannian volume of alpha."""
 
-    form: str
-    n: int
-    b: float
     f: float
     fprime: float
     fsecond: float
@@ -112,8 +114,8 @@ def volume_factor(n: int, b: float, form: str = "bh") -> VolumeFactor:
 
     For b below 1e-4 the ratio f'/(b f) is replaced by its even-function
     limit f''(b)/f(b), which the same quadrature provides directly.  A call
-    with the arguments of the previous call returns the previous (immutable)
-    record without evaluating the rule again.
+    whose (n, b, form) equal the previous call's returns the previous
+    (immutable) record without evaluating the rule again.
     """
     global _last
     form = form.lower()
@@ -123,9 +125,7 @@ def volume_factor(n: int, b: float, form: str = "bh") -> VolumeFactor:
         raise ValueError(f"b = {b} outside [0, 1/2)")
     if n < 2:
         raise ValueError("dimension must be >= 2")
-    # the types and the sign of b are part of the key: the record stores n and
-    # b as given, and 0 == 0.0 == -0.0
-    key = (n, type(n), b, type(b), math.copysign(1.0, b), form)
+    key = (n, b, form)  # the rule's bits depend on neither the types of n and b nor the sign of a zero b
     last = _last
     if last is not None and last[0] == key:
         return last[1]
@@ -168,7 +168,8 @@ def _quadrature(n: int, b: float, form: str) -> VolumeFactor:
     if f <= 0.0:
         raise JetError(f"volume factor f({b}) = {f} not positive")
     lam = fpp / f if b < 1e-4 else fp / (b * f)
-    return VolumeFactor(form=form, n=n, b=b, f=f, fprime=fp, fsecond=fpp, Lambda=lam)
+    # floats whatever the types of n and b, which may make numpy scalars of them
+    return VolumeFactor(*map(float, (f, fp, fpp, lam)))
 
 
 def _pointwise_scalars(bundle: AlphaBetaBundle, y):

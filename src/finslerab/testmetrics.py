@@ -5,9 +5,9 @@ small polynomial 1-form: coefficients are drawn from a seeded generator and
 scaled so that, at sampled points, the matrix stays uniformly positive
 definite (min eigenvalue >= 0.2) and b^2 stays <= 0.2, comfortably inside
 the b < 1/2 validity region, and then further until ``validate_spec``
-accepts the metric at its defaults.  Everything is emitted as metric-file text and
-parsed through the normal front end, so generated metrics exercise the same
-code path as shipped ones.
+accepts the metric at its defaults.  Everything is emitted as metric-file text
+(``random_metric_text``) and parsed through the normal front end, so generated
+metrics exercise the same code path as shipped ones.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "shipped_metric_path",
     "shipped_metric",
     "list_shipped",
-    "euclidean",
     "euclidean_linear_beta",
     "random_metric_text",
     "random_metric",
@@ -49,11 +48,6 @@ def list_shipped() -> list[str]:
     return sorted(p.name for p in folder.iterdir() if p.name.endswith(".metric"))
 
 
-def euclidean(n: int) -> MetricSpec:
-    lines = [f"dim = {n}"] + [f"a {i} {i} = 1" for i in range(1, n + 1)]
-    return parse_metric("\n".join(lines), name=f"euclid{n}")
-
-
 def euclidean_linear_beta(n: int, k: float = 0.1) -> MetricSpec:
     """Flat metric with the radial form b_i = k x_i (conformal, c = k)."""
     lines = [f"dim = {n}"]
@@ -62,12 +56,15 @@ def euclidean_linear_beta(n: int, k: float = 0.1) -> MetricSpec:
     return parse_metric("\n".join(lines), name=f"euclid{n}_radial")
 
 
+_SCREEN_POINTS = 60  # seeded points where the margins are checked, before the costlier validate_spec
+
+
 def _fmt(v: float) -> str:
     return f"{v:.6f}"
 
 
-def random_metric_text(n: int, seed: int, eps: float = 0.15, beta_scale: float = 0.25) -> str:
-    """Metric-file text for a seeded random perturbed metric of dimension n."""
+def _perturbed_text(n: int, seed: int, eps: float, beta_scale: float) -> str:
+    """Metric-file text for a seeded perturbed metric of dimension n, unscreened."""
     rng = np.random.default_rng(seed)
 
     def poly(scale, allow_const=True):
@@ -91,26 +88,33 @@ def random_metric_text(n: int, seed: int, eps: float = 0.15, beta_scale: float =
     return "\n".join(lines) + "\n"
 
 
-def random_metric(n: int, seed: int, samples: int = 60) -> MetricSpec:
-    """Seeded random metric that ``validate_spec`` accepts at its defaults.
-
-    The coefficients are rescaled until the eigenvalue/b^2 margins hold at
-    ``samples`` points and ``validate_spec`` finds no violation.
-    """
+def _accepted(n: int, seed: int) -> tuple[str, MetricSpec]:
+    """(text, spec) of the seeded random metric, rescaled until its margins hold and ``validate_spec`` accepts it."""
     eps, bscale = 0.15, 0.25
     for _ in range(8):
-        spec = parse_metric(random_metric_text(n, seed, eps, bscale), name=f"rand{n}_{seed}")
-        pts = np.random.default_rng(seed + 991).uniform(-1, 1, size=(samples, n))
+        text = _perturbed_text(n, seed, eps, bscale)
+        spec = parse_metric(text, name=f"rand{n}_{seed}")
+        pts = np.random.default_rng(seed + 991).uniform(-1, 1, size=(_SCREEN_POINTS, n))
         a, b = spec.a_values(pts), spec.b_values(pts)
         small_eig = np.linalg.eigvalsh(a)[:, 0].min() < 0.2
         large_bsq = np.einsum("pi,pi->p", b, np.linalg.solve(a, b[..., None])[..., 0]).max() > 0.2
         if not (small_eig or large_bsq):
             kinds = {kind for _, kind, _ in validate_spec(spec).violations}
             if not kinds:
-                return spec
+                return text, spec
             small_eig, large_bsq = "not positive definite" in kinds, "b^2 >= 1/4" in kinds
         if small_eig:
             eps *= 0.6
         if large_bsq:
             bscale *= 0.6
     raise RuntimeError(f"could not scale random metric n={n} seed={seed} into bounds")
+
+
+def random_metric_text(n: int, seed: int) -> str:
+    """Metric-file text of ``random_metric(n, seed)``."""
+    return _accepted(n, seed)[0]
+
+
+def random_metric(n: int, seed: int) -> MetricSpec:
+    """Seeded random metric of dimension n that ``validate_spec`` accepts at its defaults."""
+    return _accepted(n, seed)[1]

@@ -18,6 +18,32 @@ b 3 = 0.07 + 0.04*x1*x2
 """
 
 
+def euclidean(n: int) -> dsl.MetricSpec:
+    """The flat metric a = I of dimension n, with beta = 0."""
+    return dsl.parse_metric("\n".join([f"dim = {n}"] + [f"a {i} {i} = 1" for i in range(1, n + 1)]), f"euclid{n}")
+
+
+def expr_text(expr) -> str:
+    """Fully parenthesised metric-file text of an expression tree, which the parser reads back.
+
+    Each node's text is a ``base`` of the grammar (a coordinate, a function
+    call or anything else in parentheses), so no rule of precedence comes
+    into play.  A negative number reads back as the negation of its
+    magnitude, which evaluates to the same bits.
+    """
+    if isinstance(expr, dsl.Const):
+        return f"({expr.value!r})"
+    if isinstance(expr, dsl.Var):
+        return f"x{expr.index + 1}"
+    if isinstance(expr, dsl.Neg):
+        return f"(-{expr_text(expr.child)})"
+    if isinstance(expr, dsl.Bin):
+        return f"({expr_text(expr.left)} {expr.op} {expr_text(expr.right)})"
+    if isinstance(expr, dsl.Pow):
+        return f"({expr_text(expr.base)}^{expr.expo!r})"
+    return f"{expr.name}({expr_text(expr.child)})"
+
+
 @pytest.fixture(scope="session")
 def generic3d():
     return dsl.parse_metric(GENERIC_3D, "generic3d")

@@ -20,7 +20,7 @@ from finslerab import classify, cli, finsler, identity, riemann, scurvature, tes
 from finslerab.classify import GROUPS, RunConfig, emit_report, run_appendix, run_check
 from finslerab.dsl import Bin, Const, Var, parse_metric, sample_domain, validate_spec
 from finslerab.riemann import GeometryError, build_bundle
-from .conftest import unit_y
+from .conftest import euclidean, unit_y
 
 
 def small_config(**over):
@@ -42,7 +42,7 @@ def test_check_example_verdicts(example_spec):
 
 
 def test_check_trivial_euclidean():
-    report = run_check(testmetrics.euclidean(3), small_config())
+    report = run_check(euclidean(3), small_config())
     v = {k: c.verdict for k, c in report.conditions.items()}
     assert all(
         v[k]
@@ -452,7 +452,7 @@ def test_check_output_same_without_the_spray_memo(source, form, tmp_path, monkey
     if isinstance(source, int):
         spec = testmetrics.random_metric(source, 40 + source)
         path = tmp_path / "dense.metric"
-        path.write_text(spec.to_text())
+        path.write_text(testmetrics.random_metric_text(source, 40 + source))
     else:
         spec, path = testmetrics.shipped_metric(source), testmetrics.shipped_metric_path(source)
     config = RunConfig(y_per_point=6, volume_form=form)
@@ -599,7 +599,7 @@ def test_metric_failure_names_first_failing_point(run, chunk, monkeypatch):
     # called directly, so validate_spec does not stop the metric first; the error is the one
     # the failing point's own walk raises, after the points before it ran in order
     config = RunConfig(points=30, y_per_point=2, seed=1)
-    pts = sample_domain(testmetrics.euclidean(12), config.points, np.random.default_rng(config.seed), shrink=0.05)
+    pts = sample_domain(euclidean(12), config.points, np.random.default_rng(config.seed), shrink=0.05)
     whole = _log_edge_metric(-1.0)  # evaluates at every sampled point
     walks = _spy_walks(whole, monkeypatch)
     next(classify._point_jets(whole, pts))
@@ -691,6 +691,8 @@ def test_cli_check_exit_ok(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "beta_parallel" in out
+    # a tolerance below the ceiling of 1 is taken
+    assert cli.main(["check", _example_path(), "--points", "2", "--tol", "0.5"]) == 0
 
 
 def test_cli_validate_bad_metric(tmp_path, capsys):
@@ -707,7 +709,7 @@ def test_cli_validate_previews_check(tmp_path, capsys):
     # exit statuses agree on every file.  This generated metric once passed
     # check but failed validate, which sampled twice as many points.
     generated = tmp_path / "rand12_505.metric"
-    generated.write_text(testmetrics.random_metric(12, 505).to_text())
+    generated.write_text(testmetrics.random_metric_text(12, 505))
     paths = [str(generated)] + [str(testmetrics.shipped_metric_path(m)) for m in testmetrics.list_shipped()]
     for path in paths:
         assert cli.main(["validate", path]) == cli.main(["check", path, "--points", "1"]), path
@@ -866,6 +868,9 @@ def test_cli_check_rejects_invalid(tmp_path, capsys):
         ["check", "METRIC", "--tol", "-1"],
         ["check", "METRIC", "--tol", "inf"],
         ["check", "METRIC", "--tol", "1e-16"],  # below cli.TOL_FLOOR: the routes agree only to rounding
+        # at 1 or more a residual of order one reads as zero, and every cross-route gate is off
+        ["check", "METRIC", "--tol", "1"],
+        ["check", "METRIC", "--tol", "1e300"],
         ["appendix", "METRIC", "--sigma", "abc"],
         ["appendix", "METRIC", "--sigma", "nan"],
         ["appendix", "--dim-sweep", "x"],

@@ -21,7 +21,7 @@ from finslerab.finsler import (
 )
 from finslerab.jets import ArrayJet, JetError
 from finslerab.riemann import build_bundle
-from .conftest import example_point, unit_y
+from .conftest import euclidean, example_point, unit_y
 from .oracles import (
     alpha_quadratics,
     gbar,
@@ -103,7 +103,7 @@ def _oracle_deviation(bu, y):
         row = (lambda a: a) if y.ndim == 1 else (lambda a: a[k])
         want = general_spray(bu, yk)
         G = ArrayJet(row(sp.G.val), row(sp.G.grad), row(sp.G.hess))
-        pairs = list(zip(_blocks(G), want.blocks()))
+        pairs = list(zip(_blocks(G), _blocks(want.G)))
         scale = np.maximum(1.0, np.abs(want.G.val))[:, None]
         for a, b in pairs:
             assert a.shape == b.shape
@@ -182,7 +182,7 @@ def test_spray_guards_vanishing_denominators(bundle, y, message):
 
 
 def test_curvature_trivial_and_homogeneity(generic3d):
-    bu0 = build_bundle(testmetrics.euclidean(3), np.zeros(3))
+    bu0 = build_bundle(euclidean(3), np.zeros(3))
     R, ric = riemann_curvature(spray(bu0, np.array([1.0, 0.2, -0.5])))
     assert np.max(np.abs(R)) == 0.0 and ric == 0.0
 
@@ -694,7 +694,7 @@ def _flag_fit(bu, y):
 
 
 def test_flag_fit_euclidean_zero():
-    bu = build_bundle(testmetrics.euclidean(3), np.zeros(3))
+    bu = build_bundle(euclidean(3), np.zeros(3))
     K, res = _flag_fit(bu, np.array([0.3, -0.9, 0.4]))
     assert K == 0.0 and res == 0.0
 

@@ -4,12 +4,12 @@ import pytest
 from finslerab import finsler, testmetrics
 from finslerab.dsl import parse_metric
 from finslerab.riemann import GeometryError, build_bundle
-from .conftest import example_point, unit_y
+from .conftest import GENERIC_3D, euclidean, example_point, unit_y
 from .oracles import D2b, bianchi_check, christoffels_fd, det_jet, gbar, metric_jets, rbar, rbar4
 
 
 def test_euclidean_is_flat():
-    bu = build_bundle(testmetrics.euclidean(3), np.zeros(3))
+    bu = build_bundle(euclidean(3), np.zeros(3))
     assert not bu.gamma.any()
     assert not bu.riem4.any()
     y = np.array([1.0, 2.0, -0.5])
@@ -107,13 +107,10 @@ def test_curvature_annihilates_y_and_homogeneity(generic3d):
             assert abs(bu.ricbar(2 * y) - 4 * bu.ricbar(y)) <= 1e-9 * max(1.0, abs(bu.ricbar(y)))
 
 
-def test_classical_vs_spray_curvature(generic3d):
+def test_classical_vs_spray_curvature():
     # beta = 0 so the generic spray reduces to the alpha spray, computed by
     # the completely different jet route
-    spec = parse_metric(
-        "\n".join(l for l in generic3d.to_text().splitlines() if not l.startswith("b ")),
-        "alpha_only",
-    )
+    spec = parse_metric("\n".join(l for l in GENERIC_3D.splitlines() if not l.startswith("b ")), "alpha_only")
     rng = np.random.default_rng(9)
     for _ in range(5):
         bu = build_bundle(spec, rng.uniform(-0.8, 0.8, 3))

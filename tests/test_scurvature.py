@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 
 from finslerab import cli, finsler, scurvature, testmetrics
 from finslerab.classify import RunConfig, run_check
-from finslerab.dsl import parse_metric, sample_domain
+from finslerab.dsl import Neg, parse_metric, sample_domain
 from finslerab.riemann import build_bundle
-from finslerab.scurvature import s_curvature_closed, s_curvature_def, volume_factor
+from finslerab.scurvature import FORMS, s_curvature_closed, s_curvature_def, volume_factor
 from .conftest import example_point, unit_y
 from .oracles import det_jet, metric_jets
 
@@ -76,8 +77,10 @@ def _bits(vf):
 
 
 def test_volume_factor_cached_equals_fresh(monkeypatch):
-    # each key differs from the one before it in one place, so every first call
-    # must miss; a repeat must hit and give the record a fresh evaluation gives
+    # each key differs from the one before it in one place.  A repeat must hit;
+    # where a key differs only in the type of n or b, the sign of a zero b or the
+    # case of the form, it shares the record of the key before it, which must
+    # have the bits a fresh evaluation at its own arguments gives
     b = 0.123456
     keys = [
         (4, b, "ht"), (4, b, "bh"), (4, b, "HT"), (5, b, "ht"), (5, math.nextafter(b, 1.0), "ht"),
@@ -93,6 +96,8 @@ def test_volume_factor_cached_equals_fresh(monkeypatch):
         assert fresh is not got and _bits(got) == _bits(fresh), key
     with pytest.raises(AttributeError):
         got.Lambda = 0.0
+    assert got._fields == ("f", "fprime", "fsecond", "Lambda")  # only what the rule computed
+    assert volume_factor(np.int64(5), -0.0, "BH") is volume_factor(5, 0, "bh")
 
 
 def test_stored_rule_is_leggauss_40_on_0_pi():
@@ -294,3 +299,39 @@ def test_s_curvature_def_reuses_spray_and_log_det(generic3d):
     want = detJ.grad / detJ.val
     assert np.max(np.abs(bu.dlndet - want)) <= 1e-13 * np.max(np.abs(want))
     assert bu.dlndet is bu.dlndet  # computed once per bundle
+
+
+def _curvature_stack(bundle, ys):
+    """G, Ric, Ric_T, F, K and the flag residual at a point's stack of y."""
+    sp = finsler.spray(bundle, ys)
+    R, ric = finsler.riemann_curvature(sp)
+    F = finsler.metric_value(bundle, ys)
+    return (sp.G.val, ric, finsler.ricci_via_T(sp), F, *finsler.flag_curvature_fit(sp, R, F))
+
+
+@pytest.mark.parametrize("source", testmetrics.list_shipped() + [3, 5, 8])  # a shipped metric, or random_metric(n)
+def test_reversing_beta_is_reversing_y(source):
+    """F with -beta at (x, y) is F with beta at (x, -y), whatever route computes it.
+
+    So G, Ric by both routes, F, K and the flag residual agree bit for bit,
+    and S changes sign under both routes and both volume forms (compared as
+    floats: where S = 0 the two may differ in the sign of zero).  No route
+    can fool this oracle: it catches a term of the wrong parity in y or beta
+    even where both sides of a cross-check share it.
+    """
+    if isinstance(source, int):
+        spec = testmetrics.random_metric(source, 40 + source)
+    else:
+        spec = testmetrics.shipped_metric(source)
+    flipped = dataclasses.replace(spec, b_entries={i: Neg(e) for i, e in spec.b_entries.items()})
+    rng = np.random.default_rng(7)
+    for x in sample_domain(spec, 5, rng, shrink=0.05):
+        plain, reversed_beta = build_bundle(spec, x), build_bundle(flipped, x)
+        ys = finsler.unit_alpha_vectors(plain, 4, rng)
+        for got, want in zip(_curvature_stack(reversed_beta, ys), _curvature_stack(plain, -ys)):
+            assert got.tobytes() == want.tobytes()
+        for form in FORMS:
+            for y in ys:
+                assert s_curvature_def(finsler.spray(reversed_beta, y), form) == -s_curvature_def(
+                    finsler.spray(plain, -y), form)
+                assert s_curvature_closed(reversed_beta, y, form) == -s_curvature_closed(plain, -y, form)

@@ -6,7 +6,7 @@ json`` under bh and ht, ``check --format csv``, ``scurv`` under bh and ht,
 ``flag``, ``appendix --sigma random --format json``), plus ``appendix
 --dim-sweep 3,4,5,8,12 --format json`` at seeds 0-2, plus dense metrics:
 ``random_metric(n, 40 + n)`` for n in {3, 5, 8, 12}, written once as
-metric files by this tree, x seeds {0, 1, 2} x (``check --format json``
+metric files from this tree's ``random_metric_text``, x seeds {0, 1, 2} x (``check --format json``
 and ``scurv``, each under bh and ht).  The shipped metrics are sparse and
 small, so a change in the order in which a stack's dot products are summed
 can leave their outputs byte-identical; the dense ones show it.
@@ -62,14 +62,14 @@ def source_lines(root: Path) -> int:
 
 
 def write_dense_metrics(folder: Path) -> list:
-    """Write ``random_metric(n, 40 + n)`` of this tree for each n of DENSE_DIMS into ``folder``; their paths."""
+    """Write the text of ``random_metric(n, 40 + n)`` of this tree for each n of DENSE_DIMS into ``folder``; their paths."""
     sys.path.insert(0, str(ROOT / "src"))
-    from finslerab.testmetrics import random_metric
+    from finslerab.testmetrics import random_metric_text
 
     paths = []
     for n in DENSE_DIMS:
         path = folder / f"random_{n}_{40 + n}.metric"
-        path.write_text(random_metric(n, 40 + n).to_text())
+        path.write_text(random_metric_text(n, 40 + n))
         paths.append(path)
     return paths
 
