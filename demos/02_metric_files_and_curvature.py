@@ -26,6 +26,7 @@ for i in range(2):
     print(f"  Gamma^{i+1} =\n{bu.gamma[i]}")
 
 y = np.array([0.3, 0.7])
+alpha2 = y @ bu.a @ y  # a_ij y^i y^j
 print("\nRicci curvature of alpha along y:", bu.ricbar(y))
-print("alpha^2 along y                  :", bu.alpha2(y))
-print("ratio (sectional curvature)      :", bu.ricbar(y) / bu.alpha2(y))
+print("alpha^2 along y                  :", alpha2)
+print("ratio (sectional curvature)      :", bu.ricbar(y) / alpha2)

@@ -20,7 +20,7 @@ rng = np.random.default_rng(0)
 x = np.array([0.1, -0.3, 0.5, 1.2, 0.4])
 bu = build_bundle(spec, x)
 y = rng.standard_normal(5)
-y /= bu.alpha(y)
+y /= np.sqrt(y @ bu.a @ y)  # alpha(x, y) = 1
 
 print("max |Ricci tensor of alpha| :", np.max(np.abs(bu.ricci_tensor)))
 print("max |curvature tensor|      :", np.max(np.abs(bu.riem4)), " (Ricci-flat, NOT flat)")

@@ -26,7 +26,7 @@ for _ in range(10):
     x = rng.uniform(-0.9, 0.9, 4)
     bu = build_bundle(spec, x)
     y = rng.standard_normal(4)
-    y /= bu.alpha(y)
+    y /= np.sqrt(y @ bu.a @ y)  # alpha(x, y) = 1
     sigma = float(rng.uniform(-1, 1))
     diag = verify_identity(bu, y, sigma)
     worst = max(worst, diag.rel_dev)

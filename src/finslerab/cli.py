@@ -17,9 +17,8 @@ statuses; every number and verdict comes from ``classify``.  ``check``,
 y per point and the default tolerance, and exit 3 on any violation.
 ``check`` takes ``--y-per-point`` >= 2, as one y fits F's Einstein sigma exactly.
 Its ``--tol``, in [``TOL_FLOOR``, 1) = [1e-14, 1), sets each verdict's threshold,
-tol * max(1, scale), and, until the cross-route gates get a bound of their own
-(ROADMAP, item 12), those gates at 10 * tol.  Below the floor it would test
-rounding, and from 1 up a residual of order one would read as zero.
+tol * max(1, scale), not the cross-route gates (``classify.ROUTE_TOL``); below
+the floor it would test rounding, and from 1 up an order-one residual read as 0.
 A run of more than ``MAX_SAMPLES`` samples (points x y per point) is refused.
 ``validate`` runs the validity check that the others run before sampling,
 with the same ``--seed``.  A run also rejects its own sample points where

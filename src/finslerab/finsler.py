@@ -461,8 +461,8 @@ def ricci_via_T(sp: Spray):
     bundle, y = sp.bundle, sp.y
     tval, tx, ty, txy, tyy = _blocks(sp.G - sp.Gbar)
 
-    nconn = bundle.nonlinear_connection(y)
     gamma = bundle.gamma
+    nconn = np.einsum("ijk,...k->...ij", gamma, y)  # N^i_j = Gamma^i_jk y^k
     # T^k_|k = dT^k/dx^k - N^m_k dT^k/dy^m + T^m Gamma^k_mk
     t_div = (
         np.trace(tx, axis1=-2, axis2=-1)

@@ -87,8 +87,8 @@ def contraction_set(bundle: AlphaBetaBundle, y, sigma: float = 0.0) -> Contracti
     return ContractionSet(
         n=bundle.n,
         sigma=float(sigma),
-        alpha=bundle.alpha(y),
-        beta=bundle.beta(y),
+        alpha=float(np.sqrt(y @ bundle.a @ y)),
+        beta=float(bundle.b @ y),
         bsq=bundle.bsq,
         ricbar=bundle.ricbar(y),
         r00=float(np.einsum("ij,i,j->", r, y, y)),

@@ -19,11 +19,15 @@ bundle holds, as plain ndarrays,
 
 ``build_bundle`` holds only what the spray, the S-curvature routes and the
 beta conditions read, formed for a chunk of points at once by
-``_chunk_pass``.  The curvature of alpha (``riem4``, ``ricci_tensor``)
-and the second covariant calculus of b (``Dr``, ``Ds``, ``Drvec``,
-``Dsvec``, with ``r_up``, ``supvec`` and ``r_scalar``) are formed on first
-use and then kept, by the same expressions; the fits, the Ricci routes and
-the appendix read them.
+``_chunk_pass``.  ``bundles`` gives a run's bundles in order, from one walk
+of the metric's jets per chunk of points (as many as fit a fixed float
+budget) and array passes of up to 4 points, and stops at a sample point
+where b^2 >= 1/4, outside the domain of F, which ``validate_spec`` may miss;
+``build_bundle`` at a lone point is a chunk of one.  The curvature of alpha
+(``riem4``, ``ricci_tensor``) and the second covariant calculus of b
+(``Dr``, ``Ds``, ``Drvec``, ``Dsvec``, with ``r_up``, ``supvec`` and
+``r_scalar``) are formed on first use and then kept, by the same
+expressions; the fits, the Ricci routes and the appendix read them.
 
 Every input of the spray is a constant, linear or quadratic function of y
 with these x-dependent coefficients, so the spray layer differentiates it
@@ -44,6 +48,7 @@ __all__ = [
     "GeometryError",
     "AlphaBetaBundle",
     "build_bundle",
+    "bundles",
 ]
 
 
@@ -156,21 +161,6 @@ class AlphaBetaBundle:
 
     # -- y-dependent alpha quantities (closed forms in y) --------------------
 
-    def alpha2(self, y) -> float:
-        y = np.asarray(y, dtype=float)
-        return float(y @ self.a @ y)
-
-    def alpha(self, y) -> float:
-        return float(np.sqrt(self.alpha2(y)))
-
-    def beta(self, y) -> float:
-        return float(self.b @ np.asarray(y, dtype=float))
-
-    def nonlinear_connection(self, y) -> np.ndarray:
-        """N^i_j = d Gbar^i / d y^j = Gamma^i_jk y^k, shape (n, n), or (m, n, n) for a stack of y."""
-        y = np.asarray(y, dtype=float)
-        return np.einsum("ijk,...k->...ij", self.gamma, y)
-
     def ricbar(self, y):
         """Ricci curvature of alpha, Ricbar_jk y^j y^k: a float for one y, shape (m,) for a stack."""
         y = np.asarray(y, dtype=float)
@@ -184,8 +174,8 @@ def build_bundle(spec: MetricSpec, x, point: tuple[dict, bool] | None = None) ->
 
     ``point`` is this point's slice of a ``_chunk_pass`` over many points:
     every field, as views, and whether the formed ones are finite.  Without
-    it ``x`` alone is walked and formed, as a chunk of one.  A
-    ``GeometryError`` names each check that fails at ``x``.
+    it ``x`` is walked and formed as a chunk of one.  A ``GeometryError``
+    names each check that fails at ``x``.
     """
     x = np.asarray(x, dtype=float)
     n = spec.dim
@@ -194,21 +184,63 @@ def build_bundle(spec: MetricSpec, x, point: tuple[dict, bool] | None = None) ->
     for k, (lo, hi) in enumerate(spec.domain):
         if not lo <= x[k] <= hi:
             raise GeometryError(f"x{k + 1} = {x[k]} outside domain [{lo}, {hi}]")
-
     if point is None:
-        env = spec.chart_jets(x)
-        try:
-            jets = spec.a_jet(env), spec.b_jet(env)
-        except JetError as exc:
-            raise GeometryError(f"metric evaluation failed at x={x}: {exc}") from exc
-        try:
-            (point,) = _chunk_pass(*(ArrayJet(j.val[None], j.grad[None], j.hess[None]) for j in jets))
-        except np.linalg.LinAlgError:
-            raise GeometryError(f"a(x) not positive definite at x={x}") from None
+        (point,) = _slices(spec, x[None])
     fields, finite = point
     if not finite:
         _finite("geometry", x, fields)
     return AlphaBetaBundle(spec=spec, x=x, n=n, **fields)
+
+
+def bundles(spec: MetricSpec, pts):
+    """The bundle at each of the points ``pts``, shape (m, n), in order; a ``GeometryError`` where one fails."""
+    for x, point in zip(pts, _slices(spec, pts)):
+        bu = build_bundle(spec, x, point)
+        if bu.bsq >= 0.25:
+            raise GeometryError(f"b^2 = {bu.bsq:.6g} >= 1/4 at x={x}: F = alpha^2/(alpha - beta) is not defined there")
+        yield bu
+
+
+# Floats of a and b jets that one walk of the metric may form: the default 20
+# points are one walk up to n = 10, and memory stays bounded for any count.
+_CHUNK_FLOATS = 2**18
+# Floats of dgamma, the largest bundle field, that one pass may form, and the
+# points it may hold.  A pass keeps its points' fields until its last point is
+# done, so each point of it adds to a run's peak memory (about 20 KB at n = 5);
+# 4 points give most of the speed of larger passes.  From n = 14 on, where
+# batching gains nothing, a pass is one point.
+_PASS_FLOATS, _PASS_POINTS = 2**16, 4
+
+
+def _slices(spec: MetricSpec, pts):
+    """Each point's slice of a ``_chunk_pass`` for ``build_bundle``, in order: every field formed from its jets.
+
+    A chunk is walked, and a pass formed, when its first point is asked for.
+    Where a walk fails, or some a(x) of a pass is not positive definite, the
+    points are walked again one at a time, and the first that fails alone raises.
+    """
+    n = spec.dim
+    size = max(1, _CHUNK_FLOATS // ((n * n + n) * (1 + n + n * n)))
+    part = max(1, min(_PASS_POINTS, _PASS_FLOATS // n**4))
+    for start in range(0, len(pts), size):
+        chunk = pts[start:start + size]
+        env = spec.chart_jets(chunk)
+        try:
+            jets = spec.a_jet(env), spec.b_jet(env)
+        except JetError as exc:
+            if len(chunk) == 1:
+                raise GeometryError(f"metric evaluation failed at x={chunk[0]}: {exc}") from exc
+            yield from (point for x in chunk for point in _slices(spec, x[None]))
+            continue
+        for lo in range(0, len(chunk), part):
+            cut = [ArrayJet(j.val[lo:lo + part], j.grad[lo:lo + part], j.hess[lo:lo + part]) for j in jets]
+            try:
+                slices = _chunk_pass(*cut)
+            except np.linalg.LinAlgError:
+                if len(chunk) == 1:
+                    raise GeometryError(f"a(x) not positive definite at x={chunk[0]}") from None
+                slices = (point for x in chunk[lo:lo + part] for point in _slices(spec, x[None]))
+            yield from slices
 
 
 def _chunk_pass(A: ArrayJet, B: ArrayJet):

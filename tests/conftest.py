@@ -76,9 +76,14 @@ def example_point(rng):
     return x
 
 
+def alpha(bundle, y) -> float:
+    """alpha(x, y) = sqrt(a_ij(x) y^i y^j) at the bundle's point, with the bits of ``finsler.unit_alpha_vectors``."""
+    return float(np.sqrt(y @ bundle.a @ y))
+
+
 def unit_y(bundle, rng):
     y = rng.standard_normal(bundle.n)
-    return y / bundle.alpha(y)
+    return y / alpha(bundle, y)
 
 
 @pytest.fixture(scope="session")

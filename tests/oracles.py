@@ -29,6 +29,7 @@ from finslerab.finsler import Spray, riemann_curvature
 from finslerab.identity import ContractionSet
 from finslerab.jets import ArrayJet, Jet, JetError
 from finslerab.riemann import AlphaBetaBundle
+from .conftest import alpha
 
 # -- the elementary functions of the scalar Jet -------------------------------
 #
@@ -365,7 +366,7 @@ def unit_alpha_vectors_loop(bundle: AlphaBetaBundle, count: int, rng) -> np.ndar
         v = rng.standard_normal(bundle.n)
         while np.linalg.norm(v) < 1e-8:
             v = rng.standard_normal(bundle.n)
-        out[i] = v / bundle.alpha(v)
+        out[i] = v / alpha(bundle, v)
     return out
 
 

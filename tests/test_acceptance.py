@@ -23,7 +23,7 @@ from finslerab.finsler import (
 from finslerab.identity import verify_identity
 from finslerab.riemann import build_bundle
 from finslerab.scurvature import s_curvature_closed, s_curvature_def, volume_factor
-from .conftest import unit_y
+from .conftest import alpha, unit_y
 from .oracles import D2b, bianchi_check, general_spray, phi_data, phi_data_general, rbar4
 
 
@@ -45,7 +45,7 @@ def test_criterion_1_example_reproduction(example_spec):
         rics, F2s = [], []
         for _ in range(12):
             y = unit_y(bu, rng)
-            a2 = bu.alpha2(y)
+            a2 = alpha(bu, y) ** 2
             worst_ricbar = max(worst_ricbar, abs(bu.ricbar(y)) / a2)
             sp = spray(bu, y)
             _, ric = riemann_curvature(sp)

@@ -398,6 +398,21 @@ def test_every_implication_reports_its_violation(generic3d):
 
 
 @pytest.mark.parametrize(
+    "name, theorem",
+    [("euclidean_rotational", False), ("sphere_round", False), ("euclidean_flat", False),
+     ("euclidean_homothetic", True), ("matsumoto_example", True)],
+)
+def test_theorem_rows_are_asserted_where_dim_is_3_or_more_and_beta_is_not_zero(name, theorem, monkeypatch):
+    """The paper's theorem needs n >= 3 and beta != 0: a run asks for its rows there alone.
+    ``euclidean_rotational`` has dim 2 and beta != 0, ``euclidean_flat`` dim 3 and beta = 0."""
+    asked, violations = [], classify._implication_violations
+    monkeypatch.setattr(classify, "_implication_violations",
+                        lambda v, theorem: asked.append(theorem) or violations(v, theorem))
+    run_check(testmetrics.shipped_metric(name), small_config())
+    assert asked == [theorem]
+
+
+@pytest.mark.parametrize(
     "groups, per_point",
     # the shape of y of each spray at a point of generic3d (n = 3) with 3 y per point;
     # a run with no per-y reader makes no spray
@@ -493,13 +508,13 @@ _LAZY = ("riem4", "ricci_tensor", "Dr", "Ds", "Drvec", "Dsvec", "r_up", "supvec"
 def test_scurv_view_forms_no_curvature_tensor(generic3d, monkeypatch):
     """The scurv view reads neither the curvature of alpha nor the appendix tensors, so no bundle forms them."""
     bundles = []
-    orig = classify.build_bundle
+    orig = riemann.build_bundle
 
     def wrapped(spec, x, point=None):
         bundles.append(orig(spec, x, point))
         return bundles[-1]
 
-    monkeypatch.setattr(classify, "build_bundle", wrapped)
+    monkeypatch.setattr(riemann, "build_bundle", wrapped)
     lazy = set(_LAZY)
     run_check(generic3d, small_config(), ("beta", "S"))
     assert len(bundles) == 4
@@ -560,9 +575,9 @@ def test_bundles_from_chunked_jets_match_per_point_bytes(name, monkeypatch):
     spec = _walk_spec(name)
     assert validate_spec(spec).valid
     pts = sample_domain(spec, 25, np.random.default_rng(3), shrink=0.05)
-    walks, passes, chunk_pass = _spy_walks(spec, monkeypatch), [], classify._chunk_pass
-    monkeypatch.setattr(classify, "_chunk_pass", lambda A, B: passes.append(len(A.val)) or chunk_pass(A, B))
-    batched = list(classify._point_jets(spec, pts))
+    walks, passes, chunk_pass = _spy_walks(spec, monkeypatch), [], riemann._chunk_pass
+    monkeypatch.setattr(riemann, "_chunk_pass", lambda A, B: passes.append(len(A.val)) or chunk_pass(A, B))
+    batched = list(riemann._slices(spec, pts))
     monkeypatch.undo()
     assert sum(size for size, in walks) == len(pts) and (spec.dim < 12 or len(walks) >= 2)
     assert sum(passes) == len(pts) and max(passes) > 1
@@ -602,7 +617,7 @@ def test_metric_failure_names_first_failing_point(run, chunk, monkeypatch):
     pts = sample_domain(euclidean(12), config.points, np.random.default_rng(config.seed), shrink=0.05)
     whole = _log_edge_metric(-1.0)  # evaluates at every sampled point
     walks = _spy_walks(whole, monkeypatch)
-    next(classify._point_jets(whole, pts))
+    next(riemann._slices(whole, pts))
     (size,) = walks[0]
     # with t = x1 of a point below every earlier point, that point fails first
     lows = [k for k in range(1, len(pts)) if pts[k, 0] < pts[:k, 0].min()]
@@ -612,16 +627,17 @@ def test_metric_failure_names_first_failing_point(run, chunk, monkeypatch):
     with pytest.raises(GeometryError) as failed:
         run_check(spec, config) if run == "check" else run_appendix(spec, config)
     assert str(failed.value) == f"metric evaluation failed at x={pts[k]}: log of non-positive value 0.0"
-    # each chunk's walk up to the failing one, then one walk per point of it up to the failing point
+    # each chunk's walk up to the failing one, then one walk per point of it, as a chunk of one,
+    # up to the failing point
     first = k - k % size
-    assert walks == [(size,)] * (first // size + 1) + [()] * (k - first + 1)
+    assert walks == [(size,)] * (first // size + 1) + [(1,)] * (k - first + 1)
 
 
 def test_chunked_walk_memory_is_bounded():
     # the walk holds one chunk at a time and the bundle algebra one pass, however many points
     # a run samples: at n = 12 a pass is 3 points and 20 points are two chunks; at n = 5 a
     # pass is 4 points and 600 points are three chunks
-    budget = 8 * classify._CHUNK_FLOATS
+    budget = 8 * riemann._CHUNK_FLOATS
     for n, few in ((12, 20), (5, 600)):
         spec = testmetrics.random_metric(n, 60 + n)
         peaks = []
@@ -629,7 +645,7 @@ def test_chunked_walk_memory_is_bounded():
             pts = sample_domain(spec, count, np.random.default_rng(0), shrink=0.05)
             tracemalloc.start()
             try:
-                for _ in classify._bundles(spec, pts):
+                for _ in riemann.bundles(spec, pts):
                     pass
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
@@ -659,15 +675,16 @@ def test_chunk_pass_raises_at_the_first_failing_point(failure, monkeypatch):
         "b^2 = 0.52 >= 1/4": _OVERFLOWING + f"b 2 = 0.6*{bump}*exp(-300*x1*x2)\n",  # b^2 = 0.16 + 0.36 bump^2
     }[failure]
     spec = parse_metric(text, "failing")
-    passes, chunk_pass = [], classify._chunk_pass
-    monkeypatch.setattr(classify, "_chunk_pass", lambda A, B: passes.append(len(A.val)) or chunk_pass(A, B))
-    monkeypatch.setattr(classify, "_PASS_POINTS", len(pts))
+    passes, chunk_pass = [], riemann._chunk_pass
+    monkeypatch.setattr(riemann, "_chunk_pass", lambda A, B: passes.append(len(A.val)) or chunk_pass(A, B))
+    monkeypatch.setattr(riemann, "_PASS_POINTS", len(pts))
     built = []
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(GeometryError) as failed:
-            for bu in classify._bundles(spec, pts):
+            for bu in riemann.bundles(spec, pts):
                 built.append(bu.x)
+        in_run = passes.copy()  # the lone point below is a pass of its own
         if failure.startswith("b^2"):
             expected = (f"b^2 = {build_bundle(spec, pts[k]).bsq:.6g} >= 1/4 at x={pts[k]}: "
                         "F = alpha^2/(alpha - beta) is not defined there")
@@ -676,7 +693,9 @@ def test_chunk_pass_raises_at_the_first_failing_point(failure, monkeypatch):
                 build_bundle(spec, pts[k])
             expected = str(alone.value)
     assert str(failed.value) == expected and expected.startswith(f"{failure} at x={pts[k]}")
-    assert passes == [len(pts)] and np.array_equal(built, pts[:k])
+    # one 30-point pass, and after a failed pass one pass of one point for each point up to k
+    assert in_run == [len(pts)] + ([1] * (k + 1) if failure.startswith("a(x)") else [])
+    assert np.array_equal(built, pts[:k])
 
 
 # -- CLI ------------------------------------------------------------------------
@@ -1051,6 +1070,36 @@ def test_cli_check_reports_the_rows_where_a_route_disagrees(monkeypatch, capsys)
     want = [f"{route} routes disagree at point {p}, y {y}: {direct[p, y][route]} vs {nudged[route, p, y]}"
             for route, p, y in rows]
     assert payload["consistency"]["violations"] == want
+
+
+# A metric whose points all have 1 - 2b in [1.3e-6, 2e-6], b = |beta|_alpha: the S gate there is about 6e-5.
+_NEAR_EDGE = "dim = 2\ndomain x1 = [0.999999, 1]\na 1 1 = 1\na 2 2 = 1 + 0.1*x1^2\nb 1 = 0.4999995 * x1\n"
+
+
+@pytest.mark.parametrize("route, nudge, tol, metric", [
+    *[(route, nudge, tol, "sphere_round") for route in ("Ricci", "S-curvature")
+      for nudge, tol in ((1e-8, None), (1e-5, "1e-2"))],
+    ("Ricci", 1e-8, None, "near_edge"),  # the Ricci gate does not widen as b -> 1/2
+    ("S-curvature", 1e-3, None, "near_edge"),
+])
+def test_cli_check_route_gate_does_not_follow_tol(route, nudge, tol, metric, tmp_path, monkeypatch, capsys):
+    """One route row nudged far above rounding exits 3 at the default ``--tol`` and at a loose one: the
+    cross-route gate is ``classify.ROUTE_TOL``, not a multiple of the verdicts' tolerance.  Near b = 1/2
+    the Ricci gate stays ``ROUTE_TOL``; only the S gate widens, as 1 / (1 - 2b)."""
+
+    def change(r, p, y, value):
+        return value + nudge * max(1.0, abs(value)) if (r, p, y) == (route, 1, 4) else value
+
+    _spy_check_sides(monkeypatch, change)
+    if metric == "sphere_round":
+        path = str(testmetrics.shipped_metric_path(metric))
+    else:
+        path = tmp_path / "near_edge.metric"
+        path.write_text(_NEAR_EDGE)
+    args = ["check", str(path), "--points", "2"] + ([] if tol is None else ["--tol", tol])
+    assert cli.main(args) == cli.EXIT_INCONSISTENT
+    violations = capsys.readouterr().out.split("ENGINE INCONSISTENCY:\n")[1].splitlines()
+    assert len(violations) == 1 and violations[0].startswith(f"  {route} routes disagree at point 1, y 4: ")
 
 
 @pytest.mark.parametrize("culprit", ["Ric_T", "S_closed", "ricbar"])

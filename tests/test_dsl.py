@@ -150,6 +150,12 @@ def test_grammar_unary_and_functions():
     assert abs(j.val - (4.0 + 2 * np.sin(0.5) - 1.5)) < 1e-15
 
 
+def test_grammar_chains_read_left_to_right():
+    """A chain of + and - or of * and / groups to the left: at x1 = 2, 8 - x1 - 1 is 5 and not 7."""
+    for text, want in (("8 - x1 - 1", 5.0), ("x1 - 1 + 3", 4.0), ("8 / x1 / 2", 2.0), ("8 / x1 * 2", 8.0)):
+        assert expression_jet(_parse(text), _env([2.0, 0.5])).val == want
+
+
 def _metric_text(spec):
     """The metric file of ``spec``, written entry by entry with the test printer."""
     lines = [f"dim = {spec.dim}"] + [f"domain x{k + 1} = [{lo!r}, {hi!r}]" for k, (lo, hi) in enumerate(spec.domain)]

@@ -10,7 +10,7 @@ from finslerab.identity import (
     verify_identity,
 )
 from finslerab.riemann import build_bundle
-from .conftest import example_point, unit_y
+from .conftest import alpha, example_point, unit_y
 from .oracles import contraction_set_naive
 
 
@@ -108,7 +108,7 @@ def test_identity_random_metrics(n):
 
 def test_sigma_affineness(generic_bundle):
     y = np.array([0.5, -0.4, 0.6])
-    y = y / generic_bundle.alpha(y)
+    y = y / alpha(generic_bundle, y)
     d0 = verify_identity(generic_bundle, y, 0.0)
     d1 = verify_identity(generic_bundle, y, 1.0)
     dh = verify_identity(generic_bundle, y, 0.5)
