@@ -5,15 +5,16 @@ the y-samples and evaluates the requested condition groups.  The ``check``,
 ``scurv`` and ``flag`` subcommands are views of it: each names the groups
 it prints, and only their quantities are computed; ``emit_report`` renders
 the full report (text, json, csv) or the ``scurv`` and ``flag`` views.
-At each point every group but "beta" reads one spray of the whole stack
-of y-samples.  The fits, Ricci and flag readers run once on it; the S
-group asks for one spray per y-sample, as its routes take one y, and
-``finsler.spray`` serves each of them as a row of the stack, the same bits.
+Every group but "beta" reads one spray of the (p, m, n) stack of a pass
+of points' y-samples, and the Ricci and flag readers run once on it; the
+fits run once per point, and the S group asks for one spray per y-sample,
+as its routes take one y, which ``finsler.spray`` serves as its point's
+row of the stack, the same bits.
 
-``run_check`` and ``run_appendix`` take the sampled points' bundles from
-``riemann.bundles`` and run each, its checks and all that follows point by
-point; a non-finite number to report or to compare stops the run with a
-``GeometryError``.
+``run_check`` takes the sampled points' bundles from ``riemann.passes``,
+and ``run_appendix`` from ``riemann.bundles``.  Both check and file them
+point by point; a non-finite number to report or to compare stops the run
+with a ``GeometryError``, where and as a run of one-point passes stops.
 
 Verdicts use the threshold  residual <= tol * max(1, scale)  where scale is
 the magnitude of the quantity's own constituent terms at the point, so a
@@ -40,7 +41,7 @@ import numpy as np
 
 from . import finsler, identity, scurvature, testmetrics
 from .dsl import MetricSpec, sample_domain
-from .riemann import _finite, bundles
+from .riemann import BundlePass, _finite, bundles, passes
 
 __all__ = [
     "RunConfig", "ClassReport", "GROUPS", "run_check", "run_appendix", "run_dim_sweep",
@@ -131,11 +132,12 @@ def run_check(spec: MetricSpec, config: RunConfig, groups=GROUPS) -> ClassReport
     The random stream is drawn in one order for every view: the points,
     then per point 2n unread normal n-vectors (with "fits" only, so each
     seed keeps its y-samples) and the y-samples.  When any group but
-    "beta" runs, a point's y-samples are sprayed as one (y_per_point, n)
-    stack.  "fits", "ricci" and "flag" make one call on it of the
-    curvature, F, the scalar fits, the T-split Ricci route, the flag fit
-    and Ricbar.  "S" evaluates each y on its own: its spray is a row of the
-    point's stack, and it makes one call of each S route.  Every per-y
+    "beta" runs, the y-samples of a pass of p points are sprayed as one
+    (p, y_per_point, n) stack.  "fits", "ricci" and "flag" make one call on
+    it of the curvature, F, the T-split Ricci route, the flag fit and
+    Ricbar, and one call per point of the scalar fits.  "S" evaluates each
+    y on its own: its spray is its point's row of the pass's stack, and it
+    makes one call of each S route.  Every per-y
     quantity, each route's two sides too, is a column checked finite before
     any is compared.  Every measure a verdict reads (the beta tensors, the
     per-y magnitudes, each route's deviations) is reduced to its peak at the
@@ -155,7 +157,7 @@ def run_check(spec: MetricSpec, config: RunConfig, groups=GROUPS) -> ClassReport
     fit_list, point_rows, violations = [], [], []
     peaks = starts = None  # the worst of each measure over the points so far, and where each starts in a point's terms
 
-    for p_idx, bu in enumerate(bundles(spec, pts)):
+    for p_idx, (bu, ys, (cols, F2, fit)) in enumerate(_point_stages(spec, pts, rng, config, groups)):
         # each measure's terms at this point, in one order at every point: the measure is their largest magnitude
         terms = {"beta": bu.b}
         if beta:
@@ -163,32 +165,14 @@ def run_check(spec: MetricSpec, config: RunConfig, groups=GROUPS) -> ClassReport
             terms.update(r=bu.r, s=bu.s, Db=bu.Db, s_i=bu.svec, norm_grad=bu.rvec + bu.svec,
                          Db_scale=np.concatenate([bu.db, gamma_b], axis=None))
         if fits:
-            rng.standard_normal((2 * bu.n, bu.n))  # unread: see the docstring
-
-        ys = finsler.unit_alpha_vectors(bu, config.y_per_point, rng)
-        cols = {}  # each per-y quantity, shape (y_per_point,)
-        if fits or ricci or S or flag:
-            sp = finsler.spray(bu, ys)
-        if fits or ricci or flag:
-            R, ric = finsler.riemann_curvature(sp)
-            F = finsler.metric_value(bu, ys)
-            F2 = F * F
-            if fits:
-                fit_list.append(finsler.extract_scalars(bu, ric, F2))
-        if ricci:
-            cols.update(Ric=ric, F2=F2, Ric_T=finsler.ricci_via_T(sp), ricbar=bu.ricbar(ys))
-        if S:
-            cols["S"] = np.array([scurvature.s_curvature_def(finsler.spray(bu, y), config.volume_form) for y in ys])
-            cols["S_closed"] = np.array([scurvature.s_curvature_closed(bu, y, config.volume_form) for y in ys])
-        if flag:
-            cols["K_fit"], cols["flag_residual"] = finsler.flag_curvature_fit(sp, R, F)
+            fit_list.append(fit)
         # every number the point adds to the report, and each route's check side, before any is compared
-        _finite("result", bu.x, dict(cols, fit=fit_list[-1]) if fits else cols)
+        _finite("result", bu.x, dict(cols, fit=fit) if fits else cols)
 
         if ricci or flag:
             scale = np.maximum(1.0, F2)
         if ricci:
-            terms["ricbar"], terms["Ric/F2"] = cols["ricbar"], np.abs(ric) / scale
+            terms["ricbar"], terms["Ric/F2"] = cols["ricbar"], np.abs(cols["Ric"]) / scale
         if S:
             terms["S"] = cols["S"]
         if flag:
@@ -271,6 +255,56 @@ def run_check(spec: MetricSpec, config: RunConfig, groups=GROUPS) -> ClassReport
         consistency={"violations": violations},
         extremes=worst,
     )
+
+
+def _point_stages(spec: MetricSpec, pts, rng, config: RunConfig, groups):
+    """(bundle, y-samples, its part of ``_y_stage``) at each of the points ``pts``, in order.
+
+    A pass's y-samples are drawn point by point, in ``run_check``'s order,
+    and evaluated by one ``_y_stage`` with numpy's floating-point errors
+    raised.  A pass that fails is redone point by point, each point when the
+    one before it is done, so the first point that fails raises its own
+    error and no warning comes from a point after it.
+    """
+    n, m, fits = spec.dim, config.y_per_point, "fits" in groups
+    for bunch in passes(spec, pts, m):
+        draws = []
+        for bu in bunch.bundles:
+            if fits:
+                rng.standard_normal((2 * n, n))  # unread: see run_check
+            draws.append(finsler.unit_alpha_vectors(bu, m, rng))
+        ys = np.array(draws)
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                stages = _y_stage(bunch, ys, groups, config.volume_form)
+        except (ArithmeticError, ValueError, Warning):  # ValueError: JetError; Warning: filtered to an error
+            stages = (_y_stage(bunch.part(k), ys[k:k + 1], groups, config.volume_form)[0] for k in range(len(ys)))
+        yield from zip(bunch.bundles, ys, stages)
+
+
+def _y_stage(bunch: BundlePass, ys, groups, form: str) -> list:
+    """Each point's (per-y columns, F^2 or None, scalar fit or None) of the pass ``bunch`` at ``ys``, shape (p, m, n)."""
+    _, fits, ricci, S, flag = (g in groups for g in GROUPS)
+    cols, F2, fit = {}, None, [None] * len(ys)
+    if fits or ricci or S or flag:
+        sp = finsler.spray(bunch, ys)
+    if fits or ricci or flag:
+        R, ric = finsler.riemann_curvature(sp)
+        F = finsler.metric_value(bunch, ys)
+        F2 = F * F
+        if fits:
+            fit = [finsler.extract_scalars(bu, ric[k], F2[k]) for k, bu in enumerate(bunch.bundles)]
+    if ricci:
+        cols.update(Ric=ric, F2=F2, Ric_T=finsler.ricci_via_T(sp), ricbar=bunch.ricbar(ys))
+    if S:
+        by_def, closed = [], []  # a point's S by both routes before the next point's, as volume_factor keeps one f
+        for bu, point_ys in zip(bunch.bundles, ys):
+            by_def.append([scurvature.s_curvature_def(finsler.spray(bu, y), form) for y in point_ys])
+            closed.append([scurvature.s_curvature_closed(bu, y, form) for y in point_ys])
+        cols["S"], cols["S_closed"] = np.array(by_def), np.array(closed)
+    if flag:
+        cols["K_fit"], cols["flag_residual"] = finsler.flag_curvature_fit(sp, R, F)
+    return [({key: v[k] for key, v in cols.items()}, None if F2 is None else F2[k], fit[k]) for k in range(len(ys))]
 
 
 class AppendixReport(NamedTuple):

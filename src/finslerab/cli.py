@@ -151,7 +151,9 @@ TOL_FLOOR = 1e-14
 # A report keeps one row per sample (point x y-sample): about 1 KB held and
 # 3.9 KB at peak each on a 5-dimensional metric with --format json.  This cap
 # bounds the report at about 0.4 GB, but not a point's y-stack, which is
-# sprayed at once: about 133 KB per y at n = 12 (ROADMAP, item 5).
+# sprayed at once: about 133 KB per y at n = 12 (ROADMAP, item 5).  A pass of
+# the y-stage holds several points' stacks only while their largest arrays
+# fit the fixed float budget ``riemann._STACK_FLOATS``, and else one.
 MAX_SAMPLES = 10**5
 _TOL = _arg(float, lambda v: TOL_FLOOR <= v < 1, f"a number in [{TOL_FLOOR:g}, 1)")
 # kept as text: the report echoes the policy as given

@@ -34,30 +34,32 @@ The ``Spray`` record is the one input of every reader of the spray:
 ``riemann_curvature``, ``ricci_via_T``, ``flag_curvature_fit`` and
 ``scurvature.s_curvature_def`` take it, and read the bundle and the y it
 was taken at from it, so no reader can be handed a spray of another y.
-y may carry a leading axis: ``spray``, ``riemann_curvature``,
+y may carry leading axes: ``spray``, ``riemann_curvature``,
 ``metric_value``, ``ricci_via_T`` and ``flag_curvature_fit`` take one
 fiber vector, shape (n,), or a stack of m of them, shape (m, n), and their
-results then carry the same leading m axis.  The one-y call is the
-m-less case of the same code; ``ricci_via_T`` and ``flag_curvature_fit``
-return floats there.  The two S routes take one y only and raise
-``ValueError`` on a stack.  The inputs' y-independent parts are built
-once per bundle, on the first spray there, and kept on it
-(``bundle.spray_inputs``).  ``classify.run_check`` evaluates each point's
-y-samples as one stack.
+results then carry the same leading m axis.  They take a
+``riemann.BundlePass`` of p points as they take a bundle, with a stack of
+shape (p, m, n): one call of each evaluates a pass of points.  The one-y
+call is the m-less case of the same code; ``ricci_via_T`` and
+``flag_curvature_fit`` return floats there.  The two S routes take one y
+only and raise ``ValueError`` on a stack.  The inputs' y-independent
+parts are built once per bundle or pass, on its first spray, and kept on
+it (``spray_inputs``).
 
 Every step of a stacked spray works row by row, down to one
 vector-matrix product per y for the inputs' affine entries, so each row
-of a stack is the one-y spray bit for bit: values, gradients and Hessian
-y columns.  That makes an exact memo possible, and ``spray`` keeps one
-per bundle: the arrays of G and Gbar of the bundle's last stack, made
-read-only, with a copy of its y.  A later one-y spray whose y has the
-bytes of a row returns views of that row, before y is checked to be
-nonzero, which every row of a stack has passed.  So the S group's one-y
-sprays in ``run_check`` cost a lookup each.
-The memo holds arrays only, never a ``Spray`` or the bundle, so a
-bundle is freed as soon as its caller drops it; it builds its row index
-on the first one-y lookup, so a stack that no one-y spray follows pays
-only the copy of its y.
+of a stack is the one-y spray at its point bit for bit: values,
+gradients and Hessian y columns; over a pass, each point's rows of every
+reader have the bits of its own (m, n) stack.  That makes an exact memo
+possible.  A stack's ``Spray`` record holds one: the arrays of G and
+Gbar, made read-only, with a copy of its y.  While the record lives, a
+one-y spray at one of its points whose y has the bytes of one of that
+point's rows returns views of that row (a row is found by its point and
+its bytes), before y is checked to be nonzero, which every row of a stack
+has passed.  So the S group's one-y sprays in ``run_check`` cost a lookup
+each.  The points hold weak references to the memo
+(``bundle.spray_memo``), and it holds arrays only, so a stack is freed as
+soon as its caller drops the record.
 
 The curvature is computed two ways, directly from the spray and through
 the deformation-field identity relating Ric to the Ricci curvature of
@@ -73,12 +75,13 @@ caller, which has it from ``metric_value`` for the printed F^2.
 from __future__ import annotations
 
 import math
+import weakref
 from typing import NamedTuple
 
 import numpy as np
 
 from .jets import _TINY, ArrayJet, JetError
-from .riemann import AlphaBetaBundle
+from .riemann import AlphaBetaBundle, BundlePass
 
 __all__ = [
     "ScalarFit",
@@ -96,12 +99,12 @@ __all__ = [
 
 
 class Spray(NamedTuple):
-    """The spray of F at the bundle's point and ``y``, shape (n,) or a stack (m, n).
+    """The spray of F at the bundle's point and ``y``, shape (n,) or a stack (m, n), or over a pass at (p, m, n).
 
     ``G`` = G^i and ``Gbar`` = Gbar^i, the spray of alpha, are array jets
     over the 2n chart+fiber directions (x^1..x^n, then y^1..y^n) of shape
-    (n,), or (m, n) for a stack.  Each ``hess`` holds the y columns of the
-    Hessian only, shape S + (2n, n):
+    S + (n,), S the leading shape of ``y``.  Each ``hess`` holds the y
+    columns of the Hessian only, shape S + (n, 2n, n):
     ``hess[..., a, k]`` = d2/dz^a dy^k over the 2n directions z^a, so its
     first n rows are the x-y block and its last n the y-y block, the only
     ones the curvature and the T-split read.  There is no x-x block, which
@@ -109,10 +112,11 @@ class Spray(NamedTuple):
     operations (G - Gbar) apply to such jets.
     """
 
-    bundle: AlphaBetaBundle
+    bundle: AlphaBetaBundle | BundlePass
     y: np.ndarray
     G: ArrayJet
     Gbar: ArrayJet
+    memo: object = None  # a stack's ``_Memo``, which serves its rows as long as this record lives
 
 
 def _blocks(jet: ArrayJet):
@@ -125,7 +129,7 @@ def _blocks(jet: ArrayJet):
 
 
 class _SprayInputs:
-    """The spray's inputs at one bundle, packed into rows, with every y-independent part filled once.
+    """The spray's inputs at one bundle or pass, packed into rows, with every y-independent part filled once.
 
     Each input is a constant, linear or quadratic function of y whose
     x-dependent coefficients and first x-derivatives the bundle holds.
@@ -163,37 +167,41 @@ class _SprayInputs:
     b^i and y^i have none.
     """
 
-    def __init__(self, bundle: AlphaBetaBundle):
+    def __init__(self, bundle: AlphaBetaBundle | BundlePass):
         n = self.n = bundle.n
+        over = isinstance(bundle, BundlePass)
+        lead = bundle.bsq.shape if over else ()  # () at a point, (p,) over a pass
+        ax = len(lead)  # a field's first axis after the point axis of a pass, if any
         rows, d = 4 * n + 5, 2 * n
         q, l = self.quad_rows, self.lin_rows = slice(0, n + 2), slice(n + 3, 2 * n + 5)
-        self.quad = np.concatenate([0.5 * bundle.gamma, bundle.a[None], bundle.r[None]])
-        self.lin = np.concatenate([bundle.b[None], bundle.svec[None], -bundle.s_up])
-        dlin = np.concatenate([bundle.db[None], bundle.d_svec[None], -bundle.d_s_up])
-        quad2, eye = 2.0 * self.quad, np.eye(n)
+        quad = np.concatenate([0.5 * bundle.gamma, bundle.a[..., None, :, :], bundle.r[..., None, :, :]], axis=-3)
+        lin = np.concatenate([bundle.b[..., None, :], bundle.svec[..., None, :], -bundle.s_up], axis=-2)
+        dlin = np.concatenate([bundle.db[..., None, :, :], bundle.d_svec[..., None, :, :], -bundle.d_s_up], axis=-3)
+        quad2, eye = 2.0 * quad, np.eye(n)
         # the affine entries of [val | grad | dqy]: row k < n of ``affine`` is the
         # coefficient of y^k, row n the constant term
-        affine = np.zeros((n + 1, rows * (1 + d) + (n + 2) * n * n))
-        val, grad, dqy = self._split(affine, (n + 1,))
-        val[n, n + 2] = bundle.bsq
-        val[n, 2 * n + 5 : 3 * n + 5] = bundle.bup
-        val[:n, 3 * n + 5 :] = eye
-        grad[:n, q, n:] = quad2.transpose(2, 0, 1)
-        grad[:n, l, :n] = dlin.transpose(1, 0, 2)
-        grad[n, n + 2, :n] = bundle.d_bsq
-        grad[n, l, n:] = self.lin
-        grad[n, 2 * n + 5 : 3 * n + 5, :n] = bundle.d_bup
-        grad[n, 3 * n + 5 :, n:] = eye
-        np.multiply(bundle.dgamma.transpose(2, 0, 3, 1), 0.5, out=dqy[:n, :n])
-        dqy[:n, n] = bundle.dA.transpose(1, 2, 0)
-        dqy[:n, n + 1] = bundle.dr.transpose(1, 2, 0)
-        self.slope, self.offset = affine[:n], affine[n]
-        self.hess = np.zeros((n + 5, d, n))
-        self.hess[q, n:, :] = quad2
-        self.hess[n + 3 :, :n, :] = dlin[:2].transpose(0, 2, 1)
-        self.si0_xy = dlin[2:].transpose(0, 2, 1)  # the x-y blocks of -s^i_0, whose y-y blocks are zero
-        self.kept = None  # the last stacked spray: (y, G's arrays, Gbar's arrays), all read-only
-        self.index = None  # the kept y's rows by their bytes, built on the first lookup
+        affine = np.zeros(lead + (n + 1, rows * (1 + d) + (n + 2) * n * n))
+        val, grad, dqy = self._split(affine, lead + (n + 1,))
+        val[..., n, n + 2] = bundle.bsq
+        val[..., n, 2 * n + 5 : 3 * n + 5] = bundle.bup
+        val[..., :n, 3 * n + 5 :] = eye
+        grad[..., :n, q, n:] = quad2.transpose(*range(ax), ax + 2, ax, ax + 1)
+        grad[..., :n, l, :n] = dlin.transpose(*range(ax), ax + 1, ax, ax + 2)
+        grad[..., n, n + 2, :n] = bundle.d_bsq
+        grad[..., n, l, n:] = lin
+        grad[..., n, 2 * n + 5 : 3 * n + 5, :n] = bundle.d_bup
+        grad[..., n, 3 * n + 5 :, n:] = eye
+        np.multiply(bundle.dgamma.transpose(*range(ax), ax + 2, ax, ax + 3, ax + 1), 0.5, out=dqy[..., :n, :n, :, :])
+        dqy[..., :n, n, :, :] = bundle.dA.transpose(*range(ax), ax + 1, ax + 2, ax)
+        dqy[..., :n, n + 1, :, :] = bundle.dr.transpose(*range(ax), ax + 1, ax + 2, ax)
+        hess = np.zeros(lead + (n + 5, d, n))
+        hess[..., q, n:, :] = quad2
+        hess[..., n + 3 :, :n, :] = dlin[..., :2, :, :].swapaxes(-1, -2)
+        si0_xy = dlin[..., 2:, :, :].swapaxes(-1, -2)  # the x-y blocks of -s^i_0, whose y-y blocks are zero
+        # over a pass, a y axis after the point axis, so each broadcasts against the (p, m, ...) stacks
+        at = (slice(None), None) if over else ()
+        self.quad, self.lin, self.hess, self.si0_xy = quad[at], lin[at], hess[at], si0_xy[at]
+        self.slope, self.offset = affine[at][..., :n, :], affine[at][..., n, :]
 
     def _split(self, flat: np.ndarray, stack: tuple):
         """``flat``, of shape stack + (C,), as views (val, grad, dqy)."""
@@ -203,13 +211,13 @@ class _SprayInputs:
         return flat[..., :rows], grad, flat[..., rows * (1 + d) :].reshape(stack + (n + 2, n, n))
 
     def at(self, y: np.ndarray):
-        """(val, grad, hess) of every row at ``y``, shape (n,) or (m, n).
+        """(val, grad, hess) of every row at ``y``, shape (n,), (m, n) or, over a pass, (p, m, n).
 
-        For a stack of m the three arrays carry a leading m axis, and each
-        row has the bits of its y alone.
+        For a stack the three arrays carry its leading axes, and each row
+        has the bits of its y alone at its point.
         """
         n, stack, q, l = self.n, y.shape[:-1], self.quad_rows, self.lin_rows
-        yc = y[..., None, :] if stack else y  # (m, 1, n): broadcasts along the row axis
+        yc = y[..., None, :] if stack else y  # (..., m, 1, n): broadcasts along the row axis
         flat = (y[..., None, :] @ self.slope)[..., 0, :]  # one vector-matrix product per row, as for one y
         flat += self.offset
         val, grad, dqy = self._split(flat, stack)
@@ -217,33 +225,40 @@ class _SprayInputs:
         np.einsum("...j,...j->...", qy, yc, out=val[..., q])
         np.einsum("...j,...j->...", self.lin, yc, out=val[..., l])
         np.matmul(dqy, yc[..., None], out=grad[..., q, :n, None])
-        hess = np.empty(stack + self.hess.shape)
+        hess = np.empty(stack + self.hess.shape[-3:])
         hess[...] = self.hess
         np.multiply(dqy, 2.0, out=hess[..., q, :n, :])
         return val, grad, hess
 
-    def keep(self, y: np.ndarray, G: ArrayJet, Gbar: ArrayJet):
-        """Keep the arrays of the stacked spray (G, Gbar) at ``y``, shape (m, n), for ``row``; they become read-only."""
-        arrays = (G.val, G.grad, G.hess), (Gbar.val, Gbar.grad, Gbar.hess)
-        for jet in arrays:
+
+class _Memo:
+    """The arrays of G and Gbar of a stacked spray, made read-only, and a copy of its y, shape S + (n,).
+
+    S is (m,) for a stack at one point and (p, m) over a pass.  ``row``
+    finds a row by its point and the bytes of its y.
+    """
+
+    def __init__(self, y: np.ndarray, G: ArrayJet, Gbar: ArrayJet):
+        self.arrays = (G.val, G.grad, G.hess), (Gbar.val, Gbar.grad, Gbar.hess)
+        for jet in self.arrays:
             for a in jet:
                 a.setflags(write=False)
-        self.kept, self.index = (y.copy(), *arrays), None
+        self.y, self.index = y.copy(), None  # the rows by point and bytes, built on the first lookup
 
-    def row(self, y: np.ndarray):
-        """(G, Gbar) at the one ``y`` from the kept stack, or None where no row has its bytes.
+    def row(self, where: tuple, y: np.ndarray):
+        """(G, Gbar) at the one ``y`` among the rows of the point at ``where``, or None where none has its bytes.
 
-        The jets are read-only views of the row, the bits a spray at ``y``
-        alone computes.
+        ``where`` is () for a stack at one point and (k,) for the k-th point
+        of a pass.  The jets are read-only views of the row, the bits a spray
+        at ``y`` alone at that point computes.
         """
-        if self.kept is None:
-            return None
         if self.index is None:
-            self.index = {v.tobytes(): k for k, v in enumerate(self.kept[0])}
-        k = self.index.get(y.tobytes())
+            rows = self.y.reshape(-1, self.y.shape[-1])
+            self.index = {(k[:-1], v.tobytes()): k for k, v in zip(np.ndindex(self.y.shape[:-1]), rows)}
+        k = self.index.get((where, y.tobytes()))
         if k is None:
             return None
-        return [ArrayJet(val[k], grad[k], hess[k]) for val, grad, hess in self.kept[1:]]
+        return [ArrayJet(val[k], grad[k], hess[k]) for val, grad, hess in self.arrays]
 
 
 # -- the spray's scalar coefficients ------------------------------------------
@@ -378,24 +393,27 @@ _UPPER = np.maximum(_UPPER, _UPPER.T)
 _HESSIANS = 18 + 15 * np.arange(3)[:, None, None] + _UPPER
 
 
-def spray(bundle: AlphaBetaBundle, y) -> Spray:
+def spray(bundle: AlphaBetaBundle | BundlePass, y) -> Spray:
     """Spray coefficients G^i at (x, y) with their exact derivatives, as a ``Spray``.
 
     ``y`` is one fiber vector, shape (n,), or a stack of m of them, shape
-    (m, n); the ``Spray`` then carries the same leading m axis.  It holds
-    order-2 jets of G and Gbar, with the y columns of their Hessians.  A
-    stack's arrays are read-only and kept on the bundle, and a one-y call at
-    the bytes of one of its rows returns read-only views of that row, the
-    bits it would compute.
+    (m, n), or over a pass of p points a stack of shape (p, m, n); the
+    ``Spray`` then carries the same leading axes.  It holds order-2 jets of
+    G and Gbar, with the y columns of their Hessians.  A stack's arrays are
+    read-only and its record holds their memo, and while it lives a one-y
+    call at one of its points, at the bytes of one of that point's rows,
+    returns read-only views of that row, the bits it would compute.
     """
     y = np.asarray(y, dtype=float)
-    inp = bundle.spray_inputs
-    if inp is not None and y.ndim == 1:
-        kept = inp.row(y)  # a row of a stack, which has passed the check below
+    if y.ndim == 1 and bundle.spray_memo is not None:
+        ref, where = bundle.spray_memo
+        memo = ref()  # None once the stack's record is gone
+        kept = None if memo is None else memo.row(where, y)  # a row of a stack, which has passed the check below
         if kept is not None:
             return Spray(bundle, y, *kept)
     if not (y.size and np.logical_or.reduce(y, axis=-1).all()):
         raise ValueError("y must be a nonzero vector or a nonempty stack of them")
+    inp = bundle.spray_inputs
     if inp is None:
         inp = bundle.spray_inputs = _SprayInputs(bundle)
     n, stack = bundle.n, y.shape[:-1]
@@ -431,9 +449,15 @@ def spray(bundle: AlphaBetaBundle, y) -> Spray:
     G_hess += cg.swapaxes(-1, -2)[..., None, :, :] @ by_row[..., n:]
     G_hess += by_row.swapaxes(-1, -2) @ cg[..., None, :, n:]
     G, Gbar = ArrayJet(G, G_grad, G_hess), ArrayJet(val[..., :n], grad[..., :n, :], hess[..., :n, :, :])
-    if y.ndim == 2:
-        inp.keep(y, G, Gbar)
-    return Spray(bundle=bundle, y=y, G=G, Gbar=Gbar)
+    memo = None
+    if stack:
+        memo = _Memo(y, G, Gbar)
+        if isinstance(bundle, BundlePass):
+            for k, bu in enumerate(bundle.bundles):
+                bu.spray_memo = weakref.ref(memo), (k,)
+        else:
+            bundle.spray_memo = weakref.ref(memo), ()
+    return Spray(bundle=bundle, y=y, G=G, Gbar=Gbar, memo=memo)
 
 
 def riemann_curvature(sp: Spray):
@@ -442,7 +466,7 @@ def riemann_curvature(sp: Spray):
     R^i_k = 2 dG^i/dx^k - y^j d2G^i/dx^j dy^k + 2 G^j d2G^i/dy^j dy^k
             - dG^i/dy^j dG^j/dy^k.
 
-    For a stack of y, shape (m, n), R has shape (m, n, n) and Ric (m,).
+    For a stack of y, shape S + (n,), R has shape S + (n, n) and Ric S.
     """
     y, (gval, gx, gy, hxy, hyy) = sp.y, _blocks(sp.G)
     R = 2.0 * gx - np.einsum("...j,...ijk->...ik", y, hxy) + 2.0 * np.einsum("...j,...ijk->...ik", gval, hyy) - gy @ gy
@@ -455,19 +479,19 @@ def ricci_via_T(sp: Spray):
     Ric = Ricbar + 2 T^k_|k - y^j T^k_.k|j + 2 T^j T^k_.j.k - T^k_.j T^j_.k,
     with | and . the horizontal/vertical derivatives of alpha.  Entirely
     different bookkeeping from the direct curvature trace, hence a strong
-    cross-check on both.  A float for a spray at one y; for a stack of m
-    y, shape (m,), each row the one-y value.
+    cross-check on both.  A float for a spray at one y; for a stack of y,
+    its leading shape, each row the one-y value.
     """
     bundle, y = sp.bundle, sp.y
     tval, tx, ty, txy, tyy = _blocks(sp.G - sp.Gbar)
 
-    gamma = bundle.gamma
-    nconn = np.einsum("ijk,...k->...ij", gamma, y)  # N^i_j = Gamma^i_jk y^k
-    # T^k_|k = dT^k/dx^k - N^m_k dT^k/dy^m + T^m Gamma^k_mk
+    nconn = np.einsum("...ijk,...k->...ij", _per_y(bundle, bundle.gamma), y)  # N^i_j = Gamma^i_jk y^k
+    # T^k_|k = dT^k/dx^k - N^m_k dT^k/dy^m + T^m Gamma^k_mk, the last a dot product with the point's
+    # Gamma^k_mk, whose bits, unlike those of one two-index einsum, do not depend on the stack's shape
     t_div = (
         np.trace(tx, axis1=-2, axis2=-1)
         - np.einsum("...mk,...km->...", nconn, ty)
-        + np.einsum("...m,kmk->...", tval, gamma)
+        + np.einsum("...m,...m->...", tval, _per_y(bundle, np.einsum("...kmk->...m", bundle.gamma)))
     )
     # f = T^k_.k is a scalar on the slit tangent bundle: f_|j = df/dx^j - N^m_j df/dy^m
     f_x = np.einsum("...kjk->...j", txy)
@@ -479,14 +503,24 @@ def ricci_via_T(sp: Spray):
     return ric if y.ndim > 1 else float(ric)
 
 
-def metric_value(bundle: AlphaBetaBundle, y):
-    """F(x, y) = alpha^2 / (alpha - beta), for one y or a stack of them."""
+def metric_value(bundle: AlphaBetaBundle | BundlePass, y):
+    """F(x, y) = alpha^2 / (alpha - beta), for one y, a stack of them or, over a pass, a (p, m, n) stack."""
     y = np.asarray(y, dtype=float)
-    al = np.sqrt(np.einsum("...j,jk,...k->...", y, bundle.a, y))
-    return al * al / (al - y @ bundle.b)
+    al = np.sqrt(np.einsum("...j,...jk,...k->...", y, _per_y(bundle, bundle.a), y))
+    return al * al / (al - _beta(bundle, y))
 
 
-def _lowered_y(bundle: AlphaBetaBundle, y, F):
+def _beta(bundle: AlphaBetaBundle | BundlePass, y):
+    """beta = b_j y^j, by the product of ``y @ b``: over a pass each point's b is an (n, 1) matrix."""
+    return (y @ bundle.b[..., None])[..., 0]
+
+
+def _per_y(bundle: AlphaBetaBundle | BundlePass, field: np.ndarray):
+    """A ``field`` of ``bundle`` that broadcasts against its y: over a pass, with a y axis after the point axis."""
+    return field[:, None] if isinstance(bundle, BundlePass) else field
+
+
+def _lowered_y(bundle: AlphaBetaBundle | BundlePass, y, F):
     """y_flat = g y = 1/2 dF^2/dy, for one y or a stack of them, given F there (``metric_value``).
 
     y_flat = F ((alpha - 2 beta) a y + alpha^2 b) / (alpha - beta)^2, the
@@ -494,9 +528,9 @@ def _lowered_y(bundle: AlphaBetaBundle, y, F):
     """
     ay = y @ bundle.a
     al2 = np.einsum("...j,...j->...", ay, y)
-    al, be = np.sqrt(al2), y @ bundle.b
+    al, be = np.sqrt(al2), _beta(bundle, y)
     scale = F / ((al - be) * (al - be))
-    return (scale * (al - 2.0 * be))[..., None] * ay + (scale * al2)[..., None] * bundle.b
+    return (scale * (al - 2.0 * be))[..., None] * ay + (scale * al2)[..., None] * _per_y(bundle, bundle.b)
 
 
 # -- scalar extraction --------------------------------------------------------
@@ -562,8 +596,8 @@ def flag_curvature_fit(sp: Spray, R, F):
     R and M are g-self-adjoint, M^2 = F^2 M and R y = 0, so the fit has the
     closed form K = Ric / ((n - 1) F^2), and its residual is the g-norm of
     the rest, |R - K M|_g = sqrt(tr((R - K M)^2)).  Returns (K, residual):
-    two floats for a spray at one y, or for a stack of m y two arrays of
-    shape (m,), each row fitted on its own.
+    two floats for a spray at one y, or for a stack of y two arrays of its
+    leading shape, each row fitted on its own.
     """
     y, n = sp.y, sp.bundle.n
     F = np.asarray(F, dtype=float)

@@ -19,11 +19,14 @@ bundle holds, as plain ndarrays,
 
 ``build_bundle`` holds only what the spray, the S-curvature routes and the
 beta conditions read, formed for a chunk of points at once by
-``_chunk_pass``.  ``bundles`` gives a run's bundles in order, from one walk
-of the metric's jets per chunk of points (as many as fit a fixed float
-budget) and array passes of up to 4 points, and stops at a sample point
-where b^2 >= 1/4, outside the domain of F, which ``validate_spec`` may miss;
-``build_bundle`` at a lone point is a chunk of one.  The curvature of alpha
+``_chunk_pass``.  ``passes`` gives a run's bundles in order, as
+``BundlePass``es, from one walk of the metric's jets per chunk of points
+(as many as fit a fixed float budget) and array passes of up to 4 points,
+split further where the y-stacks of a pass would outgrow a second budget;
+``bundles`` flattens it.  It stops at a sample point where b^2 >= 1/4,
+outside the domain of F, which ``validate_spec`` may miss;
+``build_bundle`` at a lone point is a chunk of one.  Every budget of a
+pass is a constant of this module.  The curvature of alpha
 (``riem4``, ``ricci_tensor``) and the second covariant calculus of b
 (``Dr``, ``Ds``, ``Drvec``, ``Dsvec``, with ``r_up``, ``supvec`` and
 ``r_scalar``) are formed on first use and then kept, by the same
@@ -47,8 +50,10 @@ from .jets import ArrayJet, JetError
 __all__ = [
     "GeometryError",
     "AlphaBetaBundle",
+    "BundlePass",
     "build_bundle",
     "bundles",
+    "passes",
 ]
 
 
@@ -100,9 +105,11 @@ class AlphaBetaBundle:
     d_svec: np.ndarray
     dlndet: np.ndarray
     # the y-independent parts of the spray's packed inputs, built by the first
-    # ``finsler.spray`` call at this point and reused by every later one
+    # ``finsler.spray`` at this point alone and reused by every later one
     # (nothing changes a bundle's arrays after ``build_bundle``)
     spray_inputs: object = field(default=None, init=False)
+    # (weak reference to the memo, this point's place in it) of the last stack sprayed over this point
+    spray_memo: object = field(default=None, init=False)
     # (volume factor record, d(ln sigma_F)/dx) of the last ``scurvature.s_curvature_def``
     # at this point: the drift depends on the point and on f alone, not on y
     volume_drift: object = field(default=None, init=False)
@@ -185,20 +192,83 @@ def build_bundle(spec: MetricSpec, x, point: tuple[dict, bool] | None = None) ->
         if not lo <= x[k] <= hi:
             raise GeometryError(f"x{k + 1} = {x[k]} outside domain [{lo}, {hi}]")
     if point is None:
-        (point,) = _slices(spec, x[None])
+        (point,) = _points(*next(_pass_fields(spec, x[None])))
     fields, finite = point
     if not finite:
         _finite("geometry", x, fields)
     return AlphaBetaBundle(spec=spec, x=x, n=n, **fields)
 
 
+def passes(spec: MetricSpec, pts, y_per_point: int | None = None):
+    """The bundles at the points ``pts``, shape (m, n), in order, as ``BundlePass``es.
+
+    With ``y_per_point``, a pass holds at most as many points as their
+    y-stacks fit ``_STACK_FLOATS``, and at least one: a pass of the bundle
+    algebra that holds more is split, its fields sliced, so the cap does
+    not change how the bundles are formed.  A pass is yielded whole, or up
+    to a point that fails, which then raises a ``GeometryError``: outside
+    the domain box, a non-finite geometry, or b^2 >= 1/4, where F is not
+    defined.
+    """
+    n, start = spec.dim, 0
+    most = None if y_per_point is None else max(1, _STACK_FLOATS // (y_per_point * (2 * n + 5) * 2 * n * n))
+    for fields, finite in _pass_fields(spec, pts):
+        step = most or len(finite)
+        for lo in range(0, len(finite), step):
+            part, built = {k: v[lo:lo + step] for k, v in fields.items()}, []
+            try:
+                for x, point in zip(pts[start + lo:start + lo + step], _points(part, finite[lo:lo + step])):
+                    built.append(_in_domain(build_bundle(spec, x, point)))
+            except GeometryError:
+                if built:
+                    yield BundlePass(built, {k: v[:len(built)] for k, v in part.items()})
+                raise
+            yield BundlePass(built, part)
+        start += len(finite)
+
+
 def bundles(spec: MetricSpec, pts):
-    """The bundle at each of the points ``pts``, shape (m, n), in order; a ``GeometryError`` where one fails."""
-    for x, point in zip(pts, _slices(spec, pts)):
-        bu = build_bundle(spec, x, point)
-        if bu.bsq >= 0.25:
-            raise GeometryError(f"b^2 = {bu.bsq:.6g} >= 1/4 at x={x}: F = alpha^2/(alpha - beta) is not defined there")
-        yield bu
+    """The bundle at each of the points ``pts``, shape (m, n), in order: ``passes``, one bundle at a time.
+
+    Each bundle leaves its pass as it is yielded, so the caller's last
+    bundle is the only one held, with the fields it caches on first use.
+    """
+    for bunch in passes(spec, pts):
+        while bunch.bundles:
+            yield bunch.bundles.pop(0)
+
+
+def _in_domain(bu: AlphaBetaBundle) -> AlphaBetaBundle:
+    if bu.bsq >= 0.25:
+        raise GeometryError(f"b^2 = {bu.bsq:.6g} >= 1/4 at x={bu.x}: F = alpha^2/(alpha - beta) is not defined there")
+    return bu
+
+
+class BundlePass:
+    """The bundles of a pass of points, and their fields on the pass's leading point axis.
+
+    ``bundles[k]`` is the k-th point's bundle, and each field of
+    ``_chunk_pass`` is an attribute whose k-th entry is that bundle's field,
+    the same memory.  ``finsler``'s y-readers take a pass as they take a
+    bundle, with y of shape (p, m, n).
+    """
+
+    def __init__(self, bundles: list, fields: dict):
+        self.bundles, self.n, self.fields = bundles, bundles[0].n, fields
+        vars(self).update(fields)
+        self.spray_inputs = None  # as on a bundle, over the pass
+
+    def part(self, k: int) -> BundlePass:
+        """The pass of the k-th point alone."""
+        return BundlePass(self.bundles[k:k + 1], {name: v[k:k + 1] for name, v in self.fields.items()})
+
+    @cached_property
+    def ricci_tensor(self) -> np.ndarray:
+        return np.stack([bu.ricci_tensor for bu in self.bundles])
+
+    def ricbar(self, y):
+        """Ricci curvature of alpha at y, shape (p, m, n): each row the bits of its bundle's ``ricbar``."""
+        return (y[..., None, :] @ self.ricci_tensor[:, None] @ y[..., :, None])[..., 0, 0]
 
 
 # Floats of a and b jets that one walk of the metric may form: the default 20
@@ -210,10 +280,23 @@ _CHUNK_FLOATS = 2**18
 # 4 points give most of the speed of larger passes.  From n = 14 on, where
 # batching gains nothing, a pass is one point.
 _PASS_FLOATS, _PASS_POINTS = 2**16, 4
+# Floats of y-stack that one pass of a run's y-stage may hold: each y holds the Hessian y columns of
+# finsler's spray inputs and of G, (2n + 5) 2n^2 floats, and about as many again in temporaries.  At
+# 12 y per point a pass is 4 points up to n = 8, 2 at n = 10 and one from n = 12, whose stack is the
+# largest a pass holds: a pass of two such stacks sprayed 20 % slower than the two apart, as its
+# larger fresh arrays fault in more pages.
+_STACK_FLOATS = 2**17
 
 
-def _slices(spec: MetricSpec, pts):
-    """Each point's slice of a ``_chunk_pass`` for ``build_bundle``, in order: every field formed from its jets.
+def _points(fields: dict, finite: list):
+    """(fields, finite) of each point of a pass for ``build_bundle``: b^2 a float and each array a view."""
+    bsq = fields["bsq"].tolist()
+    for i, ok in enumerate(finite):
+        yield dict({k: v[i] for k, v in fields.items()}, bsq=bsq[i]), ok
+
+
+def _pass_fields(spec: MetricSpec, pts):
+    """(fields, finite) of each ``_chunk_pass`` over the points ``pts``, in order.
 
     A chunk is walked, and a pass formed, when its first point is asked for.
     Where a walk fails, or some a(x) of a pass is not positive definite, the
@@ -230,27 +313,32 @@ def _slices(spec: MetricSpec, pts):
         except JetError as exc:
             if len(chunk) == 1:
                 raise GeometryError(f"metric evaluation failed at x={chunk[0]}: {exc}") from exc
-            yield from (point for x in chunk for point in _slices(spec, x[None]))
+            for x in chunk:
+                yield from _pass_fields(spec, x[None])
             continue
         for lo in range(0, len(chunk), part):
             cut = [ArrayJet(j.val[lo:lo + part], j.grad[lo:lo + part], j.hess[lo:lo + part]) for j in jets]
             try:
-                slices = _chunk_pass(*cut)
+                formed = _chunk_pass(*cut)
             except np.linalg.LinAlgError:
                 if len(chunk) == 1:
                     raise GeometryError(f"a(x) not positive definite at x={chunk[0]}") from None
-                slices = (point for x in chunk[lo:lo + part] for point in _slices(spec, x[None]))
-            yield from slices
+                for x in chunk[lo:lo + part]:
+                    yield from _pass_fields(spec, x[None])
+                continue
+            yield formed
 
 
 def _chunk_pass(A: ArrayJet, B: ArrayJet):
-    """Each point's slice for ``build_bundle``, from the jets of a and b at a chunk of points.
+    """(fields, finite) of a pass, from the jets of a and b at a chunk of points.
 
     ``A`` and ``B`` hold the jets at p points on a leading axis, and each
-    contraction is one numpy call for all p.  A point's views have the
-    layout and bits of a pass over it alone.  A ``LinAlgError`` means some
-    a(x) is not positive definite.  No warning is raised: a point that
-    overflows may lie beyond where a run stops.
+    contraction is one numpy call for all p.  ``fields`` holds every field
+    ``build_bundle`` takes, on that axis, and ``finite`` whether each
+    point's formed ones are finite.  A point's entries have the layout and
+    bits of a pass over it alone.  A ``LinAlgError`` means some a(x) is not
+    positive definite.  No warning is raised: a point that overflows may lie
+    beyond where a run stops.
     """
     a, dA, d2A = A.val, A.grad, A.hess
     b, db, d2b = B.val, B.grad, B.hess
@@ -305,9 +393,7 @@ def _chunk_pass(A: ArrayJet, B: ArrayJet):
         dlndet=np.einsum("pij,pjik->pk", a_inv, dA), bsq=bsq,
     )
     finite = np.logical_and.reduce([np.isfinite(v).reshape(len(a), -1).all(axis=1) for v in formed.values()])
-    # a point's b^2 is a float and each of its arrays a view, made when the point is reached
-    fields = {k: v.tolist() if v.ndim == 1 else v for k, v in dict(formed, a=a, dA=dA, b=b, db=db).items()}
-    return (({k: v[i] for k, v in fields.items()}, ok) for i, ok in enumerate(finite.tolist()))
+    return dict(formed, a=a, dA=dA, b=b, db=db), finite.tolist()
 
 
 def _finite(what: str, x, held: dict):

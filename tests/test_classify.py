@@ -12,6 +12,7 @@ import sys
 import textwrap
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -413,18 +414,18 @@ def test_theorem_rows_are_asserted_where_dim_is_3_or_more_and_beta_is_not_zero(n
 
 
 @pytest.mark.parametrize(
-    "groups, per_point",
-    # the shape of y of each spray at a point of generic3d (n = 3) with 3 y per point;
+    "groups, per_pass",
+    # the shape of y of each spray of generic3d (n = 3) with 4 points of 3 y, one pass;
     # a run with no per-y reader makes no spray
     [
-        (("beta", "S"), [(3, 3)] + [(3,)] * 3),
-        (GROUPS, [(3, 3)] + [(3,)] * 3),
+        (("beta", "S"), [(4, 3, 3)] + [(3,)] * 12),
+        (GROUPS, [(4, 3, 3)] + [(3,)] * 12),
         (("beta",), []),
     ],
     ids=["scurv", "check", "beta"],
 )
-def test_check_spray_order_follows_its_readers(generic3d, monkeypatch, groups, per_point):
-    """Every view with a per-y group makes one spray of all the point's samples, first; the S group then
+def test_check_spray_order_follows_its_readers(generic3d, monkeypatch, groups, per_pass):
+    """Every view with a per-y group makes one spray of all the pass's samples, first; the S group then
     asks for one spray per sample, each a row of that stack."""
     sprays = []
     orig = finsler.spray
@@ -435,13 +436,13 @@ def test_check_spray_order_follows_its_readers(generic3d, monkeypatch, groups, p
 
     monkeypatch.setattr(finsler, "spray", wrapped)
     run_check(generic3d, small_config(), groups)
-    assert sprays == per_point * 4
+    assert sprays == per_pass
 
 
 @pytest.mark.parametrize("command, samples", [("check", 12), ("scurv", 6)])
 def test_spray_inputs_evaluated_once_per_stack_or_sample(command, samples, monkeypatch):
-    """``check`` and ``scurv`` evaluate the spray's inputs once per point, for its stack of ``samples``
-    y-samples, and serve each S sample's spray from that stack."""
+    """``check`` and ``scurv`` evaluate the spray's inputs once per pass, for the stack of its 3 points'
+    ``samples`` y-samples each, and serve each S sample's spray from that stack."""
     calls = []
     orig = finsler._SprayInputs.at
 
@@ -451,7 +452,7 @@ def test_spray_inputs_evaluated_once_per_stack_or_sample(command, samples, monke
 
     monkeypatch.setattr(finsler._SprayInputs, "at", counted)
     assert cli.main([command, _example_path(), "--points", "3"]) == cli.EXIT_OK
-    assert calls == [(samples, 5)] * 3
+    assert calls == [(3, samples, 5)]
 
 
 def _check_json(path, form, out):
@@ -476,7 +477,7 @@ def test_check_output_same_without_the_spray_memo(source, form, tmp_path, monkey
         return [row["S"].hex() for row in run_check(spec, config, ("beta", "S")).points]
 
     served, served_s = _check_json(path, form, tmp_path / "served.json"), s_bits()
-    monkeypatch.setattr(finsler._SprayInputs, "row", lambda self, y: None)
+    monkeypatch.setattr(finsler._Memo, "row", lambda self, where, y: None)
     assert _check_json(path, form, tmp_path / "fresh.json") == served
     assert s_bits() == served_s
 
@@ -577,7 +578,7 @@ def test_bundles_from_chunked_jets_match_per_point_bytes(name, monkeypatch):
     pts = sample_domain(spec, 25, np.random.default_rng(3), shrink=0.05)
     walks, passes, chunk_pass = _spy_walks(spec, monkeypatch), [], riemann._chunk_pass
     monkeypatch.setattr(riemann, "_chunk_pass", lambda A, B: passes.append(len(A.val)) or chunk_pass(A, B))
-    batched = list(riemann._slices(spec, pts))
+    batched = [point for formed in riemann._pass_fields(spec, pts) for point in riemann._points(*formed)]
     monkeypatch.undo()
     assert sum(size for size, in walks) == len(pts) and (spec.dim < 12 or len(walks) >= 2)
     assert sum(passes) == len(pts) and max(passes) > 1
@@ -617,7 +618,7 @@ def test_metric_failure_names_first_failing_point(run, chunk, monkeypatch):
     pts = sample_domain(euclidean(12), config.points, np.random.default_rng(config.seed), shrink=0.05)
     whole = _log_edge_metric(-1.0)  # evaluates at every sampled point
     walks = _spy_walks(whole, monkeypatch)
-    next(riemann._slices(whole, pts))
+    next(riemann._pass_fields(whole, pts))
     (size,) = walks[0]
     # with t = x1 of a point below every earlier point, that point fails first
     lows = [k for k in range(1, len(pts)) if pts[k, 0] < pts[:k, 0].min()]
@@ -652,6 +653,17 @@ def test_chunked_walk_memory_is_bounded():
                 tracemalloc.stop()
         assert max(peaks) < 3 * budget
         assert peaks[1] < peaks[0] + budget // 4
+
+
+def test_bundles_hold_no_bundle_the_caller_has_dropped():
+    # 4 points of matsumoto_example (n = 5) are one pass; a bundle the caller drops is freed before
+    # the next is asked for, with the tensors it cached, as appendix runs cache a point's curvature
+    spec = testmetrics.shipped_metric("matsumoto_example")
+    pts = sample_domain(spec, 4, np.random.default_rng(0), shrink=0.05)
+    walk = riemann.bundles(spec, pts)
+    first = weakref.ref(next(walk))
+    assert first() is None
+    assert [bu.x.tolist() for bu in walk] == pts[1:].tolist()
 
 
 # Gamma's derivatives overflow where |x1 x2| is large, and forming them there meets inf - inf:
@@ -696,6 +708,109 @@ def test_chunk_pass_raises_at_the_first_failing_point(failure, monkeypatch):
     # one 30-point pass, and after a failed pass one pass of one point for each point up to k
     assert in_run == [len(pts)] + ([1] * (k + 1) if failure.startswith("a(x)") else [])
     assert np.array_equal(built, pts[:k])
+
+
+# -- the y-stage in passes of points ----------------------------------------------
+
+# each view's groups and y-samples per point, as the CLI runs them
+_VIEWS = {"check": (GROUPS, 12), "scurv": (("beta", "S"), 6), "flag": (("flag",), 6)}
+
+
+@pytest.mark.parametrize("source", testmetrics.list_shipped() + [3, 5, 8, 12])  # or random_metric(n, 40 + n)
+def test_pass_y_stage_matches_point_by_point(source, monkeypatch):
+    """A run's y-stage over passes of several points files what passes of one point file: every row,
+    scalar fit, extreme, violation and condition, bit for bit, in each view, for point counts that fill
+    their passes or not."""
+    spec = testmetrics.random_metric(source, 40 + source) if isinstance(source, int) else testmetrics.shipped_metric(source)
+    fits, widest = [], []
+    extract, spray = finsler.extract_scalars, finsler.spray
+    monkeypatch.setattr(finsler, "extract_scalars", lambda bu, ric, F2: fits.append(extract(bu, ric, F2)) or fits[-1])
+    monkeypatch.setattr(finsler, "spray", lambda bundle, y: widest.append(np.shape(y)[:-2]) or spray(bundle, y))
+
+    def run(config, groups, cap):
+        fits.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(riemann, "_PASS_POINTS", cap)
+            rep = run_check(spec, config, groups)
+        return rep.points, list(fits), rep.extremes, rep.consistency, rep.conditions
+
+    for points in (1, 3, 4, 5, 9):
+        for groups, y_per_point in _VIEWS.values():
+            config = RunConfig(points=points, y_per_point=y_per_point)
+            widest.clear()
+            in_passes = run(config, groups, riemann._PASS_POINTS)
+            # at n = 12 the y-stack cap splits the bundle algebra's passes of 3 points
+            assert max(widest) == (min(points, 4 if spec.dim < 12 else {12: 1, 6: 2}[y_per_point]),)
+            assert in_passes == run(config, groups, 1)
+
+
+def test_y_stage_pass_stops_at_a_failing_point_as_one_point_passes_do(monkeypatch):
+    # the _OVERFLOWING metric's 30 points drawn at seed 3 form one pass of the bundle algebra, which
+    # stops at point 10, whose geometry overflows: the y-stage runs the 10 points before it as one
+    # pass, and the run raises point 10's message as a run of one-point passes does, with no warning
+    spec = parse_metric(_OVERFLOWING, "overflowing")
+    config = RunConfig(points=30, seed=3)
+    sprays, spray = [], finsler.spray
+    monkeypatch.setattr(finsler, "spray", lambda bundle, y: sprays.append(np.shape(y)) or spray(bundle, y))
+    raised = []
+    for cap in (30, 1):
+        monkeypatch.setattr(riemann, "_PASS_POINTS", cap)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError) as failed:
+                run_check(spec, config)
+        raised.append(str(failed.value))
+    pts = sample_domain(spec, 30, np.random.default_rng(3), shrink=0.05)
+    assert raised[0] == raised[1] and raised[0].startswith(f"non-finite geometry at x={pts[10]}")
+    assert sprays[0] == (10, 12, 2) and sprays.count((1, 12, 2)) == 10
+
+
+@pytest.mark.parametrize("filtered", ["error", "recorded"])
+def test_y_stage_pass_that_fails_is_redone_point_by_point(generic3d, filtered, monkeypatch):
+    # in one pass of generic3d's 4 points, point 1's Ricbar is NaN, which the run reports at point 1,
+    # and point 2's T-split Ricci route overflows: the overflow fails the pass, which is redone point
+    # by point, so the run stops at point 1 as a run of one-point passes does, and no warning comes
+    # from point 2, whether warnings are errors or only recorded
+    config = small_config()
+    pts = sample_domain(generic3d, config.points, np.random.default_rng(config.seed), shrink=0.05)
+    ricbar, ricci_via_T = riemann.BundlePass.ricbar, finsler.ricci_via_T
+
+    def at_point(bunch, values, k, change):
+        for i, bu in enumerate(bunch.bundles):
+            if np.array_equal(bu.x, pts[k]):
+                values[i] = change(values[i])
+        return values
+
+    monkeypatch.setattr(riemann.BundlePass, "ricbar", lambda bunch, y: at_point(bunch, ricbar(bunch, y), 1,
+                                                                               lambda v: np.nan))
+    monkeypatch.setattr(finsler, "ricci_via_T", lambda sp: at_point(sp.bundle, ricci_via_T(sp), 2,
+                                                                    lambda v: v * 1e308 * 1e308))
+    raised = []
+    for cap in (4, 1):
+        monkeypatch.setattr(riemann, "_PASS_POINTS", cap)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("error" if filtered == "error" else "always")
+            with pytest.raises(GeometryError) as failed:
+                run_check(generic3d, config)
+        assert caught == []
+        raised.append(str(failed.value))
+    assert raised[0] == raised[1] == f"non-finite result at x={pts[1]}: Ric_T, ricbar"  # Ric_T reads Ricbar
+
+
+def test_y_stage_memory_is_bounded():
+    # a pass holds at most riemann._STACK_FLOATS of y-stack, so at n = 12 with 100 y per point it is one
+    # point, whose y-stage is nearly all of a run's peak (about 14 MB), and no pass's stack outlives
+    # it: 8 points peak within 1.5 times the peak of 1 point (1.2 times when this was written)
+    spec = testmetrics.random_metric(12, 52)
+    peaks = []
+    for points in (1, 8):
+        tracemalloc.start()
+        try:
+            run_check(spec, RunConfig(points=points, y_per_point=100))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
 
 
 # -- CLI ------------------------------------------------------------------------
@@ -1033,15 +1148,16 @@ def test_cli_engine_inconsistency_exit(monkeypatch, capsys, example_spec):
 def _spy_check_sides(monkeypatch, change):
     """Route every value of the check side of each dual route through ``change(route, point, y, value)``.
 
-    ``ricci_via_T`` is called once per point on its stack, ``s_curvature_closed`` once per y-sample of
-    ``check``'s default 12.
+    ``ricci_via_T`` is called once per pass on its (p, m) stack, ``s_curvature_closed`` once per y-sample
+    of ``check``'s default 12.
     """
     ricci_via_T, s_closed = finsler.ricci_via_T, scurvature.s_curvature_closed
     calls = {"Ricci": 0, "S-curvature": 0}
 
     def ricci(sp):
-        point, calls["Ricci"] = calls["Ricci"], calls["Ricci"] + 1
-        return np.array([change("Ricci", point, y, v) for y, v in enumerate(ricci_via_T(sp).tolist())])
+        rows = ricci_via_T(sp).tolist()
+        first, calls["Ricci"] = calls["Ricci"], calls["Ricci"] + len(rows)
+        return np.array([[change("Ricci", first + p, y, v) for y, v in enumerate(row)] for p, row in enumerate(rows)])
 
     def closed(bundle, y, form="bh"):
         k, calls["S-curvature"] = calls["S-curvature"], calls["S-curvature"] + 1
@@ -1107,8 +1223,8 @@ def test_cli_check_rejects_a_non_finite_route_value(culprit, monkeypatch, capsys
     """A NaN on the check side of a dual route, or in Ricbar, exits 2 naming it: it is not read as a
     deviation of 0."""
     if culprit == "ricbar":
-        ricbar = riemann.AlphaBetaBundle.ricbar
-        monkeypatch.setattr(riemann.AlphaBetaBundle, "ricbar", lambda bundle, y: ricbar(bundle, y) * math.nan)
+        ricbar = riemann.BundlePass.ricbar
+        monkeypatch.setattr(riemann.BundlePass, "ricbar", lambda bunch, y: ricbar(bunch, y) * math.nan)
     else:
         nan_row = ({"Ric_T": "Ricci", "S_closed": "S-curvature"}[culprit], 1, 3)
         _spy_check_sides(monkeypatch, lambda route, p, y, value: math.nan if (route, p, y) == nan_row else value)

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from finslerab import finsler, testmetrics
+from finslerab import finsler, riemann, testmetrics
 from finslerab.dsl import parse_metric, sample_domain
 from finslerab.finsler import (
     _SprayInputs,
@@ -420,59 +420,75 @@ def _rows_equal(batch, one, k):
     ["generic_bundle", "example_bundle"] + testmetrics.list_shipped() + [3, 5, 8, 12],
 )
 def test_batched_y_rows_match_one_y(source, request):
-    """Each row of a stacked spray is the one-y spray, bit for bit, and so is each row of its readers.
+    """Each row of a stacked spray is the one-y spray, bit for bit, and so is each row of its readers;
+    over a pass of points, each point's rows are its own stack's.
 
-    Each one-y spray is taken on a fresh bundle of the same point, so the
-    stack's bundle cannot serve it from the stack it keeps.  ``at`` forms a
-    stack's affine entries with one vector-matrix product per row and every
-    later step works row by row, so the values, gradients and Hessian y
-    columns of G and Gbar have the bits of the one-y spray, and so do the
-    rows of the curvature, the T-split Ricci route, the flag fit's K (given
-    the same F) and the bundle's N^i_j and Ricbar.  F and y_flat read no
-    spray: closed forms in y, their stacks come from stacked dot products
-    that numpy may sum in another order, so they agree to 1e-14, and so
-    does the flag residual, which reads y_flat.  (Rows of its own for them
-    would move the printed flag residual of shipped metrics.)
-    m == n is the case where a per-y scalar broadcast along the component
-    axis instead of the y axis would still produce the right shapes.
+    The stack's y has shape (p, m, n) over a pass of p points (3 of a
+    metric's, or the fixture's point alone), and (m, n) at one of its
+    points.  Each one-y spray is taken on a fresh bundle of the same point,
+    so no stack can serve it from its memo.  ``at`` forms a stack's affine
+    entries with one vector-matrix product per row and every later step
+    works row by row, so the values, gradients and Hessian y columns of G
+    and Gbar have the bits of the one-y spray, and so do the rows of the
+    curvature, the T-split Ricci route, the flag fit's K (given the same F)
+    and the bundle's N^i_j and Ricbar.  F and y_flat read no spray: closed
+    forms in y, their stacks come from stacked dot products that numpy may
+    sum in another order than one y's, so they agree to 1e-14, and so does
+    the flag residual, which reads y_flat.  (Rows of its own for them would
+    move the printed flag residual of shipped metrics.)  Every number of a
+    pass, these too, has the bits of its point's (m, n) stack, which is what
+    a run prints.  m == n is the case where a per-y scalar broadcast along
+    the component axis instead of the y axis would still produce the right
+    shapes.
     """
     rng = np.random.default_rng(16)
     if str(source).endswith("_bundle"):
-        bundles = [request.getfixturevalue(source)]
+        bu = request.getfixturevalue(source)
+        spec, pts = bu.spec, bu.x[None]
     else:
         spec = testmetrics.random_metric(source, 40 + source) if isinstance(source, int) else testmetrics.shipped_metric(source)
-        bundles = [build_bundle(spec, x) for x in sample_domain(spec, 2, rng, shrink=0.05)]
-    for bu in bundles:
-        n = bu.n
-        for m in (1, n, 4 * n):
-            ys = np.array([unit_y(bu, rng) for _ in range(m)])
-            sp = spray(bu, ys)
-            R, ric = riemann_curvature(sp)
-            F = metric_value(bu, ys)
-            y_flat = _lowered_y(bu, ys, F)
-            ric_T = ricci_via_T(sp)
-            K, resid = flag_curvature_fit(sp, R, F)
-            ricbar = bu.ricbar(ys)
-            assert sp.G.val.shape == (m, n)
-            assert R.shape == (m, n, n) and ric.shape == (m,) and F.shape == (m,) and y_flat.shape == (m, n)
-            assert ric_T.shape == K.shape == resid.shape == ricbar.shape == (m,)
-            for k, y in enumerate(ys):
-                fresh = build_bundle(bu.spec, bu.x)
+        pts = sample_domain(spec, 3, rng, shrink=0.05)
+    (bunch,) = riemann.passes(spec, pts)
+    p, n = len(pts), spec.dim
+    for m in (1, n, 4 * n):
+        ys = np.array([[unit_y(bu, rng) for _ in range(m)] for bu in bunch.bundles])
+        on_pass = _y_readers(bunch, ys)
+        assert on_pass[0].G.val.shape == (p, m, n) and on_pass[1].shape == (p, m, n, n)
+        assert all(v.shape == (p, m) for v in on_pass[2:4] + on_pass[5:])
+        for k, bu in enumerate(bunch.bundles):
+            sp, R, ric, F, y_flat, ric_T, K, resid, ricbar = at_point = _y_readers(bu, ys[k])
+            for batch, one in zip(on_pass, at_point):
+                for part in (("val", "grad", "hess") if isinstance(batch, finsler.Spray) else ("",)):
+                    got, want = (getattr(batch.G, part), getattr(one.G, part)) if part else (batch, one)
+                    assert np.array_equal(got[k], want), (k, part)
+                if isinstance(batch, finsler.Spray):
+                    assert all(np.array_equal(getattr(batch.Gbar, q)[k], getattr(one.Gbar, q)) for q in ("val", "grad", "hess"))
+            for j, y in enumerate(ys[k]):
+                fresh = build_bundle(spec, bu.x)
                 one = spray(fresh, y)
                 for batch_jet, one_jet in ((sp.G, one.G), (sp.Gbar, one.Gbar)):
                     for part in ("val", "grad", "hess"):
-                        _rows_equal(getattr(batch_jet, part), getattr(one_jet, part), k)
+                        _rows_equal(getattr(batch_jet, part), getattr(one_jet, part), j)
                 R1, ric1 = riemann_curvature(one)
-                _rows_equal(R, R1, k)
-                _rows_equal(ric, ric1, k)
-                one_T, (K1, resid1), ricbar1 = ricci_via_T(one), flag_curvature_fit(one, R1, F[k]), fresh.ricbar(y)
+                _rows_equal(R, R1, j)
+                _rows_equal(ric, ric1, j)
+                one_T, (K1, resid1), ricbar1 = ricci_via_T(one), flag_curvature_fit(one, R1, F[j]), fresh.ricbar(y)
                 assert all(type(v) is float for v in (one_T, K1, resid1, ricbar1))
-                _rows_equal(ric_T, one_T, k)
-                _rows_equal(K, K1, k)
-                _rows_equal(ricbar, ricbar1, k)
+                _rows_equal(ric_T, one_T, j)
+                _rows_equal(K, K1, j)
+                _rows_equal(ricbar, ricbar1, j)
                 F1 = metric_value(fresh, y)
                 for batch, one_y in ((F, F1), (y_flat, _lowered_y(fresh, y, F1)), (resid, resid1)):
-                    assert np.all(np.abs(batch[k] - one_y) <= 1e-14 * np.maximum(1.0, np.abs(one_y)))
+                    assert np.all(np.abs(batch[j] - one_y) <= 1e-14 * np.maximum(1.0, np.abs(one_y)))
+
+
+def _y_readers(bundle, ys):
+    """The spray at ``ys`` and what each y-reader makes of it: R, Ric, F, y_flat, Ric_T, K, flag residual, Ricbar."""
+    sp = spray(bundle, ys)
+    R, ric = riemann_curvature(sp)
+    F = metric_value(bundle, ys)
+    K, resid = flag_curvature_fit(sp, R, F)
+    return sp, R, ric, F, _lowered_y(bundle, ys, F), ricci_via_T(sp), K, resid, bundle.ricbar(ys)
 
 
 def _memo_case(source, m=6):
@@ -561,6 +577,30 @@ def test_spray_memo_cannot_be_written_through(example_spec):
     one.G.val = np.zeros_like(one.G.val)  # rebinds this record's own jet only
     again = spray(bu, ys[0])
     assert _served(again, stack) and _same_spray(again, want)
+
+
+@pytest.mark.parametrize("source", ["euclidean_flat", "matsumoto_example"])
+def test_pass_memo_serves_each_point_its_own_row(source):
+    """Over a pass, a one-y spray at a point is that point's row of the pass's stack, found by its point and
+    bytes: on euclidean_flat (a = I) two points' stacks share a y's bytes, and each point is served its own
+    row, with the bits of a fresh bundle's spray there.  The memo serves while the stack's record lives."""
+    spec = testmetrics.shipped_metric(source)
+    rng = np.random.default_rng(5)
+    pts = sample_domain(spec, 3, rng, shrink=0.05)
+    (bunch,) = riemann.passes(spec, pts)
+    ys = np.stack([finsler.unit_alpha_vectors(bu, 4, rng) for bu in bunch.bundles])
+    if source == "euclidean_flat":
+        ys[1, 2] = ys[0, 0]  # alpha-unit at every point
+    assert (ys[1, 2] == ys[0, 0]).all() == (source == "euclidean_flat")
+    stack = spray(bunch, ys)
+    for k, bu in enumerate(bunch.bundles):
+        for j, y in enumerate(ys[k]):
+            one = spray(bu, y)
+            assert np.shares_memory(one.G.val, stack.G.val[k, j]) and np.shares_memory(one.Gbar.hess, stack.Gbar.hess[k, j])
+            assert _same_spray(one, spray(build_bundle(spec, bu.x), y))
+    del stack
+    one = spray(bunch.bundles[0], ys[0, 0])
+    assert bunch.bundles[0].spray_memo[0]() is None and one.G.val.flags.writeable
 
 
 @pytest.mark.parametrize("y", [[0.0, 0.0, 0.0], [[0.3, -0.5, 0.8], [0.0, 0.0, 0.0]], np.zeros((0, 3))])

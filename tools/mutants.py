@@ -52,6 +52,8 @@ class Mutant(NamedTuple):
 _CLASSIFY, _RIEMANN, _FINSLER, _SCURV = "classify.py", "riemann.py", "finsler.py", "scurvature.py"
 _DRIFT = "tests/test_scurvature.py::test_log_volume_drift_matches_a_difference_of_f"
 _REVERSAL = "tests/test_scurvature.py::test_reversing_beta_is_reversing_y"
+_PASS_MEMO = "tests/test_finsler.py::test_pass_memo_serves_each_point_its_own_row"
+_PASS_STAGE = "tests/test_classify.py::test_pass_y_stage_matches_point_by_point"
 
 CATALOGUE = (
     Mutant("route gate back to 10 tol", _CLASSIFY,
@@ -85,8 +87,8 @@ CATALOGUE = (
     Mutant("closed S form reads s for s0", _SCURV,
            "+ m / d1d2 * s0", "+ m / d1d2 * s",
            (_REVERSAL,)),
-    Mutant("metric_value with |y|", _FINSLER,
-           "return al * al / (al - y @ bundle.b)", "return al * al / (al - np.abs(y) @ bundle.b)",
+    Mutant("beta read with |y|", _FINSLER,
+           "return (y @ bundle.b[..., None])[..., 0]", "return (np.abs(y) @ bundle.b[..., None])[..., 0]",
            (_REVERSAL,)),
     Mutant("HT f'' without the l1^2 term", _SCURV,
            "t * (l2 + l1 * l1)", "t * l2",
@@ -128,6 +130,22 @@ CATALOGUE = (
     Mutant("verdict thresholds x 1e6", _CLASSIFY,
            "return tol * max(1.0, scale)", "return 1e6 * tol * max(1.0, scale)",
            ("tests/test_classify.py::test_check_negative_control",)),
+    Mutant("point k served point k - 1's rows", _FINSLER,
+           "        return [ArrayJet(val[k], grad[k], hess[k]) for val, grad, hess in self.arrays]",
+           "        k = (k[0] - 1,) + k[1:]\n        return [ArrayJet(val[k], grad[k], hess[k]) for val, grad, hess in self.arrays]",
+           (_PASS_MEMO, _PASS_STAGE)),
+    Mutant("memo keyed by bytes alone", _FINSLER,
+           "{(k[:-1], v.tobytes()): k for k, v in zip(np.ndindex(self.y.shape[:-1]), rows)}\n"
+           "        k = self.index.get((where, y.tobytes()))",
+           "{v.tobytes(): k for k, v in zip(np.ndindex(self.y.shape[:-1]), rows)}\n"
+           "        k = self.index.get(y.tobytes())",
+           (_PASS_MEMO,)),
+    Mutant("bundles hold their pass's bundles", _RIEMANN,
+           "        while bunch.bundles:\n            yield bunch.bundles.pop(0)", "        yield from bunch.bundles",
+           ("tests/test_classify.py::test_bundles_hold_no_bundle_the_caller_has_dropped",)),
+    Mutant("y-stage pass without errstate", _CLASSIFY,
+           'with np.errstate(over="raise", divide="raise", invalid="raise"):', "with np.errstate():",
+           ("tests/test_classify.py::test_y_stage_pass_that_fails_is_redone_point_by_point",)),
     Mutant("Killing verdict reads s", _CLASSIFY,
            '"beta_killing": beta and Condition(worst["r"] <= kill, worst["r"])',
            '"beta_killing": beta and Condition(worst["s"] <= kill, worst["s"])',
