@@ -42,12 +42,12 @@ of any leading shape S, one point (S = ()) or a batch, as numpy broadcasts.
 The points are lifted either to values alone, with no derivative directions
 (``a_values``/``b_values``, which ``validate_spec`` runs on all its sample
 points at once), or to exact first and second derivatives in the n chart
-directions (``chart_jets``: ``riemann.bundles`` walks a chunk of a run's
-points at once and hands ``build_bundle`` each point's slice).  Every
-operation of the walk is elementwise over S, so a point's entries in a
-batch are the bits its own walk gives.  A domain error, an overflow or any
-other non-finite intermediate is a ``JetError``; a batch raises it exactly
-when one of its points would.
+directions (``chart_jets``: ``riemann.passes`` walks a chunk of a run's
+points at once, in ``_pass_fields``, and hands ``build_bundle`` each
+point's slice).  Every operation of the walk is elementwise over S, so a
+point's entries in a batch are the bits its own walk gives.  A domain
+error, an overflow or any other non-finite intermediate is a
+``JetError``; a batch raises it exactly when one of its points would.
 """
 
 from __future__ import annotations

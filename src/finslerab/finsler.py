@@ -5,11 +5,11 @@ derivatives over the 2n chart+fiber directions, from the closed rational
 form specific to this phi.  Each input (alpha^2, beta, r00, s0, s^i_0,
 Gbar^i, b^2, b^i, y) is a constant, linear or quadratic function of y whose
 x-dependent coefficients and first x-derivatives the bundle holds, so its
-value and derivatives are written down in closed form.  ``_SprayInputs``
-packs all of them as rows of a few arrays and fills every y-independent
-part once per bundle; at a y, three einsums give the values of the
-quadratic forms [a; r; Gamma/2] and the linear forms [b; s_j; -s^i_j],
-and one vector-matrix product every entry that is affine in y.
+value and derivatives are written down in closed form.  ``_spray_inputs``
+packs all of them as rows of a few arrays, formed anew by every spray that
+computes: at its y, three einsums give the values of the quadratic forms
+[a; r; Gamma/2] and the linear forms [b; s_j; -s^i_j], and one
+vector-matrix product every entry that is affine in y.
 
 Second derivatives are carried as the y columns of the Hessian only: the
 x-y and y-y blocks, shape (..., 2n, n), which are all that the curvature
@@ -42,24 +42,23 @@ results then carry the same leading m axis.  They take a
 shape (p, m, n): one call of each evaluates a pass of points.  The one-y
 call is the m-less case of the same code; ``ricci_via_T`` and
 ``flag_curvature_fit`` return floats there.  The two S routes take one y
-only and raise ``ValueError`` on a stack.  The inputs' y-independent
-parts are built once per bundle or pass, on its first spray, and kept on
-it (``spray_inputs``).
+only and raise ``ValueError`` on a stack.
 
 Every step of a stacked spray works row by row, down to one
 vector-matrix product per y for the inputs' affine entries, so each row
 of a stack is the one-y spray at its point bit for bit: values,
 gradients and Hessian y columns; over a pass, each point's rows of every
 reader have the bits of its own (m, n) stack.  That makes an exact memo
-possible.  A stack's ``Spray`` record holds one: the arrays of G and
-Gbar, made read-only, with a copy of its y.  While the record lives, a
-one-y spray at one of its points whose y has the bytes of one of that
-point's rows returns views of that row (a row is found by its point and
-its bytes), before y is checked to be nonzero, which every row of a stack
-has passed.  So the S group's one-y sprays in ``run_check`` cost a lookup
-each.  The points hold weak references to the memo
-(``bundle.spray_memo``), and it holds arrays only, so a stack is freed as
-soon as its caller drops the record.
+possible.  The ``Spray`` record of a pass's stack holds one: the arrays of
+G and Gbar, made read-only, with a copy of its y.  While the record lives,
+a one-y spray at one of the pass's points whose y has the bytes of one of
+that point's rows returns views of that row (found by the point's index
+in the pass and its bytes), before y is checked to be nonzero, which
+every row of a stack has passed.  So the S group's one-y sprays in
+``run_check`` cost a lookup each.  The points hold weak references to the
+memo (``bundle.spray_memo``), and it holds arrays only, so a stack is
+freed as soon as its caller drops the record.  A stack at one bundle
+keeps no memo, as no reader asks for its rows again.
 
 The curvature is computed two ways, directly from the spray and through
 the deformation-field identity relating Ric to the Ricci curvature of
@@ -116,7 +115,7 @@ class Spray(NamedTuple):
     y: np.ndarray
     G: ArrayJet
     Gbar: ArrayJet
-    memo: object = None  # a stack's ``_Memo``, which serves its rows as long as this record lives
+    memo: object = None  # a pass's ``_Memo``, which serves its rows as long as this record lives
 
 
 def _blocks(jet: ArrayJet):
@@ -128,13 +127,21 @@ def _blocks(jet: ArrayJet):
     return jet.val, jet.grad[..., :n], jet.grad[..., n:], jet.hess[..., :n, -n:], jet.hess[..., n:, -n:]
 
 
-class _SprayInputs:
-    """The spray's inputs at one bundle or pass, packed into rows, with every y-independent part filled once.
+def _split(flat: np.ndarray, n: int):
+    """``flat``, the packed [val | grad | dqy] of shape S + (C,), as views (val, grad, dqy)."""
+    stack, rows, d = flat.shape[:-1], 4 * n + 5, 2 * n
+    grad = flat[..., rows : rows * (1 + d)].reshape(stack + (rows, d))
+    return flat[..., :rows], grad, flat[..., rows * (1 + d) :].reshape(stack + (n + 2, n, n))
+
+
+def _spray_inputs(bundle: AlphaBetaBundle | BundlePass, y: np.ndarray):
+    """The spray's inputs at ``y``, shape (n,), (m, n) or, over a pass, (p, m, n), packed into rows.
 
     Each input is a constant, linear or quadratic function of y whose
     x-dependent coefficients and first x-derivatives the bundle holds.
-    ``at`` evaluates them all as the rows of packed arrays over the 2n
-    chart+fiber directions, in this order (``n`` = bundle.n):
+    Returns (val, grad, hess, si0_xy): ``val`` and ``grad`` hold them all as
+    the rows of packed arrays over the 2n chart+fiber directions, in this
+    order (``n`` = bundle.n):
 
     =================  ===============================  =====================
     rows               input                            form
@@ -160,82 +167,63 @@ class _SprayInputs:
     gives them all.
 
     ``hess`` holds the y columns (see ``Spray``) of the Hessians of rows
-    [0, n + 5) only, shape (n + 5, 2n, n), over a template that holds the
-    constant y-y blocks 2q of the quadratic rows and x-y blocks of the
+    [0, n + 5) only, shape (n + 5, 2n, n): the constant y-y blocks 2q and
+    the x-y blocks 2 dqy of the quadratic rows, and the x-y blocks of the
     linear ones; there is no x-x block.  The Hessian of -s^i_0 does not
     depend on y: ``si0_xy`` is its x-y block, and its y-y block is zero.
-    b^i and y^i have none.
+    b^i and y^i have none.  For a stack the arrays carry its leading axes,
+    and each row has the bits of its y alone at its point.
     """
+    n, stack = bundle.n, y.shape[:-1]
+    over = isinstance(bundle, BundlePass)
+    lead = bundle.bsq.shape if over else ()  # () at a point, (p,) over a pass
+    ax = len(lead)  # a field's first axis after the point axis of a pass, if any
+    rows, d = 4 * n + 5, 2 * n
+    q, l = slice(0, n + 2), slice(n + 3, 2 * n + 5)
+    quad = np.concatenate([0.5 * bundle.gamma, bundle.a[..., None, :, :], bundle.r[..., None, :, :]], axis=-3)
+    lin = np.concatenate([bundle.b[..., None, :], bundle.svec[..., None, :], -bundle.s_up], axis=-2)
+    dlin = np.concatenate([bundle.db[..., None, :, :], bundle.d_svec[..., None, :, :], -bundle.d_s_up], axis=-3)
+    quad2, eye = 2.0 * quad, np.eye(n)
+    # the affine entries of [val | grad | dqy]: row k < n of ``affine`` is the
+    # coefficient of y^k, row n the constant term
+    affine = np.zeros(lead + (n + 1, rows * (1 + d) + (n + 2) * n * n))
+    val, grad, dqy = _split(affine, n)
+    val[..., n, n + 2] = bundle.bsq
+    val[..., n, 2 * n + 5 : 3 * n + 5] = bundle.bup
+    val[..., :n, 3 * n + 5 :] = eye
+    grad[..., :n, q, n:] = quad2.transpose(*range(ax), ax + 2, ax, ax + 1)
+    grad[..., :n, l, :n] = dlin.transpose(*range(ax), ax + 1, ax, ax + 2)
+    grad[..., n, n + 2, :n] = bundle.d_bsq
+    grad[..., n, l, n:] = lin
+    grad[..., n, 2 * n + 5 : 3 * n + 5, :n] = bundle.d_bup
+    grad[..., n, 3 * n + 5 :, n:] = eye
+    np.multiply(bundle.dgamma.transpose(*range(ax), ax + 2, ax, ax + 3, ax + 1), 0.5, out=dqy[..., :n, :n, :, :])
+    dqy[..., :n, n, :, :] = bundle.dA.transpose(*range(ax), ax + 1, ax + 2, ax)
+    dqy[..., :n, n + 1, :, :] = bundle.dr.transpose(*range(ax), ax + 1, ax + 2, ax)
 
-    def __init__(self, bundle: AlphaBetaBundle | BundlePass):
-        n = self.n = bundle.n
-        over = isinstance(bundle, BundlePass)
-        lead = bundle.bsq.shape if over else ()  # () at a point, (p,) over a pass
-        ax = len(lead)  # a field's first axis after the point axis of a pass, if any
-        rows, d = 4 * n + 5, 2 * n
-        q, l = self.quad_rows, self.lin_rows = slice(0, n + 2), slice(n + 3, 2 * n + 5)
-        quad = np.concatenate([0.5 * bundle.gamma, bundle.a[..., None, :, :], bundle.r[..., None, :, :]], axis=-3)
-        lin = np.concatenate([bundle.b[..., None, :], bundle.svec[..., None, :], -bundle.s_up], axis=-2)
-        dlin = np.concatenate([bundle.db[..., None, :, :], bundle.d_svec[..., None, :, :], -bundle.d_s_up], axis=-3)
-        quad2, eye = 2.0 * quad, np.eye(n)
-        # the affine entries of [val | grad | dqy]: row k < n of ``affine`` is the
-        # coefficient of y^k, row n the constant term
-        affine = np.zeros(lead + (n + 1, rows * (1 + d) + (n + 2) * n * n))
-        val, grad, dqy = self._split(affine, lead + (n + 1,))
-        val[..., n, n + 2] = bundle.bsq
-        val[..., n, 2 * n + 5 : 3 * n + 5] = bundle.bup
-        val[..., :n, 3 * n + 5 :] = eye
-        grad[..., :n, q, n:] = quad2.transpose(*range(ax), ax + 2, ax, ax + 1)
-        grad[..., :n, l, :n] = dlin.transpose(*range(ax), ax + 1, ax, ax + 2)
-        grad[..., n, n + 2, :n] = bundle.d_bsq
-        grad[..., n, l, n:] = lin
-        grad[..., n, 2 * n + 5 : 3 * n + 5, :n] = bundle.d_bup
-        grad[..., n, 3 * n + 5 :, n:] = eye
-        np.multiply(bundle.dgamma.transpose(*range(ax), ax + 2, ax, ax + 3, ax + 1), 0.5, out=dqy[..., :n, :n, :, :])
-        dqy[..., :n, n, :, :] = bundle.dA.transpose(*range(ax), ax + 1, ax + 2, ax)
-        dqy[..., :n, n + 1, :, :] = bundle.dr.transpose(*range(ax), ax + 1, ax + 2, ax)
-        hess = np.zeros(lead + (n + 5, d, n))
-        hess[..., q, n:, :] = quad2
-        hess[..., n + 3 :, :n, :] = dlin[..., :2, :, :].swapaxes(-1, -2)
-        si0_xy = dlin[..., 2:, :, :].swapaxes(-1, -2)  # the x-y blocks of -s^i_0, whose y-y blocks are zero
-        # over a pass, a y axis after the point axis, so each broadcasts against the (p, m, ...) stacks
-        at = (slice(None), None) if over else ()
-        self.quad, self.lin, self.hess, self.si0_xy = quad[at], lin[at], hess[at], si0_xy[at]
-        self.slope, self.offset = affine[at][..., :n, :], affine[at][..., n, :]
-
-    def _split(self, flat: np.ndarray, stack: tuple):
-        """``flat``, of shape stack + (C,), as views (val, grad, dqy)."""
-        n = self.n
-        rows, d = 4 * n + 5, 2 * n
-        grad = flat[..., rows : rows * (1 + d)].reshape(stack + (rows, d))
-        return flat[..., :rows], grad, flat[..., rows * (1 + d) :].reshape(stack + (n + 2, n, n))
-
-    def at(self, y: np.ndarray):
-        """(val, grad, hess) of every row at ``y``, shape (n,), (m, n) or, over a pass, (p, m, n).
-
-        For a stack the three arrays carry its leading axes, and each row
-        has the bits of its y alone at its point.
-        """
-        n, stack, q, l = self.n, y.shape[:-1], self.quad_rows, self.lin_rows
-        yc = y[..., None, :] if stack else y  # (..., m, 1, n): broadcasts along the row axis
-        flat = (y[..., None, :] @ self.slope)[..., 0, :]  # one vector-matrix product per row, as for one y
-        flat += self.offset
-        val, grad, dqy = self._split(flat, stack)
-        qy = np.einsum("...jk,...k->...j", self.quad, yc)
-        np.einsum("...j,...j->...", qy, yc, out=val[..., q])
-        np.einsum("...j,...j->...", self.lin, yc, out=val[..., l])
-        np.matmul(dqy, yc[..., None], out=grad[..., q, :n, None])
-        hess = np.empty(stack + self.hess.shape[-3:])
-        hess[...] = self.hess
-        np.multiply(dqy, 2.0, out=hess[..., q, :n, :])
-        return val, grad, hess
+    # over a pass, a y axis after the point axis, so each broadcasts against the (p, m, ...) stacks
+    at = (slice(None), None) if over else ()
+    quad, lin, quad2, dlin = quad[at], lin[at], quad2[at], dlin[at]
+    slope, offset = affine[at][..., :n, :], affine[at][..., n, :]
+    yc = y[..., None, :] if stack else y  # (..., m, 1, n): broadcasts along the row axis
+    flat = (y[..., None, :] @ slope)[..., 0, :]  # one vector-matrix product per row, as for one y
+    flat += offset
+    val, grad, dqy = _split(flat, n)
+    qy = np.einsum("...jk,...k->...j", quad, yc)
+    np.einsum("...j,...j->...", qy, yc, out=val[..., q])
+    np.einsum("...j,...j->...", lin, yc, out=val[..., l])
+    np.matmul(dqy, yc[..., None], out=grad[..., q, :n, None])
+    hess = np.zeros(stack + (n + 5, d, n))
+    hess[..., q, n:, :] = quad2
+    np.multiply(dqy, 2.0, out=hess[..., q, :n, :])
+    hess[..., n + 3 :, :n, :] = dlin[..., :2, :, :].swapaxes(-1, -2)
+    return val, grad, hess, dlin[..., 2:, :, :].swapaxes(-1, -2)
 
 
 class _Memo:
-    """The arrays of G and Gbar of a stacked spray, made read-only, and a copy of its y, shape S + (n,).
+    """The arrays of G and Gbar of a pass's stacked spray, made read-only, and a copy of its y, shape (p, m, n).
 
-    S is (m,) for a stack at one point and (p, m) over a pass.  ``row``
-    finds a row by its point and the bytes of its y.
+    ``row`` finds a row by its point's index in the pass and the bytes of its y.
     """
 
     def __init__(self, y: np.ndarray, G: ArrayJet, Gbar: ArrayJet):
@@ -245,20 +233,18 @@ class _Memo:
                 a.setflags(write=False)
         self.y, self.index = y.copy(), None  # the rows by point and bytes, built on the first lookup
 
-    def row(self, where: tuple, y: np.ndarray):
-        """(G, Gbar) at the one ``y`` among the rows of the point at ``where``, or None where none has its bytes.
+    def row(self, k: int, y: np.ndarray):
+        """(G, Gbar) at the one ``y`` among the rows of the pass's k-th point, or None where none has its bytes.
 
-        ``where`` is () for a stack at one point and (k,) for the k-th point
-        of a pass.  The jets are read-only views of the row, the bits a spray
-        at ``y`` alone at that point computes.
+        The jets are read-only views of the row, the bits a spray at ``y``
+        alone at that point computes.
         """
         if self.index is None:
-            rows = self.y.reshape(-1, self.y.shape[-1])
-            self.index = {(k[:-1], v.tobytes()): k for k, v in zip(np.ndindex(self.y.shape[:-1]), rows)}
-        k = self.index.get((where, y.tobytes()))
-        if k is None:
+            self.index = {(i, v.tobytes()): j for i, point in enumerate(self.y) for j, v in enumerate(point)}
+        j = self.index.get((k, y.tobytes()))
+        if j is None:
             return None
-        return [ArrayJet(val[k], grad[k], hess[k]) for val, grad, hess in self.arrays]
+        return [ArrayJet(val[k, j], grad[k, j], hess[k, j]) for val, grad, hess in self.arrays]
 
 
 # -- the spray's scalar coefficients ------------------------------------------
@@ -399,26 +385,23 @@ def spray(bundle: AlphaBetaBundle | BundlePass, y) -> Spray:
     ``y`` is one fiber vector, shape (n,), or a stack of m of them, shape
     (m, n), or over a pass of p points a stack of shape (p, m, n); the
     ``Spray`` then carries the same leading axes.  It holds order-2 jets of
-    G and Gbar, with the y columns of their Hessians.  A stack's arrays are
-    read-only and its record holds their memo, and while it lives a one-y
-    call at one of its points, at the bytes of one of that point's rows,
-    returns read-only views of that row, the bits it would compute.
+    G and Gbar, with the y columns of their Hessians.  Over a pass the
+    arrays are read-only and the record holds their memo, and while it lives
+    a one-y call at one of the pass's points, at the bytes of one of that
+    point's rows, returns read-only views of that row, the bits it would compute.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim == 1 and bundle.spray_memo is not None:
-        ref, where = bundle.spray_memo
-        memo = ref()  # None once the stack's record is gone
-        kept = None if memo is None else memo.row(where, y)  # a row of a stack, which has passed the check below
+        ref, k = bundle.spray_memo
+        memo = ref()  # None once the pass's record is gone
+        kept = None if memo is None else memo.row(k, y)  # a row of a stack, which has passed the check below
         if kept is not None:
             return Spray(bundle, y, *kept)
     if not (y.size and np.logical_or.reduce(y, axis=-1).all()):
         raise ValueError("y must be a nonzero vector or a nonempty stack of them")
-    inp = bundle.spray_inputs
-    if inp is None:
-        inp = bundle.spray_inputs = _SprayInputs(bundle)
+    val, grad, hess, si0_xy = _spray_inputs(bundle, y)
     n, stack = bundle.n, y.shape[:-1]
     d = 2 * n
-    val, grad, hess = inp.at(y)
     rows = val[..., n : n + 5].reshape(-1, 5).tolist()  # u at each y; one y is a stack of one here
     parts = np.array([_coefficient_partials(*u) for u in rows]).reshape(stack + (-1,))
     coefs, jac = parts[..., :3], parts[..., 3:18].reshape(stack + (3, 5))  # coefs: (L, C_b, C_y)
@@ -445,18 +428,15 @@ def spray(bundle: AlphaBetaBundle | BundlePass, y) -> Spray:
     by_row = vec_grads.swapaxes(-3, -2)  # (..., n, 3, d)
     G_hess = (vec.swapaxes(-1, -2) @ coef_hess.reshape(stack + (3, d * n))).reshape(stack + (n, d, n))
     G_hess += hess[..., :n, :, :]
-    G_hess[..., :n, :] += coefs[..., 0, None, None, None] * inp.si0_xy
+    G_hess[..., :n, :] += coefs[..., 0, None, None, None] * si0_xy
     G_hess += cg.swapaxes(-1, -2)[..., None, :, :] @ by_row[..., n:]
     G_hess += by_row.swapaxes(-1, -2) @ cg[..., None, :, n:]
     G, Gbar = ArrayJet(G, G_grad, G_hess), ArrayJet(val[..., :n], grad[..., :n, :], hess[..., :n, :, :])
     memo = None
-    if stack:
+    if isinstance(bundle, BundlePass):
         memo = _Memo(y, G, Gbar)
-        if isinstance(bundle, BundlePass):
-            for k, bu in enumerate(bundle.bundles):
-                bu.spray_memo = weakref.ref(memo), (k,)
-        else:
-            bundle.spray_memo = weakref.ref(memo), ()
+        for k, bu in enumerate(bundle.bundles):
+            bu.spray_memo = weakref.ref(memo), k
     return Spray(bundle=bundle, y=y, G=G, Gbar=Gbar, memo=memo)
 
 

@@ -104,11 +104,8 @@ class AlphaBetaBundle:
     d_s_up: np.ndarray
     d_svec: np.ndarray
     dlndet: np.ndarray
-    # the y-independent parts of the spray's packed inputs, built by the first
-    # ``finsler.spray`` at this point alone and reused by every later one
-    # (nothing changes a bundle's arrays after ``build_bundle``)
-    spray_inputs: object = field(default=None, init=False)
-    # (weak reference to the memo, this point's place in it) of the last stack sprayed over this point
+    # (weak reference to the memo, this point's index in its pass) of the last pass stack
+    # ``finsler.spray`` formed over this point
     spray_memo: object = field(default=None, init=False)
     # (volume factor record, d(ln sigma_F)/dx) of the last ``scurvature.s_curvature_def``
     # at this point: the drift depends on the point and on f alone, not on y
@@ -256,19 +253,15 @@ class BundlePass:
     def __init__(self, bundles: list, fields: dict):
         self.bundles, self.n, self.fields = bundles, bundles[0].n, fields
         vars(self).update(fields)
-        self.spray_inputs = None  # as on a bundle, over the pass
 
     def part(self, k: int) -> BundlePass:
         """The pass of the k-th point alone."""
         return BundlePass(self.bundles[k:k + 1], {name: v[k:k + 1] for name, v in self.fields.items()})
 
-    @cached_property
-    def ricci_tensor(self) -> np.ndarray:
-        return np.stack([bu.ricci_tensor for bu in self.bundles])
-
     def ricbar(self, y):
         """Ricci curvature of alpha at y, shape (p, m, n): each row the bits of its bundle's ``ricbar``."""
-        return (y[..., None, :] @ self.ricci_tensor[:, None] @ y[..., :, None])[..., 0, 0]
+        ricci = np.stack([bu.ricci_tensor for bu in self.bundles])[:, None]
+        return (y[..., None, :] @ ricci @ y[..., :, None])[..., 0, 0]
 
 
 # Floats of a and b jets that one walk of the metric may form: the default 20

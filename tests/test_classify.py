@@ -444,15 +444,52 @@ def test_spray_inputs_evaluated_once_per_stack_or_sample(command, samples, monke
     """``check`` and ``scurv`` evaluate the spray's inputs once per pass, for the stack of its 3 points'
     ``samples`` y-samples each, and serve each S sample's spray from that stack."""
     calls = []
-    orig = finsler._SprayInputs.at
+    orig = finsler._spray_inputs
 
-    def counted(self, y):
+    def counted(bundle, y):
         calls.append(np.shape(y))
-        return orig(self, y)
+        return orig(bundle, y)
 
-    monkeypatch.setattr(finsler._SprayInputs, "at", counted)
+    monkeypatch.setattr(finsler, "_spray_inputs", counted)
     assert cli.main([command, _example_path(), "--points", "3"]) == cli.EXIT_OK
     assert calls == [(3, samples, 5)]
+
+
+@pytest.mark.parametrize(
+    "command, traffic",
+    # matsumoto_example (n = 5) at the defaults: check and scurv spray 20 points in 5 passes of 4, with 12 and
+    # 6 y-samples a point; appendix sprays the stack of each of its 20 points' y and -y at that point alone
+    [
+        ("check", {"pass stack": 5, "one y": 240, "inputs": 5, "memo": 5, "hit": 240}),
+        ("scurv", {"pass stack": 5, "one y": 120, "inputs": 5, "memo": 5, "hit": 120}),
+        ("appendix", {"bundle stack": 20, "inputs": 20}),
+    ],
+)
+def test_spray_state_is_read_where_it_is_kept(command, traffic, monkeypatch, capsys):
+    """A default CLI job forms the spray's inputs once per spray that computes, builds a memo for each
+    pass's stack and for no other, and serves every S sample's one-y spray from it: a cache that nothing
+    reads, or an S spray computed afresh per y, changes these counts."""
+    counts = dict.fromkeys(("pass stack", "bundle stack", "one y", "inputs", "memo", "hit"), 0)
+    spray, inputs, memo, row = finsler.spray, finsler._spray_inputs, finsler._Memo.__init__, finsler._Memo.row
+
+    def count(key, value=True):
+        counts[key] += bool(value)
+        return value
+
+    def counted_spray(bundle, y):
+        over = isinstance(bundle, riemann.BundlePass)
+        count("pass stack" if over else "bundle stack" if np.ndim(y) > 1 else "one y")
+        return spray(bundle, y)
+
+    monkeypatch.setattr(finsler, "spray", counted_spray)
+    monkeypatch.setattr(finsler, "_spray_inputs", lambda bundle, y: count("inputs") and inputs(bundle, y))
+    monkeypatch.setattr(finsler._Memo, "__init__", lambda self, *args: count("memo") and memo(self, *args))
+    monkeypatch.setattr(finsler._Memo, "row", lambda self, k, y: count("hit", row(self, k, y)))
+    assert cli.main([command, _example_path()]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert {key: v for key, v in counts.items() if v} == traffic
+    assert counts["inputs"] == counts["pass stack"] + counts["bundle stack"] + counts["one y"] - counts["hit"]
+    assert counts["memo"] == counts["pass stack"] and counts["hit"] == counts["one y"]
 
 
 def _check_json(path, form, out):
@@ -477,7 +514,7 @@ def test_check_output_same_without_the_spray_memo(source, form, tmp_path, monkey
         return [row["S"].hex() for row in run_check(spec, config, ("beta", "S")).points]
 
     served, served_s = _check_json(path, form, tmp_path / "served.json"), s_bits()
-    monkeypatch.setattr(finsler._Memo, "row", lambda self, where, y: None)
+    monkeypatch.setattr(finsler._Memo, "row", lambda self, k, y: None)
     assert _check_json(path, form, tmp_path / "fresh.json") == served
     assert s_bits() == served_s
 
@@ -544,7 +581,7 @@ b 3 = 0.02 * x1^2 - 0.01 * sqrt(x3)^1.5
 """
 
 def _bundle_bytes(bu) -> dict:
-    names = [f.name for f in dataclasses.fields(bu) if f.name not in ("spec", "n", "spray_inputs")]
+    names = [f.name for f in dataclasses.fields(bu) if f.name not in ("spec", "n")]
     return {name: np.asarray(getattr(bu, name)).tobytes() for name in names + list(_LAZY)}
 
 

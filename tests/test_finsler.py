@@ -9,9 +9,9 @@ import pytest
 from finslerab import finsler, riemann, testmetrics
 from finslerab.dsl import parse_metric, sample_domain
 from finslerab.finsler import (
-    _SprayInputs,
     _blocks,
     _lowered_y,
+    _spray_inputs,
     extract_scalars,
     flag_curvature_fit,
     metric_value,
@@ -492,11 +492,12 @@ def _y_readers(bundle, ys):
 
 
 def _memo_case(source, m=6):
-    """(spec, x, ys): a point of a shipped metric or of random_metric(n, 40 + n), and m alpha-unit y there."""
+    """(spec, pass, ys): a pass of 3 points of a shipped metric or of random_metric(n, 40 + n), and m alpha-unit
+    y at each of its points, shape (3, m, n)."""
     spec = testmetrics.random_metric(source, 40 + source) if isinstance(source, int) else testmetrics.shipped_metric(source)
     rng = np.random.default_rng(24)
-    x = sample_domain(spec, 1, rng, shrink=0.05)[0]
-    return spec, x, finsler.unit_alpha_vectors(build_bundle(spec, x), m, rng)
+    (bunch,) = riemann.passes(spec, sample_domain(spec, 3, rng, shrink=0.05))
+    return spec, bunch, np.stack([finsler.unit_alpha_vectors(bu, m, rng) for bu in bunch.bundles])
 
 
 def _same_spray(got, want):
@@ -514,69 +515,87 @@ def _served(one, stack):
 
 @pytest.mark.parametrize("source", ["matsumoto_example", "euclidean_shear", 3, 8])
 def test_spray_serves_a_row_of_the_last_stack(source):
-    """A one-y spray at the bytes of a row of the bundle's last stack is that row: the bits of a fresh bundle's spray."""
-    spec, x, ys = _memo_case(source)
-    bu = build_bundle(spec, x)
-    stack = spray(bu, ys)
-    for y in ys:
-        one = spray(bu, y)
-        assert _served(one, stack)
-        assert _same_spray(one, spray(build_bundle(spec, x), y))
+    """A one-y spray at a point of a pass, at the bytes of a row of the pass's last stack there, is that row:
+    the bits of a fresh bundle's spray."""
+    spec, bunch, ys = _memo_case(source)
+    stack = spray(bunch, ys)
+    for bu, point_ys in zip(bunch.bundles, ys):
+        for y in point_ys:
+            one = spray(bu, y)
+            assert _served(one, stack)
+            assert _same_spray(one, spray(build_bundle(spec, bu.x), y))
 
 
 @pytest.mark.parametrize("source", ["matsumoto_example", 5])
 def test_spray_memo_misses_other_bytes(source):
     """A y one ulp away or with the other sign of a zero is not a row of the last stack; an earlier stack serves none."""
-    spec, x, ys = _memo_case(source)
-    ys[0, 1] = 0.0
-    bu = build_bundle(spec, x)
-    stack = spray(bu, ys)
-    near = ys[1].copy()
+    spec, bunch, ys = _memo_case(source)
+    ys[0, 0, 1] = 0.0
+    bu = bunch.bundles[0]
+    stack = spray(bunch, ys)
+    near = ys[0, 1].copy()
     near[0] = np.nextafter(near[0], np.inf)
-    signed = ys[0].copy()
+    signed = ys[0, 0].copy()
     signed[1] = -0.0
     for y in (near, signed):
         one = spray(bu, y)
         assert not _served(one, stack)
-        assert _same_spray(one, spray(build_bundle(spec, x), y))
-    assert _served(spray(bu, ys[0]), stack)  # the +0.0 row itself is served
+        assert _same_spray(one, spray(build_bundle(spec, bu.x), y))
+    assert _served(spray(bu, ys[0, 0]), stack)  # the +0.0 row itself is served
 
-    later = spray(bu, ys[::-1].copy())
-    one = spray(bu, ys[2])
+    later = spray(bunch, ys[:, ::-1].copy())
+    one = spray(bu, ys[0, 2])
     assert _served(one, later) and not _served(one, stack)
 
 
-def test_spray_memo_keeps_no_bundle_alive(example_spec):
-    """With the cycle collector off, a bundle dies once its caller drops it after a stack and a served row."""
-    _, x, ys = _memo_case("matsumoto_example")
+def test_spray_memo_keeps_no_bundle_alive():
+    """With the cycle collector off, a pass and its bundles die once their caller drops them after a stack
+    and a served row."""
+    _, bunch, ys = _memo_case("matsumoto_example")
     gc.disable()
     try:
-        bu = build_bundle(example_spec, x)
-        ref = weakref.ref(bu)
-        stack, one = spray(bu, ys), spray(bu, ys[0])
+        bu = bunch.bundles[0]
+        refs = weakref.ref(bunch), weakref.ref(bu)
+        stack, one = spray(bunch, ys), spray(bu, ys[0, 0])
         assert _served(one, stack)
-        del bu, stack, one
-        assert ref() is None
+        del bunch, bu, stack, one
+        assert all(ref() is None for ref in refs)
     finally:
         gc.enable()
 
 
-def test_spray_memo_cannot_be_written_through(example_spec):
-    """Neither a served row, nor the stack's spray, nor the caller's y stack can change what the memo serves."""
-    _, x, ys = _memo_case("matsumoto_example")
-    bu, fresh = build_bundle(example_spec, x), build_bundle(example_spec, x)
-    want = spray(fresh, ys[0])
-    stack = spray(bu, ys.copy())
-    stack.y[0] = ys[1]  # the memo keeps its own copy of the stack's y
-    one = spray(bu, ys[0])
+def test_spray_memo_cannot_be_written_through():
+    """Neither a served row, nor the pass's stacked spray, nor the caller's y stack can change what the memo serves."""
+    spec, bunch, ys = _memo_case("matsumoto_example")
+    bu = bunch.bundles[0]
+    want = spray(build_bundle(spec, bu.x), ys[0, 0])
+    stack = spray(bunch, ys.copy())
+    stack.y[0, 0] = ys[0, 1]  # the memo keeps its own copy of the stack's y
+    one = spray(bu, ys[0, 0])
     assert _served(one, stack) and _same_spray(one, want)
     for jet in (one.G, one.Gbar, stack.G, stack.Gbar):
         for part in (jet.val, jet.grad, jet.hess):
             with pytest.raises(ValueError, match="read-only"):
                 part[...] = 0.0
     one.G.val = np.zeros_like(one.G.val)  # rebinds this record's own jet only
-    again = spray(bu, ys[0])
+    again = spray(bu, ys[0, 0])
     assert _served(again, stack) and _same_spray(again, want)
+
+
+@pytest.mark.parametrize("source", ["matsumoto_example", 5])
+def test_bundle_stack_keeps_no_memo(source):
+    """A stack at one bundle keeps no memo: its record holds none and the bundle points to none, and a one-y
+    spray after it is computed, not served, with the bits of the stack's row."""
+    spec, bunch, ys = _memo_case(source)
+    bu = build_bundle(spec, bunch.bundles[0].x)
+    stack = spray(bu, ys[0])
+    assert stack.memo is None and bu.spray_memo is None and stack.G.val.flags.writeable
+    for j, y in enumerate(ys[0]):
+        one = spray(bu, y)
+        assert not _served(one, stack)
+        for got, want in ((one.G, stack.G), (one.Gbar, stack.Gbar)):
+            for part in ("val", "grad", "hess"):
+                assert np.array_equal(getattr(got, part), getattr(want, part)[j]), (j, part)
 
 
 @pytest.mark.parametrize("source", ["euclidean_flat", "matsumoto_example"])
@@ -677,7 +696,7 @@ def _close(got, want):
 def test_spray_input_rows_match_single_forms(source):
     """Each packed input row is the jet of the one form it stands for, written out here.
 
-    The rows follow the table in ``_SprayInputs``.  The forms' values are
+    The rows follow the table in ``_spray_inputs``.  The forms' values are
     einsums in both, so they agree bit for bit (a stack is evaluated as the
     spray evaluates it, with y of shape (m, 1, n)); the entries that do not
     depend on y are copies and agree exactly; the gradients and x-y blocks
@@ -691,7 +710,6 @@ def test_spray_input_rows_match_single_forms(source):
     for x in sample_domain(spec, 2, rng, shrink=0.05):
         bu = build_bundle(spec, x)
         n = bu.n
-        inputs = _SprayInputs(bu)
         ys = np.array([unit_y(bu, rng) for _ in range(4 * n)])
         for y, yc, lead in ((ys[0], ys[0], lambda a: a), (ys, ys[:, None, :], lambda a: a[:, 0])):
             quadratic = [_quadratic_jet(0.5 * bu.gamma[i], 0.5 * bu.dgamma[i], yc) for i in range(n)]
@@ -706,7 +724,7 @@ def test_spray_input_rows_match_single_forms(source):
             jets = [tuple(map(lead, jet)) for jet in quadratic] + constant[:1]
             jets += [(lead(v), lead(g), h) for v, g, h in linear] + constant[1:]  # h does not depend on y
             assert len(jets) == len(kinds) == 4 * n + 5
-            val, grad, hess = inputs.at(y)
+            val, grad, hess, si0_xy = _spray_inputs(bu, y)
             assert val.shape == y.shape[:-1] + (4 * n + 5,) and grad.shape == val.shape + (2 * n,)
             for k, (kind, jet) in enumerate(zip(kinds, jets)):
                 v, g = jet[:2]
@@ -723,7 +741,7 @@ def test_spray_input_rows_match_single_forms(source):
                 elif k < n + 5:  # beta and s0
                     assert _equal(hess[..., k, :, :], h), k
                 else:  # -s^i_0, whose Hessian does not depend on y
-                    assert _equal(inputs.si0_xy[k - n - 5], h[..., :n, :]) and not h[..., n:, :].any(), k
+                    assert _equal(si0_xy[k - n - 5], h[..., :n, :]) and not h[..., n:, :].any(), k
             assert not hess[..., n + 2, :, :].any()  # b^2's, truncated
 
 
